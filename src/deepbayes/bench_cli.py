@@ -6,7 +6,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -286,10 +286,44 @@ class SvgpModel:
                 "rmse": float(np.sqrt(np.mean(resid ** 2)))}
 
 
-class BnnModel:
+class _MonteCarloModel:
+    """Shared evaluation for models whose ELBO and predictive samples both
+    come from one per-sample `forward(p, X, stream) -> (outputs, increment)`.
+    Evaluation uses up to 20 samples for the ELBO and up to
+    `max_pred_samples` (None: no cap) for the predictive."""
+
+    max_pred_samples = 50
+
+    def predictive_samples(self, params, X, rng, n_samples):
+        """(n_samples, n) predictive draws of the first output."""
+        p = {k: as_tensor(v) for k, v in params.items()}
+        return np.asarray([self.forward(p, X, st)[0].value[:, 0]
+                           for st in rng.split(n_samples)])
+
+    def evaluate(self, params, dataset, rng, n_samples):
+        n = dataset.X_train.shape[0]
+        sub = rng.split(2)
+        p = {k: as_tensor(v) for k, v in params.items()}
+        elbo = self.objective(p, dataset.X_train, dataset.y_train, n,
+                              min(n_samples, 20), sub[0], 1.0)
+        n_pred = (n_samples if self.max_pred_samples is None
+                  else min(n_samples, self.max_pred_samples))
+        preds = self.predictive_samples(params, dataset.X_test, sub[1], n_pred)
+        s2 = float(np.exp(10.0 * params["log_noise_s"]))
+        ll = (-0.5 * np.log(2 * np.pi * s2)
+              - 0.5 * (dataset.y_test[None, :] - preds) ** 2 / s2)
+        mean_pred = preds.mean(axis=0)
+        return {"elbo_per_point": float(elbo.value) / n,
+                "test_ll_per_point": float(np.mean(_log_mean_exp(ll, axis=0))),
+                "rmse": float(np.sqrt(np.mean((dataset.y_test - mean_pred) ** 2)))}
+
+
+class BnnModel(_MonteCarloModel):
     """BNN with Gaussian likelihood; posterior is 'gi' (global inducing) or
     'fac' (mean field). Hidden activations are relu; a bias column is
     appended at every layer."""
+
+    max_pred_samples = None
 
     def __init__(self, dataset: Dataset, posterior="gi", widths=(50, 50), M=40,
                  prior_variant="neal", seed=0):
@@ -344,43 +378,11 @@ class BnnModel:
                            inducing_inputs=p.get("U0"), log_noise=log_noise,
                            kl_scale=kl_scale)
 
-    def _sample_outputs(self, params, X, rng, n_samples):
-        p = {k: as_tensor(v) for k, v in params.items()}
-        layers = self._layers(p)
-        outs = []
-        for st in rng.split(n_samples):
-            F = as_tensor(X)
-            U = p.get("U0")
-            for i, layer in enumerate(layers):
-                s, _ = dm.scale_prior_terms(layer.prior, st)
-                psi_F = dm._psi(F, i == 0, layer.bias)
-                if isinstance(layer, dm.GiBnnLayer):
-                    psi_U = dm._psi(U, i == 0, layer.bias)
-                    W, _, U = dm.gi_bnn_layer_sample(psi_U, layer, st, s=s)
-                else:
-                    W, _ = dm.fac_bnn_layer_sample(layer, psi_F.value.shape[1], st, s=s)
-                F = de.matmul(psi_F, W)
-            outs.append(F.value[:, 0])
-        return np.asarray(outs)
-
-    def evaluate(self, params, dataset, rng, n_samples):
-        n = dataset.X_train.shape[0]
-        sub = rng.split(2)
-        n_elbo = min(n_samples, 20)
-        p = {k: as_tensor(v) for k, v in params.items()}
-        elbo = self.objective(p, dataset.X_train, dataset.y_train, n,
-                              n_elbo, sub[0], 1.0)
-        preds = self._sample_outputs(params, dataset.X_test, sub[1], n_samples)
-        s2 = float(np.exp(10.0 * params["log_noise_s"]))
-        ll = (-0.5 * np.log(2 * np.pi * s2)
-              - 0.5 * (dataset.y_test[None, :] - preds) ** 2 / s2)
-        mean_pred = preds.mean(axis=0)
-        return {"elbo_per_point": float(elbo.value) / n,
-                "test_ll_per_point": float(np.mean(_log_mean_exp(ll, axis=0))),
-                "rmse": float(np.sqrt(np.mean((dataset.y_test - mean_pred) ** 2)))}
+    def forward(self, p, X, rng):
+        return dm.bnn_forward(self._layers(p), X, rng, inducing_inputs=p.get("U0"))
 
 
-class DgpModel:
+class DgpModel(_MonteCarloModel):
     """Deep GP with 'gi' (global inducing) or 'dsvi' (local inducing)
     posterior; intermediate layers use identity mean functions when the
     widths allow it and the final layer is zero-mean."""
@@ -428,90 +430,40 @@ class DgpModel:
         return KernelParams(log_sf2=p[f"log_sf2_{i}"],
                             log_lengthscales=p[f"log_ls_{i}"])
 
+    def forward(self, p, X, rng):
+        F = as_tensor(X)
+        U = as_tensor(p["Z0"])
+        inc_sum = as_tensor(np.asarray(0.0))
+        n_layers = len(self.widths)
+        for i, w in enumerate(self.widths):
+            last = i == n_layers - 1
+            mean_fn = "identity" if (not last and F.value.shape[1] == w) else "zero"
+            if self.posterior == "gi":
+                layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
+                                      kernel_params=self._kp(p, i), width=w,
+                                      mean_function=mean_fn)
+                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, rng)
+                inc_sum = de.add(inc_sum, inc)
+            else:
+                chols = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
+                         for lam in range(w)]
+                S_chol = de.concat([de.reshape(c, (1, self.M, self.M)) for c in chols],
+                                   axis=0)
+                layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"],
+                                        m=p[f"m{i}"], S_chol=S_chol,
+                                        kernel_params=self._kp(p, i),
+                                        width=w, mean_function=mean_fn)
+                F, kl = dm.dsvi_dgp_layer_sample(F, layer, rng)
+                inc_sum = de.sub(inc_sum, kl)
+        return F, inc_sum
+
     def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
-        nb = np.asarray(as_tensor(Xb).value).shape[0]
-        s2 = de.elementwise("exp",
-                            de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0))
-        total = None
-        n_layers = len(self.widths)
-        for st in rng.split(n_samples):
-            F = as_tensor(Xb)
-            U = as_tensor(p["Z0"])
-            inc_sum = as_tensor(np.asarray(0.0))
-            for i, w in enumerate(self.widths):
-                last = i == n_layers - 1
-                mean_fn = "identity" if (not last and F.value.shape[1] == w) else "zero"
-                if self.posterior == "gi":
-                    layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
-                                          kernel_params=self._kp(p, i), width=w,
-                                          mean_function=mean_fn)
-                    U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, st)
-                    inc_sum = de.add(inc_sum, inc)
-                else:
-                    layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"],
-                                            m=p[f"m{i}"],
-                                            S_chol=None, kernel_params=self._kp(p, i),
-                                            width=w, mean_function=mean_fn)
-                    chols = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
-                             for lam in range(w)]
-                    layer.S_chol = de.concat(
-                        [de.reshape(c, (1, self.M, self.M)) for c in chols], axis=0)
-                    F, kl = dm.dsvi_dgp_layer_sample(F, layer, st)
-                    inc_sum = de.sub(inc_sum, kl)
-            out = de.reshape(F, (nb,))
-            ll = de.tsum(rd.normal_log_density(as_tensor(yb), out, s2))
-            term = de.add(de.elementwise("affine", ll, a=float(total_n) / nb),
-                          de.elementwise("affine", inc_sum, a=float(kl_scale)))
-            total = term if total is None else de.add(total, term)
-        return de.elementwise("affine", total, a=1.0 / n_samples)
-
-    def _sample_outputs(self, params, X, rng, n_samples):
-        p = {k: as_tensor(v) for k, v in params.items()}
-        n_layers = len(self.widths)
-        outs = []
-        for st in rng.split(n_samples):
-            F = as_tensor(X)
-            U = p["Z0"]
-            for i, w in enumerate(self.widths):
-                last = i == n_layers - 1
-                mean_fn = "identity" if (not last and F.value.shape[1] == w) else "zero"
-                if self.posterior == "gi":
-                    layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
-                                          kernel_params=self._kp(p, i), width=w,
-                                          mean_function=mean_fn)
-                    U, F, _ = dm.gi_dgp_layer_sample(F, U, layer, st)
-                else:
-                    layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"],
-                                            m=p[f"m{i}"], S_chol=None,
-                                            kernel_params=self._kp(p, i),
-                                            width=w, mean_function=mean_fn)
-                    chols = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
-                             for lam in range(w)]
-                    layer.S_chol = de.concat(
-                        [de.reshape(c, (1, self.M, self.M)) for c in chols], axis=0)
-                    F, _ = dm.dsvi_dgp_layer_sample(F, layer, st)
-            outs.append(F.value[:, 0])
-        return np.asarray(outs)
-
-    def evaluate(self, params, dataset, rng, n_samples):
-        n = dataset.X_train.shape[0]
-        sub = rng.split(2)
-        p = {k: as_tensor(v) for k, v in params.items()}
-        elbo = self.objective(p, dataset.X_train, dataset.y_train, n,
-                              min(n_samples, 20), sub[0], 1.0)
-        preds = self._sample_outputs(params, dataset.X_test, sub[1],
-                                     min(n_samples, 50))
-        s2 = float(np.exp(10.0 * params["log_noise_s"]))
-        ll = (-0.5 * np.log(2 * np.pi * s2)
-              - 0.5 * (dataset.y_test[None, :] - preds) ** 2 / s2)
-        mean_pred = preds.mean(axis=0)
-        return {"elbo_per_point": float(elbo.value) / n,
-                "test_ll_per_point": float(np.mean(_log_mean_exp(ll, axis=0))),
-                "rmse": float(np.sqrt(np.mean((dataset.y_test - mean_pred) ** 2)))}
+        log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
+        return dm.mc_elbo(lambda st: self.forward(p, Xb, st), yb, total_n,
+                          n_samples, rng, log_noise, kl_scale)
 
 
-
-class DwpModel:
+class DwpModel(_MonteCarloModel):
     """Deep Wishart process with `n_gram_layers` Gram layers and a
     global-inducing GP output layer; variant in {base, A, AB}."""
 
@@ -569,30 +521,12 @@ class DwpModel:
                                 final_kernel=fk, log_noise=log_noise,
                                 nu0=self.D)
 
-    def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale, stl=False):
-        return dwp_mod.dwp_elbo_batch(self._state(p), Xb, yb, total_n, rng,
-                                      n_samples=n_samples, kl_scale=kl_scale,
-                                      stl=stl)
+    def forward(self, p, X, rng):
+        return dwp_mod.dwp_forward(self._state(p), X, rng)
 
-    def evaluate(self, params, dataset, rng, n_samples):
-        p = {k: as_tensor(v) for k, v in params.items()}
-        n = dataset.X_train.shape[0]
-        sub = rng.split(2)
-        n_elbo = min(n_samples, 20)
-        elbo = self.objective(p, dataset.X_train, dataset.y_train, n,
-                              n_elbo, sub[0], 1.0)
-        st = self._state(p)
-        _, preds = dwp_mod.dwp_elbo_batch(st, dataset.X_test, dataset.y_test,
-                                          n, sub[1], n_samples=min(n_samples, 50),
-                                          return_predictions=True)
-        preds = np.asarray(preds)
-        s2 = float(np.exp(10.0 * params["log_noise_s"]))
-        ll = (-0.5 * np.log(2 * np.pi * s2)
-              - 0.5 * (dataset.y_test[None, :] - preds) ** 2 / s2)
-        mean_pred = preds.mean(axis=0)
-        return {"elbo_per_point": float(elbo.value) / n,
-                "test_ll_per_point": float(np.mean(_log_mean_exp(ll, axis=0))),
-                "rmse": float(np.sqrt(np.mean((dataset.y_test - mean_pred) ** 2)))}
+    def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
+        return dwp_mod.dwp_elbo_batch(self._state(p), Xb, yb, total_n, rng,
+                                      n_samples=n_samples, kl_scale=kl_scale)
 
 
 # -- experiment orchestration ------------------------------------------------------
@@ -611,15 +545,22 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """Build from a parsed config; unknown keys, top-level or under
+        `train`, raise a ValueError that lists the valid ones."""
         d = dict(d)
-        tc = d.pop("train", {})
-        cfg = ExperimentConfig(**{k: v for k, v in d.items()
-                                  if k in ExperimentConfig.__dataclass_fields__})
-        if isinstance(tc, dict):
-            cfg.train = TrainConfig(**tc)
+        d["train"] = _from_keys(TrainConfig, d.pop("train", None) or {}, "train")
+        cfg = _from_keys(ExperimentConfig, d, "config")
         if isinstance(cfg.widths, list):
             cfg.widths = tuple(cfg.widths)
         return cfg
+
+
+def _from_keys(cls, d: dict, where: str):
+    valid = [f.name for f in fields(cls)]
+    unknown = sorted(set(d) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; valid keys: {valid}")
+    return cls(**d)
 
 
 @dataclass
@@ -670,7 +611,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     tc.seed = cfg.seed
     res = train_loop(model, ds, tc)
     result = ExperimentResult(
-        config=_config_dict(cfg), trace=res["trace"],
+        config=asdict(cfg), trace=res["trace"],
         final=res.get("final", {}), wall_clock=res["wall_clock"],
         seed=cfg.seed, aborted=res["aborted"])
     os.makedirs(cfg.out, exist_ok=True)
@@ -690,18 +631,13 @@ def _json_default(o):
     raise TypeError(type(o))
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    return d
-
-
 def _write_plot_data(model, params, ds: Dataset, path):
     """x-grid, predictive mean, and +-1/+-2 std bands for 1-D inputs."""
     grid = np.linspace(ds.X_train[:, 0].min() - 1, ds.X_train[:, 0].max() + 1,
                        200)[:, None]
     rng = rd.RngStream(0)
-    if hasattr(model, "_sample_outputs"):
-        outs = model._sample_outputs(params, grid, rng, 50)
+    if isinstance(model, _MonteCarloModel):
+        outs = model.predictive_samples(params, grid, rng, 50)
         mean, std = outs.mean(axis=0), outs.std(axis=0)
     elif isinstance(model, BlrViModel):
         phi = model._phi(grid).value

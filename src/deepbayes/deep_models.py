@@ -17,7 +17,8 @@ from .kernels import KernelParams, add_layer_noise, se_ard_features
 
 __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer",
-    "gi_bnn_layer_sample", "fac_bnn_layer_sample", "bnn_elbo",
+    "gi_bnn_layer_sample", "fac_bnn_layer_sample", "bnn_forward", "mc_elbo",
+    "bnn_elbo",
     "scale_prior_terms", "gi_dgp_layer_sample", "dsvi_dgp_layer_sample",
     "bnn_as_dgp_gram",
 ]
@@ -65,7 +66,6 @@ class GiDgpLayer:
     kernel_params: KernelParams = field(default_factory=KernelParams)
     width: int = 1
     mean_function: str = "zero"    # "zero" | "identity"
-    gram_input: bool = False       # kernel acts on a Gram matrix, not features
 
 
 @dataclass
@@ -178,43 +178,60 @@ def scale_prior_terms(prior: PriorSpec, rng: rd.RngStream):
     return s, kl
 
 
-def bnn_elbo(layers, Xb, yb, total_n, n_samples, rng: rd.RngStream,
-             inducing_inputs=None, log_noise=0.0, kl_scale=1.0):
-    """Monte-Carlo ELBO for a BNN with a Gaussian likelihood.
+def bnn_forward(layers, X, rng: rd.RngStream, inducing_inputs=None):
+    """One Monte-Carlo sample of a BNN: returns (outputs, increment) with
+    increment the sum over layers of log p(W) - log q(W) - KL(q(s) || p(s)).
 
-    Global-inducing layers propagate the learned inducing inputs alongside the
-    batch; factorised layers only need the batch. The returned value is
-    (N/Nb) * mean log-likelihood + kl_scale * (sum of logp - logq terms).
+    Global-inducing layers propagate the learned inducing inputs alongside
+    the batch; factorised layers only need the batch.
     """
-    Xb = as_tensor(Xb)
+    F = as_tensor(X)
+    U = as_tensor(inducing_inputs) if inducing_inputs is not None else None
+    inc_sum = as_tensor(np.asarray(0.0))
+    for i, layer in enumerate(layers):
+        s, kl_s = scale_prior_terms(layer.prior, rng)
+        psi_F = _psi(F, i == 0, layer.bias)
+        if isinstance(layer, GiBnnLayer):
+            if U is None:
+                raise ValueError("global-inducing layers need inducing inputs")
+            psi_U = _psi(U, i == 0, layer.bias)
+            W, inc, U = gi_bnn_layer_sample(psi_U, layer, rng, s=s)
+        else:
+            W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[1], rng, s=s)
+        F = de.matmul(psi_F, W)
+        inc_sum = de.add(inc_sum, de.sub(inc, kl_s))
+    return F, inc_sum
+
+
+def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
+            kl_scale=1.0):
+    """Monte-Carlo ELBO with a Gaussian likelihood over a per-sample forward.
+
+    forward(stream) -> (outputs, increment) draws one sample from its own
+    stream of rng.split(n_samples). The returned value is the sample mean of
+    (N/Nb) * log-likelihood + kl_scale * increment.
+    """
     yb = as_tensor(yb)
-    nb = Xb.value.shape[0]
+    nb = yb.value.shape[0]
     s2 = de.elementwise("exp", as_tensor(log_noise))
-    streams = rng.split(max(n_samples, 1))
     total = None
-    for k in range(n_samples):
-        st = streams[k]
-        F = Xb
-        U = as_tensor(inducing_inputs) if inducing_inputs is not None else None
-        inc_sum = as_tensor(np.asarray(0.0))
-        for i, layer in enumerate(layers):
-            s, kl_s = scale_prior_terms(layer.prior, st)
-            psi_F = _psi(F, i == 0, layer.bias)
-            if isinstance(layer, GiBnnLayer):
-                if U is None:
-                    raise ValueError("global-inducing layers need inducing inputs")
-                psi_U = _psi(U, i == 0, layer.bias)
-                W, inc, U = gi_bnn_layer_sample(psi_U, layer, st, s=s)
-            else:
-                W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[1], st, s=s)
-            F = de.matmul(psi_F, W)
-            inc_sum = de.add(inc_sum, de.sub(inc, kl_s))
+    for st in rng.split(n_samples):
+        F, inc = forward(st)
         out = de.reshape(F, (nb,)) if F.value.ndim == 2 and F.value.shape[1] == 1 else F
         ll = de.tsum(rd.normal_log_density(yb, out, s2))
         term = de.add(de.elementwise("affine", ll, a=float(total_n) / nb),
-                      de.elementwise("affine", inc_sum, a=float(kl_scale)))
+                      de.elementwise("affine", inc, a=float(kl_scale)))
         total = term if total is None else de.add(total, term)
     return de.elementwise("affine", total, a=1.0 / n_samples)
+
+
+def bnn_elbo(layers, Xb, yb, total_n, n_samples, rng: rd.RngStream,
+             inducing_inputs=None, log_noise=0.0, kl_scale=1.0):
+    """Monte-Carlo ELBO for a BNN with a Gaussian likelihood:
+    (N/Nb) * mean log-likelihood + kl_scale * (sum of logp - logq terms)."""
+    Xb = as_tensor(Xb)
+    return mc_elbo(lambda st: bnn_forward(layers, Xb, st, inducing_inputs),
+                   yb, total_n, n_samples, rng, log_noise, kl_scale)
 
 
 def _dgp_kernels(layer, U_prev, F_prev):
@@ -266,8 +283,6 @@ def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
     U = de.add(Mean, U_noise)
 
     # increment: sum_cols log N(u; 0, K_uu) - log N(u; Mean, S)
-    logp = as_tensor(np.asarray(0.0))
-    logq = as_tensor(np.asarray(0.0))
     ld_p = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(L))), a=2.0)
     ld_q = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(Ls))), a=2.0)
     wp = de.triangular_solve(L, U)

@@ -9,13 +9,14 @@ import numpy as np
 
 from . import diff_engine as de
 from . import rand_dist as rd
+from .deep_models import gi_dgp_layer_sample, mc_elbo
 from .diff_engine import DiffTensor, as_tensor
 from .kernels import KernelParams, se_from_gram
 
 __all__ = [
     "GWishLayerPosterior", "DwpState", "gram_kernel_blocks",
     "dwp_prior_layer", "dwp_posterior_layer", "dwp_conditional_testpoints",
-    "dwp_elbo_batch", "wishart_inducing_extension",
+    "dwp_forward", "dwp_elbo_batch", "wishart_inducing_extension",
 ]
 
 
@@ -186,9 +187,9 @@ def dwp_conditional_testpoints(feat_i, S_ii, S_ti, s_tt, nu: int,
     return G_ti, g_tt
 
 
-def dwp_elbo_batch(state: DwpState, Xt, y, total_n, rng: rd.RngStream,
-                   n_samples=1, kl_scale=1.0, stl=False, return_predictions=False):
-    """One minibatch ELBO for the deep Wishart process.
+def dwp_forward(state: DwpState, Xt, rng: rd.RngStream, stl=False):
+    """One Monte-Carlo sample of the deep Wishart process: returns
+    (outputs, increment) for the batch inputs Xt.
 
     Inducing and batch inputs are processed jointly: each Gram layer samples
     the inducing block from the approximate posterior (contributing
@@ -196,57 +197,46 @@ def dwp_elbo_batch(state: DwpState, Xt, y, total_n, rng: rd.RngStream,
     terms: they cancel between prior and posterior). The final layer is a
     global-inducing GP over the last Gram matrix.
     """
-    from .deep_models import gi_dgp_layer_sample
-
     Xi = as_tensor(state.inducing_inputs)
     Xt = as_tensor(Xt)
-    y = as_tensor(y)
     nu0 = float(state.nu0)
-    nb = Xt.value.shape[0]
-    s2 = de.elementwise("exp", as_tensor(state.log_noise))
-
-    streams = rng.split(max(n_samples, 1))
-    total = None
-    preds = []
-    for k in range(n_samples):
-        st = streams[k]
-        G_ii = de.elementwise("affine", de.matmul(Xi, de.transpose(Xi)), a=1.0 / nu0)
-        G_ti = de.elementwise("affine", de.matmul(Xt, de.transpose(Xi)), a=1.0 / nu0)
-        g_tt = de.elementwise("affine", de.tsum(de.elementwise("square", Xt), axis=1),
-                              a=1.0 / nu0)
-        inc_sum = as_tensor(np.asarray(0.0))
-        nu_prev = state.nu0
-        for layer, kp in zip(state.layers, state.kernel_params):
-            nu = int(layer.nu)
-            sub = st.split(3)
-            _, feat_i, inc = dwp_posterior_layer(G_ii, layer, kp, sub[0],
-                                                 nu_prev=nu_prev, stl=stl)
-            inc_sum = de.add(inc_sum, inc)
-            K_ii, K_ti, k_tt = gram_kernel_blocks(kp, G_ii, G_ti, g_tt, nu_prev)
-            S_ii = de.elementwise("affine", K_ii, a=1.0 / nu)
-            S_ti = de.elementwise("affine", K_ti, a=1.0 / nu)
-            s_tt = de.elementwise("affine", k_tt, a=1.0 / nu)
-            G_ti, g_tt = dwp_conditional_testpoints(feat_i, S_ii, S_ti, s_tt,
-                                                    nu, sub[1])
-            G_ii = de.matmul(feat_i, de.transpose(feat_i))
-            nu_prev = nu
-            st = sub[2]
-
-        K_ii, K_ti, k_tt = gram_kernel_blocks(state.final_kernel, G_ii, G_ti,
-                                              g_tt, nu_prev)
-        U, F, inc = gi_dgp_layer_sample(None, None, state.final_layer, st,
-                                        kernel_blocks=(K_ii, K_ti, k_tt))
+    G_ii = de.elementwise("affine", de.matmul(Xi, de.transpose(Xi)), a=1.0 / nu0)
+    G_ti = de.elementwise("affine", de.matmul(Xt, de.transpose(Xi)), a=1.0 / nu0)
+    g_tt = de.elementwise("affine", de.tsum(de.elementwise("square", Xt), axis=1),
+                          a=1.0 / nu0)
+    inc_sum = as_tensor(np.asarray(0.0))
+    nu_prev = state.nu0
+    for layer, kp in zip(state.layers, state.kernel_params):
+        nu = int(layer.nu)
+        sub = rng.split(3)
+        _, feat_i, inc = dwp_posterior_layer(G_ii, layer, kp, sub[0],
+                                             nu_prev=nu_prev, stl=stl)
         inc_sum = de.add(inc_sum, inc)
-        out = de.reshape(F, (nb,)) if F.value.shape[1] == 1 else F
-        ll = de.tsum(rd.normal_log_density(y, out, s2))
-        term = de.add(de.elementwise("affine", ll, a=float(total_n) / nb),
-                      de.elementwise("affine", inc_sum, a=float(kl_scale)))
-        total = term if total is None else de.add(total, term)
-        preds.append(np.asarray(out.value))
-    elbo = de.elementwise("affine", total, a=1.0 / n_samples)
-    if return_predictions:
-        return elbo, preds
-    return elbo
+        K_ii, K_ti, k_tt = gram_kernel_blocks(kp, G_ii, G_ti, g_tt, nu_prev)
+        S_ii = de.elementwise("affine", K_ii, a=1.0 / nu)
+        S_ti = de.elementwise("affine", K_ti, a=1.0 / nu)
+        s_tt = de.elementwise("affine", k_tt, a=1.0 / nu)
+        G_ti, g_tt = dwp_conditional_testpoints(feat_i, S_ii, S_ti, s_tt,
+                                                nu, sub[1])
+        # same value as the sampled G; reusing G would sum its gradient in
+        # another order and move training results by rounding
+        G_ii = de.matmul(feat_i, de.transpose(feat_i))
+        nu_prev = nu
+        rng = sub[2]
+
+    K_ii, K_ti, k_tt = gram_kernel_blocks(state.final_kernel, G_ii, G_ti,
+                                          g_tt, nu_prev)
+    _, F, inc = gi_dgp_layer_sample(None, None, state.final_layer, rng,
+                                    kernel_blocks=(K_ii, K_ti, k_tt))
+    return F, de.add(inc_sum, inc)
+
+
+def dwp_elbo_batch(state: DwpState, Xt, y, total_n, rng: rd.RngStream,
+                   n_samples=1, kl_scale=1.0, stl=False):
+    """One minibatch ELBO for the deep Wishart process: the Monte-Carlo
+    average of dwp_forward's samples."""
+    return mc_elbo(lambda st: dwp_forward(state, Xt, st, stl=stl), y, total_n,
+                   n_samples, rng, state.log_noise, kl_scale)
 
 
 def wishart_inducing_extension(Sigma_uu, sigma_us, sigma_ss, Psi_uu):

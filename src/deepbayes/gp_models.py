@@ -37,7 +37,6 @@ class GpState:
     kernel_params: KernelParams = field(default_factory=KernelParams)
     log_noise: object = 0.0        # log sigma^2
     kernel_fn: object = None       # optional (X1, X2) -> DiffTensor override
-    chol_cache: object = None
 
     def noise_var(self) -> DiffTensor:
         return de.elementwise("exp", as_tensor(self.log_noise))

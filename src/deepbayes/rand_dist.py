@@ -75,7 +75,6 @@ class BartlettFactor:
 class MatrixNormalParams:
     mean: object            # DiffTensor or ndarray
     row_cov: object         # DiffTensor or ndarray
-    col_cov_identity: bool = True
 
 
 # -- Gaussian sampling --------------------------------------------------------
@@ -272,7 +271,6 @@ def jacobian_logdets(variant: str, **kw) -> DiffTensor:
         if np.any(np.diag(lam.value[:ntilde, :ntilde]) == 0):
             raise ValueError("singular factor in llt Jacobian")
         d = de.diag_part(lam)
-        w = np.asarray([N - i for i in range(ntilde)], dtype=np.float64) + 0.0
         # prod_i 2 * Lam_ii^{N-i+1}, i = 1..ntilde
         exps = np.arange(N, N - ntilde, -1, dtype=np.float64)
         logs = de.elementwise("log", d)
@@ -456,7 +454,7 @@ def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i) -> MatrixNormalParams:
     w_s = de.triangular_solve(L, de.transpose(S_ti))  # L^{-1} S_ti^T
     mean = de.matmul(de.transpose(w_s), w_f)
     row_cov = de.sub(S_tt, de.matmul(de.transpose(w_s), w_s))
-    return MatrixNormalParams(mean=mean, row_cov=row_cov, col_cov_identity=True)
+    return MatrixNormalParams(mean=mean, row_cov=row_cov)
 
 
 # -- KL divergences ----------------------------------------------------------------

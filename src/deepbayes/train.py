@@ -25,7 +25,6 @@ class TrainConfig:
     eval_samples: int = 100
     eval_every: int = 250
     seed: int = 0
-    stl: bool = False
     clip_norm: float = 100.0
 
     def __post_init__(self):

@@ -659,7 +659,7 @@ def test_criterion_15_dwp_elbo_rotation_invariance():
             variant="base"))
         kps.append(KernelParams(log_sf2=0.1, log_lengthscales=0.2))
     final = dm.GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M),
-                          width=1, gram_input=True)
+                          width=1)
     state = dw.DwpState(inducing_inputs=Xi, layers=layers, kernel_params=kps,
                         final_layer=final, final_kernel=KernelParams(),
                         log_noise=np.log(0.3), nu0=nu0)

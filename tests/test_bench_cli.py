@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import (BlrViModel, Dataset, ExperimentConfig,
@@ -114,9 +115,13 @@ def test_experiment_config_from_dict_nested_train():
     assert cfg.train.steps == 50 and cfg.train.lr == 0.05
 
 
-def test_experiment_config_ignores_unknown_keys():
-    cfg = ExperimentConfig.from_dict({"model": "blr", "bogus": 1})
-    assert cfg.model == "blr"
+def test_experiment_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown config key\(s\) \['bogus'\]; "
+                                         r"valid keys: \['model', 'dataset'"):
+        ExperimentConfig.from_dict({"model": "blr", "bogus": 1})
+    with pytest.raises(ValueError, match=r"unknown train key\(s\) \['stl'\]; "
+                                         r"valid keys: \['steps'"):
+        ExperimentConfig.from_dict({"model": "blr", "train": {"stl": True}})
 
 
 # -- experiment runs -----------------------------------------------------------------
@@ -141,6 +146,21 @@ def test_run_experiment_writes_result_and_is_reproducible(tmp_path):
                                               eval_every=20))
     res2 = run_experiment(cfg2)
     assert res1.final == res2.final
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("```yaml\n", 1)[1].split("```", 1)[0]
+    raw = yaml.safe_load(block)
+    raw["train"]["steps"] = 3
+    raw["train"]["anneal_steps"] = 2
+    raw["out"] = str(tmp_path)
+    cfg = ExperimentConfig.from_dict(raw)
+    res = run_experiment(cfg)
+    assert res.aborted is None
+    # the documented path: {out}/{model}_{dataset}_{seed}.json
+    assert (tmp_path / f"{raw['model']}_{raw['dataset']}_{raw['seed']}.json").exists()
 
 
 def test_run_experiment_unknown_model():

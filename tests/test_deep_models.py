@@ -6,7 +6,7 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
                                    GiDgpLayer, PriorSpec, bnn_as_dgp_gram,
-                                   bnn_elbo, dsvi_dgp_layer_marginals,
+                                   bnn_elbo, bnn_forward, dsvi_dgp_layer_marginals,
                                    dsvi_dgp_layer_sample, fac_bnn_layer_sample,
                                    gi_bnn_layer_sample, gi_dgp_layer_sample,
                                    scale_prior_terms)
@@ -141,12 +141,16 @@ def test_bnn_elbo_matched_factorised_posterior_equals_prior_expectation():
                         prior=prior, width=1)
     e1 = bnn_elbo([layer], X, y, total_n=6, n_samples=4, rng=rd.RngStream(7),
                   log_noise=0.0)
-    # the KL-free value must equal the average prior-sample log likelihood
-    streams = rd.RngStream(7).split(4)
+    # the value is the average prior-sample log likelihood: each term is the
+    # per-sample forward driven by its own split stream, with zero increment
     lls = []
-    for st in streams:
-        _ = st  # same split structure as bnn_elbo
-    # direct check: increments are all zero, kl scaling cannot change the value
+    for st in rd.RngStream(7).split(4):
+        F, inc = bnn_forward([layer], X, st)
+        assert abs(inc.value) <= 1e-12
+        lls.append(rd.normal_log_density(y, F.value[:, 0], np.asarray(1.0)).value.sum())
+    assert np.ptp(lls) > 0
+    assert abs(e1.value - np.mean(lls)) <= 1e-12
+    # kl scaling cannot change the value
     e2 = bnn_elbo([layer], X, y, total_n=6, n_samples=4, rng=rd.RngStream(7),
                   log_noise=0.0, kl_scale=0.0)
     assert np.isclose(e1.value, e2.value, atol=1e-10)

@@ -5,7 +5,7 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import GiDgpLayer
 from deepbayes.dwp import (DwpState, GWishLayerPosterior, dwp_conditional_testpoints,
-                           dwp_elbo_batch, dwp_posterior_layer, dwp_prior_layer,
+                           dwp_elbo_batch, dwp_forward, dwp_posterior_layer, dwp_prior_layer,
                            gram_kernel_blocks, standard_bartlett_params,
                            wishart_inducing_extension)
 from deepbayes.kernels import KernelParams, se_from_gram
@@ -262,7 +262,7 @@ def _small_state(rng, M=4, nu=3, depth=1, variant="base", nu0=2):
                                  rng=np.random.default_rng(0), spread=0.1))
         kps.append(KernelParams(log_sf2=0.1, log_lengthscales=0.2))
     final = GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M),
-                       width=1, gram_input=True)
+                       width=1)
     return DwpState(inducing_inputs=Xi, layers=layers, kernel_params=kps,
                     final_layer=final, final_kernel=KernelParams(),
                     log_noise=np.log(0.3), nu0=nu0)
@@ -309,17 +309,17 @@ def test_elbo_multi_sample_average():
     state = _small_state(rng)
     Xt = rng.standard_normal((3, 2))
     y = rng.standard_normal(3)
-    e = dwp_elbo_batch(state, Xt, y, total_n=3, rng=rd.RngStream(9), n_samples=3)
-    streams = rd.RngStream(9).split(3)
-    singles = []
-    for st in streams:
-        # reproduce each term by driving a one-sample evaluation with the
-        # same per-sample stream: split(1)[0] inside must match st's children
-        pass
-    assert np.isfinite(e.value)
-    e2, preds = dwp_elbo_batch(state, Xt, y, total_n=3, rng=rd.RngStream(9),
-                               n_samples=3, return_predictions=True)
-    assert np.isclose(e.value, e2.value) and len(preds) == 3
+    e = dwp_elbo_batch(state, Xt, y, total_n=6, rng=rd.RngStream(9), n_samples=3,
+                       kl_scale=0.7)
+    # each term is the per-sample forward driven by its own split stream
+    s2 = np.exp(state.log_noise)
+    terms = []
+    for st in rd.RngStream(9).split(3):
+        F, inc = dwp_forward(state, Xt, st)
+        ll = rd.normal_log_density(y, F.value[:, 0], s2).value.sum()
+        terms.append(ll * 6 / 3 + 0.7 * inc.value)
+    assert np.ptp(terms) > 0
+    assert abs(e.value - np.mean(terms)) <= 1e-12
 
 
 def test_elbo_gradients_excluding_gamma_shape():
@@ -337,8 +337,7 @@ def test_elbo_gradients_excluding_gamma_shape():
             V=ps["V"], logit_q=ps["lq"], nu=nu,
             log_alpha=np.log(a0), log_beta=ps["lb"], mu=ps["mu"],
             log_sigma=ps["ls"], variant="AB", A_packed=ps["P"], B_packed=ps["B"])
-        final = GiDgpLayer(V=ps["Vf"], log_lambda=ps["llf"], width=1,
-                           gram_input=True)
+        final = GiDgpLayer(V=ps["Vf"], log_lambda=ps["llf"], width=1)
         state = DwpState(inducing_inputs=ps["Xi"], layers=[layer],
                          kernel_params=[KernelParams(log_sf2=ps["lsf"],
                                                      log_lengthscales=ps["lls"])],

@@ -135,8 +135,14 @@ def test_gram_kernel_gradients():
 def test_kernel_bounds_property(seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((8, 2)) * 3
-    sf2 = float(np.exp(rng.standard_normal() * 0.5))
-    p = KernelParams(log_sf2=np.log(sf2),
-                     log_lengthscales=rng.standard_normal(2) * 0.5)
+    log_sf2 = rng.standard_normal() * 0.5
+    sf2 = float(np.exp(log_sf2))
+    p = KernelParams(log_sf2=log_sf2, log_lengthscales=rng.standard_normal(2) * 0.5)
     K = se_ard_features(p, X).value
-    assert np.all(K > 0) and np.all(K <= sf2 + 1e-12)
+    # direct evaluation; far-apart points may underflow to exactly 0
+    ls = np.exp(p.log_lengthscales)
+    d2 = np.sum(((X[:, None, :] - X[None, :, :]) / ls) ** 2, axis=2)
+    ref = sf2 * np.exp(-0.5 * d2)
+    assert np.max(np.abs(K - ref)) <= 1e-12
+    assert np.allclose(np.diag(K), sf2, rtol=0, atol=1e-12)
+    assert np.all(K >= 0) and np.all(K <= sf2)
