@@ -6,7 +6,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from . import dwp as dwp_mod
 from . import gp_models as gm
 from . import rand_dist as rd
 from .diff_engine import as_tensor
+from .dwp import _chol_from_raw
 from .kernels import KernelParams
 from .train import TrainConfig, train_loop
 
@@ -125,16 +126,6 @@ def load_csv(path, seed=0, test_fraction=0.1) -> Dataset:
 
 
 # -- parameter helpers ----------------------------------------------------------
-
-def _chol_from_raw(raw):
-    """Lower-triangular matrix with structurally positive diagonal from an
-    unconstrained square matrix (diagonal passed through exp)."""
-    raw = as_tensor(raw)
-    n = raw.value.shape[0]
-    low = de.mul(raw, as_tensor(np.tril(np.ones((n, n)), k=-1)))
-    diag = de.diag_embed(de.elementwise("exp", de.diag_part(raw)))
-    return de.add(low, diag)
-
 
 def _log_mean_exp(a, axis=0):
     m = np.max(a, axis=axis, keepdims=True)
@@ -287,17 +278,25 @@ class SvgpModel:
 
 
 class _MonteCarloModel:
-    """Shared evaluation for models whose ELBO and predictive samples both
-    come from one per-sample `forward(p, X, stream) -> (outputs, increment)`.
-    Evaluation uses up to 20 samples for the ELBO and up to
+    """Shared objective and evaluation for models whose ELBO and predictive
+    samples both come from one per-sample
+    `forward(state, X, stream) -> (outputs, increment)`, where
+    `state = _state(params)` holds the parameter-only work and is built once
+    per objective. Evaluation uses up to 20 samples for the ELBO and up to
     `max_pred_samples` (None: no cap) for the predictive."""
 
     max_pred_samples = 50
 
+    def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
+        state = self._state(p)
+        log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
+        return dm.mc_elbo(lambda st: self.forward(state, Xb, st), yb, total_n,
+                          n_samples, rng, log_noise, kl_scale)
+
     def predictive_samples(self, params, X, rng, n_samples):
         """(n_samples, n) predictive draws of the first output."""
-        p = {k: as_tensor(v) for k, v in params.items()}
-        return np.asarray([self.forward(p, X, st)[0].value[:, 0]
+        state = self._state({k: as_tensor(v) for k, v in params.items()})
+        return np.asarray([self.forward(state, X, st)[0].value[:, 0]
                            for st in rng.split(n_samples)])
 
     def evaluate(self, params, dataset, rng, n_samples):
@@ -357,7 +356,7 @@ class BnnModel(_MonteCarloModel):
                 p[f"lstd{i}"] = np.full((fi, w), 0.5 * np.log(1e-3 / np.sqrt(fi)))
         return p
 
-    def _layers(self, p):
+    def _state(self, p):
         layers = []
         prior = dm.PriorSpec(self.prior_variant)
         for i, w in enumerate(self.widths):
@@ -370,16 +369,11 @@ class BnnModel(_MonteCarloModel):
                                              log_std=p[f"lstd{i}"],
                                              scale=1.0 / np.sqrt(fi),
                                              prior=prior, width=w))
-        return layers
+        return layers, p.get("U0")
 
-    def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
-        log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
-        return dm.bnn_elbo(self._layers(p), Xb, yb, total_n, n_samples, rng,
-                           inducing_inputs=p.get("U0"), log_noise=log_noise,
-                           kl_scale=kl_scale)
-
-    def forward(self, p, X, rng):
-        return dm.bnn_forward(self._layers(p), X, rng, inducing_inputs=p.get("U0"))
+    def forward(self, state, X, rng):
+        layers, U0 = state
+        return dm.bnn_forward(layers, X, rng, inducing_inputs=U0)
 
 
 class DgpModel(_MonteCarloModel):
@@ -430,20 +424,20 @@ class DgpModel(_MonteCarloModel):
         return KernelParams(log_sf2=p[f"log_sf2_{i}"],
                             log_lengthscales=p[f"log_ls_{i}"])
 
-    def forward(self, p, X, rng):
-        F = as_tensor(X)
-        U = as_tensor(p["Z0"])
-        inc_sum = as_tensor(np.asarray(0.0))
-        n_layers = len(self.widths)
+    def _state(self, p):
+        """The layers, the first layer's inducing inputs and the summed DSVI
+        KL; each DSVI covariance root is built here, once per objective."""
+        layers = []
+        kl = as_tensor(np.asarray(0.0))
+        d_in = self.D
         for i, w in enumerate(self.widths):
-            last = i == n_layers - 1
-            mean_fn = "identity" if (not last and F.value.shape[1] == w) else "zero"
+            last = i == len(self.widths) - 1
+            mean_fn = "identity" if (not last and d_in == w) else "zero"
+            d_in = w
             if self.posterior == "gi":
                 layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
                                       kernel_params=self._kp(p, i), width=w,
                                       mean_function=mean_fn)
-                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, rng)
-                inc_sum = de.add(inc_sum, inc)
             else:
                 chols = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
                          for lam in range(w)]
@@ -453,14 +447,22 @@ class DgpModel(_MonteCarloModel):
                                         m=p[f"m{i}"], S_chol=S_chol,
                                         kernel_params=self._kp(p, i),
                                         width=w, mean_function=mean_fn)
-                F, kl = dm.dsvi_dgp_layer_sample(F, layer, rng)
-                inc_sum = de.sub(inc_sum, kl)
-        return F, inc_sum
+                kl = de.add(kl, dm.dsvi_dgp_layer_kl(layer))
+            layers.append(layer)
+        return layers, p["Z0"], kl
 
-    def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
-        log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
-        return dm.mc_elbo(lambda st: self.forward(p, Xb, st), yb, total_n,
-                          n_samples, rng, log_noise, kl_scale)
+    def forward(self, state, X, rng):
+        layers, Z0, kl = state
+        F = as_tensor(X)
+        U = as_tensor(Z0)
+        inc_sum = de.neg(kl)
+        for layer in layers:
+            if self.posterior == "gi":
+                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, rng)
+                inc_sum = de.add(inc_sum, inc)
+            else:
+                F = dm.dsvi_dgp_layer_sample(F, layer, rng)
+        return F, inc_sum
 
 
 class DwpModel(_MonteCarloModel):
@@ -521,12 +523,8 @@ class DwpModel(_MonteCarloModel):
                                 final_kernel=fk, log_noise=log_noise,
                                 nu0=self.D)
 
-    def forward(self, p, X, rng):
-        return dwp_mod.dwp_forward(self._state(p), X, rng)
-
-    def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
-        return dwp_mod.dwp_elbo_batch(self._state(p), Xb, yb, total_n, rng,
-                                      n_samples=n_samples, kl_scale=kl_scale)
+    def forward(self, state, X, rng):
+        return dwp_mod.dwp_forward(state, X, rng)
 
 
 # -- experiment orchestration ------------------------------------------------------
@@ -548,7 +546,11 @@ class ExperimentConfig:
         """Build from a parsed config; unknown keys, top-level or under
         `train`, raise a ValueError that lists the valid ones."""
         d = dict(d)
-        d["train"] = _from_keys(TrainConfig, d.pop("train", None) or {}, "train")
+        train = d.pop("train", None) or {}
+        if "seed" in train:
+            raise ValueError("train.seed is not a config key: the top-level "
+                             "`seed` seeds the data, the model and training")
+        d["train"] = _from_keys(TrainConfig, train, "train")
         cfg = _from_keys(ExperimentConfig, d, "config")
         if isinstance(cfg.widths, list):
             cfg.widths = tuple(cfg.widths)
@@ -607,11 +609,10 @@ def _make_model(cfg: ExperimentConfig, ds: Dataset):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ds = _make_dataset(cfg.dataset, cfg.seed)
     model = _make_model(cfg, ds)
-    tc = cfg.train
-    tc.seed = cfg.seed
-    res = train_loop(model, ds, tc)
+    run_cfg = replace(cfg, train=replace(cfg.train, seed=cfg.seed))
+    res = train_loop(model, ds, run_cfg.train)
     result = ExperimentResult(
-        config=asdict(cfg), trace=res["trace"],
+        config=asdict(run_cfg), trace=res["trace"],
         final=res.get("final", {}), wall_clock=res["wall_clock"],
         seed=cfg.seed, aborted=res["aborted"])
     os.makedirs(cfg.out, exist_ok=True)
@@ -694,7 +695,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="deepbayes")
     ap.add_argument("--out", default="results")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=None)
     sub = ap.add_subparsers(dest="cmd", required=True)
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("config")
@@ -702,10 +702,6 @@ def main(argv=None) -> int:
     p_toy.add_argument("name", choices=["cubic-toy", "deep-linear"])
     sub.add_parser("check", help="run quick oracle checks")
     args = ap.parse_args(argv)
-
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     if args.cmd == "check":
         return _quick_checks()

@@ -17,9 +17,10 @@ from .kernels import KernelParams, add_layer_noise, se_ard_features
 
 __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer",
-    "gi_bnn_layer_sample", "fac_bnn_layer_sample", "bnn_forward", "mc_elbo",
-    "bnn_elbo",
-    "scale_prior_terms", "gi_dgp_layer_sample", "dsvi_dgp_layer_sample",
+    "gi_bnn_layer_moments", "gi_bnn_layer_sample", "fac_bnn_layer_sample",
+    "bnn_forward", "mc_elbo", "bnn_elbo",
+    "scale_prior_terms", "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals",
+    "dsvi_dgp_layer_kl", "dsvi_dgp_layer_sample",
     "bnn_as_dgp_gram",
 ]
 
@@ -100,48 +101,57 @@ def _prior_precision_scalar(prior: PriorSpec, fanin: int, s=None):
     return de.elementwise("affine", as_tensor(s), a=float(fanin))
 
 
-def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
-    """Sample the layer weights from the global-inducing conditional posterior.
+_REVERSE = (slice(None, None, -1), slice(None, None, -1))
+
+
+def _inverse_chol(A) -> DiffTensor:
+    """Lower Cholesky factor of A^{-1} from one factorisation of A:
+    chol(A^{-1}) = J chol(J A J)^{-T} J, with J reversing the row and column
+    order (it maps upper-triangular matrices to lower-triangular ones)."""
+    C = de.cholesky_factor(de.getitem(as_tensor(A), _REVERSE))
+    eye = as_tensor(np.eye(C.value.shape[0]))
+    return de.getitem(de.triangular_solve(C, eye, trans=True), _REVERSE)
+
+
+def gi_bnn_layer_moments(psi_U, layer: GiBnnLayer, s=None):
+    """Global-inducing conditional posterior of the layer weights: each
+    column is N(Mean, S) with S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and
+    Mean = S psi^T Lambda V.
 
     psi_U: (M, d) propagated, activated inducing features (bias included).
-    Returns (W, logp_minus_logq, U_next) with U_next = psi_U @ W.
-    Also returns the posterior (mean, cov) via the closure on attributes.
+    Returns (Mean, Ls) with Ls the lower Cholesky factor of S.
     """
     psi_U = as_tensor(psi_U)
     M, d = psi_U.value.shape
-    V = as_tensor(layer.V)
     lam = de.elementwise("exp", as_tensor(layer.log_lambda))      # (M,)
-    width = V.value.shape[1]
-    fanin = d
-
-    prior_prec = _prior_precision_scalar(layer.prior, fanin, s=s)
+    prior_prec = _prior_precision_scalar(layer.prior, d, s=s)
     lam_psi = de.mul(de.reshape(lam, (M, 1)), psi_U)              # Lambda psi
     prec = de.add(de.mul(prior_prec, as_tensor(np.eye(d))),
                   de.matmul(de.transpose(psi_U), lam_psi))
-    Lp = de.cholesky_factor(prec)
-    eye = as_tensor(np.eye(d))
-    w_inv = de.triangular_solve(Lp, eye)
-    S = de.matmul(de.transpose(w_inv), w_inv)                     # (d, d)
-    Ls = de.cholesky_factor(S)
-    Mean = de.matmul(S, de.matmul(de.transpose(lam_psi), V))      # (d, width)
-    layer.posterior_mean = np.asarray(Mean.value)
-    layer.posterior_cov = np.asarray(S.value)
+    Ls = _inverse_chol(prec)
+    Mean = de.matmul(Ls, de.matmul(de.transpose(Ls),
+                                   de.matmul(de.transpose(lam_psi), as_tensor(layer.V))))
+    return Mean, Ls
 
-    xi = as_tensor(rng.normal((d, width)))
-    W = de.add(Mean, de.matmul(Ls, xi))
+
+def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
+    """Sample the layer weights from the global-inducing conditional posterior
+    (gi_bnn_layer_moments). Returns (W, logp_minus_logq, U_next) with
+    U_next = psi_U @ W.
+    """
+    psi_U = as_tensor(psi_U)
+    Mean, Ls = gi_bnn_layer_moments(psi_U, layer, s=s)
+    d, width = Mean.value.shape
+    xi = rng.normal((d, width))
+    W = de.add(Mean, de.matmul(Ls, as_tensor(xi)))
 
     # log p(W): independent N(0, (nu Sigma^{-1})^{-1} I) per entry
-    prior_var = de.elementwise("reciprocal", prior_prec)
+    prior_var = de.elementwise("reciprocal", _prior_precision_scalar(layer.prior, d, s=s))
     logp = de.tsum(rd.normal_log_density(W, as_tensor(np.zeros((d, width))), prior_var))
-    # log q(W): per-column N(mean_col, S)
-    diff = de.sub(W, Mean)
-    wq = de.triangular_solve(Ls, diff)
+    # log q(W): per-column N(Mean, S), where Ls^{-1} (W - Mean) = xi
     ld = de.tsum(de.elementwise("log", de.diag_part(Ls)))
-    logq = de.elementwise(
-        "affine",
-        de.add(de.tsum(de.elementwise("square", wq)),
-               de.elementwise("affine", ld, a=2.0 * width, b=d * width * rd.LOG2PI)),
-        a=-0.5)
+    logq = de.elementwise("affine", ld, a=-float(width),
+                          b=-0.5 * (float(np.sum(xi * xi)) + d * width * rd.LOG2PI))
     U_next = de.matmul(psi_U, W)
     return W, de.sub(logp, logq), U_next
 
@@ -269,33 +279,24 @@ def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
     lam = de.elementwise("exp", as_tensor(layer.log_lambda))
 
     L = de.cholesky_factor(K_uu)
-    # S = L (I + L^T Lambda L)^{-1} L^T  (stable for large/small Lambda)
+    # S = L (I + L^T Lambda L)^{-1} L^T  (stable for large/small Lambda), so
+    # Ls = L chol((I + L^T Lambda L)^{-1}) is its lower Cholesky factor
     LtLam = de.mul(de.transpose(L), de.reshape(lam, (1, M)))     # L^T Lambda
-    inner = de.add(as_tensor(np.eye(M)), de.matmul(LtLam, L))
-    Li = de.cholesky_factor(inner)
-    w = de.triangular_solve(Li, de.transpose(L))                 # Li^{-1} L^T
-    S = de.matmul(de.transpose(w), w)
-    Ls = de.cholesky_factor(S)
-    Mean = de.matmul(S, de.mul(de.reshape(lam, (M, 1)), V))
+    R = _inverse_chol(de.add(as_tensor(np.eye(M)), de.matmul(LtLam, L)))
+    Ls = de.matmul(L, R)
+    Mean = de.matmul(Ls, de.matmul(de.transpose(Ls), de.mul(de.reshape(lam, (M, 1)), V)))
 
-    xi = as_tensor(rng.normal((M, width)))
-    U_noise = de.matmul(Ls, xi)
-    U = de.add(Mean, U_noise)
+    xi = rng.normal((M, width))
+    U = de.add(Mean, de.matmul(Ls, as_tensor(xi)))
 
-    # increment: sum_cols log N(u; 0, K_uu) - log N(u; Mean, S)
-    ld_p = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(L))), a=2.0)
-    ld_q = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(Ls))), a=2.0)
-    wp = de.triangular_solve(L, U)
-    wq = de.triangular_solve(Ls, U_noise)
-    logp = de.elementwise("affine",
-                          de.add(de.tsum(de.elementwise("square", wp)),
-                                 de.elementwise("affine", ld_p, a=float(width),
-                                                b=M * width * rd.LOG2PI)), a=-0.5)
-    logq = de.elementwise("affine",
-                          de.add(de.tsum(de.elementwise("square", wq)),
-                                 de.elementwise("affine", ld_q, a=float(width),
-                                                b=M * width * rd.LOG2PI)), a=-0.5)
-    inc = de.sub(logp, logq)
+    # increment: sum_cols log N(u; 0, K_uu) - log N(u; Mean, S). With
+    # Ls^{-1} (U - Mean) = xi and log|Ls| = log|L| + log|R| this is
+    # -0.5 (|L^{-1} U|^2 - |xi|^2) + width log|R|.
+    wu = de.triangular_solve(L, U)                               # L^{-1} U
+    inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", wu)),
+                                a=-0.5, b=0.5 * float(np.sum(xi * xi))),
+                 de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(R))),
+                                a=float(width)))
 
     # batch outputs from the prior conditional, independent per point
     F_next = None
@@ -303,7 +304,6 @@ def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
         K_fu = as_tensor(K_fu)
         kdiag = as_tensor(kdiag)
         wk = de.triangular_solve(L, de.transpose(K_fu))          # L^{-1} K_uf
-        wu = de.triangular_solve(L, U)
         mean_f = de.matmul(de.transpose(wk), wu)
         var_f = de.sub(kdiag, de.tsum(de.elementwise("square", wk), axis=0))
         var_f = de.mul(var_f, as_tensor((var_f.value > 0).astype(np.float64)))
@@ -319,19 +319,20 @@ def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
     return U, F_next, inc
 
 
+def _dsvi_kzz(layer: DsviDgpLayer) -> DiffTensor:
+    kp = layer.kernel_params
+    K_zz = se_ard_features(kp, as_tensor(layer.Z))
+    return K_zz if kp.log_noise is None else add_layer_noise(K_zz, kp.noise_var())
+
+
 def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer):
     """Per-point marginal q(f) moments after analytically integrating out the
-    local inducing outputs. Returns (means, vars, KL): means/vars are lists of
-    per-output (nb,) tensors, KL is summed over outputs."""
+    local inducing outputs. Returns (means, vars): lists of per-output (nb,)
+    tensors."""
     F_prev = as_tensor(F_prev)
     Z = as_tensor(layer.Z)
     kp = layer.kernel_params
-    M = Z.value.shape[0]
-    width = layer.width
-    K_zz = se_ard_features(kp, Z)
-    if kp.log_noise is not None:
-        K_zz = add_layer_noise(K_zz, kp.noise_var())
-    L = de.cholesky_factor(K_zz)
+    L = de.cholesky_factor(_dsvi_kzz(layer))
     K_fz = se_ard_features(kp, F_prev, Z)
     kdiag = de.diag_part(se_ard_features(kp, F_prev))
     if kp.log_noise is not None:
@@ -342,28 +343,38 @@ def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer):
     base_var = de.sub(kdiag, de.tsum(de.elementwise("square", W), axis=0))
     U_sol = de.triangular_solve(L, W, trans=True)                # K_zz^{-1} K_zf
 
-    m_all = as_tensor(layer.m)
-    kl_total = as_tensor(np.asarray(0.0))
     means, vars_ = [], []
-    for lam in range(width):
+    for lam in range(layer.width):
         Sc = de.getitem(as_tensor(layer.S_chol), lam)            # (M, M)
         C = de.matmul(de.transpose(Sc), U_sol)
-        var_l = de.add(base_var, de.tsum(de.elementwise("square", C), axis=0))
         means.append(de.getitem(mean, (slice(None), lam)))
-        vars_.append(var_l)
-        Sq = de.matmul(Sc, de.transpose(Sc))
+        vars_.append(de.add(base_var, de.tsum(de.elementwise("square", C), axis=0)))
+    return means, vars_
+
+
+def dsvi_dgp_layer_kl(layer: DsviDgpLayer) -> DiffTensor:
+    """KL(q(u) || p(u)) summed over the layer's outputs, with
+    q(u_l) = N(m_l, S_l S_l^T) and p(u_l) = N(0, K_zz). It depends on the
+    parameters only, so a Monte-Carlo objective builds it once."""
+    K_zz = _dsvi_kzz(layer)
+    M = K_zz.value.shape[0]
+    m_all = as_tensor(layer.m)
+    kl_total = as_tensor(np.asarray(0.0))
+    for lam in range(layer.width):
+        Sc = de.getitem(as_tensor(layer.S_chol), lam)
         kl_total = de.add(kl_total, rd.kl_divergences(
-            "gaussian-full", (de.getitem(m_all, (slice(None), lam)), Sq),
+            "gaussian-full",
+            (de.getitem(m_all, (slice(None), lam)), de.matmul(Sc, de.transpose(Sc))),
             (np.zeros(M), K_zz)))
-    return means, vars_, kl_total
+    return kl_total
 
 
 def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
     """Doubly-stochastic DGP layer: sample the per-point marginals; returns
-    (F_next, KL) with KL summed over the layer's outputs."""
+    F_next (the layer's KL is dsvi_dgp_layer_kl)."""
     F_prev = as_tensor(F_prev)
     nb = F_prev.value.shape[0]
-    means, vars_, kl_total = dsvi_dgp_layer_marginals(F_prev, layer)
+    means, vars_ = dsvi_dgp_layer_marginals(F_prev, layer)
     cols = []
     streams = rng.split(layer.width)
     for lam, (mean_l, var_l) in enumerate(zip(means, vars_)):
@@ -375,7 +386,7 @@ def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
     F_next = de.concat(cols, axis=1)
     if layer.mean_function == "identity":
         F_next = de.add(F_next, F_prev)
-    return F_next, kl_total
+    return F_next
 
 
 def bnn_as_dgp_gram(prior: PriorSpec, F_prev, fanin=None, activation="relu",

@@ -68,12 +68,13 @@ def standard_bartlett_params(M: int, nu: int):
     return alpha, beta, mu, sigma
 
 
-def _unpack_B(B_packed) -> DiffTensor:
-    """Lower-triangular B with structurally positive diagonal."""
-    B_packed = as_tensor(B_packed)
-    n = B_packed.value.shape[0]
-    low = de.mul(B_packed, as_tensor(np.tril(np.ones((n, n)), k=-1)))
-    diag = de.diag_embed(de.elementwise("exp", de.diag_part(B_packed)))
+def _chol_from_raw(raw) -> DiffTensor:
+    """Lower-triangular matrix with structurally positive diagonal from an
+    unconstrained square matrix (diagonal passed through exp)."""
+    raw = as_tensor(raw)
+    n = raw.value.shape[0]
+    low = de.mul(raw, as_tensor(np.tril(np.ones((n, n)), k=-1)))
+    diag = de.diag_embed(de.elementwise("exp", de.diag_part(raw)))
     return de.add(low, diag)
 
 
@@ -117,28 +118,24 @@ def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
     bf = rd.bartlett_sample(N, nu, rng)
     feat = de.matmul(L, as_tensor(bf.T))
     G = de.matmul(feat, de.transpose(feat))
-    logp = rd.wishart_log_density(G, scale, nu)
+    logp = rd._wishart_log_density_chol(G, L, nu)
     return G, logp, feat
 
 
-def dwp_posterior_layer(G_ii_prev, layer: GWishLayerPosterior, kp: KernelParams,
-                        rng: rd.RngStream, nu_prev=None, stl=False):
+def dwp_posterior_layer(S_ii, L_ii, layer: GWishLayerPosterior,
+                        rng: rd.RngStream, stl=False):
     """One posterior layer on the inducing block.
 
-    Samples G_ii from the generalized Wishart over the mixed scale
-    (1-q) K(G_ii_prev)/nu + q V V^T and returns (G_ii, features, increment)
-    with increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev) and
+    S_ii is the prior scale K(G_ii_prev)/nu and L_ii its lower Cholesky
+    factor. Samples G_ii from the generalized Wishart over the mixed scale
+    (1-q) S_ii + q V V^T and returns (G_ii, features, increment) with
+    increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev) and
     features the retained generalized-Bartlett root (F F^T = G_ii).
     """
     nu = int(layer.nu)
-    K = se_from_gram(kp, G_ii_prev, nu_prev if nu_prev is not None else nu)
-    if kp.log_noise is not None:
-        K = de.add(K, de.mul(kp.noise_var(), as_tensor(np.eye(K.value.shape[0]))))
-    M = K.value.shape[0]
     q = de.elementwise("sigmoid", as_tensor(layer.logit_q))
     V = as_tensor(layer.V)
-    prior_scale = de.elementwise("affine", K, a=1.0 / float(nu))
-    mixed = de.add(de.mul(de.elementwise("affine", q, a=-1.0, b=1.0), prior_scale),
+    mixed = de.add(de.mul(de.elementwise("affine", q, a=-1.0, b=1.0), as_tensor(S_ii)),
                    de.mul(q, de.matmul(V, de.transpose(V))))
     Lmix = de.cholesky_factor(mixed)
 
@@ -146,21 +143,22 @@ def dwp_posterior_layer(G_ii_prev, layer: GWishLayerPosterior, kp: KernelParams,
     beta = de.elementwise("exp", as_tensor(layer.log_beta))
     sigma = de.elementwise("exp", as_tensor(layer.log_sigma))
     A_packed = layer.A_packed if layer.variant in ("A", "AB") else None
-    B = _unpack_B(layer.B_packed) if layer.variant == "AB" else None
+    B = _chol_from_raw(layer.B_packed) if layer.variant == "AB" else None
     G, logq, feat = rd.gwish_sample_and_logpdf(
         Lmix, nu, alpha, beta, as_tensor(layer.mu), sigma, rng,
         A_packed=A_packed, B=B, detach_density_params=stl)
-    logp = rd.wishart_log_density(G, prior_scale, nu)
+    logp = rd._wishart_log_density_chol(G, L_ii, nu)
     return G, feat, de.sub(logp, logq)
 
 
-def dwp_conditional_testpoints(feat_i, S_ii, S_ti, s_tt, nu: int,
+def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int,
                                rng: rd.RngStream):
     """Sample imagined test-point features from the prior conditional and
     assemble the Gram cross blocks.
 
     feat_i: (M, ntilde) root of the inducing Gram (padded to M x nu if needed);
-    S_ii, S_ti, s_tt: prior scale blocks (K/nu); per-point conditional
+    L_ii: lower Cholesky factor of the prior scale block S_ii (K/nu);
+    S_ti, s_tt: the other prior scale blocks; per-point conditional
     F_t = S_ti S_ii^{-1} F_i + sqrt(s_tt - s_ti S_ii^{-1} s_it) xi.
     Returns (G_ti, g_tt)."""
     feat_i = as_tensor(feat_i)
@@ -173,9 +171,8 @@ def dwp_conditional_testpoints(feat_i, S_ii, S_ti, s_tt, nu: int,
     S_ti = as_tensor(S_ti)
     s_tt = as_tensor(s_tt)
     nt = S_ti.value.shape[0]
-    L = de.cholesky_factor(S_ii)
-    w_f = de.triangular_solve(L, feat_i)                  # L^{-1} F_i
-    w_s = de.triangular_solve(L, de.transpose(S_ti))      # L^{-1} S_ti^T
+    w_f = de.triangular_solve(L_ii, feat_i)               # L^{-1} F_i
+    w_s = de.triangular_solve(L_ii, de.transpose(S_ti))   # L^{-1} S_ti^T
     mean_t = de.matmul(de.transpose(w_s), w_f)            # (nt, nu)
     var_t = de.sub(s_tt, de.tsum(de.elementwise("square", w_s), axis=0))
     var_t = de.add(de.mul(var_t, as_tensor((var_t.value > 0).astype(np.float64))),
@@ -191,8 +188,9 @@ def dwp_forward(state: DwpState, Xt, rng: rd.RngStream, stl=False):
     """One Monte-Carlo sample of the deep Wishart process: returns
     (outputs, increment) for the batch inputs Xt.
 
-    Inducing and batch inputs are processed jointly: each Gram layer samples
-    the inducing block from the approximate posterior (contributing
+    Inducing and batch inputs are processed jointly: each Gram layer builds
+    its prior scale blocks once and factorises the inducing block once, then
+    samples the inducing block from the approximate posterior (contributing
     log p - log q) and the batch rows from the prior conditional (no density
     terms: they cancel between prior and posterior). The final layer is a
     global-inducing GP over the last Gram matrix.
@@ -209,18 +207,13 @@ def dwp_forward(state: DwpState, Xt, rng: rd.RngStream, stl=False):
     for layer, kp in zip(state.layers, state.kernel_params):
         nu = int(layer.nu)
         sub = rng.split(3)
-        _, feat_i, inc = dwp_posterior_layer(G_ii, layer, kp, sub[0],
-                                             nu_prev=nu_prev, stl=stl)
+        S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
+                            gram_kernel_blocks(kp, G_ii, G_ti, g_tt, nu_prev))
+        L_ii = de.cholesky_factor(S_ii)
+        G_ii, feat_i, inc = dwp_posterior_layer(S_ii, L_ii, layer, sub[0], stl=stl)
         inc_sum = de.add(inc_sum, inc)
-        K_ii, K_ti, k_tt = gram_kernel_blocks(kp, G_ii, G_ti, g_tt, nu_prev)
-        S_ii = de.elementwise("affine", K_ii, a=1.0 / nu)
-        S_ti = de.elementwise("affine", K_ti, a=1.0 / nu)
-        s_tt = de.elementwise("affine", k_tt, a=1.0 / nu)
-        G_ti, g_tt = dwp_conditional_testpoints(feat_i, S_ii, S_ti, s_tt,
+        G_ti, g_tt = dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt,
                                                 nu, sub[1])
-        # same value as the sampled G; reusing G would sum its gradient in
-        # another order and move training results by rounding
-        G_ii = de.matmul(feat_i, de.transpose(feat_i))
         nu_prev = nu
         rng = sub[2]
 

@@ -2,7 +2,7 @@
 and deep-kernel features, all differentiable through diff_engine."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,8 +28,6 @@ class BlrState:
     sigma: object = 1.0            # observation noise std
     centers: np.ndarray = None     # (K,) bump centers for 1-D inputs
     width: float = None
-    posterior_m: np.ndarray = None
-    posterior_S: np.ndarray = None
 
 
 @dataclass
@@ -139,9 +137,6 @@ def blr_fit_predict_lml(state: BlrState, X, y, X_star=None):
                      de.mul(s2, as_tensor(np.eye(n))))
         lml = rd.mvn_log_density(y, np.zeros(n), cov=cov)
 
-    state.posterior_m = np.asarray(m.value)
-    state.posterior_S = np.asarray(S.value)
-
     pred = None
     if X_star is not None:
         phis = _blr_features(state, X_star)
@@ -194,13 +189,8 @@ def prop31_check(state: GpState, X, y):
     n = X.value.shape[0]
     if np.all(y.value == 0):
         raise ValueError("zero targets: optimal signal variance is degenerate")
-    # unit-signal-variance kernel
-    saved = state.kernel_params.log_sf2
-    state.kernel_params.log_sf2 = 0.0
-    try:
-        Khat = state.kern(X)
-    finally:
-        state.kernel_params.log_sf2 = saved
+    unit = replace(state, kernel_params=replace(state.kernel_params, log_sf2=0.0))
+    Khat = unit.kern(X)
     Mh = de.add(Khat, de.mul(state.noise_var(), as_tensor(np.eye(n))))
     L = de.cholesky_factor(Mh)
     w = de.triangular_solve(L, y)

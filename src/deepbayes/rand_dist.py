@@ -189,7 +189,12 @@ def wishart_log_density(G, Sigma, nu) -> DiffTensor:
     For nu < N the degrees of freedom must be an integer and G must have rank
     nu; for nu >= N any real nu is accepted.
     """
-    G, Sigma = as_tensor(G), as_tensor(Sigma)
+    return _wishart_log_density_chol(G, de.cholesky_factor(Sigma), nu)
+
+
+def _wishart_log_density_chol(G, Ls, nu) -> DiffTensor:
+    """wishart_log_density given the lower Cholesky factor Ls of the scale."""
+    G, Ls = as_tensor(G), as_tensor(Ls)
     N = G.value.shape[0]
     nu = float(nu)
     if nu < N and abs(nu - round(nu)) > 1e-12:
@@ -200,7 +205,6 @@ def wishart_log_density(G, Sigma, nu) -> DiffTensor:
     const = (0.5 * nu * (ntilde - N) * np.log(np.pi)
              - 0.5 * nu * N * np.log(2.0)
              - _multigammaln(0.5 * nu, ntilde))
-    Ls = de.cholesky_factor(Sigma)
     log_det_sigma = de.elementwise(
         "affine", de.tsum(de.elementwise("log", de.diag_part(Ls))), a=2.0)
     block = G if ntilde == N else de.getitem(G, (slice(0, ntilde), slice(0, ntilde)))

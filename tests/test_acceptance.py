@@ -418,13 +418,13 @@ def test_criterion_08_optimal_last_layer_matches_exact_posterior():
         layer = dm.GiBnnLayer(V=y[:, None].copy(),
                               log_lambda=np.full(M, -2.0 * np.log(sigma)),
                               prior=dm.PriorSpec("standard"), width=1)
-        dm.gi_bnn_layer_sample(as_tensor(feats), layer, rd.RngStream(seed))
+        mean, Ls = dm.gi_bnn_layer_moments(as_tensor(feats), layer)
 
-        st = gm.BlrState(alpha=1.0, sigma=sigma)
-        gm.blr_fit_predict_lml(st, feats, y)
+        m, S, _, _ = gm.blr_fit_predict_lml(gm.BlrState(alpha=1.0, sigma=sigma),
+                                            feats, y)
         worst = max(worst,
-                    np.max(np.abs(layer.posterior_mean[:, 0] - st.posterior_m)),
-                    np.max(np.abs(layer.posterior_cov - st.posterior_S)))
+                    np.max(np.abs(mean.value[:, 0] - m.value)),
+                    np.max(np.abs(Ls.value @ Ls.value.T - S.value)))
     assert worst < 1e-8
     el = _budget(8, t0, 10)
     _report(8, f"global-inducing last layer reproduces the exact linear-model "
@@ -514,13 +514,14 @@ def test_criterion_11_imagined_feature_root_invariance():
     roots = [F0, F0 @ Q]
     assert np.allclose(roots[0] @ roots[0].T, roots[1] @ roots[1].T, atol=1e-12)
 
+    L_ii = np.linalg.cholesky(S_ii)
     stats_out = []
     for i, R in enumerate(roots):
         stream = rd.RngStream(1100 + i)
         g_ti = np.empty((K, nt, M))
         g_tt = np.empty((K, nt))
         for k in range(K):
-            a, b = dw.dwp_conditional_testpoints(R, S_ii, S_ti, s_tt, nu, stream)
+            a, b = dw.dwp_conditional_testpoints(R, L_ii, S_ti, s_tt, nu, stream)
             g_ti[k] = a.value
             g_tt[k] = b.value
         stats_out.append((g_ti.mean(axis=0), g_ti.var(axis=0),

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import yaml
 
+from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import (BlrViModel, Dataset, ExperimentConfig,
-                                 gen_cubic_toy, gen_deep_linear, load_csv,
-                                 main, run_experiment)
+                                 _make_model, gen_cubic_toy, gen_deep_linear,
+                                 load_csv, main, run_experiment)
 from deepbayes.train import TrainConfig
 
 
@@ -124,6 +125,12 @@ def test_experiment_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"model": "blr", "train": {"stl": True}})
 
 
+def test_experiment_config_rejects_train_seed():
+    with pytest.raises(ValueError, match="top-level `seed`"):
+        ExperimentConfig.from_dict({"model": "blr", "seed": 0,
+                                    "train": {"seed": 7, "steps": 5}})
+
+
 # -- experiment runs -----------------------------------------------------------------
 
 def test_run_experiment_writes_result_and_is_reproducible(tmp_path):
@@ -146,6 +153,46 @@ def test_run_experiment_writes_result_and_is_reproducible(tmp_path):
                                               eval_every=20))
     res2 = run_experiment(cfg2)
     assert res1.final == res2.final
+
+
+def test_run_experiment_leaves_config_unchanged(tmp_path):
+    train = TrainConfig(steps=3, lr=0.05, anneal_steps=0, eval_every=2)
+    cfg = ExperimentConfig(model="blr", dataset="cubic-toy", seed=5,
+                           out=str(tmp_path), train=train)
+    res = run_experiment(cfg)
+    assert cfg.train is train and train.seed == 0
+    # the result records the seed training actually used
+    assert res.config["train"]["seed"] == 5
+
+
+# -- factorisations per objective ----------------------------------------------------
+
+def test_factorisations_per_objective(monkeypatch):
+    """Each matrix is factorised once per layer per sample, and parameter-only
+    matrices once per objective. Counted at _chol_with_jitter, the one entry
+    point of cholesky_factor and logdet_psd."""
+    calls = []
+    chol = de._chol_with_jitter
+    monkeypatch.setattr(de, "_chol_with_jitter", lambda s: calls.append(1) or chol(s))
+    ds = gen_cubic_toy(0)
+    S = 3
+    expected = {
+        "bnn-gi": 3 * S,        # one per global-inducing layer (3 layers)
+        "dgp-gi": 4 * S,        # K_uu and I + L^T Lambda L per layer (2 layers)
+        # K_zz per layer per sample; the KL once: 3 per output (2 outputs)
+        "dgp-dsvi": 2 * S + 6,
+        # per Gram layer (2): prior scale, mixed scale and the leading block
+        # of G in the Wishart density; then 2 in the output layer
+        "dwp": 8 * S,
+    }
+    for kind, n in expected.items():
+        cfg = ExperimentConfig(model=kind, depth=3 if kind == "dwp" else 2,
+                               widths=(5, 5), M=10)
+        model = _make_model(cfg, ds)
+        p = {k: de.as_tensor(v) for k, v in model.init_params().items()}
+        calls.clear()
+        model.objective(p, ds.X_train, ds.y_train, 40, S, rd.RngStream(0), 1.0)
+        assert len(calls) == n, kind
 
 
 def test_readme_example_config_runs(tmp_path):
@@ -198,6 +245,13 @@ def test_cli_toy_writes_dataset(tmp_path, capsys):
     assert len(files) == 1
     loaded = np.load(files[0])
     assert loaded["X_train"].shape == (40, 1)
+
+
+def test_cli_rejects_threads_flag(capsys):
+    # BLAS reads its thread count when numpy loads; set OPENBLAS_NUM_THREADS
+    with pytest.raises(SystemExit):
+        main(["--threads=1", "check"])
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_cli_run_from_yaml(tmp_path, capsys):

@@ -33,6 +33,12 @@ def _posterior(M, nu, variant="base", rng=None, q=0.1, spread=0.0):
     return layer
 
 
+def _prior_scale(G0, nu_prev, nu):
+    """A layer's prior scale K(G0)/nu at default kernel params, and its factor."""
+    S = de.elementwise("affine", se_from_gram(KernelParams(), G0, nu_prev), a=1.0 / nu)
+    return S, de.cholesky_factor(S)
+
+
 # -- kernel blocks from Gram blocks ------------------------------------------------
 
 def test_gram_kernel_blocks_match_full_kernel():
@@ -118,9 +124,9 @@ def test_posterior_layer_prior_reduction():
     M, nu = 4, 6
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=1e-12)
+    S, L = _prior_scale(G0, M, nu)
     for seed in range(5):
-        _, _, inc = dwp_posterior_layer(G0, layer, KernelParams(),
-                                        rd.RngStream(seed), nu_prev=M)
+        _, _, inc = dwp_posterior_layer(S, L, layer, rd.RngStream(seed))
         assert abs(inc.value) < 1e-8, seed
 
 
@@ -133,8 +139,8 @@ def test_posterior_layer_variant_nesting_exact():
     for variant in ("base", "A", "AB"):
         layer = _posterior(M, nu, variant=variant, rng=np.random.default_rng(6),
                            spread=0.2)
-        G, feat, inc = dwp_posterior_layer(G0, layer, KernelParams(),
-                                           rd.RngStream(11), nu_prev=M)
+        G, feat, inc = dwp_posterior_layer(*_prior_scale(G0, M, nu), layer,
+                                           rd.RngStream(11))
         outs.append((G.value, feat.value, inc.value))
     for G, feat, inc in outs[1:]:
         assert np.allclose(G, outs[0][0], atol=1e-12)
@@ -147,8 +153,8 @@ def test_posterior_layer_increment_mean_is_negative_kl():
     M, nu = 3, 4
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=0.4, spread=0.15)
-    incs = np.array([dwp_posterior_layer(G0, layer, KernelParams(),
-                                         rd.RngStream(s), nu_prev=M)[2].value
+    S, L = _prior_scale(G0, M, nu)
+    incs = np.array([dwp_posterior_layer(S, L, layer, rd.RngStream(s))[2].value
                      for s in range(3000)])
     # KL >= 0, so the mean increment must not be significantly positive
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
@@ -159,8 +165,8 @@ def test_posterior_layer_root_consistency():
     M, nu = 4, 2
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, spread=0.1)
-    G, feat, _ = dwp_posterior_layer(G0, layer, KernelParams(),
-                                     rd.RngStream(3), nu_prev=M)
+    G, feat, _ = dwp_posterior_layer(*_prior_scale(G0, M, nu), layer,
+                                     rd.RngStream(3))
     assert feat.value.shape == (M, min(M, nu))
     assert np.allclose(feat.value @ feat.value.T, G.value, atol=1e-12)
 
@@ -182,8 +188,9 @@ def test_conditional_testpoints_moments():
     stream = rd.RngStream(5)
     acc_ti = np.zeros((nt, M))
     acc_tt = np.zeros(nt)
+    L_ii = np.linalg.cholesky(S_ii)
     for _ in range(n):
-        G_ti, g_tt = dwp_conditional_testpoints(feat_i, S_ii, S_ti, s_tt, nu, stream)
+        G_ti, g_tt = dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu, stream)
         acc_ti += G_ti.value
         acc_tt += g_tt.value
     ref_ti = mean_ref @ feat_i.T
@@ -198,11 +205,12 @@ def test_conditional_testpoints_zero_pads_singular_roots():
     M, nu = 4, 6
     feat_i = rng.standard_normal((M, 4))    # rank-deficient root, ntilde < nu
     S = _spd(rng, M + 1) / (M + 1)
-    G_ti, g_tt = dwp_conditional_testpoints(feat_i, S[:M, :M], S[M:, :M],
+    L_ii = np.linalg.cholesky(S[:M, :M])
+    G_ti, g_tt = dwp_conditional_testpoints(feat_i, L_ii, S[M:, :M],
                                             np.diag(S)[M:], nu, rd.RngStream(0))
     assert G_ti.value.shape == (1, M) and g_tt.value.shape == (1,)
     with pytest.raises(ValueError):
-        dwp_conditional_testpoints(rng.standard_normal((M, 7)), S[:M, :M],
+        dwp_conditional_testpoints(rng.standard_normal((M, 7)), L_ii,
                                    S[M:, :M], np.diag(S)[M:], 6, rd.RngStream(0))
 
 
@@ -213,7 +221,8 @@ def test_conditional_testpoints_degenerate_at_inducing_row():
     M, nu = 3, 3
     S_ii = _spd(rng, M) / M
     feat_i = rng.standard_normal((M, nu))
-    G_ti, g_tt = dwp_conditional_testpoints(feat_i, S_ii, S_ii[0:1, :],
+    G_ti, g_tt = dwp_conditional_testpoints(feat_i, np.linalg.cholesky(S_ii),
+                                            S_ii[0:1, :],
                                             np.array([S_ii[0, 0]]), nu,
                                             rd.RngStream(1))
     G_ii = feat_i @ feat_i.T
@@ -234,13 +243,14 @@ def test_conditional_testpoints_root_rotation_invariance():
     s1, s2 = rd.RngStream(3), rd.RngStream(3)
     acc1, acc2 = np.zeros((nt, M)), np.zeros((nt, M))
     v1, v2 = np.zeros(nt), np.zeros(nt)
+    L_ii = np.linalg.cholesky(S[:M, :M])
     for _ in range(n):
-        G_ti, g_tt = dwp_conditional_testpoints(feat_i, S[:M, :M], S[M:, :M],
+        G_ti, g_tt = dwp_conditional_testpoints(feat_i, L_ii, S[M:, :M],
                                                 np.diag(S)[M:], nu, s1)
         acc1 += G_ti.value
         v1 += g_tt.value
     for _ in range(n):
-        G_ti, g_tt = dwp_conditional_testpoints(feat_i @ Q, S[:M, :M], S[M:, :M],
+        G_ti, g_tt = dwp_conditional_testpoints(feat_i @ Q, L_ii, S[M:, :M],
                                                 np.diag(S)[M:], nu, s2)
         # rotate back to compare against the same inducing root
         acc2 += G_ti.value
