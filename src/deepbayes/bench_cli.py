@@ -132,6 +132,16 @@ def _log_mean_exp(a, axis=0):
     return np.squeeze(m, axis) + np.log(np.mean(np.exp(a - m), axis=axis))
 
 
+def _gaussian_metrics(dataset: Dataset, objective: float, mean, var) -> dict:
+    """Per-point objective, and the test log-likelihood and RMSE of the
+    Gaussian predictive N(mean, var) at the test inputs."""
+    resid = dataset.y_test - mean
+    ll = -0.5 * np.log(2 * np.pi * var) - 0.5 * resid ** 2 / var
+    return {"elbo_per_point": objective / dataset.X_train.shape[0],
+            "test_ll_per_point": float(np.mean(ll)),
+            "rmse": float(np.sqrt(np.mean(resid ** 2)))}
+
+
 # -- models -----------------------------------------------------------------------
 
 class BlrViModel:
@@ -159,15 +169,13 @@ class BlrViModel:
         nb = phi.value.shape[0]
         m = p["mean"]
         Lq = _chol_from_raw(p["chol_raw"])
-        Sq = de.matmul(Lq, de.transpose(Lq))
         s2 = self.sigma ** 2
         pred = de.matmul(phi, m)
-        quad_extra = de.tsum(de.mul(de.matmul(phi, Sq), phi), axis=1)
+        quad_extra = de.tsum(de.elementwise("square", de.matmul(phi, Lq)))  # tr(phi S phi^T)
         ll = de.sub(de.tsum(rd.normal_log_density(as_tensor(yb), pred,
                                                   as_tensor(np.asarray(s2)))),
-                    de.elementwise("affine", de.tsum(quad_extra), a=0.5 / s2))
-        kl = rd.kl_divergences("gaussian-full", (m, Sq),
-                               (np.zeros(self.k), self.alpha ** 2 * np.eye(self.k)))
+                    de.elementwise("affine", quad_extra, a=0.5 / s2))
+        kl = rd._kl_gaussian_chol(m, Lq, np.zeros(self.k), self.alpha * np.eye(self.k))
         return de.sub(de.elementwise("affine", ll, a=float(total_n) / nb),
                       de.elementwise("affine", kl, a=float(kl_scale)))
 
@@ -177,18 +185,19 @@ class BlrViModel:
         _, _, _, lml = gm.blr_fit_predict_lml(st, dataset.X_train, dataset.y_train)
         return float(lml.value)
 
-    def evaluate(self, params, dataset, rng, n_samples):
+    def predictive(self, params, dataset, X):
+        """Latent predictive mean and variance at X, and the objective on the
+        whole training set; the gp and svgp models share this interface."""
         p = {k: as_tensor(v) for k, v in params.items()}
         n = dataset.X_train.shape[0]
-        elbo = self.objective(p, dataset.X_train, dataset.y_train, n, 1, rng, 1.0)
-        phi = self._phi(dataset.X_test).value
-        mean = phi @ params["mean"]
-        Lq = _chol_from_raw(params["chol_raw"]).value
-        var = np.sum((phi @ Lq) ** 2, axis=1) + self.sigma ** 2
-        ll = -0.5 * np.log(2 * np.pi * var) - 0.5 * (dataset.y_test - mean) ** 2 / var
-        rmse = float(np.sqrt(np.mean((dataset.y_test - mean) ** 2)))
-        return {"elbo_per_point": float(elbo.value) / n,
-                "test_ll_per_point": float(np.mean(ll)), "rmse": rmse}
+        elbo = self.objective(p, dataset.X_train, dataset.y_train, n, 1, None, 1.0)
+        phi = self._phi(X).value
+        var = np.sum((phi @ _chol_from_raw(params["chol_raw"]).value) ** 2, axis=1)
+        return phi @ params["mean"], var, float(elbo.value)
+
+    def evaluate(self, params, dataset, rng, n_samples):
+        mean, var, elbo = self.predictive(params, dataset, dataset.X_test)
+        return _gaussian_metrics(dataset, elbo, mean, var + self.sigma ** 2)
 
 
 class GpLmlModel:
@@ -228,18 +237,16 @@ class GpLmlModel:
         _, _, lml = gm.gp_predict_lml(st, feats, yb)
         return lml
 
-    def evaluate(self, params, dataset, rng, n_samples):
+    def predictive(self, params, dataset, X):
         p = {k: as_tensor(v) for k, v in params.items()}
         st, feats = self._state_and_features(p, dataset.X_train)
-        _, te_feats = self._state_and_features(p, dataset.X_test)
-        mean, cov, lml = gm.gp_predict_lml(st, feats, dataset.y_train, te_feats)
-        var = np.diag(cov.value) + float(np.exp(params["log_noise"]))
-        resid = dataset.y_test - mean.value
-        ll = -0.5 * np.log(2 * np.pi * var) - 0.5 * resid ** 2 / var
-        n = dataset.X_train.shape[0]
-        return {"elbo_per_point": float(lml.value) / n,
-                "test_ll_per_point": float(np.mean(ll)),
-                "rmse": float(np.sqrt(np.mean(resid ** 2)))}
+        _, x_feats = self._state_and_features(p, X)
+        mean, cov, lml = gm.gp_predict_lml(st, feats, dataset.y_train, x_feats)
+        return mean.value, np.diag(cov.value), float(lml.value)
+
+    def evaluate(self, params, dataset, rng, n_samples):
+        mean, var, lml = self.predictive(params, dataset, dataset.X_test)
+        return _gaussian_metrics(dataset, lml, mean, var + float(np.exp(params["log_noise"])))
 
 
 class SvgpModel:
@@ -262,19 +269,15 @@ class SvgpModel:
     def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
         return gm.svgp_elbo(self._state(p), Xb, yb, total_n)
 
+    def predictive(self, params, dataset, X):
+        st = self._state({k: as_tensor(v) for k, v in params.items()})
+        mean, var, _ = gm._svgp_marginals(st, X)
+        elbo = gm.svgp_elbo(st, dataset.X_train, dataset.y_train, dataset.X_train.shape[0])
+        return mean.value, var.value, float(elbo.value)
+
     def evaluate(self, params, dataset, rng, n_samples):
-        p = {k: as_tensor(v) for k, v in params.items()}
-        st = self._state(p)
-        mean, var, _ = gm._svgp_marginals(st, dataset.X_test)
-        s2 = float(np.exp(params["log_noise"]))
-        v = var.value + s2
-        resid = dataset.y_test - mean.value
-        ll = -0.5 * np.log(2 * np.pi * v) - 0.5 * resid ** 2 / v
-        n = dataset.X_train.shape[0]
-        elbo = gm.svgp_elbo(st, dataset.X_train, dataset.y_train, n)
-        return {"elbo_per_point": float(elbo.value) / n,
-                "test_ll_per_point": float(np.mean(ll)),
-                "rmse": float(np.sqrt(np.mean(resid ** 2)))}
+        mean, var, elbo = self.predictive(params, dataset, dataset.X_test)
+        return _gaussian_metrics(dataset, elbo, mean, var + float(np.exp(params["log_noise"])))
 
 
 class _MonteCarloModel:
@@ -425,9 +428,10 @@ class DgpModel(_MonteCarloModel):
                             log_lengthscales=p[f"log_ls_{i}"])
 
     def _state(self, p):
-        """The layers, the first layer's inducing inputs and the summed DSVI
-        KL; each DSVI covariance root is built here, once per objective."""
-        layers = []
+        """The layers, the first layer's inducing inputs, each DSVI layer's
+        chol(K_zz) and the summed DSVI KL; the DSVI covariance roots and
+        factors are built here, once per objective."""
+        layers, chols = [], []
         kl = as_tensor(np.asarray(0.0))
         d_in = self.D
         for i, w in enumerate(self.widths):
@@ -439,29 +443,28 @@ class DgpModel(_MonteCarloModel):
                                       kernel_params=self._kp(p, i), width=w,
                                       mean_function=mean_fn)
             else:
-                chols = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
-                         for lam in range(w)]
-                S_chol = de.concat([de.reshape(c, (1, self.M, self.M)) for c in chols],
-                                   axis=0)
+                S_chol = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
+                          for lam in range(w)]
                 layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"],
                                         m=p[f"m{i}"], S_chol=S_chol,
                                         kernel_params=self._kp(p, i),
                                         width=w, mean_function=mean_fn)
-                kl = de.add(kl, dm.dsvi_dgp_layer_kl(layer))
+                chols.append(dm.dsvi_dgp_layer_chol(layer))
+                kl = de.add(kl, dm.dsvi_dgp_layer_kl(layer, chols[-1]))
             layers.append(layer)
-        return layers, p["Z0"], kl
+        return layers, p["Z0"], chols, kl
 
     def forward(self, state, X, rng):
-        layers, Z0, kl = state
+        layers, Z0, chols, kl = state
         F = as_tensor(X)
         U = as_tensor(Z0)
         inc_sum = de.neg(kl)
-        for layer in layers:
+        for i, layer in enumerate(layers):
             if self.posterior == "gi":
                 U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, rng)
                 inc_sum = de.add(inc_sum, inc)
             else:
-                F = dm.dsvi_dgp_layer_sample(F, layer, rng)
+                F = dm.dsvi_dgp_layer_sample(F, layer, chols[i], rng)
         return F, inc_sum
 
 
@@ -633,20 +636,17 @@ def _json_default(o):
 
 
 def _write_plot_data(model, params, ds: Dataset, path):
-    """x-grid, predictive mean, and +-1/+-2 std bands for 1-D inputs."""
+    """x-grid, latent predictive mean, and +-1/+-2 std bands for 1-D inputs:
+    from predictive samples for the Monte-Carlo models, from the closed-form
+    `predictive` for the others."""
     grid = np.linspace(ds.X_train[:, 0].min() - 1, ds.X_train[:, 0].max() + 1,
                        200)[:, None]
-    rng = rd.RngStream(0)
     if isinstance(model, _MonteCarloModel):
-        outs = model.predictive_samples(params, grid, rng, 50)
+        outs = model.predictive_samples(params, grid, rd.RngStream(0), 50)
         mean, std = outs.mean(axis=0), outs.std(axis=0)
-    elif isinstance(model, BlrViModel):
-        phi = model._phi(grid).value
-        mean = phi @ params["mean"]
-        Lq = _chol_from_raw(as_tensor(params["chol_raw"])).value
-        std = np.sqrt(np.sum((phi @ Lq) ** 2, axis=1))
     else:
-        return
+        mean, var, _ = model.predictive(params, ds, grid)
+        std = np.sqrt(np.maximum(var, 0.0))
     cols = np.column_stack([grid[:, 0], mean, mean - std, mean + std,
                             mean - 2 * std, mean + 2 * std])
     np.savetxt(path, cols, header="x mean lo1 hi1 lo2 hi2")

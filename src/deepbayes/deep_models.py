@@ -20,7 +20,7 @@ __all__ = [
     "gi_bnn_layer_moments", "gi_bnn_layer_sample", "fac_bnn_layer_sample",
     "bnn_forward", "mc_elbo", "bnn_elbo",
     "scale_prior_terms", "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals",
-    "dsvi_dgp_layer_kl", "dsvi_dgp_layer_sample",
+    "dsvi_dgp_layer_chol", "dsvi_dgp_layer_kl", "dsvi_dgp_layer_sample",
     "bnn_as_dgp_gram",
 ]
 
@@ -73,7 +73,7 @@ class GiDgpLayer:
 class DsviDgpLayer:
     Z: object                      # (M, d_in) local inducing inputs
     m: object                      # (M, width)
-    S_chol: object                 # (width, M, M) per-output covariance roots
+    S_chol: object                 # S_chol[l]: (M, M) covariance root of output l
     kernel_params: KernelParams = field(default_factory=KernelParams)
     width: int = 1
     mean_function: str = "zero"
@@ -244,17 +244,17 @@ def bnn_elbo(layers, Xb, yb, total_n, n_samples, rng: rd.RngStream,
                    yb, total_n, n_samples, rng, log_noise, kl_scale)
 
 
-def _dgp_kernels(layer, U_prev, F_prev):
-    """K_uu, K_fu, and the diagonal of K_ff for a feature-space layer."""
-    kp = layer.kernel_params
-    K_uu = se_ard_features(kp, U_prev)
-    K_fu = se_ard_features(kp, F_prev, U_prev)
-    kdiag = de.diag_part(se_ard_features(kp, F_prev))
-    if kp.log_noise is not None:
-        nv = kp.noise_var()
-        K_uu = add_layer_noise(K_uu, nv)
-        kdiag = de.add(kdiag, nv)
-    return K_uu, K_fu, kdiag
+def _kuu(kp: KernelParams, U) -> DiffTensor:
+    """K(U, U), plus the layer noise if the kernel has one."""
+    K_uu = se_ard_features(kp, U)
+    return K_uu if kp.log_noise is None else add_layer_noise(K_uu, kp.noise_var())
+
+
+def _kfu_kdiag(kp: KernelParams, U, F):
+    """K(F, U) and the diagonal of K(F, F), plus the layer noise if any."""
+    K_fu = se_ard_features(kp, F, U)
+    kdiag = de.diag_part(se_ard_features(kp, F))
+    return K_fu, kdiag if kp.log_noise is None else de.add(kdiag, kp.noise_var())
 
 
 def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
@@ -271,7 +271,9 @@ def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
     if kernel_blocks is not None:
         K_uu, K_fu, kdiag = kernel_blocks
     else:
-        K_uu, K_fu, kdiag = _dgp_kernels(layer, as_tensor(U_prev), as_tensor(F_prev))
+        U_prev, F_prev = as_tensor(U_prev), as_tensor(F_prev)
+        K_uu = _kuu(layer.kernel_params, U_prev)
+        K_fu, kdiag = _kfu_kdiag(layer.kernel_params, U_prev, F_prev)
     K_uu = as_tensor(K_uu)
     M = K_uu.value.shape[0]
     V = as_tensor(layer.V)
@@ -301,16 +303,8 @@ def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
     # batch outputs from the prior conditional, independent per point
     F_next = None
     if K_fu is not None:
-        K_fu = as_tensor(K_fu)
-        kdiag = as_tensor(kdiag)
-        wk = de.triangular_solve(L, de.transpose(K_fu))          # L^{-1} K_uf
-        mean_f = de.matmul(de.transpose(wk), wu)
-        var_f = de.sub(kdiag, de.tsum(de.elementwise("square", wk), axis=0))
-        var_f = de.mul(var_f, as_tensor((var_f.value > 0).astype(np.float64)))
-        nb = K_fu.value.shape[0]
-        xi_f = as_tensor(rng.normal((nb, width)))
-        std_f = de.elementwise("sqrt", de.add(var_f, as_tensor(np.full(nb, 1e-12))))
-        F_next = de.add(mean_f, de.mul(de.reshape(std_f, (nb, 1)), xi_f))
+        _, mean_f, var_f = rd.gaussian_conditional(L, de.transpose(K_fu), kdiag, wu)
+        F_next = rd.conditional_sample(mean_f, var_f, rng)
 
     if layer.mean_function == "identity":
         U = de.add(U, as_tensor(U_prev))
@@ -319,71 +313,52 @@ def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
     return U, F_next, inc
 
 
-def _dsvi_kzz(layer: DsviDgpLayer) -> DiffTensor:
-    kp = layer.kernel_params
-    K_zz = se_ard_features(kp, as_tensor(layer.Z))
-    return K_zz if kp.log_noise is None else add_layer_noise(K_zz, kp.noise_var())
+def dsvi_dgp_layer_chol(layer: DsviDgpLayer) -> DiffTensor:
+    """Lower Cholesky factor of the layer's K_zz. It depends on the parameters
+    only, so an objective builds it once and passes it to the layer's
+    marginals, sample and KL."""
+    return de.cholesky_factor(_kuu(layer.kernel_params, as_tensor(layer.Z)))
 
 
-def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer):
+def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer, L):
     """Per-point marginal q(f) moments after analytically integrating out the
-    local inducing outputs. Returns (means, vars): lists of per-output (nb,)
-    tensors."""
-    F_prev = as_tensor(F_prev)
-    Z = as_tensor(layer.Z)
-    kp = layer.kernel_params
-    L = de.cholesky_factor(_dsvi_kzz(layer))
-    K_fz = se_ard_features(kp, F_prev, Z)
-    kdiag = de.diag_part(se_ard_features(kp, F_prev))
-    if kp.log_noise is not None:
-        kdiag = de.add(kdiag, kp.noise_var())
-    W = de.triangular_solve(L, de.transpose(K_fz))               # L^{-1} K_zf
-    wm = de.triangular_solve(L, as_tensor(layer.m))              # (M, width)
-    mean = de.matmul(de.transpose(W), wm)
-    base_var = de.sub(kdiag, de.tsum(de.elementwise("square", W), axis=0))
+    local inducing outputs, given L = dsvi_dgp_layer_chol(layer). Returns
+    (means, vars): lists of per-output (nb,) tensors."""
+    K_fz, kdiag = _kfu_kdiag(layer.kernel_params, as_tensor(layer.Z), as_tensor(F_prev))
+    W, mean, base_var = rd.gaussian_conditional(
+        L, de.transpose(K_fz), kdiag, de.triangular_solve(L, as_tensor(layer.m)))
     U_sol = de.triangular_solve(L, W, trans=True)                # K_zz^{-1} K_zf
 
     means, vars_ = [], []
-    for lam in range(layer.width):
-        Sc = de.getitem(as_tensor(layer.S_chol), lam)            # (M, M)
-        C = de.matmul(de.transpose(Sc), U_sol)
+    for lam, Sc in enumerate(layer.S_chol):
+        C = de.matmul(de.transpose(as_tensor(Sc)), U_sol)
         means.append(de.getitem(mean, (slice(None), lam)))
         vars_.append(de.add(base_var, de.tsum(de.elementwise("square", C), axis=0)))
     return means, vars_
 
 
-def dsvi_dgp_layer_kl(layer: DsviDgpLayer) -> DiffTensor:
+def dsvi_dgp_layer_kl(layer: DsviDgpLayer, L) -> DiffTensor:
     """KL(q(u) || p(u)) summed over the layer's outputs, with
-    q(u_l) = N(m_l, S_l S_l^T) and p(u_l) = N(0, K_zz). It depends on the
-    parameters only, so a Monte-Carlo objective builds it once."""
-    K_zz = _dsvi_kzz(layer)
-    M = K_zz.value.shape[0]
+    q(u_l) = N(m_l, S_l S_l^T) and p(u_l) = N(0, L L^T), L the factor of K_zz."""
     m_all = as_tensor(layer.m)
+    zeros = np.zeros(m_all.value.shape[0])
     kl_total = as_tensor(np.asarray(0.0))
-    for lam in range(layer.width):
-        Sc = de.getitem(as_tensor(layer.S_chol), lam)
-        kl_total = de.add(kl_total, rd.kl_divergences(
-            "gaussian-full",
-            (de.getitem(m_all, (slice(None), lam)), de.matmul(Sc, de.transpose(Sc))),
-            (np.zeros(M), K_zz)))
+    for lam, Sc in enumerate(layer.S_chol):
+        kl_total = de.add(kl_total, rd._kl_gaussian_chol(
+            de.getitem(m_all, (slice(None), lam)), Sc, zeros, L))
     return kl_total
 
 
-def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
-    """Doubly-stochastic DGP layer: sample the per-point marginals; returns
-    F_next (the layer's KL is dsvi_dgp_layer_kl)."""
+def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, L, rng: rd.RngStream):
+    """Doubly-stochastic DGP layer: sample the per-point marginals, each
+    output from its own stream; returns F_next (the layer's KL is
+    dsvi_dgp_layer_kl)."""
     F_prev = as_tensor(F_prev)
     nb = F_prev.value.shape[0]
-    means, vars_ = dsvi_dgp_layer_marginals(F_prev, layer)
-    cols = []
-    streams = rng.split(layer.width)
-    for lam, (mean_l, var_l) in enumerate(zip(means, vars_)):
-        var_l = de.add(de.mul(var_l, as_tensor((var_l.value > 0).astype(np.float64))),
-                       as_tensor(np.full(nb, 1e-12)))
-        xi = as_tensor(streams[lam].normal(nb))
-        cols.append(de.reshape(de.add(mean_l, de.mul(de.elementwise("sqrt", var_l), xi)),
-                               (nb, 1)))
-    F_next = de.concat(cols, axis=1)
+    means, vars_ = dsvi_dgp_layer_marginals(F_prev, layer, L)
+    F_next = de.concat([de.reshape(rd.conditional_sample(m, v, st), (nb, 1))
+                        for m, v, st in zip(means, vars_, rng.split(layer.width))],
+                       axis=1)
     if layer.mean_function == "identity":
         F_next = de.add(F_next, F_prev)
     return F_next

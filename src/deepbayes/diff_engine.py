@@ -56,7 +56,7 @@ class DiffTensor:
     def __init__(self, value, tape=None, name=None, parents=None):
         self.value = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(self.value)):
-            raise ValueError(f"non-finite values in tensor {name or ''}")
+            raise FloatingPointError(f"non-finite values in tensor {name or ''}")
         self.name = name
         self.grad = None
         self._tape = tape

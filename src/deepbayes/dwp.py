@@ -11,7 +11,8 @@ from . import diff_engine as de
 from . import rand_dist as rd
 from .deep_models import gi_dgp_layer_sample, mc_elbo
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, se_from_gram
+from .kernels import (KernelParams, _gram_se_params, _se_sqdist, _sqdist,
+                      add_layer_noise, se_from_gram)
 
 __all__ = [
     "GWishLayerPosterior", "DwpState", "gram_kernel_blocks",
@@ -84,24 +85,17 @@ def gram_kernel_blocks(kp: KernelParams, G_ii, G_ti, g_tt, nu):
     Gram entries are never required.
 
     Returns (K_ii, K_ti, k_tt_diag)."""
-    K_ii = se_from_gram(kp, G_ii, nu)
-    sf2 = kp.sf2()
-    ls = kp.lengthscales()
-    l2 = de.elementwise("square", ls)
-    gi_diag = de.reshape(de.diag_part(as_tensor(G_ii)), (1, -1))
-    g_tt = as_tensor(g_tt)
-    nt = g_tt.value.shape[0]
-    d2 = de.elementwise(
-        "affine",
-        de.add(de.sub(de.reshape(g_tt, (nt, 1)),
-                      de.elementwise("affine", as_tensor(G_ti), a=2.0)), gi_diag),
-        a=float(nu))
-    d2 = de.mul(d2, as_tensor((d2.value >= 0).astype(np.float64)))
-    K_ti = de.mul(sf2, de.elementwise("exp", de.elementwise("affine", de.div(d2, l2), a=-0.5)))
+    G_ii, g_tt = as_tensor(G_ii), as_tensor(g_tt)
+    M, nt = G_ii.value.shape[0], g_tt.value.shape[0]
+    sf2, l2 = _gram_se_params(kp)
+    gi = de.reshape(de.diag_part(G_ii), (M, 1))
+    K_ii = _se_sqdist(sf2, l2, _sqdist(gi, G_ii, de.transpose(gi), nu))
+    K_ti = _se_sqdist(sf2, l2, _sqdist(de.reshape(g_tt, (nt, 1)), G_ti,
+                                       de.reshape(de.diag_part(G_ii), (1, M)), nu))
     k_tt = de.mul(sf2, as_tensor(np.ones(nt)))
     if kp.log_noise is not None:
         nv = kp.noise_var()
-        K_ii = de.add(K_ii, de.mul(nv, as_tensor(np.eye(K_ii.value.shape[0]))))
+        K_ii = add_layer_noise(K_ii, nv)
         k_tt = de.add(k_tt, nv)
     return K_ii, K_ti, k_tt
 
@@ -168,17 +162,9 @@ def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int,
         feat_i = de.concat([feat_i, as_tensor(pad)], axis=1)
     elif feat_i.value.shape[1] > nu:
         raise ValueError("feature root wider than the layer width")
-    S_ti = as_tensor(S_ti)
-    s_tt = as_tensor(s_tt)
-    nt = S_ti.value.shape[0]
     w_f = de.triangular_solve(L_ii, feat_i)               # L^{-1} F_i
-    w_s = de.triangular_solve(L_ii, de.transpose(S_ti))   # L^{-1} S_ti^T
-    mean_t = de.matmul(de.transpose(w_s), w_f)            # (nt, nu)
-    var_t = de.sub(s_tt, de.tsum(de.elementwise("square", w_s), axis=0))
-    var_t = de.add(de.mul(var_t, as_tensor((var_t.value > 0).astype(np.float64))),
-                   as_tensor(np.full(nt, 1e-12)))
-    xi = as_tensor(rng.normal((nt, nu)))
-    feat_t = de.add(mean_t, de.mul(de.reshape(de.elementwise("sqrt", var_t), (nt, 1)), xi))
+    _, mean_t, var_t = rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt, w_f)
+    feat_t = rd.conditional_sample(mean_t, var_t, rng)
     G_ti = de.matmul(feat_t, de.transpose(feat_i))
     g_tt = de.tsum(de.elementwise("square", feat_t), axis=1)
     return G_ti, g_tt

@@ -205,21 +205,16 @@ def prop31_check(state: GpState, X, y):
 
 
 def _svgp_marginals(state: SvgpState, Xb):
-    """Per-point q(f) mean and variance at the batch inputs."""
+    """Per-point q(f) mean and variance at the batch inputs, and the lower
+    Cholesky factor of K_zz."""
     Z = as_tensor(state.Z)
-    Kzz = state.kern(Z)
-    Lz = de.cholesky_factor(Kzz)
-    Kzx = state.kern(Z, Xb)
-    W = de.triangular_solve(Lz, Kzx)                     # M x Nb
-    wm = de.triangular_solve(Lz, as_tensor(state.m))     # M
-    mean = de.matmul(de.transpose(W), wm)
+    Xb = as_tensor(Xb)
+    Lz = de.cholesky_factor(state.kern(Z))
+    W, mean, var = rd.gaussian_conditional(Lz, state.kern(Z, Xb), de.diag_part(state.kern(Xb)),
+                                           de.triangular_solve(Lz, as_tensor(state.m)))
     U = de.triangular_solve(Lz, W, trans=True)           # Kzz^{-1} Kzx
     C = de.matmul(de.transpose(as_tensor(state.S_chol)), U)
-    Xb_t = as_tensor(Xb)
-    kdiag = de.diag_part(state.kern(Xb_t))
-    var = de.add(de.sub(kdiag, de.tsum(de.elementwise("square", W), axis=0)),
-                 de.tsum(de.elementwise("square", C), axis=0))
-    return mean, var, Kzz
+    return mean, de.add(var, de.tsum(de.elementwise("square", C), axis=0)), Lz
 
 
 def svgp_elbo(state: SvgpState, Xb, yb, total_n) -> DiffTensor:
@@ -232,14 +227,11 @@ def svgp_elbo(state: SvgpState, Xb, yb, total_n) -> DiffTensor:
     nb = yb.value.shape[0]
     if nb < 1:
         raise ValueError("empty batch")
-    mean, var, Kzz = _svgp_marginals(state, Xb)
+    mean, var, Lz = _svgp_marginals(state, Xb)
     s2 = state.noise_var()
     ell = de.sub(rd.normal_log_density(yb, mean, s2),
                  de.div(var, de.elementwise("affine", s2, a=2.0)))
-    Sq = de.matmul(as_tensor(state.S_chol), de.transpose(as_tensor(state.S_chol)))
-    M = Kzz.value.shape[0]
-    kl = rd.kl_divergences("gaussian-full", (as_tensor(state.m), Sq),
-                           (np.zeros(M), Kzz))
+    kl = rd._kl_gaussian_chol(state.m, state.S_chol, np.zeros(Lz.value.shape[0]), Lz)
     return de.sub(de.elementwise("affine", de.tsum(ell), a=float(total_n) / nb), kl)
 
 

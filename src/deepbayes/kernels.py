@@ -35,15 +35,17 @@ class KernelParams:
         return de.elementwise("exp", as_tensor(self.log_noise))
 
 
-def _sqdist(Xs, Xs2) -> DiffTensor:
-    n1 = de.tsum(de.elementwise("square", Xs), axis=1, keepdims=True)     # N x 1
-    n2 = de.tsum(de.elementwise("square", Xs2), axis=1, keepdims=True)    # N' x 1
-    cross = de.matmul(Xs, de.transpose(Xs2))
-    d2 = de.add(de.sub(n1, de.elementwise("affine", cross, a=2.0)), de.transpose(n2))
+def _sqdist(sq_rows, cross, sq_cols, scale) -> DiffTensor:
+    """scale * (sq_rows - 2 cross + sq_cols) from the squared norms as a
+    column (N x 1) and a row (1 x N') and the cross products (N x N').
+    Rounding negatives are clamped to zero; larger ones raise."""
+    d2 = de.add(de.sub(sq_rows, de.elementwise("affine", cross, a=2.0)), sq_cols)
+    if scale != 1.0:
+        d2 = de.elementwise("affine", d2, a=float(scale))
     v = d2.value
     if np.any(v < -1e-10):
         raise ValueError("squared distance negative beyond tolerance")
-    return de.mul(d2, as_tensor((v >= 0).astype(np.float64)))  # clamp tiny negatives
+    return de.mul(d2, as_tensor((v >= 0).astype(np.float64)))
 
 
 def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
@@ -57,7 +59,9 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
         raise ValueError("lengthscale count does not match feature dimension")
     Xs = de.div(X, ls)
     Xs2 = de.div(X2, ls)
-    d2 = _sqdist(Xs, Xs2)
+    n1 = de.tsum(de.elementwise("square", Xs), axis=1, keepdims=True)     # N x 1
+    n2 = de.tsum(de.elementwise("square", Xs2), axis=1, keepdims=True)    # N' x 1
+    d2 = _sqdist(n1, de.matmul(Xs, de.transpose(Xs2)), de.transpose(n2), 1.0)
     return de.mul(params.sf2(), de.elementwise("exp", de.elementwise("affine", d2, a=-0.5)))
 
 
@@ -69,20 +73,21 @@ def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
     """
     G = as_tensor(G)
     diag = de.reshape(de.diag_part(G), (G.value.shape[0], 1))
-    d2 = de.elementwise(
-        "affine",
-        de.add(de.sub(diag, de.elementwise("affine", G, a=2.0)), de.transpose(diag)),
-        a=float(nu))
-    v = d2.value
-    if np.any(v < -1e-10):
-        raise ValueError("squared distance negative beyond tolerance")
-    d2 = de.mul(d2, as_tensor((v >= 0).astype(np.float64)))
+    sf2, l2 = _gram_se_params(params)
+    return _se_sqdist(sf2, l2, _sqdist(diag, G, de.transpose(diag), nu))
+
+
+def _gram_se_params(params: KernelParams):
+    """(sf2, l^2) of an SE kernel on Gram matrices."""
     ls = params.lengthscales()
     if ls.value.ndim and ls.value.size > 1:
         raise ValueError("se_from_gram requires a single shared lengthscale")
-    l2 = de.elementwise("square", ls)
-    return de.mul(params.sf2(),
-                  de.elementwise("exp", de.elementwise("affine", de.div(d2, l2), a=-0.5)))
+    return params.sf2(), de.elementwise("square", ls)
+
+
+def _se_sqdist(sf2, l2, d2) -> DiffTensor:
+    """sf2 * exp(-0.5 d2 / l^2)."""
+    return de.mul(sf2, de.elementwise("exp", de.elementwise("affine", de.div(d2, l2), a=-0.5)))
 
 
 def add_layer_noise(K, noise_var) -> DiffTensor:

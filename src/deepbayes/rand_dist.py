@@ -18,7 +18,8 @@ __all__ = [
     "RngStream", "BartlettFactor", "MatrixNormalParams",
     "gaussian_sample", "matrix_normal_sample", "gamma_sample_reparam",
     "wishart_log_density", "inverse_wishart_log_density", "bartlett_sample",
-    "jacobian_logdets", "gwish_sample_and_logpdf", "matrix_normal_conditional",
+    "jacobian_logdets", "gwish_sample_and_logpdf", "gaussian_conditional",
+    "conditional_sample", "matrix_normal_conditional",
     "kl_divergences", "mvn_log_density", "normal_log_density", "lgamma",
     "lu_packed_matrix", "lu_packed_logdet",
 ]
@@ -444,7 +445,34 @@ def gwish_sample_and_logpdf(chol_scale, nu: int, alpha, beta, mu, sigma,
     return G, logq, feat
 
 
-# -- matrix normal conditioning --------------------------------------------------
+# -- Gaussian conditioning --------------------------------------------------------
+
+def gaussian_conditional(L, K_uf, k_ff, w_u):
+    """Conditional of f given inducing values u, with L the lower Cholesky
+    factor of K_uu and w_u = L^{-1} u.
+
+    Returns (W, mean, var): W = L^{-1} K_uf, mean = W^T w_u and
+    var = k_ff - sum_rows W^2, the per-point conditional variance.
+    """
+    W = de.triangular_solve(L, K_uf)
+    mean = de.matmul(de.transpose(W), w_u)
+    var = de.sub(k_ff, de.tsum(de.elementwise("square", W), axis=0))
+    return W, mean, var
+
+
+def conditional_sample(mean, var, rng: RngStream) -> DiffTensor:
+    """mean + sqrt(max(var, 0) + 1e-12) xi, with xi ~ N(0, I) shaped like
+    mean and one variance per row of mean."""
+    mean, var = as_tensor(mean), as_tensor(var)
+    n = var.value.shape[0]
+    var = de.add(de.mul(var, as_tensor((var.value > 0).astype(np.float64))),
+                 as_tensor(np.full(n, 1e-12)))
+    xi = as_tensor(rng.normal(mean.value.shape))
+    std = de.elementwise("sqrt", var)
+    if mean.value.ndim == 2:
+        std = de.reshape(std, (n, 1))
+    return de.add(mean, de.mul(std, xi))
+
 
 def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i) -> MatrixNormalParams:
     """Conditional of rows t given rows i of a matrix normal with row scale
@@ -454,9 +482,8 @@ def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i) -> MatrixNormalParams:
     """
     S_ii, S_ti, S_tt, F_i = map(as_tensor, (S_ii, S_ti, S_tt, F_i))
     L = de.cholesky_factor(S_ii)
-    w_f = de.triangular_solve(L, F_i)               # L^{-1} F_i
-    w_s = de.triangular_solve(L, de.transpose(S_ti))  # L^{-1} S_ti^T
-    mean = de.matmul(de.transpose(w_s), w_f)
+    w_s, mean, _ = gaussian_conditional(L, de.transpose(S_ti), de.diag_part(S_tt),
+                                        de.triangular_solve(L, F_i))
     row_cov = de.sub(S_tt, de.matmul(de.transpose(w_s), w_s))
     return MatrixNormalParams(mean=mean, row_cov=row_cov)
 
@@ -471,18 +498,8 @@ def kl_divergences(variant: str, q, p) -> DiffTensor:
     gamma-gamma:       q = (shape, rate), p = (shape, rate)
     """
     if variant == "gaussian-full":
-        mq, Sq = map(as_tensor, q)
-        mp_, Sp = map(as_tensor, p)
-        k = mq.value.shape[0]
-        Lp = de.cholesky_factor(Sp)
-        tr = _trace_inv_product(Lp, Sq)
-        diff = de.sub(mp_, mq)
-        w = de.triangular_solve(Lp, diff)
-        quad = de.tsum(de.elementwise("square", w))
-        ld = de.sub(de.logdet_psd(Sp), de.logdet_psd(Sq))
-        return de.elementwise("affine",
-                              de.add(de.add(tr, quad), de.elementwise("affine", ld, b=-float(k))),
-                              a=0.5)
+        (mq, Sq), (mp_, Sp) = q, p
+        return _kl_gaussian_chol(mq, de.cholesky_factor(Sq), mp_, de.cholesky_factor(Sp))
     if variant == "gaussian-diagonal":
         mq, vq = map(as_tensor, q)
         mp_, vp = map(as_tensor, p)
@@ -505,3 +522,16 @@ def kl_divergences(variant: str, q, p) -> DiffTensor:
         out = de.add(out, de.mul(aq, de.div(de.sub(bp, bq), bq)))
         return de.tsum(out)
     raise ValueError(f"unknown KL variant {variant!r}")
+
+
+def _kl_gaussian_chol(mq, Lq, mp, Lp) -> DiffTensor:
+    """KL(N(mq, Lq Lq^T) || N(mp, Lp Lp^T)) from lower Cholesky factors with
+    positive diagonals: 0.5 (|Lp^{-1} Lq|_F^2 + |Lp^{-1} (mp - mq)|^2 - k)
+    + log|Lp| - log|Lq|."""
+    mq, Lq, mp, Lp = map(as_tensor, (mq, Lq, mp, Lp))
+    tr = de.tsum(de.elementwise("square", de.triangular_solve(Lp, Lq)))
+    quad = de.tsum(de.elementwise("square", de.triangular_solve(Lp, de.sub(mp, mq))))
+    ld = de.sub(de.tsum(de.elementwise("log", de.diag_part(Lp))),
+                de.tsum(de.elementwise("log", de.diag_part(Lq))))
+    return de.add(de.elementwise("affine", de.add(tr, quad), a=0.5,
+                                 b=-0.5 * mq.value.shape[0]), ld)

@@ -10,7 +10,7 @@ from . import diff_engine as de
 from . import rand_dist as rd
 
 __all__ = ["TrainConfig", "AdamState", "adam_step", "kl_anneal_factor",
-           "train_loop", "stl_estimator"]
+           "train_loop"]
 
 
 @dataclass
@@ -83,17 +83,6 @@ def kl_anneal_factor(step: int, anneal_steps: int) -> float:
     if anneal_steps <= 0:
         return 1.0
     return min(1.0, step / anneal_steps)
-
-
-def stl_estimator(toggle: bool, params):
-    """Sticking-the-landing path control: when toggled, the given variational
-    parameters are detached wherever the density (log q) is evaluated, while
-    the sample path keeps its gradient. Toggle off is the identity."""
-    if not toggle:
-        return params
-    if isinstance(params, (list, tuple)):
-        return type(params)(de.stop_gradient(de.as_tensor(p)) for p in params)
-    return de.stop_gradient(de.as_tensor(params))
 
 
 def _clip_global_norm(grads: dict, max_norm: float) -> dict:

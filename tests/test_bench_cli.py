@@ -165,6 +165,18 @@ def test_run_experiment_leaves_config_unchanged(tmp_path):
     assert res.config["train"]["seed"] == 5
 
 
+@pytest.mark.parametrize("kind", ["gp", "dkl", "svgp"])
+def test_closed_form_models_write_bands(tmp_path, kind):
+    cfg = ExperimentConfig(model=kind, dataset="cubic-toy", M=10, out=str(tmp_path),
+                           train=TrainConfig(steps=2, anneal_steps=0, eval_every=1))
+    assert run_experiment(cfg).aborted is None
+    bands = np.loadtxt(tmp_path / f"{kind}_cubic-toy_0.bands")
+    assert bands.shape == (200, 6) and np.all(np.isfinite(bands))
+    _, mean, lo1, hi1, lo2, hi2 = bands.T
+    for lo, hi in [(lo2, lo1), (lo1, mean), (mean, hi1), (hi1, hi2)]:
+        assert np.all(lo <= hi)
+
+
 # -- factorisations per objective ----------------------------------------------------
 
 def test_factorisations_per_objective(monkeypatch):
@@ -179,11 +191,13 @@ def test_factorisations_per_objective(monkeypatch):
     expected = {
         "bnn-gi": 3 * S,        # one per global-inducing layer (3 layers)
         "dgp-gi": 4 * S,        # K_uu and I + L^T Lambda L per layer (2 layers)
-        # K_zz per layer per sample; the KL once: 3 per output (2 outputs)
-        "dgp-dsvi": 2 * S + 6,
+        # K_zz once per layer; the marginals and the KL reuse its factor
+        "dgp-dsvi": 2,
         # per Gram layer (2): prior scale, mixed scale and the leading block
         # of G in the Wishart density; then 2 in the output layer
         "dwp": 8 * S,
+        "svgp": 1,              # K_zz, for both the marginals and the KL
+        "blr": 0,               # the KL works on the roots it is given
     }
     for kind, n in expected.items():
         cfg = ExperimentConfig(model=kind, depth=3 if kind == "dwp" else 2,

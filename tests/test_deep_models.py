@@ -6,7 +6,8 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
                                    GiDgpLayer, PriorSpec, bnn_as_dgp_gram,
-                                   bnn_elbo, bnn_forward, dsvi_dgp_layer_kl,
+                                   bnn_elbo, bnn_forward, dsvi_dgp_layer_chol,
+                                   dsvi_dgp_layer_kl,
                                    dsvi_dgp_layer_marginals,
                                    dsvi_dgp_layer_sample, fac_bnn_layer_sample,
                                    gi_bnn_layer_sample, gi_dgp_layer_sample,
@@ -315,8 +316,9 @@ def test_dsvi_prior_matched_posterior_zero_kl_and_prior_marginals():
                          S_chol=_chol(Kzz + 1e-10 * np.eye(4))[None, :, :],
                          kernel_params=kp, width=1)
     F = rng.standard_normal((5, 1))
-    means, vars_ = dsvi_dgp_layer_marginals(F, layer)
-    assert abs(dsvi_dgp_layer_kl(layer).value) < 1e-6
+    L = dsvi_dgp_layer_chol(layer)
+    means, vars_ = dsvi_dgp_layer_marginals(F, layer, L)
+    assert abs(dsvi_dgp_layer_kl(layer, L).value) < 1e-6
     # marginals reduce to the prior: mean 0, variance = kernel diagonal
     kdiag = np.diag(se_ard_features(kp, F).value)
     assert np.allclose(means[0].value, 0.0, atol=1e-10)
@@ -334,11 +336,12 @@ def test_dsvi_depth_one_elbo_equals_sparse_gp_bound():
     kp = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
     layer = DsviDgpLayer(Z=Z, m=m, S_chol=_chol(S)[None, :, :],
                          kernel_params=kp, width=1)
-    means, vars_ = dsvi_dgp_layer_marginals(X, layer)
+    L = dsvi_dgp_layer_chol(layer)
+    means, vars_ = dsvi_dgp_layer_marginals(X, layer, L)
     s2 = 0.3
     ell = rd.normal_log_density(y, means[0], np.asarray(s2)).value.sum() \
         - vars_[0].value.sum() / (2 * s2)
-    elbo_dgp = ell - dsvi_dgp_layer_kl(layer).value
+    elbo_dgp = ell - dsvi_dgp_layer_kl(layer, L).value
     svgp = SvgpState(Z=Z, m=m[:, 0], S_chol=_chol(S), kernel_params=kp,
                      log_noise=np.log(s2))
     elbo_ref = svgp_elbo(svgp, X, y, total_n=8).value
@@ -353,9 +356,10 @@ def test_dsvi_sample_moments_match_marginals():
                          S_chol=_chol(A @ A.T + 4 * np.eye(4))[None, :, :],
                          kernel_params=KernelParams(), width=1)
     F = rng.standard_normal((3, 1))
-    means, vars_ = dsvi_dgp_layer_marginals(F, layer)
+    L = dsvi_dgp_layer_chol(layer)
+    means, vars_ = dsvi_dgp_layer_marginals(F, layer, L)
     n = 20000
-    draws = np.stack([dsvi_dgp_layer_sample(F, layer, rd.RngStream(s)).value[:, 0]
+    draws = np.stack([dsvi_dgp_layer_sample(F, layer, L, rd.RngStream(s)).value[:, 0]
                       for s in range(n)])
     se = np.sqrt(vars_[0].value / n)
     assert np.all(np.abs(draws.mean(0) - means[0].value) < 4 * se)
@@ -373,8 +377,9 @@ def test_dsvi_identity_mean_function_shifts_samples():
                          kernel_params=KernelParams(), width=1,
                          mean_function="identity")
     F = rng.standard_normal((4, 1))
-    f0 = dsvi_dgp_layer_sample(F, base, rd.RngStream(6))
-    f1 = dsvi_dgp_layer_sample(F, ident, rd.RngStream(6))
+    L = dsvi_dgp_layer_chol(base)
+    f0 = dsvi_dgp_layer_sample(F, base, L, rd.RngStream(6))
+    f1 = dsvi_dgp_layer_sample(F, ident, L, rd.RngStream(6))
     assert np.allclose(f1.value - f0.value, F)
 
 

@@ -504,6 +504,24 @@ def test_gwish_density_gradients_excluding_shape():
     assert rep["passed"], rep
 
 
+# -- Gaussian conditioning ------------------------------------------------------------
+
+def test_gaussian_conditional_matches_dense_conditional():
+    rng = np.random.default_rng(6)
+    K = _spd(rng, 7)
+    iu, if_ = [0, 1, 2, 3], [4, 5, 6]
+    K_uu, K_uf = K[np.ix_(iu, iu)], K[np.ix_(iu, if_)]
+    u = rng.standard_normal((4, 2))
+    L = np.linalg.cholesky(K_uu)
+    W, mean, var = rd.gaussian_conditional(L, K_uf, np.diag(K)[if_],
+                                           np.linalg.solve(L, u))
+    assert np.allclose(W.value, np.linalg.solve(L, K_uf), rtol=0, atol=1e-12)
+    ref_mean = K_uf.T @ np.linalg.solve(K_uu, u)
+    ref_cov = K[np.ix_(if_, if_)] - K_uf.T @ np.linalg.solve(K_uu, K_uf)
+    assert np.allclose(mean.value, ref_mean, rtol=0, atol=1e-12)
+    assert np.allclose(var.value, np.diag(ref_cov), rtol=0, atol=1e-12)
+
+
 # -- matrix normal conditioning --------------------------------------------------
 
 def test_conditional_reduces_to_marginal_when_independent():

@@ -4,7 +4,7 @@ import pytest
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.train import (AdamState, TrainConfig, adam_step,
-                             kl_anneal_factor, stl_estimator, train_loop)
+                             kl_anneal_factor, train_loop)
 
 
 # -- Adam -----------------------------------------------------------------------
@@ -74,22 +74,6 @@ def test_config_validation():
         TrainConfig(steps=10, anneal_steps=5, train_samples=0)
 
 
-# -- sticking-the-landing toggle ------------------------------------------------------
-
-def test_stl_off_is_identity():
-    x = de.as_tensor(np.ones(3))
-    assert stl_estimator(False, x) is x
-
-
-def test_stl_on_blocks_gradients():
-    with de.Tape() as t:
-        x = t.param(np.asarray(2.0), "x")
-        detached = stl_estimator(True, x)
-        y = de.mul(detached, x)
-        grads = de.backward_pass(y)
-    assert np.isclose(grads["x"], 2.0)   # only the live factor contributes
-
-
 # -- training loop -----------------------------------------------------------------------
 
 
@@ -125,6 +109,21 @@ class _NanAfterModel(_QuadModel):
 
     def evaluate(self, params, dataset, rng, n_samples):
         return {}
+
+
+class _OverflowAfterModel(_NanAfterModel):
+    """exp(-1e6 w) overflows to inf once the model has been called blow_at
+    times (w stays negative over the first steps)."""
+
+    def objective(self, params, Xb, yb, total_n, n_samples, rng, kl_scale):
+        self.calls += 1
+        out = _QuadModel.objective(self, params, Xb, yb, total_n, n_samples, rng,
+                                   kl_scale)
+        if self.calls > self.blow_at:
+            with np.errstate(over="ignore"):
+                blow = de.elementwise("exp", de.elementwise("affine", params["w"], a=-1e6))
+            out = de.add(out, blow)
+        return out
 
 
 class _NoisyLinearModel:
@@ -205,6 +204,15 @@ def test_train_loop_abort_keeps_last_good_params():
     assert np.all(np.isfinite(res["params"]["w"]))
     # ten successful steps moved w away from the init
     assert res["params"]["w"] != -2.0
+
+
+def test_train_loop_aborts_on_nonfinite_tensor():
+    # a non-finite op output aborts the run like a failed factorisation
+    rng = np.random.default_rng(6)
+    res = train_loop(_OverflowAfterModel(blow_at=3), _Dataset(rng),
+                     TrainConfig(steps=20, lr=0.05, anneal_steps=0))
+    assert res["aborted"] == {"step": 3, "reason": "non-finite values in tensor "}
+    assert np.all(np.isfinite(res["params"]["w"])) and res["params"]["w"] != -2.0
 
 
 def test_train_loop_minibatches_cover_dataset():
