@@ -17,7 +17,7 @@ from . import gp_models as gm
 from . import rand_dist as rd
 from .diff_engine import as_tensor
 from .dwp import _chol_from_raw
-from .kernels import KernelParams
+from .kernels import KernelParams, se_ard_features
 from .train import TrainConfig, train_loop
 
 __all__ = ["Dataset", "ExperimentConfig", "ExperimentResult",
@@ -127,6 +127,11 @@ def load_csv(path, seed=0, test_fraction=0.1) -> Dataset:
 
 # -- parameter helpers ----------------------------------------------------------
 
+def _se_params(p, sfx) -> KernelParams:
+    """SE kernel with the parameters log_sf2{sfx} and log_ls{sfx} of p."""
+    return KernelParams(log_sf2=p[f"log_sf2{sfx}"], log_lengthscales=p[f"log_ls{sfx}"])
+
+
 def _log_mean_exp(a, axis=0):
     m = np.max(a, axis=axis, keepdims=True)
     return np.squeeze(m, axis) + np.log(np.mean(np.exp(a - m), axis=axis))
@@ -224,8 +229,7 @@ class GpLmlModel:
         return p
 
     def _state_and_features(self, p, X):
-        kp = KernelParams(log_sf2=p["log_sf2"], log_lengthscales=p["log_ls"])
-        st = gm.GpState(kernel_params=kp, log_noise=p["log_noise"])
+        st = gm.GpState(kernel_params=_se_params(p, ""), log_noise=p["log_noise"])
         if self.dkl_widths:
             n_l = len(self.dkl_widths)
             ws = [(p[f"W{i}"], p[f"b{i}"]) for i in range(n_l)]
@@ -250,7 +254,7 @@ class GpLmlModel:
 
 
 class SvgpModel:
-    def __init__(self, dataset: Dataset, M=20, seed=0):
+    def __init__(self, dataset: Dataset, M=20):
         self.D = dataset.X_train.shape[1]
         self.M = min(M, dataset.X_train.shape[0])
         self.X0 = dataset.X_train[:self.M].copy()
@@ -262,9 +266,8 @@ class SvgpModel:
                 "log_noise": np.asarray(-2.0)}
 
     def _state(self, p):
-        kp = KernelParams(log_sf2=p["log_sf2"], log_lengthscales=p["log_ls"])
         return gm.SvgpState(Z=p["Z"], m=p["m"], S_chol=_chol_from_raw(p["S_raw"]),
-                            kernel_params=kp, log_noise=p["log_noise"])
+                            kernel_params=_se_params(p, ""), log_noise=p["log_noise"])
 
     def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
         return gm.svgp_elbo(self._state(p), Xb, yb, total_n)
@@ -357,12 +360,17 @@ class BnnModel(_MonteCarloModel):
             for i, (w, fi) in enumerate(zip(self.widths, self._fanins())):
                 p[f"mean{i}"] = rng.standard_normal((fi, w))
                 p[f"lstd{i}"] = np.full((fi, w), 0.5 * np.log(1e-3 / np.sqrt(fi)))
+        if self.prior_variant == "scale":   # log q(s) offsets: q(s) starts near p(s)
+            p.update({f"log_{ab}_s{i}": np.asarray(np.log(1e-3))
+                      for i in range(n_layers) for ab in "ab"})
         return p
 
     def _state(self, p):
         layers = []
-        prior = dm.PriorSpec(self.prior_variant)
         for i, w in enumerate(self.widths):
+            prior = (dm.PriorSpec("scale", de.elementwise("exp", p[f"log_a_s{i}"]),
+                                  de.elementwise("exp", p[f"log_b_s{i}"]))
+                     if self.prior_variant == "scale" else dm.PriorSpec(self.prior_variant))
             if self.posterior == "gi":
                 layers.append(dm.GiBnnLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
                                             prior=prior, width=w))
@@ -414,18 +422,11 @@ class DgpModel(_MonteCarloModel):
                 p[f"m{i}"] = np.zeros((self.M, w))
                 # start q(u) at the prior: S = K_ZZ, so the KL starts at zero
                 Z = p["Z0"] if i == 0 else p[f"Z{i}"]
-                from .kernels import se_ard_features
-                kp = KernelParams(log_sf2=p[f"log_sf2_{i}"],
-                                  log_lengthscales=p[f"log_ls_{i}"])
-                K = se_ard_features(kp, Z).value
+                K = se_ard_features(_se_params(p, f"_{i}"), Z).value
                 L = np.linalg.cholesky(K + 1e-6 * np.eye(self.M))
                 raw = np.tril(L, k=-1) + np.diag(np.log(np.diag(L)))
                 p[f"S_raw{i}"] = np.tile(raw[None], (w, 1, 1))
         return p
-
-    def _kp(self, p, i):
-        return KernelParams(log_sf2=p[f"log_sf2_{i}"],
-                            log_lengthscales=p[f"log_ls_{i}"])
 
     def _state(self, p):
         """The layers, the first layer's inducing inputs, each DSVI layer's
@@ -440,14 +441,14 @@ class DgpModel(_MonteCarloModel):
             d_in = w
             if self.posterior == "gi":
                 layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
-                                      kernel_params=self._kp(p, i), width=w,
+                                      kernel_params=_se_params(p, f"_{i}"), width=w,
                                       mean_function=mean_fn)
             else:
                 S_chol = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
                           for lam in range(w)]
                 layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"],
                                         m=p[f"m{i}"], S_chol=S_chol,
-                                        kernel_params=self._kp(p, i),
+                                        kernel_params=_se_params(p, f"_{i}"),
                                         width=w, mean_function=mean_fn)
                 chols.append(dm.dsvi_dgp_layer_chol(layer))
                 kl = de.add(kl, dm.dsvi_dgp_layer_kl(layer, chols[-1]))
@@ -515,15 +516,13 @@ class DwpModel(_MonteCarloModel):
                 log_alpha=p[f"la{i}"], log_beta=p[f"lb{i}"],
                 mu=p[f"mu{i}"], log_sigma=p[f"ls{i}"], variant=self.variant,
                 A_packed=p.get(f"A{i}"), B_packed=p.get(f"B{i}")))
-            kps.append(KernelParams(log_sf2=p[f"log_sf2_{i}"],
-                                    log_lengthscales=p[f"log_ls_{i}"]))
+            kps.append(_se_params(p, f"_{i}"))
         final = dm.GiDgpLayer(V=p["Vf"], log_lambda=p["lamf"],
                               kernel_params=None, width=1)
-        fk = KernelParams(log_sf2=p["log_sf2_f"], log_lengthscales=p["log_ls_f"])
         log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
         return dwp_mod.DwpState(inducing_inputs=p["Xi"], layers=layers,
                                 kernel_params=kps, final_layer=final,
-                                final_kernel=fk, log_noise=log_noise,
+                                final_kernel=_se_params(p, "_f"), log_noise=log_noise,
                                 nu0=self.D)
 
     def forward(self, state, X, rng):
@@ -595,7 +594,7 @@ def _make_model(cfg: ExperimentConfig, ds: Dataset):
     if kind == "dkl":
         return GpLmlModel(ds, dkl_widths=(100, 50, 2), seed=cfg.seed)
     if kind == "svgp":
-        return SvgpModel(ds, M=cfg.M, seed=cfg.seed)
+        return SvgpModel(ds, M=cfg.M)
     if kind in ("bnn-gi", "bnn-fac"):
         return BnnModel(ds, posterior=kind.split("-")[1], widths=cfg.widths,
                         M=cfg.M, prior_variant=cfg.prior, seed=cfg.seed)

@@ -13,7 +13,7 @@ import numpy as np
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, add_layer_noise, se_ard_features
+from .kernels import KernelParams, _se_kdiag, add_layer_noise, se_ard_features
 
 __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer",
@@ -113,6 +113,51 @@ def _inverse_chol(A) -> DiffTensor:
     return de.getitem(de.triangular_solve(C, eye, trans=True), _REVERSE)
 
 
+def _gi_posterior(L, A, log_lambda, V, rng):
+    """Global-inducing posterior of BNN weights and of GP inducing outputs.
+
+    Each column x of X has the prior N(0, L L^T), with L a lower-triangular
+    root or a scalar (the root L I), and pseudo-observations V = A x + noise
+    of precisions Lambda = exp(log_lambda) (A = None means I). With
+    R = chol((I + L^T A^T Lambda A L)^{-1}) from one Cholesky, the posterior
+    is N(Mean, Ls Ls^T), Ls = L R, Mean = Ls Ls^T A^T Lambda V.
+
+    Returns (Mean, Ls, X, L^{-1} X, increment) with X = Mean + Ls xi and
+    increment = sum_cols log N(x; 0, L L^T) - log N(x; Mean, Ls Ls^T)
+              = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 + width sum log diag R;
+    without rng, only (Mean, Ls, None, None, None)."""
+    L, V = as_tensor(L), as_tensor(V)
+    lam = de.elementwise("exp", as_tensor(log_lambda))
+    M, width = V.value.shape
+    times_root = de.matmul if L.value.ndim == 2 else de.mul
+    B = L if A is None else times_root(as_tensor(A), L)         # A L
+    BtLam = de.mul(de.transpose(B), de.reshape(lam, (1, M)))     # B^T Lambda
+    R = _inverse_chol(de.add(as_tensor(np.eye(B.value.shape[1])), de.matmul(BtLam, B)))
+    Ls = times_root(L, R)
+    if A is None:   # Ls^T Lambda V, in the GI-DGP and DWP op order
+        Mean = de.matmul(Ls, de.matmul(de.transpose(Ls), de.mul(de.reshape(lam, (M, 1)), V)))
+    else:           # Ls^T A^T Lambda V = R^T B^T Lambda V
+        Mean = de.matmul(Ls, de.matmul(de.transpose(R), de.matmul(BtLam, V)))
+    if rng is None:
+        return Mean, Ls, None, None, None
+
+    xi = rng.normal(Mean.value.shape)
+    X = de.add(Mean, de.matmul(Ls, as_tensor(xi)))
+    LinvX = de.triangular_solve(L, X) if L.value.ndim == 2 else de.div(X, L)
+    inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", LinvX)),
+                                a=-0.5, b=0.5 * float(np.sum(xi * xi))),
+                 de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(R))),
+                                a=float(width)))
+    return Mean, Ls, X, LinvX, inc
+
+
+def _gi_bnn_posterior(psi_U, layer: GiBnnLayer, rng, s):
+    """_gi_posterior of the weights: A = psi_U, L = (nu Sigma^{-1})^{-1/2} I."""
+    prec = _prior_precision_scalar(layer.prior, psi_U.value.shape[1], s=s)
+    root = de.elementwise("sqrt", de.elementwise("reciprocal", prec))
+    return _gi_posterior(root, psi_U, layer.log_lambda, layer.V, rng)
+
+
 def gi_bnn_layer_moments(psi_U, layer: GiBnnLayer, s=None):
     """Global-inducing conditional posterior of the layer weights: each
     column is N(Mean, S) with S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and
@@ -121,16 +166,7 @@ def gi_bnn_layer_moments(psi_U, layer: GiBnnLayer, s=None):
     psi_U: (M, d) propagated, activated inducing features (bias included).
     Returns (Mean, Ls) with Ls the lower Cholesky factor of S.
     """
-    psi_U = as_tensor(psi_U)
-    M, d = psi_U.value.shape
-    lam = de.elementwise("exp", as_tensor(layer.log_lambda))      # (M,)
-    prior_prec = _prior_precision_scalar(layer.prior, d, s=s)
-    lam_psi = de.mul(de.reshape(lam, (M, 1)), psi_U)              # Lambda psi
-    prec = de.add(de.mul(prior_prec, as_tensor(np.eye(d))),
-                  de.matmul(de.transpose(psi_U), lam_psi))
-    Ls = _inverse_chol(prec)
-    Mean = de.matmul(Ls, de.matmul(de.transpose(Ls),
-                                   de.matmul(de.transpose(lam_psi), as_tensor(layer.V))))
+    Mean, Ls, *_ = _gi_bnn_posterior(as_tensor(psi_U), layer, None, s)
     return Mean, Ls
 
 
@@ -140,20 +176,8 @@ def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
     U_next = psi_U @ W.
     """
     psi_U = as_tensor(psi_U)
-    Mean, Ls = gi_bnn_layer_moments(psi_U, layer, s=s)
-    d, width = Mean.value.shape
-    xi = rng.normal((d, width))
-    W = de.add(Mean, de.matmul(Ls, as_tensor(xi)))
-
-    # log p(W): independent N(0, (nu Sigma^{-1})^{-1} I) per entry
-    prior_var = de.elementwise("reciprocal", _prior_precision_scalar(layer.prior, d, s=s))
-    logp = de.tsum(rd.normal_log_density(W, as_tensor(np.zeros((d, width))), prior_var))
-    # log q(W): per-column N(Mean, S), where Ls^{-1} (W - Mean) = xi
-    ld = de.tsum(de.elementwise("log", de.diag_part(Ls)))
-    logq = de.elementwise("affine", ld, a=-float(width),
-                          b=-0.5 * (float(np.sum(xi * xi)) + d * width * rd.LOG2PI))
-    U_next = de.matmul(psi_U, W)
-    return W, de.sub(logp, logq), U_next
+    _, _, W, _, inc = _gi_bnn_posterior(psi_U, layer, rng, s)
+    return W, inc, de.matmul(psi_U, W)
 
 
 def fac_bnn_layer_sample(layer: FacBnnLayer, d: int, rng: rd.RngStream, s=None):
@@ -250,20 +274,11 @@ def _kuu(kp: KernelParams, U) -> DiffTensor:
     return K_uu if kp.log_noise is None else add_layer_noise(K_uu, kp.noise_var())
 
 
-def _kfu_kdiag(kp: KernelParams, U, F):
-    """K(F, U) and the diagonal of K(F, F), plus the layer noise if any."""
-    K_fu = se_ard_features(kp, F, U)
-    kdiag = de.diag_part(se_ard_features(kp, F))
-    return K_fu, kdiag if kp.log_noise is None else de.add(kdiag, kp.noise_var())
-
-
 def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
                         kernel_blocks=None):
-    """Global-inducing DGP layer (function-space analogue of the BNN layer).
-
-    Samples inducing outputs from q(U | U_prev) with per-output covariance
-    S = (K_uu^{-1} + Lambda)^{-1} and mean S Lambda v, then samples the batch
-    outputs from the prior conditional p(F | U, F_prev, U_prev) per point.
+    """Global-inducing DGP layer: samples the inducing outputs U from
+    _gi_posterior with L = chol(K_uu), then the batch outputs from the prior
+    conditional p(F | U, F_prev, U_prev) per point.
     kernel_blocks optionally supplies precomputed (K_uu, K_fu, kdiag) — used
     by the Gram-layer models where the kernel is a function of Gram matrices.
     Returns (U_next, F_next, logp - logq).
@@ -271,34 +286,11 @@ def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
     if kernel_blocks is not None:
         K_uu, K_fu, kdiag = kernel_blocks
     else:
-        U_prev, F_prev = as_tensor(U_prev), as_tensor(F_prev)
-        K_uu = _kuu(layer.kernel_params, U_prev)
-        K_fu, kdiag = _kfu_kdiag(layer.kernel_params, U_prev, F_prev)
-    K_uu = as_tensor(K_uu)
-    M = K_uu.value.shape[0]
-    V = as_tensor(layer.V)
-    width = V.value.shape[1]
-    lam = de.elementwise("exp", as_tensor(layer.log_lambda))
-
-    L = de.cholesky_factor(K_uu)
-    # S = L (I + L^T Lambda L)^{-1} L^T  (stable for large/small Lambda), so
-    # Ls = L chol((I + L^T Lambda L)^{-1}) is its lower Cholesky factor
-    LtLam = de.mul(de.transpose(L), de.reshape(lam, (1, M)))     # L^T Lambda
-    R = _inverse_chol(de.add(as_tensor(np.eye(M)), de.matmul(LtLam, L)))
-    Ls = de.matmul(L, R)
-    Mean = de.matmul(Ls, de.matmul(de.transpose(Ls), de.mul(de.reshape(lam, (M, 1)), V)))
-
-    xi = rng.normal((M, width))
-    U = de.add(Mean, de.matmul(Ls, as_tensor(xi)))
-
-    # increment: sum_cols log N(u; 0, K_uu) - log N(u; Mean, S). With
-    # Ls^{-1} (U - Mean) = xi and log|Ls| = log|L| + log|R| this is
-    # -0.5 (|L^{-1} U|^2 - |xi|^2) + width log|R|.
-    wu = de.triangular_solve(L, U)                               # L^{-1} U
-    inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", wu)),
-                                a=-0.5, b=0.5 * float(np.sum(xi * xi))),
-                 de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(R))),
-                                a=float(width)))
+        U_prev, F_prev, kp = as_tensor(U_prev), as_tensor(F_prev), layer.kernel_params
+        K_uu, K_fu = _kuu(kp, U_prev), se_ard_features(kp, F_prev, U_prev)
+        kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[0])
+    L = de.cholesky_factor(as_tensor(K_uu))
+    _, _, U, wu, inc = _gi_posterior(L, None, layer.log_lambda, layer.V, rng)
 
     # batch outputs from the prior conditional, independent per point
     F_next = None
@@ -324,7 +316,9 @@ def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer, L):
     """Per-point marginal q(f) moments after analytically integrating out the
     local inducing outputs, given L = dsvi_dgp_layer_chol(layer). Returns
     (means, vars): lists of per-output (nb,) tensors."""
-    K_fz, kdiag = _kfu_kdiag(layer.kernel_params, as_tensor(layer.Z), as_tensor(F_prev))
+    kp, F_prev = layer.kernel_params, as_tensor(F_prev)
+    K_fz = se_ard_features(kp, F_prev, as_tensor(layer.Z))
+    kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[0])
     W, mean, base_var = rd.gaussian_conditional(
         L, de.transpose(K_fz), kdiag, de.triangular_solve(L, as_tensor(layer.m)))
     U_sol = de.triangular_solve(L, W, trans=True)                # K_zz^{-1} K_zf
@@ -367,17 +361,10 @@ def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, L, rng: rd.RngStream):
 def bnn_as_dgp_gram(prior: PriorSpec, F_prev, fanin=None, activation="relu",
                     s=1.0) -> DiffTensor:
     """Conditional Gram matrix of one BNN layer's activations:
-    K_f = psi(F) Sigma psi(F)^T / fanin, the degenerate kernel that makes a
-    BNN a DGP with this kernel."""
+    K_f = psi(F) Sigma psi(F)^T / fanin = psi(F) psi(F)^T / (nu Sigma^{-1}),
+    the degenerate kernel that makes a BNN a DGP with this kernel."""
     F_prev = as_tensor(F_prev)
     psi = F_prev if activation == "identity" else de.elementwise("relu", F_prev)
-    d = psi.value.shape[1]
-    nu = float(fanin if fanin is not None else d)
-    if prior.variant == "standard":
-        sigma_scalar = nu
-    elif prior.variant == "neal":
-        sigma_scalar = 1.0
-    else:
-        sigma_scalar = 1.0 / float(as_tensor(s).value)
-    return de.elementwise("affine", de.matmul(psi, de.transpose(psi)),
-                          a=sigma_scalar / nu)
+    prior_prec = _prior_precision_scalar(prior, psi.value.shape[1] if fanin is None else fanin,
+                                         s=s)
+    return de.div(de.matmul(psi, de.transpose(psi)), prior_prec)

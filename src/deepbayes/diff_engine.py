@@ -21,7 +21,9 @@ _ACTIVE: list["Tape"] = []
 
 
 class Tape:
-    """Ordered record of operations for one training run (single-threaded)."""
+    """Ordered record of operations for one training run (single-threaded).
+    Leaving the `with` block drops the record, so reference counting frees
+    the graph; run backward_pass inside the block."""
 
     def __init__(self):
         self._nodes: list[DiffTensor] = []
@@ -33,6 +35,7 @@ class Tape:
     def __exit__(self, *exc):
         assert _ACTIVE and _ACTIVE[-1] is self
         _ACTIVE.pop()
+        self._nodes = None
         return False
 
     def param(self, value, name: str) -> "DiffTensor":
@@ -433,6 +436,8 @@ def backward_pass(loss: DiffTensor) -> dict:
     tape = loss._tape
     if tape is None:
         return {}
+    if tape._nodes is None:
+        raise ValueError("backward_pass on a closed tape: call it inside the tape's with block")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
     for node in reversed(tape._nodes):
         g = grads.pop(id(node), None)

@@ -11,8 +11,8 @@ from . import diff_engine as de
 from . import rand_dist as rd
 from .deep_models import gi_dgp_layer_sample, mc_elbo
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import (KernelParams, _gram_se_params, _se_sqdist, _sqdist,
-                      add_layer_noise, se_from_gram)
+from .kernels import (KernelParams, _gram_se_params, _se_kdiag, _se_sqdist,
+                      _sqdist, add_layer_noise, se_from_gram)
 
 __all__ = [
     "GWishLayerPosterior", "DwpState", "gram_kernel_blocks",
@@ -92,11 +92,9 @@ def gram_kernel_blocks(kp: KernelParams, G_ii, G_ti, g_tt, nu):
     K_ii = _se_sqdist(sf2, l2, _sqdist(gi, G_ii, de.transpose(gi), nu))
     K_ti = _se_sqdist(sf2, l2, _sqdist(de.reshape(g_tt, (nt, 1)), G_ti,
                                        de.reshape(de.diag_part(G_ii), (1, M)), nu))
-    k_tt = de.mul(sf2, as_tensor(np.ones(nt)))
+    k_tt = _se_kdiag(kp, sf2, nt)
     if kp.log_noise is not None:
-        nv = kp.noise_var()
-        K_ii = add_layer_noise(K_ii, nv)
-        k_tt = de.add(k_tt, nv)
+        K_ii = add_layer_noise(K_ii, kp.noise_var())
     return K_ii, K_ti, k_tt
 
 

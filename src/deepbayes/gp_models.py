@@ -9,7 +9,7 @@ import numpy as np
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, se_ard_features
+from .kernels import KernelParams, _se_kdiag, se_ard_features
 
 __all__ = [
     "BlrState", "GpState", "SvgpState", "DklState",
@@ -210,7 +210,9 @@ def _svgp_marginals(state: SvgpState, Xb):
     Z = as_tensor(state.Z)
     Xb = as_tensor(Xb)
     Lz = de.cholesky_factor(state.kern(Z))
-    W, mean, var = rd.gaussian_conditional(Lz, state.kern(Z, Xb), de.diag_part(state.kern(Xb)),
+    kp = state.kernel_params
+    W, mean, var = rd.gaussian_conditional(Lz, state.kern(Z, Xb),
+                                           _se_kdiag(kp, kp.sf2(), Xb.value.shape[0]),
                                            de.triangular_solve(Lz, as_tensor(state.m)))
     U = de.triangular_solve(Lz, W, trans=True)           # Kzz^{-1} Kzx
     C = de.matmul(de.transpose(as_tensor(state.S_chol)), U)
@@ -250,7 +252,7 @@ def svgp_collapsed_bound(state: SvgpState, X, y):
     Q = de.matmul(de.transpose(W), W)
     cov = de.add(Q, de.mul(s2, as_tensor(np.eye(n))))
     fit = rd.mvn_log_density(y, np.zeros(n), cov=cov)
-    kdiag = de.diag_part(state.kern(X))
+    kdiag = _se_kdiag(state.kernel_params, state.kernel_params.sf2(), n)
     trace_gap = de.sub(de.tsum(kdiag), de.tsum(de.diag_part(Q)))
     bound = de.sub(fit, de.div(trace_gap, de.elementwise("affine", s2, a=2.0)))
 

@@ -90,6 +90,13 @@ def _se_sqdist(sf2, l2, d2) -> DiffTensor:
     return de.mul(sf2, de.elementwise("exp", de.elementwise("affine", de.div(d2, l2), a=-0.5)))
 
 
+def _se_kdiag(params: KernelParams, sf2, n: int) -> DiffTensor:
+    """Diagonal of the SE kernel at n points in O(n): sf2 * 1 (sf2 is
+    params.sf2() or the caller's node for it), plus the layer noise if any."""
+    kdiag = de.mul(sf2, as_tensor(np.ones(n)))
+    return kdiag if params.log_noise is None else de.add(kdiag, params.noise_var())
+
+
 def add_layer_noise(K, noise_var) -> DiffTensor:
     """K + noise_var * I."""
     K = as_tensor(K)

@@ -10,7 +10,7 @@ from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import (BlrViModel, Dataset, ExperimentConfig,
                                  _make_model, gen_cubic_toy, gen_deep_linear,
                                  load_csv, main, run_experiment)
-from deepbayes.train import TrainConfig
+from deepbayes.train import TrainConfig, train_loop
 
 
 # -- synthetic datasets --------------------------------------------------------------
@@ -207,6 +207,50 @@ def test_factorisations_per_objective(monkeypatch):
         calls.clear()
         model.objective(p, ds.X_train, ds.y_train, 40, S, rd.RngStream(0), 1.0)
         assert len(calls) == n, kind
+
+
+# Objective at the init params (cubic-toy, S=3, kl_scale 0.7, RngStream(123)),
+# held to 1e-10 relative so that a refactor keeps every Monte-Carlo model's
+# values, and tape nodes per objective, counted inside the tape block, held
+# exactly so that graph growth shows.
+PINNED_OBJECTIVES = {
+    "bnn-gi": (-298.66930508623346, 355),
+    "bnn-fac": (-438.715464014261, 267),
+    "dgp-gi": (-106.72853915930291, 561),
+    "dgp-dsvi": (-35060584640.05116, 416),
+    "dwp": (-42452183.68358049, 1069),
+    "dwp-a": (-42452183.68358049, 1215),
+    "dwp-ab": (-42452183.68358049, 1289),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_OBJECTIVES))
+def test_monte_carlo_objective_and_tape_nodes_are_pinned(kind):
+    ds = gen_cubic_toy(0)
+    cfg = ExperimentConfig(model=kind, depth=3 if kind.startswith("dwp") else 2,
+                           widths=(5, 5), M=10)
+    model = _make_model(cfg, ds)
+    with de.Tape() as tape:
+        p = {k: tape.param(v, k) for k, v in model.init_params().items()}
+        value = model.objective(p, ds.X_train, ds.y_train, 40, 3, rd.RngStream(123), 0.7).value
+        nodes = len(tape._nodes)
+    want, want_nodes = PINNED_OBJECTIVES[kind]
+    assert abs(float(value) - want) <= 1e-10 * abs(want)
+    assert nodes == want_nodes
+
+
+def test_bnn_scale_prior_offsets_are_learned():
+    ds = gen_cubic_toy(0)
+    model = _make_model(ExperimentConfig(model="bnn-gi", prior="scale", widths=(5, 5), M=10),
+                        ds)
+    init = model.init_params()
+    offsets = [k for k in init if k.startswith(("log_a_s", "log_b_s"))]
+    assert len(offsets) == 6                       # alpha and beta per layer
+    assert all(np.exp(init[k]) < 1e-2 for k in offsets)   # q(s) starts near p(s)
+    res = train_loop(model, ds, TrainConfig(steps=5, anneal_steps=1, train_samples=2,
+                                            eval_samples=2, eval_every=100))
+    assert res["aborted"] is None
+    assert all(res["params"][k] != init[k] for k in offsets)
 
 
 def test_readme_example_config_runs(tmp_path):

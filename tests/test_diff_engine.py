@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +130,32 @@ def test_backward_requires_scalar():
         y = de.elementwise("exp", x)
         with pytest.raises(ValueError):
             de.backward_pass(y)
+
+
+def test_closed_tape_is_freed_without_the_collector():
+    # leaving the block drops the tape's record, which would otherwise form a
+    # reference cycle with its parameters: reference counting frees the graph
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        with de.Tape() as t:
+            x = t.param(np.ones(3), "x")
+            y = de.elementwise("exp", x)
+            loss = de.tsum(y)
+            de.backward_pass(loss)
+        ref = weakref.ref(y.value)
+        del t, x, y, loss
+        assert ref() is None
+    finally:
+        if gc_was_on:
+            gc.enable()
+
+
+def test_backward_on_closed_tape_raises():
+    with de.Tape() as t:
+        loss = de.tsum(de.elementwise("exp", t.param(np.ones(3), "x")))
+    with pytest.raises(ValueError):
+        de.backward_pass(loss)
 
 
 def test_stop_gradient_blocks_path():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from deepbayes import diff_engine as de
-from deepbayes.kernels import (KernelParams, add_layer_noise, se_ard_features,
-                               se_from_gram)
+from deepbayes.kernels import (KernelParams, _se_kdiag, add_layer_noise,
+                               se_ard_features, se_from_gram)
 
 
 def test_diagonal_equals_signal_variance():
@@ -96,6 +96,20 @@ def test_add_layer_noise():
     assert np.allclose(out, K + 0.2 * np.eye(3))
     with pytest.raises(ValueError):
         add_layer_noise(np.ones((2, 3)), np.asarray(0.1))
+
+
+def test_kdiag_matches_the_kernel_diagonal():
+    # the O(n) diagonal against the diagonal of the n x n kernel, with and
+    # without the layer noise
+    X = np.random.default_rng(9).standard_normal((30, 3))
+    for p in (KernelParams(log_sf2=0.3, log_lengthscales=np.log([0.5, 1.0, 2.0])),
+              KernelParams(log_sf2=-0.2, log_lengthscales=0.1, log_noise=np.log(0.5))):
+        K = se_ard_features(p, X)
+        if p.log_noise is not None:
+            K = add_layer_noise(K, p.noise_var())
+        got = _se_kdiag(p, p.sf2(), 30).value
+        assert got.shape == (30,)
+        assert np.max(np.abs(got - np.diag(K.value))) <= 1e-14 * np.max(got)
 
 
 def test_noise_param_accessor():
