@@ -286,23 +286,30 @@ class SvgpModel:
 class _MonteCarloModel:
     """Shared objective and evaluation for models whose ELBO and predictive
     samples both come from one per-sample
-    `forward(state, X, stream) -> (outputs, increment)`, where
-    `state = _state(params)` holds the parameter-only work and is built once
-    per objective. Evaluation uses up to 20 samples for the ELBO and up to
+    `forward(state, stream) -> (outputs, increment)`, where
+    `state = _state(params, X)` holds the work that depends only on the
+    parameters and the inputs X, the first layer's included, built once per
+    objective. Evaluation uses up to 20 samples for the ELBO and up to
     `max_pred_samples` (None: no cap) for the predictive."""
 
     max_pred_samples = 50
 
+    def __init__(self, dataset: Dataset, M):
+        """The first M training rows start the inducing inputs and outputs."""
+        self.D = dataset.X_train.shape[1]
+        self.M = min(M, dataset.X_train.shape[0])
+        self.X0, self.y0 = dataset.X_train[:self.M].copy(), dataset.y_train[:self.M].copy()
+
     def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
-        state = self._state(p)
+        state = self._state(p, Xb)
         log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
-        return dm.mc_elbo(lambda st: self.forward(state, Xb, st), yb, total_n,
+        return dm.mc_elbo(lambda st: self.forward(state, st), yb, total_n,
                           n_samples, rng, log_noise, kl_scale)
 
     def predictive_samples(self, params, X, rng, n_samples):
         """(n_samples, n) predictive draws of the first output."""
-        state = self._state({k: as_tensor(v) for k, v in params.items()})
-        return np.asarray([self.forward(state, X, st)[0].value[:, 0]
+        state = self._state({k: as_tensor(v) for k, v in params.items()}, X)
+        return np.asarray([self.forward(state, st)[0].value[:, 0]
                            for st in rng.split(n_samples)])
 
     def evaluate(self, params, dataset, rng, n_samples):
@@ -332,12 +339,9 @@ class BnnModel(_MonteCarloModel):
 
     def __init__(self, dataset: Dataset, posterior="gi", widths=(50, 50), M=40,
                  prior_variant="neal", seed=0):
+        super().__init__(dataset, M)
         self.posterior = posterior
         self.widths = list(widths) + [1]
-        self.D = dataset.X_train.shape[1]
-        self.M = min(M, dataset.X_train.shape[0])
-        self.X0 = dataset.X_train[:self.M].copy()
-        self.y0 = dataset.y_train[:self.M].copy()
         self.prior_variant = prior_variant
         self.seed = seed
 
@@ -365,7 +369,7 @@ class BnnModel(_MonteCarloModel):
                       for i in range(n_layers) for ab in "ab"})
         return p
 
-    def _state(self, p):
+    def _state(self, p, X):
         layers = []
         for i, w in enumerate(self.widths):
             prior = (dm.PriorSpec("scale", de.elementwise("exp", p[f"log_a_s{i}"]),
@@ -380,11 +384,10 @@ class BnnModel(_MonteCarloModel):
                                              log_std=p[f"lstd{i}"],
                                              scale=1.0 / np.sqrt(fi),
                                              prior=prior, width=w))
-        return layers, p.get("U0")
+        return dm.bnn_prepare(layers, X, inducing_inputs=p.get("U0"))
 
-    def forward(self, state, X, rng):
-        layers, U0 = state
-        return dm.bnn_forward(layers, X, rng, inducing_inputs=U0)
+    def forward(self, state, rng):
+        return dm.bnn_forward(state, rng)
 
 
 class DgpModel(_MonteCarloModel):
@@ -393,12 +396,9 @@ class DgpModel(_MonteCarloModel):
     widths allow it and the final layer is zero-mean."""
 
     def __init__(self, dataset: Dataset, posterior="gi", depth=2, M=20, seed=0):
+        super().__init__(dataset, M)
         self.posterior = posterior
-        self.D = dataset.X_train.shape[1]
         self.widths = [self.D] * (depth - 1) + [1]
-        self.M = min(M, dataset.X_train.shape[0])
-        self.X0 = dataset.X_train[:self.M].copy()
-        self.y0 = dataset.y_train[:self.M].copy()
         self.seed = seed
 
     def init_params(self):
@@ -428,10 +428,9 @@ class DgpModel(_MonteCarloModel):
                 p[f"S_raw{i}"] = np.tile(raw[None], (w, 1, 1))
         return p
 
-    def _state(self, p):
-        """The layers, the first layer's inducing inputs, each DSVI layer's
-        chol(K_zz) and the summed DSVI KL; the DSVI covariance roots and
-        factors are built here, once per objective."""
+    def _state(self, p, X):
+        """The layers, the inputs, the first layer's prepared GI layer or DSVI
+        marginals, each DSVI layer's chol(K_zz) and the summed DSVI KL."""
         layers, chols = [], []
         kl = as_tensor(np.asarray(0.0))
         d_in = self.D
@@ -453,19 +452,21 @@ class DgpModel(_MonteCarloModel):
                 chols.append(dm.dsvi_dgp_layer_chol(layer))
                 kl = de.add(kl, dm.dsvi_dgp_layer_kl(layer, chols[-1]))
             layers.append(layer)
-        return layers, p["Z0"], chols, kl
+        first = (dm.gi_dgp_layer_prepare(X, p["Z0"], layers[0]) if self.posterior == "gi"
+                 else dm.dsvi_dgp_layer_marginals(X, layers[0], chols[0]))
+        return layers, as_tensor(X), first, chols, kl
 
-    def forward(self, state, X, rng):
-        layers, Z0, chols, kl = state
-        F = as_tensor(X)
-        U = as_tensor(Z0)
+    def forward(self, state, rng):
+        layers, F, first, chols, kl = state
         inc_sum = de.neg(kl)
         for i, layer in enumerate(layers):
             if self.posterior == "gi":
-                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, rng)
+                U, F, inc = dm.gi_dgp_layer_sample(
+                    first if i == 0 else dm.gi_dgp_layer_prepare(F, U, layer), rng)
                 inc_sum = de.add(inc_sum, inc)
             else:
-                F = dm.dsvi_dgp_layer_sample(F, layer, chols[i], rng)
+                marginals = first if i == 0 else dm.dsvi_dgp_layer_marginals(F, layer, chols[i])
+                F = dm.dsvi_dgp_layer_sample(marginals, F, layer, rng)
         return F, inc_sum
 
 
@@ -475,11 +476,8 @@ class DwpModel(_MonteCarloModel):
 
     def __init__(self, dataset: Dataset, n_gram_layers=2, M=20, variant="base",
                  seed=0):
-        self.D = dataset.X_train.shape[1]
+        super().__init__(dataset, M)
         self.nu = max(self.D, 2)
-        self.M = min(M, dataset.X_train.shape[0])
-        self.X0 = dataset.X_train[:self.M].copy()
-        self.y0 = dataset.y_train[:self.M].copy()
         self.n_layers = n_gram_layers
         self.variant = variant
         self.seed = seed
@@ -508,7 +506,7 @@ class DwpModel(_MonteCarloModel):
                 p[f"B{i}"] = np.zeros((ntilde, ntilde))
         return p
 
-    def _state(self, p):
+    def _state(self, p, X):
         layers, kps = [], []
         for i in range(self.n_layers):
             layers.append(dwp_mod.GWishLayerPosterior(
@@ -519,14 +517,13 @@ class DwpModel(_MonteCarloModel):
             kps.append(_se_params(p, f"_{i}"))
         final = dm.GiDgpLayer(V=p["Vf"], log_lambda=p["lamf"],
                               kernel_params=None, width=1)
-        log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
-        return dwp_mod.DwpState(inducing_inputs=p["Xi"], layers=layers,
-                                kernel_params=kps, final_layer=final,
-                                final_kernel=_se_params(p, "_f"), log_noise=log_noise,
-                                nu0=self.D)
+        state = dwp_mod.DwpState(inducing_inputs=p["Xi"], layers=layers,
+                                 kernel_params=kps, final_layer=final,
+                                 final_kernel=_se_params(p, "_f"), nu0=self.D)
+        return dwp_mod.dwp_prepare(state, X)
 
-    def forward(self, state, X, rng):
-        return dwp_mod.dwp_forward(state, X, rng)
+    def forward(self, state, rng):
+        return dwp_mod.dwp_forward(state, rng)
 
 
 # -- experiment orchestration ------------------------------------------------------

@@ -18,8 +18,8 @@ from .kernels import KernelParams, _se_kdiag, add_layer_noise, se_ard_features
 __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer",
     "gi_bnn_layer_moments", "gi_bnn_layer_sample", "fac_bnn_layer_sample",
-    "bnn_forward", "mc_elbo", "bnn_elbo",
-    "scale_prior_terms", "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals",
+    "bnn_prepare", "bnn_forward", "mc_elbo", "bnn_elbo", "scale_prior_terms",
+    "gi_dgp_layer_prepare", "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals",
     "dsvi_dgp_layer_chol", "dsvi_dgp_layer_kl", "dsvi_dgp_layer_sample",
     "bnn_as_dgp_gram",
 ]
@@ -113,7 +113,7 @@ def _inverse_chol(A) -> DiffTensor:
     return de.getitem(de.triangular_solve(C, eye, trans=True), _REVERSE)
 
 
-def _gi_posterior(L, A, log_lambda, V, rng):
+def _gi_posterior(L, A, log_lambda, V):
     """Global-inducing posterior of BNN weights and of GP inducing outputs.
 
     Each column x of X has the prior N(0, L L^T), with L a lower-triangular
@@ -121,14 +121,10 @@ def _gi_posterior(L, A, log_lambda, V, rng):
     of precisions Lambda = exp(log_lambda) (A = None means I). With
     R = chol((I + L^T A^T Lambda A L)^{-1}) from one Cholesky, the posterior
     is N(Mean, Ls Ls^T), Ls = L R, Mean = Ls Ls^T A^T Lambda V.
-
-    Returns (Mean, Ls, X, L^{-1} X, increment) with X = Mean + Ls xi and
-    increment = sum_cols log N(x; 0, L L^T) - log N(x; Mean, Ls Ls^T)
-              = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 + width sum log diag R;
-    without rng, only (Mean, Ls, None, None, None)."""
+    Returns (L, Mean, Ls, R), which _gi_sample draws from."""
     L, V = as_tensor(L), as_tensor(V)
     lam = de.elementwise("exp", as_tensor(log_lambda))
-    M, width = V.value.shape
+    M = V.value.shape[0]
     times_root = de.matmul if L.value.ndim == 2 else de.mul
     B = L if A is None else times_root(as_tensor(A), L)         # A L
     BtLam = de.mul(de.transpose(B), de.reshape(lam, (1, M)))     # B^T Lambda
@@ -138,24 +134,30 @@ def _gi_posterior(L, A, log_lambda, V, rng):
         Mean = de.matmul(Ls, de.matmul(de.transpose(Ls), de.mul(de.reshape(lam, (M, 1)), V)))
     else:           # Ls^T A^T Lambda V = R^T B^T Lambda V
         Mean = de.matmul(Ls, de.matmul(de.transpose(R), de.matmul(BtLam, V)))
-    if rng is None:
-        return Mean, Ls, None, None, None
+    return L, Mean, Ls, R
 
+
+def _gi_sample(posterior, rng):
+    """One draw X = Mean + Ls xi from a _gi_posterior. Returns (X, L^{-1} X,
+    increment) with
+    increment = sum_cols log N(x; 0, L L^T) - log N(x; Mean, Ls Ls^T)
+              = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 + width sum log diag R."""
+    L, Mean, Ls, R = posterior
     xi = rng.normal(Mean.value.shape)
     X = de.add(Mean, de.matmul(Ls, as_tensor(xi)))
     LinvX = de.triangular_solve(L, X) if L.value.ndim == 2 else de.div(X, L)
     inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", LinvX)),
                                 a=-0.5, b=0.5 * float(np.sum(xi * xi))),
                  de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(R))),
-                                a=float(width)))
-    return Mean, Ls, X, LinvX, inc
+                                a=float(Mean.value.shape[1])))
+    return X, LinvX, inc
 
 
-def _gi_bnn_posterior(psi_U, layer: GiBnnLayer, rng, s):
+def _gi_bnn_posterior(psi_U, layer: GiBnnLayer, s=None):
     """_gi_posterior of the weights: A = psi_U, L = (nu Sigma^{-1})^{-1/2} I."""
     prec = _prior_precision_scalar(layer.prior, psi_U.value.shape[1], s=s)
     root = de.elementwise("sqrt", de.elementwise("reciprocal", prec))
-    return _gi_posterior(root, psi_U, layer.log_lambda, layer.V, rng)
+    return _gi_posterior(root, psi_U, layer.log_lambda, layer.V)
 
 
 def gi_bnn_layer_moments(psi_U, layer: GiBnnLayer, s=None):
@@ -166,7 +168,7 @@ def gi_bnn_layer_moments(psi_U, layer: GiBnnLayer, s=None):
     psi_U: (M, d) propagated, activated inducing features (bias included).
     Returns (Mean, Ls) with Ls the lower Cholesky factor of S.
     """
-    Mean, Ls, *_ = _gi_bnn_posterior(as_tensor(psi_U), layer, None, s)
+    _, Mean, Ls, _ = _gi_bnn_posterior(as_tensor(psi_U), layer, s)
     return Mean, Ls
 
 
@@ -176,7 +178,7 @@ def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
     U_next = psi_U @ W.
     """
     psi_U = as_tensor(psi_U)
-    _, _, W, _, inc = _gi_bnn_posterior(psi_U, layer, rng, s)
+    W, _, inc = _gi_sample(_gi_bnn_posterior(psi_U, layer, s), rng)
     return W, inc, de.matmul(psi_U, W)
 
 
@@ -212,24 +214,41 @@ def scale_prior_terms(prior: PriorSpec, rng: rd.RngStream):
     return s, kl
 
 
-def bnn_forward(layers, X, rng: rd.RngStream, inducing_inputs=None):
-    """One Monte-Carlo sample of a BNN: returns (outputs, increment) with
-    increment the sum over layers of log p(W) - log q(W) - KL(q(s) || p(s)).
+def bnn_prepare(layers, X, inducing_inputs=None):
+    """The sample-independent part of a BNN, built once per objective: layer
+    0's activated batch and inducing inputs and, for a global-inducing layer
+    0 whose prior has no sampled scale, its weight posterior."""
+    F = as_tensor(X)
+    U = None if inducing_inputs is None else as_tensor(inducing_inputs)
+    if not layers:
+        return layers, F, U, None, None, None
+    first = layers[0]
+    psi_U = None if U is None else _psi(U, True, first.bias)
+    post = (_gi_bnn_posterior(psi_U, first) if isinstance(first, GiBnnLayer)
+            and U is not None and first.prior.variant != "scale" else None)
+    return layers, F, U, _psi(F, True, first.bias), psi_U, post
+
+
+def bnn_forward(prepared, rng: rd.RngStream):
+    """One Monte-Carlo sample of a BNN prepared by bnn_prepare: returns
+    (outputs, increment) with increment the sum over layers of
+    log p(W) - log q(W) - KL(q(s) || p(s)).
 
     Global-inducing layers propagate the learned inducing inputs alongside
     the batch; factorised layers only need the batch.
     """
-    F = as_tensor(X)
-    U = as_tensor(inducing_inputs) if inducing_inputs is not None else None
+    layers, F, U, psi_F, psi_U, post = prepared
     inc_sum = as_tensor(np.asarray(0.0))
     for i, layer in enumerate(layers):
         s, kl_s = scale_prior_terms(layer.prior, rng)
-        psi_F = _psi(F, i == 0, layer.bias)
+        if i > 0:
+            psi_F, post = _psi(F, False, layer.bias), None
+            psi_U = None if U is None else _psi(U, False, layer.bias)
         if isinstance(layer, GiBnnLayer):
             if U is None:
                 raise ValueError("global-inducing layers need inducing inputs")
-            psi_U = _psi(U, i == 0, layer.bias)
-            W, inc, U = gi_bnn_layer_sample(psi_U, layer, rng, s=s)
+            W, _, inc = _gi_sample(post or _gi_bnn_posterior(psi_U, layer, s), rng)
+            U = de.matmul(psi_U, W)
         else:
             W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[1], rng, s=s)
         F = de.matmul(psi_F, W)
@@ -263,8 +282,8 @@ def bnn_elbo(layers, Xb, yb, total_n, n_samples, rng: rd.RngStream,
              inducing_inputs=None, log_noise=0.0, kl_scale=1.0):
     """Monte-Carlo ELBO for a BNN with a Gaussian likelihood:
     (N/Nb) * mean log-likelihood + kl_scale * (sum of logp - logq terms)."""
-    Xb = as_tensor(Xb)
-    return mc_elbo(lambda st: bnn_forward(layers, Xb, st, inducing_inputs),
+    prepared = bnn_prepare(layers, Xb, inducing_inputs)
+    return mc_elbo(lambda st: bnn_forward(prepared, st),
                    yb, total_n, n_samples, rng, log_noise, kl_scale)
 
 
@@ -274,41 +293,41 @@ def _kuu(kp: KernelParams, U) -> DiffTensor:
     return K_uu if kp.log_noise is None else add_layer_noise(K_uu, kp.noise_var())
 
 
-def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream,
-                        kernel_blocks=None):
-    """Global-inducing DGP layer: samples the inducing outputs U from
-    _gi_posterior with L = chol(K_uu), then the batch outputs from the prior
-    conditional p(F | U, F_prev, U_prev) per point.
-    kernel_blocks optionally supplies precomputed (K_uu, K_fu, kdiag) — used
-    by the Gram-layer models where the kernel is a function of Gram matrices.
-    Returns (U_next, F_next, logp - logq).
-    """
-    if kernel_blocks is not None:
-        K_uu, K_fu, kdiag = kernel_blocks
-    else:
-        U_prev, F_prev, kp = as_tensor(U_prev), as_tensor(F_prev), layer.kernel_params
-        K_uu, K_fu = _kuu(kp, U_prev), se_ard_features(kp, F_prev, U_prev)
-        kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[0])
+def _gi_layer_parts(K_uu, K_fu, kdiag, layer, inputs=None):
+    """gi_dgp_layer_prepare from the kernel blocks and the inputs
+    (U_prev, F_prev) that an identity mean function adds to the outputs."""
     L = de.cholesky_factor(as_tensor(K_uu))
-    _, _, U, wu, inc = _gi_posterior(L, None, layer.log_lambda, layer.V, rng)
+    W, var = rd.gaussian_conditional(L, de.transpose(K_fu), kdiag)
+    return _gi_posterior(L, None, layer.log_lambda, layer.V), W, var, inputs
 
-    # batch outputs from the prior conditional, independent per point
-    F_next = None
-    if K_fu is not None:
-        _, mean_f, var_f = rd.gaussian_conditional(L, de.transpose(K_fu), kdiag, wu)
-        F_next = rd.conditional_sample(mean_f, var_f, rng)
 
-    if layer.mean_function == "identity":
-        U = de.add(U, as_tensor(U_prev))
-        if F_next is not None:
-            F_next = de.add(F_next, as_tensor(F_prev))
-    return U, F_next, inc
+def gi_dgp_layer_prepare(F_prev, U_prev, layer: GiDgpLayer):
+    """The sample-independent part of a global-inducing DGP layer: the
+    posterior of its inducing outputs U under L = chol(K_uu), and the weights
+    W = L^{-1} K_uf and variances of the prior conditional p(F | U)."""
+    U_prev, F_prev, kp = as_tensor(U_prev), as_tensor(F_prev), layer.kernel_params
+    K_uu, K_fu = _kuu(kp, U_prev), se_ard_features(kp, F_prev, U_prev)
+    kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[0])
+    return _gi_layer_parts(K_uu, K_fu, kdiag, layer,
+                           (U_prev, F_prev) if layer.mean_function == "identity" else None)
+
+
+def gi_dgp_layer_sample(parts, rng: rd.RngStream):
+    """One sample of a prepared global-inducing layer: U from the posterior,
+    then the batch outputs from the prior conditional, independent per
+    point. Returns (U_next, F_next, logp - logq)."""
+    posterior, W, var, inputs = parts
+    U, wu, inc = _gi_sample(posterior, rng)
+    F = rd.conditional_sample(de.matmul(de.transpose(W), wu), var, rng)
+    if inputs is not None:
+        U, F = de.add(U, inputs[0]), de.add(F, inputs[1])
+    return U, F, inc
 
 
 def dsvi_dgp_layer_chol(layer: DsviDgpLayer) -> DiffTensor:
     """Lower Cholesky factor of the layer's K_zz. It depends on the parameters
     only, so an objective builds it once and passes it to the layer's
-    marginals, sample and KL."""
+    marginals and KL."""
     return de.cholesky_factor(_kuu(layer.kernel_params, as_tensor(layer.Z)))
 
 
@@ -319,8 +338,8 @@ def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer, L):
     kp, F_prev = layer.kernel_params, as_tensor(F_prev)
     K_fz = se_ard_features(kp, F_prev, as_tensor(layer.Z))
     kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[0])
-    W, mean, base_var = rd.gaussian_conditional(
-        L, de.transpose(K_fz), kdiag, de.triangular_solve(L, as_tensor(layer.m)))
+    W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz), kdiag)
+    mean = de.matmul(de.transpose(W), de.triangular_solve(L, as_tensor(layer.m)))
     U_sol = de.triangular_solve(L, W, trans=True)                # K_zz^{-1} K_zf
 
     means, vars_ = [], []
@@ -343,18 +362,17 @@ def dsvi_dgp_layer_kl(layer: DsviDgpLayer, L) -> DiffTensor:
     return kl_total
 
 
-def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, L, rng: rd.RngStream):
-    """Doubly-stochastic DGP layer: sample the per-point marginals, each
-    output from its own stream; returns F_next (the layer's KL is
-    dsvi_dgp_layer_kl)."""
-    F_prev = as_tensor(F_prev)
-    nb = F_prev.value.shape[0]
-    means, vars_ = dsvi_dgp_layer_marginals(F_prev, layer, L)
+def dsvi_dgp_layer_sample(marginals, F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
+    """Doubly-stochastic DGP layer: sample the marginals (means, vars) that
+    dsvi_dgp_layer_marginals gives at F_prev, each output from its own
+    stream; returns F_next (the layer's KL is dsvi_dgp_layer_kl)."""
+    means, vars_ = marginals
+    nb = means[0].value.shape[0]
     F_next = de.concat([de.reshape(rd.conditional_sample(m, v, st), (nb, 1))
                         for m, v, st in zip(means, vars_, rng.split(layer.width))],
                        axis=1)
     if layer.mean_function == "identity":
-        F_next = de.add(F_next, F_prev)
+        F_next = de.add(F_next, as_tensor(F_prev))
     return F_next
 
 

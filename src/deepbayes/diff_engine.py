@@ -14,7 +14,7 @@ __all__ = [
     "matmul", "add", "sub", "mul", "div", "neg", "transpose", "tsum",
     "elementwise", "cholesky_factor", "triangular_solve", "logdet_psd",
     "diag_part", "diag_embed", "concat", "reshape", "getitem",
-    "stop_gradient", "backward_pass", "finite_diff_check",
+    "backward_pass", "finite_diff_check",
 ]
 
 _ACTIVE: list["Tape"] = []
@@ -266,12 +266,6 @@ def diag_part(a) -> DiffTensor:
 def diag_embed(v) -> DiffTensor:
     v = as_tensor(v)
     return lift(np.diag(v.value), [(v, lambda g: np.diagonal(g).copy())])
-
-
-def stop_gradient(a) -> DiffTensor:
-    """Value passes through; gradients do not (sticking-the-landing support)."""
-    a = as_tensor(a)
-    return DiffTensor(a.value.copy())
 
 
 # -- elementwise family -----------------------------------------------------

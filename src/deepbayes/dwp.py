@@ -9,15 +9,16 @@ import numpy as np
 
 from . import diff_engine as de
 from . import rand_dist as rd
-from .deep_models import gi_dgp_layer_sample, mc_elbo
+from .deep_models import _gi_layer_parts, gi_dgp_layer_sample, mc_elbo
 from .diff_engine import DiffTensor, as_tensor
 from .kernels import (KernelParams, _gram_se_params, _se_kdiag, _se_sqdist,
                       _sqdist, add_layer_noise, se_from_gram)
 
 __all__ = [
     "GWishLayerPosterior", "DwpState", "gram_kernel_blocks",
-    "dwp_prior_layer", "dwp_posterior_layer", "dwp_conditional_testpoints",
-    "dwp_forward", "dwp_elbo_batch", "wishart_inducing_extension",
+    "dwp_prior_layer", "dwp_mixed_scale_chol", "dwp_posterior_layer",
+    "dwp_conditional_testpoints", "dwp_prepare", "dwp_forward",
+    "dwp_elbo_batch", "wishart_inducing_extension",
 ]
 
 
@@ -110,49 +111,49 @@ def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
     bf = rd.bartlett_sample(N, nu, rng)
     feat = de.matmul(L, as_tensor(bf.T))
     G = de.matmul(feat, de.transpose(feat))
-    logp = rd._wishart_log_density_chol(G, L, nu)
-    return G, logp, feat
+    # the root L T is lower-trapezoidal, so its diagonal gives G's leading block
+    ld_block = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(feat))), a=2.0)
+    return G, rd._wishart_log_density_root(feat, L, nu, ld_block), feat
 
 
-def dwp_posterior_layer(S_ii, L_ii, layer: GWishLayerPosterior,
-                        rng: rd.RngStream, stl=False):
-    """One posterior layer on the inducing block.
-
-    S_ii is the prior scale K(G_ii_prev)/nu and L_ii its lower Cholesky
-    factor. Samples G_ii from the generalized Wishart over the mixed scale
-    (1-q) S_ii + q V V^T and returns (G_ii, features, increment) with
-    increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev) and
-    features the retained generalized-Bartlett root (F F^T = G_ii).
-    """
-    nu = int(layer.nu)
+def dwp_mixed_scale_chol(S_ii, layer: GWishLayerPosterior) -> DiffTensor:
+    """Lower Cholesky factor of a posterior layer's mixed scale
+    (1-q) S_ii + q V V^T, with S_ii the prior scale K(G_ii_prev)/nu."""
     q = de.elementwise("sigmoid", as_tensor(layer.logit_q))
     V = as_tensor(layer.V)
-    mixed = de.add(de.mul(de.elementwise("affine", q, a=-1.0, b=1.0), as_tensor(S_ii)),
-                   de.mul(q, de.matmul(V, de.transpose(V))))
-    Lmix = de.cholesky_factor(mixed)
+    return de.cholesky_factor(
+        de.add(de.mul(de.elementwise("affine", q, a=-1.0, b=1.0), as_tensor(S_ii)),
+               de.mul(q, de.matmul(V, de.transpose(V)))))
 
+
+def dwp_posterior_layer(L_mix, L_ii, layer: GWishLayerPosterior, rng: rd.RngStream):
+    """One posterior layer on the inducing block: samples G_ii from the
+    generalized Wishart over the mixed scale (factor L_mix, from
+    dwp_mixed_scale_chol) and returns (G_ii, features, increment) with
+    features the retained generalized-Bartlett root (F F^T = G_ii) and
+    increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev), the prior
+    density (scale factor L_ii) read from the root.
+    """
+    nu = int(layer.nu)
     alpha = de.elementwise("exp", as_tensor(layer.log_alpha))
     beta = de.elementwise("exp", as_tensor(layer.log_beta))
     sigma = de.elementwise("exp", as_tensor(layer.log_sigma))
     A_packed = layer.A_packed if layer.variant in ("A", "AB") else None
     B = _chol_from_raw(layer.B_packed) if layer.variant == "AB" else None
-    G, logq, feat = rd.gwish_sample_and_logpdf(
-        Lmix, nu, alpha, beta, as_tensor(layer.mu), sigma, rng,
-        A_packed=A_packed, B=B, detach_density_params=stl)
-    logp = rd._wishart_log_density_chol(G, L_ii, nu)
+    G, logq, feat, ld_block = rd.gwish_sample_and_logpdf(
+        L_mix, nu, alpha, beta, as_tensor(layer.mu), sigma, rng, A_packed, B)
+    logp = rd._wishart_log_density_root(feat, L_ii, nu, ld_block)
     return G, feat, de.sub(logp, logq)
 
 
-def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int,
-                               rng: rd.RngStream):
+def dwp_conditional_testpoints(feat_i, L_ii, W, var, nu: int, rng: rd.RngStream):
     """Sample imagined test-point features from the prior conditional and
-    assemble the Gram cross blocks.
+    assemble the Gram cross blocks (G_ti, g_tt).
 
     feat_i: (M, ntilde) root of the inducing Gram (padded to M x nu if needed);
     L_ii: lower Cholesky factor of the prior scale block S_ii (K/nu);
-    S_ti, s_tt: the other prior scale blocks; per-point conditional
-    F_t = S_ti S_ii^{-1} F_i + sqrt(s_tt - s_ti S_ii^{-1} s_it) xi.
-    Returns (G_ti, g_tt)."""
+    W, var: rd.gaussian_conditional(L_ii, S_ti^T, s_tt), so that per point
+    F_t = S_ti S_ii^{-1} F_i + sqrt(s_tt - s_ti S_ii^{-1} s_it) xi."""
     feat_i = as_tensor(feat_i)
     M = feat_i.value.shape[0]
     if feat_i.value.shape[1] < nu:
@@ -160,59 +161,65 @@ def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int,
         feat_i = de.concat([feat_i, as_tensor(pad)], axis=1)
     elif feat_i.value.shape[1] > nu:
         raise ValueError("feature root wider than the layer width")
-    w_f = de.triangular_solve(L_ii, feat_i)               # L^{-1} F_i
-    _, mean_t, var_t = rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt, w_f)
-    feat_t = rd.conditional_sample(mean_t, var_t, rng)
+    mean_t = de.matmul(de.transpose(W), de.triangular_solve(L_ii, feat_i))
+    feat_t = rd.conditional_sample(mean_t, var, rng)
     G_ti = de.matmul(feat_t, de.transpose(feat_i))
     g_tt = de.tsum(de.elementwise("square", feat_t), axis=1)
     return G_ti, g_tt
 
 
-def dwp_forward(state: DwpState, Xt, rng: rd.RngStream, stl=False):
-    """One Monte-Carlo sample of the deep Wishart process: returns
-    (outputs, increment) for the batch inputs Xt.
+def _layer_parts(state: DwpState, i, grams, nu_prev):
+    """The sample-independent part of layer i given its input Grams: for a
+    Gram layer, the factors L_ii of the prior scale block and L_mix of the
+    mixed scale and the test-point (W, var); then the output layer's."""
+    if i == len(state.layers):
+        return _gi_layer_parts(*gram_kernel_blocks(state.final_kernel, *grams, nu_prev),
+                               state.final_layer)
+    layer = state.layers[i]
+    S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / int(layer.nu)) for K in
+                        gram_kernel_blocks(state.kernel_params[i], *grams, nu_prev))
+    L_ii = de.cholesky_factor(S_ii)
+    return (L_ii, dwp_mixed_scale_chol(S_ii, layer),
+            *rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt))
 
-    Inducing and batch inputs are processed jointly: each Gram layer builds
-    its prior scale blocks once and factorises the inducing block once, then
-    samples the inducing block from the approximate posterior (contributing
-    log p - log q) and the batch rows from the prior conditional (no density
-    terms: they cancel between prior and posterior). The final layer is a
-    global-inducing GP over the last Gram matrix.
-    """
-    Xi = as_tensor(state.inducing_inputs)
-    Xt = as_tensor(Xt)
-    nu0 = float(state.nu0)
-    G_ii = de.elementwise("affine", de.matmul(Xi, de.transpose(Xi)), a=1.0 / nu0)
-    G_ti = de.elementwise("affine", de.matmul(Xt, de.transpose(Xi)), a=1.0 / nu0)
-    g_tt = de.elementwise("affine", de.tsum(de.elementwise("square", Xt), axis=1),
-                          a=1.0 / nu0)
+
+def dwp_prepare(state: DwpState, Xt):
+    """The sample-independent part of the deep Wishart process at the batch
+    inputs Xt, built once per objective: the first layer's parts."""
+    Xi, Xt = as_tensor(state.inducing_inputs), as_tensor(Xt)
+    grams = [de.matmul(Xi, de.transpose(Xi)), de.matmul(Xt, de.transpose(Xi)),
+             de.tsum(de.elementwise("square", Xt), axis=1)]
+    grams = [de.elementwise("affine", G, a=1.0 / float(state.nu0)) for G in grams]
+    return state, _layer_parts(state, 0, grams, state.nu0)
+
+
+def dwp_forward(prepared, rng: rd.RngStream):
+    """One Monte-Carlo sample of a prepared deep Wishart process: returns
+    (outputs, increment). Each Gram layer samples the inducing block from the
+    approximate posterior (contributing log p - log q) and the batch rows
+    from the prior conditional (their densities cancel); the final layer is
+    a global-inducing GP over the last Gram matrix."""
+    state, parts = prepared
     inc_sum = as_tensor(np.asarray(0.0))
-    nu_prev = state.nu0
-    for layer, kp in zip(state.layers, state.kernel_params):
-        nu = int(layer.nu)
+    for i, layer in enumerate(state.layers):
+        L_ii, L_mix, W, var = parts
         sub = rng.split(3)
-        S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
-                            gram_kernel_blocks(kp, G_ii, G_ti, g_tt, nu_prev))
-        L_ii = de.cholesky_factor(S_ii)
-        G_ii, feat_i, inc = dwp_posterior_layer(S_ii, L_ii, layer, sub[0], stl=stl)
+        G_ii, feat_i, inc = dwp_posterior_layer(L_mix, L_ii, layer, sub[0])
         inc_sum = de.add(inc_sum, inc)
-        G_ti, g_tt = dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt,
-                                                nu, sub[1])
-        nu_prev = nu
+        grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, W, var,
+                                                   int(layer.nu), sub[1]))
+        parts = _layer_parts(state, i + 1, grams, int(layer.nu))
         rng = sub[2]
-
-    K_ii, K_ti, k_tt = gram_kernel_blocks(state.final_kernel, G_ii, G_ti,
-                                          g_tt, nu_prev)
-    _, F, inc = gi_dgp_layer_sample(None, None, state.final_layer, rng,
-                                    kernel_blocks=(K_ii, K_ti, k_tt))
+    _, F, inc = gi_dgp_layer_sample(parts, rng)
     return F, de.add(inc_sum, inc)
 
 
 def dwp_elbo_batch(state: DwpState, Xt, y, total_n, rng: rd.RngStream,
-                   n_samples=1, kl_scale=1.0, stl=False):
+                   n_samples=1, kl_scale=1.0):
     """One minibatch ELBO for the deep Wishart process: the Monte-Carlo
-    average of dwp_forward's samples."""
-    return mc_elbo(lambda st: dwp_forward(state, Xt, st, stl=stl), y, total_n,
+    average of dwp_forward's samples, prepared once."""
+    prepared = dwp_prepare(state, Xt)
+    return mc_elbo(lambda st: dwp_forward(prepared, st), y, total_n,
                    n_samples, rng, state.log_noise, kl_scale)
 
 

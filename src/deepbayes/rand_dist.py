@@ -103,14 +103,12 @@ def matrix_normal_sample(mean, row_chol, col_chol, rng: RngStream) -> DiffTensor
 
 # -- gamma with implicit reparameterization -----------------------------------
 
-def gamma_sample_reparam(alpha, beta, rng: RngStream, score_fallback=False) -> DiffTensor:
+def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
     """Sample z ~ Gamma(shape=alpha, rate=beta), elementwise.
 
     Rate gradient is exact via z = g / beta. Shape gradient uses implicit
     reparameterization dz/da = -(dF/da) / p(z), with dF/da by central finite
     differences of the regularized incomplete gamma (step 1e-5).
-    With score_fallback the sample is treated as constant in alpha
-    (score-function handling is then the caller's responsibility).
     """
     alpha = as_tensor(alpha)
     beta = as_tensor(beta)
@@ -125,11 +123,8 @@ def gamma_sample_reparam(alpha, beta, rng: RngStream, score_fallback=False) -> D
     dF_da = (spec.gammainc(av + h, x) - spec.gammainc(np.maximum(av - h, 1e-12), x)) / (2 * h)
     logpdf = (av - 1.0) * np.log(x) - x - spec.gammaln(av)
     dg_da = -dF_da / np.exp(logpdf)
-
-    parents = [(beta, lambda gr: de._unbroadcast(gr * (-z / bv), bv.shape))]
-    if not score_fallback:
-        parents.append((alpha, lambda gr: de._unbroadcast(gr * dg_da / bv, av.shape)))
-    return lift(z, parents)
+    return lift(z, [(beta, lambda gr: de._unbroadcast(gr * (-z / bv), bv.shape)),
+                    (alpha, lambda gr: de._unbroadcast(gr * dg_da / bv, av.shape))])
 
 
 # -- scalar special functions as diff ops --------------------------------------
@@ -177,41 +172,39 @@ def _check_rank(G: np.ndarray, ntilde: int):
         raise ValueError(f"rank mismatch: expected rank {ntilde}, got {rank}")
 
 
-def _trace_inv_product(chol_a, b) -> DiffTensor:
-    """tr(A^{-1} B) given chol(A)=L: trace of L^{-1} B L^{-T}."""
-    w = de.triangular_solve(chol_a, b)
-    z = de.triangular_solve(chol_a, de.transpose(w))
-    return de.tsum(de.diag_part(z))
-
-
 def wishart_log_density(G, Sigma, nu) -> DiffTensor:
     """Log density of the (possibly singular) Wishart with PD scale Sigma.
 
     For nu < N the degrees of freedom must be an integer and G must have rank
-    nu; for nu >= N any real nu is accepted.
+    nu; for nu >= N any real nu is accepted. The density is evaluated at the
+    root F = G[:, :n] C^{-T} of G, with n the rank and C = chol(G[:n, :n]).
     """
-    return _wishart_log_density_chol(G, de.cholesky_factor(Sigma), nu)
-
-
-def _wishart_log_density_chol(G, Ls, nu) -> DiffTensor:
-    """wishart_log_density given the lower Cholesky factor Ls of the scale."""
-    G, Ls = as_tensor(G), as_tensor(Ls)
-    N = G.value.shape[0]
-    nu = float(nu)
-    if nu < N and abs(nu - round(nu)) > 1e-12:
+    G = as_tensor(G)
+    N, nu_f = G.value.shape[0], float(nu)
+    if nu_f < N and abs(nu_f - round(nu_f)) > 1e-12:
         raise ValueError("singular Wishart (nu < N) requires integer nu")
-    ntilde = int(min(round(nu), N)) if nu < N else N
-    _check_rank(G.value, ntilde)
+    n = int(min(round(nu_f), N)) if nu_f < N else N
+    _check_rank(G.value, n)
+    rows = de.getitem(G, slice(0, n))                     # G[:n] = G[:, :n]^T
+    C = de.cholesky_factor(de.getitem(rows, (slice(None), slice(0, n))))
+    F = de.transpose(de.triangular_solve(C, rows))        # F F^T = G
+    ld_block = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(C))), a=2.0)
+    return _wishart_log_density_root(F, de.cholesky_factor(Sigma), nu, ld_block)
 
+
+def _wishart_log_density_root(F, Ls, nu, ld_block) -> DiffTensor:
+    """wishart_log_density at G = F F^T from its N x rank root F, the lower
+    Cholesky factor Ls of the scale and the log-determinant ld_block of G's
+    leading rank x rank block; tr(Sigma^{-1} G) = |Ls^{-1} F|^2."""
+    F, Ls = as_tensor(F), as_tensor(Ls)
+    N, ntilde = F.value.shape
+    nu = float(nu)
     const = (0.5 * nu * (ntilde - N) * np.log(np.pi)
              - 0.5 * nu * N * np.log(2.0)
              - _multigammaln(0.5 * nu, ntilde))
-    log_det_sigma = de.elementwise(
-        "affine", de.tsum(de.elementwise("log", de.diag_part(Ls))), a=2.0)
-    block = G if ntilde == N else de.getitem(G, (slice(0, ntilde), slice(0, ntilde)))
-    ld_block = de.logdet_psd(block)
-    tr = _trace_inv_product(Ls, G)
-    out = de.elementwise("affine", log_det_sigma, a=-0.5 * nu, b=const)
+    tr = de.tsum(de.elementwise("square", de.triangular_solve(Ls, F)))
+    out = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(Ls))),
+                         a=-nu, b=const)
     out = de.add(out, de.elementwise("affine", ld_block, a=0.5 * (nu - N - 1)))
     out = de.add(out, de.elementwise("affine", tr, a=-0.5))
     if not np.isfinite(out.value):
@@ -230,7 +223,8 @@ def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
     ld_sigma = de.logdet_psd(Sigma)
     Lg = de.cholesky_factor(G)
     ld_g = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(Lg))), a=2.0)
-    tr = _trace_inv_product(Lg, Sigma)
+    w = de.triangular_solve(Lg, Sigma)                    # tr(Lg^{-1} Sigma Lg^{-T})
+    tr = de.tsum(de.diag_part(de.triangular_solve(Lg, de.transpose(w))))
     out = de.elementwise("affine", ld_sigma, a=0.5 * nu, b=const)
     out = de.add(out, de.elementwise("affine", ld_g, a=-0.5 * (nu + N + 1)))
     out = de.add(out, de.elementwise("affine", tr, a=-0.5))
@@ -340,8 +334,7 @@ def lu_packed_logdet(P) -> DiffTensor:
 # -- generalized singular Wishart -----------------------------------------------
 
 def gwish_sample_and_logpdf(chol_scale, nu: int, alpha, beta, mu, sigma,
-                            rng: RngStream, A_packed=None, B=None,
-                            detach_density_params=False):
+                            rng: RngStream, A_packed=None, B=None):
     """Sample G from the (A/AB-)generalized singular Wishart and evaluate its
     log density at the sample.
 
@@ -350,11 +343,11 @@ def gwish_sample_and_logpdf(chol_scale, nu: int, alpha, beta, mu, sigma,
     mu, sigma: N x ntilde arrays; only strictly-below-diagonal entries used
     A_packed: optional LU-packed N x N matrix (A-variant)
     B: optional lower-triangular ntilde x ntilde, positive diagonal (AB-variant)
-    detach_density_params: evaluate the density with the Bartlett parameters
-    treated as constants (sticking-the-landing), keeping the sample path.
 
-    Returns (G, log_density, feat) where feat is the retained root with
-    feat feat^T = G (the imagined features of the inducing block).
+    Returns (G, log_density, feat, ld_block): feat is the retained root with
+    feat feat^T = G (the imagined features of the inducing block), and
+    ld_block the log-determinant of G's leading ntilde x ntilde block, from
+    the diagonals the density forms (A-variant: and its one factorised block).
     """
     L = as_tensor(chol_scale)
     N = L.value.shape[0]
@@ -375,12 +368,9 @@ def gwish_sample_and_logpdf(chol_scale, nu: int, alpha, beta, mu, sigma,
     keep = c < ntilde
     below[r[keep], c[keep]] = 1.0
     T = de.mul(off, as_tensor(below))
-    diag_block = de.diag_embed(tdiag)
-    if N > ntilde:
-        diag_block = de.concat([diag_block, as_tensor(np.zeros((N - ntilde, ntilde)))], axis=0)
-    T = de.add(T, diag_block)
+    T = de.add(T, de.matmul(as_tensor(np.eye(N, ntilde)), de.diag_embed(tdiag)))
 
-    # assemble the root and the Gram sample
+    # assemble the root A T B and the Gram sample
     feat = T
     if B is not None:
         B = as_tensor(B)
@@ -390,15 +380,11 @@ def gwish_sample_and_logpdf(chol_scale, nu: int, alpha, beta, mu, sigma,
     if A_packed is not None:
         A = lu_packed_matrix(A_packed)
         feat = de.matmul(A, feat)
+    ATB = feat
     feat = de.matmul(L, feat)
     G = de.matmul(feat, de.transpose(feat))
 
     # log density at the sample
-    a_d, b_d, mu_d, sg_d = alpha, beta, mu, sigma
-    if detach_density_params:
-        a_d, b_d = de.stop_gradient(alpha), de.stop_gradient(beta)
-        mu_d, sg_d = de.stop_gradient(mu), de.stop_gradient(sigma)
-
     ldiag = de.diag_part(L)
     if np.any(ldiag.value <= 0):
         raise ValueError("chol_scale must have positive diagonal")
@@ -411,53 +397,50 @@ def gwish_sample_and_logpdf(chol_scale, nu: int, alpha, beta, mu, sigma,
 
     # gamma terms on the squared diagonal
     gam = de.add(
-        de.sub(de.mul(a_d, de.elementwise("log", b_d)), lgamma(a_d)),
-        de.sub(de.mul(de.sub(a_d, as_tensor(np.ones(ntilde))), de.elementwise("log", tsq)),
-               de.mul(b_d, tsq)))
+        de.sub(de.mul(alpha, de.elementwise("log", beta)), lgamma(alpha)),
+        de.sub(de.mul(de.sub(alpha, as_tensor(np.ones(ntilde))), de.elementwise("log", tsq)),
+               de.mul(beta, tsq)))
     logq = de.add(logq, de.tsum(gam))
-    logq = de.sub(logq, de.tsum(de.mul(de.elementwise("log", tdiag),
-                                       as_tensor(exps_top - 1.0))))  # T_jj^{N-j}
+    log_t = de.elementwise("log", tdiag)
+    logq = de.sub(logq, de.tsum(de.mul(log_t, as_tensor(exps_top - 1.0))))  # T_jj^{N-j}
 
     # Gaussian terms below the diagonal
-    var = de.elementwise("square", sg_d)
+    var = de.elementwise("square", sigma)
     norm_terms = normal_log_density(de.mul(T, as_tensor(below)),
-                                    de.mul(mu_d, as_tensor(below)), var)
+                                    de.mul(mu, as_tensor(below)), var)
     logq = de.add(logq, de.tsum(de.mul(norm_terms, as_tensor(below))))
 
     if B is not None:
-        logq = de.sub(logq, de.tsum(de.mul(de.elementwise("log", de.diag_part(B)),
-                                           as_tensor(2.0 * exps_top))))
-    if A_packed is not None:
-        # C = (T[B]) (T[B])^T; D = A C A^T; leading ntilde blocks
-        TB = T if B is None else de.matmul(T, B)
-        C = de.matmul(TB, de.transpose(TB))
-        D = de.matmul(de.matmul(A, C), de.transpose(A))
-        cb = de.getitem(C, (slice(0, ntilde), slice(0, ntilde)))
-        db = de.getitem(D, (slice(0, ntilde), slice(0, ntilde)))
-        lad = lu_packed_logdet(A_packed)
-        nu_f = float(nu)
+        log_b = de.elementwise("log", de.diag_part(B))
+        logq = de.sub(logq, de.tsum(de.mul(log_b, as_tensor(2.0 * exps_top))))
+    if A_packed is None:    # the root L T B is lower-trapezoidal: 2 sum log of its diagonal
+        ld_block = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(feat))),
+                                  a=2.0)
+    else:   # leading blocks of D = (A T B)(A T B)^T, and of (T B)(T B)^T from diagonals
+        S = de.getitem(ATB, slice(0, ntilde))
+        db = de.logdet_psd(de.matmul(S, de.transpose(S)))
+        half_cb = de.tsum(log_t) if B is None else de.add(de.tsum(log_t), de.tsum(log_b))
         logq = de.add(logq, de.elementwise(
-            "affine", de.sub(de.logdet_psd(db), de.logdet_psd(cb)), a=0.5 * (nu_f - N - 1)))
-        logq = de.sub(logq, de.elementwise("affine", lad, a=nu_f))
-
+            "affine", de.sub(db, de.elementwise("affine", half_cb, a=2.0)), a=0.5 * (nu - N - 1)))
+        logq = de.sub(logq, de.elementwise("affine", lu_packed_logdet(A_packed), a=float(nu)))
+        ld_block = de.add(db, de.elementwise("affine", de.tsum(top), a=2.0))
     if not np.isfinite(logq.value):
         raise ValueError("gwish log density non-finite")
-    return G, logq, feat
+    return G, logq, feat, ld_block
 
 
 # -- Gaussian conditioning --------------------------------------------------------
 
-def gaussian_conditional(L, K_uf, k_ff, w_u):
+def gaussian_conditional(L, K_uf, k_ff):
     """Conditional of f given inducing values u, with L the lower Cholesky
-    factor of K_uu and w_u = L^{-1} u.
+    factor of K_uu.
 
-    Returns (W, mean, var): W = L^{-1} K_uf, mean = W^T w_u and
-    var = k_ff - sum_rows W^2, the per-point conditional variance.
+    Returns (W, var): W = L^{-1} K_uf and var = k_ff - sum_rows W^2, the
+    per-point conditional variance. Neither depends on u; the conditional
+    mean is W^T w_u with w_u = L^{-1} u.
     """
     W = de.triangular_solve(L, K_uf)
-    mean = de.matmul(de.transpose(W), w_u)
-    var = de.sub(k_ff, de.tsum(de.elementwise("square", W), axis=0))
-    return W, mean, var
+    return W, de.sub(k_ff, de.tsum(de.elementwise("square", W), axis=0))
 
 
 def conditional_sample(mean, var, rng: RngStream) -> DiffTensor:
@@ -482,8 +465,8 @@ def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i) -> MatrixNormalParams:
     """
     S_ii, S_ti, S_tt, F_i = map(as_tensor, (S_ii, S_ti, S_tt, F_i))
     L = de.cholesky_factor(S_ii)
-    w_s, mean, _ = gaussian_conditional(L, de.transpose(S_ti), de.diag_part(S_tt),
-                                        de.triangular_solve(L, F_i))
+    w_s = de.triangular_solve(L, de.transpose(S_ti))
+    mean = de.matmul(de.transpose(w_s), de.triangular_solve(L, F_i))
     row_cov = de.sub(S_tt, de.matmul(de.transpose(w_s), w_s))
     return MatrixNormalParams(mean=mean, row_cov=row_cov)
 

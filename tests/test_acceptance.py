@@ -281,7 +281,7 @@ def test_criterion_05_generalized_wishart_reduction():
     nt = min(N, nu)
     worst = 0.0
     for seed in range(20):
-        G, logq, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
+        G, logq, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
                                                 rd.RngStream(500 + seed))
         worst = max(worst, abs(float(logq.value)
                                - float(rd.wishart_log_density(G.value, S, nu).value)))
@@ -290,12 +290,12 @@ def test_criterion_05_generalized_wishart_reduction():
     # A = I and A = I, B = I reduce to the base sampler exactly under shared draws
     worst_nest = 0.0
     for seed in range(5):
-        G0, lq0, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
+        G0, lq0, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
                                                 rd.RngStream(900 + seed))
-        Ga, lqa, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
+        Ga, lqa, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
                                                 rd.RngStream(900 + seed),
                                                 A_packed=np.eye(N))
-        Gab, lqab, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
+        Gab, lqab, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
                                                   rd.RngStream(900 + seed),
                                                   A_packed=np.eye(N), B=np.eye(nt))
         worst_nest = max(worst_nest,
@@ -515,13 +515,14 @@ def test_criterion_11_imagined_feature_root_invariance():
     assert np.allclose(roots[0] @ roots[0].T, roots[1] @ roots[1].T, atol=1e-12)
 
     L_ii = np.linalg.cholesky(S_ii)
+    W, var = rd.gaussian_conditional(L_ii, S_ti.T, s_tt)
     stats_out = []
     for i, R in enumerate(roots):
         stream = rd.RngStream(1100 + i)
         g_ti = np.empty((K, nt, M))
         g_tt = np.empty((K, nt))
         for k in range(K):
-            a, b = dw.dwp_conditional_testpoints(R, L_ii, S_ti, s_tt, nu, stream)
+            a, b = dw.dwp_conditional_testpoints(R, L_ii, W, var, nu, stream)
             g_ti[k] = a.value
             g_tt[k] = b.value
         stats_out.append((g_ti.mean(axis=0), g_ti.var(axis=0),

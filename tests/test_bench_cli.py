@@ -180,27 +180,33 @@ def test_closed_form_models_write_bands(tmp_path, kind):
 # -- factorisations per objective ----------------------------------------------------
 
 def test_factorisations_per_objective(monkeypatch):
-    """Each matrix is factorised once per layer per sample, and parameter-only
-    matrices once per objective. Counted at _chol_with_jitter, the one entry
-    point of cholesky_factor and logdet_psd."""
+    """Each matrix is factorised once per layer per sample, and matrices that
+    depend only on the parameters and the batch (the first layer's) once per
+    objective. Counted at _chol_with_jitter, the one entry point of
+    cholesky_factor and logdet_psd."""
     calls = []
     chol = de._chol_with_jitter
     monkeypatch.setattr(de, "_chol_with_jitter", lambda s: calls.append(1) or chol(s))
     ds = gen_cubic_toy(0)
     S = 3
     expected = {
-        "bnn-gi": 3 * S,        # one per global-inducing layer (3 layers)
-        "dgp-gi": 4 * S,        # K_uu and I + L^T Lambda L per layer (2 layers)
+        # one per global-inducing layer (3 layers); layer 0's once
+        "bnn-gi": 1 + 2 * S,
+        # K_uu and I + L^T Lambda L per layer (2 layers); layer 0's once
+        "dgp-gi": 2 + 2 * S,
         # K_zz once per layer; the marginals and the KL reuse its factor
         "dgp-dsvi": 2,
-        # per Gram layer (2): prior scale, mixed scale and the leading block
-        # of G in the Wishart density; then 2 in the output layer
-        "dwp": 8 * S,
+        # per Gram layer (2): prior scale and mixed scale, the first layer's
+        # once; the Wishart densities read the sampled root; then 2 in the
+        # output layer
+        "dwp": 2 + 4 * S,
+        # as dwp, plus the leading block of (A T B)(A T B)^T per Gram layer
+        "dwp-a": 2 + 6 * S,
         "svgp": 1,              # K_zz, for both the marginals and the KL
         "blr": 0,               # the KL works on the roots it is given
     }
     for kind, n in expected.items():
-        cfg = ExperimentConfig(model=kind, depth=3 if kind == "dwp" else 2,
+        cfg = ExperimentConfig(model=kind, depth=3 if kind.startswith("dwp") else 2,
                                widths=(5, 5), M=10)
         model = _make_model(cfg, ds)
         p = {k: de.as_tensor(v) for k, v in model.init_params().items()}
@@ -212,15 +218,17 @@ def test_factorisations_per_objective(monkeypatch):
 # Objective at the init params (cubic-toy, S=3, kl_scale 0.7, RngStream(123)),
 # held to 1e-10 relative so that a refactor keeps every Monte-Carlo model's
 # values, and tape nodes per objective, counted inside the tape block, held
-# exactly so that graph growth shows.
+# exactly so that graph growth shows. The DWP values read each Gram layer's
+# prior density from the sampled root; at 60 digits their density error is
+# 1e-6, against 6e-3 for the G-based form they replaced.
 PINNED_OBJECTIVES = {
-    "bnn-gi": (-298.66930508623346, 355),
+    "bnn-gi": (-298.66930508623346, 321),
     "bnn-fac": (-438.715464014261, 267),
-    "dgp-gi": (-106.72853915930291, 561),
-    "dgp-dsvi": (-35060584640.05116, 416),
-    "dwp": (-42452183.68358049, 1069),
-    "dwp-a": (-42452183.68358049, 1215),
-    "dwp-ab": (-42452183.68358049, 1289),
+    "dgp-gi": (-106.72853915930291, 433),
+    "dgp-dsvi": (-35060584640.05116, 342),
+    "dwp": (-42452183.677866824, 962),
+    "dwp-a": (-42452183.677866824, 1084),
+    "dwp-ab": (-42452183.677866824, 1164),
 }
 
 

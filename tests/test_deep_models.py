@@ -6,12 +6,12 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
                                    GiDgpLayer, PriorSpec, bnn_as_dgp_gram,
-                                   bnn_elbo, bnn_forward, dsvi_dgp_layer_chol,
-                                   dsvi_dgp_layer_kl,
+                                   bnn_elbo, bnn_forward, bnn_prepare,
+                                   dsvi_dgp_layer_chol, dsvi_dgp_layer_kl,
                                    dsvi_dgp_layer_marginals,
                                    dsvi_dgp_layer_sample, fac_bnn_layer_sample,
-                                   gi_bnn_layer_sample, gi_dgp_layer_sample,
-                                   scale_prior_terms)
+                                   gi_bnn_layer_sample, gi_dgp_layer_prepare,
+                                   gi_dgp_layer_sample, scale_prior_terms)
 from deepbayes.gp_models import (BlrState, GpState, SvgpState,
                                  blr_fit_predict_lml, gp_predict_lml, svgp_elbo)
 from deepbayes.kernels import KernelParams, se_ard_features
@@ -147,7 +147,7 @@ def test_bnn_elbo_matched_factorised_posterior_equals_prior_expectation():
     # per-sample forward driven by its own split stream, with zero increment
     lls = []
     for st in rd.RngStream(7).split(4):
-        F, inc = bnn_forward([layer], X, st)
+        F, inc = bnn_forward(bnn_prepare([layer], X), st)
         assert abs(inc.value) <= 1e-12
         lls.append(rd.normal_log_density(y, F.value[:, 0], np.asarray(1.0)).value.sum())
     assert np.ptp(lls) > 0
@@ -248,7 +248,8 @@ def test_gi_dgp_vanishing_precision_recovers_prior():
     F_prev = rng.standard_normal((4, 1))
     layer = GiDgpLayer(V=rng.standard_normal((5, 1)), log_lambda=np.full(5, -40.0),
                        kernel_params=KernelParams(), width=1)
-    _, _, inc = gi_dgp_layer_sample(F_prev, U_prev, layer, rd.RngStream(2))
+    _, _, inc = gi_dgp_layer_sample(gi_dgp_layer_prepare(F_prev, U_prev, layer),
+                                    rd.RngStream(2))
     assert abs(inc.value) < 1e-10
 
 
@@ -258,8 +259,8 @@ def test_gi_dgp_large_precision_pins_inducing_outputs():
     V = rng.standard_normal((5, 1))
     layer = GiDgpLayer(V=V, log_lambda=np.full(5, 30.0),
                        kernel_params=KernelParams(), width=1)
-    U, _, _ = gi_dgp_layer_sample(rng.standard_normal((3, 1)), U_prev, layer,
-                                  rd.RngStream(3))
+    U, _, _ = gi_dgp_layer_sample(
+        gi_dgp_layer_prepare(rng.standard_normal((3, 1)), U_prev, layer), rd.RngStream(3))
     assert np.max(np.abs(U.value - V)) < 1e-5
 
 
@@ -270,7 +271,8 @@ def test_gi_dgp_identity_mean_function():
     layer = GiDgpLayer(V=np.zeros((4, 1)), log_lambda=np.full(4, 30.0),
                        kernel_params=KernelParams(), width=1,
                        mean_function="identity")
-    U, F, _ = gi_dgp_layer_sample(F_prev, U_prev, layer, rd.RngStream(4))
+    U, F, _ = gi_dgp_layer_sample(gi_dgp_layer_prepare(F_prev, U_prev, layer),
+                                  rd.RngStream(4))
     # inducing outputs pinned to V = 0, so the identity mean leaves U = U_prev
     assert np.max(np.abs(U.value - U_prev)) < 1e-5
 
@@ -284,8 +286,8 @@ def test_gi_dgp_batch_outputs_follow_posterior_gp_mean():
     F_prev = np.array([[0.3], [-1.1]])
     layer = GiDgpLayer(V=V, log_lambda=np.full(7, 30.0),
                        kernel_params=KernelParams(), width=1)
-    draws = np.stack([gi_dgp_layer_sample(F_prev, U_prev, layer,
-                                          rd.RngStream(s))[1].value[:, 0]
+    parts = gi_dgp_layer_prepare(F_prev, U_prev, layer)
+    draws = np.stack([gi_dgp_layer_sample(parts, rd.RngStream(s))[1].value[:, 0]
                       for s in range(4000)])
     gp = GpState(log_noise=-60.0)
     mean, cov, _ = gp_predict_lml(gp, U_prev, V[:, 0], X_star=F_prev)
@@ -299,9 +301,9 @@ def test_gi_dgp_increment_has_nonpositive_mean():
     U_prev = rng.standard_normal((4, 1))
     layer = GiDgpLayer(V=rng.standard_normal((4, 1)), log_lambda=np.zeros(4),
                        kernel_params=KernelParams(), width=1)
-    incs = np.array([gi_dgp_layer_sample(rng.standard_normal((2, 1)), U_prev,
-                                         layer, rd.RngStream(s))[2].value
-                     for s in range(3000)])
+    incs = np.array([gi_dgp_layer_sample(
+        gi_dgp_layer_prepare(rng.standard_normal((2, 1)), U_prev, layer),
+        rd.RngStream(s))[2].value for s in range(3000)])
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
 
 
@@ -359,7 +361,8 @@ def test_dsvi_sample_moments_match_marginals():
     L = dsvi_dgp_layer_chol(layer)
     means, vars_ = dsvi_dgp_layer_marginals(F, layer, L)
     n = 20000
-    draws = np.stack([dsvi_dgp_layer_sample(F, layer, L, rd.RngStream(s)).value[:, 0]
+    draws = np.stack([dsvi_dgp_layer_sample((means, vars_), F, layer,
+                                            rd.RngStream(s)).value[:, 0]
                       for s in range(n)])
     se = np.sqrt(vars_[0].value / n)
     assert np.all(np.abs(draws.mean(0) - means[0].value) < 4 * se)
@@ -378,8 +381,10 @@ def test_dsvi_identity_mean_function_shifts_samples():
                          mean_function="identity")
     F = rng.standard_normal((4, 1))
     L = dsvi_dgp_layer_chol(base)
-    f0 = dsvi_dgp_layer_sample(F, base, L, rd.RngStream(6))
-    f1 = dsvi_dgp_layer_sample(F, ident, L, rd.RngStream(6))
+    f0 = dsvi_dgp_layer_sample(dsvi_dgp_layer_marginals(F, base, L), F, base,
+                               rd.RngStream(6))
+    f1 = dsvi_dgp_layer_sample(dsvi_dgp_layer_marginals(F, ident, L), F, ident,
+                               rd.RngStream(6))
     assert np.allclose(f1.value - f0.value, F)
 
 

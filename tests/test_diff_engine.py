@@ -158,14 +158,6 @@ def test_backward_on_closed_tape_raises():
         de.backward_pass(loss)
 
 
-def test_stop_gradient_blocks_path():
-    with de.Tape() as t:
-        x = t.param(np.asarray(2.0), "x")
-        y = de.mul(de.stop_gradient(x), x)   # d/dx = x (detached factor constant)
-        grads = de.backward_pass(y)
-    assert np.isclose(grads["x"], 2.0)
-
-
 def test_gradient_accumulates_over_reuse():
     with de.Tape() as t:
         x = t.param(np.asarray(3.0), "x")

@@ -5,7 +5,8 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import GiDgpLayer
 from deepbayes.dwp import (DwpState, GWishLayerPosterior, dwp_conditional_testpoints,
-                           dwp_elbo_batch, dwp_forward, dwp_posterior_layer, dwp_prior_layer,
+                           dwp_elbo_batch, dwp_forward, dwp_mixed_scale_chol,
+                           dwp_posterior_layer, dwp_prepare, dwp_prior_layer,
                            gram_kernel_blocks, standard_bartlett_params,
                            wishart_inducing_extension)
 from deepbayes.kernels import KernelParams, se_from_gram
@@ -33,10 +34,17 @@ def _posterior(M, nu, variant="base", rng=None, q=0.1, spread=0.0):
     return layer
 
 
-def _prior_scale(G0, nu_prev, nu):
-    """A layer's prior scale K(G0)/nu at default kernel params, and its factor."""
+def _factors(G0, nu_prev, nu, layer):
+    """The factors of a posterior layer's mixed scale and of its prior scale
+    K(G0)/nu at default kernel params."""
     S = de.elementwise("affine", se_from_gram(KernelParams(), G0, nu_prev), a=1.0 / nu)
-    return S, de.cholesky_factor(S)
+    return dwp_mixed_scale_chol(S, layer), de.cholesky_factor(S)
+
+
+def _testpoints(feat_i, L_ii, S_ti, s_tt, nu, rng):
+    """dwp_conditional_testpoints from the prior scale blocks S_ti, s_tt."""
+    W, var = rd.gaussian_conditional(L_ii, np.asarray(S_ti).T, s_tt)
+    return dwp_conditional_testpoints(feat_i, L_ii, W, var, nu, rng)
 
 
 # -- kernel blocks from Gram blocks ------------------------------------------------
@@ -116,6 +124,31 @@ def test_prior_layer_singular_rank():
     assert np.linalg.matrix_rank(G.value) == 2
 
 
+@pytest.mark.parametrize("variant", ["prior", "base", "A", "AB"])
+def test_root_form_density_matches_wishart_log_density(variant):
+    # each Gram layer reads log p(G) from its sampled root F (G = F F^T) and
+    # the leading block's log-determinant that its sampler forms; on
+    # well-conditioned samples this equals the G-based public density
+    rng = np.random.default_rng(24)
+    M, nu = 5, 3
+    G0 = _spd(rng, M) / M
+    S = se_from_gram(KernelParams(), G0, M).value / nu
+    if variant == "prior":
+        G, logp, _ = dwp_prior_layer(G0, KernelParams(), nu, rd.RngStream(2), nu_prev=M)
+    else:
+        a, b, mu, sg = standard_bartlett_params(M, nu)
+        A = np.eye(M) + 0.2 * rng.standard_normal((M, M)) if variant != "base" else None
+        B = (np.tril(0.2 * rng.standard_normal((nu, nu)), -1) + np.diag(np.exp(
+            0.2 * rng.standard_normal(nu)))) if variant == "AB" else None
+        L_mix = np.linalg.cholesky(0.7 * S + 0.3 * _spd(rng, M) / M)
+        G, _, feat, ld_block = rd.gwish_sample_and_logpdf(
+            L_mix, nu, a * np.exp(0.1 * rng.standard_normal(nu)), b, mu + 0.1, sg,
+            rd.RngStream(2), A, B)
+        logp = rd._wishart_log_density_root(feat, np.linalg.cholesky(S), nu, ld_block)
+    ref = rd.wishart_log_density(G.value, S, nu).value
+    assert abs(logp.value - ref) <= 1e-10 * abs(ref)
+
+
 # -- posterior layers --------------------------------------------------------------------
 
 def test_posterior_layer_prior_reduction():
@@ -124,9 +157,9 @@ def test_posterior_layer_prior_reduction():
     M, nu = 4, 6
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=1e-12)
-    S, L = _prior_scale(G0, M, nu)
+    L_mix, L = _factors(G0, M, nu, layer)
     for seed in range(5):
-        _, _, inc = dwp_posterior_layer(S, L, layer, rd.RngStream(seed))
+        _, _, inc = dwp_posterior_layer(L_mix, L, layer, rd.RngStream(seed))
         assert abs(inc.value) < 1e-8, seed
 
 
@@ -139,7 +172,7 @@ def test_posterior_layer_variant_nesting_exact():
     for variant in ("base", "A", "AB"):
         layer = _posterior(M, nu, variant=variant, rng=np.random.default_rng(6),
                            spread=0.2)
-        G, feat, inc = dwp_posterior_layer(*_prior_scale(G0, M, nu), layer,
+        G, feat, inc = dwp_posterior_layer(*_factors(G0, M, nu, layer), layer,
                                            rd.RngStream(11))
         outs.append((G.value, feat.value, inc.value))
     for G, feat, inc in outs[1:]:
@@ -153,8 +186,8 @@ def test_posterior_layer_increment_mean_is_negative_kl():
     M, nu = 3, 4
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=0.4, spread=0.15)
-    S, L = _prior_scale(G0, M, nu)
-    incs = np.array([dwp_posterior_layer(S, L, layer, rd.RngStream(s))[2].value
+    L_mix, L = _factors(G0, M, nu, layer)
+    incs = np.array([dwp_posterior_layer(L_mix, L, layer, rd.RngStream(s))[2].value
                      for s in range(3000)])
     # KL >= 0, so the mean increment must not be significantly positive
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
@@ -165,7 +198,7 @@ def test_posterior_layer_root_consistency():
     M, nu = 4, 2
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, spread=0.1)
-    G, feat, _ = dwp_posterior_layer(*_prior_scale(G0, M, nu), layer,
+    G, feat, _ = dwp_posterior_layer(*_factors(G0, M, nu, layer), layer,
                                      rd.RngStream(3))
     assert feat.value.shape == (M, min(M, nu))
     assert np.allclose(feat.value @ feat.value.T, G.value, atol=1e-12)
@@ -190,7 +223,7 @@ def test_conditional_testpoints_moments():
     acc_tt = np.zeros(nt)
     L_ii = np.linalg.cholesky(S_ii)
     for _ in range(n):
-        G_ti, g_tt = dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu, stream)
+        G_ti, g_tt = _testpoints(feat_i, L_ii, S_ti, s_tt, nu, stream)
         acc_ti += G_ti.value
         acc_tt += g_tt.value
     ref_ti = mean_ref @ feat_i.T
@@ -206,12 +239,12 @@ def test_conditional_testpoints_zero_pads_singular_roots():
     feat_i = rng.standard_normal((M, 4))    # rank-deficient root, ntilde < nu
     S = _spd(rng, M + 1) / (M + 1)
     L_ii = np.linalg.cholesky(S[:M, :M])
-    G_ti, g_tt = dwp_conditional_testpoints(feat_i, L_ii, S[M:, :M],
-                                            np.diag(S)[M:], nu, rd.RngStream(0))
+    G_ti, g_tt = _testpoints(feat_i, L_ii, S[M:, :M], np.diag(S)[M:], nu,
+                             rd.RngStream(0))
     assert G_ti.value.shape == (1, M) and g_tt.value.shape == (1,)
     with pytest.raises(ValueError):
-        dwp_conditional_testpoints(rng.standard_normal((M, 7)), L_ii,
-                                   S[M:, :M], np.diag(S)[M:], 6, rd.RngStream(0))
+        _testpoints(rng.standard_normal((M, 7)), L_ii, S[M:, :M], np.diag(S)[M:], 6,
+                    rd.RngStream(0))
 
 
 def test_conditional_testpoints_degenerate_at_inducing_row():
@@ -221,10 +254,8 @@ def test_conditional_testpoints_degenerate_at_inducing_row():
     M, nu = 3, 3
     S_ii = _spd(rng, M) / M
     feat_i = rng.standard_normal((M, nu))
-    G_ti, g_tt = dwp_conditional_testpoints(feat_i, np.linalg.cholesky(S_ii),
-                                            S_ii[0:1, :],
-                                            np.array([S_ii[0, 0]]), nu,
-                                            rd.RngStream(1))
+    G_ti, g_tt = _testpoints(feat_i, np.linalg.cholesky(S_ii), S_ii[0:1, :],
+                             np.array([S_ii[0, 0]]), nu, rd.RngStream(1))
     G_ii = feat_i @ feat_i.T
     assert np.max(np.abs(G_ti.value - G_ii[0:1, :])) < 1e-4
     assert abs(g_tt.value[0] - G_ii[0, 0]) < 1e-4
@@ -245,13 +276,11 @@ def test_conditional_testpoints_root_rotation_invariance():
     v1, v2 = np.zeros(nt), np.zeros(nt)
     L_ii = np.linalg.cholesky(S[:M, :M])
     for _ in range(n):
-        G_ti, g_tt = dwp_conditional_testpoints(feat_i, L_ii, S[M:, :M],
-                                                np.diag(S)[M:], nu, s1)
+        G_ti, g_tt = _testpoints(feat_i, L_ii, S[M:, :M], np.diag(S)[M:], nu, s1)
         acc1 += G_ti.value
         v1 += g_tt.value
     for _ in range(n):
-        G_ti, g_tt = dwp_conditional_testpoints(feat_i @ Q, L_ii, S[M:, :M],
-                                                np.diag(S)[M:], nu, s2)
+        G_ti, g_tt = _testpoints(feat_i @ Q, L_ii, S[M:, :M], np.diag(S)[M:], nu, s2)
         # rotate back to compare against the same inducing root
         acc2 += G_ti.value
         v2 += g_tt.value
@@ -303,17 +332,6 @@ def test_elbo_variant_nesting_exact_under_same_seed():
     assert np.isclose(vals[0], vals[2], atol=1e-10)
 
 
-def test_elbo_stl_keeps_value_changes_gradient_paths():
-    rng = np.random.default_rng(15)
-    state = _small_state(rng)
-    Xt = rng.standard_normal((3, 2))
-    y = rng.standard_normal(3)
-    v_plain = dwp_elbo_batch(state, Xt, y, total_n=3, rng=rd.RngStream(5)).value
-    v_stl = dwp_elbo_batch(state, Xt, y, total_n=3, rng=rd.RngStream(5),
-                           stl=True).value
-    assert np.isclose(v_plain, v_stl, atol=1e-12)
-
-
 def test_elbo_multi_sample_average():
     rng = np.random.default_rng(16)
     state = _small_state(rng)
@@ -325,7 +343,7 @@ def test_elbo_multi_sample_average():
     s2 = np.exp(state.log_noise)
     terms = []
     for st in rd.RngStream(9).split(3):
-        F, inc = dwp_forward(state, Xt, st)
+        F, inc = dwp_forward(dwp_prepare(state, Xt), st)
         ll = rd.normal_log_density(y, F.value[:, 0], s2).value.sum()
         terms.append(ll * 6 / 3 + 0.7 * inc.value)
     assert np.ptp(terms) > 0
