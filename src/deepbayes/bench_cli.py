@@ -177,8 +177,7 @@ class BlrViModel:
         s2 = self.sigma ** 2
         pred = de.matmul(phi, m)
         quad_extra = de.tsum(de.elementwise("square", de.matmul(phi, Lq)))  # tr(phi S phi^T)
-        ll = de.sub(de.tsum(rd.normal_log_density(as_tensor(yb), pred,
-                                                  as_tensor(np.asarray(s2)))),
+        ll = de.sub(rd.normal_log_density(as_tensor(yb), pred, as_tensor(np.asarray(s2))),
                     de.elementwise("affine", quad_extra, a=0.5 / s2))
         kl = rd._kl_gaussian_chol(m, Lq, np.zeros(self.k), self.alpha * np.eye(self.k))
         return de.sub(de.elementwise("affine", ll, a=float(total_n) / nb),
@@ -371,19 +370,18 @@ class BnnModel(_MonteCarloModel):
 
     def _state(self, p, X):
         layers = []
-        for i, w in enumerate(self.widths):
+        for i in range(len(self.widths)):
             prior = (dm.PriorSpec("scale", de.elementwise("exp", p[f"log_a_s{i}"]),
                                   de.elementwise("exp", p[f"log_b_s{i}"]))
                      if self.prior_variant == "scale" else dm.PriorSpec(self.prior_variant))
             if self.posterior == "gi":
                 layers.append(dm.GiBnnLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
-                                            prior=prior, width=w))
+                                            prior=prior))
             else:
                 fi = self._fanins()[i]
                 layers.append(dm.FacBnnLayer(mean_scaled=p[f"mean{i}"],
                                              log_std=p[f"lstd{i}"],
-                                             scale=1.0 / np.sqrt(fi),
-                                             prior=prior, width=w))
+                                             scale=1.0 / np.sqrt(fi), prior=prior))
         return dm.bnn_prepare(layers, X, inducing_inputs=p.get("U0"))
 
     def forward(self, state, rng):
@@ -440,7 +438,7 @@ class DgpModel(_MonteCarloModel):
             d_in = w
             if self.posterior == "gi":
                 layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
-                                      kernel_params=_se_params(p, f"_{i}"), width=w,
+                                      kernel_params=_se_params(p, f"_{i}"),
                                       mean_function=mean_fn)
             else:
                 S_chol = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
@@ -515,8 +513,7 @@ class DwpModel(_MonteCarloModel):
                 mu=p[f"mu{i}"], log_sigma=p[f"ls{i}"], variant=self.variant,
                 A_packed=p.get(f"A{i}"), B_packed=p.get(f"B{i}")))
             kps.append(_se_params(p, f"_{i}"))
-        final = dm.GiDgpLayer(V=p["Vf"], log_lambda=p["lamf"],
-                              kernel_params=None, width=1)
+        final = dm.GiDgpLayer(V=p["Vf"], log_lambda=p["lamf"], kernel_params=None)
         state = dwp_mod.DwpState(inducing_inputs=p["Xi"], layers=layers,
                                  kernel_params=kps, final_layer=final,
                                  final_kernel=_se_params(p, "_f"), nu0=self.D)

@@ -46,7 +46,6 @@ class GiBnnLayer:
     V: object                      # (M, width) pseudo-outputs
     log_lambda: object             # (M,) log of the diagonal precision
     prior: PriorSpec = field(default_factory=PriorSpec)
-    width: int = 1
     bias: bool = True
 
 
@@ -56,7 +55,6 @@ class FacBnnLayer:
     log_std: object                # (d, width)
     scale: float = 1.0
     prior: PriorSpec = field(default_factory=PriorSpec)
-    width: int = 1
     bias: bool = True
 
 
@@ -65,7 +63,6 @@ class GiDgpLayer:
     V: object                      # (M, width)
     log_lambda: object             # (M,)
     kernel_params: KernelParams = field(default_factory=KernelParams)
-    width: int = 1
     mean_function: str = "zero"    # "zero" | "identity"
 
 
@@ -148,8 +145,7 @@ def _gi_sample(posterior, rng):
     LinvX = de.triangular_solve(L, X) if L.value.ndim == 2 else de.div(X, L)
     inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", LinvX)),
                                 a=-0.5, b=0.5 * float(np.sum(xi * xi))),
-                 de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(R))),
-                                a=float(Mean.value.shape[1])))
+                 de.log_diag_sum(R, float(Mean.value.shape[1])))
     return X, LinvX, inc
 
 
@@ -192,8 +188,8 @@ def fac_bnn_layer_sample(layer: FacBnnLayer, d: int, rng: rd.RngStream, s=None):
     W = de.add(mean, de.mul(std, xi))
     prior_prec = _prior_precision_scalar(layer.prior, d, s=s)
     prior_var = de.elementwise("reciprocal", prior_prec)
-    logp = de.tsum(rd.normal_log_density(W, as_tensor(np.zeros_like(mean.value)), prior_var))
-    logq = de.tsum(rd.normal_log_density(W, mean, de.elementwise("square", std)))
+    logp = rd.normal_log_density(W, as_tensor(np.zeros_like(mean.value)), prior_var)
+    logq = rd.normal_log_density(W, mean, de.elementwise("square", std))
     return W, de.sub(logp, logq)
 
 
@@ -271,7 +267,7 @@ def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
     for st in rng.split(n_samples):
         F, inc = forward(st)
         out = de.reshape(F, (nb,)) if F.value.ndim == 2 and F.value.shape[1] == 1 else F
-        ll = de.tsum(rd.normal_log_density(yb, out, s2))
+        ll = rd.normal_log_density(yb, out, s2)
         term = de.add(de.elementwise("affine", ll, a=float(total_n) / nb),
                       de.elementwise("affine", inc, a=float(kl_scale)))
         total = term if total is None else de.add(total, term)

@@ -6,14 +6,16 @@ tape in reverse creation order exactly once.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
 __all__ = [
-    "Tape", "DiffTensor", "as_tensor", "lift",
+    "Tape", "DiffTensor", "as_tensor", "lift", "shared_cotangent",
     "matmul", "add", "sub", "mul", "div", "neg", "transpose", "tsum",
     "elementwise", "cholesky_factor", "triangular_solve", "logdet_psd",
-    "diag_part", "diag_embed", "concat", "reshape", "getitem",
+    "log_diag_sum", "diag_part", "diag_embed", "concat", "reshape", "getitem",
     "backward_pass", "finite_diff_check",
 ]
 
@@ -39,7 +41,7 @@ class Tape:
         return False
 
     def param(self, value, name: str) -> "DiffTensor":
-        t = DiffTensor(value, tape=self, name=name)
+        t = DiffTensor(value, tape=self, name=name, source=f"parameter {name!r}")
         self._nodes.append(t)
         return t
 
@@ -47,19 +49,16 @@ class Tape:
         self._nodes.append(t)
 
 
-def _active_tape():
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
 class DiffTensor:
     """Dense real matrix/vector with a gradient slot on a recording tape."""
 
     __slots__ = ("value", "name", "grad", "_tape", "_parents")
 
-    def __init__(self, value, tape=None, name=None, parents=None):
+    def __init__(self, value, tape=None, name=None, parents=None, source="constant"):
         self.value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(self.value)):
-            raise FloatingPointError(f"non-finite values in tensor {name or ''}")
+        # one reduction; the full scan only confirms a sum that overflowed
+        if not math.isfinite(self.value.sum()) and not np.isfinite(self.value).all():
+            raise FloatingPointError(f"non-finite values in {source}")
         self.name = name
         self.grad = None
         self._tape = tape
@@ -118,28 +117,36 @@ def as_tensor(x) -> DiffTensor:
     return DiffTensor(x)
 
 
-def _tracked(*xs):
-    """Tensors participate in the graph iff a tape is active and an input is tracked."""
-    tape = _active_tape()
-    if tape is None:
-        return None
-    if any(isinstance(x, DiffTensor) and x._tape is not None for x in xs):
-        return tape
-    return None
-
-
-def lift(value, parents) -> DiffTensor:
+def lift(value, parents, op="lift") -> DiffTensor:
     """Create a tensor from a custom op.
 
     parents: list of (tensor, vjp) pairs, vjp mapping the output cotangent to
-    the parent cotangent.  Untracked parents are dropped.
+    the parent cotangent.  Untracked parents are dropped; the output is
+    tracked iff a tape is active and some parent is tracked. op names the op
+    in the error raised for a non-finite output.
     """
-    tape = _tracked(*[p for p, _ in parents])
-    kept = [(p, f) for p, f in parents if isinstance(p, DiffTensor) and p._tape is not None]
-    out = DiffTensor(value, tape=tape, parents=kept if tape else [])
-    if tape is not None:
+    tape = _ACTIVE[-1] if _ACTIVE else None
+    kept = [] if tape is None else [
+        (p, f) for p, f in parents if isinstance(p, DiffTensor) and p._tape is not None]
+    out = DiffTensor(value, tape=tape if kept else None, parents=kept,
+                     source=f"output of op {op!r}")
+    if kept:
         tape._record(out)
     return out
+
+
+def shared_cotangent(fn):
+    """Memoise fn(g) across the parents of one node: backward_pass hands each
+    parent's vjp the same cotangent object in turn, so work they share (such
+    as a fused op's cotangent of an intermediate) runs once per node."""
+    last = [None, None]
+
+    def cached(g):
+        if last[0] is not g:
+            last[0], last[1] = g, fn(g)
+        return last[1]
+
+    return cached
 
 
 def _unbroadcast(g, shape):
@@ -162,11 +169,11 @@ def matmul(a, b) -> DiffTensor:
             raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
         val = a.value @ b.value
         return lift(val, [(a, lambda g: np.outer(g, b.value)),
-                          (b, lambda g: a.value.T @ g)])
+                          (b, lambda g: a.value.T @ g)], "matmul")
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
     val = a.value @ b.value
-    return lift(val, [(a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)])
+    return lift(val, [(a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)], "matmul")
 
 
 def add(a, b) -> DiffTensor:
@@ -174,7 +181,7 @@ def add(a, b) -> DiffTensor:
     return lift(a.value + b.value, [
         (a, lambda g: _unbroadcast(g, a.value.shape)),
         (b, lambda g: _unbroadcast(g, b.value.shape)),
-    ])
+    ], "add")
 
 
 def sub(a, b) -> DiffTensor:
@@ -182,7 +189,7 @@ def sub(a, b) -> DiffTensor:
     return lift(a.value - b.value, [
         (a, lambda g: _unbroadcast(g, a.value.shape)),
         (b, lambda g: _unbroadcast(-g, b.value.shape)),
-    ])
+    ], "sub")
 
 
 def mul(a, b) -> DiffTensor:
@@ -190,7 +197,7 @@ def mul(a, b) -> DiffTensor:
     return lift(a.value * b.value, [
         (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
         (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
-    ])
+    ], "mul")
 
 
 def div(a, b) -> DiffTensor:
@@ -199,12 +206,12 @@ def div(a, b) -> DiffTensor:
 
 def neg(a) -> DiffTensor:
     a = as_tensor(a)
-    return lift(-a.value, [(a, lambda g: -g)])
+    return lift(-a.value, [(a, lambda g: -g)], "neg")
 
 
 def transpose(a) -> DiffTensor:
     a = as_tensor(a)
-    return lift(a.value.T, [(a, lambda g: g.T)])
+    return lift(a.value.T, [(a, lambda g: g.T)], "transpose")
 
 
 def tsum(a, axis=None, keepdims=False) -> DiffTensor:
@@ -217,12 +224,12 @@ def tsum(a, axis=None, keepdims=False) -> DiffTensor:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, a.value.shape).copy()
 
-    return lift(val, [(a, vjp)])
+    return lift(val, [(a, vjp)], "tsum")
 
 
 def reshape(a, shape) -> DiffTensor:
     a = as_tensor(a)
-    return lift(a.value.reshape(shape), [(a, lambda g: g.reshape(a.value.shape))])
+    return lift(a.value.reshape(shape), [(a, lambda g: g.reshape(a.value.shape))], "reshape")
 
 
 def getitem(a, idx) -> DiffTensor:
@@ -233,7 +240,7 @@ def getitem(a, idx) -> DiffTensor:
         np.add.at(out, idx, g)
         return out
 
-    return lift(a.value[idx], [(a, vjp)])
+    return lift(a.value[idx], [(a, vjp)], "getitem")
 
 
 def concat(parts, axis=0) -> DiffTensor:
@@ -248,7 +255,7 @@ def concat(parts, axis=0) -> DiffTensor:
         sl = tuple(sl)
         return lambda g: g[sl]
 
-    return lift(val, [(p, make_vjp(i)) for i, p in enumerate(parts)])
+    return lift(val, [(p, make_vjp(i)) for i, p in enumerate(parts)], "concat")
 
 
 def diag_part(a) -> DiffTensor:
@@ -260,12 +267,12 @@ def diag_part(a) -> DiffTensor:
         out[np.arange(n), np.arange(n)] = g
         return out
 
-    return lift(np.diagonal(a.value).copy(), [(a, vjp)])
+    return lift(np.diagonal(a.value).copy(), [(a, vjp)], "diag_part")
 
 
 def diag_embed(v) -> DiffTensor:
     v = as_tensor(v)
-    return lift(np.diag(v.value), [(v, lambda g: np.diagonal(g).copy())])
+    return lift(np.diag(v.value), [(v, lambda g: np.diagonal(g).copy())], "diag_embed")
 
 
 # -- elementwise family -----------------------------------------------------
@@ -318,7 +325,7 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
         d = val * (1.0 - val)
     else:
         raise ValueError(f"unknown elementwise tag {tag!r}")
-    return lift(val, [(x, lambda g, d=d: g * d)])
+    return lift(val, [(x, lambda g, d=d: g * d)], tag)
 
 
 # -- factorizations ---------------------------------------------------------
@@ -375,7 +382,7 @@ def cholesky_factor(s) -> DiffTensor:
         s2 = sla.solve_triangular(L, s1.T, trans="T", lower=True)
         return 0.5 * (s2 + s2.T)
 
-    return lift(L, [(s, vjp)])
+    return lift(L, [(s, vjp)], "cholesky_factor")
 
 
 def triangular_solve(l, b, trans=False) -> DiffTensor:
@@ -402,7 +409,7 @@ def triangular_solve(l, b, trans=False) -> DiffTensor:
         return np.tril(ga if not trans else ga.T)
 
     val = x[:, 0] if squeeze else x
-    return lift(val, [(l, vjp_l), (b, vjp_b)])
+    return lift(val, [(l, vjp_l), (b, vjp_b)], "triangular_solve")
 
 
 def logdet_psd(s) -> DiffTensor:
@@ -415,7 +422,26 @@ def logdet_psd(s) -> DiffTensor:
     def vjp(g):
         return float(g) * 0.5 * (inv + inv.T)
 
-    return lift(np.asarray(val), [(s, vjp)])
+    return lift(np.asarray(val), [(s, vjp)], "logdet_psd")
+
+
+def log_diag_sum(a, weights=1.0) -> DiffTensor:
+    """sum_i w_i log a_ii over the leading diagonal of a matrix with positive
+    diagonal, w a scalar or one weight per diagonal entry: log-determinants
+    of triangular factors and Bartlett Jacobian terms in one node."""
+    a = as_tensor(a)
+    d = np.diagonal(a.value)
+    if np.any(d <= 0):
+        raise ValueError("log domain violation: non-positive diagonal")
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), d.shape)
+    n = d.shape[0]
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[np.arange(n), np.arange(n)] = g * w / d
+        return out
+
+    return lift(np.asarray(np.sum(w * np.log(d))), [(a, vjp)], "log_diag_sum")
 
 
 # -- backward ---------------------------------------------------------------

@@ -11,12 +11,12 @@ from . import diff_engine as de
 from . import rand_dist as rd
 from .deep_models import _gi_layer_parts, gi_dgp_layer_sample, mc_elbo
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import (KernelParams, _gram_se_params, _se_kdiag, _se_sqdist,
-                      _sqdist, add_layer_noise, se_from_gram)
+from .kernels import (KernelParams, _gram_se_params, _se_gram, _se_kdiag,
+                      add_layer_noise, se_from_gram)
 
 __all__ = [
     "GWishLayerPosterior", "DwpState", "gram_kernel_blocks",
-    "dwp_prior_layer", "dwp_mixed_scale_chol", "dwp_posterior_layer",
+    "dwp_prior_layer", "dwp_layer_prepare", "dwp_mixed_scale_chol", "dwp_posterior_layer",
     "dwp_conditional_testpoints", "dwp_prepare", "dwp_forward",
     "dwp_elbo_batch", "wishart_inducing_extension",
 ]
@@ -87,12 +87,11 @@ def gram_kernel_blocks(kp: KernelParams, G_ii, G_ti, g_tt, nu):
 
     Returns (K_ii, K_ti, k_tt_diag)."""
     G_ii, g_tt = as_tensor(G_ii), as_tensor(g_tt)
-    M, nt = G_ii.value.shape[0], g_tt.value.shape[0]
-    sf2, l2 = _gram_se_params(kp)
-    gi = de.reshape(de.diag_part(G_ii), (M, 1))
-    K_ii = _se_sqdist(sf2, l2, _sqdist(gi, G_ii, de.transpose(gi), nu))
-    K_ti = _se_sqdist(sf2, l2, _sqdist(de.reshape(g_tt, (nt, 1)), G_ti,
-                                       de.reshape(de.diag_part(G_ii), (1, M)), nu))
+    nt = g_tt.value.shape[0]
+    sf2, ls = _gram_se_params(kp)
+    gi = de.diag_part(G_ii)
+    K_ii = _se_gram(gi, G_ii, gi, nu, sf2, ls)
+    K_ti = _se_gram(g_tt, G_ti, gi, nu, sf2, ls)
     k_tt = _se_kdiag(kp, sf2, nt)
     if kp.log_noise is not None:
         K_ii = add_layer_noise(K_ii, kp.noise_var())
@@ -112,37 +111,44 @@ def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
     feat = de.matmul(L, as_tensor(bf.T))
     G = de.matmul(feat, de.transpose(feat))
     # the root L T is lower-trapezoidal, so its diagonal gives G's leading block
-    ld_block = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(feat))), a=2.0)
-    return G, rd._wishart_log_density_root(feat, L, nu, ld_block), feat
+    return G, rd._wishart_log_density_root(feat, L, nu, de.log_diag_sum(feat, 2.0)), feat
 
 
-def dwp_mixed_scale_chol(S_ii, layer: GWishLayerPosterior) -> DiffTensor:
-    """Lower Cholesky factor of a posterior layer's mixed scale
-    (1-q) S_ii + q V V^T, with S_ii the prior scale K(G_ii_prev)/nu."""
+def dwp_layer_prepare(layer: GWishLayerPosterior):
+    """The parameter-only part of a posterior Gram layer, built once per
+    objective: the weights (1 - q, q V V^T) of its mixed scale and the
+    generalized-Wishart parts (rd.gwish_prepare) of its q."""
     q = de.elementwise("sigmoid", as_tensor(layer.logit_q))
     V = as_tensor(layer.V)
-    return de.cholesky_factor(
-        de.add(de.mul(de.elementwise("affine", q, a=-1.0, b=1.0), as_tensor(S_ii)),
-               de.mul(q, de.matmul(V, de.transpose(V)))))
+    mix = (de.elementwise("affine", q, a=-1.0, b=1.0),
+           de.mul(q, de.matmul(V, de.transpose(V))))
+    gw = rd.gwish_prepare(
+        layer.nu, de.elementwise("exp", as_tensor(layer.log_alpha)),
+        de.elementwise("exp", as_tensor(layer.log_beta)), layer.mu,
+        de.elementwise("exp", as_tensor(layer.log_sigma)),
+        layer.A_packed if layer.variant in ("A", "AB") else None,
+        _chol_from_raw(layer.B_packed) if layer.variant == "AB" else None)
+    return mix, gw
 
 
-def dwp_posterior_layer(L_mix, L_ii, layer: GWishLayerPosterior, rng: rd.RngStream):
+def dwp_mixed_scale_chol(S_ii, mix) -> DiffTensor:
+    """Lower Cholesky factor of a posterior layer's mixed scale
+    (1-q) S_ii + q V V^T, with S_ii the prior scale K(G_ii_prev)/nu and
+    mix = (1 - q, q V V^T) from dwp_layer_prepare."""
+    return de.cholesky_factor(de.add(de.mul(mix[0], as_tensor(S_ii)), mix[1]))
+
+
+def dwp_posterior_layer(scale, L_ii, gw: rd.GWishParts, rng: rd.RngStream):
     """One posterior layer on the inducing block: samples G_ii from the
-    generalized Wishart over the mixed scale (factor L_mix, from
-    dwp_mixed_scale_chol) and returns (G_ii, features, increment) with
-    features the retained generalized-Bartlett root (F F^T = G_ii) and
+    generalized Wishart with parts gw over the mixed scale
+    (scale = rd.gwish_scale(L_mix, nu), L_mix from dwp_mixed_scale_chol) and
+    returns (G_ii, features, increment) with features the retained
+    generalized-Bartlett root (F F^T = G_ii) and
     increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev), the prior
     density (scale factor L_ii) read from the root.
     """
-    nu = int(layer.nu)
-    alpha = de.elementwise("exp", as_tensor(layer.log_alpha))
-    beta = de.elementwise("exp", as_tensor(layer.log_beta))
-    sigma = de.elementwise("exp", as_tensor(layer.log_sigma))
-    A_packed = layer.A_packed if layer.variant in ("A", "AB") else None
-    B = _chol_from_raw(layer.B_packed) if layer.variant == "AB" else None
-    G, logq, feat, ld_block = rd.gwish_sample_and_logpdf(
-        L_mix, nu, alpha, beta, as_tensor(layer.mu), sigma, rng, A_packed, B)
-    logp = rd._wishart_log_density_root(feat, L_ii, nu, ld_block)
+    G, logq, feat, ld_block = rd.gwish_sample_and_logpdf(scale, gw, rng)
+    logp = rd._wishart_log_density_root(feat, L_ii, gw.nu, ld_block)
     return G, feat, de.sub(logp, logq)
 
 
@@ -168,29 +174,32 @@ def dwp_conditional_testpoints(feat_i, L_ii, W, var, nu: int, rng: rd.RngStream)
     return G_ti, g_tt
 
 
-def _layer_parts(state: DwpState, i, grams, nu_prev):
+def _layer_parts(state: DwpState, i, grams, nu_prev, q_parts):
     """The sample-independent part of layer i given its input Grams: for a
-    Gram layer, the factors L_ii of the prior scale block and L_mix of the
-    mixed scale and the test-point (W, var); then the output layer's."""
+    Gram layer, the factor L_ii of the prior scale block, the mixed scale as
+    rd.gwish_scale reads it and the test-point (W, var); then the output
+    layer's. q_parts: dwp_layer_prepare of each Gram layer."""
     if i == len(state.layers):
         return _gi_layer_parts(*gram_kernel_blocks(state.final_kernel, *grams, nu_prev),
                                state.final_layer)
-    layer = state.layers[i]
-    S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / int(layer.nu)) for K in
+    nu = int(state.layers[i].nu)
+    S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
                         gram_kernel_blocks(state.kernel_params[i], *grams, nu_prev))
     L_ii = de.cholesky_factor(S_ii)
-    return (L_ii, dwp_mixed_scale_chol(S_ii, layer),
+    return (L_ii, rd.gwish_scale(dwp_mixed_scale_chol(S_ii, q_parts[i][0]), nu),
             *rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt))
 
 
 def dwp_prepare(state: DwpState, Xt):
     """The sample-independent part of the deep Wishart process at the batch
-    inputs Xt, built once per objective: the first layer's parts."""
+    inputs Xt, built once per objective: every Gram layer's parameter-only
+    part and the first layer's parts."""
     Xi, Xt = as_tensor(state.inducing_inputs), as_tensor(Xt)
     grams = [de.matmul(Xi, de.transpose(Xi)), de.matmul(Xt, de.transpose(Xi)),
              de.tsum(de.elementwise("square", Xt), axis=1)]
     grams = [de.elementwise("affine", G, a=1.0 / float(state.nu0)) for G in grams]
-    return state, _layer_parts(state, 0, grams, state.nu0)
+    q_parts = [dwp_layer_prepare(layer) for layer in state.layers]
+    return state, q_parts, _layer_parts(state, 0, grams, state.nu0, q_parts)
 
 
 def dwp_forward(prepared, rng: rd.RngStream):
@@ -199,16 +208,16 @@ def dwp_forward(prepared, rng: rd.RngStream):
     approximate posterior (contributing log p - log q) and the batch rows
     from the prior conditional (their densities cancel); the final layer is
     a global-inducing GP over the last Gram matrix."""
-    state, parts = prepared
+    state, q_parts, parts = prepared
     inc_sum = as_tensor(np.asarray(0.0))
     for i, layer in enumerate(state.layers):
-        L_ii, L_mix, W, var = parts
+        L_ii, scale, W, var = parts
         sub = rng.split(3)
-        G_ii, feat_i, inc = dwp_posterior_layer(L_mix, L_ii, layer, sub[0])
+        G_ii, feat_i, inc = dwp_posterior_layer(scale, L_ii, q_parts[i][1], sub[0])
         inc_sum = de.add(inc_sum, inc)
         grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, W, var,
                                                    int(layer.nu), sub[1]))
-        parts = _layer_parts(state, i + 1, grams, int(layer.nu))
+        parts = _layer_parts(state, i + 1, grams, int(layer.nu), q_parts)
         rng = sub[2]
     _, F, inc = gi_dgp_layer_sample(parts, rng)
     return F, de.add(inc_sum, inc)

@@ -197,8 +197,7 @@ def prop31_check(state: GpState, X, y):
     quad = de.tsum(de.elementwise("square", w))      # y^T Mh^{-1} y
     sf2_opt = de.elementwise("affine", quad, a=1.0 / n)
     data_fit = de.elementwise("affine", de.div(quad, sf2_opt), a=-0.5)
-    logdet_hat = de.elementwise("affine",
-                                de.tsum(de.elementwise("log", de.diag_part(L))), a=2.0)
+    logdet_hat = de.log_diag_sum(L, 2.0)
     complexity = de.add(de.elementwise("affine", de.elementwise("log", sf2_opt), a=0.5 * n),
                         de.elementwise("affine", logdet_hat, a=0.5))
     return sf2_opt, data_fit, complexity
@@ -232,9 +231,9 @@ def svgp_elbo(state: SvgpState, Xb, yb, total_n) -> DiffTensor:
     mean, var, Lz = _svgp_marginals(state, Xb)
     s2 = state.noise_var()
     ell = de.sub(rd.normal_log_density(yb, mean, s2),
-                 de.div(var, de.elementwise("affine", s2, a=2.0)))
+                 de.tsum(de.div(var, de.elementwise("affine", s2, a=2.0))))
     kl = rd._kl_gaussian_chol(state.m, state.S_chol, np.zeros(Lz.value.shape[0]), Lz)
-    return de.sub(de.elementwise("affine", de.tsum(ell), a=float(total_n) / nb), kl)
+    return de.sub(de.elementwise("affine", ell, a=float(total_n) / nb), kl)
 
 
 def svgp_collapsed_bound(state: SvgpState, X, y):

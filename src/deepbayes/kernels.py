@@ -35,34 +35,72 @@ class KernelParams:
         return de.elementwise("exp", as_tensor(self.log_noise))
 
 
-def _sqdist(sq_rows, cross, sq_cols, scale) -> DiffTensor:
-    """scale * (sq_rows - 2 cross + sq_cols) from the squared norms as a
-    column (N x 1) and a row (1 x N') and the cross products (N x N').
-    Rounding negatives are clamped to zero; larger ones raise."""
-    d2 = de.add(de.sub(sq_rows, de.elementwise("affine", cross, a=2.0)), sq_cols)
-    if scale != 1.0:
-        d2 = de.elementwise("affine", d2, a=float(scale))
-    v = d2.value
-    if np.any(v < -1e-10):
+def _clamp_sqdist(d2: np.ndarray):
+    """Clamp the rounding negatives of squared distances d2 to zero in place;
+    larger ones raise. Returns the mask of clamped entries (their gradient is
+    zero), or None when there are none."""
+    if d2.size and d2.min() < -1e-10:
         raise ValueError("squared distance negative beyond tolerance")
-    return de.mul(d2, as_tensor((v >= 0).astype(np.float64)))
+    neg = d2 < 0
+    if not neg.any():
+        return None
+    d2[neg] = 0.0
+    return neg
+
+
+def _se_cotangent(g, K, neg, sf2):
+    """(cotangent of sf2, cotangent of the clamped exponent argument d2 in
+    K = sf2 exp(-0.5 d2)) from the cotangent g of K."""
+    gk = g * K
+    g_sf2 = de._unbroadcast(gk.sum() / sf2, np.shape(sf2))
+    gk *= -0.5
+    if neg is not None:
+        gk[neg] = 0.0
+    return g_sf2, gk
 
 
 def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
-    """sf2 * exp(-0.5 sum_d (x_d - x'_d)^2 / l_d^2); N x N' kernel matrix."""
+    """sf2 * exp(-0.5 sum_d (x_d - x'_d)^2 / l_d^2); N x N' kernel matrix,
+    one tape node over X, X2, the lengthscales and sf2. Squared distances
+    come from the scaled inputs' norms and cross products; their rounding
+    negatives are clamped to zero, larger ones raise."""
     X = as_tensor(X)
     X2 = X if X2 is None else as_tensor(X2)
     if X.value.shape[1] != X2.value.shape[1]:
         raise ValueError("feature dimension mismatch")
-    ls = params.lengthscales()
+    ls, sf2 = params.lengthscales(), params.sf2()
     if ls.value.ndim == 1 and ls.value.shape[0] not in (1, X.value.shape[1]):
         raise ValueError("lengthscale count does not match feature dimension")
-    Xs = de.div(X, ls)
-    Xs2 = de.div(X2, ls)
-    n1 = de.tsum(de.elementwise("square", Xs), axis=1, keepdims=True)     # N x 1
-    n2 = de.tsum(de.elementwise("square", Xs2), axis=1, keepdims=True)    # N' x 1
-    d2 = _sqdist(n1, de.matmul(Xs, de.transpose(Xs2)), de.transpose(n2), 1.0)
-    return de.mul(params.sf2(), de.elementwise("exp", de.elementwise("affine", d2, a=-0.5)))
+    same = X2 is X
+    r = 1.0 / ls.value
+    # two buffers even when X2 is X: numpy multiplies X X^T by another BLAS
+    # routine than X X2^T, and the kernel's rounding should not depend on it
+    Xs, Xs2 = X.value * r, X2.value * r
+    n1 = np.sum(Xs * Xs, axis=1, keepdims=True)                        # N x 1
+    n2 = n1 if same else np.sum(Xs2 * Xs2, axis=1, keepdims=True)      # N' x 1
+    d2 = n1 - 2.0 * (Xs @ Xs2.T)
+    d2 += n2.T
+    neg = _clamp_sqdist(d2)
+    K = sf2.value * np.exp(-0.5 * d2)
+    del d2
+
+    @de.shared_cotangent
+    def back(g):    # cotangents of sf2 and of the scaled inputs
+        g_sf2, P = _se_cotangent(g, K, neg, sf2.value)
+        gXs = 2.0 * (P.sum(axis=1)[:, None] * Xs - P @ Xs2)
+        gXs2 = 2.0 * (P.sum(axis=0)[:, None] * Xs2 - P.T @ Xs)
+        return g_sf2, (gXs + gXs2,) if same else (gXs, gXs2)
+
+    def g_ls(g):
+        gs = back(g)[1]
+        g_r = sum(de._unbroadcast(gx * x.value, r.shape) for gx, x in zip(gs, (X, X2)))
+        return g_r * (-r * r)
+
+    parents = [(sf2, lambda g: back(g)[0]), (ls, g_ls),
+               (X, lambda g: back(g)[1][0] * r)]
+    if not same:
+        parents.append((X2, lambda g: back(g)[1][1] * r))
+    return de.lift(K, parents, "se_kernel")
 
 
 def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
@@ -72,22 +110,45 @@ def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
     there are no explicit feature coordinates to weight separately.
     """
     G = as_tensor(G)
-    diag = de.reshape(de.diag_part(G), (G.value.shape[0], 1))
-    sf2, l2 = _gram_se_params(params)
-    return _se_sqdist(sf2, l2, _sqdist(diag, G, de.transpose(diag), nu))
+    diag = de.diag_part(G)
+    return _se_gram(diag, G, diag, nu, *_gram_se_params(params))
 
 
 def _gram_se_params(params: KernelParams):
-    """(sf2, l^2) of an SE kernel on Gram matrices."""
+    """(sf2, lengthscale) of an SE kernel on Gram matrices."""
     ls = params.lengthscales()
     if ls.value.ndim and ls.value.size > 1:
         raise ValueError("se_from_gram requires a single shared lengthscale")
-    return params.sf2(), de.elementwise("square", ls)
+    return params.sf2(), ls
 
 
-def _se_sqdist(sf2, l2, d2) -> DiffTensor:
-    """sf2 * exp(-0.5 d2 / l^2)."""
-    return de.mul(sf2, de.elementwise("exp", de.elementwise("affine", de.div(d2, l2), a=-0.5)))
+def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
+    """sf2 * exp(-0.5 d2 / l^2) with d2_ij = scale (rows_i - 2 cross_ij +
+    cols_j), from a Gram block `cross` and the Gram diagonals `rows` and
+    `cols` (vectors), in one tape node. Rounding negatives of d2 are clamped
+    to zero; larger ones raise."""
+    rows, cross, cols = as_tensor(rows), as_tensor(cross), as_tensor(cols)
+    d2 = rows.value[:, None] - 2.0 * cross.value
+    d2 += cols.value[None, :]
+    if scale != 1.0:
+        d2 *= float(scale)
+    neg = _clamp_sqdist(d2)
+    inv_l2 = 1.0 / (ls.value * ls.value)
+    d2 *= inv_l2
+    K = sf2.value * np.exp(-0.5 * d2)
+
+    @de.shared_cotangent
+    def back(g):    # cotangents of sf2, of d2 / l^2 and of d2 (times scale)
+        g_sf2, Q = _se_cotangent(g, K, neg, sf2.value)
+        return g_sf2, Q, Q * (float(scale) * inv_l2)
+
+    return de.lift(K, [
+        (sf2, lambda g: back(g)[0]),
+        (ls, lambda g: de._unbroadcast(-2.0 * np.sum(back(g)[1] * d2) / ls.value, ls.value.shape)),
+        (rows, lambda g: back(g)[2].sum(axis=1)),
+        (cross, lambda g: -2.0 * back(g)[2]),
+        (cols, lambda g: back(g)[2].sum(axis=0)),
+    ], "se_kernel")
 
 
 def _se_kdiag(params: KernelParams, sf2, n: int) -> DiffTensor:

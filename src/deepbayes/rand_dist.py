@@ -15,10 +15,11 @@ from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor, lift
 
 __all__ = [
-    "RngStream", "BartlettFactor", "MatrixNormalParams",
+    "RngStream", "BartlettFactor", "MatrixNormalParams", "GWishParts",
     "gaussian_sample", "matrix_normal_sample", "gamma_sample_reparam",
     "wishart_log_density", "inverse_wishart_log_density", "bartlett_sample",
-    "jacobian_logdets", "gwish_sample_and_logpdf", "gaussian_conditional",
+    "jacobian_logdets", "gwish_prepare", "gwish_scale", "gwish_sample_and_logpdf",
+    "gaussian_conditional",
     "conditional_sample", "matrix_normal_conditional",
     "kl_divergences", "mvn_log_density", "normal_log_density", "lgamma",
     "lu_packed_matrix", "lu_packed_logdet",
@@ -124,14 +125,15 @@ def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
     logpdf = (av - 1.0) * np.log(x) - x - spec.gammaln(av)
     dg_da = -dF_da / np.exp(logpdf)
     return lift(z, [(beta, lambda gr: de._unbroadcast(gr * (-z / bv), bv.shape)),
-                    (alpha, lambda gr: de._unbroadcast(gr * dg_da / bv, av.shape))])
+                    (alpha, lambda gr: de._unbroadcast(gr * dg_da / bv, av.shape))],
+                "gamma_sample")
 
 
 # -- scalar special functions as diff ops --------------------------------------
 
 def lgamma(x) -> DiffTensor:
     x = as_tensor(x)
-    return lift(spec.gammaln(x.value), [(x, lambda g: g * spec.digamma(x.value))])
+    return lift(spec.gammaln(x.value), [(x, lambda g: g * spec.digamma(x.value))], "lgamma")
 
 
 def _multigammaln(a: float, d: int) -> float:
@@ -141,13 +143,25 @@ def _multigammaln(a: float, d: int) -> float:
 # -- Gaussian log densities ----------------------------------------------------
 
 def normal_log_density(x, mean, var) -> DiffTensor:
-    """Elementwise univariate normal log pdf; returns the elementwise tensor."""
+    """Univariate normal log pdf summed over the broadcast elements of x,
+    mean and var (var > 0), in one tape node."""
     x, mean, var = as_tensor(x), as_tensor(mean), as_tensor(var)
-    diff = de.sub(x, mean)
-    quad = de.div(de.elementwise("square", diff), var)
-    return de.elementwise("affine",
-                          de.add(de.elementwise("log", var), quad),
-                          a=-0.5, b=-0.5 * LOG2PI)
+    v = var.value
+    if np.any(v <= 0):
+        raise ValueError("log domain violation: non-positive variance")
+    d = x.value - mean.value
+    r = 1.0 / v
+    val = np.sum(-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI))
+
+    @de.shared_cotangent
+    def dr(g):      # cotangent of the mean
+        return g * d * r
+
+    return lift(val, [
+        (x, lambda g: de._unbroadcast(-dr(g), x.value.shape)),
+        (mean, lambda g: de._unbroadcast(dr(g), mean.value.shape)),
+        (var, lambda g: de._unbroadcast(0.5 * (dr(g) * d * r - g * r), v.shape)),
+    ], "normal_log_density")
 
 
 def mvn_log_density(y, mean, cov=None, chol=None) -> DiffTensor:
@@ -159,8 +173,8 @@ def mvn_log_density(y, mean, cov=None, chol=None) -> DiffTensor:
     diff = de.sub(y, mean)
     w = de.triangular_solve(L, diff)
     quad = de.tsum(de.elementwise("square", w))
-    logdet = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(L))), a=2.0)
-    return de.elementwise("affine", de.add(quad, logdet), a=-0.5, b=-0.5 * n * LOG2PI)
+    return de.elementwise("affine", de.add(quad, de.log_diag_sum(L, 2.0)),
+                          a=-0.5, b=-0.5 * n * LOG2PI)
 
 
 # -- Wishart / inverse-Wishart densities ----------------------------------------
@@ -188,28 +202,35 @@ def wishart_log_density(G, Sigma, nu) -> DiffTensor:
     rows = de.getitem(G, slice(0, n))                     # G[:n] = G[:, :n]^T
     C = de.cholesky_factor(de.getitem(rows, (slice(None), slice(0, n))))
     F = de.transpose(de.triangular_solve(C, rows))        # F F^T = G
-    ld_block = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(C))), a=2.0)
-    return _wishart_log_density_root(F, de.cholesky_factor(Sigma), nu, ld_block)
+    return _wishart_log_density_root(F, de.cholesky_factor(Sigma), nu, de.log_diag_sum(C, 2.0))
 
 
 def _wishart_log_density_root(F, Ls, nu, ld_block) -> DiffTensor:
     """wishart_log_density at G = F F^T from its N x rank root F, the lower
     Cholesky factor Ls of the scale and the log-determinant ld_block of G's
-    leading rank x rank block; tr(Sigma^{-1} G) = |Ls^{-1} F|^2."""
-    F, Ls = as_tensor(F), as_tensor(Ls)
+    leading rank x rank block; tr(Sigma^{-1} G) = |Ls^{-1} F|^2. One tape
+    node after the triangular solve."""
+    F, Ls, ld_block = as_tensor(F), as_tensor(Ls), as_tensor(ld_block)
     N, ntilde = F.value.shape
     nu = float(nu)
     const = (0.5 * nu * (ntilde - N) * np.log(np.pi)
              - 0.5 * nu * N * np.log(2.0)
              - _multigammaln(0.5 * nu, ntilde))
-    tr = de.tsum(de.elementwise("square", de.triangular_solve(Ls, F)))
-    out = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(Ls))),
-                         a=-nu, b=const)
-    out = de.add(out, de.elementwise("affine", ld_block, a=0.5 * (nu - N - 1)))
-    out = de.add(out, de.elementwise("affine", tr, a=-0.5))
-    if not np.isfinite(out.value):
-        raise ValueError("wishart_log_density: non-finite result")
-    return out
+    Z = de.triangular_solve(Ls, F)
+    d = np.diagonal(Ls.value)
+    if np.any(d <= 0):
+        raise ValueError("log domain violation: non-positive diagonal")
+    c_ld = 0.5 * (nu - N - 1)
+    val = ((-nu * np.sum(np.log(d)) + const) + c_ld * ld_block.value
+           + (-0.5 * np.sum(Z.value * Z.value)))
+
+    def g_ls(g):
+        out = np.zeros_like(Ls.value)
+        out[np.diag_indices(N)] = -nu * g / d
+        return out
+
+    return lift(val, [(Z, lambda g: -g * Z.value), (Ls, g_ls),
+                      (ld_block, lambda g: c_ld * g)], "wishart_log_density")
 
 
 def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
@@ -222,7 +243,7 @@ def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
     const = -0.5 * nu * N * np.log(2.0) - _multigammaln(0.5 * nu, N)
     ld_sigma = de.logdet_psd(Sigma)
     Lg = de.cholesky_factor(G)
-    ld_g = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(Lg))), a=2.0)
+    ld_g = de.log_diag_sum(Lg, 2.0)
     w = de.triangular_solve(Lg, Sigma)                    # tr(Lg^{-1} Sigma Lg^{-T})
     tr = de.tsum(de.diag_part(de.triangular_solve(Lg, de.transpose(w))))
     out = de.elementwise("affine", ld_sigma, a=0.5 * nu, b=const)
@@ -333,100 +354,172 @@ def lu_packed_logdet(P) -> DiffTensor:
 
 # -- generalized singular Wishart -----------------------------------------------
 
-def gwish_sample_and_logpdf(chol_scale, nu: int, alpha, beta, mu, sigma,
-                            rng: RngStream, A_packed=None, B=None):
-    """Sample G from the (A/AB-)generalized singular Wishart and evaluate its
-    log density at the sample.
+@dataclass
+class GWishParts:
+    """The parameter-only part of a generalized singular Wishart q, built once
+    per objective by gwish_prepare and read by every gwish_sample_and_logpdf.
 
-    chol_scale: lower Cholesky L of the scale (N x N, DiffTensor or array)
+    alpha, beta: length-ntilde gamma shapes and rates of the squared diagonal;
+    mu, sigma: N x ntilde Gaussian means and scales, read where `below` (1
+    strictly below the diagonal, else 0) is 1; A, B: the A-variant's row
+    mixing and the AB-variant's column mixing, or None; const: the
+    log-density terms that depend on these parameters alone.
+    """
+    nu: int
+    alpha: DiffTensor
+    beta: DiffTensor
+    mu: DiffTensor
+    sigma: DiffTensor
+    below: np.ndarray
+    const: DiffTensor
+    A: DiffTensor = None
+    B: DiffTensor = None
+
+    @property
+    def N(self) -> int:
+        return self.mu.value.shape[0]
+
+    @property
+    def ntilde(self) -> int:
+        return min(self.N, self.nu)
+
+
+def _bartlett_exps(N: int, ntilde: int) -> np.ndarray:
+    """N - j + 1 for j = 1..ntilde."""
+    return np.arange(N, N - ntilde, -1, dtype=np.float64)
+
+
+def gwish_prepare(nu: int, alpha, beta, mu, sigma, A_packed=None, B=None) -> GWishParts:
+    """The parameter-only part of the (A/AB-)generalized singular Wishart.
+
     alpha, beta: length-ntilde positive vectors for the squared diagonal gammas
     mu, sigma: N x ntilde arrays; only strictly-below-diagonal entries used
     A_packed: optional LU-packed N x N matrix (A-variant)
     B: optional lower-triangular ntilde x ntilde, positive diagonal (AB-variant)
+    """
+    nu = int(nu)
+    alpha, beta = as_tensor(alpha), as_tensor(beta)
+    mu, sigma = as_tensor(mu), as_tensor(sigma)
+    if np.any(alpha.value <= 0) or np.any(beta.value <= 0) or np.any(sigma.value <= 0):
+        raise ValueError("alpha, beta, sigma must be positive")
+    N = mu.value.shape[0]
+    ntilde = min(N, nu)
+    exps_top = _bartlett_exps(N, ntilde)
+    # sum_j alpha_j log beta_j - lgamma(alpha_j), the gamma normalisers
+    const = de.tsum(de.sub(de.mul(alpha, de.elementwise("log", beta)), lgamma(alpha)))
+    if B is not None:
+        B = as_tensor(B)
+        if np.any(np.diag(B.value) <= 0):
+            raise ValueError("B must have positive diagonal")
+        # the Jacobian of T -> T B, and (A-variant) B's share of log|C block|
+        w = -2.0 * exps_top - ((nu - N - 1) if A_packed is not None else 0.0)
+        const = de.add(const, de.log_diag_sum(B, w))
+    A = None
+    if A_packed is not None:
+        A = lu_packed_matrix(A_packed)
+        const = de.sub(const, de.elementwise("affine", lu_packed_logdet(A_packed), a=float(nu)))
+    return GWishParts(nu=nu, alpha=alpha, beta=beta, mu=mu, sigma=sigma,
+                      below=np.tril(np.ones((N, ntilde)), k=-1), const=const, A=A, B=B)
+
+
+def gwish_scale(chol_scale, nu: int):
+    """(L, its part of log q) for gwish_sample_and_logpdf, with L the lower
+    Cholesky factor of the scale: -sum_i min(i, nu) log L_ii -
+    sum_{j <= ntilde} (N - j + 1) log L_jj, the Jacobian of T -> L T and
+    of the leading block of G."""
+    L = as_tensor(chol_scale)
+    N, nu = L.value.shape[0], int(nu)
+    if np.any(np.diag(L.value) <= 0):
+        raise ValueError("chol_scale must have positive diagonal")
+    ntilde = min(N, nu)
+    w = np.minimum(np.arange(1, N + 1), nu).astype(np.float64)
+    w[:ntilde] += _bartlett_exps(N, ntilde)
+    return L, de.log_diag_sum(L, -w)
+
+
+def _bartlett_root(q: GWishParts, tsq, xi) -> DiffTensor:
+    """The generalized Bartlett factor T (N x ntilde, one tape node): sqrt(tsq)
+    on the diagonal and mu + sigma xi strictly below it."""
+    ntilde, below = q.ntilde, q.below
+    tdiag = np.sqrt(tsq.value)
+    T = (q.mu.value + q.sigma.value * xi) * below
+    T[np.arange(ntilde), np.arange(ntilde)] += tdiag
+    return lift(T, [(tsq, lambda g: np.diagonal(g)[:ntilde] * (0.5 / tdiag)),
+                    (q.mu, lambda g: g * below),
+                    (q.sigma, lambda g: g * below * xi)], "bartlett_root")
+
+
+def _bartlett_logq(q: GWishParts, tsq, T, scale_logq, db) -> DiffTensor:
+    """log q of the generalized Bartlett factor T with squared diagonal tsq,
+    in one tape node: the gamma densities of tsq, the Gaussians below the
+    diagonal and the Jacobian terms in T's diagonal, plus the scale's and the
+    parameters' parts; A-variant: 0.5 (nu - N - 1) db with db the log-det of
+    the leading block of (A T B)(A T B)^T."""
+    N, ntilde, nu, below = q.N, q.ntilde, q.nu, q.below
+    ts, am1, beta = tsq.value, q.alpha.value - 1.0, q.beta.value
+    c_db = 0.5 * (nu - N - 1)
+    # coefficient of log T_jj = 0.5 log tsq_j: T_jj^{N-j}, and the A-variant's
+    # log|C block| = 2 sum log T_jj (+ B's, in q.const)
+    w_t = _bartlett_exps(N, ntilde) - 1.0 + (2.0 * c_db if db is not None else 0.0)
+    lt = np.log(ts)
+    d = (T.value - q.mu.value) * below
+    sg = q.sigma.value
+    v = sg * sg
+    r = 1.0 / v
+    val = (np.sum(am1 * lt - beta * ts) - np.sum(w_t * (0.5 * lt))
+           + np.sum(below * (-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI)))
+           + q.const.value + scale_logq.value)
+    parents = [
+        (tsq, lambda g: g * (am1 / ts - beta - 0.5 * w_t / ts)),
+        (q.alpha, lambda g: g * lt),
+        (q.beta, lambda g: -g * ts),
+        (T, lambda g: -g * d * r),
+        (q.mu, lambda g: g * d * r),
+        (q.sigma, lambda g: g * below * (d * d * r - 1.0) / sg),
+        (q.const, lambda g: g),
+        (scale_logq, lambda g: g),
+    ]
+    if db is not None:
+        val += c_db * db.value
+        parents.append((db, lambda g: c_db * g))
+    return lift(val, parents, "gwish_logq")
+
+
+def gwish_sample_and_logpdf(scale, q: GWishParts, rng: RngStream):
+    """Sample G from the (A/AB-)generalized singular Wishart over the scale
+    (L, scale_logq) = gwish_scale(L, nu), with parameters q = gwish_prepare(...),
+    and evaluate its log density at the sample.
 
     Returns (G, log_density, feat, ld_block): feat is the retained root with
     feat feat^T = G (the imagined features of the inducing block), and
     ld_block the log-determinant of G's leading ntilde x ntilde block, from
     the diagonals the density forms (A-variant: and its one factorised block).
     """
-    L = as_tensor(chol_scale)
-    N = L.value.shape[0]
-    nu = int(nu)
-    ntilde = min(N, nu)
-    alpha, beta = as_tensor(alpha), as_tensor(beta)
-    mu, sigma = as_tensor(mu), as_tensor(sigma)
-    if np.any(alpha.value <= 0) or np.any(beta.value <= 0) or np.any(sigma.value <= 0):
-        raise ValueError("alpha, beta, sigma must be positive")
+    L, scale_logq = scale
+    N, ntilde = q.N, q.ntilde
+    if L.value.shape[0] != N:
+        raise ValueError("scale and parameter shapes differ")
 
     # sample the generalized Bartlett factor
-    tsq = gamma_sample_reparam(alpha, beta, rng)           # length ntilde
-    tdiag = de.elementwise("sqrt", tsq)
-    xi = as_tensor(rng.normal((N, ntilde)))
-    off = de.add(mu, de.mul(sigma, xi))
-    below = np.zeros((N, ntilde))
-    r, c = np.tril_indices(N, k=-1)
-    keep = c < ntilde
-    below[r[keep], c[keep]] = 1.0
-    T = de.mul(off, as_tensor(below))
-    T = de.add(T, de.matmul(as_tensor(np.eye(N, ntilde)), de.diag_embed(tdiag)))
+    tsq = gamma_sample_reparam(q.alpha, q.beta, rng)           # length ntilde
+    T = _bartlett_root(q, tsq, rng.normal((N, ntilde)))
 
     # assemble the root A T B and the Gram sample
-    feat = T
-    if B is not None:
-        B = as_tensor(B)
-        if np.any(np.diag(B.value) <= 0):
-            raise ValueError("B must have positive diagonal")
-        feat = de.matmul(feat, B)
-    if A_packed is not None:
-        A = lu_packed_matrix(A_packed)
-        feat = de.matmul(A, feat)
-    ATB = feat
-    feat = de.matmul(L, feat)
+    ATB = T if q.B is None else de.matmul(T, q.B)
+    if q.A is not None:
+        ATB = de.matmul(q.A, ATB)
+    feat = de.matmul(L, ATB)
     G = de.matmul(feat, de.transpose(feat))
 
-    # log density at the sample
-    ldiag = de.diag_part(L)
-    if np.any(ldiag.value <= 0):
-        raise ValueError("chol_scale must have positive diagonal")
-    exps_all = np.minimum(np.arange(1, N + 1), nu).astype(np.float64)
-    exps_top = np.arange(N, N - ntilde, -1, dtype=np.float64)  # N-j+1, j=1..ntilde
-    log_ld = de.elementwise("log", ldiag)
-    logq = de.neg(de.tsum(de.mul(log_ld, as_tensor(exps_all))))
-    top = de.getitem(log_ld, slice(0, ntilde))
-    logq = de.sub(logq, de.tsum(de.mul(top, as_tensor(exps_top))))
-
-    # gamma terms on the squared diagonal
-    gam = de.add(
-        de.sub(de.mul(alpha, de.elementwise("log", beta)), lgamma(alpha)),
-        de.sub(de.mul(de.sub(alpha, as_tensor(np.ones(ntilde))), de.elementwise("log", tsq)),
-               de.mul(beta, tsq)))
-    logq = de.add(logq, de.tsum(gam))
-    log_t = de.elementwise("log", tdiag)
-    logq = de.sub(logq, de.tsum(de.mul(log_t, as_tensor(exps_top - 1.0))))  # T_jj^{N-j}
-
-    # Gaussian terms below the diagonal
-    var = de.elementwise("square", sigma)
-    norm_terms = normal_log_density(de.mul(T, as_tensor(below)),
-                                    de.mul(mu, as_tensor(below)), var)
-    logq = de.add(logq, de.tsum(de.mul(norm_terms, as_tensor(below))))
-
-    if B is not None:
-        log_b = de.elementwise("log", de.diag_part(B))
-        logq = de.sub(logq, de.tsum(de.mul(log_b, as_tensor(2.0 * exps_top))))
-    if A_packed is None:    # the root L T B is lower-trapezoidal: 2 sum log of its diagonal
-        ld_block = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(feat))),
-                                  a=2.0)
-    else:   # leading blocks of D = (A T B)(A T B)^T, and of (T B)(T B)^T from diagonals
-        S = de.getitem(ATB, slice(0, ntilde))
-        db = de.logdet_psd(de.matmul(S, de.transpose(S)))
-        half_cb = de.tsum(log_t) if B is None else de.add(de.tsum(log_t), de.tsum(log_b))
-        logq = de.add(logq, de.elementwise(
-            "affine", de.sub(db, de.elementwise("affine", half_cb, a=2.0)), a=0.5 * (nu - N - 1)))
-        logq = de.sub(logq, de.elementwise("affine", lu_packed_logdet(A_packed), a=float(nu)))
-        ld_block = de.add(db, de.elementwise("affine", de.tsum(top), a=2.0))
-    if not np.isfinite(logq.value):
-        raise ValueError("gwish log density non-finite")
-    return G, logq, feat, ld_block
+    if q.A is None:     # the root L T B is lower-trapezoidal: 2 sum log of its diagonal
+        return G, _bartlett_logq(q, tsq, T, scale_logq, None), feat, de.log_diag_sum(feat, 2.0)
+    # leading blocks of D = (A T B)(A T B)^T, and of (T B)(T B)^T from diagonals
+    S = de.getitem(ATB, slice(0, ntilde))
+    db = de.logdet_psd(de.matmul(S, de.transpose(S)))
+    top = np.zeros(N)
+    top[:ntilde] = 2.0
+    return (G, _bartlett_logq(q, tsq, T, scale_logq, db), feat,
+            de.add(db, de.log_diag_sum(L, top)))
 
 
 # -- Gaussian conditioning --------------------------------------------------------
@@ -440,21 +533,30 @@ def gaussian_conditional(L, K_uf, k_ff):
     mean is W^T w_u with w_u = L^{-1} u.
     """
     W = de.triangular_solve(L, K_uf)
-    return W, de.sub(k_ff, de.tsum(de.elementwise("square", W), axis=0))
+    k_ff = as_tensor(k_ff)
+    var = lift(k_ff.value - np.sum(W.value * W.value, axis=0), [
+        (k_ff, lambda g: de._unbroadcast(g, k_ff.value.shape)),
+        (W, lambda g: -2.0 * W.value * g)], "conditional_variance")
+    return W, var
 
 
 def conditional_sample(mean, var, rng: RngStream) -> DiffTensor:
     """mean + sqrt(max(var, 0) + 1e-12) xi, with xi ~ N(0, I) shaped like
-    mean and one variance per row of mean."""
+    mean and one variance per row of mean; one tape node."""
     mean, var = as_tensor(mean), as_tensor(var)
-    n = var.value.shape[0]
-    var = de.add(de.mul(var, as_tensor((var.value > 0).astype(np.float64))),
-                 as_tensor(np.full(n, 1e-12)))
-    xi = as_tensor(rng.normal(mean.value.shape))
-    std = de.elementwise("sqrt", var)
-    if mean.value.ndim == 2:
-        std = de.reshape(std, (n, 1))
-    return de.add(mean, de.mul(std, xi))
+    pos = var.value > 0
+    std = np.sqrt(var.value * pos + 1e-12)
+    xi = rng.normal(mean.value.shape)
+    rows = std[:, None] if mean.value.ndim == 2 else std
+
+    def g_var(g):
+        gs = g * xi
+        if gs.ndim == 2:
+            gs = gs.sum(axis=1)
+        return gs * (0.5 / std) * pos
+
+    return lift(mean.value + rows * xi, [(mean, lambda g: g), (var, g_var)],
+                "conditional_sample")
 
 
 def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i) -> MatrixNormalParams:
@@ -497,7 +599,8 @@ def kl_divergences(variant: str, q, p) -> DiffTensor:
         if np.any(aq.value <= 0) or np.any(bq.value <= 0) or \
            np.any(ap.value <= 0) or np.any(bp.value <= 0):
             raise ValueError("gamma parameters must be positive")
-        dig = lift(spec.digamma(aq.value), [(aq, lambda g: g * spec.polygamma(1, aq.value))])
+        dig = lift(spec.digamma(aq.value), [(aq, lambda g: g * spec.polygamma(1, aq.value))],
+                   "digamma")
         out = de.mul(de.sub(aq, ap), dig)
         out = de.add(out, de.sub(lgamma(ap), lgamma(aq)))
         out = de.add(out, de.mul(ap, de.sub(de.elementwise("log", bq),
@@ -514,7 +617,6 @@ def _kl_gaussian_chol(mq, Lq, mp, Lp) -> DiffTensor:
     mq, Lq, mp, Lp = map(as_tensor, (mq, Lq, mp, Lp))
     tr = de.tsum(de.elementwise("square", de.triangular_solve(Lp, Lq)))
     quad = de.tsum(de.elementwise("square", de.triangular_solve(Lp, de.sub(mp, mq))))
-    ld = de.sub(de.tsum(de.elementwise("log", de.diag_part(Lp))),
-                de.tsum(de.elementwise("log", de.diag_part(Lq))))
+    ld = de.sub(de.log_diag_sum(Lp), de.log_diag_sum(Lq))
     return de.add(de.elementwise("affine", de.add(tr, quad), a=0.5,
                                  b=-0.5 * mq.value.shape[0]), ld)

@@ -281,8 +281,9 @@ def test_criterion_05_generalized_wishart_reduction():
     nt = min(N, nu)
     worst = 0.0
     for seed in range(20):
-        G, logq, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
-                                                rd.RngStream(500 + seed))
+        G, logq, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(L, nu),
+                                                   rd.gwish_prepare(nu, a, b, mu, sg),
+                                                   rd.RngStream(500 + seed))
         worst = max(worst, abs(float(logq.value)
                                - float(rd.wishart_log_density(G.value, S, nu).value)))
     assert worst < 1e-8
@@ -290,14 +291,15 @@ def test_criterion_05_generalized_wishart_reduction():
     # A = I and A = I, B = I reduce to the base sampler exactly under shared draws
     worst_nest = 0.0
     for seed in range(5):
-        G0, lq0, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
-                                                rd.RngStream(900 + seed))
-        Ga, lqa, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
-                                                rd.RngStream(900 + seed),
-                                                A_packed=np.eye(N))
-        Gab, lqab, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
-                                                  rd.RngStream(900 + seed),
-                                                  A_packed=np.eye(N), B=np.eye(nt))
+        G0, lq0, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(L, nu),
+                                                   rd.gwish_prepare(nu, a, b, mu, sg),
+                                                   rd.RngStream(900 + seed))
+        Ga, lqa, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(L, nu),
+                                                   rd.gwish_prepare(nu, a, b, mu, sg, A_packed=np.eye(N)),
+                                                   rd.RngStream(900 + seed))
+        Gab, lqab, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(L, nu),
+                                                     rd.gwish_prepare(nu, a, b, mu, sg, A_packed=np.eye(N), B=np.eye(nt)),
+                                                     rd.RngStream(900 + seed))
         worst_nest = max(worst_nest,
                          np.max(np.abs(G0.value - Ga.value)),
                          np.max(np.abs(G0.value - Gab.value)),
@@ -417,7 +419,7 @@ def test_criterion_08_optimal_last_layer_matches_exact_posterior():
 
         layer = dm.GiBnnLayer(V=y[:, None].copy(),
                               log_lambda=np.full(M, -2.0 * np.log(sigma)),
-                              prior=dm.PriorSpec("standard"), width=1)
+                              prior=dm.PriorSpec("standard"))
         mean, Ls = dm.gi_bnn_layer_moments(as_tensor(feats), layer)
 
         m, S, _, _ = gm.blr_fit_predict_lml(gm.BlrState(alpha=1.0, sigma=sigma),
@@ -660,8 +662,7 @@ def test_criterion_15_dwp_elbo_rotation_invariance():
             log_beta=np.log(b), mu=mu, log_sigma=np.log(sg),
             variant="base"))
         kps.append(KernelParams(log_sf2=0.1, log_lengthscales=0.2))
-    final = dm.GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M),
-                          width=1)
+    final = dm.GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
     state = dw.DwpState(inducing_inputs=Xi, layers=layers, kernel_params=kps,
                         final_layer=final, final_kernel=KernelParams(),
                         log_noise=np.log(0.3), nu0=nu0)

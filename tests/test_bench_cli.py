@@ -222,13 +222,13 @@ def test_factorisations_per_objective(monkeypatch):
 # prior density from the sampled root; at 60 digits their density error is
 # 1e-6, against 6e-3 for the G-based form they replaced.
 PINNED_OBJECTIVES = {
-    "bnn-gi": (-298.66930508623346, 321),
-    "bnn-fac": (-438.715464014261, 267),
-    "dgp-gi": (-106.72853915930291, 433),
-    "dgp-dsvi": (-35060584640.05116, 342),
-    "dwp": (-42452183.677866824, 962),
-    "dwp-a": (-42452183.677866824, 1084),
-    "dwp-ab": (-42452183.677866824, 1164),
+    "bnn-gi": (-298.66930508623346, 273),
+    "bnn-fac": (-438.715464014261, 138),
+    "dgp-gi": (-106.72853915930291, 220),
+    "dgp-dsvi": (-35060584640.05116, 179),
+    "dwp": (-42452183.677866824, 370),
+    "dwp-a": (-42452183.677866824, 430),
+    "dwp-ab": (-42452183.677866824, 452),
 }
 
 

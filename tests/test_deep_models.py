@@ -65,7 +65,7 @@ def test_gi_layer_vanishing_precision_recovers_prior():
     rng = np.random.default_rng(0)
     psi_U = rng.standard_normal((4, 3))
     layer = GiBnnLayer(V=rng.standard_normal((4, 2)),
-                       log_lambda=np.full(4, -40.0), width=2)
+                       log_lambda=np.full(4, -40.0))
     _, inc, _ = gi_bnn_layer_sample(psi_U, layer, rd.RngStream(3))
     assert abs(inc.value) < 1e-10
 
@@ -78,7 +78,7 @@ def test_gi_layer_posterior_matches_ridge_regression():
     psi_U = rng.standard_normal((M, d))
     V = rng.standard_normal((M, 1))
     log_lam = rng.standard_normal(M) * 0.5
-    layer = GiBnnLayer(V=V, log_lambda=log_lam, prior=PriorSpec("neal"), width=1)
+    layer = GiBnnLayer(V=V, log_lambda=log_lam, prior=PriorSpec("neal"))
     lam = np.exp(log_lam)
     prec = d * np.eye(d) + psi_U.T @ (lam[:, None] * psi_U)
     S_ref = np.linalg.inv(prec)
@@ -97,7 +97,7 @@ def test_gi_layer_posterior_matches_ridge_regression():
 def test_gi_layer_propagates_inducing_outputs():
     rng = np.random.default_rng(2)
     psi_U = rng.standard_normal((4, 3))
-    layer = GiBnnLayer(V=rng.standard_normal((4, 2)), log_lambda=np.zeros(4), width=2)
+    layer = GiBnnLayer(V=rng.standard_normal((4, 2)), log_lambda=np.zeros(4))
     W, _, U_next = gi_bnn_layer_sample(psi_U, layer, rd.RngStream(0))
     assert np.allclose(U_next.value, psi_U @ W.value)
 
@@ -108,7 +108,7 @@ def test_fac_layer_matched_to_prior_has_zero_increment():
     prior = PriorSpec("neal")
     layer = FacBnnLayer(mean_scaled=np.zeros((d, width)),
                         log_std=np.full((d, width), -0.5 * np.log(d)),
-                        scale=1.0, prior=prior, width=width)
+                        scale=1.0, prior=prior)
     _, inc = fac_bnn_layer_sample(layer, d, rd.RngStream(5))
     assert abs(inc.value) < 1e-12
 
@@ -140,7 +140,7 @@ def test_bnn_elbo_matched_factorised_posterior_equals_prior_expectation():
     d0 = 3  # 2 inputs + bias
     layer = FacBnnLayer(mean_scaled=np.zeros((d0, 1)),
                         log_std=np.full((d0, 1), -0.5 * np.log(d0)),
-                        prior=prior, width=1)
+                        prior=prior)
     e1 = bnn_elbo([layer], X, y, total_n=6, n_samples=4, rng=rd.RngStream(7),
                   log_noise=0.0)
     # the value is the average prior-sample log likelihood: each term is the
@@ -163,8 +163,7 @@ def test_bnn_elbo_minibatch_partition_recovers_full_batch_data_term():
     X = rng.standard_normal((8, 1))
     y = rng.standard_normal(8)
     layer = FacBnnLayer(mean_scaled=rng.standard_normal((2, 1)) * 0.3,
-                        log_std=np.full((2, 1), -1.0), prior=PriorSpec("neal"),
-                        width=1)
+                        log_std=np.full((2, 1), -1.0), prior=PriorSpec("neal"))
     # same weight draw via the same seed: scaled batch terms average to the full
     full = bnn_elbo([layer], X, y, total_n=8, n_samples=1, rng=rd.RngStream(9))
     parts = [bnn_elbo([layer], X[i:i + 4], y[i:i + 4], total_n=8,
@@ -173,7 +172,7 @@ def test_bnn_elbo_minibatch_partition_recovers_full_batch_data_term():
 
 
 def test_bnn_elbo_gi_requires_inducing_inputs():
-    layer = GiBnnLayer(V=np.zeros((3, 1)), log_lambda=np.zeros(3), width=1)
+    layer = GiBnnLayer(V=np.zeros((3, 1)), log_lambda=np.zeros(3))
     with pytest.raises(ValueError):
         bnn_elbo([layer], np.zeros((2, 1)), np.zeros(2), total_n=2,
                  n_samples=1, rng=rd.RngStream(0))
@@ -188,7 +187,7 @@ def test_bnn_elbo_stays_below_analytic_lml_linear_model():
     d0 = 2  # input + bias
     prior = PriorSpec("neal")
     layer = FacBnnLayer(mean_scaled=rng.standard_normal((d0, 1)) * 0.2,
-                        log_std=np.full((d0, 1), -1.2), prior=prior, width=1)
+                        log_std=np.full((d0, 1), -1.2), prior=prior)
     vals = [bnn_elbo([layer], X, y, total_n=10, n_samples=1,
                      rng=rd.RngStream(1000 + k), log_noise=np.log(0.25)).value
             for k in range(300)]
@@ -207,9 +206,9 @@ def test_bnn_elbo_gradients():
     U0 = rng.standard_normal((3, 1))
     def fn(ps):
         layers = [GiBnnLayer(V=ps["V0"], log_lambda=ps["ll0"],
-                             prior=PriorSpec("neal"), width=2),
+                             prior=PriorSpec("neal")),
                   GiBnnLayer(V=ps["V1"], log_lambda=ps["ll1"],
-                             prior=PriorSpec("neal"), width=1)]
+                             prior=PriorSpec("neal"))]
         return bnn_elbo(layers, X, y, total_n=5, n_samples=2,
                         rng=rd.RngStream(11), inducing_inputs=ps["U0"],
                         log_noise=ps["ln"])
@@ -230,7 +229,7 @@ def test_gi_linear_last_layer_on_fixed_features_is_blr():
     V = rng.standard_normal((M, 1))
     noise = 0.3
     layer = GiBnnLayer(V=V, log_lambda=np.full(M, -np.log(noise)),
-                       prior=PriorSpec("neal"), width=1, bias=False)
+                       prior=PriorSpec("neal"), bias=False)
     draws = np.stack([gi_bnn_layer_sample(psi_U, layer, rd.RngStream(s))[0].value[:, 0]
                       for s in range(4000)])
     prec = d * np.eye(d) + psi_U.T @ psi_U / noise
@@ -247,7 +246,7 @@ def test_gi_dgp_vanishing_precision_recovers_prior():
     U_prev = rng.standard_normal((5, 1))
     F_prev = rng.standard_normal((4, 1))
     layer = GiDgpLayer(V=rng.standard_normal((5, 1)), log_lambda=np.full(5, -40.0),
-                       kernel_params=KernelParams(), width=1)
+                       kernel_params=KernelParams())
     _, _, inc = gi_dgp_layer_sample(gi_dgp_layer_prepare(F_prev, U_prev, layer),
                                     rd.RngStream(2))
     assert abs(inc.value) < 1e-10
@@ -258,7 +257,7 @@ def test_gi_dgp_large_precision_pins_inducing_outputs():
     U_prev = rng.standard_normal((5, 1))
     V = rng.standard_normal((5, 1))
     layer = GiDgpLayer(V=V, log_lambda=np.full(5, 30.0),
-                       kernel_params=KernelParams(), width=1)
+                       kernel_params=KernelParams())
     U, _, _ = gi_dgp_layer_sample(
         gi_dgp_layer_prepare(rng.standard_normal((3, 1)), U_prev, layer), rd.RngStream(3))
     assert np.max(np.abs(U.value - V)) < 1e-5
@@ -269,7 +268,7 @@ def test_gi_dgp_identity_mean_function():
     U_prev = rng.standard_normal((4, 1))
     F_prev = rng.standard_normal((3, 1))
     layer = GiDgpLayer(V=np.zeros((4, 1)), log_lambda=np.full(4, 30.0),
-                       kernel_params=KernelParams(), width=1,
+                       kernel_params=KernelParams(),
                        mean_function="identity")
     U, F, _ = gi_dgp_layer_sample(gi_dgp_layer_prepare(F_prev, U_prev, layer),
                                   rd.RngStream(4))
@@ -285,7 +284,7 @@ def test_gi_dgp_batch_outputs_follow_posterior_gp_mean():
     V = np.sin(U_prev)
     F_prev = np.array([[0.3], [-1.1]])
     layer = GiDgpLayer(V=V, log_lambda=np.full(7, 30.0),
-                       kernel_params=KernelParams(), width=1)
+                       kernel_params=KernelParams())
     parts = gi_dgp_layer_prepare(F_prev, U_prev, layer)
     draws = np.stack([gi_dgp_layer_sample(parts, rd.RngStream(s))[1].value[:, 0]
                       for s in range(4000)])
@@ -300,7 +299,7 @@ def test_gi_dgp_increment_has_nonpositive_mean():
     rng = np.random.default_rng(13)
     U_prev = rng.standard_normal((4, 1))
     layer = GiDgpLayer(V=rng.standard_normal((4, 1)), log_lambda=np.zeros(4),
-                       kernel_params=KernelParams(), width=1)
+                       kernel_params=KernelParams())
     incs = np.array([gi_dgp_layer_sample(
         gi_dgp_layer_prepare(rng.standard_normal((2, 1)), U_prev, layer),
         rd.RngStream(s))[2].value for s in range(3000)])

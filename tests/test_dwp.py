@@ -5,8 +5,8 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import GiDgpLayer
 from deepbayes.dwp import (DwpState, GWishLayerPosterior, dwp_conditional_testpoints,
-                           dwp_elbo_batch, dwp_forward, dwp_mixed_scale_chol,
-                           dwp_posterior_layer, dwp_prepare, dwp_prior_layer,
+                           dwp_elbo_batch, dwp_forward, dwp_layer_prepare,
+                           dwp_mixed_scale_chol, dwp_posterior_layer, dwp_prepare, dwp_prior_layer,
                            gram_kernel_blocks, standard_bartlett_params,
                            wishart_inducing_extension)
 from deepbayes.kernels import KernelParams, se_from_gram
@@ -35,10 +35,12 @@ def _posterior(M, nu, variant="base", rng=None, q=0.1, spread=0.0):
 
 
 def _factors(G0, nu_prev, nu, layer):
-    """The factors of a posterior layer's mixed scale and of its prior scale
-    K(G0)/nu at default kernel params."""
+    """dwp_posterior_layer's arguments but the stream: the mixed scale, the
+    factor of the prior scale K(G0)/nu at default kernel params and the
+    layer's generalized-Wishart parts."""
     S = de.elementwise("affine", se_from_gram(KernelParams(), G0, nu_prev), a=1.0 / nu)
-    return dwp_mixed_scale_chol(S, layer), de.cholesky_factor(S)
+    mix, gw = dwp_layer_prepare(layer)
+    return rd.gwish_scale(dwp_mixed_scale_chol(S, mix), nu), de.cholesky_factor(S), gw
 
 
 def _testpoints(feat_i, L_ii, S_ti, s_tt, nu, rng):
@@ -141,9 +143,9 @@ def test_root_form_density_matches_wishart_log_density(variant):
         B = (np.tril(0.2 * rng.standard_normal((nu, nu)), -1) + np.diag(np.exp(
             0.2 * rng.standard_normal(nu)))) if variant == "AB" else None
         L_mix = np.linalg.cholesky(0.7 * S + 0.3 * _spd(rng, M) / M)
-        G, _, feat, ld_block = rd.gwish_sample_and_logpdf(
-            L_mix, nu, a * np.exp(0.1 * rng.standard_normal(nu)), b, mu + 0.1, sg,
-            rd.RngStream(2), A, B)
+        G, _, feat, ld_block = rd.gwish_sample_and_logpdf(rd.gwish_scale(L_mix, nu),
+                                                          rd.gwish_prepare(nu, a * np.exp(0.1 * rng.standard_normal(nu)), b, mu + 0.1, sg, A, B),
+                                                          rd.RngStream(2))
         logp = rd._wishart_log_density_root(feat, np.linalg.cholesky(S), nu, ld_block)
     ref = rd.wishart_log_density(G.value, S, nu).value
     assert abs(logp.value - ref) <= 1e-10 * abs(ref)
@@ -157,9 +159,9 @@ def test_posterior_layer_prior_reduction():
     M, nu = 4, 6
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=1e-12)
-    L_mix, L = _factors(G0, M, nu, layer)
+    factors = _factors(G0, M, nu, layer)
     for seed in range(5):
-        _, _, inc = dwp_posterior_layer(L_mix, L, layer, rd.RngStream(seed))
+        _, _, inc = dwp_posterior_layer(*factors, rd.RngStream(seed))
         assert abs(inc.value) < 1e-8, seed
 
 
@@ -172,8 +174,7 @@ def test_posterior_layer_variant_nesting_exact():
     for variant in ("base", "A", "AB"):
         layer = _posterior(M, nu, variant=variant, rng=np.random.default_rng(6),
                            spread=0.2)
-        G, feat, inc = dwp_posterior_layer(*_factors(G0, M, nu, layer), layer,
-                                           rd.RngStream(11))
+        G, feat, inc = dwp_posterior_layer(*_factors(G0, M, nu, layer), rd.RngStream(11))
         outs.append((G.value, feat.value, inc.value))
     for G, feat, inc in outs[1:]:
         assert np.allclose(G, outs[0][0], atol=1e-12)
@@ -186,8 +187,8 @@ def test_posterior_layer_increment_mean_is_negative_kl():
     M, nu = 3, 4
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=0.4, spread=0.15)
-    L_mix, L = _factors(G0, M, nu, layer)
-    incs = np.array([dwp_posterior_layer(L_mix, L, layer, rd.RngStream(s))[2].value
+    factors = _factors(G0, M, nu, layer)
+    incs = np.array([dwp_posterior_layer(*factors, rd.RngStream(s))[2].value
                      for s in range(3000)])
     # KL >= 0, so the mean increment must not be significantly positive
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
@@ -198,8 +199,7 @@ def test_posterior_layer_root_consistency():
     M, nu = 4, 2
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, spread=0.1)
-    G, feat, _ = dwp_posterior_layer(*_factors(G0, M, nu, layer), layer,
-                                     rd.RngStream(3))
+    G, feat, _ = dwp_posterior_layer(*_factors(G0, M, nu, layer), rd.RngStream(3))
     assert feat.value.shape == (M, min(M, nu))
     assert np.allclose(feat.value @ feat.value.T, G.value, atol=1e-12)
 
@@ -300,8 +300,7 @@ def _small_state(rng, M=4, nu=3, depth=1, variant="base", nu0=2):
         layers.append(_posterior(M, nu, variant=variant,
                                  rng=np.random.default_rng(0), spread=0.1))
         kps.append(KernelParams(log_sf2=0.1, log_lengthscales=0.2))
-    final = GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M),
-                       width=1)
+    final = GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
     return DwpState(inducing_inputs=Xi, layers=layers, kernel_params=kps,
                     final_layer=final, final_kernel=KernelParams(),
                     log_noise=np.log(0.3), nu0=nu0)
@@ -365,7 +364,7 @@ def test_elbo_gradients_excluding_gamma_shape():
             V=ps["V"], logit_q=ps["lq"], nu=nu,
             log_alpha=np.log(a0), log_beta=ps["lb"], mu=ps["mu"],
             log_sigma=ps["ls"], variant="AB", A_packed=ps["P"], B_packed=ps["B"])
-        final = GiDgpLayer(V=ps["Vf"], log_lambda=ps["llf"], width=1)
+        final = GiDgpLayer(V=ps["Vf"], log_lambda=ps["llf"])
         state = DwpState(inducing_inputs=ps["Xi"], layers=[layer],
                          kernel_params=[KernelParams(log_sf2=ps["lsf"],
                                                      log_lengthscales=ps["lls"])],

@@ -211,7 +211,8 @@ def test_train_loop_aborts_on_nonfinite_tensor():
     rng = np.random.default_rng(6)
     res = train_loop(_OverflowAfterModel(blow_at=3), _Dataset(rng),
                      TrainConfig(steps=20, lr=0.05, anneal_steps=0))
-    assert res["aborted"] == {"step": 3, "reason": "non-finite values in tensor "}
+    assert res["aborted"] == {"step": 3,
+                              "reason": "non-finite values in output of op 'exp'"}
     assert np.all(np.isfinite(res["params"]["w"])) and res["params"]["w"] != -2.0
 
 
