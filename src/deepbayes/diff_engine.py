@@ -117,7 +117,7 @@ def as_tensor(x) -> DiffTensor:
     return DiffTensor(x)
 
 
-def lift(value, parents, op="lift") -> DiffTensor:
+def lift(value, parents, op: str) -> DiffTensor:
     """Create a tensor from a custom op.
 
     parents: list of (tensor, vjp) pairs, vjp mapping the output cotangent to
