@@ -284,8 +284,9 @@ class SvgpModel:
 
 class _MonteCarloModel:
     """Shared objective and evaluation for models whose ELBO and predictive
-    samples both come from one per-sample
-    `forward(state, stream) -> (outputs, increment)`, where
+    samples both come from one batched
+    `forward(state, streams) -> (outputs, increment)`, sample s drawn from
+    stream s of the rand_dist.StreamBatch, where
     `state = _state(params, X)` holds the work that depends only on the
     parameters and the inputs X, the first layer's included, built once per
     objective. Evaluation uses up to 20 samples for the ELBO and up to
@@ -308,8 +309,7 @@ class _MonteCarloModel:
     def predictive_samples(self, params, X, rng, n_samples):
         """(n_samples, n) predictive draws of the first output."""
         state = self._state({k: as_tensor(v) for k, v in params.items()}, X)
-        return np.asarray([self.forward(state, st)[0].value[:, 0]
-                           for st in rng.split(n_samples)])
+        return self.forward(state, rd.StreamBatch(rng.split(n_samples)))[0].value[..., 0]
 
     def evaluate(self, params, dataset, rng, n_samples):
         n = dataset.X_train.shape[0]

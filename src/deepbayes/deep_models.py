@@ -3,6 +3,12 @@
 
 Layer parameters may be plain arrays or tracked DiffTensors; every function
 composes diff_engine ops so gradients flow when a tape is active.
+
+A forward draws all its Monte-Carlo samples at once from a
+rand_dist.StreamBatch: every sampled tensor carries a leading sample axis,
+and the sample-independent work it is combined with (prepared once per
+objective) broadcasts against it. Given one RngStream the same functions
+draw a single sample without that axis.
 """
 from __future__ import annotations
 
@@ -82,8 +88,8 @@ def _psi(F, first_layer: bool, bias: bool) -> DiffTensor:
     F = as_tensor(F)
     h = F if first_layer else de.elementwise("relu", F)
     if bias:
-        ones = np.ones((h.value.shape[0], 1))
-        h = de.concat([h, as_tensor(ones)], axis=1)
+        ones = np.ones(h.value.shape[:-1] + (1,))
+        h = de.concat([h, as_tensor(ones)], axis=-1)
     return h
 
 
@@ -98,15 +104,16 @@ def _prior_precision_scalar(prior: PriorSpec, fanin: int, s=None):
     return de.elementwise("affine", as_tensor(s), a=float(fanin))
 
 
-_REVERSE = (slice(None, None, -1), slice(None, None, -1))
+_REVERSE = (Ellipsis, slice(None, None, -1), slice(None, None, -1))
 
 
 def _inverse_chol(A) -> DiffTensor:
-    """Lower Cholesky factor of A^{-1} from one factorisation of A:
-    chol(A^{-1}) = J chol(J A J)^{-T} J, with J reversing the row and column
-    order (it maps upper-triangular matrices to lower-triangular ones)."""
+    """Lower Cholesky factor of A^{-1} (each matrix of a stack) from one
+    factorisation of A: chol(A^{-1}) = J chol(J A J)^{-T} J, with J reversing
+    the row and column order (it maps upper-triangular matrices to
+    lower-triangular ones)."""
     C = de.cholesky_factor(de.getitem(as_tensor(A), _REVERSE))
-    eye = as_tensor(np.eye(C.value.shape[0]))
+    eye = as_tensor(np.eye(C.value.shape[-1]))
     return de.getitem(de.triangular_solve(C, eye, trans=True), _REVERSE)
 
 
@@ -114,18 +121,20 @@ def _gi_posterior(L, A, log_lambda, V):
     """Global-inducing posterior of BNN weights and of GP inducing outputs.
 
     Each column x of X has the prior N(0, L L^T), with L a lower-triangular
-    root or a scalar (the root L I), and pseudo-observations V = A x + noise
-    of precisions Lambda = exp(log_lambda) (A = None means I). With
+    root or a scalar (the root L I; shaped (1, 1), or (S, 1, 1) with one per
+    sample), and pseudo-observations V = A x + noise of precisions
+    Lambda = exp(log_lambda) (A = None means I). With
     R = chol((I + L^T A^T Lambda A L)^{-1}) from one Cholesky, the posterior
-    is N(Mean, Ls Ls^T), Ls = L R, Mean = Ls Ls^T A^T Lambda V.
-    Returns (L, Mean, Ls, R), which _gi_sample draws from."""
+    is N(Mean, Ls Ls^T), Ls = L R, Mean = Ls Ls^T A^T Lambda V. L and A may
+    carry a leading sample axis. Returns (L, Mean, Ls, R), which _gi_sample
+    draws from."""
     L, V = as_tensor(L), as_tensor(V)
     lam = de.elementwise("exp", as_tensor(log_lambda))
     M = V.value.shape[0]
-    times_root = de.matmul if L.value.ndim == 2 else de.mul
+    times_root = de.mul if _scalar_root(L) else de.matmul
     B = L if A is None else times_root(as_tensor(A), L)         # A L
     BtLam = de.mul(de.transpose(B), de.reshape(lam, (1, M)))     # B^T Lambda
-    R = _inverse_chol(de.add(as_tensor(np.eye(B.value.shape[1])), de.matmul(BtLam, B)))
+    R = _inverse_chol(de.add(as_tensor(np.eye(B.value.shape[-1])), de.matmul(BtLam, B)))
     Ls = times_root(L, R)
     if A is None:   # Ls^T Lambda V, in the GI-DGP and DWP op order
         Mean = de.matmul(Ls, de.matmul(de.transpose(Ls), de.mul(de.reshape(lam, (M, 1)), V)))
@@ -134,25 +143,34 @@ def _gi_posterior(L, A, log_lambda, V):
     return L, Mean, Ls, R
 
 
+def _scalar_root(L) -> bool:
+    """A root of shape (), (1, 1) or (S, 1, 1) is the scalar root L I. (A
+    1 x 1 triangular root gives the same posterior read either way.)"""
+    return L.value.ndim < 2 or L.value.shape[-2:] == (1, 1)
+
+
 def _gi_sample(posterior, rng):
-    """One draw X = Mean + Ls xi from a _gi_posterior. Returns (X, L^{-1} X,
-    increment) with
+    """A draw X = Mean + Ls xi from a _gi_posterior per sample of rng (an
+    RngStream or a StreamBatch). Returns (X, L^{-1} X, increment) with
     increment = sum_cols log N(x; 0, L L^T) - log N(x; Mean, Ls Ls^T)
-              = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 + width sum log diag R."""
+              = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 + width sum log diag R,
+    one per sample."""
     L, Mean, Ls, R = posterior
-    xi = rng.normal(Mean.value.shape)
+    xi = rng.normal(Mean.value.shape[-2:])
     X = de.add(Mean, de.matmul(Ls, as_tensor(xi)))
-    LinvX = de.triangular_solve(L, X) if L.value.ndim == 2 else de.div(X, L)
-    inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", LinvX)),
-                                a=-0.5, b=0.5 * float(np.sum(xi * xi))),
-                 de.log_diag_sum(R, float(Mean.value.shape[1])))
+    LinvX = de.div(X, L) if _scalar_root(L) else de.triangular_solve(L, X)
+    sq = np.sum(xi * xi, axis=(-2, -1))
+    inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", LinvX), axis=(-2, -1)),
+                                a=-0.5),
+                 de.add(de.log_diag_sum(R, float(Mean.value.shape[-1])), as_tensor(0.5 * sq)))
     return X, LinvX, inc
 
 
 def _gi_bnn_posterior(psi_U, layer: GiBnnLayer, s=None):
     """_gi_posterior of the weights: A = psi_U, L = (nu Sigma^{-1})^{-1/2} I."""
-    prec = _prior_precision_scalar(layer.prior, psi_U.value.shape[1], s=s)
+    prec = _prior_precision_scalar(layer.prior, psi_U.value.shape[-1], s=s)
     root = de.elementwise("sqrt", de.elementwise("reciprocal", prec))
+    root = de.reshape(root, root.value.shape[:-2] + (1, 1))
     return _gi_posterior(root, psi_U, layer.log_lambda, layer.V)
 
 
@@ -179,7 +197,8 @@ def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
 
 
 def fac_bnn_layer_sample(layer: FacBnnLayer, d: int, rng: rd.RngStream, s=None):
-    """Sample weights from the mean-field posterior; returns (W, logp - logq)."""
+    """Sample weights from the mean-field posterior, one per sample of rng;
+    returns (W, logp - logq)."""
     mean = de.elementwise("affine", as_tensor(layer.mean_scaled), a=float(layer.scale))
     std = de.elementwise("exp", as_tensor(layer.log_std))
     if mean.value.shape[0] != d:
@@ -188,13 +207,15 @@ def fac_bnn_layer_sample(layer: FacBnnLayer, d: int, rng: rd.RngStream, s=None):
     W = de.add(mean, de.mul(std, xi))
     prior_prec = _prior_precision_scalar(layer.prior, d, s=s)
     prior_var = de.elementwise("reciprocal", prior_prec)
-    logp = rd.normal_log_density(W, as_tensor(np.zeros_like(mean.value)), prior_var)
-    logq = rd.normal_log_density(W, mean, de.elementwise("square", std))
+    logp = rd.normal_log_density(W, as_tensor(np.zeros_like(mean.value)), prior_var,
+                                 event_ndim=2)
+    logq = rd.normal_log_density(W, mean, de.elementwise("square", std), event_ndim=2)
     return W, de.sub(logp, logq)
 
 
 def scale_prior_terms(prior: PriorSpec, rng: rd.RngStream):
-    """Sample the prior-scale s reparameterized from q(s) and return
+    """Sample the prior-scale s reparameterized from q(s), one per sample of
+    rng, shaped (..., 1, 1) to scale matrices, and return
     (s, KL(q(s) || Gamma(2, 2))). Non-scale variants return (1, 0)."""
     if prior.variant != "scale":
         return as_tensor(np.asarray(1.0)), as_tensor(np.asarray(0.0))
@@ -205,6 +226,7 @@ def scale_prior_terms(prior: PriorSpec, rng: rd.RngStream):
     aq = de.elementwise("affine", a_off, b=2.0)
     bq = de.elementwise("affine", b_off, b=2.0)
     s = rd.gamma_sample_reparam(aq, bq, rng)
+    s = de.reshape(s, s.value.shape + (1, 1))
     kl = rd.kl_divergences("gamma-gamma", (aq, bq),
                            (np.asarray(2.0), np.asarray(2.0)))
     return s, kl
@@ -225,10 +247,11 @@ def bnn_prepare(layers, X, inducing_inputs=None):
     return layers, F, U, _psi(F, True, first.bias), psi_U, post
 
 
-def bnn_forward(prepared, rng: rd.RngStream):
-    """One Monte-Carlo sample of a BNN prepared by bnn_prepare: returns
-    (outputs, increment) with increment the sum over layers of
-    log p(W) - log q(W) - KL(q(s) || p(s)).
+def bnn_forward(prepared, rng):
+    """The Monte-Carlo samples of a BNN prepared by bnn_prepare, one per
+    stream of rng (a StreamBatch, or one RngStream): returns (outputs,
+    increment) with increment the sum over layers of
+    log p(W) - log q(W) - KL(q(s) || p(s)), one per sample.
 
     Global-inducing layers propagate the learned inducing inputs alongside
     the batch; factorised layers only need the batch.
@@ -246,7 +269,7 @@ def bnn_forward(prepared, rng: rd.RngStream):
             W, _, inc = _gi_sample(post or _gi_bnn_posterior(psi_U, layer, s), rng)
             U = de.matmul(psi_U, W)
         else:
-            W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[1], rng, s=s)
+            W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[-1], rng, s=s)
         F = de.matmul(psi_F, W)
         inc_sum = de.add(inc_sum, de.sub(inc, kl_s))
     return F, inc_sum
@@ -254,24 +277,23 @@ def bnn_forward(prepared, rng: rd.RngStream):
 
 def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
             kl_scale=1.0):
-    """Monte-Carlo ELBO with a Gaussian likelihood over a per-sample forward.
+    """Monte-Carlo ELBO with a Gaussian likelihood over one batched forward.
 
-    forward(stream) -> (outputs, increment) draws one sample from its own
-    stream of rng.split(n_samples). The returned value is the sample mean of
+    forward(batch) -> (outputs, increment) draws sample s from stream s of
+    batch = StreamBatch(rng.split(n_samples)): outputs (S, Nb, 1) and
+    increment (S,); an output (Nb, 1) or a scalar increment is shared by
+    every sample. The returned value is the sample mean of
     (N/Nb) * log-likelihood + kl_scale * increment.
     """
     yb = as_tensor(yb)
     nb = yb.value.shape[0]
     s2 = de.elementwise("exp", as_tensor(log_noise))
-    total = None
-    for st in rng.split(n_samples):
-        F, inc = forward(st)
-        out = de.reshape(F, (nb,)) if F.value.ndim == 2 and F.value.shape[1] == 1 else F
-        ll = rd.normal_log_density(yb, out, s2)
-        term = de.add(de.elementwise("affine", ll, a=float(total_n) / nb),
-                      de.elementwise("affine", inc, a=float(kl_scale)))
-        total = term if total is None else de.add(total, term)
-    return de.elementwise("affine", total, a=1.0 / n_samples)
+    F, inc = forward(rd.StreamBatch(rng.split(n_samples)))
+    out = de.reshape(F, (-1, nb))                   # one row per sample
+    ll = rd.normal_log_density(yb, out, s2)         # summed over the rows
+    lik = de.elementwise("affine", ll, a=float(total_n) / (nb * out.value.shape[0]))
+    return de.add(lik, de.elementwise("affine", de.tsum(inc),
+                                      a=float(kl_scale) / inc.value.size))
 
 
 def bnn_elbo(layers, Xb, yb, total_n, n_samples, rng: rd.RngStream,
@@ -303,15 +325,15 @@ def gi_dgp_layer_prepare(F_prev, U_prev, layer: GiDgpLayer):
     W = L^{-1} K_uf and variances of the prior conditional p(F | U)."""
     U_prev, F_prev, kp = as_tensor(U_prev), as_tensor(F_prev), layer.kernel_params
     K_uu, K_fu = _kuu(kp, U_prev), se_ard_features(kp, F_prev, U_prev)
-    kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[0])
+    kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[-2])
     return _gi_layer_parts(K_uu, K_fu, kdiag, layer,
                            (U_prev, F_prev) if layer.mean_function == "identity" else None)
 
 
 def gi_dgp_layer_sample(parts, rng: rd.RngStream):
-    """One sample of a prepared global-inducing layer: U from the posterior,
-    then the batch outputs from the prior conditional, independent per
-    point. Returns (U_next, F_next, logp - logq)."""
+    """Samples of a prepared global-inducing layer, one per stream of rng: U
+    from the posterior, then the batch outputs from the prior conditional,
+    independent per point. Returns (U_next, F_next, logp - logq)."""
     posterior, W, var, inputs = parts
     U, wu, inc = _gi_sample(posterior, rng)
     F = rd.conditional_sample(de.matmul(de.transpose(W), wu), var, rng)
@@ -329,11 +351,12 @@ def dsvi_dgp_layer_chol(layer: DsviDgpLayer) -> DiffTensor:
 
 def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer, L):
     """Per-point marginal q(f) moments after analytically integrating out the
-    local inducing outputs, given L = dsvi_dgp_layer_chol(layer). Returns
-    (means, vars): lists of per-output (nb,) tensors."""
+    local inducing outputs, given L = dsvi_dgp_layer_chol(layer), at inputs
+    F_prev (nb, d) or a stack of them. Returns (means, vars): lists of
+    per-output (nb,) tensors, stacked like F_prev."""
     kp, F_prev = layer.kernel_params, as_tensor(F_prev)
     K_fz = se_ard_features(kp, F_prev, as_tensor(layer.Z))
-    kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[0])
+    kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[-2])
     W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz), kdiag)
     mean = de.matmul(de.transpose(W), de.triangular_solve(L, as_tensor(layer.m)))
     U_sol = de.triangular_solve(L, W, trans=True)                # K_zz^{-1} K_zf
@@ -341,8 +364,8 @@ def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer, L):
     means, vars_ = [], []
     for lam, Sc in enumerate(layer.S_chol):
         C = de.matmul(de.transpose(as_tensor(Sc)), U_sol)
-        means.append(de.getitem(mean, (slice(None), lam)))
-        vars_.append(de.add(base_var, de.tsum(de.elementwise("square", C), axis=0)))
+        means.append(de.getitem(mean, (Ellipsis, lam)))
+        vars_.append(de.add(base_var, de.tsum(de.elementwise("square", C), axis=-2)))
     return means, vars_
 
 
@@ -363,10 +386,9 @@ def dsvi_dgp_layer_sample(marginals, F_prev, layer: DsviDgpLayer, rng: rd.RngStr
     dsvi_dgp_layer_marginals gives at F_prev, each output from its own
     stream; returns F_next (the layer's KL is dsvi_dgp_layer_kl)."""
     means, vars_ = marginals
-    nb = means[0].value.shape[0]
-    F_next = de.concat([de.reshape(rd.conditional_sample(m, v, st), (nb, 1))
+    F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)), v, st)
                         for m, v, st in zip(means, vars_, rng.split(layer.width))],
-                       axis=1)
+                       axis=-1)
     if layer.mean_function == "identity":
         F_next = de.add(F_next, as_tensor(F_prev))
     return F_next

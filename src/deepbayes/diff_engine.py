@@ -3,6 +3,12 @@
 All tensors are numpy float64 arrays wrapped in DiffTensor. Operations
 record vector-Jacobian closures on the active Tape; backward_pass walks the
 tape in reverse creation order exactly once.
+
+Matrix ops (matmul, transpose, diag_part, log_diag_sum, cholesky_factor,
+triangular_solve, logdet_psd) act on the last two axes and broadcast over
+any leading ones, so S Monte-Carlo samples run as one op on a stack of S
+matrices; a cotangent is summed back over the axes its operand was
+broadcast along.
 """
 from __future__ import annotations
 
@@ -56,9 +62,7 @@ class DiffTensor:
 
     def __init__(self, value, tape=None, name=None, parents=None, source="constant"):
         self.value = np.asarray(value, dtype=np.float64)
-        # one reduction; the full scan only confirms a sum that overflowed
-        if not math.isfinite(self.value.sum()) and not np.isfinite(self.value).all():
-            raise FloatingPointError(f"non-finite values in {source}")
+        _check_finite(self.value, source)
         self.name = name
         self.grad = None
         self._tape = tape
@@ -111,6 +115,13 @@ class DiffTensor:
         return f"DiffTensor(shape={self.value.shape}, name={self.name!r})"
 
 
+def _check_finite(v: np.ndarray, source: str):
+    """Raise FloatingPointError naming `source` if v holds inf or NaN: one
+    reduction; the full scan only confirms a sum that overflowed."""
+    if not math.isfinite(v.sum()) and not np.isfinite(v).all():
+        raise FloatingPointError(f"non-finite values in {source}")
+
+
 def as_tensor(x) -> DiffTensor:
     if isinstance(x, DiffTensor):
         return x
@@ -149,6 +160,11 @@ def shared_cotangent(fn):
     return cached
 
 
+def _mT(x):
+    """Swap the last two axes (the transpose of each matrix in a stack)."""
+    return np.swapaxes(x, -1, -2)
+
+
 def _unbroadcast(g, shape):
     """Reduce cotangent g back to `shape` after numpy broadcasting."""
     g = np.asarray(g, dtype=np.float64)
@@ -164,16 +180,16 @@ def _unbroadcast(g, shape):
 
 def matmul(a, b) -> DiffTensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim == 2 and b.value.ndim == 1:
-        if a.value.shape[1] != b.value.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
-        val = a.value @ b.value
-        return lift(val, [(a, lambda g: np.outer(g, b.value)),
-                          (b, lambda g: a.value.T @ g)], "matmul")
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
-    val = a.value @ b.value
-    return lift(val, [(a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)], "matmul")
+    av, bv = a.value, b.value
+    if av.ndim == 2 and bv.ndim == 1:
+        if av.shape[1] != bv.shape[0]:
+            raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
+        return lift(av @ bv, [(a, lambda g: np.outer(g, bv)),
+                              (b, lambda g: av.T @ g)], "matmul")
+    if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
+        raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
+    return lift(av @ bv, [(a, lambda g: _unbroadcast(g @ _mT(bv), av.shape)),
+                          (b, lambda g: _unbroadcast(_mT(av) @ g, bv.shape))], "matmul")
 
 
 def add(a, b) -> DiffTensor:
@@ -210,8 +226,11 @@ def neg(a) -> DiffTensor:
 
 
 def transpose(a) -> DiffTensor:
+    """Swap the last two axes (a vector is its own transpose)."""
     a = as_tensor(a)
-    return lift(a.value.T, [(a, lambda g: g.T)], "transpose")
+    if a.value.ndim < 2:
+        return lift(a.value, [(a, lambda g: g)], "transpose")
+    return lift(_mT(a.value), [(a, _mT)], "transpose")
 
 
 def tsum(a, axis=None, keepdims=False) -> DiffTensor:
@@ -233,11 +252,18 @@ def reshape(a, shape) -> DiffTensor:
 
 
 def getitem(a, idx) -> DiffTensor:
+    """a[idx]; stacked operands index their matrices with a leading Ellipsis."""
     a = as_tensor(a)
+    # basic indexing (slices, ints, Ellipsis) selects each entry at most once
+    basic = all(isinstance(i, (slice, int)) or i is Ellipsis
+                for i in (idx if isinstance(idx, tuple) else (idx,)))
 
     def vjp(g):
         out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
+        if basic:
+            out[idx] = g
+        else:
+            np.add.at(out, idx, g)
         return out
 
     return lift(a.value[idx], [(a, vjp)], "getitem")
@@ -259,15 +285,16 @@ def concat(parts, axis=0) -> DiffTensor:
 
 
 def diag_part(a) -> DiffTensor:
+    """Leading diagonal of a matrix, or of each matrix in a stack."""
     a = as_tensor(a)
-    n = min(a.value.shape)
+    i = np.arange(min(a.value.shape[-2:]))
 
     def vjp(g):
         out = np.zeros_like(a.value)
-        out[np.arange(n), np.arange(n)] = g
+        out[..., i, i] = g
         return out
 
-    return lift(np.diagonal(a.value).copy(), [(a, vjp)], "diag_part")
+    return lift(np.diagonal(a.value, axis1=-2, axis2=-1).copy(), [(a, vjp)], "diag_part")
 
 
 def diag_embed(v) -> DiffTensor:
@@ -331,9 +358,23 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
 # -- factorizations ---------------------------------------------------------
 
 def _chol_with_jitter(s: np.ndarray):
-    """Cholesky with the jitter ladder: 1e-8*mean(diag) doubling to 1e-4*mean(diag)."""
-    n = s.shape[0]
-    sym = 0.5 * (s + s.T)
+    """Cholesky with the jitter ladder: 1e-8*mean(diag) doubling to
+    1e-4*mean(diag). s is a matrix or a stack of them: one LAPACK call over
+    the stack, and if any member fails, the ladder for each member on its
+    own, so every matrix gets the jitter it would alone."""
+    sym = 0.5 * (s + _mT(s))
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        pass
+    if sym.ndim == 2:
+        return _jitter_ladder(sym)
+    n = sym.shape[-1]
+    return np.stack([_jitter_ladder(m) for m in sym.reshape(-1, n, n)]).reshape(sym.shape)
+
+
+def _jitter_ladder(sym: np.ndarray):
+    n = sym.shape[0]
     scale = float(np.mean(np.diag(sym)))
     if scale <= 0:
         scale = 1.0
@@ -359,89 +400,134 @@ def _chol_with_jitter(s: np.ndarray):
         f"matrix not positive definite after max jitter (pivot {pivot} of {n})")
 
 
+_TRTRS = sla.get_lapack_funcs("trtrs", (np.zeros((1, 1)),))
+
+
+def _trtrs(l: np.ndarray, b: np.ndarray, trans: bool):
+    """x with l x = b (l^T x = b when trans) for one lower-triangular matrix,
+    by LAPACK as scipy's solve_triangular calls it (a C-ordered l is solved
+    as its transpose), without its input scan."""
+    if l.flags.f_contiguous:
+        x, info = _TRTRS(l, b, lower=1, trans=int(trans))
+    else:
+        x, info = _TRTRS(l.T, b, lower=0, trans=int(not trans))
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
+def _solve_tri(l: np.ndarray, b: np.ndarray, trans: bool):
+    """_trtrs over the broadcast leading axes of l and b (b a matrix or a
+    stack of them), one call per matrix: LAPACK's rounding depends on the
+    number of right-hand sides, so stacked right-hand sides are not merged
+    into one call even where they share l."""
+    if l.ndim == 2 and b.ndim == 2:
+        return _trtrs(l, b, trans)
+    batch = np.broadcast_shapes(l.shape[:-2], b.shape[:-2])
+    ls = [l] * math.prod(batch) if l.ndim == 2 else np.broadcast_to(
+        l, batch + l.shape[-2:]).reshape((-1,) + l.shape[-2:])
+    bs = [b] * math.prod(batch) if b.ndim == 2 else np.broadcast_to(
+        b, batch + b.shape[-2:]).reshape((-1,) + b.shape[-2:])
+    return np.stack([_trtrs(li, bi, trans) for li, bi in zip(ls, bs)]).reshape(
+        batch + b.shape[-2:])
+
+
 def _phi(x):
     """Lower triangle with halved diagonal (Cholesky reverse-mode helper)."""
     out = np.tril(x)
-    out[np.diag_indices_from(out)] *= 0.5
+    i = np.arange(x.shape[-1])
+    out[..., i, i] *= 0.5
     return out
 
 
 def cholesky_factor(s) -> DiffTensor:
-    """Lower Cholesky factor of a symmetric PD matrix, with jitter policy."""
+    """Lower Cholesky factor of a symmetric PD matrix, or of each matrix in a
+    stack, with the jitter policy."""
     s = as_tensor(s)
     v = s.value
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValueError("cholesky_factor requires a square matrix")
-    if np.max(np.abs(v - v.T)) > 1e-10 * max(1.0, np.max(np.abs(v))):
+    if np.max(np.abs(v - _mT(v))) > 1e-10 * max(1.0, np.max(np.abs(v))):
         raise ValueError("cholesky_factor requires a symmetric matrix")
     L = _chol_with_jitter(v)
 
     def vjp(g):
-        p = _phi(L.T @ g)
-        s1 = sla.solve_triangular(L, p.T, trans="T", lower=True)
-        s2 = sla.solve_triangular(L, s1.T, trans="T", lower=True)
-        return 0.5 * (s2 + s2.T)
+        _check_finite(g, "cotangent of op 'cholesky_factor'")
+        p = _phi(_mT(L) @ g)
+        s1 = _solve_tri(L, _mT(p), True)
+        s2 = _solve_tri(L, _mT(s1), True)
+        return 0.5 * (s2 + _mT(s2))
 
     return lift(L, [(s, vjp)], "cholesky_factor")
 
 
 def triangular_solve(l, b, trans=False) -> DiffTensor:
-    """Solve l x = b (or l^T x = b when trans) for lower-triangular l."""
+    """Solve l x = b (or l^T x = b when trans) for lower-triangular l: b a
+    vector, a matrix or a stack of matrices, l a matrix or a stack. Both
+    parents' cotangents share one solve."""
     l, b = as_tensor(l), as_tensor(b)
     lv, bv = l.value, b.value
-    if lv.ndim != 2 or lv.shape[0] != lv.shape[1]:
+    if lv.ndim < 2 or lv.shape[-1] != lv.shape[-2]:
         raise ValueError("triangular_solve requires a square triangular factor")
-    if np.any(np.diag(lv) == 0):
+    if np.any(np.diagonal(lv, axis1=-2, axis2=-1) == 0):
         raise ValueError("triangular_solve: zero diagonal element")
     squeeze = bv.ndim == 1
-    bm = bv[:, None] if squeeze else bv
-    x = sla.solve_triangular(lv, bm, trans="T" if trans else "N", lower=True)
+    if squeeze and lv.ndim != 2:
+        raise ValueError("triangular_solve: a vector right-hand side needs one factor")
+    x = _solve_tri(lv, bv[:, None] if squeeze else bv, trans)
+
+    @shared_cotangent
+    def g_rhs(g):   # cotangent of the right-hand side, before unbroadcasting
+        _check_finite(g, "cotangent of op 'triangular_solve'")
+        return _solve_tri(lv, g[:, None] if squeeze else g, not trans)
 
     def vjp_b(g):
-        gm = g[:, None] if squeeze else g
-        gb = sla.solve_triangular(lv, gm, trans="N" if trans else "T", lower=True)
-        return gb[:, 0] if squeeze else gb
+        gb = g_rhs(g)
+        return gb[:, 0] if squeeze else _unbroadcast(gb, bv.shape)
 
     def vjp_l(g):
-        gm = g[:, None] if squeeze else g
-        gb = sla.solve_triangular(lv, gm, trans="N" if trans else "T", lower=True)
-        ga = -gb @ x.T  # cotangent to the (possibly transposed) operator
-        return np.tril(ga if not trans else ga.T)
+        ga = -g_rhs(g) @ _mT(x)  # cotangent to the (possibly transposed) operator
+        return _unbroadcast(np.tril(_mT(ga) if trans else ga), lv.shape)
 
     val = x[:, 0] if squeeze else x
     return lift(val, [(l, vjp_l), (b, vjp_b)], "triangular_solve")
 
 
 def logdet_psd(s) -> DiffTensor:
-    """log|s| for symmetric PD s, via Cholesky; gradient s^{-1}."""
+    """log|s| for symmetric PD s (or each matrix of a stack), via Cholesky;
+    gradient s^{-1}."""
     s = as_tensor(s)
     L = _chol_with_jitter(s.value)
-    val = 2.0 * np.sum(np.log(np.diag(L)))
-    inv = sla.cho_solve((L, True), np.eye(s.value.shape[0]))
+    n = L.shape[-1]
+    val = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    eye = np.eye(n)
+    inv = (sla.cho_solve((L, True), eye) if L.ndim == 2 else np.stack(
+        [sla.cho_solve((m, True), eye) for m in L.reshape(-1, n, n)]).reshape(L.shape))
 
     def vjp(g):
-        return float(g) * 0.5 * (inv + inv.T)
+        return np.asarray(g)[..., None, None] * 0.5 * (inv + _mT(inv))
 
     return lift(np.asarray(val), [(s, vjp)], "logdet_psd")
 
 
 def log_diag_sum(a, weights=1.0) -> DiffTensor:
-    """sum_i w_i log a_ii over the leading diagonal of a matrix with positive
-    diagonal, w a scalar or one weight per diagonal entry: log-determinants
-    of triangular factors and Bartlett Jacobian terms in one node."""
+    """sum_i w_i log a_ii over the leading diagonal of a matrix (or of each
+    matrix in a stack) with positive diagonal, w a scalar or one weight per
+    diagonal entry: log-determinants of triangular factors and Bartlett
+    Jacobian terms in one node."""
     a = as_tensor(a)
-    d = np.diagonal(a.value)
+    d = np.diagonal(a.value, axis1=-2, axis2=-1)
     if np.any(d <= 0):
         raise ValueError("log domain violation: non-positive diagonal")
-    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), d.shape)
-    n = d.shape[0]
+    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), d.shape[-1:])
+    i = np.arange(d.shape[-1])
 
     def vjp(g):
         out = np.zeros_like(a.value)
-        out[np.arange(n), np.arange(n)] = g * w / d
+        out[..., i, i] = np.asarray(g)[..., None] * w / d
         return out
 
-    return lift(np.asarray(np.sum(w * np.log(d))), [(a, vjp)], "log_diag_sum")
+    return lift(np.asarray(np.sum(w * np.log(d), axis=-1)), [(a, vjp)], "log_diag_sum")
 
 
 # -- backward ---------------------------------------------------------------

@@ -85,9 +85,10 @@ def gram_kernel_blocks(kp: KernelParams, G_ii, G_ti, g_tt, nu):
     identity d2_ij = nu (G_ii - 2 G_ij + G_jj), so the test-test off-diagonal
     Gram entries are never required.
 
-    Returns (K_ii, K_ti, k_tt_diag)."""
+    Returns (K_ii, K_ti, k_tt_diag); stacked Gram blocks give stacked
+    kernel blocks."""
     G_ii, g_tt = as_tensor(G_ii), as_tensor(g_tt)
-    nt = g_tt.value.shape[0]
+    nt = g_tt.value.shape[-1]
     sf2, ls = _gram_se_params(kp)
     gi = de.diag_part(G_ii)
     K_ii = _se_gram(gi, G_ii, gi, nu, sf2, ls)
@@ -161,16 +162,16 @@ def dwp_conditional_testpoints(feat_i, L_ii, W, var, nu: int, rng: rd.RngStream)
     W, var: rd.gaussian_conditional(L_ii, S_ti^T, s_tt), so that per point
     F_t = S_ti S_ii^{-1} F_i + sqrt(s_tt - s_ti S_ii^{-1} s_it) xi."""
     feat_i = as_tensor(feat_i)
-    M = feat_i.value.shape[0]
-    if feat_i.value.shape[1] < nu:
-        pad = np.zeros((M, nu - feat_i.value.shape[1]))
-        feat_i = de.concat([feat_i, as_tensor(pad)], axis=1)
-    elif feat_i.value.shape[1] > nu:
+    width = feat_i.value.shape[-1]
+    if width < nu:
+        pad = np.zeros(feat_i.value.shape[:-1] + (nu - width,))
+        feat_i = de.concat([feat_i, as_tensor(pad)], axis=-1)
+    elif width > nu:
         raise ValueError("feature root wider than the layer width")
     mean_t = de.matmul(de.transpose(W), de.triangular_solve(L_ii, feat_i))
     feat_t = rd.conditional_sample(mean_t, var, rng)
     G_ti = de.matmul(feat_t, de.transpose(feat_i))
-    g_tt = de.tsum(de.elementwise("square", feat_t), axis=1)
+    g_tt = de.tsum(de.elementwise("square", feat_t), axis=-1)
     return G_ti, g_tt
 
 
@@ -202,12 +203,13 @@ def dwp_prepare(state: DwpState, Xt):
     return state, q_parts, _layer_parts(state, 0, grams, state.nu0, q_parts)
 
 
-def dwp_forward(prepared, rng: rd.RngStream):
-    """One Monte-Carlo sample of a prepared deep Wishart process: returns
-    (outputs, increment). Each Gram layer samples the inducing block from the
-    approximate posterior (contributing log p - log q) and the batch rows
-    from the prior conditional (their densities cancel); the final layer is
-    a global-inducing GP over the last Gram matrix."""
+def dwp_forward(prepared, rng):
+    """The Monte-Carlo samples of a prepared deep Wishart process, one per
+    stream of rng (a StreamBatch, or one RngStream): returns (outputs,
+    increment), stacked over samples. Each Gram layer samples the inducing
+    block from the approximate posterior (contributing log p - log q) and the
+    batch rows from the prior conditional (their densities cancel); the
+    final layer is a global-inducing GP over the last Gram matrix."""
     state, q_parts, parts = prepared
     inc_sum = as_tensor(np.asarray(0.0))
     for i, layer in enumerate(state.layers):
@@ -226,7 +228,7 @@ def dwp_forward(prepared, rng: rd.RngStream):
 def dwp_elbo_batch(state: DwpState, Xt, y, total_n, rng: rd.RngStream,
                    n_samples=1, kl_scale=1.0):
     """One minibatch ELBO for the deep Wishart process: the Monte-Carlo
-    average of dwp_forward's samples, prepared once."""
+    average of dwp_forward's samples, prepared once and drawn in one batch."""
     prepared = dwp_prepare(state, Xt)
     return mc_elbo(lambda st: dwp_forward(prepared, st), y, total_n,
                    n_samples, rng, state.log_noise, kl_scale)

@@ -63,23 +63,24 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
     """sf2 * exp(-0.5 sum_d (x_d - x'_d)^2 / l_d^2); N x N' kernel matrix,
     one tape node over X, X2, the lengthscales and sf2. Squared distances
     come from the scaled inputs' norms and cross products; their rounding
-    negatives are clamped to zero, larger ones raise."""
+    negatives are clamped to zero, larger ones raise. X and X2 may be stacks
+    of inputs (leading axes), one kernel matrix per sample."""
     X = as_tensor(X)
     X2 = X if X2 is None else as_tensor(X2)
-    if X.value.shape[1] != X2.value.shape[1]:
+    if X.value.shape[-1] != X2.value.shape[-1]:
         raise ValueError("feature dimension mismatch")
     ls, sf2 = params.lengthscales(), params.sf2()
-    if ls.value.ndim == 1 and ls.value.shape[0] not in (1, X.value.shape[1]):
+    if ls.value.ndim == 1 and ls.value.shape[0] not in (1, X.value.shape[-1]):
         raise ValueError("lengthscale count does not match feature dimension")
     same = X2 is X
     r = 1.0 / ls.value
     # two buffers even when X2 is X: numpy multiplies X X^T by another BLAS
     # routine than X X2^T, and the kernel's rounding should not depend on it
     Xs, Xs2 = X.value * r, X2.value * r
-    n1 = np.sum(Xs * Xs, axis=1, keepdims=True)                        # N x 1
-    n2 = n1 if same else np.sum(Xs2 * Xs2, axis=1, keepdims=True)      # N' x 1
-    d2 = n1 - 2.0 * (Xs @ Xs2.T)
-    d2 += n2.T
+    n1 = np.sum(Xs * Xs, axis=-1, keepdims=True)                       # N x 1
+    n2 = n1 if same else np.sum(Xs2 * Xs2, axis=-1, keepdims=True)     # N' x 1
+    d2 = n1 - 2.0 * (Xs @ de._mT(Xs2))
+    d2 += de._mT(n2)
     neg = _clamp_sqdist(d2)
     K = sf2.value * np.exp(-0.5 * d2)
     del d2
@@ -87,9 +88,11 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
     @de.shared_cotangent
     def back(g):    # cotangents of sf2 and of the scaled inputs
         g_sf2, P = _se_cotangent(g, K, neg, sf2.value)
-        gXs = 2.0 * (P.sum(axis=1)[:, None] * Xs - P @ Xs2)
-        gXs2 = 2.0 * (P.sum(axis=0)[:, None] * Xs2 - P.T @ Xs)
-        return g_sf2, (gXs + gXs2,) if same else (gXs, gXs2)
+        gXs = 2.0 * (P.sum(axis=-1)[..., None] * Xs - P @ Xs2)
+        gXs2 = 2.0 * (P.sum(axis=-2)[..., None] * Xs2 - de._mT(P) @ Xs)
+        if same:
+            return g_sf2, (gXs + gXs2,)
+        return g_sf2, (de._unbroadcast(gXs, Xs.shape), de._unbroadcast(gXs2, Xs2.shape))
 
     def g_ls(g):
         gs = back(g)[1]
@@ -125,11 +128,11 @@ def _gram_se_params(params: KernelParams):
 def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
     """sf2 * exp(-0.5 d2 / l^2) with d2_ij = scale (rows_i - 2 cross_ij +
     cols_j), from a Gram block `cross` and the Gram diagonals `rows` and
-    `cols` (vectors), in one tape node. Rounding negatives of d2 are clamped
-    to zero; larger ones raise."""
+    `cols` (vectors), in one tape node, for one block or a stack of them.
+    Rounding negatives of d2 are clamped to zero; larger ones raise."""
     rows, cross, cols = as_tensor(rows), as_tensor(cross), as_tensor(cols)
-    d2 = rows.value[:, None] - 2.0 * cross.value
-    d2 += cols.value[None, :]
+    d2 = rows.value[..., :, None] - 2.0 * cross.value
+    d2 += cols.value[..., None, :]
     if scale != 1.0:
         d2 *= float(scale)
     neg = _clamp_sqdist(d2)
@@ -142,12 +145,15 @@ def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
         g_sf2, Q = _se_cotangent(g, K, neg, sf2.value)
         return g_sf2, Q, Q * (float(scale) * inv_l2)
 
+    def unb(x, t):
+        return de._unbroadcast(x, t.value.shape)
+
     return de.lift(K, [
         (sf2, lambda g: back(g)[0]),
         (ls, lambda g: de._unbroadcast(-2.0 * np.sum(back(g)[1] * d2) / ls.value, ls.value.shape)),
-        (rows, lambda g: back(g)[2].sum(axis=1)),
-        (cross, lambda g: -2.0 * back(g)[2]),
-        (cols, lambda g: back(g)[2].sum(axis=0)),
+        (rows, lambda g: unb(back(g)[2].sum(axis=-1), rows)),
+        (cross, lambda g: unb(-2.0 * back(g)[2], cross)),
+        (cols, lambda g: unb(back(g)[2].sum(axis=-2), cols)),
     ], "se_kernel")
 
 
@@ -161,8 +167,8 @@ def _se_kdiag(params: KernelParams, sf2, n: int) -> DiffTensor:
 def add_layer_noise(K, noise_var) -> DiffTensor:
     """K + noise_var * I."""
     K = as_tensor(K)
-    n = K.value.shape[0]
-    if K.value.shape[0] != K.value.shape[1]:
+    n = K.value.shape[-1]
+    if K.value.shape[-2] != n:
         raise ValueError("add_layer_noise requires a square matrix")
     nv = as_tensor(noise_var)
     return de.add(K, de.mul(nv, as_tensor(np.eye(n))))

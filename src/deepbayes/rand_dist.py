@@ -15,7 +15,7 @@ from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor, lift
 
 __all__ = [
-    "RngStream", "BartlettFactor", "MatrixNormalParams", "GWishParts",
+    "RngStream", "StreamBatch", "BartlettFactor", "MatrixNormalParams", "GWishParts",
     "gaussian_sample", "matrix_normal_sample", "gamma_sample_reparam",
     "wishart_log_density", "inverse_wishart_log_density", "bartlett_sample",
     "jacobian_logdets", "gwish_prepare", "gwish_scale", "gwish_sample_and_logpdf",
@@ -59,6 +59,28 @@ class RngStream:
 
     def permutation(self, n):
         return self._gen.permutation(n)
+
+
+class StreamBatch:
+    """S streams drawn as one: each draw stacks every member's draw, in
+    member order, along a new leading axis, and split(n) splits every member,
+    so sample s draws exactly the numbers its own stream would. Shapes passed
+    to a draw are one sample's."""
+
+    def __init__(self, streams):
+        self.streams = list(streams)
+
+    def __len__(self):
+        return len(self.streams)
+
+    def split(self, n: int) -> list["StreamBatch"]:
+        return [StreamBatch(parts) for parts in zip(*(st.split(n) for st in self.streams))]
+
+    def normal(self, shape=()):
+        return np.stack([st.normal(shape) for st in self.streams])
+
+    def standard_gamma(self, alpha):
+        return np.stack([st.standard_gamma(alpha) for st in self.streams])
 
 
 @dataclass
@@ -142,25 +164,28 @@ def _multigammaln(a: float, d: int) -> float:
 
 # -- Gaussian log densities ----------------------------------------------------
 
-def normal_log_density(x, mean, var) -> DiffTensor:
+def normal_log_density(x, mean, var, event_ndim=None) -> DiffTensor:
     """Univariate normal log pdf summed over the broadcast elements of x,
-    mean and var (var > 0), in one tape node."""
+    mean and var (var > 0), in one tape node; with event_ndim, summed over
+    the last event_ndim axes only (one value per sample of a stack)."""
     x, mean, var = as_tensor(x), as_tensor(mean), as_tensor(var)
     v = var.value
     if np.any(v <= 0):
         raise ValueError("log domain violation: non-positive variance")
     d = x.value - mean.value
     r = 1.0 / v
-    val = np.sum(-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI))
+    axes = None if event_ndim is None else tuple(range(-event_ndim, 0))
+    val = np.sum(-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI), axis=axes)
 
     @de.shared_cotangent
     def dr(g):      # cotangent of the mean
-        return g * d * r
+        return (g if axes is None else np.expand_dims(g, axes)) * d * r
 
     return lift(val, [
         (x, lambda g: de._unbroadcast(-dr(g), x.value.shape)),
         (mean, lambda g: de._unbroadcast(dr(g), mean.value.shape)),
-        (var, lambda g: de._unbroadcast(0.5 * (dr(g) * d * r - g * r), v.shape)),
+        (var, lambda g: de._unbroadcast(
+            0.5 * (dr(g) * d - (g if axes is None else np.expand_dims(g, axes))) * r, v.shape)),
     ], "normal_log_density")
 
 
@@ -211,26 +236,28 @@ def _wishart_log_density_root(F, Ls, nu, ld_block) -> DiffTensor:
     leading rank x rank block; tr(Sigma^{-1} G) = |Ls^{-1} F|^2. One tape
     node after the triangular solve."""
     F, Ls, ld_block = as_tensor(F), as_tensor(Ls), as_tensor(ld_block)
-    N, ntilde = F.value.shape
+    N, ntilde = F.value.shape[-2:]
     nu = float(nu)
     const = (0.5 * nu * (ntilde - N) * np.log(np.pi)
              - 0.5 * nu * N * np.log(2.0)
              - _multigammaln(0.5 * nu, ntilde))
     Z = de.triangular_solve(Ls, F)
-    d = np.diagonal(Ls.value)
+    d = np.diagonal(Ls.value, axis1=-2, axis2=-1)
     if np.any(d <= 0):
         raise ValueError("log domain violation: non-positive diagonal")
     c_ld = 0.5 * (nu - N - 1)
-    val = ((-nu * np.sum(np.log(d)) + const) + c_ld * ld_block.value
-           + (-0.5 * np.sum(Z.value * Z.value)))
+    val = ((-nu * np.sum(np.log(d), axis=-1) + const) + c_ld * ld_block.value
+           + (-0.5 * np.sum(Z.value * Z.value, axis=(-2, -1))))
+    i = np.arange(N)
 
     def g_ls(g):
-        out = np.zeros_like(Ls.value)
-        out[np.diag_indices(N)] = -nu * g / d
-        return out
+        out = np.zeros(np.broadcast_shapes(Ls.value.shape, np.shape(g) + (1, 1)))
+        out[..., i, i] = -nu * np.asarray(g)[..., None] / d
+        return de._unbroadcast(out, Ls.value.shape)
 
-    return lift(val, [(Z, lambda g: -g * Z.value), (Ls, g_ls),
-                      (ld_block, lambda g: c_ld * g)], "wishart_log_density")
+    return lift(val, [(Z, lambda g: -np.asarray(g)[..., None, None] * Z.value), (Ls, g_ls),
+                      (ld_block, lambda g: de._unbroadcast(c_ld * g, ld_block.value.shape))],
+                "wishart_log_density")
 
 
 def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
@@ -428,8 +455,8 @@ def gwish_scale(chol_scale, nu: int):
     sum_{j <= ntilde} (N - j + 1) log L_jj, the Jacobian of T -> L T and
     of the leading block of G."""
     L = as_tensor(chol_scale)
-    N, nu = L.value.shape[0], int(nu)
-    if np.any(np.diag(L.value) <= 0):
+    N, nu = L.value.shape[-1], int(nu)
+    if np.any(np.diagonal(L.value, axis1=-2, axis2=-1) <= 0):
         raise ValueError("chol_scale must have positive diagonal")
     ntilde = min(N, nu)
     w = np.minimum(np.arange(1, N + 1), nu).astype(np.float64)
@@ -443,10 +470,12 @@ def _bartlett_root(q: GWishParts, tsq, xi) -> DiffTensor:
     ntilde, below = q.ntilde, q.below
     tdiag = np.sqrt(tsq.value)
     T = (q.mu.value + q.sigma.value * xi) * below
-    T[np.arange(ntilde), np.arange(ntilde)] += tdiag
-    return lift(T, [(tsq, lambda g: np.diagonal(g)[:ntilde] * (0.5 / tdiag)),
-                    (q.mu, lambda g: g * below),
-                    (q.sigma, lambda g: g * below * xi)], "bartlett_root")
+    i = np.arange(ntilde)
+    T[..., i, i] += tdiag
+    return lift(T, [(tsq, lambda g: g[..., i, i] * (0.5 / tdiag)),
+                    (q.mu, lambda g: de._unbroadcast(g * below, below.shape)),
+                    (q.sigma, lambda g: de._unbroadcast(g * below * xi, below.shape))],
+                "bartlett_root")
 
 
 def _bartlett_logq(q: GWishParts, tsq, T, scale_logq, db) -> DiffTensor:
@@ -466,22 +495,32 @@ def _bartlett_logq(q: GWishParts, tsq, T, scale_logq, db) -> DiffTensor:
     sg = q.sigma.value
     v = sg * sg
     r = 1.0 / v
-    val = (np.sum(am1 * lt - beta * ts) - np.sum(w_t * (0.5 * lt))
-           + np.sum(below * (-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI)))
+    val = (np.sum(am1 * lt - beta * ts, axis=-1) - np.sum(w_t * (0.5 * lt), axis=-1)
+           + np.sum(below * (-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI)), axis=(-2, -1))
            + q.const.value + scale_logq.value)
+
+    def vec(g):     # one sample's cotangent against its vector and matrix terms
+        return np.asarray(g)[..., None]
+
+    def mat(g):
+        return np.asarray(g)[..., None, None]
+
+    def unb(x, t):
+        return de._unbroadcast(x, t.value.shape)
+
     parents = [
-        (tsq, lambda g: g * (am1 / ts - beta - 0.5 * w_t / ts)),
-        (q.alpha, lambda g: g * lt),
-        (q.beta, lambda g: -g * ts),
-        (T, lambda g: -g * d * r),
-        (q.mu, lambda g: g * d * r),
-        (q.sigma, lambda g: g * below * (d * d * r - 1.0) / sg),
-        (q.const, lambda g: g),
-        (scale_logq, lambda g: g),
+        (tsq, lambda g: vec(g) * (am1 / ts - beta - 0.5 * w_t / ts)),
+        (q.alpha, lambda g: unb(vec(g) * lt, q.alpha)),
+        (q.beta, lambda g: unb(-vec(g) * ts, q.beta)),
+        (T, lambda g: -mat(g) * d * r),
+        (q.mu, lambda g: unb(mat(g) * d * r, q.mu)),
+        (q.sigma, lambda g: unb(mat(g) * below * (d * d * r - 1.0) / sg, q.sigma)),
+        (q.const, lambda g: unb(g, q.const)),
+        (scale_logq, lambda g: unb(g, scale_logq)),
     ]
     if db is not None:
         val += c_db * db.value
-        parents.append((db, lambda g: c_db * g))
+        parents.append((db, lambda g: unb(c_db * g, db)))
     return lift(val, parents, "gwish_logq")
 
 
@@ -497,7 +536,7 @@ def gwish_sample_and_logpdf(scale, q: GWishParts, rng: RngStream):
     """
     L, scale_logq = scale
     N, ntilde = q.N, q.ntilde
-    if L.value.shape[0] != N:
+    if L.value.shape[-1] != N:
         raise ValueError("scale and parameter shapes differ")
 
     # sample the generalized Bartlett factor
@@ -514,7 +553,7 @@ def gwish_sample_and_logpdf(scale, q: GWishParts, rng: RngStream):
     if q.A is None:     # the root L T B is lower-trapezoidal: 2 sum log of its diagonal
         return G, _bartlett_logq(q, tsq, T, scale_logq, None), feat, de.log_diag_sum(feat, 2.0)
     # leading blocks of D = (A T B)(A T B)^T, and of (T B)(T B)^T from diagonals
-    S = de.getitem(ATB, slice(0, ntilde))
+    S = de.getitem(ATB, (Ellipsis, slice(0, ntilde), slice(None)))
     db = de.logdet_psd(de.matmul(S, de.transpose(S)))
     top = np.zeros(N)
     top[:ntilde] = 2.0
@@ -534,29 +573,32 @@ def gaussian_conditional(L, K_uf, k_ff):
     """
     W = de.triangular_solve(L, K_uf)
     k_ff = as_tensor(k_ff)
-    var = lift(k_ff.value - np.sum(W.value * W.value, axis=0), [
+    var = lift(k_ff.value - np.sum(W.value * W.value, axis=-2), [
         (k_ff, lambda g: de._unbroadcast(g, k_ff.value.shape)),
-        (W, lambda g: -2.0 * W.value * g)], "conditional_variance")
+        (W, lambda g: np.expand_dims(-2.0 * g, -2) * W.value)], "conditional_variance")
     return W, var
 
 
-def conditional_sample(mean, var, rng: RngStream) -> DiffTensor:
+def conditional_sample(mean, var, rng) -> DiffTensor:
     """mean + sqrt(max(var, 0) + 1e-12) xi, with xi ~ N(0, I) shaped like
-    mean and one variance per row of mean; one tape node."""
+    one sample of mean and one variance per row of mean; one tape node.
+    One sample's mean is a vector or a matrix; with a StreamBatch, pass
+    matrices (a stack of vectors would read as one matrix)."""
     mean, var = as_tensor(mean), as_tensor(var)
     pos = var.value > 0
     std = np.sqrt(var.value * pos + 1e-12)
-    xi = rng.normal(mean.value.shape)
-    rows = std[:, None] if mean.value.ndim == 2 else std
+    rowwise = mean.value.ndim > 1
+    xi = rng.normal(mean.value.shape[-2:] if rowwise else mean.value.shape)
+    rows = std[..., None] if rowwise else std
 
     def g_var(g):
         gs = g * xi
-        if gs.ndim == 2:
-            gs = gs.sum(axis=1)
-        return gs * (0.5 / std) * pos
+        if rowwise:
+            gs = gs.sum(axis=-1)
+        return de._unbroadcast(gs * (0.5 / std) * pos, var.value.shape)
 
-    return lift(mean.value + rows * xi, [(mean, lambda g: g), (var, g_var)],
-                "conditional_sample")
+    return lift(mean.value + rows * xi, [(mean, lambda g: de._unbroadcast(g, mean.value.shape)),
+                                         (var, g_var)], "conditional_sample")
 
 
 def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i) -> MatrixNormalParams:

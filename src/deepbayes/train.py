@@ -122,14 +122,9 @@ def train_loop(model, dataset, config: TrainConfig):
         Xb, yb = dataset.X_train[idx], dataset.y_train[idx]
         kl_scale = kl_anneal_factor(step, config.anneal_steps)
         try:
-            with de.Tape() as tape:
-                wrapped = {k: tape.param(v, k) for k, v in params.items()}
-                elbo = model.objective(wrapped, Xb, yb, n,
-                                       config.train_samples, step_rng.split(1)[0],
-                                       kl_scale)
-                loss = de.elementwise("affine", elbo, a=-1.0)
-                grads = de.backward_pass(loss)
-            if not np.isfinite(loss.value):
+            loss, grads = _loss_and_grads(model, params, Xb, yb, n, config.train_samples,
+                                          step_rng.split(1)[0], kl_scale)
+            if not np.isfinite(loss):
                 raise FloatingPointError("non-finite loss")
             grads = _clip_global_norm(grads, config.clip_norm)
             params = adam_step(adam, params, grads, config.lr_at(step))
@@ -156,6 +151,17 @@ def train_loop(model, dataset, config: TrainConfig):
     if trace:
         result["final"] = trace[-1]
     return result
+
+
+def _loss_and_grads(model, params, Xb, yb, total_n, n_samples, rng, kl_scale):
+    """The negative objective and its gradients by parameter name. The step's
+    graph is local here, so it is freed on return, before the next step's
+    forward builds its own."""
+    with de.Tape() as tape:
+        wrapped = {k: tape.param(v, k) for k, v in params.items()}
+        loss = de.elementwise("affine", model.objective(
+            wrapped, Xb, yb, total_n, n_samples, rng, kl_scale), a=-1.0)
+        return float(loss.value), de.backward_pass(loss)
 
 
 def _evaluate(model, params, dataset, rng: rd.RngStream, config: TrainConfig):

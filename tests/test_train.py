@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,32 @@ def test_train_loop_aborts_on_nonfinite_tensor():
     assert res["aborted"] == {"step": 3,
                               "reason": "non-finite values in output of op 'exp'"}
     assert np.all(np.isfinite(res["params"]["w"])) and res["params"]["w"] != -2.0
+
+
+class _GraphProbeModel(_QuadModel):
+    """Holds a weak reference to an intermediate's value array of every
+    objective, and at the start of each objective records whether the
+    previous ones are still alive."""
+
+    def __init__(self):
+        self.refs = []
+        self.alive_at_start = []
+
+    def objective(self, params, Xb, yb, total_n, n_samples, rng, kl_scale):
+        self.alive_at_start.append(any(r() is not None for r in self.refs))
+        d = de.elementwise("affine", params["w"], b=-1.0)
+        self.refs.append(weakref.ref(d.value))
+        return de.elementwise("affine", de.elementwise("square", d), a=-1.0)
+
+
+def test_train_loop_frees_each_graph_before_the_next_forward():
+    model = _GraphProbeModel()
+    res = train_loop(model, _Dataset(np.random.default_rng(8)),
+                     TrainConfig(steps=5, lr=0.05, anneal_steps=0, eval_every=100))
+    assert res["aborted"] is None
+    # objectives at steps 0..4, then the evaluations' at steps 0 and 4
+    assert len(model.refs) == 7
+    assert not any(model.alive_at_start)
 
 
 def test_train_loop_minibatches_cover_dataset():
