@@ -362,7 +362,8 @@ def _chol_with_jitter(s: np.ndarray):
     1e-4*mean(diag). s is a matrix or a stack of them: one LAPACK call over
     the stack, and if any member fails, the ladder for each member on its
     own, so every matrix gets the jitter it would alone."""
-    sym = 0.5 * (s + _mT(s))
+    sym = s + _mT(s)
+    sym *= 0.5
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
@@ -424,12 +425,13 @@ def _solve_tri(l: np.ndarray, b: np.ndarray, trans: bool):
     if l.ndim == 2 and b.ndim == 2:
         return _trtrs(l, b, trans)
     batch = np.broadcast_shapes(l.shape[:-2], b.shape[:-2])
-    ls = [l] * math.prod(batch) if l.ndim == 2 else np.broadcast_to(
-        l, batch + l.shape[-2:]).reshape((-1,) + l.shape[-2:])
-    bs = [b] * math.prod(batch) if b.ndim == 2 else np.broadcast_to(
-        b, batch + b.shape[-2:]).reshape((-1,) + b.shape[-2:])
-    return np.stack([_trtrs(li, bi, trans) for li, bi in zip(ls, bs)]).reshape(
-        batch + b.shape[-2:])
+    ls = np.broadcast_to(l, batch + l.shape[-2:])
+    bs = np.broadcast_to(b, batch + b.shape[-2:])
+    n, k = b.shape[-2:]
+    x = _mT(np.empty(batch + (k, n)))   # Fortran-ordered matrices, as LAPACK returns them
+    for i in np.ndindex(*batch):
+        x[i] = _trtrs(ls[i], bs[i], trans)
+    return x
 
 
 def _phi(x):
@@ -447,7 +449,8 @@ def cholesky_factor(s) -> DiffTensor:
     v = s.value
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValueError("cholesky_factor requires a square matrix")
-    if np.max(np.abs(v - _mT(v))) > 1e-10 * max(1.0, np.max(np.abs(v))):
+    asym = v - _mT(v)
+    if np.abs(asym, out=asym).max() > 1e-10 * max(1.0, v.max(), -v.min()):
         raise ValueError("cholesky_factor requires a symmetric matrix")
     L = _chol_with_jitter(v)
 
@@ -456,7 +459,9 @@ def cholesky_factor(s) -> DiffTensor:
         p = _phi(_mT(L) @ g)
         s1 = _solve_tri(L, _mT(p), True)
         s2 = _solve_tri(L, _mT(s1), True)
-        return 0.5 * (s2 + _mT(s2))
+        out = s2 + _mT(s2)
+        out *= 0.5
+        return out
 
     return lift(L, [(s, vjp)], "cholesky_factor")
 

@@ -79,11 +79,16 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
     Xs, Xs2 = X.value * r, X2.value * r
     n1 = np.sum(Xs * Xs, axis=-1, keepdims=True)                       # N x 1
     n2 = n1 if same else np.sum(Xs2 * Xs2, axis=-1, keepdims=True)     # N' x 1
-    d2 = n1 - 2.0 * (Xs @ de._mT(Xs2))
-    d2 += de._mT(n2)
-    neg = _clamp_sqdist(d2)
-    K = sf2.value * np.exp(-0.5 * d2)
-    del d2
+    # in place, one N x N' buffer becomes d2 and then K: the same roundings
+    # as n1 - 2 Xs Xs2^T + n2^T and sf2 exp(-0.5 d2)
+    K = Xs @ de._mT(Xs2)
+    K *= -2.0
+    K += n1
+    K += de._mT(n2)
+    neg = _clamp_sqdist(K)
+    K *= -0.5
+    np.exp(K, out=K)
+    K *= sf2.value
 
     @de.shared_cotangent
     def back(g):    # cotangents of sf2 and of the scaled inputs
