@@ -226,10 +226,9 @@ def neg(a) -> DiffTensor:
 
 
 def transpose(a) -> DiffTensor:
-    """Swap the last two axes (a vector is its own transpose)."""
+    """Swap the last two axes: the transpose of a matrix or of each matrix in
+    a stack."""
     a = as_tensor(a)
-    if a.value.ndim < 2:
-        return lift(a.value, [(a, lambda g: g)], "transpose")
     return lift(_mT(a.value), [(a, _mT)], "transpose")
 
 

@@ -70,9 +70,6 @@ class StreamBatch:
     def __init__(self, streams):
         self.streams = list(streams)
 
-    def __len__(self):
-        return len(self.streams)
-
     def split(self, n: int) -> list["StreamBatch"]:
         return [StreamBatch(parts) for parts in zip(*(st.split(n) for st in self.streams))]
 
@@ -177,15 +174,17 @@ def normal_log_density(x, mean, var, event_ndim=None) -> DiffTensor:
     axes = None if event_ndim is None else tuple(range(-event_ndim, 0))
     val = np.sum(-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI), axis=axes)
 
+    def per_element(g):     # a per-sample cotangent against its elements
+        return g if axes is None else np.expand_dims(g, axes)
+
     @de.shared_cotangent
     def dr(g):      # cotangent of the mean
-        return (g if axes is None else np.expand_dims(g, axes)) * d * r
+        return per_element(g) * d * r
 
     return lift(val, [
         (x, lambda g: de._unbroadcast(-dr(g), x.value.shape)),
         (mean, lambda g: de._unbroadcast(dr(g), mean.value.shape)),
-        (var, lambda g: de._unbroadcast(
-            0.5 * (dr(g) * d - (g if axes is None else np.expand_dims(g, axes))) * r, v.shape)),
+        (var, lambda g: de._unbroadcast(0.5 * (dr(g) * d * r - per_element(g) * r), v.shape)),
     ], "normal_log_density")
 
 
