@@ -4,11 +4,11 @@ All tensors are numpy float64 arrays wrapped in DiffTensor. Operations
 record vector-Jacobian closures on the active Tape; backward_pass walks the
 tape in reverse creation order exactly once.
 
-Matrix ops (matmul, transpose, diag_part, log_diag_sum, cholesky_factor,
-triangular_solve, logdet_psd) act on the last two axes and broadcast over
-any leading ones, so S Monte-Carlo samples run as one op on a stack of S
-matrices; a cotangent is summed back over the axes its operand was
-broadcast along.
+Matrix ops (matmul, transpose, diag_part, add_diagonal, log_diag_sum,
+cholesky_factor, triangular_solve, logdet_psd) act on the last two axes and
+broadcast over any leading ones, so S Monte-Carlo samples run as one op on a
+stack of S matrices; a cotangent is summed back over the axes its operand
+was broadcast along.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ __all__ = [
     "Tape", "DiffTensor", "as_tensor", "lift", "shared_cotangent",
     "matmul", "add", "sub", "mul", "div", "neg", "transpose", "tsum",
     "elementwise", "cholesky_factor", "triangular_solve", "logdet_psd",
-    "log_diag_sum", "diag_part", "diag_embed", "concat", "reshape", "getitem",
-    "backward_pass", "finite_diff_check",
+    "log_diag_sum", "diag_part", "add_diagonal", "diag_embed", "concat", "reshape",
+    "getitem", "backward_pass", "finite_diff_check",
 ]
 
 _ACTIVE: list["Tape"] = []
@@ -296,6 +296,21 @@ def diag_part(a) -> DiffTensor:
     return lift(np.diagonal(a.value, axis1=-2, axis2=-1).copy(), [(a, vjp)], "diag_part")
 
 
+def add_diagonal(a, d) -> DiffTensor:
+    """a + d I for a scalar d: d added to the leading diagonal of a matrix,
+    or of each matrix in a stack, in one buffer; d's cotangent is the trace
+    of g."""
+    a, d = as_tensor(a), as_tensor(d)
+    if d.value.size != 1:
+        raise ValueError("add_diagonal adds one scalar")
+    i = np.arange(min(a.value.shape[-2:]))
+    out = a.value.copy()
+    out[..., i, i] += d.value
+    return lift(out, [(a, lambda g: g),
+                      (d, lambda g: _unbroadcast(g[..., i, i].sum(axis=-1), d.value.shape))],
+                "add_diagonal")
+
+
 def diag_embed(v) -> DiffTensor:
     v = as_tensor(v)
     return lift(np.diag(v.value), [(v, lambda g: np.diagonal(g).copy())], "diag_embed")
@@ -441,16 +456,47 @@ def _phi(x):
     return out
 
 
+def _check_symmetric(v: np.ndarray, op: str):
+    """Raise ValueError naming op unless v is a square matrix, or a stack of
+    them, symmetric to 1e-10 of its largest entry."""
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
+        raise ValueError(f"{op} requires a square matrix")
+    asym = v - _mT(v)
+    if np.abs(asym, out=asym).max() > 1e-10 * max(1.0, v.max(), -v.min()):
+        raise ValueError(f"{op} requires a symmetric matrix")
+
+
+_POTRI = sla.get_lapack_funcs("potri", (np.zeros((1, 1)),))
+
+
+def _chol_inverse(L: np.ndarray):
+    """(L L^T)^{-1} from a lower Cholesky factor, or for each factor of a
+    stack, by LAPACK potri (a third of the flops of solving against I): one
+    Fortran-ordered buffer per matrix, its strict lower triangle filled from
+    the upper in place, a block of rows at a time."""
+    if L.ndim > 2:
+        n = L.shape[-1]
+        return np.stack([_chol_inverse(m) for m in L.reshape(-1, n, n)]).reshape(L.shape)
+    # L^T is upper-triangular; potri writes the upper triangle of the inverse
+    # and keeps L^T's zeros below it
+    inv, info = _POTRI(L.T, lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"potri failed: info {info}")
+    n, b = inv.shape[0], 256
+    for k in range(0, n, b):
+        e = min(k + b, n)
+        inv[e:, k:e] = inv[k:e, e:].T
+        blk = inv[k:e, k:e]
+        blk += np.triu(blk, 1).T
+    return inv
+
+
 def cholesky_factor(s) -> DiffTensor:
     """Lower Cholesky factor of a symmetric PD matrix, or of each matrix in a
     stack, with the jitter policy."""
     s = as_tensor(s)
     v = s.value
-    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
-        raise ValueError("cholesky_factor requires a square matrix")
-    asym = v - _mT(v)
-    if np.abs(asym, out=asym).max() > 1e-10 * max(1.0, v.max(), -v.min()):
-        raise ValueError("cholesky_factor requires a symmetric matrix")
+    _check_symmetric(v, "cholesky_factor")
     L = _chol_with_jitter(v)
 
     def vjp(g):
@@ -499,17 +545,15 @@ def triangular_solve(l, b, trans=False) -> DiffTensor:
 
 def logdet_psd(s) -> DiffTensor:
     """log|s| for symmetric PD s (or each matrix of a stack), via Cholesky;
-    gradient s^{-1}."""
+    gradient s^{-1}, formed from the factor when the cotangent arrives."""
     s = as_tensor(s)
     L = _chol_with_jitter(s.value)
-    n = L.shape[-1]
     val = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-    eye = np.eye(n)
-    inv = (sla.cho_solve((L, True), eye) if L.ndim == 2 else np.stack(
-        [sla.cho_solve((m, True), eye) for m in L.reshape(-1, n, n)]).reshape(L.shape))
 
     def vjp(g):
-        return np.asarray(g)[..., None, None] * 0.5 * (inv + _mT(inv))
+        inv = _chol_inverse(L)
+        inv *= np.asarray(g)[..., None, None]
+        return inv
 
     return lift(np.asarray(val), [(s, vjp)], "logdet_psd")
 

@@ -146,9 +146,10 @@ def dwp_posterior_layer(scale, L_ii, gw: rd.GWishParts, rng: rd.RngStream):
     returns (G_ii, features, increment) with features the retained
     generalized-Bartlett root (F F^T = G_ii) and
     increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev), the prior
-    density (scale factor L_ii) read from the root.
+    density (scale factor L_ii) read from the root. The A-variant's block
+    log-det enters both densities alike and is left out of both.
     """
-    G, logq, feat, ld_block = rd.gwish_sample_and_logpdf(scale, gw, rng)
+    G, logq, feat, ld_block, _ = rd._gwish_sample(scale, gw, rng)
     logp = rd._wishart_log_density_root(feat, L_ii, gw.nu, ld_block)
     return G, feat, de.sub(logp, logq)
 

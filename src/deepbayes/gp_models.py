@@ -107,35 +107,31 @@ def blr_fit_predict_lml(state: BlrState, X, y, X_star=None):
     a2 = de.elementwise("square", alpha)
     s2 = de.elementwise("square", sigma)
 
-    eye = as_tensor(np.eye(k))
     if n == 0:
         m = as_tensor(np.zeros(k))
-        S = de.mul(a2, eye)
+        S = de.add_diagonal(np.zeros((k, k)), a2)
         lml = as_tensor(np.asarray(0.0))
     elif n <= k:
         # function-space form: better conditioned than the weight-space
         # precision when the features outnumber the data or the noise is tiny
-        cov = de.add(de.mul(a2, de.matmul(phi, de.transpose(phi))),
-                     de.mul(s2, as_tensor(np.eye(n))))
+        cov = de.add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
         Lc = de.cholesky_factor(cov)
         w_y = de.triangular_solve(Lc, y)
         w_p = de.triangular_solve(Lc, phi)                     # Lc^{-1} phi
         m = de.mul(a2, de.matmul(de.transpose(w_p), w_y))
-        S = de.sub(de.mul(a2, eye),
-                   de.mul(de.elementwise("square", a2),
-                          de.matmul(de.transpose(w_p), w_p)))
-        lml = rd.mvn_log_density(y, np.zeros(n), chol=Lc)
+        S = de.add_diagonal(de.neg(de.mul(de.elementwise("square", a2),
+                                          de.matmul(de.transpose(w_p), w_p))), a2)
+        lml = rd.mvn_log_density(y, np.zeros(n), cov, chol=Lc)
     else:
-        prec = de.add(de.div(eye, a2),
-                      de.div(de.matmul(de.transpose(phi), phi), s2))
+        prec = de.add_diagonal(de.div(de.matmul(de.transpose(phi), phi), s2),
+                               de.elementwise("reciprocal", a2))
         Lp = de.cholesky_factor(prec)
         # S = prec^{-1}
-        w = de.triangular_solve(Lp, eye)
+        w = de.triangular_solve(Lp, np.eye(k))
         S = de.matmul(de.transpose(w), w)
         m = de.matmul(S, de.div(de.matmul(de.transpose(phi), y), s2))
-        cov = de.add(de.mul(a2, de.matmul(phi, de.transpose(phi))),
-                     de.mul(s2, as_tensor(np.eye(n))))
-        lml = rd.mvn_log_density(y, np.zeros(n), cov=cov)
+        cov = de.add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
+        lml = rd.mvn_log_density(y, np.zeros(n), cov)
 
     pred = None
     if X_star is not None:
@@ -159,10 +155,10 @@ def gp_predict_lml(state: GpState, X, y, X_star=None):
         m = as_tensor(np.zeros(as_tensor(X_star).value.shape[0]))
         return m, Kss, as_tensor(np.asarray(0.0))
 
-    K = state.kern(X)
-    Kn = de.add(K, de.mul(s2, as_tensor(np.eye(n))))
+    Kn = de.add_diagonal(state.kern(X), s2)
     L = de.cholesky_factor(Kn)
-    lml = rd.mvn_log_density(y, np.zeros(n), chol=L)
+    # L only serves predictions: the LML's gradient reaches Kn directly
+    lml = rd.mvn_log_density(y, np.zeros(n), Kn, chol=L)
 
     if X_star is None:
         return None, None, lml
@@ -191,8 +187,7 @@ def prop31_check(state: GpState, X, y):
         raise ValueError("zero targets: optimal signal variance is degenerate")
     unit = replace(state, kernel_params=replace(state.kernel_params, log_sf2=0.0))
     Khat = unit.kern(X)
-    Mh = de.add(Khat, de.mul(state.noise_var(), as_tensor(np.eye(n))))
-    L = de.cholesky_factor(Mh)
+    L = de.cholesky_factor(de.add_diagonal(Khat, state.noise_var()))
     w = de.triangular_solve(L, y)
     quad = de.tsum(de.elementwise("square", w))      # y^T Mh^{-1} y
     sf2_opt = de.elementwise("affine", quad, a=1.0 / n)
@@ -249,8 +244,7 @@ def svgp_collapsed_bound(state: SvgpState, X, y):
     Kzx = state.kern(Z, X)
     W = de.triangular_solve(Lz, Kzx)                 # Lz^{-1} Kzx
     Q = de.matmul(de.transpose(W), W)
-    cov = de.add(Q, de.mul(s2, as_tensor(np.eye(n))))
-    fit = rd.mvn_log_density(y, np.zeros(n), cov=cov)
+    fit = rd.mvn_log_density(y, np.zeros(n), de.add_diagonal(Q, s2))
     kdiag = _se_kdiag(state.kernel_params, state.kernel_params.sf2(), n)
     trace_gap = de.sub(de.tsum(kdiag), de.tsum(de.diag_part(Q)))
     bound = de.sub(fit, de.div(trace_gap, de.elementwise("affine", s2, a=2.0)))

@@ -175,5 +175,4 @@ def add_layer_noise(K, noise_var) -> DiffTensor:
     n = K.value.shape[-1]
     if K.value.shape[-2] != n:
         raise ValueError("add_layer_noise requires a square matrix")
-    nv = as_tensor(noise_var)
-    return de.add(K, de.mul(nv, as_tensor(np.eye(n))))
+    return de.add_diagonal(K, noise_var)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.special as spec
 
 from . import diff_engine as de
@@ -32,7 +33,9 @@ class RngStream:
     """Splittable, reproducible random stream (counter-based Philox core).
 
     Every draw is addressable by (seed, spawn path, draw index); identical
-    seeds give identical sequences.
+    seeds give identical sequences. The generator is built on the first
+    draw, so streams that are only split further never build one; Philox
+    reads only the seed's entropy and spawn path, not how often it was split.
     """
 
     def __init__(self, seed):
@@ -40,7 +43,13 @@ class RngStream:
             self._ss = seed
         else:
             self._ss = np.random.SeedSequence(int(seed))
-        self._gen = np.random.Generator(np.random.Philox(self._ss))
+        self._g = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        if self._g is None:
+            self._g = np.random.Generator(np.random.Philox(self._ss))
+        return self._g
 
     def split(self, n: int) -> list["RngStream"]:
         return [RngStream(ss) for ss in self._ss.spawn(n)]
@@ -188,17 +197,42 @@ def normal_log_density(x, mean, var, event_ndim=None) -> DiffTensor:
     ], "normal_log_density")
 
 
-def mvn_log_density(y, mean, cov=None, chol=None) -> DiffTensor:
-    """log N(y; mean, cov) for a vector y, via Cholesky."""
-    y, mean = as_tensor(y), as_tensor(mean)
-    L = chol if chol is not None else de.cholesky_factor(cov)
-    L = as_tensor(L)
+def mvn_log_density(y, mean, cov, chol=None) -> DiffTensor:
+    """log N(y; mean, cov) for a vector y, in one tape node.
+
+    chol: optional lower Cholesky factor of cov that the caller already
+    holds, read by value only; without it cov is factorised with the jitter
+    ladder. With w = L^{-1}(y - mean) and alpha = L^{-T} w, the cotangent of
+    cov is 0.5 g (alpha alpha^T - cov^{-1}), with cov^{-1} from the factor
+    (potri), so no Cholesky adjoint runs; y's is -g alpha and mean's +g alpha.
+    """
+    y, mean, cov = as_tensor(y), as_tensor(mean), as_tensor(cov)
+    if chol is None:
+        de._check_symmetric(cov.value, "mvn_log_density")
+        L = de._chol_with_jitter(cov.value)
+    else:
+        L = as_tensor(chol).value
     n = y.value.shape[0]
-    diff = de.sub(y, mean)
-    w = de.triangular_solve(L, diff)
-    quad = de.tsum(de.elementwise("square", w))
-    return de.elementwise("affine", de.add(quad, de.log_diag_sum(L, 2.0)),
-                          a=-0.5, b=-0.5 * n * LOG2PI)
+    w = de._solve_tri(L, (y.value - mean.value)[:, None], False)[:, 0]
+    ld = np.sum(2.0 * np.log(np.diagonal(L)))
+    val = -0.5 * (np.sum(w * w) + ld) + (-0.5 * n * LOG2PI)
+
+    @de.shared_cotangent
+    def alpha(g):       # L^{-T} w, solved once per cotangent
+        de._check_finite(g, "cotangent of op 'mvn_log_density'")
+        return de._solve_tri(L, w[:, None], True)[:, 0]
+
+    def g_cov(g):       # one n x n buffer: the inverse, scaled, plus the rank-1 term
+        a = alpha(g)
+        out = de._chol_inverse(L)
+        out *= -0.5 * g
+        return sla.blas.dger(0.5 * float(g), a, a, a=out, overwrite_a=1)
+
+    return lift(np.asarray(val), [
+        (y, lambda g: -g * alpha(g)),
+        (mean, lambda g: de._unbroadcast(g * alpha(g), mean.value.shape)),
+        (cov, g_cov),
+    ], "mvn_log_density")
 
 
 # -- Wishart / inverse-Wishart densities ----------------------------------------
@@ -477,18 +511,18 @@ def _bartlett_root(q: GWishParts, tsq, xi) -> DiffTensor:
                 "bartlett_root")
 
 
-def _bartlett_logq(q: GWishParts, tsq, T, scale_logq, db) -> DiffTensor:
+def _bartlett_logq(q: GWishParts, tsq, T, scale_logq) -> DiffTensor:
     """log q of the generalized Bartlett factor T with squared diagonal tsq,
     in one tape node: the gamma densities of tsq, the Gaussians below the
     diagonal and the Jacobian terms in T's diagonal, plus the scale's and the
-    parameters' parts; A-variant: 0.5 (nu - N - 1) db with db the log-det of
-    the leading block of (A T B)(A T B)^T."""
+    parameters' parts; A-variant: less 0.5 (nu - N - 1) db, with db the
+    log-det of the leading block of (A T B)(A T B)^T."""
     N, ntilde, nu, below = q.N, q.ntilde, q.nu, q.below
     ts, am1, beta = tsq.value, q.alpha.value - 1.0, q.beta.value
     c_db = 0.5 * (nu - N - 1)
     # coefficient of log T_jj = 0.5 log tsq_j: T_jj^{N-j}, and the A-variant's
     # log|C block| = 2 sum log T_jj (+ B's, in q.const)
-    w_t = _bartlett_exps(N, ntilde) - 1.0 + (2.0 * c_db if db is not None else 0.0)
+    w_t = _bartlett_exps(N, ntilde) - 1.0 + (2.0 * c_db if q.A is not None else 0.0)
     lt = np.log(ts)
     d = (T.value - q.mu.value) * below
     sg = q.sigma.value
@@ -517,9 +551,6 @@ def _bartlett_logq(q: GWishParts, tsq, T, scale_logq, db) -> DiffTensor:
         (q.const, lambda g: unb(g, q.const)),
         (scale_logq, lambda g: unb(g, scale_logq)),
     ]
-    if db is not None:
-        val += c_db * db.value
-        parents.append((db, lambda g: unb(c_db * g, db)))
     return lift(val, parents, "gwish_logq")
 
 
@@ -533,6 +564,21 @@ def gwish_sample_and_logpdf(scale, q: GWishParts, rng: RngStream):
     ld_block the log-determinant of G's leading ntilde x ntilde block, from
     the diagonals the density forms (A-variant: and its one factorised block).
     """
+    G, logq, feat, ld_block, ATB = _gwish_sample(scale, q, rng)
+    if q.A is None:
+        return G, logq, feat, ld_block
+    # the A-variant's log-det db of the leading block of (A T B)(A T B)^T
+    S = de.getitem(ATB, (Ellipsis, slice(0, q.ntilde), slice(None)))
+    db = de.logdet_psd(de.matmul(S, de.transpose(S)))
+    c_db = 0.5 * (q.nu - q.N - 1)
+    return G, de.add(logq, de.elementwise("affine", db, a=c_db)), feat, de.add(db, ld_block)
+
+
+def _gwish_sample(scale, q: GWishParts, rng: RngStream):
+    """gwish_sample_and_logpdf less the A-variant's db, plus the root A T B:
+    (G, log_density - c db, feat, ld_block - db, ATB), c = 0.5 (nu - N - 1).
+    A Wishart log density of G read through ld_block holds the same c db, so
+    log p - log q needs neither term, and db's factorisation is saved."""
     L, scale_logq = scale
     N, ntilde = q.N, q.ntilde
     if L.value.shape[-1] != N:
@@ -548,16 +594,14 @@ def gwish_sample_and_logpdf(scale, q: GWishParts, rng: RngStream):
         ATB = de.matmul(q.A, ATB)
     feat = de.matmul(L, ATB)
     G = de.matmul(feat, de.transpose(feat))
+    logq = _bartlett_logq(q, tsq, T, scale_logq)
 
     if q.A is None:     # the root L T B is lower-trapezoidal: 2 sum log of its diagonal
-        return G, _bartlett_logq(q, tsq, T, scale_logq, None), feat, de.log_diag_sum(feat, 2.0)
-    # leading blocks of D = (A T B)(A T B)^T, and of (T B)(T B)^T from diagonals
-    S = de.getitem(ATB, (Ellipsis, slice(0, ntilde), slice(None)))
-    db = de.logdet_psd(de.matmul(S, de.transpose(S)))
+        return G, logq, feat, de.log_diag_sum(feat, 2.0), ATB
+    # G's leading block is L's times D's: 2 sum log of L's leading diagonal
     top = np.zeros(N)
     top[:ntilde] = 2.0
-    return (G, _bartlett_logq(q, tsq, T, scale_logq, db), feat,
-            de.add(db, de.log_diag_sum(L, top)))
+    return G, logq, feat, de.log_diag_sum(L, top), ATB
 
 
 # -- Gaussian conditioning --------------------------------------------------------

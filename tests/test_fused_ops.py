@@ -11,6 +11,8 @@ from scipy.special import multigammaln
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
+from deepbayes.bench_cli import ExperimentConfig, _make_model, gen_cubic_toy
+from deepbayes import gp_models as gm
 from deepbayes.diff_engine import as_tensor
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, se_ard_features
 
@@ -53,6 +55,19 @@ def _ref_normal(x, mean, var):
     quad = de.div(de.elementwise("square", diff), var)
     return de.tsum(de.elementwise("affine", de.add(de.elementwise("log", var), quad),
                                   a=-0.5, b=-0.5 * LOG2PI))
+
+
+def _ref_mvn(y, mean, cov):
+    L = de.cholesky_factor(cov)
+    w = de.triangular_solve(L, de.sub(y, mean))
+    quad = de.tsum(de.elementwise("square", w))
+    return de.elementwise("affine", de.add(quad, de.log_diag_sum(L, 2.0)),
+                          a=-0.5, b=-0.5 * as_tensor(y).value.shape[0] * LOG2PI)
+
+
+def _ref_add_diagonal(a, d):
+    a = as_tensor(a)
+    return de.add(a, de.mul(d, as_tensor(np.eye(a.value.shape[-1]))))
 
 
 def _ref_wishart_root(F, Ls, nu, ld_block):
@@ -152,13 +167,13 @@ def _value_and_grads(fn, params):
                               for k, v in params.items()}, n
 
 
-def _assert_matches_reference(fused, ref, params, tol=1e-12):
+def _assert_matches_reference(fused, ref, params, tol=1e-12, grad_tol=None):
     v1, g1, n1 = _value_and_grads(fused, params)
     v2, g2, n2 = _value_and_grads(ref, params)
     assert abs(v1 - v2) <= tol * max(abs(v2), 1e-300), (v1, v2)
     for k in params:
         scale = max(np.max(np.abs(g2[k])), 1e-300)
-        assert np.max(np.abs(g1[k] - g2[k])) <= tol * scale, (k, g1[k], g2[k])
+        assert np.max(np.abs(g1[k] - g2[k])) <= (grad_tol or tol) * scale, (k, g1[k], g2[k])
     assert n1 < n2      # the fused form builds fewer tape nodes
     rep = de.finite_diff_check(fused, params)
     assert rep["passed"], rep
@@ -242,6 +257,112 @@ def test_normal_log_density_matches_reference(var_shape):
         return lambda ps: density(ps["x"], ps["m"], de.elementwise("exp", ps["log_v"]))
 
     _assert_matches_reference(make(rd.normal_log_density), make(_ref_normal), params)
+
+
+def _mvn_params(n, rng):
+    return {"y": rng.standard_normal(n), "m": 0.3 * rng.standard_normal(n),
+            "R": rng.standard_normal((n, n)) / np.sqrt(n)}
+
+
+def _mvn_cov(ps):
+    return de.add_diagonal(de.matmul(ps["R"], de.transpose(ps["R"])), 0.5)
+
+
+@pytest.mark.parametrize("with_chol", [False, True])
+def test_mvn_log_density_matches_reference(with_chol):
+    # the factor, when passed, is read by value: the gradient reaches cov
+    # through the density alone
+    params = _mvn_params(6, np.random.default_rng(11))
+
+    def fused(ps):
+        cov = _mvn_cov(ps)
+        chol = de.cholesky_factor(cov) if with_chol else None
+        return rd.mvn_log_density(ps["y"], ps["m"], cov, chol=chol)
+
+    _assert_matches_reference(fused, lambda ps: _ref_mvn(ps["y"], ps["m"], _mvn_cov(ps)),
+                              params, grad_tol=1e-10)
+
+
+def test_mvn_log_density_on_the_jitter_ladder_matches_reference():
+    # a rank-3 covariance of size 5, shifted to be slightly indefinite, fails
+    # the plain Cholesky; both forms factorise it with the same jitter and
+    # agree on the jittered density. The jittered factor's condition number
+    # is about 1e8, so R's gradient, which cancels cov^{-1}-sized terms, is
+    # rounding-determined to about 1e8 eps in either form.
+    rng = np.random.default_rng(12)
+    R = rng.standard_normal((5, 3))
+    params = {"y": R @ rng.standard_normal(3), "m": np.zeros(5), "R": R}
+
+    def cov(ps):
+        return de.add_diagonal(de.matmul(ps["R"], de.transpose(ps["R"])), -1e-9)
+
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov({"R": as_tensor(R)}).value)
+    v1, g1, _ = _value_and_grads(lambda ps: rd.mvn_log_density(ps["y"], ps["m"], cov(ps)),
+                                 params)
+    v2, g2, _ = _value_and_grads(lambda ps: _ref_mvn(ps["y"], ps["m"], cov(ps)), params)
+    assert abs(v1 - v2) <= 1e-12 * abs(v2)
+    for k, tol in (("y", 1e-12), ("m", 1e-12), ("R", 1e-7)):
+        assert np.max(np.abs(g1[k] - g2[k])) <= tol * np.max(np.abs(g2[k])), k
+
+
+def test_mvn_log_density_cotangent_guard_names_the_op():
+    # a finite forward whose backward overflows: d log(z) / dz = 1 / 1e-313
+    with de.Tape() as tape, np.errstate(over="ignore", divide="ignore"):
+        y = tape.param(np.array([0.3, -0.2]), "y")
+        dens = rd.mvn_log_density(y, np.zeros(2), np.eye(2))
+        out = de.elementwise("log", de.mul(de.elementwise("exp", dens), as_tensor(1e-310)))
+        assert np.isfinite(out.value)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite values in cotangent of op 'mvn_log_density'"):
+            de.backward_pass(out)
+
+
+def test_chol_inverse_matches_inverse():
+    # 600 rows span three 256-row blocks of the in-place fill; stacks go
+    # one matrix at a time
+    rng = np.random.default_rng(13)
+    for shape in [(600, 600), (3, 4, 4)]:
+        A = rng.standard_normal(shape)
+        S = A @ np.swapaxes(A, -1, -2) + shape[-1] * np.eye(shape[-1])
+        inv = de._chol_inverse(np.linalg.cholesky(S))
+        assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+        assert np.allclose(inv, np.linalg.inv(S), rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4)])
+def test_add_diagonal_matches_reference(shape):
+    rng = np.random.default_rng(14)
+    params = {"K": rng.standard_normal(shape), "log_s": np.asarray(-0.7)}
+    weights = np.cos(np.arange(np.prod(shape))).reshape(shape)
+
+    def make(add_diag):
+        return lambda ps: de.tsum(de.mul(add_diag(ps["K"], de.elementwise("exp", ps["log_s"])),
+                                         as_tensor(weights)))
+
+    _assert_matches_reference(make(de.add_diagonal), make(_ref_add_diagonal), params)
+
+
+def test_gp_training_step_skips_the_cholesky_adjoint(monkeypatch):
+    # the exact GP's LML differentiates through the Gaussian density's own
+    # adjoint; the factor it shares with the predictions gets no cotangent
+    calls = []
+    phi = de._phi
+    monkeypatch.setattr(de, "_phi", lambda x: calls.append(1) or phi(x))
+    ds = gen_cubic_toy(0)
+    model = _make_model(ExperimentConfig(model="gp"), ds)
+    with de.Tape() as tape:
+        p = {k: tape.param(v, k) for k, v in model.init_params().items()}
+        lml = model.objective(p, ds.X_train, ds.y_train, 40, 1, rd.RngStream(0), 1.0)
+        grads = de.backward_pass(lml)
+    assert set(grads) == set(p) and not calls
+    # differentiating a prediction does run it
+    with de.Tape() as tape:
+        p = {k: tape.param(v, k) for k, v in model.init_params().items()}
+        st, X = model._state_and_features(p, ds.X_train)
+        mean, _, _ = gm.gp_predict_lml(st, X, ds.y_train, ds.X_test)
+        de.backward_pass(de.tsum(mean))
+    assert calls
 
 
 def test_wishart_root_density_matches_reference():

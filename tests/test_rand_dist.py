@@ -136,7 +136,7 @@ def test_mvn_log_density_matches_scipy_and_chol_path():
     m = rng.standard_normal(4)
     ref = st.multivariate_normal.logpdf(y, m, S)
     assert np.isclose(rd.mvn_log_density(y, m, cov=S).value, ref)
-    assert np.isclose(rd.mvn_log_density(y, m, chol=np.linalg.cholesky(S)).value, ref)
+    assert np.isclose(rd.mvn_log_density(y, m, S, chol=np.linalg.cholesky(S)).value, ref)
 
 
 def test_wishart_log_density_matches_scipy_full_rank():
