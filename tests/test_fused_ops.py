@@ -10,9 +10,9 @@ import pytest
 from scipy.special import multigammaln
 
 from deepbayes import diff_engine as de
+from deepbayes import gp_models as gm
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import ExperimentConfig, _make_model, gen_cubic_toy
-from deepbayes import gp_models as gm
 from deepbayes.diff_engine import as_tensor
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, se_ard_features
 
