@@ -285,12 +285,10 @@ class SvgpModel:
 class _MonteCarloModel:
     """Shared objective and evaluation for models whose ELBO and predictive
     samples both come from one batched
-    `forward(state, streams) -> (outputs, increment)`, sample s drawn from
-    stream s of the rand_dist.StreamBatch, where
-    `state = _state(params, X)` holds the work that depends only on the
-    parameters and the inputs X, the first layer's included, built once per
-    objective. Evaluation uses up to 20 samples for the ELBO and up to
-    `max_pred_samples` (None: no cap) for the predictive."""
+    `forward(params, X, streams) -> (outputs, increment)` at inputs X, sample
+    s drawn from stream s of the rand_dist.StreamBatch. Evaluation uses up to
+    20 samples for the ELBO and up to `max_pred_samples` (None: no cap) for
+    the predictive."""
 
     max_pred_samples = 50
 
@@ -301,15 +299,14 @@ class _MonteCarloModel:
         self.X0, self.y0 = dataset.X_train[:self.M].copy(), dataset.y_train[:self.M].copy()
 
     def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
-        state = self._state(p, Xb)
         log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
-        return dm.mc_elbo(lambda st: self.forward(state, st), yb, total_n,
+        return dm.mc_elbo(lambda st: self.forward(p, Xb, st), yb, total_n,
                           n_samples, rng, log_noise, kl_scale)
 
     def predictive_samples(self, params, X, rng, n_samples):
         """(n_samples, n) predictive draws of the first output."""
-        state = self._state({k: as_tensor(v) for k, v in params.items()}, X)
-        return self.forward(state, rd.StreamBatch(rng.split(n_samples)))[0].value[..., 0]
+        p = {k: as_tensor(v) for k, v in params.items()}
+        return self.forward(p, X, rd.StreamBatch(rng.split(n_samples)))[0].value[..., 0]
 
     def evaluate(self, params, dataset, rng, n_samples):
         n = dataset.X_train.shape[0]
@@ -368,7 +365,7 @@ class BnnModel(_MonteCarloModel):
                       for i in range(n_layers) for ab in "ab"})
         return p
 
-    def _state(self, p, X):
+    def forward(self, p, X, rng):
         layers = []
         for i in range(len(self.widths)):
             prior = (dm.PriorSpec("scale", de.elementwise("exp", p[f"log_a_s{i}"]),
@@ -382,10 +379,7 @@ class BnnModel(_MonteCarloModel):
                 layers.append(dm.FacBnnLayer(mean_scaled=p[f"mean{i}"],
                                              log_std=p[f"lstd{i}"],
                                              scale=1.0 / np.sqrt(fi), prior=prior))
-        return dm.bnn_prepare(layers, X, inducing_inputs=p.get("U0"))
-
-    def forward(self, state, rng):
-        return dm.bnn_forward(state, rng)
+        return dm.bnn_forward(layers, X, rng, inducing_inputs=p.get("U0"))
 
 
 class DgpModel(_MonteCarloModel):
@@ -426,11 +420,9 @@ class DgpModel(_MonteCarloModel):
                 p[f"S_raw{i}"] = np.tile(raw[None], (w, 1, 1))
         return p
 
-    def _state(self, p, X):
-        """The layers, the inputs, the first layer's prepared GI layer or DSVI
-        marginals, each DSVI layer's chol(K_zz) and the summed DSVI KL."""
-        layers, chols = [], []
-        kl = as_tensor(np.asarray(0.0))
+    def forward(self, p, X, rng):
+        F, U = as_tensor(X), as_tensor(p["Z0"])
+        inc_sum = as_tensor(np.asarray(0.0))
         d_in = self.D
         for i, w in enumerate(self.widths):
             last = i == len(self.widths) - 1
@@ -440,31 +432,19 @@ class DgpModel(_MonteCarloModel):
                 layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
                                       kernel_params=_se_params(p, f"_{i}"),
                                       mean_function=mean_fn)
+                U, F, inc = dm.gi_dgp_layer_sample(dm.gi_dgp_layer_prepare(F, U, layer), rng)
+                inc_sum = de.add(inc_sum, inc)
             else:
                 S_chol = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
                           for lam in range(w)]
                 layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"],
                                         m=p[f"m{i}"], S_chol=S_chol,
                                         kernel_params=_se_params(p, f"_{i}"),
-                                        width=w, mean_function=mean_fn)
-                chols.append(dm.dsvi_dgp_layer_chol(layer))
-                kl = de.add(kl, dm.dsvi_dgp_layer_kl(layer, chols[-1]))
-            layers.append(layer)
-        first = (dm.gi_dgp_layer_prepare(X, p["Z0"], layers[0]) if self.posterior == "gi"
-                 else dm.dsvi_dgp_layer_marginals(X, layers[0], chols[0]))
-        return layers, as_tensor(X), first, chols, kl
-
-    def forward(self, state, rng):
-        layers, F, first, chols, kl = state
-        inc_sum = de.neg(kl)
-        for i, layer in enumerate(layers):
-            if self.posterior == "gi":
-                U, F, inc = dm.gi_dgp_layer_sample(
-                    first if i == 0 else dm.gi_dgp_layer_prepare(F, U, layer), rng)
-                inc_sum = de.add(inc_sum, inc)
-            else:
-                marginals = first if i == 0 else dm.dsvi_dgp_layer_marginals(F, layer, chols[i])
-                F = dm.dsvi_dgp_layer_sample(marginals, F, layer, rng)
+                                        mean_function=mean_fn)
+                L = dm.dsvi_dgp_layer_chol(layer)
+                inc_sum = de.sub(inc_sum, dm.dsvi_dgp_layer_kl(layer, L))
+                F = dm.dsvi_dgp_layer_sample(dm.dsvi_dgp_layer_marginals(F, layer, L), F,
+                                             layer, rng)
         return F, inc_sum
 
 
@@ -504,7 +484,7 @@ class DwpModel(_MonteCarloModel):
                 p[f"B{i}"] = np.zeros((ntilde, ntilde))
         return p
 
-    def _state(self, p, X):
+    def forward(self, p, X, rng):
         layers, kps = [], []
         for i in range(self.n_layers):
             layers.append(dwp_mod.GWishLayerPosterior(
@@ -517,10 +497,7 @@ class DwpModel(_MonteCarloModel):
         state = dwp_mod.DwpState(inducing_inputs=p["Xi"], layers=layers,
                                  kernel_params=kps, final_layer=final,
                                  final_kernel=_se_params(p, "_f"), nu0=self.D)
-        return dwp_mod.dwp_prepare(state, X)
-
-    def forward(self, state, rng):
-        return dwp_mod.dwp_forward(state, rng)
+        return dwp_mod.dwp_forward(state, X, rng)
 
 
 # -- experiment orchestration ------------------------------------------------------

@@ -6,9 +6,9 @@ composes diff_engine ops so gradients flow when a tape is active.
 
 A forward draws all its Monte-Carlo samples at once from a
 rand_dist.StreamBatch: every sampled tensor carries a leading sample axis,
-and the sample-independent work it is combined with (prepared once per
-objective) broadcasts against it. Given one RngStream the same functions
-draw a single sample without that axis.
+and the sample-independent work it is combined with (the first layer's,
+built once per forward) broadcasts against it. Given one RngStream the same
+functions draw a single sample without that axis.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .kernels import KernelParams, _se_kdiag, add_layer_noise, se_ard_features
 __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer",
     "gi_bnn_layer_moments", "gi_bnn_layer_sample", "fac_bnn_layer_sample",
-    "bnn_prepare", "bnn_forward", "mc_elbo", "bnn_elbo", "scale_prior_terms",
+    "bnn_forward", "mc_elbo", "bnn_elbo", "scale_prior_terms",
     "gi_dgp_layer_prepare", "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals",
     "dsvi_dgp_layer_chol", "dsvi_dgp_layer_kl", "dsvi_dgp_layer_sample",
     "bnn_as_dgp_gram",
@@ -78,7 +78,6 @@ class DsviDgpLayer:
     m: object                      # (M, width)
     S_chol: object                 # S_chol[l]: (M, M) covariance root of output l
     kernel_params: KernelParams = field(default_factory=KernelParams)
-    width: int = 1
     mean_function: str = "zero"
 
 
@@ -232,41 +231,26 @@ def scale_prior_terms(prior: PriorSpec, rng: rd.RngStream):
     return s, kl
 
 
-def bnn_prepare(layers, X, inducing_inputs=None):
-    """The sample-independent part of a BNN, built once per objective: layer
-    0's activated batch and inducing inputs and, for a global-inducing layer
-    0 whose prior has no sampled scale, its weight posterior."""
-    F = as_tensor(X)
-    U = None if inducing_inputs is None else as_tensor(inducing_inputs)
-    if not layers:
-        return layers, F, U, None, None, None
-    first = layers[0]
-    psi_U = None if U is None else _psi(U, True, first.bias)
-    post = (_gi_bnn_posterior(psi_U, first) if isinstance(first, GiBnnLayer)
-            and U is not None and first.prior.variant != "scale" else None)
-    return layers, F, U, _psi(F, True, first.bias), psi_U, post
-
-
-def bnn_forward(prepared, rng):
-    """The Monte-Carlo samples of a BNN prepared by bnn_prepare, one per
-    stream of rng (a StreamBatch, or one RngStream): returns (outputs,
-    increment) with increment the sum over layers of
+def bnn_forward(layers, X, rng, inducing_inputs=None):
+    """The Monte-Carlo samples of a BNN at the batch X, one per stream of rng
+    (a StreamBatch, or one RngStream): returns (outputs, increment) with
+    increment the sum over layers of
     log p(W) - log q(W) - KL(q(s) || p(s)), one per sample.
 
     Global-inducing layers propagate the learned inducing inputs alongside
     the batch; factorised layers only need the batch.
     """
-    layers, F, U, psi_F, psi_U, post = prepared
+    F = as_tensor(X)
+    U = None if inducing_inputs is None else as_tensor(inducing_inputs)
     inc_sum = as_tensor(np.asarray(0.0))
     for i, layer in enumerate(layers):
         s, kl_s = scale_prior_terms(layer.prior, rng)
-        if i > 0:
-            psi_F, post = _psi(F, False, layer.bias), None
-            psi_U = None if U is None else _psi(U, False, layer.bias)
+        psi_F = _psi(F, i == 0, layer.bias)
         if isinstance(layer, GiBnnLayer):
             if U is None:
                 raise ValueError("global-inducing layers need inducing inputs")
-            W, _, inc = _gi_sample(post or _gi_bnn_posterior(psi_U, layer, s), rng)
+            psi_U = _psi(U, i == 0, layer.bias)
+            W, _, inc = _gi_sample(_gi_bnn_posterior(psi_U, layer, s), rng)
             U = de.matmul(psi_U, W)
         else:
             W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[-1], rng, s=s)
@@ -300,8 +284,7 @@ def bnn_elbo(layers, Xb, yb, total_n, n_samples, rng: rd.RngStream,
              inducing_inputs=None, log_noise=0.0, kl_scale=1.0):
     """Monte-Carlo ELBO for a BNN with a Gaussian likelihood:
     (N/Nb) * mean log-likelihood + kl_scale * (sum of logp - logq terms)."""
-    prepared = bnn_prepare(layers, Xb, inducing_inputs)
-    return mc_elbo(lambda st: bnn_forward(prepared, st),
+    return mc_elbo(lambda st: bnn_forward(layers, Xb, st, inducing_inputs),
                    yb, total_n, n_samples, rng, log_noise, kl_scale)
 
 
@@ -387,7 +370,7 @@ def dsvi_dgp_layer_sample(marginals, F_prev, layer: DsviDgpLayer, rng: rd.RngStr
     stream; returns F_next (the layer's KL is dsvi_dgp_layer_kl)."""
     means, vars_ = marginals
     F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)), v, st)
-                        for m, v, st in zip(means, vars_, rng.split(layer.width))],
+                        for m, v, st in zip(means, vars_, rng.split(len(layer.S_chol)))],
                        axis=-1)
     if layer.mean_function == "identity":
         F_next = de.add(F_next, as_tensor(F_prev))

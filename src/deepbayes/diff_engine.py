@@ -378,41 +378,43 @@ def _chol_with_jitter(s: np.ndarray):
     own, so every matrix gets the jitter it would alone."""
     sym = s + _mT(s)
     sym *= 0.5
+    if sym.ndim == 2:
+        return _jitter_ladder(sym)
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         pass
-    if sym.ndim == 2:
-        return _jitter_ladder(sym)
     n = sym.shape[-1]
     return np.stack([_jitter_ladder(m) for m in sym.reshape(-1, n, n)]).reshape(sym.shape)
 
 
+_POTRF = sla.get_lapack_funcs("potrf", (np.zeros((1, 1)),))
+
+
 def _jitter_ladder(sym: np.ndarray):
-    n = sym.shape[0]
-    scale = float(np.mean(np.diag(sym)))
-    if scale <= 0:
-        scale = 1.0
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         pass
+    d = np.diagonal(sym)
+    scale = float(np.mean(d))
+    if scale <= 0:
+        scale = 1.0
+    jittered = sym.copy()
     jit = 1e-8 * scale
     while jit <= 1e-4 * scale:
+        np.fill_diagonal(jittered, d + jit)
         try:
-            return np.linalg.cholesky(sym + jit * np.eye(n))
+            return np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
             jit *= 2.0
-    # locate the offending pivot for the error message
-    pivot = n
-    for k in range(1, n + 1):
-        try:
-            np.linalg.cholesky(sym[:k, :k] + 1e-4 * scale * np.eye(k))
-        except np.linalg.LinAlgError:
-            pivot = k
-            break
+    # the offending pivot: the order of the first leading minor that is not
+    # positive definite at the maximum jitter, as LAPACK reports it
+    np.fill_diagonal(jittered, d + 1e-4 * scale)
+    info = _POTRF(jittered, lower=1)[1]
+    n = sym.shape[0]
     raise np.linalg.LinAlgError(
-        f"matrix not positive definite after max jitter (pivot {pivot} of {n})")
+        f"matrix not positive definite after max jitter (pivot {info or n} of {n})")
 
 
 _TRTRS = sla.get_lapack_funcs("trtrs", (np.zeros((1, 1)),))

@@ -17,7 +17,7 @@ from .kernels import (KernelParams, _gram_se_params, _se_gram, _se_kdiag,
 __all__ = [
     "GWishLayerPosterior", "DwpState", "gram_kernel_blocks",
     "dwp_prior_layer", "dwp_layer_prepare", "dwp_mixed_scale_chol", "dwp_posterior_layer",
-    "dwp_conditional_testpoints", "dwp_prepare", "dwp_forward",
+    "dwp_conditional_testpoints", "dwp_forward",
     "dwp_elbo_batch", "wishart_inducing_extension",
 ]
 
@@ -117,7 +117,7 @@ def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
 
 def dwp_layer_prepare(layer: GWishLayerPosterior):
     """The parameter-only part of a posterior Gram layer, built once per
-    objective: the weights (1 - q, q V V^T) of its mixed scale and the
+    forward: the weights (1 - q, q V V^T) of its mixed scale and the
     generalized-Wishart parts (rd.gwish_prepare) of its q."""
     q = de.elementwise("sigmoid", as_tensor(layer.logit_q))
     V = as_tensor(layer.V)
@@ -176,52 +176,36 @@ def dwp_conditional_testpoints(feat_i, L_ii, W, var, nu: int, rng: rd.RngStream)
     return G_ti, g_tt
 
 
-def _layer_parts(state: DwpState, i, grams, nu_prev, q_parts):
-    """The sample-independent part of layer i given its input Grams: for a
-    Gram layer, the factor L_ii of the prior scale block, the mixed scale as
-    rd.gwish_scale reads it and the test-point (W, var); then the output
-    layer's. q_parts: dwp_layer_prepare of each Gram layer."""
-    if i == len(state.layers):
-        return _gi_layer_parts(*gram_kernel_blocks(state.final_kernel, *grams, nu_prev),
-                               state.final_layer)
-    nu = int(state.layers[i].nu)
-    S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
-                        gram_kernel_blocks(state.kernel_params[i], *grams, nu_prev))
-    L_ii = de.cholesky_factor(S_ii)
-    return (L_ii, rd.gwish_scale(dwp_mixed_scale_chol(S_ii, q_parts[i][0]), nu),
-            *rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt))
-
-
-def dwp_prepare(state: DwpState, Xt):
-    """The sample-independent part of the deep Wishart process at the batch
-    inputs Xt, built once per objective: every Gram layer's parameter-only
-    part and the first layer's parts."""
+def dwp_forward(state: DwpState, Xt, rng):
+    """The Monte-Carlo samples of the deep Wishart process at the batch
+    inputs Xt, one per stream of rng (a StreamBatch, or one RngStream):
+    returns (outputs, increment), stacked over samples. Each Gram layer
+    samples the inducing block from the approximate posterior (contributing
+    log p - log q) and the batch rows from the prior conditional (their
+    densities cancel); the final layer is a global-inducing GP over the last
+    Gram matrix. The first layer's kernel blocks and factors see only the
+    parameters and the inputs, so they carry no sample axis."""
     Xi, Xt = as_tensor(state.inducing_inputs), as_tensor(Xt)
     grams = [de.matmul(Xi, de.transpose(Xi)), de.matmul(Xt, de.transpose(Xi)),
              de.tsum(de.elementwise("square", Xt), axis=1)]
     grams = [de.elementwise("affine", G, a=1.0 / float(state.nu0)) for G in grams]
-    q_parts = [dwp_layer_prepare(layer) for layer in state.layers]
-    return state, q_parts, _layer_parts(state, 0, grams, state.nu0, q_parts)
-
-
-def dwp_forward(prepared, rng):
-    """The Monte-Carlo samples of a prepared deep Wishart process, one per
-    stream of rng (a StreamBatch, or one RngStream): returns (outputs,
-    increment), stacked over samples. Each Gram layer samples the inducing
-    block from the approximate posterior (contributing log p - log q) and the
-    batch rows from the prior conditional (their densities cancel); the
-    final layer is a global-inducing GP over the last Gram matrix."""
-    state, q_parts, parts = prepared
+    nu_prev = state.nu0
     inc_sum = as_tensor(np.asarray(0.0))
-    for i, layer in enumerate(state.layers):
-        L_ii, scale, W, var = parts
+    for layer, kp in zip(state.layers, state.kernel_params):
+        nu = int(layer.nu)
+        mix, gw = dwp_layer_prepare(layer)
+        S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
+                            gram_kernel_blocks(kp, *grams, nu_prev))
+        L_ii = de.cholesky_factor(S_ii)
+        scale = rd.gwish_scale(dwp_mixed_scale_chol(S_ii, mix), nu)
+        W, var = rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt)
         sub = rng.split(3)
-        G_ii, feat_i, inc = dwp_posterior_layer(scale, L_ii, q_parts[i][1], sub[0])
+        G_ii, feat_i, inc = dwp_posterior_layer(scale, L_ii, gw, sub[0])
         inc_sum = de.add(inc_sum, inc)
-        grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, W, var,
-                                                   int(layer.nu), sub[1]))
-        parts = _layer_parts(state, i + 1, grams, int(layer.nu), q_parts)
-        rng = sub[2]
+        grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, W, var, nu, sub[1]))
+        nu_prev, rng = nu, sub[2]
+    parts = _gi_layer_parts(*gram_kernel_blocks(state.final_kernel, *grams, nu_prev),
+                            state.final_layer)
     _, F, inc = gi_dgp_layer_sample(parts, rng)
     return F, de.add(inc_sum, inc)
 
@@ -229,9 +213,8 @@ def dwp_forward(prepared, rng):
 def dwp_elbo_batch(state: DwpState, Xt, y, total_n, rng: rd.RngStream,
                    n_samples=1, kl_scale=1.0):
     """One minibatch ELBO for the deep Wishart process: the Monte-Carlo
-    average of dwp_forward's samples, prepared once and drawn in one batch."""
-    prepared = dwp_prepare(state, Xt)
-    return mc_elbo(lambda st: dwp_forward(prepared, st), y, total_n,
+    average of dwp_forward's samples, drawn in one batch."""
+    return mc_elbo(lambda st: dwp_forward(state, Xt, st), y, total_n,
                    n_samples, rng, state.log_noise, kl_scale)
 
 

@@ -42,12 +42,11 @@ def _loop_objective(model, p, Xb, yb, total_n, n_samples, rng, kl_scale):
     """The per-sample Monte-Carlo ELBO: one forward per stream of
     rng.split(n_samples), each drawing a single sample without a sample
     axis, summed term by term."""
-    state = model._state(p, Xb)
     s2 = de.elementwise("exp", de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0))
     nb = yb.shape[0]
     total = None
     for st in rng.split(n_samples):
-        F, inc = model.forward(state, st)
+        F, inc = model.forward(p, Xb, st)
         ll = rd.normal_log_density(yb, de.reshape(F, (nb,)), s2)
         term = de.add(de.elementwise("affine", ll, a=float(total_n) / nb),
                       de.elementwise("affine", inc, a=float(kl_scale)))
@@ -101,8 +100,8 @@ def test_predictive_samples_match_the_per_sample_loop():
     model = _model("dwp", ds)
     params = _params(model)
     got = model.predictive_samples(params, ds.X_test, rd.RngStream(4), 5)
-    state = model._state({k: as_tensor(v) for k, v in params.items()}, ds.X_test)
-    want = np.stack([model.forward(state, st)[0].value[:, 0]
+    p = {k: as_tensor(v) for k, v in params.items()}
+    want = np.stack([model.forward(p, ds.X_test, st)[0].value[:, 0]
                      for st in rd.RngStream(4).split(5)])
     assert got.shape == (5, ds.X_test.shape[0])
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

@@ -229,7 +229,7 @@ PINNED_OBJECTIVES = {
     "bnn-gi": (-298.66930508623346, 112),
     "bnn-fac": (-438.715464014261, 52),
     "dgp-gi": (-106.72853915930291, 102),
-    "dgp-dsvi": (-35060584640.05116, 115),
+    "dgp-dsvi": (-35060584640.05116, 114),
     "dwp": (-42452183.677866824, 173),
     "dwp-a": (-42452183.677866824, 199),
     "dwp-ab": (-42452183.677866824, 217),

@@ -6,7 +6,7 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
                                    GiDgpLayer, PriorSpec, bnn_as_dgp_gram,
-                                   bnn_elbo, bnn_forward, bnn_prepare,
+                                   bnn_elbo, bnn_forward,
                                    dsvi_dgp_layer_chol, dsvi_dgp_layer_kl,
                                    dsvi_dgp_layer_marginals,
                                    dsvi_dgp_layer_sample, fac_bnn_layer_sample,
@@ -147,7 +147,7 @@ def test_bnn_elbo_matched_factorised_posterior_equals_prior_expectation():
     # per-sample forward driven by its own split stream, with zero increment
     lls = []
     for st in rd.RngStream(7).split(4):
-        F, inc = bnn_forward(bnn_prepare([layer], X), st)
+        F, inc = bnn_forward([layer], X, st)
         assert abs(inc.value) <= 1e-12
         lls.append(rd.normal_log_density(y, F.value[:, 0], np.asarray(1.0)).value.sum())
     assert np.ptp(lls) > 0
@@ -315,7 +315,7 @@ def test_dsvi_prior_matched_posterior_zero_kl_and_prior_marginals():
     Kzz = se_ard_features(kp, Z).value
     layer = DsviDgpLayer(Z=Z, m=np.zeros((4, 1)),
                          S_chol=_chol(Kzz + 1e-10 * np.eye(4))[None, :, :],
-                         kernel_params=kp, width=1)
+                         kernel_params=kp)
     F = rng.standard_normal((5, 1))
     L = dsvi_dgp_layer_chol(layer)
     means, vars_ = dsvi_dgp_layer_marginals(F, layer, L)
@@ -336,7 +336,7 @@ def test_dsvi_depth_one_elbo_equals_sparse_gp_bound():
     S = A @ A.T + 4 * np.eye(4)
     kp = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
     layer = DsviDgpLayer(Z=Z, m=m, S_chol=_chol(S)[None, :, :],
-                         kernel_params=kp, width=1)
+                         kernel_params=kp)
     L = dsvi_dgp_layer_chol(layer)
     means, vars_ = dsvi_dgp_layer_marginals(X, layer, L)
     s2 = 0.3
@@ -355,7 +355,7 @@ def test_dsvi_sample_moments_match_marginals():
     A = rng.standard_normal((4, 4))
     layer = DsviDgpLayer(Z=Z, m=rng.standard_normal((4, 1)),
                          S_chol=_chol(A @ A.T + 4 * np.eye(4))[None, :, :],
-                         kernel_params=KernelParams(), width=1)
+                         kernel_params=KernelParams())
     F = rng.standard_normal((3, 1))
     L = dsvi_dgp_layer_chol(layer)
     means, vars_ = dsvi_dgp_layer_marginals(F, layer, L)
@@ -368,15 +368,43 @@ def test_dsvi_sample_moments_match_marginals():
     assert np.all(np.abs(draws.var(0) - vars_[0].value) < 0.1 * vars_[0].value)
 
 
+def test_dsvi_two_outputs_sample_each_from_its_own_marginals():
+    # the layer's width is its number of output roots: two roots give two
+    # columns, each drawn from its own marginals and stream, and two KL terms
+    rng = np.random.default_rng(19)
+    Z = rng.standard_normal((4, 1))
+    A, B = rng.standard_normal((2, 4, 4))
+    layer = DsviDgpLayer(Z=Z, m=rng.standard_normal((4, 2)),
+                         S_chol=np.stack([_chol(A @ A.T + 4 * np.eye(4)),
+                                          _chol(0.1 * B @ B.T + np.eye(4))]),
+                         kernel_params=KernelParams())
+    F = rng.standard_normal((3, 1))
+    L = dsvi_dgp_layer_chol(layer)
+    means, vars_ = dsvi_dgp_layer_marginals(F, layer, L)
+    n = 4000
+    draws = dsvi_dgp_layer_sample((means, vars_), F, layer,
+                                  rd.StreamBatch(rd.RngStream(3).split(n))).value
+    assert draws.shape == (n, 3, 2)
+    for lam in range(2):
+        se = np.sqrt(vars_[lam].value / n)
+        assert np.all(np.abs(draws[..., lam].mean(0) - means[lam].value) < 4 * se)
+        assert np.all(np.abs(draws[..., lam].var(0) - vars_[lam].value) < 0.1 * vars_[lam].value)
+    assert abs(np.corrcoef(draws[:, 0, 0], draws[:, 0, 1])[0, 1]) < 0.1
+    one = [DsviDgpLayer(Z=Z, m=layer.m[:, [lam]], S_chol=layer.S_chol[[lam]],
+                        kernel_params=KernelParams()) for lam in range(2)]
+    kls = [dsvi_dgp_layer_kl(lay, L).value for lay in one]
+    assert np.isclose(dsvi_dgp_layer_kl(layer, L).value, sum(kls), rtol=1e-12)
+
+
 def test_dsvi_identity_mean_function_shifts_samples():
     rng = np.random.default_rng(17)
     Z = rng.standard_normal((3, 1))
     base = DsviDgpLayer(Z=Z, m=np.zeros((3, 1)),
                         S_chol=(1e-6 * np.eye(3))[None, :, :],
-                        kernel_params=KernelParams(), width=1)
+                        kernel_params=KernelParams())
     ident = DsviDgpLayer(Z=Z, m=np.zeros((3, 1)),
                          S_chol=(1e-6 * np.eye(3))[None, :, :],
-                         kernel_params=KernelParams(), width=1,
+                         kernel_params=KernelParams(),
                          mean_function="identity")
     F = rng.standard_normal((4, 1))
     L = dsvi_dgp_layer_chol(base)

@@ -119,6 +119,32 @@ def test_cholesky_jitter_recovers_near_psd():
     assert np.max(np.abs(recon - G)) < 1e-3 * np.mean(np.diag(G))
 
 
+def test_cholesky_failure_names_the_pivot():
+    with pytest.raises(np.linalg.LinAlgError, match="pivot 2 of 2"):
+        de.cholesky_factor(np.diag([1.0, -1.0]))
+
+
+def test_jitter_ladder_factorisation_counts(monkeypatch):
+    # a rank-deficient 6 x 6 takes the plain attempt and the first rung; a
+    # 300 x 300 with a negative pivot fails the plain attempt and all 14
+    # rungs (1e-8 doubling to 1e-4), and one more factorisation locates
+    # the pivot
+    counts = []
+    chol, potrf = np.linalg.cholesky, de._POTRF
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: counts.append(1) or chol(a))
+    monkeypatch.setattr(de, "_POTRF", lambda *a, **k: counts.append(1) or potrf(*a, **k))
+    R = np.random.default_rng(0).standard_normal((6, 3))
+    L = de._chol_with_jitter(R @ R.T)
+    assert np.max(np.abs(L @ L.T - R @ R.T)) < 1e-6
+    assert len(counts) == 2
+    counts.clear()
+    d = np.ones(300)
+    d[149] = -1.0
+    with pytest.raises(np.linalg.LinAlgError, match="pivot 150 of 300"):
+        de._chol_with_jitter(np.diag(d))
+    assert len(counts) == 16
+
+
 def test_log_domain_violation_raises():
     with pytest.raises(ValueError):
         de.elementwise("log", np.array([1.0, -1.0]))

@@ -6,7 +6,7 @@ from deepbayes import rand_dist as rd
 from deepbayes.deep_models import GiDgpLayer
 from deepbayes.dwp import (DwpState, GWishLayerPosterior, dwp_conditional_testpoints,
                            dwp_elbo_batch, dwp_forward, dwp_layer_prepare,
-                           dwp_mixed_scale_chol, dwp_posterior_layer, dwp_prepare, dwp_prior_layer,
+                           dwp_mixed_scale_chol, dwp_posterior_layer, dwp_prior_layer,
                            gram_kernel_blocks, standard_bartlett_params,
                            wishart_inducing_extension)
 from deepbayes.kernels import KernelParams, se_from_gram
@@ -342,7 +342,7 @@ def test_elbo_multi_sample_average():
     s2 = np.exp(state.log_noise)
     terms = []
     for st in rd.RngStream(9).split(3):
-        F, inc = dwp_forward(dwp_prepare(state, Xt), st)
+        F, inc = dwp_forward(state, Xt, st)
         ll = rd.normal_log_density(y, F.value[:, 0], s2).value.sum()
         terms.append(ll * 6 / 3 + 0.7 * inc.value)
     assert np.ptp(terms) > 0
