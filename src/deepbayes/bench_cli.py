@@ -306,7 +306,7 @@ class _MonteCarloModel:
     def predictive_samples(self, params, X, rng, n_samples):
         """(n_samples, n) predictive draws of the first output."""
         p = {k: as_tensor(v) for k, v in params.items()}
-        return self.forward(p, X, rd.StreamBatch(rng.split(n_samples)))[0].value[..., 0]
+        return self.forward(p, X, rng.split_batch(n_samples))[0].value[..., 0]
 
     def evaluate(self, params, dataset, rng, n_samples):
         n = dataset.X_train.shape[0]
@@ -435,10 +435,8 @@ class DgpModel(_MonteCarloModel):
                 U, F, inc = dm.gi_dgp_layer_sample(dm.gi_dgp_layer_prepare(F, U, layer), rng)
                 inc_sum = de.add(inc_sum, inc)
             else:
-                S_chol = [_chol_from_raw(de.getitem(as_tensor(p[f"S_raw{i}"]), lam))
-                          for lam in range(w)]
-                layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"],
-                                        m=p[f"m{i}"], S_chol=S_chol,
+                layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"], m=p[f"m{i}"],
+                                        S_chol=_chol_from_raw(p[f"S_raw{i}"]),
                                         kernel_params=_se_params(p, f"_{i}"),
                                         mean_function=mean_fn)
                 L = dm.dsvi_dgp_layer_chol(layer)

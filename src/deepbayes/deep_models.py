@@ -76,7 +76,7 @@ class GiDgpLayer:
 class DsviDgpLayer:
     Z: object                      # (M, d_in) local inducing inputs
     m: object                      # (M, width)
-    S_chol: object                 # S_chol[l]: (M, M) covariance root of output l
+    S_chol: object                 # (width, M, M): S_chol[l] is output l's covariance root
     kernel_params: KernelParams = field(default_factory=KernelParams)
     mean_function: str = "zero"
 
@@ -249,9 +249,7 @@ def bnn_forward(layers, X, rng, inducing_inputs=None):
         if isinstance(layer, GiBnnLayer):
             if U is None:
                 raise ValueError("global-inducing layers need inducing inputs")
-            psi_U = _psi(U, i == 0, layer.bias)
-            W, _, inc = _gi_sample(_gi_bnn_posterior(psi_U, layer, s), rng)
-            U = de.matmul(psi_U, W)
+            W, inc, U = gi_bnn_layer_sample(_psi(U, i == 0, layer.bias), layer, rng, s)
         else:
             W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[-1], rng, s=s)
         F = de.matmul(psi_F, W)
@@ -264,7 +262,7 @@ def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
     """Monte-Carlo ELBO with a Gaussian likelihood over one batched forward.
 
     forward(batch) -> (outputs, increment) draws sample s from stream s of
-    batch = StreamBatch(rng.split(n_samples)): outputs (S, Nb, 1) and
+    batch = rng.split_batch(n_samples): outputs (S, Nb, 1) and
     increment (S,); an output (Nb, 1) or a scalar increment is shared by
     every sample. The returned value is the sample mean of
     (N/Nb) * log-likelihood + kl_scale * increment.
@@ -272,7 +270,7 @@ def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
     yb = as_tensor(yb)
     nb = yb.value.shape[0]
     s2 = de.elementwise("exp", as_tensor(log_noise))
-    F, inc = forward(rd.StreamBatch(rng.split(n_samples)))
+    F, inc = forward(rng.split_batch(n_samples))
     out = de.reshape(F, (-1, nb))                   # one row per sample
     ll = rd.normal_log_density(yb, out, s2)         # summed over the rows
     lik = de.elementwise("affine", ll, a=float(total_n) / (nb * out.value.shape[0]))
@@ -335,43 +333,28 @@ def dsvi_dgp_layer_chol(layer: DsviDgpLayer) -> DiffTensor:
 def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer, L):
     """Per-point marginal q(f) moments after analytically integrating out the
     local inducing outputs, given L = dsvi_dgp_layer_chol(layer), at inputs
-    F_prev (nb, d) or a stack of them. Returns (means, vars): lists of
-    per-output (nb,) tensors, stacked like F_prev."""
+    F_prev (nb, d) or a stack of them. Returns (means, vars): output-major
+    (..., w, nb) tensors, stacked like F_prev (means[l]: output l's, unstacked)."""
     kp, F_prev = layer.kernel_params, as_tensor(F_prev)
     K_fz = se_ard_features(kp, F_prev, as_tensor(layer.Z))
     kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[-2])
     W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz), kdiag)
-    mean = de.matmul(de.transpose(W), de.triangular_solve(L, as_tensor(layer.m)))
-    U_sol = de.triangular_solve(L, W, trans=True)                # K_zz^{-1} K_zf
-
-    means, vars_ = [], []
-    for lam, Sc in enumerate(layer.S_chol):
-        C = de.matmul(de.transpose(as_tensor(Sc)), U_sol)
-        means.append(de.getitem(mean, (Ellipsis, lam)))
-        vars_.append(de.add(base_var, de.tsum(de.elementwise("square", C), axis=-2)))
-    return means, vars_
+    return rd.inducing_marginals(L, W, base_var, layer.m, layer.S_chol)
 
 
 def dsvi_dgp_layer_kl(layer: DsviDgpLayer, L) -> DiffTensor:
     """KL(q(u) || p(u)) summed over the layer's outputs, with
     q(u_l) = N(m_l, S_l S_l^T) and p(u_l) = N(0, L L^T), L the factor of K_zz."""
-    m_all = as_tensor(layer.m)
-    zeros = np.zeros(m_all.value.shape[0])
-    kl_total = as_tensor(np.asarray(0.0))
-    for lam, Sc in enumerate(layer.S_chol):
-        kl_total = de.add(kl_total, rd._kl_gaussian_chol(
-            de.getitem(m_all, (slice(None), lam)), Sc, zeros, L))
-    return kl_total
+    return rd._kl_gaussian_chol(layer.m, layer.S_chol, np.zeros((L.value.shape[-1], 1)), L)
 
 
 def dsvi_dgp_layer_sample(marginals, F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
     """Doubly-stochastic DGP layer: sample the marginals (means, vars) that
-    dsvi_dgp_layer_marginals gives at F_prev, each output from its own
-    stream; returns F_next (the layer's KL is dsvi_dgp_layer_kl)."""
+    dsvi_dgp_layer_marginals gives at F_prev in one draw, output l from stream
+    l of rng.split(w); returns F_next (the layer's KL is dsvi_dgp_layer_kl)."""
     means, vars_ = marginals
-    F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)), v, st)
-                        for m, v, st in zip(means, vars_, rng.split(len(layer.S_chol)))],
-                       axis=-1)
+    F_next = de.transpose(rd.conditional_sample(means, vars_,
+                                                rng.split_batch(means.value.shape[-2])))
     if layer.mean_function == "identity":
         F_next = de.add(F_next, as_tensor(F_prev))
     return F_next

@@ -312,8 +312,12 @@ def add_diagonal(a, d) -> DiffTensor:
 
 
 def diag_embed(v) -> DiffTensor:
+    """The diagonal matrix of a vector, or one per vector of a stack."""
     v = as_tensor(v)
-    return lift(np.diag(v.value), [(v, lambda g: np.diagonal(g).copy())], "diag_embed")
+    i = np.arange(v.value.shape[-1])
+    out = np.zeros(v.value.shape + i.shape)
+    out[..., i, i] = v.value
+    return lift(out, [(v, lambda g: g[..., i, i])], "diag_embed")
 
 
 # -- elementwise family -----------------------------------------------------

@@ -72,9 +72,9 @@ def standard_bartlett_params(M: int, nu: int):
 
 def _chol_from_raw(raw) -> DiffTensor:
     """Lower-triangular matrix with structurally positive diagonal from an
-    unconstrained square matrix (diagonal passed through exp)."""
+    unconstrained square matrix or a stack (diagonal passed through exp)."""
     raw = as_tensor(raw)
-    n = raw.value.shape[0]
+    n = raw.value.shape[-1]
     low = de.mul(raw, as_tensor(np.tril(np.ones((n, n)), k=-1)))
     diag = de.diag_embed(de.elementwise("exp", de.diag_part(raw)))
     return de.add(low, diag)

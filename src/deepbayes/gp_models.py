@@ -207,10 +207,7 @@ def _svgp_marginals(state: SvgpState, Xb):
     kp = state.kernel_params
     W, var = rd.gaussian_conditional(Lz, state.kern(Z, Xb),
                                      _se_kdiag(kp, kp.sf2(), Xb.value.shape[0]))
-    mean = de.matmul(de.transpose(W), de.triangular_solve(Lz, as_tensor(state.m)))
-    U = de.triangular_solve(Lz, W, trans=True)           # Kzz^{-1} Kzx
-    C = de.matmul(de.transpose(as_tensor(state.S_chol)), U)
-    return mean, de.add(var, de.tsum(de.elementwise("square", C), axis=0)), Lz
+    return (*rd.inducing_marginals(Lz, W, var, state.m, state.S_chol), Lz)
 
 
 def svgp_elbo(state: SvgpState, Xb, yb, total_n) -> DiffTensor:

@@ -20,7 +20,7 @@ __all__ = [
     "gaussian_sample", "matrix_normal_sample", "gamma_sample_reparam",
     "wishart_log_density", "inverse_wishart_log_density", "bartlett_sample",
     "jacobian_logdets", "gwish_prepare", "gwish_scale", "gwish_sample_and_logpdf",
-    "gaussian_conditional",
+    "gaussian_conditional", "inducing_marginals",
     "conditional_sample", "matrix_normal_conditional",
     "kl_divergences", "mvn_log_density", "normal_log_density", "lgamma",
     "lu_packed_matrix", "lu_packed_logdet",
@@ -54,6 +54,9 @@ class RngStream:
     def split(self, n: int) -> list["RngStream"]:
         return [RngStream(ss) for ss in self._ss.spawn(n)]
 
+    def split_batch(self, n: int) -> "StreamBatch":
+        return StreamBatch(self.split(n))
+
     def normal(self, shape=()):
         return self._gen.standard_normal(shape)
 
@@ -74,13 +77,17 @@ class StreamBatch:
     """S streams drawn as one: each draw stacks every member's draw, in
     member order, along a new leading axis, and split(n) splits every member,
     so sample s draws exactly the numbers its own stream would. Shapes passed
-    to a draw are one sample's."""
+    to a draw are one sample's. split_batch(n), as on one stream, draws the
+    n streams of split(n) as one; here they nest, so draws stack as (S, n, ...)."""
 
     def __init__(self, streams):
         self.streams = list(streams)
 
     def split(self, n: int) -> list["StreamBatch"]:
         return [StreamBatch(parts) for parts in zip(*(st.split(n) for st in self.streams))]
+
+    def split_batch(self, n: int) -> "StreamBatch":
+        return StreamBatch([st.split_batch(n) for st in self.streams])
 
     def normal(self, shape=()):
         return np.stack([st.normal(shape) for st in self.streams])
@@ -622,16 +629,32 @@ def gaussian_conditional(L, K_uf, k_ff):
     return W, var
 
 
+def inducing_marginals(L, W, var, m, S_chol):
+    """Per-point moments of q(f) under q(u) = N(m, S S^T), with L = chol(K_uu)
+    and (W, var) = gaussian_conditional(L, K_uf, k_ff): mean W^T L^{-1} m and
+    variance var + |S^T L^{-T} W|^2. m (M,) and S_chol (M, M) give (..., nb)
+    moments; w outputs, m (M, w) and S_chol (w, M, M), give (..., w, nb)."""
+    L, W, var, m, S_chol = map(as_tensor, (L, W, var, m, S_chol))
+    mean = de.matmul(de.transpose(W), de.triangular_solve(L, m))
+    U = de.triangular_solve(L, W, trans=True)               # K_uu^{-1} K_uf
+    if m.value.ndim > 1:        # a new output axis, before the points' axis
+        mean = de.transpose(mean)
+        U = de.reshape(U, U.value.shape[:-2] + (1,) + U.value.shape[-2:])
+        var = de.reshape(var, var.value.shape[:-1] + (1,) + var.value.shape[-1:])
+    C = de.matmul(de.transpose(S_chol), U)
+    return mean, de.add(var, de.tsum(de.elementwise("square", C), axis=-2))
+
+
 def conditional_sample(mean, var, rng) -> DiffTensor:
     """mean + sqrt(max(var, 0) + 1e-12) xi, with xi ~ N(0, I) shaped like
-    one sample of mean and one variance per row of mean; one tape node.
-    One sample's mean is a vector or a matrix; with a StreamBatch, pass
-    matrices (a stack of vectors would read as one matrix)."""
+    one sample of mean; one tape node. One sample is a vector with var shaped
+    like mean, or a matrix with one variance per row (var has one axis
+    fewer); leading axes are rng's samples (a StreamBatch, nested or not)."""
     mean, var = as_tensor(mean), as_tensor(var)
     pos = var.value > 0
     std = np.sqrt(var.value * pos + 1e-12)
-    rowwise = mean.value.ndim > 1
-    xi = rng.normal(mean.value.shape[-2:] if rowwise else mean.value.shape)
+    rowwise = mean.value.ndim > var.value.ndim
+    xi = rng.normal(mean.value.shape[-2:] if rowwise else mean.value.shape[-1:])
     rows = std[..., None] if rowwise else std
 
     def g_var(g):
@@ -698,10 +721,11 @@ def kl_divergences(variant: str, q, p) -> DiffTensor:
 def _kl_gaussian_chol(mq, Lq, mp, Lp) -> DiffTensor:
     """KL(N(mq, Lq Lq^T) || N(mp, Lp Lp^T)) from lower Cholesky factors with
     positive diagonals: 0.5 (|Lp^{-1} Lq|_F^2 + |Lp^{-1} (mp - mq)|^2 - k)
-    + log|Lp| - log|Lq|."""
+    + log|Lp| - log|Lq|; summed over a stack Lq (w, k, k) with means mq (k, w)."""
     mq, Lq, mp, Lp = map(as_tensor, (mq, Lq, mp, Lp))
-    tr = de.tsum(de.elementwise("square", de.triangular_solve(Lp, Lq)))
-    quad = de.tsum(de.elementwise("square", de.triangular_solve(Lp, de.sub(mp, mq))))
+    tr = de.tsum(de.elementwise("square", de.triangular_solve(Lp, Lq)), axis=(-2, -1))
+    quad = de.tsum(de.elementwise("square", de.triangular_solve(Lp, de.sub(mp, mq))), axis=0)
     ld = de.sub(de.log_diag_sum(Lp), de.log_diag_sum(Lq))
-    return de.add(de.elementwise("affine", de.add(tr, quad), a=0.5,
-                                 b=-0.5 * mq.value.shape[0]), ld)
+    kl = de.add(de.elementwise("affine", de.add(tr, quad), a=0.5,
+                               b=-0.5 * mq.value.shape[0]), ld)
+    return kl if Lq.value.ndim == 2 else de.tsum(kl)

@@ -5,20 +5,24 @@ import numpy as np
 import pytest
 
 from deepbayes import bench_cli as bc
+from deepbayes import deep_models as dm
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.diff_engine import as_tensor
+from deepbayes.dwp import _chol_from_raw
+from deepbayes.kernels import KernelParams, _se_kdiag, se_ard_features
 
 # every Monte-Carlo kind, and the BNN whose prior scale is sampled per draw
 MC_KINDS = ["bnn-gi", "bnn-fac", "dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab",
             "bnn-gi/scale", "bnn-fac/scale"]
 
 
-def _synthetic_200(seed=0):
-    """Acceptance criterion 14's data: 200 train / 20 test points, D=5."""
+def _synthetic_200(seed=0, D=5):
+    """Acceptance criterion 14's data: 200 train / 20 test points, D=5
+    (or D) inputs."""
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-2, 2, (220, 5))
-    w = rng.standard_normal(5)
+    X = rng.uniform(-2, 2, (220, D))
+    w = rng.standard_normal(D)
     y = np.sin(X @ w / 2.0) + 0.3 * X[:, 0] + 0.1 * rng.standard_normal(220)
     return bc._normalize(X[:200], y[:200], X[200:], y[200:])
 
@@ -182,3 +186,124 @@ def test_triangular_solve_cotangent_guard_names_the_op():
         with pytest.raises(FloatingPointError,
                            match="non-finite values in cotangent of op 'triangular_solve'"):
             de.backward_pass(out)
+
+
+# -- a DSVI layer stacked over its outputs ---------------------------------------------------
+
+def test_dsvi_tape_nodes_do_not_grow_with_layer_width():
+    # layer 0 of a depth-2 DSVI DGP is as wide as the inputs
+    nodes = []
+    for D in (2, 5):
+        ds = _synthetic_200(0, D=D)
+        model = _model("dgp-dsvi", ds)
+        nodes.append(_value_grads_nodes(lambda p: model.objective(
+            p, ds.X_train, ds.y_train, 200, 3, rd.RngStream(5), 1.0), model.init_params())[2])
+    assert nodes[0] == nodes[1]
+
+
+def _ref_dsvi_terms(p, F, rng):
+    """The per-output DSVI layer that the stacked one replaced: one factor,
+    one variance and one KL per output, and one draw per stream of
+    rng.split(w), concatenated."""
+    kp = KernelParams(log_sf2=p["log_sf2"], log_lengthscales=p["log_ls"])
+    w = p["m"].value.shape[1]
+    roots = [_chol_from_raw(de.getitem(p["S_raw"], lam)) for lam in range(w)]
+    L = de.cholesky_factor(se_ard_features(kp, p["Z"]))
+    F = as_tensor(F)
+    K_fz = se_ard_features(kp, F, p["Z"])
+    W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz),
+                                          _se_kdiag(kp, kp.sf2(), F.value.shape[-2]))
+    mean = de.matmul(de.transpose(W), de.triangular_solve(L, p["m"]))
+    U_sol = de.triangular_solve(L, W, trans=True)
+    means, vars_, kl = [], [], as_tensor(np.asarray(0.0))
+    for lam, Sc in enumerate(roots):
+        C = de.matmul(de.transpose(Sc), U_sol)
+        means.append(de.getitem(mean, (Ellipsis, lam)))
+        vars_.append(de.add(base_var, de.tsum(de.elementwise("square", C), axis=-2)))
+        kl = de.add(kl, rd._kl_gaussian_chol(de.getitem(p["m"], (slice(None), lam)), Sc,
+                                             np.zeros(L.value.shape[0]), L))
+    F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)), v, st)
+                        for m, v, st in zip(means, vars_, rng.split(w))], axis=-1)
+    return means, vars_, kl, F_next
+
+
+def _dsvi_terms(p, F, rng):
+    """The same layer through deep_models' stacked functions."""
+    layer = dm.DsviDgpLayer(Z=p["Z"], m=p["m"], S_chol=_chol_from_raw(p["S_raw"]),
+                            kernel_params=KernelParams(log_sf2=p["log_sf2"],
+                                                       log_lengthscales=p["log_ls"]))
+    L = dm.dsvi_dgp_layer_chol(layer)
+    means, vars_ = dm.dsvi_dgp_layer_marginals(F, layer, L)
+    return means, vars_, dm.dsvi_dgp_layer_kl(layer, L), dm.dsvi_dgp_layer_sample(
+        (means, vars_), F, layer, rng)
+
+
+def _dsvi_loss(terms):
+    """Every term in one scalar, so each reaches the gradients."""
+    means, vars_, kl, F_next = terms
+    out = de.add(kl, de.tsum(de.elementwise("square", F_next)))
+    for m, v in (zip(means, vars_) if isinstance(means, list) else [(means, vars_)]):
+        out = de.add(out, de.add(de.tsum(de.elementwise("square", m)), de.tsum(v)))
+    return out
+
+
+@pytest.mark.parametrize("batch", ["stream", "batch", "batch/stacked-inputs"])
+def test_stacked_dsvi_layer_matches_the_per_output_layer(batch):
+    rng = np.random.default_rng(21)
+    M, d, w, nb, S = 6, 2, 3, 7, 4
+    A = rng.standard_normal((w, M, M))
+    params = {"Z": rng.standard_normal((M, d)), "m": rng.standard_normal((M, w)),
+              "S_raw": 0.3 * A - np.eye(M), "log_sf2": np.asarray(0.2),
+              "log_ls": np.asarray([0.1, -0.2])}
+    F = rng.standard_normal((S, nb, d) if batch.endswith("stacked-inputs") else (nb, d))
+
+    def streams():     # a fresh stream per call: splitting a stream advances it
+        return rd.RngStream(8) if batch == "stream" else rd.StreamBatch(rd.RngStream(8).split(S))
+
+    got = [_value_grads_nodes(lambda p: _dsvi_loss(terms(p, F, streams())), params)
+           for terms in (_dsvi_terms, _ref_dsvi_terms)]
+    (v1, g1, n1), (v2, g2, n2) = got
+    assert abs(v1 - v2) <= 1e-12 * abs(v2) and n1 < n2
+    for k in g2:
+        assert np.max(np.abs(g1[k] - g2[k])) <= 1e-12 * np.max(np.abs(g2[k])), k
+
+    p = {k: as_tensor(v) for k, v in params.items()}
+    means, vars_, kl, F_next = _dsvi_terms(p, F, streams())
+    r_means, r_vars, r_kl, r_F = _ref_dsvi_terms(p, F, streams())
+    assert means.value.shape[-2:] == (w, nb) and F_next.value.shape[-2:] == (nb, w)
+    for got_, want in [(means.value, np.stack([m.value for m in r_means], axis=-2)),
+                       (vars_.value, np.stack([v.value for v in r_vars], axis=-2)),
+                       (kl.value, r_kl.value), (F_next.value, r_F.value)]:
+        assert got_.shape == want.shape
+        assert np.max(np.abs(got_ - want)) <= 1e-12 * np.max(np.abs(want))
+    # sample s, output l is drawn from rng.streams[s].split(w)[l], exactly
+    members = [rd.RngStream(8)] if batch == "stream" else rd.RngStream(8).split(S)
+    xi = np.stack([[st.normal(nb) for st in member.split(w)] for member in members])
+    v = vars_.value
+    want = means.value + np.sqrt(v * (v > 0) + 1e-12) * (xi[0] if batch == "stream" else xi)
+    assert np.array_equal(F_next.value, np.swapaxes(want, -1, -2))
+
+
+def test_split_batch_nests_each_members_split():
+    batch = rd.StreamBatch(rd.RngStream(2).split(3)).split_batch(4)
+    got = (batch.normal((2,)), batch.standard_gamma(np.array([0.5, 2.0])))
+    leaves = [member.split(4) for member in rd.RngStream(2).split(3)]
+    want = (np.stack([[st.normal((2,)) for st in row] for row in leaves]),
+            np.stack([[st.standard_gamma(np.array([0.5, 2.0])) for st in row] for row in leaves]))
+    for g, w_ in zip(got, want):
+        assert g.shape[:2] == (3, 4) and np.array_equal(g, w_)
+    one = rd.RngStream(5).split_batch(2).normal(3)
+    assert np.array_equal(one, np.stack([st.normal(3) for st in rd.RngStream(5).split(2)]))
+
+
+def test_stacked_diag_embed_and_chol_from_raw_gradients():
+    rng = np.random.default_rng(22)
+    weights = rng.standard_normal((3, 4, 4))
+    for op, shape in [(de.diag_embed, (3, 4)), (_chol_from_raw, (3, 4, 4))]:
+        rep = de.finite_diff_check(
+            lambda ps: de.tsum(de.mul(op(ps[0]), as_tensor(weights))),
+            [0.5 * rng.standard_normal(shape)])
+        assert rep["passed"], (op.__name__, rep)
+    raw = rng.standard_normal((3, 4, 4))
+    stacked = _chol_from_raw(raw).value
+    assert all(np.array_equal(stacked[i], _chol_from_raw(raw[i]).value) for i in range(3))
