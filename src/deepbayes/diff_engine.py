@@ -375,48 +375,47 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
 
 # -- factorizations ---------------------------------------------------------
 
-def _chol_with_jitter(s: np.ndarray):
-    """Cholesky with the jitter ladder: 1e-8*mean(diag) doubling to
-    1e-4*mean(diag). s is a matrix or a stack of them: one LAPACK call over
-    the stack, and if any member fails, the ladder for each member on its
-    own, so every matrix gets the jitter it would alone."""
-    sym = s + _mT(s)
-    sym *= 0.5
-    if sym.ndim == 2:
-        return _jitter_ladder(sym)
-    try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        pass
-    n = sym.shape[-1]
-    return np.stack([_jitter_ladder(m) for m in sym.reshape(-1, n, n)]).reshape(sym.shape)
-
-
 _POTRF = sla.get_lapack_funcs("potrf", (np.zeros((1, 1)),))
 
 
-def _jitter_ladder(sym: np.ndarray):
-    try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        pass
-    d = np.diagonal(sym)
-    scale = float(np.mean(d))
+def _chol_with_jitter(s: np.ndarray):
+    """Lower Cholesky factor of a symmetric matrix s, or of each matrix of a
+    stack, with the jitter ladder. Each member of the one symmetrised buffer
+    is factorised in place by LAPACK potrf (its transpose is the Fortran
+    matrix LAPACK reads); a member that fails goes up the ladder on its own,
+    so every matrix gets the jitter it would alone. The factors are
+    Fortran-ordered views of that buffer."""
+    sym = np.add(s, _mT(s), order="C")
+    sym *= 0.5
+    for i in np.ndindex(sym.shape[:-2]):
+        if _POTRF(sym[i].T, lower=1, overwrite_a=1, clean=1)[1]:
+            _jitter_ladder(sym[i], s[i])
+    return _mT(sym)
+
+
+def _jitter_ladder(m: np.ndarray, s: np.ndarray):
+    """Factorise (s + s^T) / 2 into m in place, as _chol_with_jitter does,
+    with jitter 1e-8*mean(diag) doubling to 1e-4*mean(diag): a failed potrf
+    overwrites m, so each attempt rebuilds it from s."""
+    n = m.shape[0]
+    i = np.arange(n)
+
+    def attempt(jit):
+        np.multiply(np.add(s, s.T, out=m), 0.5, out=m)
+        m[i, i] += jit
+        return _POTRF(m.T, lower=1, overwrite_a=1, clean=1)[1]
+
+    scale = float(np.mean(np.diagonal(s)))
     if scale <= 0:
         scale = 1.0
-    jittered = sym.copy()
     jit = 1e-8 * scale
     while jit <= 1e-4 * scale:
-        np.fill_diagonal(jittered, d + jit)
-        try:
-            return np.linalg.cholesky(jittered)
-        except np.linalg.LinAlgError:
-            jit *= 2.0
+        if attempt(jit) == 0:
+            return
+        jit *= 2.0
     # the offending pivot: the order of the first leading minor that is not
     # positive definite at the maximum jitter, as LAPACK reports it
-    np.fill_diagonal(jittered, d + 1e-4 * scale)
-    info = _POTRF(jittered, lower=1)[1]
-    n = sym.shape[0]
+    info = attempt(1e-4 * scale)
     raise np.linalg.LinAlgError(
         f"matrix not positive definite after max jitter (pivot {info or n} of {n})")
 
@@ -464,11 +463,17 @@ def _phi(x):
 
 def _check_symmetric(v: np.ndarray, op: str):
     """Raise ValueError naming op unless v is a square matrix, or a stack of
-    them, symmetric to 1e-10 of its largest entry."""
+    them, symmetric to 1e-10 of its largest entry: each upper tile of 256 x
+    256 is compared with its mirror, so no temporary exceeds a tile."""
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValueError(f"{op} requires a square matrix")
-    asym = v - _mT(v)
-    if np.abs(asym, out=asym).max() > 1e-10 * max(1.0, v.max(), -v.min()):
+    n, b = v.shape[-1], 256
+    asym = 0.0
+    for k in range(0, n, b):
+        for j in range(k, n, b):
+            d = v[..., k:k + b, j:j + b] - _mT(v[..., j:j + b, k:k + b])
+            asym = max(asym, np.abs(d, out=d).max())
+    if asym > 1e-10 * max(1.0, v.max(), -v.min()):
         raise ValueError(f"{op} requires a symmetric matrix")
 
 
@@ -476,24 +481,23 @@ _POTRI = sla.get_lapack_funcs("potri", (np.zeros((1, 1)),))
 
 
 def _chol_inverse(L: np.ndarray):
-    """(L L^T)^{-1} from a lower Cholesky factor, or for each factor of a
-    stack, by LAPACK potri (a third of the flops of solving against I): one
-    Fortran-ordered buffer per matrix, its strict lower triangle filled from
-    the upper in place, a block of rows at a time."""
-    if L.ndim > 2:
-        n = L.shape[-1]
-        return np.stack([_chol_inverse(m) for m in L.reshape(-1, n, n)]).reshape(L.shape)
-    # L^T is upper-triangular; potri writes the upper triangle of the inverse
-    # and keeps L^T's zeros below it
-    inv, info = _POTRI(L.T, lower=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"potri failed: info {info}")
-    n, b = inv.shape[0], 256
+    """(L L^T)^{-1} from a lower Cholesky factor with a zero upper triangle,
+    or for each factor of a stack, by LAPACK potri (a third of the flops of
+    solving against I) in place on one copy of L, Fortran-ordered per matrix
+    as the factors are: potri writes the lower triangle of the inverse and
+    keeps L's zeros above it, which are then filled from the lower, one
+    256-wide block at a time."""
+    inv = _mT(_mT(L).copy())
+    for i in np.ndindex(inv.shape[:-2]):
+        info = _POTRI(inv[i], lower=1, overwrite_c=1)[1]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"potri failed: info {info}")
+    n, b = inv.shape[-1], 256
     for k in range(0, n, b):
         e = min(k + b, n)
-        inv[e:, k:e] = inv[k:e, e:].T
-        blk = inv[k:e, k:e]
-        blk += np.triu(blk, 1).T
+        inv[..., k:e, e:] = _mT(inv[..., e:, k:e])
+        blk = inv[..., k:e, k:e]
+        blk += _mT(np.tril(blk, -1))
     return inv
 
 
@@ -587,9 +591,13 @@ def log_diag_sum(a, weights=1.0) -> DiffTensor:
 # -- backward ---------------------------------------------------------------
 
 def backward_pass(loss: DiffTensor) -> dict:
-    """Accumulate gradients of a scalar loss into every tracked tensor.
+    """Gradients of a scalar loss with respect to the named parameters.
 
-    Returns a dict mapping parameter name -> gradient for named parameters.
+    Each named tensor's gradient is stored in its .grad, as an array of its
+    own, and returned in a dict mapping parameter name -> gradient; other
+    tensors get no .grad. Cotangents pass between VJPs without copies, so a
+    VJP must not write into the cotangent it is given; the walk drops each
+    one once it has passed its node.
     """
     if loss.value.size != 1:
         raise ValueError("backward_pass requires a scalar loss")
@@ -603,13 +611,12 @@ def backward_pass(loss: DiffTensor) -> dict:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g
+        if node.name is not None:
+            node.grad = np.array(g)
         for parent, vjp in node._parents:
             pg = np.asarray(vjp(g), dtype=np.float64)
-            if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + pg
-            else:
-                grads[id(parent)] = pg.copy()
+            prev = grads.get(id(parent))
+            grads[id(parent)] = pg if prev is None else prev + pg
     out = {}
     for node in tape._nodes:
         if node.name is not None and node.grad is not None:

@@ -34,7 +34,7 @@ class TrainConfig:
             raise ValueError("anneal steps exceed total steps")
         if self.train_samples < 1 or self.eval_samples < 1:
             raise ValueError("sample counts must be >= 1")
-        bad = [k for k in ("eval_every", "batch_size", "lr", "clip_norm")
+        bad = [k for k in ("eval_every", "batch_size", "lr", "lr_drop_factor", "clip_norm")
                if getattr(self, k) is not None and getattr(self, k) <= 0]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be positive (batch_size may be None)")

@@ -3,6 +3,7 @@ hold it to the per-sample loop it replaced, kept here as the reference, and
 check the stack-aware engine pieces it rests on."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from deepbayes import bench_cli as bc
 from deepbayes import deep_models as dm
@@ -139,6 +140,22 @@ def test_stacked_cholesky_runs_the_jitter_ladder_per_matrix():
     # the other members are not jittered
     assert np.array_equal(got[0], np.linalg.cholesky(stack[0]))
     assert not np.array_equal(got[1] @ got[1].T, near_singular)
+
+
+def test_stacked_factors_equal_the_per_matrix_factors_at_n300():
+    # at n = 300 LAPACK factorises in blocks; the middle member is rank 2
+    # less a hair and goes up the jitter ladder
+    rng = np.random.default_rng(3)
+    n = 300
+    A = rng.standard_normal((n, n))
+    R = rng.standard_normal((n, 2))
+    stack = np.stack([A @ A.T + n * np.eye(n), R @ R.T - 1e-10 * np.eye(n), 2 * np.eye(n)])
+    stack = 0.5 * (stack + np.swapaxes(stack, -1, -2))
+    got = de.cholesky_factor(stack).value
+    for m, L in zip(stack, got):
+        assert np.array_equal(L, de.cholesky_factor(m).value)
+    assert np.array_equal(got[0], sla.cholesky(stack[0], lower=True))
+    assert not np.array_equal(got[1] @ got[1].T, stack[1])
 
 
 def test_stacked_matrix_ops_equal_the_per_matrix_loop():

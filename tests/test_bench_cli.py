@@ -226,15 +226,18 @@ def test_factorisations_per_objective(monkeypatch):
 # prior density from the sampled root; at 60 digits their density error is
 # 1e-6, against 6e-3 for the G-based form they replaced. svgp is the one
 # closed-form caller of the sparse-GP marginals that DSVI layers share.
+# dgp-gi, dgp-dsvi, svgp and the dwp kinds start from a K_uu that is singular
+# to working precision (cond 7e14), so a rounding-level change in a factor
+# moves them well beyond rounding; CHANGES.md records each re-pin.
 PINNED_OBJECTIVES = {
     "bnn-gi": (-298.66930508623346, 112),
     "bnn-fac": (-438.715464014261, 52),
-    "dgp-gi": (-106.72853915930291, 102),
-    "dgp-dsvi": (-35060584640.05116, 112),
-    "svgp": (-6513138599869.806, 53),
-    "dwp": (-42452183.677866824, 173),
-    "dwp-a": (-42452183.677866824, 199),
-    "dwp-ab": (-42452183.677866824, 217),
+    "dgp-gi": (-106.72853125690472, 102),
+    "dgp-dsvi": (-14758100101.2579, 112),
+    "svgp": (-6511920998693.472, 53),
+    "dwp": (-42308212.93087285, 173),
+    "dwp-a": (-42308212.93087285, 199),
+    "dwp-ab": (-42308212.93087285, 217),
 }
 
 

@@ -145,6 +145,34 @@ def test_jitter_ladder_factorisation_counts(monkeypatch):
     assert len(counts) == 16
 
 
+def test_factors_are_fortran_ordered_per_matrix():
+    rng = np.random.default_rng(2)
+    for shape in [(5, 5), (3, 5, 5)]:
+        A = rng.standard_normal(shape)
+        L = de.cholesky_factor(A @ np.swapaxes(A, -1, -2) + 5 * np.eye(5)).value
+        assert all(L[i].flags.f_contiguous for i in np.ndindex(shape[:-2]))
+
+
+@pytest.mark.parametrize("shape,entry", [((600, 600), (10, 590)), ((600, 600), (590, 10)),
+                                         ((3, 20, 20), (1, 2, 17)), ((3, 20, 20), (1, 17, 2))])
+def test_symmetry_guard_finds_one_asymmetric_entry(shape, entry):
+    # 600 rows span three tiles of the guard, so (10, 590) and (590, 10) sit
+    # in a tile and its mirror; the tolerance is 1e-10 of the largest entry
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal(shape)
+    S = A @ np.swapaxes(A, -1, -2) / shape[-1] + np.eye(shape[-1])
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    tol = 1e-10 * max(1.0, S.max(), -S.min())
+    for bump, fails in [(0.5 * tol, False), (2.0 * tol, True)]:
+        B = S.copy()
+        B[entry] += bump
+        if fails:
+            with pytest.raises(ValueError, match="cholesky_factor requires a symmetric matrix"):
+                de.cholesky_factor(B)
+        else:
+            de.cholesky_factor(B)
+
+
 def test_log_domain_violation_raises():
     with pytest.raises(ValueError):
         de.elementwise("log", np.array([1.0, -1.0]))

@@ -330,6 +330,18 @@ def test_chol_inverse_matches_inverse():
         assert np.allclose(inv, np.linalg.inv(S), rtol=1e-10, atol=1e-13)
 
 
+def test_chol_inverse_of_a_factor_is_a_fortran_ordered_full_inverse():
+    rng = np.random.default_rng(15)
+    for shape in [(600, 600), (3, 20, 20)]:
+        A = rng.standard_normal(shape)
+        S = A @ np.swapaxes(A, -1, -2) + shape[-1] * np.eye(shape[-1])
+        inv = de._chol_inverse(de.cholesky_factor(S).value)
+        assert all(inv[i].flags.f_contiguous for i in np.ndindex(shape[:-2]))
+        assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+        ref = np.linalg.inv(S)
+        assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4)])
 def test_add_diagonal_matches_reference(shape):
     rng = np.random.default_rng(14)
@@ -508,3 +520,190 @@ def test_guard_scans_when_the_sum_overflows():
         assert np.all(as_tensor(big).value == big)
     with pytest.raises(FloatingPointError):
         as_tensor(np.array([1e308, -1e308, np.inf]))
+
+
+# -- copy-free backward -------------------------------------------------------------
+
+def _read_only_grads(fn, params):
+    """fn's gradients from a backward pass that hands every VJP a read-only
+    cotangent: backward_pass passes cotangents on without copying them, so a
+    VJP that wrote into its cotangent could change another node's."""
+    def frozen(vjp):
+        def call(g):
+            if isinstance(g, np.ndarray):   # not a numpy scalar, which is immutable
+                g.flags.writeable = False
+            return vjp(g)
+        return call
+
+    with de.Tape() as tape:
+        ps = {k: tape.param(np.asarray(v, dtype=np.float64).copy(), k) for k, v in params.items()}
+        out = fn(ps)
+        for node in tape._nodes:
+            node._parents = [(p, frozen(f)) for p, f in node._parents]
+        return de.backward_pass(out)
+
+
+def _assert_backward_copy_free(fn, params):
+    got = _read_only_grads(fn, params)
+    _, want, _ = _value_and_grads(fn, params)
+    for k, g in got.items():
+        assert np.array_equal(g, want[k]), k
+        # each gradient is an array of its own that the caller may update
+        assert g.flags.owndata and g.flags.writeable, k
+
+
+def _wsum(t):
+    """A scalar that weighs each entry of t differently."""
+    t = as_tensor(t)
+    return de.tsum(de.mul(t, as_tensor(np.cos(np.arange(t.value.size)).reshape(t.value.shape))))
+
+
+def _spd_stack(R):
+    return de.add_diagonal(de.matmul(R, de.transpose(R)), 4.0)
+
+
+_RNG = np.random.default_rng(21)
+_CORE = {
+    "matmul": (lambda ps: de.add(_wsum(de.matmul(ps["A"], ps["B"])),
+                                 _wsum(de.matmul(ps["M"], ps["v"]))),
+               {"A": _RNG.standard_normal((2, 3, 4)), "B": _RNG.standard_normal((4, 2)),
+                "M": _RNG.standard_normal((3, 4)), "v": _RNG.standard_normal(4)}),
+    "arithmetic": (lambda ps: _wsum(de.neg(de.div(de.mul(de.sub(de.add(ps["A"], ps["v"]),
+                                                                 ps["M"]), ps["A"]),
+                                                  de.elementwise("exp", ps["v"])))),
+                   {"A": _RNG.standard_normal((2, 3, 4)), "M": _RNG.standard_normal((3, 4)),
+                    "v": _RNG.standard_normal(4)}),
+    "shape": (lambda ps: _wsum(de.concat([
+        de.reshape(de.tsum(de.transpose(ps["A"]), axis=0), (1, 12)),
+        de.reshape(de.getitem(ps["A"], (Ellipsis, slice(1, 3), slice(None))), (1, 16)),
+        de.reshape(de.getitem(ps["A"], (np.array([0, 1, 1]), 0)), (1, 12))], axis=1)),
+        {"A": _RNG.standard_normal((2, 3, 4))}),
+    "diagonal": (lambda ps: de.add(
+        _wsum(de.diag_embed(de.diag_part(de.add_diagonal(ps["A"], ps["s"])))),
+        _wsum(de.log_diag_sum(de.elementwise("exp", ps["A"]), np.arange(1.0, 5.0)))),
+        {"A": _RNG.standard_normal((2, 4, 4)), "s": np.asarray(0.3)}),
+    "elementwise": (lambda ps: sum(
+        (_wsum(de.elementwise(tag, de.elementwise("affine", de.elementwise("exp", ps["x"]),
+                                                  b=0.5), a=1.5, b=-0.2))
+         for tag in ("exp", "log", "softplus", "square", "reciprocal", "affine", "sqrt",
+                     "sigmoid")), _wsum(de.elementwise("relu", ps["x"]))),
+        {"x": _RNG.standard_normal((3, 4))}),
+    "factorisations": (lambda ps: de.add(de.add(
+        _wsum(de.triangular_solve(de.cholesky_factor(_spd_stack(ps["R"])), ps["B"], trans=True)),
+        _wsum(de.triangular_solve(ps["L"], ps["v"]))), _wsum(de.logdet_psd(_spd_stack(ps["R"])))),
+        {"R": _RNG.standard_normal((2, 4, 4)), "B": _RNG.standard_normal((4, 3)),
+         "L": np.tril(_RNG.standard_normal((4, 4))) + 3 * np.eye(4),
+         "v": _RNG.standard_normal(4)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORE))
+def test_core_op_backward_leaves_its_cotangents_alone(case):
+    _assert_backward_copy_free(*_CORE[case])
+
+
+def _fused_cases():
+    """(fused, reference, params) for each fused op the tests above hold
+    against a reference."""
+    rng = np.random.default_rng(22)
+    X = {"X": rng.standard_normal((5, 3)), "X2": rng.standard_normal((4, 3)),
+         "log_sf2": np.asarray(0.3), "log_ls": 0.2 * rng.standard_normal(3)}
+    gram = {"F": rng.standard_normal((6, 3)), "Ft": rng.standard_normal((4, 3)),
+            "log_sf2": np.asarray(0.2), "log_ls": np.asarray(-0.3)}
+
+    def gram_fn(kernel):
+        def fn(ps):
+            G = de.matmul(ps["F"], de.transpose(ps["F"]))
+            gi = de.diag_part(G)
+            sf2, ls = _gram_se_params(_kp(ps))
+            G_ti = de.matmul(ps["Ft"], de.transpose(ps["F"]))
+            g_tt = de.tsum(de.elementwise("square", ps["Ft"]), axis=1)
+            return de.add(_wsum(kernel(gi, G, gi, 3.0, sf2, ls)),
+                          _wsum(kernel(g_tt, G_ti, gi, 3.0, sf2, ls)))
+        return fn
+
+    N, nu, nt = 4, 3, 3
+    gw = {"log_beta": np.log(0.5) + 0.1 * rng.standard_normal(nt),
+          "mu": 0.2 * rng.standard_normal((N, nt)),
+          "log_sigma": 0.1 * rng.standard_normal((N, nt)),
+          "Lraw": np.tril(0.2 * rng.standard_normal((N, N)), -1) + np.eye(N),
+          "P": np.eye(N) + 0.1 * rng.standard_normal((N, N)),
+          "B": np.tril(0.2 * rng.standard_normal((nt, nt)), -1) + 1.2 * np.eye(nt)}
+    alpha = 0.5 * (nu - np.arange(1, nt + 1) + 1.0) + 0.3
+
+    def gwish_fn(fused):
+        def fn(ps):
+            beta = de.elementwise("exp", ps["log_beta"])
+            sigma = de.elementwise("exp", ps["log_sigma"])
+            if fused:
+                out = rd.gwish_sample_and_logpdf(
+                    rd.gwish_scale(ps["Lraw"], nu),
+                    rd.gwish_prepare(nu, alpha, beta, ps["mu"], sigma, ps["P"], ps["B"]),
+                    rd.RngStream(11))
+            else:
+                out = _ref_gwish(ps["Lraw"], nu, alpha, beta, ps["mu"], sigma,
+                                 rd.RngStream(11), ps["P"], ps["B"])
+            G, logq, feat, ld_block = out
+            return de.add(de.add(logq, ld_block), de.add(_wsum(G), _wsum(feat)))
+        return fn
+
+    def mvn_fn(with_chol):
+        def fn(ps):
+            cov = _mvn_cov(ps)
+            return rd.mvn_log_density(ps["y"], ps["m"], cov,
+                                      chol=de.cholesky_factor(cov) if with_chol else None)
+        return fn
+
+    cond = {"L": np.tril(0.3 * rng.standard_normal((4, 4))) + np.eye(4),
+            "K_uf": rng.standard_normal((4, 6)), "k_ff": 5.0 + rng.random(6)}
+    return {
+        "se_kernel": (lambda ps: _wsum(se_ard_features(_kp(ps), ps["X"])),
+                      lambda ps: _wsum(_ref_se_ard(_kp(ps), ps["X"])), X),
+        "se_kernel_cross": (lambda ps: _wsum(se_ard_features(_kp(ps), ps["X"], ps["X2"])),
+                            lambda ps: _wsum(_ref_se_ard(_kp(ps), ps["X"], ps["X2"])), X),
+        "se_gram": (gram_fn(_se_gram), gram_fn(_ref_se_gram), gram),
+        "normal_log_density": (
+            lambda ps: rd.normal_log_density(ps["x"], ps["m"], de.elementwise("exp", ps["v"])),
+            lambda ps: _ref_normal(ps["x"], ps["m"], de.elementwise("exp", ps["v"])),
+            {"x": rng.standard_normal((4, 3)), "m": rng.standard_normal((4, 3)),
+             "v": 0.3 * rng.standard_normal((4, 3))}),
+        "mvn_log_density": (mvn_fn(False), lambda ps: _ref_mvn(ps["y"], ps["m"], _mvn_cov(ps)),
+                            _mvn_params(6, rng)),
+        "mvn_log_density_chol": (mvn_fn(True),
+                                 lambda ps: _ref_mvn(ps["y"], ps["m"], _mvn_cov(ps)),
+                                 _mvn_params(6, rng)),
+        "wishart_root": (lambda ps: rd._wishart_log_density_root(ps["F"], ps["Ls"], 3, ps["ld"]),
+                         lambda ps: _ref_wishart_root(ps["F"], ps["Ls"], 3, ps["ld"]),
+                         {"F": np.tril(rng.standard_normal((5, 3))) + 2 * np.eye(5, 3),
+                          "Ls": np.tril(0.3 * rng.standard_normal((5, 5))) + np.eye(5),
+                          "ld": np.asarray(0.7)}),
+        "conditional_variance": (
+            lambda ps: _wsum(rd.gaussian_conditional(ps["L"], ps["K_uf"], ps["k_ff"])[1]),
+            lambda ps: _wsum(_ref_conditional_variance(ps["L"], ps["K_uf"], ps["k_ff"])), cond),
+        "conditional_sample": (
+            lambda ps: _wsum(rd.conditional_sample(ps["mean"], ps["var"], rd.RngStream(9))),
+            lambda ps: _wsum(_ref_conditional_sample(ps["mean"], ps["var"], rd.RngStream(9))),
+            {"mean": rng.standard_normal((5, 3)), "var": np.array([0.5, 1.2, -1e-9, 0.3, 2.0])}),
+        "gwish_sample_and_logpdf": (gwish_fn(True), gwish_fn(False), gw),
+    }
+
+
+_FUSED = _fused_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED))
+def test_fused_op_backward_leaves_its_cotangents_alone(case):
+    fused, ref, params = _FUSED[case]
+    _assert_backward_copy_free(fused, params)
+    _assert_backward_copy_free(ref, params)
+
+
+@pytest.mark.parametrize("kind", ["blr", "gp", "dkl", "svgp", "bnn-gi", "bnn-fac", "dgp-gi",
+                                  "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"])
+def test_model_backward_leaves_its_cotangents_alone(kind):
+    ds = gen_cubic_toy(0)
+    model = _make_model(ExperimentConfig(model=kind, depth=3 if kind.startswith("dwp") else 2,
+                                         widths=(5, 5), M=10), ds)
+    _assert_backward_copy_free(
+        lambda ps: model.objective(ps, ds.X_train, ds.y_train, 40, 3, rd.RngStream(123), 0.7),
+        model.init_params())

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
+from deepbayes.bench_cli import GpLmlModel, gen_deep_linear
 from deepbayes.gp_models import (BlrState, DklState, GpState, SvgpState,
                                  blr_fit_predict_lml, dkl_forward,
                                  gaussian_bump_features, gp_predict_lml,
@@ -108,6 +111,26 @@ def test_gp_with_linear_kernel_equals_blr():
     state = GpState(kernel_fn=kern, log_noise=np.log(sigma ** 2))
     _, _, lml_gp = gp_predict_lml(state, x.reshape(-1, 1), y)
     assert np.isclose(lml_blr.value, lml_gp.value, atol=1e-10)
+
+
+def test_exact_gp_step_peak_memory():
+    # one LML objective plus its backward at n = 500 holds at most 5.5 n x n
+    # buffers at once, as numpy's traced allocations count them
+    ds = gen_deep_linear(0)
+    n = 500
+    X, y = ds.X_train[:n], ds.y_train[:n]
+    model = GpLmlModel(ds)
+    init = model.init_params()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with de.Tape() as tape:
+            p = {k: tape.param(v, k) for k, v in init.items()}
+            de.backward_pass(model.objective(p, X, y, n, 1, rd.RngStream(0), 1.0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * n * n * 8
 
 
 def test_gp_lml_matches_direct_density():

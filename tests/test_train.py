@@ -76,7 +76,8 @@ def test_config_validation():
         TrainConfig(steps=10, anneal_steps=5, train_samples=0)
     # settings that would break a run or quietly change it, each named
     for key, value in [("eval_every", 0), ("batch_size", 0), ("batch_size", -5),
-                       ("lr", 0.0), ("lr", -1e-2), ("clip_norm", 0.0), ("clip_norm", -1.0)]:
+                       ("lr", 0.0), ("lr", -1e-2), ("lr_drop_factor", 0.0),
+                       ("lr_drop_factor", -1.0), ("clip_norm", 0.0), ("clip_norm", -1.0)]:
         with pytest.raises(ValueError, match=key):
             TrainConfig(steps=10, anneal_steps=5, **{key: value})
 
