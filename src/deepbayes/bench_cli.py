@@ -432,17 +432,16 @@ class DgpModel(_MonteCarloModel):
                 layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
                                       kernel_params=_se_params(p, f"_{i}"),
                                       mean_function=mean_fn)
-                U, F, inc = dm.gi_dgp_layer_sample(dm.gi_dgp_layer_prepare(F, U, layer), rng)
+                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, rng)
                 inc_sum = de.add(inc_sum, inc)
             else:
                 layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"], m=p[f"m{i}"],
                                         S_chol=_chol_from_raw(p[f"S_raw{i}"]),
                                         kernel_params=_se_params(p, f"_{i}"),
                                         mean_function=mean_fn)
-                L = dm.dsvi_dgp_layer_chol(layer)
-                inc_sum = de.sub(inc_sum, dm.dsvi_dgp_layer_kl(layer, L))
-                F = dm.dsvi_dgp_layer_sample(dm.dsvi_dgp_layer_marginals(F, layer, L), F,
-                                             layer, rng)
+                means, vars_, kl = dm.dsvi_dgp_layer_marginals(F, layer)
+                inc_sum = de.sub(inc_sum, kl)
+                F = dm.dsvi_dgp_layer_sample((means, vars_), F, layer, rng)
         return F, inc_sum
 
 
@@ -515,7 +514,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         """Build from a parsed config; unknown keys, top-level or under
-        `train`, raise a ValueError that lists the valid ones."""
+        `train`, raise a ValueError that lists the valid ones, and so does a
+        model key (depth, widths, M, prior) that the chosen model ignores."""
         d = dict(d)
         train = d.pop("train", None) or {}
         if "seed" in train:
@@ -523,6 +523,12 @@ class ExperimentConfig:
                              "`seed` seeds the data, the model and training")
         d["train"] = _from_keys(TrainConfig, train, "train")
         cfg = _from_keys(ExperimentConfig, d, "config")
+        # an unknown model is rejected by _make_model
+        reads = _MODEL_KEYS_READ.get(cfg.model, _MODEL_KEYS)
+        ignored = [k for k in _MODEL_KEYS if k in d and k not in reads]
+        if ignored:
+            raise ValueError(f"model {cfg.model!r} does not read config key(s) {ignored}; "
+                             f"it reads {list(reads)}")
         if isinstance(cfg.widths, list):
             cfg.widths = tuple(cfg.widths)
         return cfg
@@ -552,6 +558,17 @@ def _make_dataset(name, seed):
     if name == "deep-linear":
         return gen_deep_linear(seed)
     return load_csv(name, seed=seed)
+
+
+# the model keys of ExperimentConfig that each model kind reads
+_MODEL_KEYS = ("depth", "widths", "M", "prior")
+_MODEL_KEYS_READ = {
+    "blr": (), "gp": (), "dkl": (),
+    "svgp": ("M",),
+    "bnn-gi": ("widths", "M", "prior"),
+    "bnn-fac": ("widths", "prior"),
+    **dict.fromkeys(("dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"), ("depth", "M")),
+}
 
 
 def _make_model(cfg: ExperimentConfig, ds: Dataset):

@@ -25,8 +25,7 @@ __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer",
     "gi_bnn_layer_moments", "gi_bnn_layer_sample", "fac_bnn_layer_sample",
     "bnn_forward", "mc_elbo", "bnn_elbo", "scale_prior_terms",
-    "gi_dgp_layer_prepare", "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals",
-    "dsvi_dgp_layer_chol", "dsvi_dgp_layer_kl", "dsvi_dgp_layer_sample",
+    "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals", "dsvi_dgp_layer_sample",
     "bnn_as_dgp_gram",
 ]
 
@@ -292,30 +291,18 @@ def _kuu(kp: KernelParams, U) -> DiffTensor:
     return K_uu if kp.log_noise is None else add_layer_noise(K_uu, kp.noise_var())
 
 
-def _gi_layer_parts(K_uu, K_fu, kdiag, layer, inputs=None):
-    """gi_dgp_layer_prepare from the kernel blocks and the inputs
-    (U_prev, F_prev) that an identity mean function adds to the outputs."""
+def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None):
+    """gi_dgp_layer_sample from the layer's kernel blocks; inputs, if given,
+    are the (U_prev, F_prev) that an identity mean function adds to the
+    outputs."""
     L = de.cholesky_factor(as_tensor(K_uu))
     W, var = rd.gaussian_conditional(L, de.transpose(K_fu), kdiag)
-    return _gi_posterior(L, None, layer.log_lambda, layer.V), W, var, inputs
-
-
-def gi_dgp_layer_prepare(F_prev, U_prev, layer: GiDgpLayer):
-    """The sample-independent part of a global-inducing DGP layer: the
-    posterior of its inducing outputs U under L = chol(K_uu), and the weights
-    W = L^{-1} K_uf and variances of the prior conditional p(F | U)."""
-    U_prev, F_prev, kp = as_tensor(U_prev), as_tensor(F_prev), layer.kernel_params
-    K_uu, K_fu = _kuu(kp, U_prev), se_ard_features(kp, F_prev, U_prev)
-    kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[-2])
-    return _gi_layer_parts(K_uu, K_fu, kdiag, layer,
-                           (U_prev, F_prev) if layer.mean_function == "identity" else None)
-
-
-def gi_dgp_layer_sample(parts, rng: rd.RngStream):
-    """Samples of a prepared global-inducing layer, one per stream of rng: U
-    from the posterior, then the batch outputs from the prior conditional,
-    independent per point. Returns (U_next, F_next, logp - logq)."""
-    posterior, W, var, inputs = parts
+    posterior = _gi_posterior(L, None, layer.log_lambda, layer.V)
+    # Without a tape nothing else holds blocks passed in unnamed, so they are
+    # freed before the draws: an evaluation's stacked K_fu is the layer's
+    # largest array, and holding it through the draws raises the heap's
+    # high-water mark (measured as extra page faults per evaluation).
+    del K_uu, K_fu, kdiag
     U, wu, inc = _gi_sample(posterior, rng)
     F = rd.conditional_sample(de.matmul(de.transpose(W), wu), var, rng)
     if inputs is not None:
@@ -323,35 +310,38 @@ def gi_dgp_layer_sample(parts, rng: rd.RngStream):
     return U, F, inc
 
 
-def dsvi_dgp_layer_chol(layer: DsviDgpLayer) -> DiffTensor:
-    """Lower Cholesky factor of the layer's K_zz. It depends on the parameters
-    only, so an objective builds it once and passes it to the layer's
-    marginals and KL."""
-    return de.cholesky_factor(_kuu(layer.kernel_params, as_tensor(layer.Z)))
+def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream):
+    """Samples of a global-inducing DGP layer at inputs F_prev and inducing
+    inputs U_prev, one per stream of rng: U from the posterior of its
+    inducing outputs under L = chol(K_uu), then the batch outputs from the
+    prior conditional p(F | U), independent per point. Returns
+    (U_next, F_next, logp - logq)."""
+    U_prev, F_prev, kp = as_tensor(U_prev), as_tensor(F_prev), layer.kernel_params
+    return _gi_layer_sample(_kuu(kp, U_prev), se_ard_features(kp, F_prev, U_prev),
+                            _se_kdiag(kp, kp.sf2(), F_prev.value.shape[-2]), layer, rng,
+                            (U_prev, F_prev) if layer.mean_function == "identity" else None)
 
 
-def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer, L):
+def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer):
     """Per-point marginal q(f) moments after analytically integrating out the
-    local inducing outputs, given L = dsvi_dgp_layer_chol(layer), at inputs
-    F_prev (nb, d) or a stack of them. Returns (means, vars): output-major
-    (..., w, nb) tensors, stacked like F_prev (means[l]: output l's, unstacked)."""
-    kp, F_prev = layer.kernel_params, as_tensor(F_prev)
-    K_fz = se_ard_features(kp, F_prev, as_tensor(layer.Z))
+    local inducing outputs, at inputs F_prev (nb, d) or a stack of them, and
+    KL(q(u) || p(u)) summed over the layer's outputs, with
+    q(u_l) = N(m_l, S_l S_l^T) and p(u_l) = N(0, K_zz): both read one factor
+    of K_zz. Returns (means, vars, kl) with output-major (..., w, nb) moments,
+    stacked like F_prev (means[l]: output l's, unstacked)."""
+    kp, F_prev, Z = layer.kernel_params, as_tensor(F_prev), as_tensor(layer.Z)
+    L = de.cholesky_factor(_kuu(kp, Z))
+    kl = rd._kl_gaussian_chol(layer.m, layer.S_chol, np.zeros((L.value.shape[-1], 1)), L)
+    K_fz = se_ard_features(kp, F_prev, Z)
     kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[-2])
     W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz), kdiag)
-    return rd.inducing_marginals(L, W, base_var, layer.m, layer.S_chol)
-
-
-def dsvi_dgp_layer_kl(layer: DsviDgpLayer, L) -> DiffTensor:
-    """KL(q(u) || p(u)) summed over the layer's outputs, with
-    q(u_l) = N(m_l, S_l S_l^T) and p(u_l) = N(0, L L^T), L the factor of K_zz."""
-    return rd._kl_gaussian_chol(layer.m, layer.S_chol, np.zeros((L.value.shape[-1], 1)), L)
+    return (*rd.inducing_marginals(L, W, base_var, layer.m, layer.S_chol), kl)
 
 
 def dsvi_dgp_layer_sample(marginals, F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
     """Doubly-stochastic DGP layer: sample the marginals (means, vars) that
     dsvi_dgp_layer_marginals gives at F_prev in one draw, output l from stream
-    l of rng.split(w); returns F_next (the layer's KL is dsvi_dgp_layer_kl)."""
+    l of rng.split(w); returns F_next."""
     means, vars_ = marginals
     F_next = de.transpose(rd.conditional_sample(means, vars_,
                                                 rng.split_batch(means.value.shape[-2])))

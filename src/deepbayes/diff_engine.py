@@ -557,6 +557,7 @@ def logdet_psd(s) -> DiffTensor:
     """log|s| for symmetric PD s (or each matrix of a stack), via Cholesky;
     gradient s^{-1}, formed from the factor when the cotangent arrives."""
     s = as_tensor(s)
+    _check_symmetric(s.value, "logdet_psd")
     L = _chol_with_jitter(s.value)
     val = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
 

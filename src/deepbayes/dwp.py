@@ -9,14 +9,14 @@ import numpy as np
 
 from . import diff_engine as de
 from . import rand_dist as rd
-from .deep_models import _gi_layer_parts, gi_dgp_layer_sample, mc_elbo
+from .deep_models import _gi_layer_sample, mc_elbo
 from .diff_engine import DiffTensor, as_tensor
 from .kernels import (KernelParams, _gram_se_params, _se_gram, _se_kdiag,
                       add_layer_noise, se_from_gram)
 
 __all__ = [
     "GWishLayerPosterior", "DwpState", "gram_kernel_blocks",
-    "dwp_prior_layer", "dwp_layer_prepare", "dwp_mixed_scale_chol", "dwp_posterior_layer",
+    "dwp_prior_layer", "dwp_posterior_layer",
     "dwp_conditional_testpoints", "dwp_forward",
     "dwp_elbo_batch", "wishart_inducing_extension",
 ]
@@ -108,49 +108,33 @@ def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
     N = K.value.shape[0]
     scale = de.elementwise("affine", K, a=1.0 / float(nu))
     L = de.cholesky_factor(scale)
-    bf = rd.bartlett_sample(N, nu, rng)
-    feat = de.matmul(L, as_tensor(bf.T))
+    feat = de.matmul(L, as_tensor(rd.bartlett_sample(N, nu, rng)))
     G = de.matmul(feat, de.transpose(feat))
     # the root L T is lower-trapezoidal, so its diagonal gives G's leading block
     return G, rd._wishart_log_density_root(feat, L, nu, de.log_diag_sum(feat, 2.0)), feat
 
 
-def dwp_layer_prepare(layer: GWishLayerPosterior):
-    """The parameter-only part of a posterior Gram layer, built once per
-    forward: the weights (1 - q, q V V^T) of its mixed scale and the
-    generalized-Wishart parts (rd.gwish_prepare) of its q."""
+def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStream):
+    """One posterior layer on the inducing block: samples G_ii from the
+    layer's generalized Wishart over the mixed scale (1-q) S_ii + q V V^T,
+    with S_ii the prior scale K(G_ii_prev)/nu and L_ii its lower Cholesky
+    factor, and returns (G_ii, features, increment) with features the
+    retained generalized-Bartlett root (F F^T = G_ii) and
+    increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev), the prior
+    density read from the root. The A-variant's block log-det enters both
+    densities alike and is left out of both.
+    """
     q = de.elementwise("sigmoid", as_tensor(layer.logit_q))
     V = as_tensor(layer.V)
-    mix = (de.elementwise("affine", q, a=-1.0, b=1.0),
-           de.mul(q, de.matmul(V, de.transpose(V))))
-    gw = rd.gwish_prepare(
-        layer.nu, de.elementwise("exp", as_tensor(layer.log_alpha)),
+    mixed = de.add(de.mul(de.elementwise("affine", q, a=-1.0, b=1.0), as_tensor(S_ii)),
+                   de.mul(q, de.matmul(V, de.transpose(V))))
+    G, logq, feat, ld_block, _ = rd._gwish_sample(
+        de.cholesky_factor(mixed), layer.nu, de.elementwise("exp", as_tensor(layer.log_alpha)),
         de.elementwise("exp", as_tensor(layer.log_beta)), layer.mu,
-        de.elementwise("exp", as_tensor(layer.log_sigma)),
+        de.elementwise("exp", as_tensor(layer.log_sigma)), rng,
         layer.A_packed if layer.variant in ("A", "AB") else None,
         _chol_from_raw(layer.B_packed) if layer.variant == "AB" else None)
-    return mix, gw
-
-
-def dwp_mixed_scale_chol(S_ii, mix) -> DiffTensor:
-    """Lower Cholesky factor of a posterior layer's mixed scale
-    (1-q) S_ii + q V V^T, with S_ii the prior scale K(G_ii_prev)/nu and
-    mix = (1 - q, q V V^T) from dwp_layer_prepare."""
-    return de.cholesky_factor(de.add(de.mul(mix[0], as_tensor(S_ii)), mix[1]))
-
-
-def dwp_posterior_layer(scale, L_ii, gw: rd.GWishParts, rng: rd.RngStream):
-    """One posterior layer on the inducing block: samples G_ii from the
-    generalized Wishart with parts gw over the mixed scale
-    (scale = rd.gwish_scale(L_mix, nu), L_mix from dwp_mixed_scale_chol) and
-    returns (G_ii, features, increment) with features the retained
-    generalized-Bartlett root (F F^T = G_ii) and
-    increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev), the prior
-    density (scale factor L_ii) read from the root. The A-variant's block
-    log-det enters both densities alike and is left out of both.
-    """
-    G, logq, feat, ld_block, _ = rd._gwish_sample(scale, gw, rng)
-    logp = rd._wishart_log_density_root(feat, L_ii, gw.nu, ld_block)
+    logp = rd._wishart_log_density_root(feat, L_ii, int(layer.nu), ld_block)
     return G, feat, de.sub(logp, logq)
 
 
@@ -193,20 +177,17 @@ def dwp_forward(state: DwpState, Xt, rng):
     inc_sum = as_tensor(np.asarray(0.0))
     for layer, kp in zip(state.layers, state.kernel_params):
         nu = int(layer.nu)
-        mix, gw = dwp_layer_prepare(layer)
         S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
                             gram_kernel_blocks(kp, *grams, nu_prev))
         L_ii = de.cholesky_factor(S_ii)
-        scale = rd.gwish_scale(dwp_mixed_scale_chol(S_ii, mix), nu)
         W, var = rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt)
         sub = rng.split(3)
-        G_ii, feat_i, inc = dwp_posterior_layer(scale, L_ii, gw, sub[0])
+        G_ii, feat_i, inc = dwp_posterior_layer(layer, S_ii, L_ii, sub[0])
         inc_sum = de.add(inc_sum, inc)
         grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, W, var, nu, sub[1]))
         nu_prev, rng = nu, sub[2]
-    parts = _gi_layer_parts(*gram_kernel_blocks(state.final_kernel, *grams, nu_prev),
-                            state.final_layer)
-    _, F, inc = gi_dgp_layer_sample(parts, rng)
+    _, F, inc = _gi_layer_sample(*gram_kernel_blocks(state.final_kernel, *grams, nu_prev),
+                                 state.final_layer, rng)
     return F, de.add(inc_sum, inc)
 
 

@@ -16,10 +16,10 @@ from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor, lift
 
 __all__ = [
-    "RngStream", "StreamBatch", "BartlettFactor", "MatrixNormalParams", "GWishParts",
+    "RngStream", "StreamBatch", "MatrixNormalParams",
     "gaussian_sample", "matrix_normal_sample", "gamma_sample_reparam",
     "wishart_log_density", "inverse_wishart_log_density", "bartlett_sample",
-    "jacobian_logdets", "gwish_prepare", "gwish_scale", "gwish_sample_and_logpdf",
+    "jacobian_logdets", "gwish_sample_and_logpdf",
     "gaussian_conditional", "inducing_marginals",
     "conditional_sample", "matrix_normal_conditional",
     "kl_divergences", "mvn_log_density", "normal_log_density", "lgamma",
@@ -94,18 +94,6 @@ class StreamBatch:
 
     def standard_gamma(self, alpha):
         return np.stack([st.standard_gamma(alpha) for st in self.streams])
-
-
-@dataclass
-class BartlettFactor:
-    """Lower-trapezoidal factor T (N x min(N, nu)) of a standard Wishart sample."""
-    T: np.ndarray
-    N: int
-    nu: int
-
-    @property
-    def ntilde(self) -> int:
-        return min(self.N, self.nu)
 
 
 @dataclass
@@ -323,8 +311,9 @@ def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
 
 # -- Bartlett ---------------------------------------------------------------
 
-def bartlett_sample(N: int, nu, rng: RngStream) -> BartlettFactor:
-    """Standard (singular) Bartlett factor: T T^T ~ Wishart(I_N, nu)."""
+def bartlett_sample(N: int, nu, rng: RngStream) -> np.ndarray:
+    """Standard (singular) Bartlett factor T, N x min(N, nu) and
+    lower-trapezoidal: T T^T ~ Wishart(I_N, nu)."""
     nu_f = float(nu)
     if nu_f < N and abs(nu_f - round(nu_f)) > 1e-12:
         raise ValueError("singular Bartlett requires integer nu")
@@ -335,7 +324,7 @@ def bartlett_sample(N: int, nu, rng: RngStream) -> BartlettFactor:
     rows, cols = np.tril_indices(N, k=-1)
     keep = cols < ntilde
     T[rows[keep], cols[keep]] = rng.normal(int(keep.sum()))
-    return BartlettFactor(T=T, N=N, nu=nu)
+    return T
 
 
 # -- Appendix-style Jacobian log determinants ---------------------------------
@@ -348,8 +337,8 @@ def jacobian_logdets(variant: str, **kw) -> DiffTensor:
       llt:        Lambda (N x ntilde lower-trapezoidal) -> Lambda Lambda^T
       left_mul:   T -> L T, L lower-tri N x N           (kw: L, nu)
       right_mul:  T -> T B, B lower-tri ntilde x ntilde (kw: B, N, nu)
-      congruence: C -> A C A^T, A invertible            (kw: A or log_abs_det_A,
-                   C_block, D_block: the leading ntilde blocks; N, nu)
+      congruence: C -> A C A^T, A invertible            (kw: A, C_block, D_block:
+                   the leading ntilde blocks; N, nu)
     """
     if variant == "llt":
         lam = as_tensor(kw["factor"])
@@ -382,14 +371,10 @@ def jacobian_logdets(variant: str, **kw) -> DiffTensor:
     if variant == "congruence":
         nu = float(kw["nu"])
         N = int(kw["N"])
-        if "log_abs_det_A" in kw:
-            lad = as_tensor(kw["log_abs_det_A"])
-        else:
-            A = np.asarray(as_tensor(kw["A"]).value)
-            s, ld = np.linalg.slogdet(A)
-            if s == 0:
-                raise ValueError("singular A in congruence Jacobian")
-            lad = as_tensor(np.asarray(ld))
+        s, ld = np.linalg.slogdet(np.asarray(as_tensor(kw["A"]).value))
+        if s == 0:
+            raise ValueError("singular A in congruence Jacobian")
+        lad = as_tensor(np.asarray(ld))
         ld_c = de.logdet_psd(kw["C_block"])
         ld_d = de.logdet_psd(kw["D_block"])
         out = de.elementwise("affine", lad, a=nu)
@@ -421,123 +406,34 @@ def lu_packed_logdet(P) -> DiffTensor:
 
 # -- generalized singular Wishart -----------------------------------------------
 
-@dataclass
-class GWishParts:
-    """The parameter-only part of a generalized singular Wishart q, built once
-    per objective by gwish_prepare and read by every gwish_sample_and_logpdf.
-
-    alpha, beta: length-ntilde gamma shapes and rates of the squared diagonal;
-    mu, sigma: N x ntilde Gaussian means and scales, read where `below` (1
-    strictly below the diagonal, else 0) is 1; A, B: the A-variant's row
-    mixing and the AB-variant's column mixing, or None; const: the
-    log-density terms that depend on these parameters alone.
-    """
-    nu: int
-    alpha: DiffTensor
-    beta: DiffTensor
-    mu: DiffTensor
-    sigma: DiffTensor
-    below: np.ndarray
-    const: DiffTensor
-    A: DiffTensor = None
-    B: DiffTensor = None
-
-    @property
-    def N(self) -> int:
-        return self.mu.value.shape[0]
-
-    @property
-    def ntilde(self) -> int:
-        return min(self.N, self.nu)
-
-
-def _bartlett_exps(N: int, ntilde: int) -> np.ndarray:
-    """N - j + 1 for j = 1..ntilde."""
-    return np.arange(N, N - ntilde, -1, dtype=np.float64)
-
-
-def gwish_prepare(nu: int, alpha, beta, mu, sigma, A_packed=None, B=None) -> GWishParts:
-    """The parameter-only part of the (A/AB-)generalized singular Wishart.
-
-    alpha, beta: length-ntilde positive vectors for the squared diagonal gammas
-    mu, sigma: N x ntilde arrays; only strictly-below-diagonal entries used
-    A_packed: optional LU-packed N x N matrix (A-variant)
-    B: optional lower-triangular ntilde x ntilde, positive diagonal (AB-variant)
-    """
-    nu = int(nu)
-    alpha, beta = as_tensor(alpha), as_tensor(beta)
-    mu, sigma = as_tensor(mu), as_tensor(sigma)
-    if np.any(alpha.value <= 0) or np.any(beta.value <= 0) or np.any(sigma.value <= 0):
-        raise ValueError("alpha, beta, sigma must be positive")
-    N = mu.value.shape[0]
-    ntilde = min(N, nu)
-    exps_top = _bartlett_exps(N, ntilde)
-    # sum_j alpha_j log beta_j - lgamma(alpha_j), the gamma normalisers
-    const = de.tsum(de.sub(de.mul(alpha, de.elementwise("log", beta)), lgamma(alpha)))
-    if B is not None:
-        B = as_tensor(B)
-        if np.any(np.diag(B.value) <= 0):
-            raise ValueError("B must have positive diagonal")
-        # the Jacobian of T -> T B, and (A-variant) B's share of log|C block|
-        w = -2.0 * exps_top - ((nu - N - 1) if A_packed is not None else 0.0)
-        const = de.add(const, de.log_diag_sum(B, w))
-    A = None
-    if A_packed is not None:
-        A = lu_packed_matrix(A_packed)
-        const = de.sub(const, de.elementwise("affine", lu_packed_logdet(A_packed), a=float(nu)))
-    return GWishParts(nu=nu, alpha=alpha, beta=beta, mu=mu, sigma=sigma,
-                      below=np.tril(np.ones((N, ntilde)), k=-1), const=const, A=A, B=B)
-
-
-def gwish_scale(chol_scale, nu: int):
-    """(L, its part of log q) for gwish_sample_and_logpdf, with L the lower
-    Cholesky factor of the scale: -sum_i min(i, nu) log L_ii -
-    sum_{j <= ntilde} (N - j + 1) log L_jj, the Jacobian of T -> L T and
-    of the leading block of G."""
-    L = as_tensor(chol_scale)
-    N, nu = L.value.shape[-1], int(nu)
-    if np.any(np.diagonal(L.value, axis1=-2, axis2=-1) <= 0):
-        raise ValueError("chol_scale must have positive diagonal")
-    ntilde = min(N, nu)
-    w = np.minimum(np.arange(1, N + 1), nu).astype(np.float64)
-    w[:ntilde] += _bartlett_exps(N, ntilde)
-    return L, de.log_diag_sum(L, -w)
-
-
-def _bartlett_root(q: GWishParts, tsq, xi) -> DiffTensor:
+def _bartlett_root(tsq, mu, sigma, below, xi) -> DiffTensor:
     """The generalized Bartlett factor T (N x ntilde, one tape node): sqrt(tsq)
-    on the diagonal and mu + sigma xi strictly below it."""
-    ntilde, below = q.ntilde, q.below
+    on the diagonal and mu + sigma xi where `below` (1 strictly below the
+    diagonal, else 0) is 1."""
     tdiag = np.sqrt(tsq.value)
-    T = (q.mu.value + q.sigma.value * xi) * below
-    i = np.arange(ntilde)
+    T = (mu.value + sigma.value * xi) * below
+    i = np.arange(below.shape[1])
     T[..., i, i] += tdiag
     return lift(T, [(tsq, lambda g: g[..., i, i] * (0.5 / tdiag)),
-                    (q.mu, lambda g: de._unbroadcast(g * below, below.shape)),
-                    (q.sigma, lambda g: de._unbroadcast(g * below * xi, below.shape))],
+                    (mu, lambda g: de._unbroadcast(g * below, below.shape)),
+                    (sigma, lambda g: de._unbroadcast(g * below * xi, below.shape))],
                 "bartlett_root")
 
 
-def _bartlett_logq(q: GWishParts, tsq, T, scale_logq) -> DiffTensor:
+def _bartlett_logq(tsq, T, alpha, beta, mu, sigma, below, w_t, const, scale_logq) -> DiffTensor:
     """log q of the generalized Bartlett factor T with squared diagonal tsq,
     in one tape node: the gamma densities of tsq, the Gaussians below the
-    diagonal and the Jacobian terms in T's diagonal, plus the scale's and the
-    parameters' parts; A-variant: less 0.5 (nu - N - 1) db, with db the
-    log-det of the leading block of (A T B)(A T B)^T."""
-    N, ntilde, nu, below = q.N, q.ntilde, q.nu, q.below
-    ts, am1, beta = tsq.value, q.alpha.value - 1.0, q.beta.value
-    c_db = 0.5 * (nu - N - 1)
-    # coefficient of log T_jj = 0.5 log tsq_j: T_jj^{N-j}, and the A-variant's
-    # log|C block| = 2 sum log T_jj (+ B's, in q.const)
-    w_t = _bartlett_exps(N, ntilde) - 1.0 + (2.0 * c_db if q.A is not None else 0.0)
+    diagonal and w_t log T_jj, plus the parameters' terms const and the
+    scale's scale_logq."""
+    ts, am1, bv = tsq.value, alpha.value - 1.0, beta.value
     lt = np.log(ts)
-    d = (T.value - q.mu.value) * below
-    sg = q.sigma.value
+    d = (T.value - mu.value) * below
+    sg = sigma.value
     v = sg * sg
     r = 1.0 / v
-    val = (np.sum(am1 * lt - beta * ts, axis=-1) - np.sum(w_t * (0.5 * lt), axis=-1)
+    val = (np.sum(am1 * lt - bv * ts, axis=-1) - np.sum(w_t * (0.5 * lt), axis=-1)
            + np.sum(below * (-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI)), axis=(-2, -1))
-           + q.const.value + scale_logq.value)
+           + const.value + scale_logq.value)
 
     def vec(g):     # one sample's cotangent against its vector and matrix terms
         return np.asarray(g)[..., None]
@@ -549,61 +445,103 @@ def _bartlett_logq(q: GWishParts, tsq, T, scale_logq) -> DiffTensor:
         return de._unbroadcast(x, t.value.shape)
 
     parents = [
-        (tsq, lambda g: vec(g) * (am1 / ts - beta - 0.5 * w_t / ts)),
-        (q.alpha, lambda g: unb(vec(g) * lt, q.alpha)),
-        (q.beta, lambda g: unb(-vec(g) * ts, q.beta)),
+        (tsq, lambda g: vec(g) * (am1 / ts - bv - 0.5 * w_t / ts)),
+        (alpha, lambda g: unb(vec(g) * lt, alpha)),
+        (beta, lambda g: unb(-vec(g) * ts, beta)),
         (T, lambda g: -mat(g) * d * r),
-        (q.mu, lambda g: unb(mat(g) * d * r, q.mu)),
-        (q.sigma, lambda g: unb(mat(g) * below * (d * d * r - 1.0) / sg, q.sigma)),
-        (q.const, lambda g: unb(g, q.const)),
+        (mu, lambda g: unb(mat(g) * d * r, mu)),
+        (sigma, lambda g: unb(mat(g) * below * (d * d * r - 1.0) / sg, sigma)),
+        (const, lambda g: unb(g, const)),
         (scale_logq, lambda g: unb(g, scale_logq)),
     ]
     return lift(val, parents, "gwish_logq")
 
 
-def gwish_sample_and_logpdf(scale, q: GWishParts, rng: RngStream):
-    """Sample G from the (A/AB-)generalized singular Wishart over the scale
-    (L, scale_logq) = gwish_scale(L, nu), with parameters q = gwish_prepare(...),
-    and evaluate its log density at the sample.
+def gwish_sample_and_logpdf(L, nu, alpha, beta, mu, sigma, rng: RngStream,
+                            A_packed=None, B=None):
+    """Sample G from the (A/AB-)generalized singular Wishart with N x N lower
+    scale factor L and nu degrees of freedom, and evaluate its log density
+    at the sample.
+
+    alpha, beta: length-ntilde positive gamma shapes and rates of the squared
+    diagonal of the Bartlett factor T (ntilde = min(N, nu)); mu, sigma:
+    N x ntilde Gaussian means and scales, only strictly-below-diagonal entries
+    used; A_packed: optional LU-packed N x N row mixing (A-variant); B:
+    optional lower-triangular ntilde x ntilde column mixing with positive
+    diagonal (AB-variant). G = (L A T B)(L A T B)^T.
 
     Returns (G, log_density, feat, ld_block): feat is the retained root with
     feat feat^T = G (the imagined features of the inducing block), and
     ld_block the log-determinant of G's leading ntilde x ntilde block, from
     the diagonals the density forms (A-variant: and its one factorised block).
     """
-    G, logq, feat, ld_block, ATB = _gwish_sample(scale, q, rng)
-    if q.A is None:
+    G, logq, feat, ld_block, ATB = _gwish_sample(L, nu, alpha, beta, mu, sigma, rng,
+                                                 A_packed, B)
+    if A_packed is None:
         return G, logq, feat, ld_block
     # the A-variant's log-det db of the leading block of (A T B)(A T B)^T
-    S = de.getitem(ATB, (Ellipsis, slice(0, q.ntilde), slice(None)))
+    nu, N = int(nu), ATB.value.shape[-2]
+    S = de.getitem(ATB, (Ellipsis, slice(0, min(N, nu)), slice(None)))
     db = de.logdet_psd(de.matmul(S, de.transpose(S)))
-    c_db = 0.5 * (q.nu - q.N - 1)
+    c_db = 0.5 * (nu - N - 1)
     return G, de.add(logq, de.elementwise("affine", db, a=c_db)), feat, de.add(db, ld_block)
 
 
-def _gwish_sample(scale, q: GWishParts, rng: RngStream):
+def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, B=None):
     """gwish_sample_and_logpdf less the A-variant's db, plus the root A T B:
     (G, log_density - c db, feat, ld_block - db, ATB), c = 0.5 (nu - N - 1).
     A Wishart log density of G read through ld_block holds the same c db, so
     log p - log q needs neither term, and db's factorisation is saved."""
-    L, scale_logq = scale
-    N, ntilde = q.N, q.ntilde
+    nu = int(nu)
+    alpha, beta, mu, sigma = map(as_tensor, (alpha, beta, mu, sigma))
+    if np.any(alpha.value <= 0) or np.any(beta.value <= 0) or np.any(sigma.value <= 0):
+        raise ValueError("alpha, beta, sigma must be positive")
+    N = mu.value.shape[0]
+    ntilde = min(N, nu)
+    exps_top = np.arange(N, N - ntilde, -1, dtype=np.float64)      # N - j + 1, j <= ntilde
+    c_db = 0.5 * (nu - N - 1)
+    # the terms of log q in the parameters alone: sum_j alpha_j log beta_j -
+    # lgamma(alpha_j), the gamma normalisers
+    const = de.tsum(de.sub(de.mul(alpha, de.elementwise("log", beta)), lgamma(alpha)))
+    if B is not None:
+        B = as_tensor(B)
+        if np.any(np.diag(B.value) <= 0):
+            raise ValueError("B must have positive diagonal")
+        # the Jacobian of T -> T B, and (A-variant) B's share of log|C block|
+        w = -2.0 * exps_top - (2.0 * c_db if A_packed is not None else 0.0)
+        const = de.add(const, de.log_diag_sum(B, w))
+    A = None
+    if A_packed is not None:
+        A = lu_packed_matrix(A_packed)
+        const = de.sub(const, de.elementwise("affine", lu_packed_logdet(A_packed), a=float(nu)))
+    # the scale's terms: -sum_i min(i, nu) log L_ii - sum_{j <= ntilde}
+    # (N - j + 1) log L_jj, the Jacobian of T -> L T and of G's leading block
+    L = as_tensor(L)
+    if np.any(np.diagonal(L.value, axis1=-2, axis2=-1) <= 0):
+        raise ValueError("scale factor L must have positive diagonal")
     if L.value.shape[-1] != N:
         raise ValueError("scale and parameter shapes differ")
+    w = np.minimum(np.arange(1, N + 1), nu).astype(np.float64)
+    w[:ntilde] += exps_top
+    scale_logq = de.log_diag_sum(L, -w)
 
     # sample the generalized Bartlett factor
-    tsq = gamma_sample_reparam(q.alpha, q.beta, rng)           # length ntilde
-    T = _bartlett_root(q, tsq, rng.normal((N, ntilde)))
+    below = np.tril(np.ones((N, ntilde)), k=-1)
+    tsq = gamma_sample_reparam(alpha, beta, rng)                # length ntilde
+    T = _bartlett_root(tsq, mu, sigma, below, rng.normal((N, ntilde)))
 
     # assemble the root A T B and the Gram sample
-    ATB = T if q.B is None else de.matmul(T, q.B)
-    if q.A is not None:
-        ATB = de.matmul(q.A, ATB)
+    ATB = T if B is None else de.matmul(T, B)
+    if A is not None:
+        ATB = de.matmul(A, ATB)
     feat = de.matmul(L, ATB)
     G = de.matmul(feat, de.transpose(feat))
-    logq = _bartlett_logq(q, tsq, T, scale_logq)
+    # coefficient of log T_jj = 0.5 log tsq_j: T_jj^{N-j}, and the A-variant's
+    # log|C block| = 2 sum log T_jj (+ B's, in const)
+    w_t = exps_top - 1.0 + (2.0 * c_db if A is not None else 0.0)
+    logq = _bartlett_logq(tsq, T, alpha, beta, mu, sigma, below, w_t, const, scale_logq)
 
-    if q.A is None:     # the root L T B is lower-trapezoidal: 2 sum log of its diagonal
+    if A is None:       # the root L T B is lower-trapezoidal: 2 sum log of its diagonal
         return G, logq, feat, de.log_diag_sum(feat, 2.0), ATB
     # G's leading block is L's times D's: 2 sum log of L's leading diagonal
     top = np.zeros(N)

@@ -141,7 +141,7 @@ def test_criterion_03_wishart_moments():
     stream = rd.RngStream(30)
     G1 = np.empty((K, N, N))
     for k in range(K):
-        T = rd.bartlett_sample(N, nu, stream).T
+        T = rd.bartlett_sample(N, nu, stream)
         F = Ls @ T
         G1[k] = F @ F.T
 
@@ -281,9 +281,7 @@ def test_criterion_05_generalized_wishart_reduction():
     nt = min(N, nu)
     worst = 0.0
     for seed in range(20):
-        G, logq, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(L, nu),
-                                                   rd.gwish_prepare(nu, a, b, mu, sg),
-                                                   rd.RngStream(500 + seed))
+        G, logq, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg, rd.RngStream(500 + seed))
         worst = max(worst, abs(float(logq.value)
                                - float(rd.wishart_log_density(G.value, S, nu).value)))
     assert worst < 1e-8
@@ -291,15 +289,12 @@ def test_criterion_05_generalized_wishart_reduction():
     # A = I and A = I, B = I reduce to the base sampler exactly under shared draws
     worst_nest = 0.0
     for seed in range(5):
-        G0, lq0, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(L, nu),
-                                                   rd.gwish_prepare(nu, a, b, mu, sg),
-                                                   rd.RngStream(900 + seed))
-        Ga, lqa, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(L, nu),
-                                                   rd.gwish_prepare(nu, a, b, mu, sg, A_packed=np.eye(N)),
-                                                   rd.RngStream(900 + seed))
-        Gab, lqab, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(L, nu),
-                                                     rd.gwish_prepare(nu, a, b, mu, sg, A_packed=np.eye(N), B=np.eye(nt)),
-                                                     rd.RngStream(900 + seed))
+        G0, lq0, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg, rd.RngStream(900 + seed))
+        Ga, lqa, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg, rd.RngStream(900 + seed),
+                                                   A_packed=np.eye(N))
+        Gab, lqab, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
+                                                     rd.RngStream(900 + seed),
+                                                     A_packed=np.eye(N), B=np.eye(nt))
         worst_nest = max(worst_nest,
                          np.max(np.abs(G0.value - Ga.value)),
                          np.max(np.abs(G0.value - Gab.value)),
@@ -471,14 +466,14 @@ def test_criterion_10_gram_prior_matches_dgp_layer():
     s1, s2 = rd.RngStream(42), rd.RngStream(42)
     for _ in range(50):
         G, _, _ = dw.dwp_prior_layer(G0, kp, nu, s1, nu_prev=nu0)
-        T = rd.bartlett_sample(N, nu, s2).T
+        T = rd.bartlett_sample(N, nu, s2)
         F = Lp @ T
         assert np.allclose(G.value, F @ F.T, atol=1e-12)
 
     stream = rd.RngStream(1001)
     Gw = np.empty((K, N, N))
     for k in range(K):
-        F = Lp @ rd.bartlett_sample(N, nu, stream).T
+        F = Lp @ rd.bartlett_sample(N, nu, stream)
         Gw[k] = F @ F.T
 
     # zero-mean GP layer: F has nu columns drawn from N(0, K); G = F F^T / nu

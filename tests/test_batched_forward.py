@@ -249,10 +249,8 @@ def _dsvi_terms(p, F, rng):
     layer = dm.DsviDgpLayer(Z=p["Z"], m=p["m"], S_chol=_chol_from_raw(p["S_raw"]),
                             kernel_params=KernelParams(log_sf2=p["log_sf2"],
                                                        log_lengthscales=p["log_ls"]))
-    L = dm.dsvi_dgp_layer_chol(layer)
-    means, vars_ = dm.dsvi_dgp_layer_marginals(F, layer, L)
-    return means, vars_, dm.dsvi_dgp_layer_kl(layer, L), dm.dsvi_dgp_layer_sample(
-        (means, vars_), F, layer, rng)
+    means, vars_, kl = dm.dsvi_dgp_layer_marginals(F, layer)
+    return means, vars_, kl, dm.dsvi_dgp_layer_sample((means, vars_), F, layer, rng)
 
 
 def _dsvi_loss(terms):

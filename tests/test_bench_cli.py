@@ -8,8 +8,8 @@ import yaml
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import (BlrViModel, Dataset, ExperimentConfig,
-                                 _make_model, gen_cubic_toy, gen_deep_linear,
-                                 load_csv, main, run_experiment)
+                                 _make_model, _normalize, gen_cubic_toy,
+                                 gen_deep_linear, load_csv, main, run_experiment)
 from deepbayes.train import TrainConfig, train_loop
 
 
@@ -109,9 +109,9 @@ def test_denormalization_round_trip(tmp_path):
 
 def test_experiment_config_from_dict_nested_train():
     cfg = ExperimentConfig.from_dict({
-        "model": "gp", "dataset": "cubic-toy", "widths": [10, 10],
+        "model": "bnn-gi", "dataset": "cubic-toy", "widths": [10, 10],
         "train": {"steps": 50, "lr": 0.05, "anneal_steps": 0}})
-    assert cfg.model == "gp"
+    assert cfg.model == "bnn-gi"
     assert cfg.widths == (10, 10)
     assert cfg.train.steps == 50 and cfg.train.lr == 0.05
 
@@ -123,6 +123,30 @@ def test_experiment_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown train key\(s\) \['stl'\]; "
                                          r"valid keys: \['steps'"):
         ExperimentConfig.from_dict({"model": "blr", "train": {"stl": True}})
+
+
+@pytest.mark.parametrize("model,key", [
+    ("gp", "prior"), ("gp", "widths"), ("gp", "depth"), ("gp", "M"), ("blr", "M"),
+    ("dkl", "widths"), ("svgp", "depth"), ("bnn-gi", "depth"), ("bnn-fac", "M"),
+    ("dgp-gi", "widths"), ("dgp-dsvi", "prior"), ("dwp-ab", "widths")])
+def test_experiment_config_rejects_keys_the_model_ignores(model, key):
+    value = {"prior": "scale", "widths": [3], "depth": 7, "M": 3}[key]
+    with pytest.raises(ValueError, match=rf"model '{model}' does not read config "
+                                         rf"key\(s\) \['{key}'\]"):
+        ExperimentConfig.from_dict({"model": model, key: value})
+
+
+def test_experiment_config_accepts_the_keys_each_model_reads():
+    reads = {"svgp": ["M"], "bnn-gi": ["widths", "M", "prior"], "bnn-fac": ["widths", "prior"],
+             "dgp-gi": ["depth", "M"], "dgp-dsvi": ["depth", "M"], "dwp": ["depth", "M"],
+             "dwp-a": ["depth", "M"], "dwp-ab": ["depth", "M"], "blr": [], "gp": [], "dkl": []}
+    given = {"prior": "scale", "widths": (3,), "depth": 3, "M": 3}
+    for model, keys in reads.items():
+        cfg = ExperimentConfig.from_dict({"model": model, **{k: given[k] for k in keys}})
+        assert cfg.model == model and all(getattr(cfg, k) == given[k] for k in keys)
+    # the four keys at once on a model that reads none of them
+    with pytest.raises(ValueError, match=r"\['depth', 'widths', 'M', 'prior'\]; it reads \[\]"):
+        ExperimentConfig.from_dict({"model": "gp", **given})
 
 
 def test_experiment_config_rejects_train_seed():
@@ -253,6 +277,55 @@ def test_monte_carlo_objective_and_tape_nodes_are_pinned(kind):
         nodes = len(tape._nodes)
     want, want_nodes = PINNED_OBJECTIVES[kind]
     assert abs(float(value) - want) <= 1e-10 * abs(want)
+    assert nodes == want_nodes
+
+
+def _synthetic_200(seed=0):
+    """Acceptance criterion 14's data: 200 train / 20 test points, D=5."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2, 2, (220, 5))
+    w = rng.standard_normal(5)
+    y = np.sin(X @ w / 2.0) + 0.3 * X[:, 0] + 0.1 * rng.standard_normal(220)
+    return _normalize(X[:200], y[:200], X[200:], y[200:])
+
+
+# Objective, global gradient norm and tape nodes per objective on criterion
+# 14's data (M=20, widths (5, 5)) at init + 0.05 N(0, 1) from default_rng(1),
+# S=3, kl_scale 0.7, RngStream(123). The first layer's K_uu has condition
+# number 7 here (7e14 on cubic-toy), so unlike PINNED_OBJECTIVES these values
+# move only by rounding under a change that keeps them in exact arithmetic.
+PINNED_WELL_CONDITIONED = {
+    "bnn-gi": (-1836.6415161345915, 18353.11742736835, 112),
+    "bnn-fac": (-1729.4415693510261, 15963.337218962184, 52),
+    "dgp-gi": (-2980.1330308229676, 29808.2220818113, 102),
+    "dgp-dsvi": (-3262.729993803191, 32628.488362174394, 112),
+    "svgp": (-1319.1738111495029, 1361.0258081324657, 53),
+    "dwp": (-2888.0509079366343, 28768.45558790129, 173),
+    "dwp-a": (-2908.2012635278506, 28873.383256456225, 199),
+    "dwp-ab": (-2833.5561465771407, 28115.321500984206, 217),
+    "gp": (-189.88369863626264, 70.40262624672695, 10),
+    "dkl": (-659.9294929191087, 1009.4387090354612, 24),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_WELL_CONDITIONED))
+def test_well_conditioned_objective_gradient_and_tape_nodes_are_pinned(kind):
+    ds = _synthetic_200(0)
+    cfg = ExperimentConfig(model=kind, depth=3 if kind.startswith("dwp") else 2,
+                           widths=(5, 5), M=20)
+    model = _make_model(cfg, ds)
+    rng = np.random.default_rng(1)
+    params = {k: v + 0.05 * rng.standard_normal(np.shape(v))
+              for k, v in model.init_params().items()}
+    with de.Tape() as tape:
+        p = {k: tape.param(v, k) for k, v in params.items()}
+        value = model.objective(p, ds.X_train, ds.y_train, 200, 3, rd.RngStream(123), 0.7)
+        nodes = len(tape._nodes)
+        grads = de.backward_pass(value)
+    gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
+    want, want_gnorm, want_nodes = PINNED_WELL_CONDITIONED[kind]
+    assert abs(float(value.value) - want) <= 1e-10 * abs(want)
+    assert abs(gnorm - want_gnorm) <= 1e-10 * want_gnorm
     assert nodes == want_nodes
 
 

@@ -6,12 +6,10 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
                                    GiDgpLayer, PriorSpec, bnn_as_dgp_gram,
-                                   bnn_elbo, bnn_forward,
-                                   dsvi_dgp_layer_chol, dsvi_dgp_layer_kl,
-                                   dsvi_dgp_layer_marginals,
+                                   bnn_elbo, bnn_forward, dsvi_dgp_layer_marginals,
                                    dsvi_dgp_layer_sample, fac_bnn_layer_sample,
-                                   gi_bnn_layer_sample, gi_dgp_layer_prepare,
-                                   gi_dgp_layer_sample, scale_prior_terms)
+                                   gi_bnn_layer_sample, gi_dgp_layer_sample,
+                                   scale_prior_terms)
 from deepbayes.gp_models import (BlrState, GpState, SvgpState,
                                  blr_fit_predict_lml, gp_predict_lml, svgp_elbo)
 from deepbayes.kernels import KernelParams, se_ard_features
@@ -247,8 +245,7 @@ def test_gi_dgp_vanishing_precision_recovers_prior():
     F_prev = rng.standard_normal((4, 1))
     layer = GiDgpLayer(V=rng.standard_normal((5, 1)), log_lambda=np.full(5, -40.0),
                        kernel_params=KernelParams())
-    _, _, inc = gi_dgp_layer_sample(gi_dgp_layer_prepare(F_prev, U_prev, layer),
-                                    rd.RngStream(2))
+    _, _, inc = gi_dgp_layer_sample(F_prev, U_prev, layer, rd.RngStream(2))
     assert abs(inc.value) < 1e-10
 
 
@@ -258,8 +255,7 @@ def test_gi_dgp_large_precision_pins_inducing_outputs():
     V = rng.standard_normal((5, 1))
     layer = GiDgpLayer(V=V, log_lambda=np.full(5, 30.0),
                        kernel_params=KernelParams())
-    U, _, _ = gi_dgp_layer_sample(
-        gi_dgp_layer_prepare(rng.standard_normal((3, 1)), U_prev, layer), rd.RngStream(3))
+    U, _, _ = gi_dgp_layer_sample(rng.standard_normal((3, 1)), U_prev, layer, rd.RngStream(3))
     assert np.max(np.abs(U.value - V)) < 1e-5
 
 
@@ -270,8 +266,7 @@ def test_gi_dgp_identity_mean_function():
     layer = GiDgpLayer(V=np.zeros((4, 1)), log_lambda=np.full(4, 30.0),
                        kernel_params=KernelParams(),
                        mean_function="identity")
-    U, F, _ = gi_dgp_layer_sample(gi_dgp_layer_prepare(F_prev, U_prev, layer),
-                                  rd.RngStream(4))
+    U, F, _ = gi_dgp_layer_sample(F_prev, U_prev, layer, rd.RngStream(4))
     # inducing outputs pinned to V = 0, so the identity mean leaves U = U_prev
     assert np.max(np.abs(U.value - U_prev)) < 1e-5
 
@@ -285,9 +280,8 @@ def test_gi_dgp_batch_outputs_follow_posterior_gp_mean():
     F_prev = np.array([[0.3], [-1.1]])
     layer = GiDgpLayer(V=V, log_lambda=np.full(7, 30.0),
                        kernel_params=KernelParams())
-    parts = gi_dgp_layer_prepare(F_prev, U_prev, layer)
-    draws = np.stack([gi_dgp_layer_sample(parts, rd.RngStream(s))[1].value[:, 0]
-                      for s in range(4000)])
+    streams = rd.StreamBatch([rd.RngStream(s) for s in range(4000)])
+    draws = gi_dgp_layer_sample(F_prev, U_prev, layer, streams)[1].value[..., 0]
     gp = GpState(log_noise=-60.0)
     mean, cov, _ = gp_predict_lml(gp, U_prev, V[:, 0], X_star=F_prev)
     se = np.sqrt(np.maximum(np.diag(cov.value), 1e-12) / draws.shape[0]) + 1e-4
@@ -300,9 +294,8 @@ def test_gi_dgp_increment_has_nonpositive_mean():
     U_prev = rng.standard_normal((4, 1))
     layer = GiDgpLayer(V=rng.standard_normal((4, 1)), log_lambda=np.zeros(4),
                        kernel_params=KernelParams())
-    incs = np.array([gi_dgp_layer_sample(
-        gi_dgp_layer_prepare(rng.standard_normal((2, 1)), U_prev, layer),
-        rd.RngStream(s))[2].value for s in range(3000)])
+    incs = np.array([gi_dgp_layer_sample(rng.standard_normal((2, 1)), U_prev, layer,
+                                         rd.RngStream(s))[2].value for s in range(3000)])
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
 
 
@@ -317,9 +310,8 @@ def test_dsvi_prior_matched_posterior_zero_kl_and_prior_marginals():
                          S_chol=_chol(Kzz + 1e-10 * np.eye(4))[None, :, :],
                          kernel_params=kp)
     F = rng.standard_normal((5, 1))
-    L = dsvi_dgp_layer_chol(layer)
-    means, vars_ = dsvi_dgp_layer_marginals(F, layer, L)
-    assert abs(dsvi_dgp_layer_kl(layer, L).value) < 1e-6
+    means, vars_, kl = dsvi_dgp_layer_marginals(F, layer)
+    assert abs(kl.value) < 1e-6
     # marginals reduce to the prior: mean 0, variance = kernel diagonal
     kdiag = np.diag(se_ard_features(kp, F).value)
     assert np.allclose(means[0].value, 0.0, atol=1e-10)
@@ -337,12 +329,11 @@ def test_dsvi_depth_one_elbo_equals_sparse_gp_bound():
     kp = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
     layer = DsviDgpLayer(Z=Z, m=m, S_chol=_chol(S)[None, :, :],
                          kernel_params=kp)
-    L = dsvi_dgp_layer_chol(layer)
-    means, vars_ = dsvi_dgp_layer_marginals(X, layer, L)
+    means, vars_, kl = dsvi_dgp_layer_marginals(X, layer)
     s2 = 0.3
     ell = rd.normal_log_density(y, means[0], np.asarray(s2)).value.sum() \
         - vars_[0].value.sum() / (2 * s2)
-    elbo_dgp = ell - dsvi_dgp_layer_kl(layer, L).value
+    elbo_dgp = ell - kl.value
     svgp = SvgpState(Z=Z, m=m[:, 0], S_chol=_chol(S), kernel_params=kp,
                      log_noise=np.log(s2))
     elbo_ref = svgp_elbo(svgp, X, y, total_n=8).value
@@ -357,12 +348,11 @@ def test_dsvi_sample_moments_match_marginals():
                          S_chol=_chol(A @ A.T + 4 * np.eye(4))[None, :, :],
                          kernel_params=KernelParams())
     F = rng.standard_normal((3, 1))
-    L = dsvi_dgp_layer_chol(layer)
-    means, vars_ = dsvi_dgp_layer_marginals(F, layer, L)
+    means, vars_, _ = dsvi_dgp_layer_marginals(F, layer)
     n = 20000
-    draws = np.stack([dsvi_dgp_layer_sample((means, vars_), F, layer,
-                                            rd.RngStream(s)).value[:, 0]
-                      for s in range(n)])
+    draws = dsvi_dgp_layer_sample((means, vars_), F, layer,
+                                  rd.StreamBatch([rd.RngStream(s) for s in range(n)])
+                                  ).value[..., 0]
     se = np.sqrt(vars_[0].value / n)
     assert np.all(np.abs(draws.mean(0) - means[0].value) < 4 * se)
     assert np.all(np.abs(draws.var(0) - vars_[0].value) < 0.1 * vars_[0].value)
@@ -379,8 +369,7 @@ def test_dsvi_two_outputs_sample_each_from_its_own_marginals():
                                           _chol(0.1 * B @ B.T + np.eye(4))]),
                          kernel_params=KernelParams())
     F = rng.standard_normal((3, 1))
-    L = dsvi_dgp_layer_chol(layer)
-    means, vars_ = dsvi_dgp_layer_marginals(F, layer, L)
+    means, vars_, kl = dsvi_dgp_layer_marginals(F, layer)
     n = 4000
     draws = dsvi_dgp_layer_sample((means, vars_), F, layer,
                                   rd.StreamBatch(rd.RngStream(3).split(n))).value
@@ -392,8 +381,8 @@ def test_dsvi_two_outputs_sample_each_from_its_own_marginals():
     assert abs(np.corrcoef(draws[:, 0, 0], draws[:, 0, 1])[0, 1]) < 0.1
     one = [DsviDgpLayer(Z=Z, m=layer.m[:, [lam]], S_chol=layer.S_chol[[lam]],
                         kernel_params=KernelParams()) for lam in range(2)]
-    kls = [dsvi_dgp_layer_kl(lay, L).value for lay in one]
-    assert np.isclose(dsvi_dgp_layer_kl(layer, L).value, sum(kls), rtol=1e-12)
+    kls = [dsvi_dgp_layer_marginals(F, lay)[2].value for lay in one]
+    assert np.isclose(kl.value, sum(kls), rtol=1e-12)
 
 
 def test_dsvi_identity_mean_function_shifts_samples():
@@ -407,10 +396,9 @@ def test_dsvi_identity_mean_function_shifts_samples():
                          kernel_params=KernelParams(),
                          mean_function="identity")
     F = rng.standard_normal((4, 1))
-    L = dsvi_dgp_layer_chol(base)
-    f0 = dsvi_dgp_layer_sample(dsvi_dgp_layer_marginals(F, base, L), F, base,
+    f0 = dsvi_dgp_layer_sample(dsvi_dgp_layer_marginals(F, base)[:2], F, base,
                                rd.RngStream(6))
-    f1 = dsvi_dgp_layer_sample(dsvi_dgp_layer_marginals(F, ident, L), F, ident,
+    f1 = dsvi_dgp_layer_sample(dsvi_dgp_layer_marginals(F, ident)[:2], F, ident,
                                rd.RngStream(6))
     assert np.allclose(f1.value - f0.value, F)
 

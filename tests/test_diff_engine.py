@@ -163,14 +163,16 @@ def test_symmetry_guard_finds_one_asymmetric_entry(shape, entry):
     S = A @ np.swapaxes(A, -1, -2) / shape[-1] + np.eye(shape[-1])
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
     tol = 1e-10 * max(1.0, S.max(), -S.min())
-    for bump, fails in [(0.5 * tol, False), (2.0 * tol, True)]:
-        B = S.copy()
-        B[entry] += bump
-        if fails:
-            with pytest.raises(ValueError, match="cholesky_factor requires a symmetric matrix"):
-                de.cholesky_factor(B)
-        else:
-            de.cholesky_factor(B)
+    for op in (de.cholesky_factor, de.logdet_psd):
+        for bump, fails in [(0.5 * tol, False), (2.0 * tol, True)]:
+            B = S.copy()
+            B[entry] += bump
+            if fails:
+                with pytest.raises(ValueError,
+                                   match=f"{op.__name__} requires a symmetric matrix"):
+                    op(B)
+            else:
+                op(B)
 
 
 def test_log_domain_violation_raises():

@@ -5,8 +5,7 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import GiDgpLayer
 from deepbayes.dwp import (DwpState, GWishLayerPosterior, dwp_conditional_testpoints,
-                           dwp_elbo_batch, dwp_forward, dwp_layer_prepare,
-                           dwp_mixed_scale_chol, dwp_posterior_layer, dwp_prior_layer,
+                           dwp_elbo_batch, dwp_forward, dwp_posterior_layer, dwp_prior_layer,
                            gram_kernel_blocks, standard_bartlett_params,
                            wishart_inducing_extension)
 from deepbayes.kernels import KernelParams, se_from_gram
@@ -34,13 +33,11 @@ def _posterior(M, nu, variant="base", rng=None, q=0.1, spread=0.0):
     return layer
 
 
-def _factors(G0, nu_prev, nu, layer):
-    """dwp_posterior_layer's arguments but the stream: the mixed scale, the
-    factor of the prior scale K(G0)/nu at default kernel params and the
-    layer's generalized-Wishart parts."""
+def _prior_scale(G0, nu_prev, nu):
+    """dwp_posterior_layer's prior scale K(G0)/nu at default kernel params
+    and its factor."""
     S = de.elementwise("affine", se_from_gram(KernelParams(), G0, nu_prev), a=1.0 / nu)
-    mix, gw = dwp_layer_prepare(layer)
-    return rd.gwish_scale(dwp_mixed_scale_chol(S, mix), nu), de.cholesky_factor(S), gw
+    return S, de.cholesky_factor(S)
 
 
 def _testpoints(feat_i, L_ii, S_ti, s_tt, nu, rng):
@@ -143,9 +140,9 @@ def test_root_form_density_matches_wishart_log_density(variant):
         B = (np.tril(0.2 * rng.standard_normal((nu, nu)), -1) + np.diag(np.exp(
             0.2 * rng.standard_normal(nu)))) if variant == "AB" else None
         L_mix = np.linalg.cholesky(0.7 * S + 0.3 * _spd(rng, M) / M)
-        G, _, feat, ld_block = rd.gwish_sample_and_logpdf(rd.gwish_scale(L_mix, nu),
-                                                          rd.gwish_prepare(nu, a * np.exp(0.1 * rng.standard_normal(nu)), b, mu + 0.1, sg, A, B),
-                                                          rd.RngStream(2))
+        G, _, feat, ld_block = rd.gwish_sample_and_logpdf(
+            L_mix, nu, a * np.exp(0.1 * rng.standard_normal(nu)), b, mu + 0.1, sg,
+            rd.RngStream(2), A, B)
         logp = rd._wishart_log_density_root(feat, np.linalg.cholesky(S), nu, ld_block)
     ref = rd.wishart_log_density(G.value, S, nu).value
     assert abs(logp.value - ref) <= 1e-10 * abs(ref)
@@ -159,9 +156,9 @@ def test_posterior_layer_prior_reduction():
     M, nu = 4, 6
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=1e-12)
-    factors = _factors(G0, M, nu, layer)
+    factors = _prior_scale(G0, M, nu)
     for seed in range(5):
-        _, _, inc = dwp_posterior_layer(*factors, rd.RngStream(seed))
+        _, _, inc = dwp_posterior_layer(layer, *factors, rd.RngStream(seed))
         assert abs(inc.value) < 1e-8, seed
 
 
@@ -174,7 +171,7 @@ def test_posterior_layer_variant_nesting_exact():
     for variant in ("base", "A", "AB"):
         layer = _posterior(M, nu, variant=variant, rng=np.random.default_rng(6),
                            spread=0.2)
-        G, feat, inc = dwp_posterior_layer(*_factors(G0, M, nu, layer), rd.RngStream(11))
+        G, feat, inc = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(11))
         outs.append((G.value, feat.value, inc.value))
     for G, feat, inc in outs[1:]:
         assert np.allclose(G, outs[0][0], atol=1e-12)
@@ -187,9 +184,8 @@ def test_posterior_layer_increment_mean_is_negative_kl():
     M, nu = 3, 4
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=0.4, spread=0.15)
-    factors = _factors(G0, M, nu, layer)
-    incs = np.array([dwp_posterior_layer(*factors, rd.RngStream(s))[2].value
-                     for s in range(3000)])
+    streams = rd.StreamBatch([rd.RngStream(s) for s in range(3000)])
+    incs = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), streams)[2].value
     # KL >= 0, so the mean increment must not be significantly positive
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
 
@@ -199,7 +195,7 @@ def test_posterior_layer_root_consistency():
     M, nu = 4, 2
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, spread=0.1)
-    G, feat, _ = dwp_posterior_layer(*_factors(G0, M, nu, layer), rd.RngStream(3))
+    G, feat, _ = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(3))
     assert feat.value.shape == (M, min(M, nu))
     assert np.allclose(feat.value @ feat.value.T, G.value, atol=1e-12)
 

@@ -468,10 +468,8 @@ def test_gwish_sample_and_logpdf_matches_reference(variant):
             sigma = de.elementwise("exp", ps["log_sigma"])
             args = (ps.get("P"), ps.get("B"))
             if fused:
-                out = rd.gwish_sample_and_logpdf(
-                    rd.gwish_scale(ps["Lraw"], nu),
-                    rd.gwish_prepare(nu, alpha, beta, ps["mu"], sigma, *args),
-                    rd.RngStream(11))
+                out = rd.gwish_sample_and_logpdf(ps["Lraw"], nu, alpha, beta, ps["mu"], sigma,
+                                                 rd.RngStream(11), *args)
             else:
                 out = _ref_gwish(ps["Lraw"], nu, alpha, beta, ps["mu"], sigma,
                                  rd.RngStream(11), *args)
@@ -636,10 +634,8 @@ def _fused_cases():
             beta = de.elementwise("exp", ps["log_beta"])
             sigma = de.elementwise("exp", ps["log_sigma"])
             if fused:
-                out = rd.gwish_sample_and_logpdf(
-                    rd.gwish_scale(ps["Lraw"], nu),
-                    rd.gwish_prepare(nu, alpha, beta, ps["mu"], sigma, ps["P"], ps["B"]),
-                    rd.RngStream(11))
+                out = rd.gwish_sample_and_logpdf(ps["Lraw"], nu, alpha, beta, ps["mu"], sigma,
+                                                 rd.RngStream(11), ps["P"], ps["B"])
             else:
                 out = _ref_gwish(ps["Lraw"], nu, alpha, beta, ps["mu"], sigma,
                                  rd.RngStream(11), ps["P"], ps["B"])

@@ -219,15 +219,15 @@ def test_bartlett_full_rank_mean():
     N, nu = 3, 5.0
     acc = np.zeros((N, N))
     for _ in range(n):
-        T = rd.bartlett_sample(N, nu, stream).T
+        T = rd.bartlett_sample(N, nu, stream)
         acc += T @ T.T
     assert np.max(np.abs(acc / n - nu * np.eye(N))) < 0.1
 
 
 def test_bartlett_singular_shape_and_rank():
-    f = rd.bartlett_sample(4, 2, rd.RngStream(0))
-    assert f.T.shape == (4, 2) and f.ntilde == 2
-    G = f.T @ f.T.T
+    T = rd.bartlett_sample(4, 2, rd.RngStream(0))
+    assert T.shape == (4, 2)
+    G = T @ T.T
     assert np.linalg.matrix_rank(G) == 2
 
 
@@ -239,7 +239,7 @@ def test_bartlett_singular_requires_integer_nu():
 def test_bartlett_diag_squared_are_chi2():
     stream = rd.RngStream(33)
     n = 30_000
-    d = np.stack([np.diag(rd.bartlett_sample(2, 5.0, stream).T) ** 2 for _ in range(n)])
+    d = np.stack([np.diag(rd.bartlett_sample(2, 5.0, stream)) ** 2 for _ in range(n)])
     # T_jj^2 ~ chi2(nu - j + 1)
     for j, dof in enumerate([5.0, 4.0]):
         se = np.sqrt(2 * dof / n)
@@ -402,9 +402,7 @@ def test_gwish_standard_params_reduce_to_wishart_density(N, nu):
     L = np.linalg.cholesky(S)
     a, b, mu, sg = _standard_bartlett_params(N, nu)
     for seed in range(5):
-        G, logq, feat, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(L, nu),
-                                                      rd.gwish_prepare(nu, a, b, mu, sg),
-                                                      rd.RngStream(seed))
+        G, logq, feat, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg, rd.RngStream(seed))
         assert np.allclose(feat.value @ feat.value.T, G.value)
         assert np.isclose(logq.value, rd.wishart_log_density(G.value, S, nu).value,
                           atol=1e-10), seed
@@ -414,15 +412,11 @@ def test_gwish_variant_nesting_is_exact_under_same_seed():
     # A=I / B=I reduce the A and AB variants to the base sampler exactly
     N, nu = 3, 5
     a, b, mu, sg = _standard_bartlett_params(N, nu)
-    base = rd.gwish_sample_and_logpdf(rd.gwish_scale(np.eye(N), nu),
-                                      rd.gwish_prepare(nu, a, b, mu, sg),
-                                      rd.RngStream(4))
-    witha = rd.gwish_sample_and_logpdf(rd.gwish_scale(np.eye(N), nu),
-                                       rd.gwish_prepare(nu, a, b, mu, sg, A_packed=np.eye(N)),
-                                       rd.RngStream(4))
-    withab = rd.gwish_sample_and_logpdf(rd.gwish_scale(np.eye(N), nu),
-                                        rd.gwish_prepare(nu, a, b, mu, sg, A_packed=np.eye(N), B=np.eye(min(N, nu))),
-                                        rd.RngStream(4))
+    base = rd.gwish_sample_and_logpdf(np.eye(N), nu, a, b, mu, sg, rd.RngStream(4))
+    witha = rd.gwish_sample_and_logpdf(np.eye(N), nu, a, b, mu, sg, rd.RngStream(4),
+                                       A_packed=np.eye(N))
+    withab = rd.gwish_sample_and_logpdf(np.eye(N), nu, a, b, mu, sg, rd.RngStream(4),
+                                        A_packed=np.eye(N), B=np.eye(min(N, nu)))
     for other in (witha, withab):
         assert np.allclose(base[0].value, other[0].value)
         assert np.isclose(base[1].value, other[1].value, atol=1e-12)
@@ -439,11 +433,9 @@ def test_gwish_ab_density_change_of_variables():
     sg = np.abs(rng.standard_normal((N, N))) + 0.5
     P = rng.standard_normal((N, N)) * 0.2 + np.eye(N) * 1.5
     B = np.tril(rng.standard_normal((N, N)) * 0.2) + np.eye(N)
-    g_ab, logq_ab, feat, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(np.eye(N), nu),
-                                                        rd.gwish_prepare(nu, a, b, mu, sg, A_packed=P, B=B),
-                                                        rd.RngStream(17))
-    g0, logq0, feat0, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(np.eye(N), nu),
-                                                     rd.gwish_prepare(nu, a, b, mu, sg),
+    g_ab, logq_ab, feat, _ = rd.gwish_sample_and_logpdf(np.eye(N), nu, a, b, mu, sg,
+                                                        rd.RngStream(17), A_packed=P, B=B)
+    g0, logq0, feat0, _ = rd.gwish_sample_and_logpdf(np.eye(N), nu, a, b, mu, sg,
                                                      rd.RngStream(17))
     A = rd.lu_packed_matrix(P).value
     assert np.allclose(feat.value, A @ feat0.value @ B)
@@ -463,9 +455,8 @@ def test_gwish_a_variant_density_is_wishart_with_composed_scale(N, nu):
     Lr = np.tril(rng.standard_normal((N, N)) * 0.3) + np.eye(N)
     P = rng.standard_normal((N, N)) * 0.2 + 1.5 * np.eye(N)
     a, b, mu, sg = _standard_bartlett_params(N, nu)
-    G, logq, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(Lr, nu),
-                                               rd.gwish_prepare(nu, a, b, mu, sg, A_packed=P),
-                                               rd.RngStream(8))
+    G, logq, _, _ = rd.gwish_sample_and_logpdf(Lr, nu, a, b, mu, sg, rd.RngStream(8),
+                                               A_packed=P)
     A = rd.lu_packed_matrix(P).value
     ref = rd.wishart_log_density(G.value, Lr @ A @ A.T @ Lr.T, nu).value
     assert np.isclose(logq.value, ref, atol=1e-9)
@@ -482,9 +473,9 @@ def test_gwish_density_gradients_excluding_shape():
         b = de.elementwise("exp", params["log_beta"])
         Ld = de.add(de.mul(params["Lraw"], np.tril(np.ones((N, N)), -1)),
                     de.diag_embed(de.elementwise("exp", de.diag_part(params["Lraw"]))))
-        G, logq, _, _ = rd.gwish_sample_and_logpdf(rd.gwish_scale(Ld, nu),
-                                                   rd.gwish_prepare(nu, np.full(N, 2.0), b, params["mu"], sg, A_packed=params["P"], B=None),
-                                                   rd.RngStream(23))
+        G, logq, _, _ = rd.gwish_sample_and_logpdf(Ld, nu, np.full(N, 2.0), b, params["mu"], sg,
+                                                   rd.RngStream(23), A_packed=params["P"],
+                                                   B=None)
         return de.add(logq, de.tsum(de.elementwise("square", G)) * 1e-3)
     rep = de.finite_diff_check(fn, {
         "log_sigma": np.zeros((N, N)), "log_beta": np.log(np.full(N, 0.5)),
