@@ -58,7 +58,7 @@ class Tape:
 class DiffTensor:
     """Dense real matrix/vector with a gradient slot on a recording tape."""
 
-    __slots__ = ("value", "name", "grad", "_tape", "_parents")
+    __slots__ = ("value", "name", "grad", "_tape", "_parents", "_factor")
 
     def __init__(self, value, tape=None, name=None, parents=None, source="constant"):
         self.value = np.asarray(value, dtype=np.float64)
@@ -67,6 +67,7 @@ class DiffTensor:
         self.grad = None
         self._tape = tape
         self._parents = parents or []
+        self._factor = None     # the _Factor of a cholesky_factor output
 
     @property
     def shape(self):
@@ -146,18 +147,30 @@ def lift(value, parents, op: str) -> DiffTensor:
     return out
 
 
+_FILLED: list[list] = []   # shared_cotangent memos filled since backward_pass last released them
+
+
 def shared_cotangent(fn):
     """Memoise fn(g) across the parents of one node: backward_pass hands each
     parent's vjp the same cotangent object in turn, so work they share (such
-    as a fused op's cotangent of an intermediate) runs once per node."""
+    as a fused op's cotangent of an intermediate) runs once per node.
+    backward_pass empties the memo once it has passed the node, so neither
+    the cotangent nor fn's result outlives that visit."""
     last = [None, None]
 
     def cached(g):
         if last[0] is not g:
             last[0], last[1] = g, fn(g)
+            _FILLED.append(last)
         return last[1]
 
     return cached
+
+
+def _release_shared():
+    while _FILLED:
+        memo = _FILLED.pop()
+        memo[0] = memo[1] = None
 
 
 def _mT(x):
@@ -440,7 +453,9 @@ def _solve_tri(l: np.ndarray, b: np.ndarray, trans: bool):
     """_trtrs over the broadcast leading axes of l and b (b a matrix or a
     stack of them), one call per matrix: LAPACK's rounding depends on the
     number of right-hand sides, so stacked right-hand sides are not merged
-    into one call even where they share l."""
+    into one call even where they share l. A stack of factors that _Factor
+    has inverted is solved by one matmul instead; this loop serves single
+    matrices, matrices that are not factors and ill-conditioned stacks."""
     if l.ndim == 2 and b.ndim == 2:
         return _trtrs(l, b, trans)
     batch = np.broadcast_shapes(l.shape[:-2], b.shape[:-2])
@@ -451,6 +466,50 @@ def _solve_tri(l: np.ndarray, b: np.ndarray, trans: bool):
     for i in np.ndindex(*batch):
         x[i] = _trtrs(ls[i], bs[i], trans)
     return x
+
+
+_TRTRI = sla.get_lapack_funcs("trtri", (np.zeros((1, 1)),))
+_MAX_COND = 1e3     # the largest one-norm condition number solved by an inverse
+
+
+def _tri_inverse(L: np.ndarray):
+    """The inverse of each lower-triangular matrix of a stack, by LAPACK
+    trtri in place on one copy of L (Fortran-ordered per matrix, as the
+    factors are), or None if some member has a one-norm condition number
+    ||L||_1 ||L^{-1}||_1 above _MAX_COND: the forward error of L^{-1} b is
+    about that number times the unit roundoff, against trtrs's backward
+    stable solve."""
+    inv = _mT(_mT(L).copy())
+    for i in np.ndindex(inv.shape[:-2]):
+        if _TRTRI(inv[i], lower=1, overwrite_c=1)[1]:
+            return None
+    cond = np.abs(L).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+    return inv if np.all(cond <= _MAX_COND) else None
+
+
+class _Factor:
+    """Solves against the output of cholesky_factor, forward and backward.
+
+    A stack of factors is inverted (_tri_inverse) the first time anything
+    solves against it; from then on every solve is one stacked matmul with
+    the inverses. A single matrix, or a stack that is ill-conditioned, is
+    solved by _solve_tri's trtrs calls instead."""
+
+    __slots__ = ("L", "inv", "_tried")
+
+    def __init__(self, L: np.ndarray):
+        self.L = L
+        self.inv = None             # L^{-1} per member, once built
+        self._tried = L.ndim == 2   # single matrices are never inverted
+
+    def solve(self, b: np.ndarray, trans: bool):
+        """x with L x = b (L^T x = b when trans), broadcast as _solve_tri."""
+        if not self._tried:
+            self._tried = True
+            self.inv = _tri_inverse(self.L)
+        if self.inv is None:
+            return _solve_tri(self.L, b, trans)
+        return (_mT(self.inv) if trans else self.inv) @ b
 
 
 def _phi(x):
@@ -503,28 +562,35 @@ def _chol_inverse(L: np.ndarray):
 
 def cholesky_factor(s) -> DiffTensor:
     """Lower Cholesky factor of a symmetric PD matrix, or of each matrix in a
-    stack, with the jitter policy."""
+    stack, with the jitter policy. The output carries a _Factor, which its
+    VJP and every triangular_solve against the output share."""
     s = as_tensor(s)
     v = s.value
     _check_symmetric(v, "cholesky_factor")
     L = _chol_with_jitter(v)
+    factor = _Factor(L)
 
     def vjp(g):
         _check_finite(g, "cotangent of op 'cholesky_factor'")
         p = _phi(_mT(L) @ g)
-        s1 = _solve_tri(L, _mT(p), True)
-        s2 = _solve_tri(L, _mT(s1), True)
+        s1 = factor.solve(_mT(p), True)
+        s2 = factor.solve(_mT(s1), True)
         out = s2 + _mT(s2)
         out *= 0.5
         return out
 
-    return lift(L, [(s, vjp)], "cholesky_factor")
+    out = lift(L, [(s, vjp)], "cholesky_factor")
+    out._factor = factor
+    return out
 
 
 def triangular_solve(l, b, trans=False) -> DiffTensor:
     """Solve l x = b (or l^T x = b when trans) for lower-triangular l: b a
     vector, a matrix or a stack of matrices, l a matrix or a stack. Both
-    parents' cotangents share one solve."""
+    parents' cotangents share one solve. Against a stack of factors from
+    cholesky_factor, the forward and that solve are each one matmul with the
+    factors' inverses (see _Factor); against anything else, LAPACK trtrs
+    runs once per matrix."""
     l, b = as_tensor(l), as_tensor(b)
     lv, bv = l.value, b.value
     if lv.ndim < 2 or lv.shape[-1] != lv.shape[-2]:
@@ -534,12 +600,13 @@ def triangular_solve(l, b, trans=False) -> DiffTensor:
     squeeze = bv.ndim == 1
     if squeeze and lv.ndim != 2:
         raise ValueError("triangular_solve: a vector right-hand side needs one factor")
-    x = _solve_tri(lv, bv[:, None] if squeeze else bv, trans)
+    solve = l._factor.solve if l._factor is not None else lambda r, t: _solve_tri(lv, r, t)
+    x = solve(bv[:, None] if squeeze else bv, trans)
 
     @shared_cotangent
     def g_rhs(g):   # cotangent of the right-hand side, before unbroadcasting
         _check_finite(g, "cotangent of op 'triangular_solve'")
-        return _solve_tri(lv, g[:, None] if squeeze else g, not trans)
+        return solve(g[:, None] if squeeze else g, not trans)
 
     def vjp_b(g):
         gb = g_rhs(g)
@@ -598,7 +665,8 @@ def backward_pass(loss: DiffTensor) -> dict:
     own, and returned in a dict mapping parameter name -> gradient; other
     tensors get no .grad. Cotangents pass between VJPs without copies, so a
     VJP must not write into the cotangent it is given; the walk drops each
-    one once it has passed its node.
+    one, and what its VJPs shared (shared_cotangent), once it has passed its
+    node.
     """
     if loss.value.size != 1:
         raise ValueError("backward_pass requires a scalar loss")
@@ -608,16 +676,20 @@ def backward_pass(loss: DiffTensor) -> dict:
     if tape._nodes is None:
         raise ValueError("backward_pass on a closed tape: call it inside the tape's with block")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
-    for node in reversed(tape._nodes):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.name is not None:
-            node.grad = np.array(g)
-        for parent, vjp in node._parents:
-            pg = np.asarray(vjp(g), dtype=np.float64)
-            prev = grads.get(id(parent))
-            grads[id(parent)] = pg if prev is None else prev + pg
+    try:
+        for node in reversed(tape._nodes):
+            g = grads.pop(id(node), None)
+            if g is None:
+                continue
+            if node.name is not None:
+                node.grad = np.array(g)
+            for parent, vjp in node._parents:
+                pg = np.asarray(vjp(g), dtype=np.float64)
+                prev = grads.get(id(parent))
+                grads[id(parent)] = pg if prev is None else prev + pg
+            _release_shared()
+    finally:
+        _release_shared()
     out = {}
     for node in tape._nodes:
         if node.name is not None and node.grad is not None:

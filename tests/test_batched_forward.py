@@ -159,16 +159,117 @@ def test_stacked_factors_equal_the_per_matrix_factors_at_n300():
 
 
 def test_stacked_matrix_ops_equal_the_per_matrix_loop():
+    # a solve against a stack of factors is one matmul with their inverses
+    # (LAPACK trtri per member), so it equals L^{-1}[s] B bitwise and the
+    # per-matrix trtrs solve to rounding
     rng = np.random.default_rng(1)
     A = rng.standard_normal((3, 4, 4))
     S = A @ np.swapaxes(A, -1, -2) + 4 * np.eye(4)
     B = rng.standard_normal((4, 2))
-    L = de.cholesky_factor(S).value
+    L = de.cholesky_factor(S)
     X = de.triangular_solve(L, B).value
     for s in range(3):
-        assert np.array_equal(L[s], de.cholesky_factor(S[s]).value)
-        assert np.array_equal(X[s], de.triangular_solve(L[s], B).value)
+        assert np.array_equal(L.value[s], de.cholesky_factor(S[s]).value)
+        Linv = sla.lapack.dtrtri(L.value[s], lower=1)[0]
+        assert np.array_equal(X[s], Linv @ B)
+        ref = de.triangular_solve(L.value[s], B).value
+        assert np.max(np.abs(X[s] - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.array_equal((A @ B)[s], de.matmul(A[s], B).value)
+
+
+def _spd_stack(rng, S, n, ill=None):
+    """S well-conditioned SPD matrices; member `ill` scaled to condition
+    number about 1e10, whose factor has a one-norm condition number above
+    the 1e3 that the stacked inverse accepts."""
+    A = rng.standard_normal((S, n, n))
+    out = A @ np.swapaxes(A, -1, -2) + n * np.eye(n)
+    if ill is not None:
+        d = np.logspace(0, -5, n)
+        out[ill] = d[:, None] * out[ill] * d[None, :]
+    return out
+
+
+class _LapackCalls:
+    """Counts of de._TRTRS and de._TRTRI calls."""
+
+    def __init__(self, monkeypatch):
+        self.trtrs = self.trtri = 0
+        for name in ("trtrs", "trtri"):
+            handle = getattr(de, "_" + name.upper())
+            monkeypatch.setattr(de, "_" + name.upper(), self._counted(name, handle))
+
+    def _counted(self, name, handle):
+        def call(*args, **kwargs):
+            setattr(self, name, getattr(self, name) + 1)
+            return handle(*args, **kwargs)
+        return call
+
+
+def _solve_objective(S, B, P):
+    """A forward solve and its transpose against one stack of factors, so
+    the forward, the solve's VJP and the Cholesky VJP all solve against
+    it. Returns (value, gradients, factor)."""
+    with de.Tape() as tape:
+        ps = {k: tape.param(v, k) for k, v in (("S", S), ("B", B), ("P", P))}
+        L = de.cholesky_factor(de.elementwise("affine", de.add(ps["S"], de.transpose(ps["S"])),
+                                              a=0.5))
+        X = de.triangular_solve(L, ps["B"])
+        Y = de.triangular_solve(L, ps["P"], trans=True)
+        out = de.add(de.tsum(de.elementwise("square", X)), de.tsum(de.mul(Y, X)))
+        return out.value, de.backward_pass(out), L._factor
+
+
+def test_an_ill_conditioned_stack_keeps_the_trtrs_loop(monkeypatch):
+    # one member above the condition bound sends the whole stack back to
+    # one trtrs per member: values and gradients equal the trtrs-only engine
+    rng = np.random.default_rng(4)
+    S = _spd_stack(rng, 3, 6, ill=1)
+    B, P = rng.standard_normal((6, 2)), rng.standard_normal((3, 6, 2))
+    L1 = np.linalg.cholesky(S[1])
+    assert (np.abs(L1).sum(axis=0).max() * np.abs(np.linalg.inv(L1)).sum(axis=0).max()
+            > de._MAX_COND)
+    calls = _LapackCalls(monkeypatch)
+    value, grads, factor = _solve_objective(S, B, P)
+    assert factor.inv is None
+    assert calls.trtri == 3             # built once to be checked, then dropped
+    assert calls.trtrs == 3 * 6         # forward and VJP per solve, 2 in the Cholesky VJP
+    monkeypatch.setattr(de, "_tri_inverse", lambda L: None)
+    ref_value, ref_grads, _ = _solve_objective(S, B, P)
+    assert np.array_equal(value, ref_value)
+    for k in ref_grads:
+        assert np.array_equal(grads[k], ref_grads[k]), k
+
+
+def test_a_well_conditioned_stack_is_inverted_once(monkeypatch):
+    # two forward solves, their shared VJP solves and the Cholesky VJP's two
+    # solves all read one inverse: one trtri per member and no trtrs; the
+    # result agrees with the trtrs-only engine to rounding
+    rng = np.random.default_rng(5)
+    S = _spd_stack(rng, 3, 6)
+    B, P = rng.standard_normal((6, 2)), rng.standard_normal((3, 6, 2))
+    calls = _LapackCalls(monkeypatch)
+    value, grads, factor = _solve_objective(S, B, P)
+    assert (calls.trtri, calls.trtrs) == (3, 0)
+    assert factor.inv.shape == (3, 6, 6)
+    monkeypatch.setattr(de, "_tri_inverse", lambda L: None)
+    ref_value, ref_grads, _ = _solve_objective(S, B, P)
+    assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
+    for k in ref_grads:
+        assert np.max(np.abs(grads[k] - ref_grads[k])) <= 1e-12 * np.max(np.abs(ref_grads[k])), k
+
+
+def test_factors_not_solved_against_or_single_build_no_inverse(monkeypatch):
+    rng = np.random.default_rng(6)
+    calls = _LapackCalls(monkeypatch)
+    # a stack read only through its diagonal, as a log-determinant
+    L = de.cholesky_factor(_spd_stack(rng, 3, 6))
+    de.log_diag_sum(L, 2.0)
+    assert L._factor.inv is None and calls.trtri == 0
+    # a single matrix is solved by trtrs, forward and backward
+    _, _, factor = _solve_objective(_spd_stack(rng, 1, 6)[0], rng.standard_normal((6, 2)),
+                                    rng.standard_normal((6, 2)))
+    assert factor.inv is None
+    assert (calls.trtri, calls.trtrs) == (0, 6)
 
 
 def test_stacked_factorisation_gradients_match_finite_differences():

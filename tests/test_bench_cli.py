@@ -242,6 +242,45 @@ def test_factorisations_per_objective(monkeypatch):
         assert sum(calls) == n, kind
 
 
+def test_triangular_lapack_calls_per_objective(monkeypatch):
+    """LAPACK trtrs and trtri calls of one objective and its backward at the
+    benchmark's S=10. A stack of factors is inverted on its first solve, one
+    trtri per member, and every solve against it is then a matmul; single
+    factors keep one trtrs per matrix. On criterion 14's data every stack
+    passes the condition check; on cubic-toy (M=10) the stacks of K_uu
+    factors fail it and go back to trtrs. Before the inverses every count
+    here was trtrs: dgp-gi 128, dwp 246 and bnn-gi 84, on both datasets."""
+    calls = {"trtrs": 0, "trtri": 0}
+
+    def counted(name, handle):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return handle(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(de, "_TRTRS", counted("trtrs", de._TRTRS))
+    monkeypatch.setattr(de, "_TRTRI", counted("trtri", de._TRTRI))
+    expected = {    # (trtrs, trtri)
+        ("criterion-14", "dgp-gi"): (28, 20),
+        ("criterion-14", "dwp"): (46, 40),
+        ("criterion-14", "bnn-gi"): (4, 20),
+        ("cubic-toy", "dgp-gi"): (88, 20),
+        ("cubic-toy", "dwp"): (186, 40),
+        ("cubic-toy", "bnn-gi"): (4, 20),
+    }
+    for (data, kind), want in expected.items():
+        ds, M = (_synthetic_200(0), 20) if data == "criterion-14" else (gen_cubic_toy(0), 10)
+        cfg = ExperimentConfig(model=kind, depth=3 if kind.startswith("dwp") else 2,
+                               widths=(5, 5), M=M)
+        model = _make_model(cfg, ds)
+        calls.update(trtrs=0, trtri=0)
+        with de.Tape() as tape:
+            p = {k: tape.param(v, k) for k, v in model.init_params().items()}
+            de.backward_pass(model.objective(p, ds.X_train, ds.y_train, len(ds.y_train), 10,
+                                             rd.RngStream(0), 1.0))
+        assert (calls["trtrs"], calls["trtri"]) == want, (data, kind)
+
+
 # Objective at the init params (cubic-toy, S=3, kl_scale 0.7, RngStream(123)),
 # held to 1e-10 relative so that a refactor keeps every Monte-Carlo model's
 # values, and tape nodes per objective, counted inside the tape block, held

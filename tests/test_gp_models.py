@@ -133,6 +133,31 @@ def test_exact_gp_step_peak_memory():
     assert peak <= 5.5 * n * n * 8
 
 
+def test_exact_gp_backward_releases_shared_cotangents():
+    # what the VJPs of a node share (shared_cotangent) is dropped once the
+    # walk has passed the node, so after backward_pass the traced memory is
+    # back at its post-forward level (it sat one n x n buffer above it when
+    # the last shared cotangent lived until the tape closed)
+    ds = gen_deep_linear(0)
+    n = 500
+    X, y = ds.X_train[:n], ds.y_train[:n]
+    model = GpLmlModel(ds)
+    init = model.init_params()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with de.Tape() as tape:
+            p = {k: tape.param(v, k) for k, v in init.items()}
+            lml = model.objective(p, X, y, n, 1, rd.RngStream(0), 1.0)
+            forward = tracemalloc.get_traced_memory()[0] - base
+            de.backward_pass(lml)
+            after = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert forward >= 3 * n * n * 8
+    assert after <= forward + 0.05 * n * n * 8
+
+
 def test_gp_lml_matches_direct_density():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((7, 2))
