@@ -391,34 +391,57 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
 _POTRF = sla.get_lapack_funcs("potrf", (np.zeros((1, 1)),))
 
 
+class _Handed(np.ndarray):
+    """A view marking an exactly symmetric matrix, or stack, that its maker
+    hands to _chol_with_jitter to factorise in place: no symmetrising copy
+    is made. potrf writes only the upper triangle of each C-ordered matrix,
+    so the factor's other triangle keeps the matrix's strict lower one."""
+
+
 def _chol_with_jitter(s: np.ndarray):
     """Lower Cholesky factor of a symmetric matrix s, or of each matrix of a
     stack, with the jitter ladder. Each member of the one symmetrised buffer
     is factorised in place by LAPACK potrf (its transpose is the Fortran
     matrix LAPACK reads); a member that fails goes up the ladder on its own,
     so every matrix gets the jitter it would alone. The factors are
-    Fortran-ordered views of that buffer."""
-    sym = np.add(s, _mT(s), order="C")
-    sym *= 0.5
+    Fortran-ordered views of that buffer. s is only read, unless it is a
+    _Handed view: then s itself is that buffer, and its factors' strict upper
+    triangles are not zeroed."""
+    handed = isinstance(s, _Handed)
+    if handed:
+        sym = s.view(np.ndarray)
+        diag = np.diagonal(sym, axis1=-2, axis2=-1).copy()
+    else:
+        sym = np.add(s, _mT(s), order="C")
+        sym *= 0.5
     for i in np.ndindex(sym.shape[:-2]):
-        if _POTRF(sym[i].T, lower=1, overwrite_a=1, clean=1)[1]:
-            _jitter_ladder(sym[i], s[i])
+        if _POTRF(sym[i].T, lower=1, overwrite_a=1, clean=int(not handed))[1]:
+            if handed:
+                _jitter_ladder(sym[i], diag=diag[i])
+            else:
+                _jitter_ladder(sym[i], s[i])
     return _mT(sym)
 
 
-def _jitter_ladder(m: np.ndarray, s: np.ndarray):
+def _jitter_ladder(m: np.ndarray, s=None, diag=None):
     """Factorise (s + s^T) / 2 into m in place, as _chol_with_jitter does,
     with jitter 1e-8*mean(diag) doubling to 1e-4*mean(diag): a failed potrf
-    overwrites m, so each attempt rebuilds it from s."""
+    overwrites m, so each attempt rebuilds it, from s, or for a _Handed
+    buffer (no s) from m's strict lower triangle, which potrf leaves as it
+    was, and its saved diagonal diag."""
     n = m.shape[0]
     i = np.arange(n)
 
     def attempt(jit):
-        np.multiply(np.add(s, s.T, out=m), 0.5, out=m)
-        m[i, i] += jit
-        return _POTRF(m.T, lower=1, overwrite_a=1, clean=1)[1]
+        if s is None:
+            _mirror_lower(m)
+            m[i, i] = diag + jit
+        else:
+            np.multiply(np.add(s, s.T, out=m), 0.5, out=m)
+            m[i, i] += jit
+        return _POTRF(m.T, lower=1, overwrite_a=1, clean=int(s is not None))[1]
 
-    scale = float(np.mean(np.diagonal(s)))
+    scale = float(np.mean(np.diagonal(s) if s is not None else diag))
     if scale <= 0:
         scale = 1.0
     jit = 1e-8 * scale
@@ -539,25 +562,31 @@ def _check_symmetric(v: np.ndarray, op: str):
 _POTRI = sla.get_lapack_funcs("potri", (np.zeros((1, 1)),))
 
 
-def _chol_inverse(L: np.ndarray):
-    """(L L^T)^{-1} from a lower Cholesky factor with a zero upper triangle,
-    or for each factor of a stack, by LAPACK potri (a third of the flops of
-    solving against I) in place on one copy of L, Fortran-ordered per matrix
-    as the factors are: potri writes the lower triangle of the inverse and
-    keeps L's zeros above it, which are then filled from the lower, one
-    256-wide block at a time."""
-    inv = _mT(_mT(L).copy())
+def _chol_inverse(L: np.ndarray, overwrite=False):
+    """(L L^T)^{-1} from a lower Cholesky factor, or for each factor of a
+    stack, by LAPACK potri (a third of the flops of solving against I), in
+    place on L when overwrite, else on one copy of it; L is Fortran-ordered
+    per matrix, as the factors are. potri reads and writes only the lower
+    triangle; the upper one is then filled from it (_mirror_lower)."""
+    inv = L if overwrite else _mT(_mT(L).copy())
     for i in np.ndindex(inv.shape[:-2]):
         info = _POTRI(inv[i], lower=1, overwrite_c=1)[1]
         if info != 0:
             raise np.linalg.LinAlgError(f"potri failed: info {info}")
-    n, b = inv.shape[-1], 256
-    for k in range(0, n, b):
-        e = min(k + b, n)
-        inv[..., k:e, e:] = _mT(inv[..., e:, k:e])
-        blk = inv[..., k:e, k:e]
-        blk += _mT(np.tril(blk, -1))
+    _mirror_lower(inv)
     return inv
+
+
+def _mirror_lower(a: np.ndarray):
+    """Copy the strict lower triangle of each matrix of a onto its strict
+    upper one in place, one 128 x 128 tile at a time (numpy copies a tile
+    before writing it to the buffer it reads from)."""
+    n, b = a.shape[-1], 128
+    for k in range(0, n, b):
+        blk = a[..., k:k + b, k:k + b]
+        blk[...] = np.tril(blk) + _mT(np.tril(blk, -1))
+        for j in range(k + b, n, b):
+            a[..., k:k + b, j:j + b] = _mT(a[..., j:j + b, k:k + b])
 
 
 def cholesky_factor(s) -> DiffTensor:

@@ -9,7 +9,7 @@ import numpy as np
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, _se_kdiag, se_ard_features
+from .kernels import KernelParams, _SeArd, _se_kdiag, se_ard_features
 
 __all__ = [
     "BlrState", "GpState", "SvgpState", "DklState",
@@ -155,6 +155,8 @@ def gp_predict_lml(state: GpState, X, y, X_star=None):
         m = as_tensor(np.zeros(as_tensor(X_star).value.shape[0]))
         return m, Kss, as_tensor(np.asarray(0.0))
 
+    if X_star is None and state.kernel_fn is None:
+        return None, None, _se_exact_lml(state.kernel_params, s2, X, y)
     Kn = de.add_diagonal(state.kern(X), s2)
     L = de.cholesky_factor(Kn)
     # L only serves predictions: the LML's gradient reaches Kn directly
@@ -169,6 +171,55 @@ def gp_predict_lml(state: GpState, X, y, X_star=None):
     mean = de.matmul(de.transpose(w_k), w_y)
     cov = de.sub(Kss, de.matmul(de.transpose(w_k), w_k))
     return mean, cov, lml
+
+
+_EXACT_LML = "exact_gp_lml"
+
+
+def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTensor):
+    """log N(y; 0, K + s2 I) for the SE-ARD kernel K of the rows of X, in one
+    tape node over sf2, the lengthscales, s2, X and y.
+
+    The node owns two n x n buffers. One is K (kernels._SeArd). The other
+    starts as K + s2 I, which the node built itself, so potrf factorises it
+    in place with no symmetrising copy and no symmetry check. The backward
+    runs potri on that factor in place and forms there W = 0.5 g (alpha
+    alpha^T - (K + s2 I)^{-1}), the cotangent of K + s2 I (Rasmussen &
+    Williams 2006, eq. 5.9), whose trace is s2's; then W * K, from which the
+    kernel's reductions give the rest. The factor is thus consumed, and a
+    second backward pass over the node raises."""
+    se = _SeArd(params, X, X)
+    K = se.K
+    de._check_finite(K, f"kernel of op {_EXACT_LML!r}")
+    i = np.arange(K.shape[0])
+    buf = K.copy()
+    buf[i, i] += s2.value
+    L = de._chol_with_jitter(buf.view(de._Handed))
+    val, w = rd._gaussian_fit(L, y.value)
+    consumed = []
+
+    @de.shared_cotangent
+    def back(g):    # cotangents of y (as alpha), s2, sf2 and the scaled inputs
+        de._check_finite(g, f"cotangent of op {_EXACT_LML!r}")
+        if consumed:
+            raise RuntimeError(f"op {_EXACT_LML!r} consumed its factor in an earlier "
+                               "backward pass; build the objective again")
+        consumed.append(True)
+        alpha = de._solve_tri(L, w[:, None], True)[:, 0]
+        W = rd._gaussian_cov_cotangent(L, alpha, g, overwrite=True)
+        g_s2 = de._unbroadcast(W[i, i].sum(), s2.value.shape)
+        W = de._mT(W)       # the same symmetric matrix, C-ordered like K
+        W *= K
+        g_sf2, (gXs,) = se.backward(W)
+        return alpha, g_s2, g_sf2, gXs
+
+    return de.lift(np.asarray(val), [
+        (se.sf2, lambda g: back(g)[2]),
+        (se.ls, lambda g: se.g_ls((back(g)[3],))),
+        (s2, lambda g: back(g)[1]),
+        (X, lambda g: back(g)[3] * se.r),
+        (y, lambda g: -g * back(g)[0]),
+    ], _EXACT_LML)
 
 
 def prop31_check(state: GpState, X, y):

@@ -35,11 +35,14 @@ class KernelParams:
         return de.elementwise("exp", as_tensor(self.log_noise))
 
 
-def _clamp_sqdist(d2: np.ndarray):
+def _clamp_sqdist(d2: np.ndarray, norms: float):
     """Clamp the rounding negatives of squared distances d2 to zero in place;
-    larger ones raise. Returns the mask of clamped entries (their gradient is
-    zero), or None when there are none."""
-    if d2.size and d2.min() < -1e-10:
+    larger ones raise. d2 is a difference of squared norms, of which norms
+    bounds the sum (the largest row term plus the largest column term); the
+    rounding of that difference grows with them, so the tolerance does too.
+    Returns the mask of clamped entries (their gradient is zero), or None
+    when there are none."""
+    if d2.size and d2.min() < -(1e-10 + 1e-12 * norms):
         raise ValueError("squared distance negative beyond tolerance")
     neg = d2 < 0
     if not neg.any():
@@ -48,10 +51,10 @@ def _clamp_sqdist(d2: np.ndarray):
     return neg
 
 
-def _se_cotangent(g, K, neg, sf2):
+def _se_cotangent(gk, neg, sf2):
     """(cotangent of sf2, cotangent of the clamped exponent argument d2 in
-    K = sf2 exp(-0.5 d2)) from the cotangent g of K."""
-    gk = g * K
+    K = sf2 exp(-0.5 d2)) from gk = g * K, the cotangent g of K times K,
+    which becomes the second in place."""
     g_sf2 = de._unbroadcast(gk.sum() / sf2, np.shape(sf2))
     gk *= -0.5
     if neg is not None:
@@ -59,56 +62,77 @@ def _se_cotangent(g, K, neg, sf2):
     return g_sf2, gk
 
 
-def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
-    """sf2 * exp(-0.5 sum_d (x_d - x'_d)^2 / l_d^2); N x N' kernel matrix,
-    one tape node over X, X2, the lengthscales and sf2. Squared distances
-    come from the scaled inputs' norms and cross products; their rounding
-    negatives are clamped to zero, larger ones raise. X and X2 may be stacks
-    of inputs (leading axes), one kernel matrix per sample."""
-    X = as_tensor(X)
-    X2 = X if X2 is None else as_tensor(X2)
-    if X.value.shape[-1] != X2.value.shape[-1]:
-        raise ValueError("feature dimension mismatch")
-    ls, sf2 = params.lengthscales(), params.sf2()
-    if ls.value.ndim == 1 and ls.value.shape[0] not in (1, X.value.shape[-1]):
-        raise ValueError("lengthscale count does not match feature dimension")
-    same = X2 is X
-    r = 1.0 / ls.value
-    # two buffers even when X2 is X: numpy multiplies X X^T by another BLAS
-    # routine than X X2^T, and the kernel's rounding should not depend on it
-    Xs, Xs2 = X.value * r, X2.value * r
-    n1 = np.sum(Xs * Xs, axis=-1, keepdims=True)                       # N x 1
-    n2 = n1 if same else np.sum(Xs2 * Xs2, axis=-1, keepdims=True)     # N' x 1
-    # in place, one N x N' buffer becomes d2 and then K: the same roundings
-    # as n1 - 2 Xs Xs2^T + n2^T and sf2 exp(-0.5 d2)
-    K = Xs @ de._mT(Xs2)
-    K *= -2.0
-    K += n1
-    K += de._mT(n2)
-    neg = _clamp_sqdist(K)
-    K *= -0.5
-    np.exp(K, out=K)
-    K *= sf2.value
+class _SeArd:
+    """sf2 * exp(-0.5 sum_d (x_d - x'_d)^2 / l_d^2) on explicit features, as
+    se_ard_features and the exact-GP marginal likelihood (gp_models) share
+    it: the value, and the cotangents of sf2, the lengthscales and the inputs
+    from the cotangent of the kernel. Squared distances come from the scaled
+    inputs' norms and cross products; their rounding negatives are clamped
+    to zero, larger ones raise. X and X2 (tensors) may be stacks of inputs
+    (leading axes), one kernel matrix per sample."""
 
-    @de.shared_cotangent
-    def back(g):    # cotangents of sf2 and of the scaled inputs
-        g_sf2, P = _se_cotangent(g, K, neg, sf2.value)
+    def __init__(self, params: KernelParams, X: DiffTensor, X2: DiffTensor):
+        if X.value.shape[-1] != X2.value.shape[-1]:
+            raise ValueError("feature dimension mismatch")
+        self.ls, self.sf2 = params.lengthscales(), params.sf2()
+        if self.ls.value.ndim == 1 and self.ls.value.shape[0] not in (1, X.value.shape[-1]):
+            raise ValueError("lengthscale count does not match feature dimension")
+        self.X, self.X2, self.same = X, X2, X2 is X
+        self.r = r = 1.0 / self.ls.value
+        # two buffers even when X2 is X: numpy multiplies X X^T by another
+        # BLAS routine than X X2^T, and the kernel's rounding should not
+        # depend on it
+        self.Xs, self.Xs2 = Xs, Xs2 = X.value * r, X2.value * r
+        n1 = np.sum(Xs * Xs, axis=-1, keepdims=True)                           # N x 1
+        n2 = n1 if self.same else np.sum(Xs2 * Xs2, axis=-1, keepdims=True)    # N' x 1
+        # in place, one N x N' buffer becomes d2 and then K: the same
+        # roundings as n1 - 2 Xs Xs2^T + n2^T and sf2 exp(-0.5 d2)
+        self.K = K = Xs @ de._mT(Xs2)
+        K *= -2.0
+        K += n1
+        K += de._mT(n2)
+        self.neg = _clamp_sqdist(K, float(n1.max(initial=0.0) + n2.max(initial=0.0)))
+        K *= -0.5
+        np.exp(K, out=K)
+        K *= self.sf2.value
+
+    def backward(self, gk):
+        """(cotangent of sf2, cotangents of the scaled inputs: one array when
+        X2 is X, else one each, unbroadcast) from gk = g * K, for the
+        kernel's cotangent g; gk is overwritten."""
+        g_sf2, P = _se_cotangent(gk, self.neg, self.sf2.value)
+        Xs, Xs2 = self.Xs, self.Xs2
         gXs = 2.0 * (P.sum(axis=-1)[..., None] * Xs - P @ Xs2)
         gXs2 = 2.0 * (P.sum(axis=-2)[..., None] * Xs2 - de._mT(P) @ Xs)
-        if same:
+        if self.same:
             return g_sf2, (gXs + gXs2,)
         return g_sf2, (de._unbroadcast(gXs, Xs.shape), de._unbroadcast(gXs2, Xs2.shape))
 
-    def g_ls(g):
-        gs = back(g)[1]
-        g_r = sum(de._unbroadcast(gx * x.value, r.shape) for gx, x in zip(gs, (X, X2)))
+    def g_ls(self, gs):
+        """Cotangent of the lengthscales from those of the scaled inputs."""
+        r = self.r
+        g_r = sum(de._unbroadcast(gx * x.value, r.shape) for gx, x in zip(gs, (self.X, self.X2)))
         return g_r * (-r * r)
 
-    parents = [(sf2, lambda g: back(g)[0]), (ls, g_ls),
-               (X, lambda g: back(g)[1][0] * r)]
-    if not same:
-        parents.append((X2, lambda g: back(g)[1][1] * r))
-    return de.lift(K, parents, "se_kernel")
+
+def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
+    """sf2 * exp(-0.5 sum_d (x_d - x'_d)^2 / l_d^2); N x N' kernel matrix,
+    one tape node over X, X2, the lengthscales and sf2 (see _SeArd). X and
+    X2 may be stacks of inputs (leading axes), one kernel matrix per
+    sample."""
+    X = as_tensor(X)
+    X2 = X if X2 is None else as_tensor(X2)
+    se = _SeArd(params, X, X2)
+
+    @de.shared_cotangent
+    def back(g):    # cotangents of sf2 and of the scaled inputs
+        return se.backward(g * se.K)
+
+    parents = [(se.sf2, lambda g: back(g)[0]), (se.ls, lambda g: se.g_ls(back(g)[1])),
+               (X, lambda g: back(g)[1][0] * se.r)]
+    if not se.same:
+        parents.append((X2, lambda g: back(g)[1][1] * se.r))
+    return de.lift(se.K, parents, "se_kernel")
 
 
 def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
@@ -140,14 +164,15 @@ def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
     d2 += cols.value[..., None, :]
     if scale != 1.0:
         d2 *= float(scale)
-    neg = _clamp_sqdist(d2)
+    norms = np.abs(rows.value).max(initial=0.0) + np.abs(cols.value).max(initial=0.0)
+    neg = _clamp_sqdist(d2, float(scale) * norms)
     inv_l2 = 1.0 / (ls.value * ls.value)
     d2 *= inv_l2
     K = sf2.value * np.exp(-0.5 * d2)
 
     @de.shared_cotangent
     def back(g):    # cotangents of sf2, of d2 / l^2 and of d2 (times scale)
-        g_sf2, Q = _se_cotangent(g, K, neg, sf2.value)
+        g_sf2, Q = _se_cotangent(g * K, neg, sf2.value)
         return g_sf2, Q, Q * (float(scale) * inv_l2)
 
     def unb(x, t):

@@ -192,6 +192,24 @@ def normal_log_density(x, mean, var, event_ndim=None) -> DiffTensor:
     ], "normal_log_density")
 
 
+def _gaussian_fit(L: np.ndarray, r: np.ndarray):
+    """(log N(r; 0, L L^T), w = L^{-1} r) for a lower Cholesky factor L and
+    a residual vector r."""
+    w = de._solve_tri(L, r[:, None], False)[:, 0]
+    ld = np.sum(2.0 * np.log(np.diagonal(L)))
+    return -0.5 * (np.sum(w * w) + ld) + (-0.5 * r.shape[0] * LOG2PI), w
+
+
+def _gaussian_cov_cotangent(L: np.ndarray, alpha: np.ndarray, g, overwrite=False):
+    """0.5 g (alpha alpha^T - cov^{-1}), the cotangent of cov = L L^T in
+    log N(r; 0, cov) with alpha = cov^{-1} r, in one n x n buffer: the
+    inverse from the factor (potri, in place on L when overwrite), scaled,
+    plus the rank-1 term."""
+    out = de._chol_inverse(L, overwrite)
+    out *= -0.5 * g
+    return sla.blas.dger(0.5 * float(g), alpha, alpha, a=out, overwrite_a=1)
+
+
 def mvn_log_density(y, mean, cov, chol=None) -> DiffTensor:
     """log N(y; mean, cov) for a vector y, in one tape node.
 
@@ -207,26 +225,17 @@ def mvn_log_density(y, mean, cov, chol=None) -> DiffTensor:
         L = de._chol_with_jitter(cov.value)
     else:
         L = as_tensor(chol).value
-    n = y.value.shape[0]
-    w = de._solve_tri(L, (y.value - mean.value)[:, None], False)[:, 0]
-    ld = np.sum(2.0 * np.log(np.diagonal(L)))
-    val = -0.5 * (np.sum(w * w) + ld) + (-0.5 * n * LOG2PI)
+    val, w = _gaussian_fit(L, y.value - mean.value)
 
     @de.shared_cotangent
     def alpha(g):       # L^{-T} w, solved once per cotangent
         de._check_finite(g, "cotangent of op 'mvn_log_density'")
         return de._solve_tri(L, w[:, None], True)[:, 0]
 
-    def g_cov(g):       # one n x n buffer: the inverse, scaled, plus the rank-1 term
-        a = alpha(g)
-        out = de._chol_inverse(L)
-        out *= -0.5 * g
-        return sla.blas.dger(0.5 * float(g), a, a, a=out, overwrite_a=1)
-
     return lift(np.asarray(val), [
         (y, lambda g: -g * alpha(g)),
         (mean, lambda g: de._unbroadcast(g * alpha(g), mean.value.shape)),
-        (cov, g_cov),
+        (cov, lambda g: _gaussian_cov_cotangent(L, alpha(g), g)),
     ], "mvn_log_density")
 
 

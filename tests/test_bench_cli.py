@@ -342,8 +342,8 @@ PINNED_WELL_CONDITIONED = {
     "dwp": (-2888.0509079366343, 28768.45558790129, 173),
     "dwp-a": (-2908.2012635278506, 28873.383256456225, 199),
     "dwp-ab": (-2833.5561465771407, 28115.321500984206, 217),
-    "gp": (-189.88369863626264, 70.40262624672695, 10),
-    "dkl": (-659.9294929191087, 1009.4387090354612, 24),
+    "gp": (-189.88369863626264, 70.40262624672695, 7),
+    "dkl": (-659.9294929191087, 1009.4387090354612, 21),
 }
 
 

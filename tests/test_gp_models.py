@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from deepbayes.gp_models import (BlrState, DklState, GpState, SvgpState,
                                  gaussian_bump_features, gp_predict_lml,
                                  make_bump_centers, prop31_check,
                                  svgp_collapsed_bound, svgp_elbo)
-from deepbayes.kernels import KernelParams
+from deepbayes.kernels import KernelParams, se_ard_features
 
 
 def _chol_lower(S):
@@ -113,9 +114,127 @@ def test_gp_with_linear_kernel_equals_blr():
     assert np.isclose(lml_blr.value, lml_gp.value, atol=1e-10)
 
 
+def _generic_chain(state: GpState) -> GpState:
+    """The same GP with its SE-ARD kernel given as a kernel_fn, so that
+    gp_predict_lml builds the LML from the generic ops (se_ard_features,
+    add_diagonal, cholesky_factor, mvn_log_density) instead of its one node."""
+    return replace(state, kernel_fn=lambda a, b: se_ard_features(state.kernel_params, a, b))
+
+
+def _lml_and_grads(model, params, X, y, generic=False):
+    with de.Tape() as tape:
+        p = {k: tape.param(v, k) for k, v in params.items()}
+        st, feats = model._state_and_features(p, X)
+        lml = gp_predict_lml(_generic_chain(st) if generic else st, feats, y)[2]
+        return float(lml.value), de.backward_pass(lml), len(tape._nodes)
+
+
+@pytest.mark.parametrize("ard, dkl_widths", [(True, None), (False, None), (True, (4, 3))])
+def test_exact_lml_node_matches_the_generic_chain(ard, dkl_widths):
+    # ARD lengthscales, one shared lengthscale, and deep-kernel features,
+    # whose inputs to the kernel are tracked
+    ds = gen_deep_linear(0)
+    X, y = ds.X_train[:60], ds.y_train[:60]
+    model = GpLmlModel(ds, ard=ard, dkl_widths=dkl_widths)
+    rng = np.random.default_rng(3)
+    params = {k: v + 0.1 * rng.standard_normal(np.shape(v))
+              for k, v in model.init_params().items()}
+    val, grads, nodes = _lml_and_grads(model, params, X, y)
+    ref, ref_grads, ref_nodes = _lml_and_grads(model, params, X, y, generic=True)
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+    assert set(grads) == set(ref_grads) == set(params)
+    total = np.sqrt(sum(np.sum(g * g) for g in ref_grads.values()))
+    for k, g in ref_grads.items():
+        # the last bias of the features moves none of their differences, so
+        # its gradient is zero but for rounding: held against the total
+        scale = np.linalg.norm(g) if k != f"b{len(dkl_widths or ()) - 1}" else total
+        assert np.linalg.norm(grads[k] - g) <= 1e-12 * scale, k
+    # one node in place of the kernel, add_diagonal, cholesky_factor and
+    # the density
+    assert nodes == ref_nodes - 3
+
+
+def test_exact_lml_node_gradients():
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((7, 2))
+
+    def fn(ps):
+        state = GpState(kernel_params=KernelParams(log_sf2=ps["lsf"], log_lengthscales=ps["lls"]),
+                        log_noise=ps["lnv"])
+        return gp_predict_lml(state, ps["X"], ps["y"])[2]
+
+    rep = de.finite_diff_check(fn, {"lsf": np.asarray(0.2), "lls": np.array([-0.1, 0.3]),
+                                    "lnv": np.asarray(-1.3), "X": X,
+                                    "y": rng.standard_normal(7)})
+    assert rep["passed"], rep
+
+
+def _near_singular_gp():
+    # duplicated rows and a noise of e^-40 make K + s2 I singular to working
+    # precision, so the factorisation needs jitter (at e^-30 the noise alone
+    # keeps it positive definite)
+    X = np.random.default_rng(18).standard_normal((6, 2))
+    X = np.concatenate([X, X])
+    y = np.sin(X[:, 0])
+    return GpState(log_noise=np.asarray(-40.0)), X, y
+
+
+def test_exact_lml_node_climbs_the_jitter_ladder_as_the_chain(monkeypatch):
+    state, X, y = _near_singular_gp()
+    calls = []
+    potrf = de._POTRF
+    monkeypatch.setattr(de, "_POTRF", lambda *a, **k: calls.append(1) or potrf(*a, **k))
+    lml = gp_predict_lml(state, X, y)[2].value
+    node_calls = len(calls)
+    calls.clear()
+    ref = gp_predict_lml(_generic_chain(state), X, y)[2].value
+    assert node_calls == len(calls) == 2    # the plain attempt and the first rung
+    assert abs(lml - ref) <= 1e-12 * abs(ref)
+
+
+def test_exact_lml_node_raises_the_ladders_message(monkeypatch):
+    # a potrf that always reports a failing pivot takes both paths to the
+    # top of the ladder
+    state, X, y = _near_singular_gp()
+    potrf = de._POTRF
+    monkeypatch.setattr(de, "_POTRF", lambda *a, **k: (potrf(*a, **k)[0], 3))
+    msgs = []
+    for st in (state, _generic_chain(state)):
+        with pytest.raises(np.linalg.LinAlgError, match="after max jitter") as err:
+            gp_predict_lml(st, X, y)
+        msgs.append(str(err.value))
+    assert msgs[0] == msgs[1] == "matrix not positive definite after max jitter (pivot 3 of 12)"
+
+
+@pytest.mark.parametrize("x_scale, y_scale, what", [(1.0, 1e200, "output"),
+                                                    (1e200, 1.0, "kernel")])
+def test_exact_lml_node_names_itself_when_not_finite(x_scale, y_scale, what):
+    rng = np.random.default_rng(19)
+    X = x_scale * rng.standard_normal((5, 2))
+    y = y_scale * rng.standard_normal(5)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=f"non-finite values in {what} of op 'exact_gp_lml'"):
+        gp_predict_lml(GpState(), X, y)
+
+
+def test_exact_lml_node_runs_one_backward_pass():
+    # the backward consumes the node's factor in place, so a second pass
+    # over the same tape raises instead of returning other gradients
+    rng = np.random.default_rng(20)
+    X, y = rng.standard_normal((8, 2)), rng.standard_normal(8)
+    with de.Tape() as tape:
+        lml = gp_predict_lml(GpState(log_noise=tape.param(np.asarray(-1.0), "lnv")), X, y)[2]
+        first = de.backward_pass(lml)["lnv"]
+        with pytest.raises(RuntimeError, match="'exact_gp_lml' consumed its factor"):
+            de.backward_pass(lml)
+    assert np.isfinite(first)
+
+
 def test_exact_gp_step_peak_memory():
-    # one LML objective plus its backward at n = 500 holds at most 5.5 n x n
-    # buffers at once, as numpy's traced allocations count them
+    # one LML objective plus its backward at n = 500 holds at most 3.5 n x n
+    # buffers at once, as numpy's traced allocations count them: the node
+    # owns two (the kernel, and K + s2 I turned into its factor, inverse and
+    # cotangent in place)
     ds = gen_deep_linear(0)
     n = 500
     X, y = ds.X_train[:n], ds.y_train[:n]
@@ -130,14 +249,16 @@ def test_exact_gp_step_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * n * n * 8
+    assert peak <= 3.5 * n * n * 8
 
 
 def test_exact_gp_backward_releases_shared_cotangents():
     # what the VJPs of a node share (shared_cotangent) is dropped once the
     # walk has passed the node, so after backward_pass the traced memory is
     # back at its post-forward level (it sat one n x n buffer above it when
-    # the last shared cotangent lived until the tape closed)
+    # the last shared cotangent lived until the tape closed); shown on the
+    # LML built from the generic ops, whose kernel and density share n x n
+    # cotangents
     ds = gen_deep_linear(0)
     n = 500
     X, y = ds.X_train[:n], ds.y_train[:n]
@@ -148,7 +269,8 @@ def test_exact_gp_backward_releases_shared_cotangents():
         base = tracemalloc.get_traced_memory()[0]
         with de.Tape() as tape:
             p = {k: tape.param(v, k) for k, v in init.items()}
-            lml = model.objective(p, X, y, n, 1, rd.RngStream(0), 1.0)
+            st, _ = model._state_and_features(p, X)
+            lml = gp_predict_lml(_generic_chain(st), X, y)[2]
             forward = tracemalloc.get_traced_memory()[0] - base
             de.backward_pass(lml)
             after = tracemalloc.get_traced_memory()[0] - base

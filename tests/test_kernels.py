@@ -79,6 +79,23 @@ def test_gram_kernel_rejects_ard():
         se_from_gram(p, np.eye(3), 2)
 
 
+@pytest.mark.parametrize("log_ls", [-5.0, -7.0, -9.0])
+def test_short_lengthscales_build_a_finite_kernel(log_ls):
+    # at l = e^-7 the scaled squared norms reach ~6e6, so their rounding alone
+    # leaves squared distances far below -1e-10; the clamp's tolerance grows
+    # with the norms the subtraction cancels
+    X = np.random.default_rng(0).standard_normal((200, 5))
+    K = se_ard_features(KernelParams(log_lengthscales=log_ls), X).value
+    assert np.all(np.isfinite(K)) and np.allclose(np.diagonal(K), 1.0, rtol=0, atol=1e-6)
+
+
+def test_gram_kernel_rejects_a_block_that_is_not_a_gram():
+    # G_01 far above (G_00 + G_11) / 2: a squared distance of -4 raises
+    G = np.array([[1.0, 3.0], [3.0, 1.0]])
+    with pytest.raises(ValueError, match="negative beyond tolerance"):
+        se_from_gram(KernelParams(), G, 1)
+
+
 def test_gram_kernel_rotation_invariance():
     rng = np.random.default_rng(4)
     nu = 5
