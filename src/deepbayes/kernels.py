@@ -35,14 +35,16 @@ class KernelParams:
         return de.elementwise("exp", as_tensor(self.log_noise))
 
 
-def _clamp_sqdist(d2: np.ndarray, norms: float):
+def _clamp_sqdist(d2: np.ndarray, rows, cols, scale=1.0):
     """Clamp the rounding negatives of squared distances d2 to zero in place;
-    larger ones raise. d2 is a difference of squared norms, of which norms
-    bounds the sum (the largest row term plus the largest column term); the
-    rounding of that difference grows with them, so the tolerance does too.
+    larger ones raise. d2_ij = scale (rows_i - 2 cross_ij + cols_j), whose
+    rounding grows with the squared norms rows and cols that the subtraction
+    cancels, so the tolerance is 1e-10 plus 1e-12 of scale times the largest
+    row and column terms; they are read only when d2 dips below -1e-10.
     Returns the mask of clamped entries (their gradient is zero), or None
     when there are none."""
-    if d2.size and d2.min() < -(1e-10 + 1e-12 * norms):
+    low = d2.min() if d2.size else 0.0
+    if low < -1e-10 and low < -1e-10 - 1e-12 * scale * (np.abs(rows).max() + np.abs(cols).max()):
         raise ValueError("squared distance negative beyond tolerance")
     neg = d2 < 0
     if not neg.any():
@@ -91,7 +93,7 @@ class _SeArd:
         K *= -2.0
         K += n1
         K += de._mT(n2)
-        self.neg = _clamp_sqdist(K, float(n1.max(initial=0.0) + n2.max(initial=0.0)))
+        self.neg = _clamp_sqdist(K, n1, n2)
         K *= -0.5
         np.exp(K, out=K)
         K *= self.sf2.value
@@ -164,8 +166,7 @@ def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
     d2 += cols.value[..., None, :]
     if scale != 1.0:
         d2 *= float(scale)
-    norms = np.abs(rows.value).max(initial=0.0) + np.abs(cols.value).max(initial=0.0)
-    neg = _clamp_sqdist(d2, float(scale) * norms)
+    neg = _clamp_sqdist(d2, rows.value, cols.value, float(scale))
     inv_l2 = 1.0 / (ls.value * ls.value)
     d2 *= inv_l2
     K = sf2.value * np.exp(-0.5 * d2)
