@@ -392,10 +392,11 @@ _POTRF = sla.get_lapack_funcs("potrf", (np.zeros((1, 1)),))
 
 
 class _Handed(np.ndarray):
-    """A view marking an exactly symmetric matrix, or stack, that its maker
-    hands to _chol_with_jitter to factorise in place: no symmetrising copy
-    is made. potrf writes only the upper triangle of each C-ordered matrix,
-    so the factor's other triangle keeps the matrix's strict lower one."""
+    """A view marking a C-ordered, exactly symmetric matrix, or stack, that
+    its maker hands to _chol_with_jitter to factorise in place: no
+    symmetrising copy is made. potrf writes only the upper triangle of each
+    matrix, so the factor's other triangle keeps the matrix's strict lower
+    one."""
 
 
 def _chol_with_jitter(s: np.ndarray):
