@@ -230,9 +230,8 @@ class GpLmlModel:
     def _state_and_features(self, p, X):
         st = gm.GpState(kernel_params=_se_params(p, ""), log_noise=p["log_noise"])
         if self.dkl_widths:
-            n_l = len(self.dkl_widths)
-            ws = [(p[f"W{i}"], p[f"b{i}"]) for i in range(n_l)]
-            X = gm.dkl_forward(gm.DklState(weights=ws, gp=st), X)
+            X = gm.dkl_forward([(p[f"W{i}"], p[f"b{i}"])
+                                for i in range(len(self.dkl_widths))], X)
         return st, X
 
     def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
@@ -439,9 +438,8 @@ class DgpModel(_MonteCarloModel):
                                         S_chol=_chol_from_raw(p[f"S_raw{i}"]),
                                         kernel_params=_se_params(p, f"_{i}"),
                                         mean_function=mean_fn)
-                means, vars_, kl = dm.dsvi_dgp_layer_marginals(F, layer)
+                F, kl = dm.dsvi_dgp_layer_sample(F, layer, rng)
                 inc_sum = de.sub(inc_sum, kl)
-                F = dm.dsvi_dgp_layer_sample((means, vars_), F, layer, rng)
         return F, inc_sum
 
 
@@ -482,18 +480,16 @@ class DwpModel(_MonteCarloModel):
         return p
 
     def forward(self, p, X, rng):
-        layers, kps = [], []
-        for i in range(self.n_layers):
-            layers.append(dwp_mod.GWishLayerPosterior(
-                V=p[f"V{i}"], logit_q=p[f"lq{i}"], nu=self.nu,
-                log_alpha=p[f"la{i}"], log_beta=p[f"lb{i}"],
-                mu=p[f"mu{i}"], log_sigma=p[f"ls{i}"], variant=self.variant,
-                A_packed=p.get(f"A{i}"), B_packed=p.get(f"B{i}")))
-            kps.append(_se_params(p, f"_{i}"))
-        final = dm.GiDgpLayer(V=p["Vf"], log_lambda=p["lamf"], kernel_params=None)
+        layers = [dwp_mod.GWishLayerPosterior(
+            V=p[f"V{i}"], logit_q=p[f"lq{i}"], nu=self.nu,
+            log_alpha=p[f"la{i}"], log_beta=p[f"lb{i}"],
+            mu=p[f"mu{i}"], log_sigma=p[f"ls{i}"], variant=self.variant,
+            A_packed=p.get(f"A{i}"), B_packed=p.get(f"B{i}"),
+            kernel_params=_se_params(p, f"_{i}")) for i in range(self.n_layers)]
+        final = dm.GiDgpLayer(V=p["Vf"], log_lambda=p["lamf"],
+                              kernel_params=_se_params(p, "_f"))
         state = dwp_mod.DwpState(inducing_inputs=p["Xi"], layers=layers,
-                                 kernel_params=kps, final_layer=final,
-                                 final_kernel=_se_params(p, "_f"), nu0=self.D)
+                                 final_layer=final, nu0=self.D)
         return dwp_mod.dwp_forward(state, X, rng)
 
 
@@ -515,7 +511,8 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         """Build from a parsed config; unknown keys, top-level or under
         `train`, raise a ValueError that lists the valid ones, and so does a
-        model key (depth, widths, M, prior) that the chosen model ignores."""
+        model key (depth, widths, M, prior) that the chosen model ignores, or
+        a depth or M below 1 for a model that reads it."""
         d = dict(d)
         train = d.pop("train", None) or {}
         if "seed" in train:
@@ -529,6 +526,10 @@ class ExperimentConfig:
         if ignored:
             raise ValueError(f"model {cfg.model!r} does not read config key(s) {ignored}; "
                              f"it reads {list(reads)}")
+        for key in ("depth", "M"):
+            if key in _MODEL_KEYS_READ.get(cfg.model, ()) and getattr(cfg, key) < 1:
+                raise ValueError(f"config key {key!r} must be at least 1 for model "
+                                 f"{cfg.model!r}, got {getattr(cfg, key)}")
         if isinstance(cfg.widths, list):
             cfg.widths = tuple(cfg.widths)
         return cfg
@@ -678,8 +679,9 @@ def _quick_checks() -> int:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="deepbayes")
-    ap.add_argument("--out", default="results")
-    ap.add_argument("--seed", type=int, default=0)
+    # a given flag wins over the config's key, which wins over 0 and results
+    ap.add_argument("--out")
+    ap.add_argument("--seed", type=int)
     sub = ap.add_subparsers(dest="cmd", required=True)
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("config")
@@ -692,9 +694,11 @@ def main(argv=None) -> int:
         return _quick_checks()
 
     if args.cmd == "toy":
-        ds = _make_dataset(args.name, args.seed)
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{args.name}_{args.seed}.npz")
+        seed = 0 if args.seed is None else args.seed
+        out = "results" if args.out is None else args.out
+        ds = _make_dataset(args.name, seed)
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, f"{args.name}_{seed}.npz")
         np.savez(path, X_train=ds.X_train, y_train=ds.y_train,
                  X_test=ds.X_test, y_test=ds.y_test)
         print(f"wrote {path}")
@@ -705,9 +709,9 @@ def main(argv=None) -> int:
     with open(args.config, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
     cfg = ExperimentConfig.from_dict(raw)
-    if args.seed is not None and "seed" not in raw:
+    if args.seed is not None:
         cfg.seed = args.seed
-    if args.out != "results" or "out" not in raw:
+    if args.out is not None:
         cfg.out = args.out
     t0 = time.time()
     result = run_experiment(cfg)

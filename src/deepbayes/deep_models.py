@@ -338,16 +338,16 @@ def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer):
     return (*rd.inducing_marginals(L, W, base_var, layer.m, layer.S_chol), kl)
 
 
-def dsvi_dgp_layer_sample(marginals, F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
-    """Doubly-stochastic DGP layer: sample the marginals (means, vars) that
+def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
+    """Doubly-stochastic DGP layer: sample the marginals that
     dsvi_dgp_layer_marginals gives at F_prev in one draw, output l from stream
-    l of rng.split(w); returns F_next."""
-    means, vars_ = marginals
+    l of rng.split(w); returns (F_next, kl), kl being that call's KL."""
+    means, vars_, kl = dsvi_dgp_layer_marginals(F_prev, layer)
     F_next = de.transpose(rd.conditional_sample(means, vars_,
                                                 rng.split_batch(means.value.shape[-2])))
     if layer.mean_function == "identity":
         F_next = de.add(F_next, as_tensor(F_prev))
-    return F_next
+    return F_next, kl
 
 
 def bnn_as_dgp_gram(prior: PriorSpec, F_prev, fanin=None, activation="relu",

@@ -41,6 +41,7 @@ class GWishLayerPosterior:
     variant: str = "base"          # base | A | AB
     A_packed: object = None        # (M, M) LU-packed
     B_packed: object = None        # (ntilde, ntilde): log-diag, raw sub-diag
+    kernel_params: KernelParams = field(default_factory=KernelParams)  # K(G_prev)
 
     def __post_init__(self):
         if self.variant not in ("base", "A", "AB"):
@@ -51,9 +52,7 @@ class GWishLayerPosterior:
 class DwpState:
     inducing_inputs: object        # (M, nu0)
     layers: list                   # GWishLayerPosterior per Gram layer
-    kernel_params: list            # KernelParams per Gram layer
     final_layer: object            # deep_models.GiDgpLayer over the last Gram
-    final_kernel: KernelParams = field(default_factory=KernelParams)
     log_noise: object = 0.0
     nu0: int = 1
 
@@ -175,10 +174,10 @@ def dwp_forward(state: DwpState, Xt, rng):
     grams = [de.elementwise("affine", G, a=1.0 / float(state.nu0)) for G in grams]
     nu_prev = state.nu0
     inc_sum = as_tensor(np.asarray(0.0))
-    for layer, kp in zip(state.layers, state.kernel_params):
+    for layer in state.layers:
         nu = int(layer.nu)
         S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
-                            gram_kernel_blocks(kp, *grams, nu_prev))
+                            gram_kernel_blocks(layer.kernel_params, *grams, nu_prev))
         L_ii = de.cholesky_factor(S_ii)
         W, var = rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt)
         sub = rng.split(3)
@@ -186,8 +185,9 @@ def dwp_forward(state: DwpState, Xt, rng):
         inc_sum = de.add(inc_sum, inc)
         grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, W, var, nu, sub[1]))
         nu_prev, rng = nu, sub[2]
-    _, F, inc = _gi_layer_sample(*gram_kernel_blocks(state.final_kernel, *grams, nu_prev),
-                                 state.final_layer, rng)
+    final = state.final_layer
+    _, F, inc = _gi_layer_sample(*gram_kernel_blocks(final.kernel_params, *grams, nu_prev),
+                                 final, rng)
     return F, de.add(inc_sum, inc)
 
 

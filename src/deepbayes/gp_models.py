@@ -12,7 +12,7 @@ from .diff_engine import DiffTensor, as_tensor
 from .kernels import KernelParams, _SeArd, _se_kdiag, se_ard_features
 
 __all__ = [
-    "BlrState", "GpState", "SvgpState", "DklState",
+    "BlrState", "GpState", "SvgpState",
     "gaussian_bump_features", "blr_fit_predict_lml", "gp_predict_lml",
     "prop31_check", "svgp_elbo", "svgp_collapsed_bound", "dkl_forward",
 ]
@@ -58,12 +58,6 @@ class SvgpState:
 
     def kern(self, X1, X2=None) -> DiffTensor:
         return se_ard_features(self.kernel_params, X1, X2)
-
-
-@dataclass
-class DklState:
-    weights: list = None           # [(W, b), ...] for a relu net
-    gp: GpState = None
 
 
 def gaussian_bump_features(X, centers, width) -> DiffTensor:
@@ -309,8 +303,9 @@ def svgp_collapsed_bound(state: SvgpState, X, y):
     return bound, m_opt, S_opt
 
 
-def dkl_forward(state: DklState, X) -> DiffTensor:
-    """Deterministic feature extractor: relu net applied to the inputs.
+def dkl_forward(weights, X) -> DiffTensor:
+    """Deterministic feature extractor: the relu net with layers
+    weights = [(W, b), ...] applied to the inputs.
 
     The effective kernel is the GP kernel on these features; hyperparameter
     and weight gradients flow through when the LML is differentiated.
@@ -318,13 +313,12 @@ def dkl_forward(state: DklState, X) -> DiffTensor:
     h = as_tensor(X)
     if h.value.ndim == 1:
         h = de.reshape(h, (h.value.shape[0], 1))
-    n_layers = len(state.weights)
-    for i, (Wl, bl) in enumerate(state.weights):
+    for i, (Wl, bl) in enumerate(weights):
         Wl, bl = as_tensor(Wl), as_tensor(bl)
         if h.value.shape[1] != Wl.value.shape[0]:
             raise ValueError(
                 f"extractor layer {i}: input dim {h.value.shape[1]} != {Wl.value.shape[0]}")
         h = de.add(de.matmul(h, Wl), bl)
-        if i < n_layers - 1:
+        if i < len(weights) - 1:
             h = de.elementwise("relu", h)
     return h

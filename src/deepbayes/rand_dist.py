@@ -6,8 +6,6 @@ gradients flow through both the sample path and the density evaluation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
 import scipy.special as spec
@@ -16,7 +14,7 @@ from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor, lift
 
 __all__ = [
-    "RngStream", "StreamBatch", "MatrixNormalParams",
+    "RngStream", "StreamBatch",
     "gaussian_sample", "matrix_normal_sample", "gamma_sample_reparam",
     "wishart_log_density", "inverse_wishart_log_density", "bartlett_sample",
     "jacobian_logdets", "gwish_sample_and_logpdf",
@@ -63,12 +61,6 @@ class RngStream:
     def standard_gamma(self, alpha):
         return self._gen.standard_gamma(alpha)
 
-    def uniform(self, low=0.0, high=1.0, shape=()):
-        return self._gen.uniform(low, high, shape)
-
-    def integers(self, low, high=None, shape=()):
-        return self._gen.integers(low, high, size=shape)
-
     def permutation(self, n):
         return self._gen.permutation(n)
 
@@ -94,12 +86,6 @@ class StreamBatch:
 
     def standard_gamma(self, alpha):
         return np.stack([st.standard_gamma(alpha) for st in self.streams])
-
-
-@dataclass
-class MatrixNormalParams:
-    mean: object            # DiffTensor or ndarray
-    row_cov: object         # DiffTensor or ndarray
 
 
 # -- Gaussian sampling --------------------------------------------------------
@@ -614,18 +600,18 @@ def conditional_sample(mean, var, rng) -> DiffTensor:
                                          (var, g_var)], "conditional_sample")
 
 
-def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i) -> MatrixNormalParams:
+def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i):
     """Conditional of rows t given rows i of a matrix normal with row scale
-    [[S_ii, S_ti^T], [S_ti, S_tt]] and identity column covariance.
-
-    mean = S_ti S_ii^{-1} F_i; row_cov = S_tt - S_ti S_ii^{-1} S_ti^T.
+    [[S_ii, S_ti^T], [S_ti, S_tt]] and identity column covariance: returns
+    (mean, row_cov) with mean = S_ti S_ii^{-1} F_i and
+    row_cov = S_tt - S_ti S_ii^{-1} S_ti^T.
     """
     S_ii, S_ti, S_tt, F_i = map(as_tensor, (S_ii, S_ti, S_tt, F_i))
     L = de.cholesky_factor(S_ii)
     w_s = de.triangular_solve(L, de.transpose(S_ti))
     mean = de.matmul(de.transpose(w_s), de.triangular_solve(L, F_i))
     row_cov = de.sub(S_tt, de.matmul(de.transpose(w_s), w_s))
-    return MatrixNormalParams(mean=mean, row_cov=row_cov)
+    return mean, row_cov
 
 
 # -- KL divergences ----------------------------------------------------------------

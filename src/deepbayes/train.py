@@ -113,7 +113,6 @@ def train_loop(model, dataset, config: TrainConfig):
     batch = config.batch_size or n
     trace = []
     aborted = None
-    last_good = {k: v.copy() for k, v in params.items()}
     t0 = time.time()
 
     for step in range(config.steps):
@@ -132,10 +131,10 @@ def train_loop(model, dataset, config: TrainConfig):
                 raise FloatingPointError("non-finite loss")
             grads = _clip_global_norm(grads, config.clip_norm)
             params = adam_step(adam, params, grads, config.lr_at(step))
-            last_good = {k: v.copy() for k, v in params.items()}
         except (FloatingPointError, np.linalg.LinAlgError) as e:
+            # params is reassigned only after a successful step, so it holds
+            # the last good values
             aborted = {"step": step, "reason": str(e)}
-            params = last_good
             break
 
         if step % config.eval_every == 0 or step == config.steps - 1:

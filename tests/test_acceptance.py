@@ -117,7 +117,7 @@ def test_criterion_02_optimal_signal_variance_data_fit():
         dims = [2, 8, 3]
         ws = [(rng.standard_normal((dims[i], dims[i + 1])) / np.sqrt(dims[i]),
                rng.standard_normal(dims[i + 1]) * 0.1) for i in range(2)]
-        F = gm.dkl_forward(gm.DklState(weights=ws), X).value
+        F = gm.dkl_forward(ws, X).value
         kp_d = KernelParams(log_sf2=rng.uniform(-1, 1),
                             log_lengthscales=rng.uniform(-0.5, 0.5, 3))
         st_d = gm.GpState(kernel_params=kp_d, log_noise=rng.uniform(-3, -1))
@@ -647,18 +647,16 @@ def test_criterion_15_dwp_elbo_rotation_invariance():
     Xi = rng.standard_normal((M, nu0))
     a, b, mu, sg = dw.standard_bartlett_params(M, nu)
     nt = min(M, nu)
-    layers, kps = [], []
+    layers = []
     for _ in range(2):
         layers.append(dw.GWishLayerPosterior(
             V=np.linalg.cholesky(_spd(rng, M)) / np.sqrt(M),
             logit_q=np.log(0.1 / 0.9), nu=nu,
             log_alpha=np.log(a) + 0.05 * rng.standard_normal(nt),
             log_beta=np.log(b), mu=mu, log_sigma=np.log(sg),
-            variant="base"))
-        kps.append(KernelParams(log_sf2=0.1, log_lengthscales=0.2))
+            variant="base", kernel_params=KernelParams(log_sf2=0.1, log_lengthscales=0.2)))
     final = dm.GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
-    state = dw.DwpState(inducing_inputs=Xi, layers=layers, kernel_params=kps,
-                        final_layer=final, final_kernel=KernelParams(),
+    state = dw.DwpState(inducing_inputs=Xi, layers=layers, final_layer=final,
                         log_noise=np.log(0.3), nu0=nu0)
     Xt = rng.standard_normal((5, nu0))
     y = rng.standard_normal(5)

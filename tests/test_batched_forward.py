@@ -350,8 +350,9 @@ def _dsvi_terms(p, F, rng):
     layer = dm.DsviDgpLayer(Z=p["Z"], m=p["m"], S_chol=_chol_from_raw(p["S_raw"]),
                             kernel_params=KernelParams(log_sf2=p["log_sf2"],
                                                        log_lengthscales=p["log_ls"]))
-    means, vars_, kl = dm.dsvi_dgp_layer_marginals(F, layer)
-    return means, vars_, kl, dm.dsvi_dgp_layer_sample((means, vars_), F, layer, rng)
+    means, vars_, _ = dm.dsvi_dgp_layer_marginals(F, layer)
+    F_next, kl = dm.dsvi_dgp_layer_sample(F, layer, rng)
+    return means, vars_, kl, F_next
 
 
 def _dsvi_loss(terms):

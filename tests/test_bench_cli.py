@@ -149,6 +149,15 @@ def test_experiment_config_accepts_the_keys_each_model_reads():
         ExperimentConfig.from_dict({"model": "gp", **given})
 
 
+@pytest.mark.parametrize("model,key,value", [
+    ("dgp-gi", "depth", 0), ("dgp-gi", "depth", -3), ("dwp", "depth", 0),
+    ("svgp", "M", 0), ("dgp-gi", "M", -5), ("bnn-gi", "M", 0)])
+def test_experiment_config_rejects_depth_and_M_below_one(model, key, value):
+    with pytest.raises(ValueError, match=rf"config key '{key}' must be at least 1 "
+                                         rf"for model '{model}', got {value}"):
+        ExperimentConfig.from_dict({"model": model, key: value})
+
+
 def test_experiment_config_rejects_train_seed():
     with pytest.raises(ValueError, match="top-level `seed`"):
         ExperimentConfig.from_dict({"model": "blr", "seed": 0,
@@ -451,3 +460,17 @@ def test_cli_run_from_yaml(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "model=gp" in out
     assert (tmp_path / "out" / "gp_cubic-toy_1.json").exists()
+
+
+def test_cli_seed_and_out_flags_win_over_the_config(tmp_path, capsys, monkeypatch):
+    cfgp = tmp_path / "exp.yaml"
+    cfgp.write_text("model: blr\ndataset: cubic-toy\nseed: 1\nout: fromcfg\n"
+                    "train:\n  steps: 2\n  anneal_steps: 0\n  eval_every: 1\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--seed", "5", "--out", "flagdir", "run", str(cfgp)]) == 0
+    assert "seed=5" in capsys.readouterr().out
+    assert (tmp_path / "flagdir" / "blr_cubic-toy_5.json").exists()
+    assert not (tmp_path / "fromcfg").exists()
+    # without the flags the config's keys hold
+    assert main(["run", str(cfgp)]) == 0
+    assert (tmp_path / "fromcfg" / "blr_cubic-toy_1.json").exists()

@@ -350,9 +350,9 @@ def test_dsvi_sample_moments_match_marginals():
     F = rng.standard_normal((3, 1))
     means, vars_, _ = dsvi_dgp_layer_marginals(F, layer)
     n = 20000
-    draws = dsvi_dgp_layer_sample((means, vars_), F, layer,
+    draws = dsvi_dgp_layer_sample(F, layer,
                                   rd.StreamBatch([rd.RngStream(s) for s in range(n)])
-                                  ).value[..., 0]
+                                  )[0].value[..., 0]
     se = np.sqrt(vars_[0].value / n)
     assert np.all(np.abs(draws.mean(0) - means[0].value) < 4 * se)
     assert np.all(np.abs(draws.var(0) - vars_[0].value) < 0.1 * vars_[0].value)
@@ -371,8 +371,8 @@ def test_dsvi_two_outputs_sample_each_from_its_own_marginals():
     F = rng.standard_normal((3, 1))
     means, vars_, kl = dsvi_dgp_layer_marginals(F, layer)
     n = 4000
-    draws = dsvi_dgp_layer_sample((means, vars_), F, layer,
-                                  rd.StreamBatch(rd.RngStream(3).split(n))).value
+    draws = dsvi_dgp_layer_sample(F, layer,
+                                  rd.StreamBatch(rd.RngStream(3).split(n)))[0].value
     assert draws.shape == (n, 3, 2)
     for lam in range(2):
         se = np.sqrt(vars_[lam].value / n)
@@ -396,10 +396,8 @@ def test_dsvi_identity_mean_function_shifts_samples():
                          kernel_params=KernelParams(),
                          mean_function="identity")
     F = rng.standard_normal((4, 1))
-    f0 = dsvi_dgp_layer_sample(dsvi_dgp_layer_marginals(F, base)[:2], F, base,
-                               rd.RngStream(6))
-    f1 = dsvi_dgp_layer_sample(dsvi_dgp_layer_marginals(F, ident)[:2], F, ident,
-                               rd.RngStream(6))
+    f0, _ = dsvi_dgp_layer_sample(F, base, rd.RngStream(6))
+    f1, _ = dsvi_dgp_layer_sample(F, ident, rd.RngStream(6))
     assert np.allclose(f1.value - f0.value, F)
 
 

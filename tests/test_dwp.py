@@ -291,14 +291,13 @@ def test_conditional_testpoints_root_rotation_invariance():
 
 def _small_state(rng, M=4, nu=3, depth=1, variant="base", nu0=2):
     Xi = rng.standard_normal((M, nu0))
-    layers, kps = [], []
+    layers = []
     for _ in range(depth):
         layers.append(_posterior(M, nu, variant=variant,
                                  rng=np.random.default_rng(0), spread=0.1))
-        kps.append(KernelParams(log_sf2=0.1, log_lengthscales=0.2))
+        layers[-1].kernel_params = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
     final = GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
-    return DwpState(inducing_inputs=Xi, layers=layers, kernel_params=kps,
-                    final_layer=final, final_kernel=KernelParams(),
+    return DwpState(inducing_inputs=Xi, layers=layers, final_layer=final,
                     log_noise=np.log(0.3), nu0=nu0)
 
 
@@ -359,12 +358,10 @@ def test_elbo_gradients_excluding_gamma_shape():
         layer = GWishLayerPosterior(
             V=ps["V"], logit_q=ps["lq"], nu=nu,
             log_alpha=np.log(a0), log_beta=ps["lb"], mu=ps["mu"],
-            log_sigma=ps["ls"], variant="AB", A_packed=ps["P"], B_packed=ps["B"])
+            log_sigma=ps["ls"], variant="AB", A_packed=ps["P"], B_packed=ps["B"],
+            kernel_params=KernelParams(log_sf2=ps["lsf"], log_lengthscales=ps["lls"]))
         final = GiDgpLayer(V=ps["Vf"], log_lambda=ps["llf"])
-        state = DwpState(inducing_inputs=ps["Xi"], layers=[layer],
-                         kernel_params=[KernelParams(log_sf2=ps["lsf"],
-                                                     log_lengthscales=ps["lls"])],
-                         final_layer=final, final_kernel=KernelParams(),
+        state = DwpState(inducing_inputs=ps["Xi"], layers=[layer], final_layer=final,
                          log_noise=ps["ln"], nu0=nu0)
         return dwp_elbo_batch(state, Xt, y, total_n=2, rng=rd.RngStream(41))
     rep = de.finite_diff_check(fn, {

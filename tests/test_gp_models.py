@@ -7,7 +7,7 @@ import pytest
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import GpLmlModel, gen_deep_linear
-from deepbayes.gp_models import (BlrState, DklState, GpState, SvgpState,
+from deepbayes.gp_models import (BlrState, GpState, SvgpState,
                                  blr_fit_predict_lml, dkl_forward,
                                  gaussian_bump_features, gp_predict_lml,
                                  make_bump_centers, prop31_check,
@@ -438,9 +438,9 @@ def test_extractor_identity_reduces_to_plain_gp():
     rng = np.random.default_rng(14)
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
-    dkl = DklState(weights=[(np.eye(2), np.zeros(2))], gp=GpState(log_noise=-1.0))
-    feats = dkl_forward(dkl, X)
-    _, _, lml_dkl = gp_predict_lml(dkl.gp, feats, y)
+    gp = GpState(log_noise=-1.0)
+    feats = dkl_forward([(np.eye(2), np.zeros(2))], X)
+    _, _, lml_dkl = gp_predict_lml(gp, feats, y)
     _, _, lml_gp = gp_predict_lml(GpState(log_noise=-1.0), X, y)
     assert np.isclose(lml_dkl.value, lml_gp.value, atol=1e-12)
 
@@ -448,11 +448,10 @@ def test_extractor_identity_reduces_to_plain_gp():
 def test_extractor_constant_features_give_constant_kernel():
     rng = np.random.default_rng(15)
     X = rng.standard_normal((5, 3))
-    dkl = DklState(weights=[(np.zeros((3, 2)), np.array([1.0, -1.0]))],
-                   gp=GpState(kernel_params=KernelParams(log_sf2=np.log(1.6))))
-    feats = dkl_forward(dkl, X)
+    gp = GpState(kernel_params=KernelParams(log_sf2=np.log(1.6)))
+    feats = dkl_forward([(np.zeros((3, 2)), np.array([1.0, -1.0]))], X)
     from deepbayes.kernels import se_ard_features
-    K = se_ard_features(dkl.gp.kernel_params, feats).value
+    K = se_ard_features(gp.kernel_params, feats).value
     assert np.allclose(K, 1.6)
 
 
@@ -461,10 +460,8 @@ def test_extractor_weight_gradients_through_lml():
     X = rng.standard_normal((6, 2))
     y = rng.standard_normal(6)
     def fn(ps):
-        dkl = DklState(weights=[(ps["W0"], ps["b0"]), (ps["W1"], ps["b1"])],
-                       gp=GpState(log_noise=-1.0))
-        feats = dkl_forward(dkl, X)
-        return gp_predict_lml(dkl.gp, feats, y)[2]
+        feats = dkl_forward([(ps["W0"], ps["b0"]), (ps["W1"], ps["b1"])], X)
+        return gp_predict_lml(GpState(log_noise=-1.0), feats, y)[2]
     rep = de.finite_diff_check(fn, {"W0": rng.standard_normal((2, 4)) * 0.7,
                                     "b0": rng.standard_normal(4) * 0.3,
                                     "W1": rng.standard_normal((4, 2)) * 0.7,
@@ -473,6 +470,5 @@ def test_extractor_weight_gradients_through_lml():
 
 
 def test_extractor_dimension_mismatch_error():
-    dkl = DklState(weights=[(np.eye(3), np.zeros(3))], gp=GpState())
     with pytest.raises(ValueError):
-        dkl_forward(dkl, np.zeros((4, 2)))
+        dkl_forward([(np.eye(3), np.zeros(3))], np.zeros((4, 2)))

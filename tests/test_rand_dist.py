@@ -507,9 +507,9 @@ def test_gaussian_conditional_matches_dense_conditional():
 def test_conditional_reduces_to_marginal_when_independent():
     S_ii, S_tt = np.eye(2), 2.0 * np.eye(3)
     F_i = np.random.default_rng(0).standard_normal((2, 4))
-    p = rd.matrix_normal_conditional(S_ii, np.zeros((3, 2)), S_tt, F_i)
-    assert np.allclose(np.asarray(p.mean.value), 0.0)
-    assert np.allclose(np.asarray(p.row_cov.value), S_tt)
+    mean, row_cov = rd.matrix_normal_conditional(S_ii, np.zeros((3, 2)), S_tt, F_i)
+    assert np.allclose(np.asarray(mean.value), 0.0)
+    assert np.allclose(np.asarray(row_cov.value), S_tt)
 
 
 def test_conditional_interpolates_at_shared_rows():
@@ -517,9 +517,9 @@ def test_conditional_interpolates_at_shared_rows():
     rng = np.random.default_rng(1)
     S = _spd(rng, 3)
     F_i = rng.standard_normal((3, 2))
-    p = rd.matrix_normal_conditional(S, S[0:1, :], S[0:1, 0:1], F_i)
-    assert np.allclose(np.asarray(p.mean.value), F_i[0:1, :], atol=1e-8)
-    assert np.max(np.abs(np.asarray(p.row_cov.value))) < 1e-8
+    mean, row_cov = rd.matrix_normal_conditional(S, S[0:1, :], S[0:1, 0:1], F_i)
+    assert np.allclose(np.asarray(mean.value), F_i[0:1, :], atol=1e-8)
+    assert np.max(np.abs(np.asarray(row_cov.value))) < 1e-8
 
 
 def test_conditional_moments_against_joint_sampling():
@@ -528,16 +528,16 @@ def test_conditional_moments_against_joint_sampling():
     L = np.linalg.cholesky(S)
     idx_i, idx_t = [0, 1], [2, 3]
     F_i = rng.standard_normal((2, 3))
-    p = rd.matrix_normal_conditional(S[np.ix_(idx_i, idx_i)],
-                                     S[np.ix_(idx_t, idx_i)],
-                                     S[np.ix_(idx_t, idx_t)], F_i)
+    mean, row_cov = rd.matrix_normal_conditional(S[np.ix_(idx_i, idx_i)],
+                                                 S[np.ix_(idx_t, idx_i)],
+                                                 S[np.ix_(idx_t, idx_t)], F_i)
     # joint: F = L Xi; condition by linear-Gaussian formulas on each column
     Sii = S[np.ix_(idx_i, idx_i)]
     Sti = S[np.ix_(idx_t, idx_i)]
     ref_mean = Sti @ np.linalg.solve(Sii, F_i)
     ref_cov = S[np.ix_(idx_t, idx_t)] - Sti @ np.linalg.solve(Sii, Sti.T)
-    assert np.allclose(np.asarray(p.mean.value), ref_mean)
-    assert np.allclose(np.asarray(p.row_cov.value), ref_cov)
+    assert np.allclose(np.asarray(mean.value), ref_mean)
+    assert np.allclose(np.asarray(row_cov.value), ref_cov)
 
 
 # -- KL divergences ---------------------------------------------------------------
