@@ -144,7 +144,8 @@ def _gaussian_metrics(dataset: Dataset, objective: float, mean, var) -> dict:
     ll = -0.5 * np.log(2 * np.pi * var) - 0.5 * resid ** 2 / var
     return {"elbo_per_point": objective / dataset.X_train.shape[0],
             "test_ll_per_point": float(np.mean(ll)),
-            "rmse": float(np.sqrt(np.mean(resid ** 2)))}
+            "rmse": float(np.sqrt(np.mean(resid ** 2))),
+            "elbo_samples": 0, "pred_samples": 0}     # closed form
 
 
 # -- models -----------------------------------------------------------------------
@@ -268,7 +269,7 @@ class SvgpModel:
                             kernel_params=_se_params(p, ""), log_noise=p["log_noise"])
 
     def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
-        return gm.svgp_elbo(self._state(p), Xb, yb, total_n)
+        return gm.svgp_elbo(self._state(p), Xb, yb, total_n, kl_scale)
 
     def predictive(self, params, dataset, X):
         st = self._state({k: as_tensor(v) for k, v in params.items()})
@@ -286,9 +287,10 @@ class _MonteCarloModel:
     samples both come from one batched
     `forward(params, X, streams) -> (outputs, increment)` at inputs X, sample
     s drawn from stream s of the rand_dist.StreamBatch. Evaluation uses up to
-    20 samples for the ELBO and up to `max_pred_samples` (None: no cap) for
-    the predictive."""
+    `max_elbo_samples` samples for the ELBO and up to `max_pred_samples`
+    (None: no cap) for the predictive, and records the counts it used."""
 
+    max_elbo_samples = 20
     max_pred_samples = 50
 
     def __init__(self, dataset: Dataset, M):
@@ -311,8 +313,8 @@ class _MonteCarloModel:
         n = dataset.X_train.shape[0]
         sub = rng.split(2)
         p = {k: as_tensor(v) for k, v in params.items()}
-        elbo = self.objective(p, dataset.X_train, dataset.y_train, n,
-                              min(n_samples, 20), sub[0], 1.0)
+        n_elbo = min(n_samples, self.max_elbo_samples)
+        elbo = self.objective(p, dataset.X_train, dataset.y_train, n, n_elbo, sub[0], 1.0)
         n_pred = (n_samples if self.max_pred_samples is None
                   else min(n_samples, self.max_pred_samples))
         preds = self.predictive_samples(params, dataset.X_test, sub[1], n_pred)
@@ -322,7 +324,8 @@ class _MonteCarloModel:
         mean_pred = preds.mean(axis=0)
         return {"elbo_per_point": float(elbo.value) / n,
                 "test_ll_per_point": float(np.mean(_log_mean_exp(ll, axis=0))),
-                "rmse": float(np.sqrt(np.mean((dataset.y_test - mean_pred) ** 2)))}
+                "rmse": float(np.sqrt(np.mean((dataset.y_test - mean_pred) ** 2))),
+                "elbo_samples": n_elbo, "pred_samples": n_pred}
 
 
 class BnnModel(_MonteCarloModel):

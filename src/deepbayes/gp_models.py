@@ -255,11 +255,11 @@ def _svgp_marginals(state: SvgpState, Xb):
     return (*rd.inducing_marginals(Lz, W, var, state.m, state.S_chol), Lz)
 
 
-def svgp_elbo(state: SvgpState, Xb, yb, total_n) -> DiffTensor:
+def svgp_elbo(state: SvgpState, Xb, yb, total_n, kl_scale=1.0) -> DiffTensor:
     """Uncollapsed sparse variational bound on a (mini)batch.
 
-    (N/Nb) sum_n E_q[log N(y_n; f_n, s2)] - KL(q(u) || p(u)); the expectation
-    is closed form for the Gaussian likelihood.
+    (N/Nb) sum_n E_q[log N(y_n; f_n, s2)] - kl_scale * KL(q(u) || p(u)); the
+    expectation is closed form for the Gaussian likelihood.
     """
     yb = as_tensor(yb)
     nb = yb.value.shape[0]
@@ -270,7 +270,8 @@ def svgp_elbo(state: SvgpState, Xb, yb, total_n) -> DiffTensor:
     ell = de.sub(rd.normal_log_density(yb, mean, s2),
                  de.tsum(de.div(var, de.elementwise("affine", s2, a=2.0))))
     kl = rd._kl_gaussian_chol(state.m, state.S_chol, np.zeros(Lz.value.shape[0]), Lz)
-    return de.sub(de.elementwise("affine", ell, a=float(total_n) / nb), kl)
+    return de.sub(de.elementwise("affine", ell, a=float(total_n) / nb),
+                  de.elementwise("affine", kl, a=float(kl_scale)))
 
 
 def svgp_collapsed_bound(state: SvgpState, X, y):

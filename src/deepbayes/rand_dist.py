@@ -27,65 +27,176 @@ __all__ = [
 LOG2PI = float(np.log(2.0 * np.pi))
 
 
-class RngStream:
+# numpy's SeedSequence constants (pool size 4): a pool absorbs each entropy
+# word past the first four by 4 hashmix calls, each followed by a mix, and
+# a Philox key is generate_state(2, uint64) of the pool. The hash constant
+# of the k-th hashmix call is INIT_A * MULT_A**k mod 2**32; generate_state's
+# are INIT_B * MULT_B**j (_KEY_HASH).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_KEY_HASH = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) % (1 << 32)
+                      for j in range(_POOL + 1)], dtype=np.uint32)
+_SPAWN_LIMIT = 1 << 32          # a larger spawn index takes two entropy words
+
+
+class _Key(np.random.bit_generator.ISeedSequence):
+    """A precomputed Philox key, handed to Philox in place of a SeedSequence."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _shift_mix(x):
+    x ^= x >> 16
+    return x
+
+
+def _children(pool, nhash, first, n):
+    """Pools of n children per member: child i's spawn index first + i mixed
+    into its parent's pool, as numpy's mix_entropy adds one entropy word
+    after the nhash hashmix calls that built the pool. pool (..., 4) uint32,
+    nhash and first (...) ints; returns (..., n, 4) uint32."""
+    if n and int(np.max(first)) + n > _SPAWN_LIMIT:
+        raise ValueError("spawn index >= 2**32: the child's key would take two "
+                         "entropy words, which this stream cannot mix")
+    h = _INIT_A * np.power(np.uint64(_MULT_A),
+                           np.add.outer(nhash, np.arange(_POOL + 1)).astype(np.uint64))
+    h = h.astype(np.uint32)[..., None, :]
+    word = np.add.outer(first, np.arange(n)).astype(np.uint32)[..., None]
+    hashed = _shift_mix((word ^ h[..., :-1]) * h[..., 1:])
+    return _shift_mix(pool[..., None, :] * _MIX_L - hashed * _MIX_R)
+
+
+def _philox_keys(pool):
+    """generate_state(2, uint64) of each pool: (..., 4) uint32 -> (..., 2) uint64."""
+    words = _shift_mix((pool ^ _KEY_HASH[:-1]) * _KEY_HASH[1:])
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Streams:
+    """The state of a stream, or of each member of a batch, as arrays: the
+    SeedSequence pool (4 uint32 words), the number of hashmix calls that
+    built it, and the spawn counter. No SeedSequence is kept; a member's
+    Philox generator is built from its pool on its first draw."""
+
+    __slots__ = ("_pool", "_nhash", "_spawned", "_gens")
+
+    @classmethod
+    def _of(cls, pool, nhash, spawned, gens=None):
+        self = object.__new__(cls)
+        self._pool, self._nhash, self._spawned, self._gens = pool, nhash, spawned, gens
+        return self
+
+    def _generators(self) -> list:
+        """One generator per member, in C order, built on first use."""
+        gens = self._gens
+        if gens is None or None in gens:
+            keys = _philox_keys(self._pool).reshape(-1, 2)
+            gens = [np.random.Generator(np.random.Philox(_Key(k))) if g is None else g
+                    for g, k in zip(gens or [None] * len(keys), keys)]
+            self._gens = gens
+        return gens
+
+    def _split(self, n):
+        pool = _children(self._pool, self._nhash, self._spawned, n)
+        self._spawned = self._spawned + n
+        return pool, self._nhash + _POOL
+
+    def split(self, n: int) -> list:
+        """n independent streams (batches of the same shape), continuing the
+        spawn counter as SeedSequence.spawn does."""
+        pool, nhash = self._split(n)
+        zero = np.zeros_like(self._spawned)
+        return [type(self)._of(pool[..., i, :], nhash, zero) for i in range(n)]
+
+    def split_batch(self, n: int) -> "StreamBatch":
+        """The n streams of split(n) as one batch, nested after this one's axes."""
+        pool, nhash = self._split(n)
+        shape = pool.shape[:-1]
+        return StreamBatch._of(pool, np.broadcast_to(nhash[..., None], shape),
+                               np.zeros(shape, dtype=np.int64))
+
+
+class RngStream(_Streams):
     """Splittable, reproducible random stream (counter-based Philox core).
 
-    Every draw is addressable by (seed, spawn path, draw index); identical
-    seeds give identical sequences. The generator is built on the first
-    draw, so streams that are only split further never build one; Philox
-    reads only the seed's entropy and spawn path, not how often it was split.
+    Every draw is addressable by (seed, spawn path, draw index), and each
+    stream draws exactly what numpy's Generator(Philox(ss)) draws for the
+    SeedSequence ss with that spawn path. split(n) mixes each child's spawn
+    index into the parent's pool in one array pass, and the generator is
+    built from the pool's key on the first draw, so streams that are only
+    split never build one; Philox reads only the seed's entropy and spawn
+    path, not how often it was split.
+
+    The root takes an int or a SeedSequence of pool size 4 and reads its
+    pool; a spawn index past 2**32 - 1 raises ValueError.
     """
 
+    __slots__ = ()
+
     def __init__(self, seed):
-        if isinstance(seed, np.random.SeedSequence):
-            self._ss = seed
-        else:
-            self._ss = np.random.SeedSequence(int(seed))
-        self._g = None
-
-    @property
-    def _gen(self) -> np.random.Generator:
-        if self._g is None:
-            self._g = np.random.Generator(np.random.Philox(self._ss))
-        return self._g
-
-    def split(self, n: int) -> list["RngStream"]:
-        return [RngStream(ss) for ss in self._ss.spawn(n)]
-
-    def split_batch(self, n: int) -> "StreamBatch":
-        return StreamBatch(self.split(n))
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(int(seed))
+        if seed.pool_size != _POOL:
+            raise ValueError(f"SeedSequence pool_size must be {_POOL}, got {seed.pool_size}")
+        words = np.random.bit_generator._coerce_to_uint32_array
+        run, spawn = len(words(seed.entropy)), len(words(seed.spawn_key))
+        # a spawned sequence pads its run entropy to the pool size first
+        extra = (max(run, _POOL) + spawn if spawn else run) - _POOL
+        self._pool = np.array(seed.pool, dtype=np.uint32)
+        self._nhash = np.array(_POOL * _POOL + _POOL * max(extra, 0))
+        self._spawned = np.array(seed.n_children_spawned)
+        self._gens = None
 
     def normal(self, shape=()):
-        return self._gen.standard_normal(shape)
+        return self._generators()[0].standard_normal(shape)
 
     def standard_gamma(self, alpha):
-        return self._gen.standard_gamma(alpha)
+        return self._generators()[0].standard_gamma(alpha)
 
     def permutation(self, n):
-        return self._gen.permutation(n)
+        return self._generators()[0].permutation(n)
 
 
-class StreamBatch:
-    """S streams drawn as one: each draw stacks every member's draw, in
-    member order, along a new leading axis, and split(n) splits every member,
-    so sample s draws exactly the numbers its own stream would. Shapes passed
+class StreamBatch(_Streams):
+    """S streams drawn as one, held as arrays of pools and spawn counters:
+    each draw stacks every member's draw, in member order, along a new
+    leading axis, and split(n) splits every member in one array pass, so
+    sample s draws exactly the numbers its own stream would. Shapes passed
     to a draw are one sample's. split_batch(n), as on one stream, draws the
-    n streams of split(n) as one; here they nest, so draws stack as (S, n, ...)."""
+    n streams of split(n) as one; here they nest, so draws stack as (S, n, ...).
+
+    StreamBatch(streams) takes each stream's (or equal-shaped batch's) pool,
+    spawn counter and, where one was built, generator, so the batch goes on
+    from where each member stood; afterwards only the batch should be used.
+    """
+
+    __slots__ = ()
 
     def __init__(self, streams):
-        self.streams = list(streams)
+        streams = list(streams)
+        self._pool = np.stack([st._pool for st in streams])
+        self._nhash = np.stack([st._nhash for st in streams])
+        self._spawned = np.stack([st._spawned for st in streams])
+        self._gens = [g for st in streams
+                      for g in (st._gens or [None] * (st._pool.size // _POOL))]
 
-    def split(self, n: int) -> list["StreamBatch"]:
-        return [StreamBatch(parts) for parts in zip(*(st.split(n) for st in self.streams))]
-
-    def split_batch(self, n: int) -> "StreamBatch":
-        return StreamBatch([st.split_batch(n) for st in self.streams])
+    def _stack(self, draws):
+        out = np.stack(draws)
+        return out.reshape(self._spawned.shape + out.shape[1:])
 
     def normal(self, shape=()):
-        return np.stack([st.normal(shape) for st in self.streams])
+        return self._stack([g.standard_normal(shape) for g in self._generators()])
 
     def standard_gamma(self, alpha):
-        return np.stack([st.standard_gamma(alpha) for st in self.streams])
+        return self._stack([g.standard_gamma(alpha) for g in self._generators()])
 
 
 # -- Gaussian sampling --------------------------------------------------------

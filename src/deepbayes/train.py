@@ -174,4 +174,5 @@ def _evaluate(model, params, dataset, rng: rd.RngStream, config: TrainConfig):
     elbo = model.objective(
         {k: de.as_tensor(v) for k, v in params.items()},
         dataset.X_train, dataset.y_train, n, config.eval_samples, rng, 1.0)
-    return {"elbo_per_point": float(elbo.value) / n}
+    return {"elbo_per_point": float(elbo.value) / n,
+            "elbo_samples": config.eval_samples, "pred_samples": 0}

@@ -393,7 +393,7 @@ def test_stacked_dsvi_layer_matches_the_per_output_layer(batch):
                        (kl.value, r_kl.value), (F_next.value, r_F.value)]:
         assert got_.shape == want.shape
         assert np.max(np.abs(got_ - want)) <= 1e-12 * np.max(np.abs(want))
-    # sample s, output l is drawn from rng.streams[s].split(w)[l], exactly
+    # sample s, output l is drawn from member s's split(w)[l], exactly
     members = [rd.RngStream(8)] if batch == "stream" else rd.RngStream(8).split(S)
     xi = np.stack([[st.normal(nb) for st in member.split(w)] for member in members])
     v = vars_.value

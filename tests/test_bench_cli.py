@@ -306,7 +306,7 @@ PINNED_OBJECTIVES = {
     "bnn-fac": (-438.715464014261, 52),
     "dgp-gi": (-106.72853125690472, 102),
     "dgp-dsvi": (-14758100101.2579, 112),
-    "svgp": (-6511920998693.472, 53),
+    "svgp": (-4558421318340.829, 54),
     "dwp": (-42308212.93087285, 173),
     "dwp-a": (-42308212.93087285, 199),
     "dwp-ab": (-42308212.93087285, 217),
@@ -347,7 +347,7 @@ PINNED_WELL_CONDITIONED = {
     "bnn-fac": (-1729.4415693510261, 15963.337218962184, 52),
     "dgp-gi": (-2980.1330308229676, 29808.2220818113, 102),
     "dgp-dsvi": (-3262.729993803191, 32628.488362174394, 112),
-    "svgp": (-1319.1738111495029, 1361.0258081324657, 53),
+    "svgp": (-1315.7364604842587, 1359.9896318138508, 54),
     "dwp": (-2888.0509079366343, 28768.45558790129, 173),
     "dwp-a": (-2908.2012635278506, 28873.383256456225, 199),
     "dwp-ab": (-2833.5561465771407, 28115.321500984206, 217),
@@ -375,6 +375,75 @@ def test_well_conditioned_objective_gradient_and_tape_nodes_are_pinned(kind):
     assert abs(float(value.value) - want) <= 1e-10 * abs(want)
     assert abs(gnorm - want_gnorm) <= 1e-10 * want_gnorm
     assert nodes == want_nodes
+
+
+def test_svgp_kl_scale_scales_exactly_its_kl():
+    ds = _synthetic_200(0)
+    model = _make_model(ExperimentConfig(model="svgp", M=20), ds)
+    rng = np.random.default_rng(1)
+    params = {k: v + 0.05 * rng.standard_normal(np.shape(v))
+              for k, v in model.init_params().items()}
+    p = {k: de.as_tensor(v) for k, v in params.items()}
+    obj = {s: float(model.objective(p, ds.X_train, ds.y_train, 200, 1, None, s).value)
+           for s in (0.0, 0.7, 1.0)}
+    # KL(N(m, S S^T) || N(0, K_zz)) in closed form, from numpy alone
+    Kzz = model._state(p).kern(params["Z"]).value
+    S = model._state(p).S_chol.value
+    Sigma, m = S @ S.T, params["m"]
+    kl = 0.5 * (np.trace(np.linalg.solve(Kzz, Sigma)) + m @ np.linalg.solve(Kzz, m) - 20
+                + np.linalg.slogdet(Kzz)[1] - np.linalg.slogdet(Sigma)[1])
+    assert kl > 1.0
+    assert abs((obj[0.0] - obj[1.0]) - kl) <= 1e-10 * kl
+    assert abs((obj[0.0] - obj[0.7]) - 0.7 * kl) <= 1e-10 * kl
+
+
+def test_streams_spawn_no_seedsequence_and_build_one_generator_per_drawing_member(
+        monkeypatch):
+    spawns, philox = [], []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawns.append(n_children)
+            return super().spawn(n_children)
+
+    class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            philox.append(self)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    ds = _synthetic_200(0)      # the dwp-s10 shape: 2 Gram layers, M=20, n=200, S=10
+    model = _make_model(ExperimentConfig(model="dwp", depth=3, widths=(5, 5), M=20), ds)
+    params = model.init_params()
+    with de.Tape() as tape:
+        p = {k: tape.param(v, k) for k, v in params.items()}
+        de.backward_pass(model.objective(p, ds.X_train, ds.y_train, 200, 10,
+                                         rd.RngStream(123), 1.0))
+    per_objective = len(philox)
+    rec = model.evaluate(params, ds, rd.RngStream(5), 100)     # 20 + 50 samples
+    assert spawns == []
+    states = [g.state for g in philox]
+    # every generator drew, and no member built a second one
+    assert all(st["state"]["counter"].any() for st in states)
+    assert len({tuple(st["state"]["key"]) for st in states}) == len(philox)
+    assert (per_objective, len(philox) - per_objective) == (50, 350)
+    assert (rec["elbo_samples"], rec["pred_samples"]) == (20, 50)
+
+
+def test_evaluation_records_the_sample_counts_it_used():
+    ds = gen_cubic_toy(0)
+    want = {("dgp-gi", 100): (20, 50), ("dgp-gi", 7): (7, 7), ("dwp", 60): (20, 50),
+            ("bnn-gi", 100): (20, 100), ("svgp", 100): (0, 0), ("gp", 100): (0, 0),
+            ("blr", 100): (0, 0)}
+    for (kind, n), counts in want.items():
+        model = _make_model(ExperimentConfig(model=kind, widths=(5, 5), M=10), ds)
+        rec = model.evaluate(model.init_params(), ds, rd.RngStream(0), n)
+        assert (rec["elbo_samples"], rec["pred_samples"]) == counts, kind
+    res = train_loop(_make_model(ExperimentConfig(model="dgp-gi", M=10), ds), ds,
+                     TrainConfig(steps=1, anneal_steps=1, eval_samples=200,
+                                 eval_every=1))
+    assert (res["final"]["elbo_samples"], res["final"]["pred_samples"]) == (20, 50)
 
 
 def test_bnn_scale_prior_offsets_are_learned():

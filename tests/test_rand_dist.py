@@ -26,6 +26,114 @@ def test_stream_determinism_and_split_independence():
     assert abs(np.corrcoef(x1, x2)[0, 1]) < 0.1
 
 
+# Streams hold SeedSequence pools as arrays; numpy's SeedSequence.spawn and
+# Generator(Philox(ss)) are the reference every draw must equal bitwise.
+ROOT_ENTROPIES = [0, 7, (1 << 64) + 12345, (1 << 130) + 3]
+
+
+def _ref_draws(gen):
+    return gen.standard_gamma(np.array([0.5, 3.0])), gen.normal(size=(2, 3))
+
+
+def _draws(stream):
+    return stream.standard_gamma(np.array([0.5, 3.0])), stream.normal((2, 3))
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def _ref_gen(ss):
+    return np.random.Generator(np.random.Philox(ss))
+
+
+@pytest.mark.parametrize("entropy", ROOT_ENTROPIES)
+@pytest.mark.parametrize("spawn_key", [(), (1 << 20, 3)])
+def test_random_split_trees_draw_what_seedsequence_philox_draws(entropy, spawn_key):
+    choose = np.random.default_rng(entropy % 1000 + len(spawn_key))
+    for _ in range(12):
+        ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+        st = rd.RngStream(np.random.SeedSequence(entropy, spawn_key=spawn_key))
+        for _ in range(choose.integers(0, 6)):          # depth 0 to 5
+            for _ in range(choose.integers(0, 3)):      # earlier splits advance the counter
+                n = int(choose.integers(1, 4))
+                ss.spawn(n), st.split(n)
+            n = int(choose.integers(1, 5))
+            i = int(choose.integers(0, n))
+            ss, st = ss.spawn(n)[i], st.split(n)[i]
+        # one member's state continues from its gamma draw into its normal draw
+        _assert_same(_draws(st), _ref_draws(_ref_gen(ss)))
+
+
+def test_int_roots_and_training_roots_match_their_seedsequence():
+    for seed in (0, 5, 2**40):
+        _assert_same(_draws(rd.RngStream(seed)),
+                     _ref_draws(_ref_gen(np.random.SeedSequence(seed))))
+    for step in (0, 17):
+        ss = np.random.SeedSequence(entropy=3, spawn_key=(1 << 20, step))
+        st = rd.RngStream(np.random.SeedSequence(entropy=3, spawn_key=(1 << 20, step)))
+        assert np.array_equal(st.permutation(50), _ref_gen(ss).permutation(50))
+        _assert_same(_draws(st.split(2)[1]), _ref_draws(_ref_gen(ss.spawn(2)[1])))
+    # a root that has already spawned continues its counter
+    ss = np.random.SeedSequence(9, n_children_spawned=4)
+    child = rd.RngStream(np.random.SeedSequence(9, n_children_spawned=4)).split(1)[0]
+    _assert_same(_draws(child), _ref_draws(_ref_gen(ss.spawn(1)[0])))
+
+
+def test_repeated_splits_on_one_stream_advance_its_spawn_counter():
+    ss, st = np.random.SeedSequence(11), rd.RngStream(11)
+    for n in (2, 1, 3):
+        for ref, got in zip(ss.spawn(n), st.split(n)):
+            _assert_same(_draws(got), _ref_draws(_ref_gen(ref)))
+    kids = [r.spawn(2) for r in ss.spawn(2)]
+    for i, got in enumerate(st.split_batch(2).split(2)):
+        want = np.stack([_ref_gen(pair[i]).normal(size=3) for pair in kids])
+        assert np.array_equal(got.normal(3), want)
+
+
+def test_nested_batches_of_independent_roots_match_seedsequence():
+    def roots(make):
+        return [make(np.random.SeedSequence(e)) for e in ROOT_ENTROPIES] + [
+            make(np.random.SeedSequence(2, spawn_key=(1 << 20, 5)))]
+    seqs, batch = roots(lambda ss: ss), rd.StreamBatch(roots(rd.RngStream))
+    first = batch.split(2)                       # advances every member's counter
+    got = _draws(batch.split_batch(3).split_batch(2))
+    assert got[0].shape == (5, 3, 2, 2) and got[1].shape == (5, 3, 2, 2, 3)
+    firsts = [ss.spawn(2)[1] for ss in seqs]
+    leaves = [[_ref_draws(_ref_gen(leaf)) for kid in ss.spawn(3) for leaf in kid.spawn(2)]
+              for ss in seqs]
+    for k in range(2):
+        want = np.stack([[d[k] for d in row] for row in leaves]).reshape(got[k].shape)
+        assert np.array_equal(got[k], want)
+    assert np.array_equal(first[1].normal(4),
+                          np.stack([_ref_gen(ss).normal(size=4) for ss in firsts]))
+
+
+def test_a_batch_continues_the_draws_of_a_stream_that_already_drew():
+    st, ref = rd.RngStream(4), _ref_gen(np.random.SeedSequence(4))
+    assert np.array_equal(st.normal(3), ref.normal(size=3))
+    batch = rd.StreamBatch([st, rd.RngStream(6)])
+    got = batch.normal(2)
+    assert np.array_equal(got[0], ref.normal(size=2))
+    assert np.array_equal(got[1], _ref_gen(np.random.SeedSequence(6)).normal(size=2))
+
+
+def test_streams_reject_what_the_pool_path_cannot_reproduce():
+    with pytest.raises(ValueError, match="pool_size"):
+        rd.RngStream(np.random.SeedSequence(0, pool_size=8))
+    last = rd.RngStream(np.random.SeedSequence(0, n_children_spawned=2**32 - 2))
+    kids = last.split(2)                          # spawn indices 2**32 - 2 and 2**32 - 1
+    ref = np.random.SeedSequence(0, spawn_key=(2**32 - 1,))   # what spawn would build
+    assert np.array_equal(kids[1].normal(3), _ref_gen(ref).normal(size=3))
+    for make in (lambda: last.split(1), lambda: last.split_batch(1),
+                 lambda: rd.RngStream(np.random.SeedSequence(
+                     0, n_children_spawned=2**32 - 1)).split(2),
+                 lambda: rd.StreamBatch([rd.RngStream(0), last]).split_batch(3)):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            make()
+
+
 # -- gaussian sampling -----------------------------------------------------------
 
 def test_gaussian_sample_zero_chol_returns_mean():
