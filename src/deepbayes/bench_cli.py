@@ -18,7 +18,7 @@ from . import rand_dist as rd
 from .diff_engine import as_tensor
 from .dwp import _chol_from_raw
 from .kernels import KernelParams, se_ard_features
-from .train import TrainConfig, train_loop
+from .train import TrainConfig, _is_int, check_count, train_loop
 
 __all__ = ["Dataset", "ExperimentConfig", "ExperimentResult",
            "gen_cubic_toy", "gen_deep_linear", "load_csv", "run_experiment",
@@ -93,8 +93,9 @@ def gen_deep_linear(seed=0) -> Dataset:
 
 
 def load_csv(path, seed=0, test_fraction=0.1) -> Dataset:
-    """Comma-separated numeric file with a header row; last column is the
-    target. 90/10 train/test split by seeded shuffle; normalization from the
+    """Comma-separated numeric file with a header row and at least two data
+    rows of finite numbers; last column is the target. 90/10 train/test split
+    by seeded shuffle, with at least one test row; normalization from the
     training rows only."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -116,11 +117,16 @@ def load_csv(path, seed=0, test_fraction=0.1) -> Dataset:
                 vals.append(float(cell))
             except ValueError:
                 raise ValueError(f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}")
+            if not np.isfinite(vals[-1]):
+                raise ValueError(f"{path}: non-finite cell at row {r}, column {c}: {cell!r}")
         rows.append(vals)
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows (one to train, one to test), "
+                         f"got {len(rows)}")
     data = np.asarray(rows, dtype=np.float64)
     n = data.shape[0]
     perm = np.random.default_rng(seed).permutation(n)
-    n_te = max(1, int(round(n * test_fraction))) if n > 1 else 0
+    n_te = max(1, int(round(n * test_fraction)))
     te, tr = perm[:n_te], perm[n_te:]
     return _normalize(data[tr, :-1], data[tr, -1], data[te, :-1], data[te, -1])
 
@@ -515,7 +521,10 @@ class ExperimentConfig:
         """Build from a parsed config; unknown keys, top-level or under
         `train`, raise a ValueError that lists the valid ones, and so does a
         model key (depth, widths, M, prior) that the chosen model ignores, or
-        a depth or M below 1 for a model that reads it."""
+        a depth or M below 1 for a model that reads it. A depth, M or train
+        count that is not an integer, an lr_drop_steps that is not a list of
+        integers and a widths that is not a list of integers >= 1 raise a
+        ValueError that names the key."""
         d = dict(d)
         train = d.pop("train", None) or {}
         if "seed" in train:
@@ -530,11 +539,15 @@ class ExperimentConfig:
             raise ValueError(f"model {cfg.model!r} does not read config key(s) {ignored}; "
                              f"it reads {list(reads)}")
         for key in ("depth", "M"):
+            check_count(f"config key {key!r}", getattr(cfg, key))
             if key in _MODEL_KEYS_READ.get(cfg.model, ()) and getattr(cfg, key) < 1:
                 raise ValueError(f"config key {key!r} must be at least 1 for model "
                                  f"{cfg.model!r}, got {getattr(cfg, key)}")
-        if isinstance(cfg.widths, list):
-            cfg.widths = tuple(cfg.widths)
+        if not (isinstance(cfg.widths, (list, tuple))
+                and all(_is_int(w) and w >= 1 for w in cfg.widths)):
+            raise ValueError(f"config key 'widths' must be a list of integers >= 1, "
+                             f"got {cfg.widths!r}")
+        cfg.widths = tuple(cfg.widths)
         return cfg
 
 
@@ -677,6 +690,16 @@ def _quick_checks() -> int:
     S = np.eye(3)
     check("Wishart log density matches reference",
           abs(rd.wishart_log_density(G, S, 5.0).value - sw.logpdf(G, 5, S)) < 1e-8)
+
+    # one kernel node over four operands, whose VJP returns all their cotangents
+    wts = rng.standard_normal((4, 3))
+    rep = de.finite_diff_check(
+        lambda ps: de.tsum(de.mul(se_ard_features(
+            KernelParams(log_sf2=ps[0], log_lengthscales=ps[1]), ps[2], ps[3]), wts)),
+        [np.asarray(0.3), np.array([0.1, -0.2]), rng.standard_normal((4, 2)),
+         rng.standard_normal((3, 2))])
+    check("SE kernel gradient (sf2, lengthscales, both inputs) vs finite differences",
+          rep["passed"])
     return 1 if failures else 0
 
 

@@ -1,8 +1,9 @@
 """Dense f64 linear algebra with reverse-mode differentiation on a tape.
 
-All tensors are numpy float64 arrays wrapped in DiffTensor. Operations
-record vector-Jacobian closures on the active Tape; backward_pass walks the
-tape in reverse creation order exactly once.
+All tensors are numpy float64 arrays wrapped in DiffTensor. Each operation
+records one vector-Jacobian closure on the active Tape, which maps the output
+cotangent to the cotangents of all its operands at once; backward_pass walks
+the tape in reverse creation order exactly once.
 
 Matrix ops (matmul, transpose, diag_part, add_diagonal, log_diag_sum,
 cholesky_factor, triangular_solve, logdet_psd) act on the last two axes and
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 __all__ = [
-    "Tape", "DiffTensor", "as_tensor", "lift", "shared_cotangent",
+    "Tape", "DiffTensor", "as_tensor", "lift",
     "matmul", "add", "sub", "mul", "div", "neg", "transpose", "tsum",
     "elementwise", "cholesky_factor", "triangular_solve", "logdet_psd",
     "log_diag_sum", "diag_part", "add_diagonal", "diag_embed", "concat", "reshape",
@@ -58,15 +59,16 @@ class Tape:
 class DiffTensor:
     """Dense real matrix/vector with a gradient slot on a recording tape."""
 
-    __slots__ = ("value", "name", "grad", "_tape", "_parents", "_factor")
+    __slots__ = ("value", "name", "grad", "_tape", "_parents", "_vjp", "_factor")
 
-    def __init__(self, value, tape=None, name=None, parents=None, source="constant"):
+    def __init__(self, value, tape=None, name=None, parents=(), vjp=None, source="constant"):
         self.value = np.asarray(value, dtype=np.float64)
         _check_finite(self.value, source)
         self.name = name
         self.grad = None
         self._tape = tape
-        self._parents = parents or []
+        self._parents = parents     # (tracked operand, its position among the op's operands)
+        self._vjp = vjp
         self._factor = None     # the _Factor of a cholesky_factor output
 
     @property
@@ -129,48 +131,23 @@ def as_tensor(x) -> DiffTensor:
     return DiffTensor(x)
 
 
-def lift(value, parents, op: str) -> DiffTensor:
+def lift(value, parents, vjp, op: str) -> DiffTensor:
     """Create a tensor from a custom op.
 
-    parents: list of (tensor, vjp) pairs, vjp mapping the output cotangent to
-    the parent cotangent.  Untracked parents are dropped; the output is
-    tracked iff a tape is active and some parent is tracked. op names the op
-    in the error raised for a non-finite output.
+    parents: the op's operands; vjp(g) maps the output cotangent g to one
+    cotangent per operand, in operand order, so work the operands' cotangents
+    share runs once. The node keeps only its tracked operands, each with its
+    position; the output is tracked iff a tape is active and some operand is
+    tracked. op names the op in the error raised for a non-finite output.
     """
     tape = _ACTIVE[-1] if _ACTIVE else None
     kept = [] if tape is None else [
-        (p, f) for p, f in parents if isinstance(p, DiffTensor) and p._tape is not None]
+        (p, k) for k, p in enumerate(parents) if isinstance(p, DiffTensor) and p._tape is not None]
     out = DiffTensor(value, tape=tape if kept else None, parents=kept,
-                     source=f"output of op {op!r}")
+                     vjp=vjp if kept else None, source=f"output of op {op!r}")
     if kept:
         tape._record(out)
     return out
-
-
-_FILLED: list[list] = []   # shared_cotangent memos filled since backward_pass last released them
-
-
-def shared_cotangent(fn):
-    """Memoise fn(g) across the parents of one node: backward_pass hands each
-    parent's vjp the same cotangent object in turn, so work they share (such
-    as a fused op's cotangent of an intermediate) runs once per node.
-    backward_pass empties the memo once it has passed the node, so neither
-    the cotangent nor fn's result outlives that visit."""
-    last = [None, None]
-
-    def cached(g):
-        if last[0] is not g:
-            last[0], last[1] = g, fn(g)
-            _FILLED.append(last)
-        return last[1]
-
-    return cached
-
-
-def _release_shared():
-    while _FILLED:
-        memo = _FILLED.pop()
-        memo[0] = memo[1] = None
 
 
 def _mT(x):
@@ -197,36 +174,29 @@ def matmul(a, b) -> DiffTensor:
     if av.ndim == 2 and bv.ndim == 1:
         if av.shape[1] != bv.shape[0]:
             raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-        return lift(av @ bv, [(a, lambda g: np.outer(g, bv)),
-                              (b, lambda g: av.T @ g)], "matmul")
+        return lift(av @ bv, (a, b), lambda g: (np.outer(g, bv), av.T @ g), "matmul")
     if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-    return lift(av @ bv, [(a, lambda g: _unbroadcast(g @ _mT(bv), av.shape)),
-                          (b, lambda g: _unbroadcast(_mT(av) @ g, bv.shape))], "matmul")
+    return lift(av @ bv, (a, b), lambda g: (_unbroadcast(g @ _mT(bv), av.shape),
+                                            _unbroadcast(_mT(av) @ g, bv.shape)), "matmul")
 
 
 def add(a, b) -> DiffTensor:
     a, b = as_tensor(a), as_tensor(b)
-    return lift(a.value + b.value, [
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(g, b.value.shape)),
-    ], "add")
+    return lift(a.value + b.value, (a, b), lambda g: (
+        _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)), "add")
 
 
 def sub(a, b) -> DiffTensor:
     a, b = as_tensor(a), as_tensor(b)
-    return lift(a.value - b.value, [
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(-g, b.value.shape)),
-    ], "sub")
+    return lift(a.value - b.value, (a, b), lambda g: (
+        _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)), "sub")
 
 
 def mul(a, b) -> DiffTensor:
     a, b = as_tensor(a), as_tensor(b)
-    return lift(a.value * b.value, [
-        (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-        (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
-    ], "mul")
+    return lift(a.value * b.value, (a, b), lambda g: (
+        _unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)), "mul")
 
 
 def div(a, b) -> DiffTensor:
@@ -235,14 +205,14 @@ def div(a, b) -> DiffTensor:
 
 def neg(a) -> DiffTensor:
     a = as_tensor(a)
-    return lift(-a.value, [(a, lambda g: -g)], "neg")
+    return lift(-a.value, (a,), lambda g: (-g,), "neg")
 
 
 def transpose(a) -> DiffTensor:
     """Swap the last two axes: the transpose of a matrix or of each matrix in
     a stack."""
     a = as_tensor(a)
-    return lift(_mT(a.value), [(a, _mT)], "transpose")
+    return lift(_mT(a.value), (a,), lambda g: (_mT(g),), "transpose")
 
 
 def tsum(a, axis=None, keepdims=False) -> DiffTensor:
@@ -253,14 +223,14 @@ def tsum(a, axis=None, keepdims=False) -> DiffTensor:
         g = np.asarray(g, dtype=np.float64)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.value.shape).copy()
+        return (np.broadcast_to(g, a.value.shape).copy(),)
 
-    return lift(val, [(a, vjp)], "tsum")
+    return lift(val, (a,), vjp, "tsum")
 
 
 def reshape(a, shape) -> DiffTensor:
     a = as_tensor(a)
-    return lift(a.value.reshape(shape), [(a, lambda g: g.reshape(a.value.shape))], "reshape")
+    return lift(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),), "reshape")
 
 
 def getitem(a, idx) -> DiffTensor:
@@ -276,24 +246,21 @@ def getitem(a, idx) -> DiffTensor:
             out[idx] = g
         else:
             np.add.at(out, idx, g)
-        return out
+        return (out,)
 
-    return lift(a.value[idx], [(a, vjp)], "getitem")
+    return lift(a.value[idx], (a,), vjp, "getitem")
 
 
 def concat(parts, axis=0) -> DiffTensor:
     parts = [as_tensor(p) for p in parts]
     val = np.concatenate([p.value for p in parts], axis=axis)
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.value.shape[axis] for p in parts])
+    lead = (slice(None),) * (axis % val.ndim)
 
-    def make_vjp(i):
-        sl = [slice(None)] * val.ndim
-        sl[axis] = slice(offsets[i], offsets[i + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
+    def vjp(g):
+        return [g[lead + (slice(lo, hi),)] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
-    return lift(val, [(p, make_vjp(i)) for i, p in enumerate(parts)], "concat")
+    return lift(val, parts, vjp, "concat")
 
 
 def diag_part(a) -> DiffTensor:
@@ -304,9 +271,9 @@ def diag_part(a) -> DiffTensor:
     def vjp(g):
         out = np.zeros_like(a.value)
         out[..., i, i] = g
-        return out
+        return (out,)
 
-    return lift(np.diagonal(a.value, axis1=-2, axis2=-1).copy(), [(a, vjp)], "diag_part")
+    return lift(np.diagonal(a.value, axis1=-2, axis2=-1).copy(), (a,), vjp, "diag_part")
 
 
 def add_diagonal(a, d) -> DiffTensor:
@@ -319,8 +286,7 @@ def add_diagonal(a, d) -> DiffTensor:
     i = np.arange(min(a.value.shape[-2:]))
     out = a.value.copy()
     out[..., i, i] += d.value
-    return lift(out, [(a, lambda g: g),
-                      (d, lambda g: _unbroadcast(g[..., i, i].sum(axis=-1), d.value.shape))],
+    return lift(out, (a, d), lambda g: (g, _unbroadcast(g[..., i, i].sum(axis=-1), d.value.shape)),
                 "add_diagonal")
 
 
@@ -330,7 +296,7 @@ def diag_embed(v) -> DiffTensor:
     i = np.arange(v.value.shape[-1])
     out = np.zeros(v.value.shape + i.shape)
     out[..., i, i] = v.value
-    return lift(out, [(v, lambda g: g[..., i, i])], "diag_embed")
+    return lift(out, (v,), lambda g: (g[..., i, i],), "diag_embed")
 
 
 # -- elementwise family -----------------------------------------------------
@@ -383,7 +349,7 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
         d = val * (1.0 - val)
     else:
         raise ValueError(f"unknown elementwise tag {tag!r}")
-    return lift(val, [(x, lambda g, d=d: g * d)], tag)
+    return lift(val, (x,), lambda g: (g * d,), tag)
 
 
 # -- factorizations ---------------------------------------------------------
@@ -607,9 +573,9 @@ def cholesky_factor(s) -> DiffTensor:
         s2 = factor.solve(_mT(s1), True)
         out = s2 + _mT(s2)
         out *= 0.5
-        return out
+        return (out,)
 
-    out = lift(L, [(s, vjp)], "cholesky_factor")
+    out = lift(L, (s,), vjp, "cholesky_factor")
     out._factor = factor
     return out
 
@@ -617,7 +583,7 @@ def cholesky_factor(s) -> DiffTensor:
 def triangular_solve(l, b, trans=False) -> DiffTensor:
     """Solve l x = b (or l^T x = b when trans) for lower-triangular l: b a
     vector, a matrix or a stack of matrices, l a matrix or a stack. Both
-    parents' cotangents share one solve. Against a stack of factors from
+    operands' cotangents share one solve. Against a stack of factors from
     cholesky_factor, the forward and that solve are each one matmul with the
     factors' inverses (see _Factor); against anything else, LAPACK trtrs
     runs once per matrix."""
@@ -633,21 +599,15 @@ def triangular_solve(l, b, trans=False) -> DiffTensor:
     solve = l._factor.solve if l._factor is not None else lambda r, t: _solve_tri(lv, r, t)
     x = solve(bv[:, None] if squeeze else bv, trans)
 
-    @shared_cotangent
-    def g_rhs(g):   # cotangent of the right-hand side, before unbroadcasting
+    def vjp(g):
         _check_finite(g, "cotangent of op 'triangular_solve'")
-        return solve(g[:, None] if squeeze else g, not trans)
-
-    def vjp_b(g):
-        gb = g_rhs(g)
-        return gb[:, 0] if squeeze else _unbroadcast(gb, bv.shape)
-
-    def vjp_l(g):
-        ga = -g_rhs(g) @ _mT(x)  # cotangent to the (possibly transposed) operator
-        return _unbroadcast(np.tril(_mT(ga) if trans else ga), lv.shape)
+        gb = solve(g[:, None] if squeeze else g, not trans)   # b's, before unbroadcasting
+        ga = -gb @ _mT(x)   # cotangent to the (possibly transposed) operator
+        return (_unbroadcast(np.tril(_mT(ga) if trans else ga), lv.shape),
+                gb[:, 0] if squeeze else _unbroadcast(gb, bv.shape))
 
     val = x[:, 0] if squeeze else x
-    return lift(val, [(l, vjp_l), (b, vjp_b)], "triangular_solve")
+    return lift(val, (l, b), vjp, "triangular_solve")
 
 
 def logdet_psd(s) -> DiffTensor:
@@ -661,9 +621,9 @@ def logdet_psd(s) -> DiffTensor:
     def vjp(g):
         inv = _chol_inverse(L)
         inv *= np.asarray(g)[..., None, None]
-        return inv
+        return (inv,)
 
-    return lift(np.asarray(val), [(s, vjp)], "logdet_psd")
+    return lift(np.asarray(val), (s,), vjp, "logdet_psd")
 
 
 def log_diag_sum(a, weights=1.0) -> DiffTensor:
@@ -681,9 +641,9 @@ def log_diag_sum(a, weights=1.0) -> DiffTensor:
     def vjp(g):
         out = np.zeros_like(a.value)
         out[..., i, i] = np.asarray(g)[..., None] * w / d
-        return out
+        return (out,)
 
-    return lift(np.asarray(np.sum(w * np.log(d), axis=-1)), [(a, vjp)], "log_diag_sum")
+    return lift(np.asarray(np.sum(w * np.log(d), axis=-1)), (a,), vjp, "log_diag_sum")
 
 
 # -- backward ---------------------------------------------------------------
@@ -693,10 +653,10 @@ def backward_pass(loss: DiffTensor) -> dict:
 
     Each named tensor's gradient is stored in its .grad, as an array of its
     own, and returned in a dict mapping parameter name -> gradient; other
-    tensors get no .grad. Cotangents pass between VJPs without copies, so a
-    VJP must not write into the cotangent it is given; the walk drops each
-    one, and what its VJPs shared (shared_cotangent), once it has passed its
-    node.
+    tensors get no .grad. Each reached node's VJP runs once, and its tracked
+    operands' cotangents are added in operand order. Cotangents pass between
+    VJPs without copies, so a VJP must not write into the cotangent it is
+    given; the walk drops each one once it has passed its node.
     """
     if loss.value.size != 1:
         raise ValueError("backward_pass requires a scalar loss")
@@ -706,20 +666,20 @@ def backward_pass(loss: DiffTensor) -> dict:
     if tape._nodes is None:
         raise ValueError("backward_pass on a closed tape: call it inside the tape's with block")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
-    try:
-        for node in reversed(tape._nodes):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.name is not None:
-                node.grad = np.array(g)
-            for parent, vjp in node._parents:
-                pg = np.asarray(vjp(g), dtype=np.float64)
-                prev = grads.get(id(parent))
-                grads[id(parent)] = pg if prev is None else prev + pg
-            _release_shared()
-    finally:
-        _release_shared()
+    for node in reversed(tape._nodes):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.name is not None:
+            node.grad = np.array(g)
+        if node._vjp is None:
+            continue
+        cts = node._vjp(g)
+        for parent, k in node._parents:
+            pg = np.asarray(cts[k], dtype=np.float64)
+            prev = grads.get(id(parent))
+            grads[id(parent)] = pg if prev is None else prev + pg
+        del cts     # an untracked operand's cotangent is dropped before the next VJP runs
     out = {}
     for node in tape._nodes:
         if node.name is not None and node.grad is not None:

@@ -192,8 +192,7 @@ def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
     val, w = rd._gaussian_fit(L, y.value)
     consumed = []
 
-    @de.shared_cotangent
-    def back(g):    # cotangents of y (as alpha), s2, sf2 and the scaled inputs
+    def vjp(g):
         de._check_finite(g, f"cotangent of op {_EXACT_LML!r}")
         if consumed:
             raise RuntimeError(f"op {_EXACT_LML!r} consumed its factor in an earlier "
@@ -205,15 +204,9 @@ def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
         W = de._mT(W)       # the same symmetric matrix, C-ordered like K
         W *= K
         g_sf2, (gXs,) = se.backward(W)
-        return alpha, g_s2, g_sf2, gXs
+        return g_sf2, se.g_ls((gXs,)), g_s2, gXs * se.r, -g * alpha
 
-    return de.lift(np.asarray(val), [
-        (se.sf2, lambda g: back(g)[2]),
-        (se.ls, lambda g: se.g_ls((back(g)[3],))),
-        (s2, lambda g: back(g)[1]),
-        (X, lambda g: back(g)[3] * se.r),
-        (y, lambda g: -g * back(g)[0]),
-    ], _EXACT_LML)
+    return de.lift(np.asarray(val), (se.sf2, se.ls, s2, X, y), vjp, _EXACT_LML)
 
 
 def prop31_check(state: GpState, X, y):

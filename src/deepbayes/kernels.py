@@ -126,15 +126,12 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
     X2 = X if X2 is None else as_tensor(X2)
     se = _SeArd(params, X, X2)
 
-    @de.shared_cotangent
-    def back(g):    # cotangents of sf2 and of the scaled inputs
-        return se.backward(g * se.K)
+    def vjp(g):
+        g_sf2, gs = se.backward(g * se.K)   # cotangents of sf2 and of the scaled inputs
+        return (g_sf2, se.g_ls(gs), *(gx * se.r for gx in gs))
 
-    parents = [(se.sf2, lambda g: back(g)[0]), (se.ls, lambda g: se.g_ls(back(g)[1])),
-               (X, lambda g: back(g)[1][0] * se.r)]
-    if not se.same:
-        parents.append((X2, lambda g: back(g)[1][1] * se.r))
-    return de.lift(se.K, parents, "se_kernel")
+    parents = (se.sf2, se.ls, X) if se.same else (se.sf2, se.ls, X, X2)
+    return de.lift(se.K, parents, vjp, "se_kernel")
 
 
 def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
@@ -171,21 +168,16 @@ def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
     d2 *= inv_l2
     K = sf2.value * np.exp(-0.5 * d2)
 
-    @de.shared_cotangent
-    def back(g):    # cotangents of sf2, of d2 / l^2 and of d2 (times scale)
-        g_sf2, Q = _se_cotangent(g * K, neg, sf2.value)
-        return g_sf2, Q, Q * (float(scale) * inv_l2)
-
     def unb(x, t):
         return de._unbroadcast(x, t.value.shape)
 
-    return de.lift(K, [
-        (sf2, lambda g: back(g)[0]),
-        (ls, lambda g: de._unbroadcast(-2.0 * np.sum(back(g)[1] * d2) / ls.value, ls.value.shape)),
-        (rows, lambda g: unb(back(g)[2].sum(axis=-1), rows)),
-        (cross, lambda g: unb(-2.0 * back(g)[2], cross)),
-        (cols, lambda g: unb(back(g)[2].sum(axis=-2), cols)),
-    ], "se_kernel")
+    def vjp(g):
+        g_sf2, Q = _se_cotangent(g * K, neg, sf2.value)    # Q: cotangent of d2 / l^2
+        gd = Q * (float(scale) * inv_l2)    # cotangent of d2, times scale
+        return (g_sf2, unb(-2.0 * np.sum(Q * d2) / ls.value, ls), unb(gd.sum(axis=-1), rows),
+                unb(-2.0 * gd, cross), unb(gd.sum(axis=-2), cols))
+
+    return de.lift(K, (sf2, ls, rows, cross, cols), vjp, "se_kernel")
 
 
 def _se_kdiag(params: KernelParams, sf2, n: int) -> DiffTensor:

@@ -244,8 +244,8 @@ def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
     dF_da = (spec.gammainc(av + h, x) - spec.gammainc(np.maximum(av - h, 1e-12), x)) / (2 * h)
     logpdf = (av - 1.0) * np.log(x) - x - spec.gammaln(av)
     dg_da = -dF_da / np.exp(logpdf)
-    return lift(z, [(beta, lambda gr: de._unbroadcast(gr * (-z / bv), bv.shape)),
-                    (alpha, lambda gr: de._unbroadcast(gr * dg_da / bv, av.shape))],
+    return lift(z, (beta, alpha), lambda gr: (de._unbroadcast(gr * (-z / bv), bv.shape),
+                                              de._unbroadcast(gr * dg_da / bv, av.shape)),
                 "gamma_sample")
 
 
@@ -253,7 +253,7 @@ def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
 
 def lgamma(x) -> DiffTensor:
     x = as_tensor(x)
-    return lift(spec.gammaln(x.value), [(x, lambda g: g * spec.digamma(x.value))], "lgamma")
+    return lift(spec.gammaln(x.value), (x,), lambda g: (g * spec.digamma(x.value),), "lgamma")
 
 
 def _multigammaln(a: float, d: int) -> float:
@@ -275,18 +275,13 @@ def normal_log_density(x, mean, var, event_ndim=None) -> DiffTensor:
     axes = None if event_ndim is None else tuple(range(-event_ndim, 0))
     val = np.sum(-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI), axis=axes)
 
-    def per_element(g):     # a per-sample cotangent against its elements
-        return g if axes is None else np.expand_dims(g, axes)
+    def vjp(g):
+        ge = g if axes is None else np.expand_dims(g, axes)     # against each element
+        dr = ge * d * r     # cotangent of the mean
+        return (de._unbroadcast(-dr, x.value.shape), de._unbroadcast(dr, mean.value.shape),
+                de._unbroadcast(0.5 * (dr * d * r - ge * r), v.shape))
 
-    @de.shared_cotangent
-    def dr(g):      # cotangent of the mean
-        return per_element(g) * d * r
-
-    return lift(val, [
-        (x, lambda g: de._unbroadcast(-dr(g), x.value.shape)),
-        (mean, lambda g: de._unbroadcast(dr(g), mean.value.shape)),
-        (var, lambda g: de._unbroadcast(0.5 * (dr(g) * d * r - per_element(g) * r), v.shape)),
-    ], "normal_log_density")
+    return lift(val, (x, mean, var), vjp, "normal_log_density")
 
 
 def _gaussian_fit(L: np.ndarray, r: np.ndarray):
@@ -324,16 +319,13 @@ def mvn_log_density(y, mean, cov, chol=None) -> DiffTensor:
         L = as_tensor(chol).value
     val, w = _gaussian_fit(L, y.value - mean.value)
 
-    @de.shared_cotangent
-    def alpha(g):       # L^{-T} w, solved once per cotangent
+    def vjp(g):
         de._check_finite(g, "cotangent of op 'mvn_log_density'")
-        return de._solve_tri(L, w[:, None], True)[:, 0]
+        alpha = de._solve_tri(L, w[:, None], True)[:, 0]    # L^{-T} w
+        return (-g * alpha, de._unbroadcast(g * alpha, mean.value.shape),
+                _gaussian_cov_cotangent(L, alpha, g))
 
-    return lift(np.asarray(val), [
-        (y, lambda g: -g * alpha(g)),
-        (mean, lambda g: de._unbroadcast(g * alpha(g), mean.value.shape)),
-        (cov, lambda g: _gaussian_cov_cotangent(L, alpha(g), g)),
-    ], "mvn_log_density")
+    return lift(np.asarray(val), (y, mean, cov), vjp, "mvn_log_density")
 
 
 # -- Wishart / inverse-Wishart densities ----------------------------------------
@@ -384,14 +376,13 @@ def _wishart_log_density_root(F, Ls, nu, ld_block) -> DiffTensor:
            + (-0.5 * np.sum(Z.value * Z.value, axis=(-2, -1))))
     i = np.arange(N)
 
-    def g_ls(g):
-        out = np.zeros(np.broadcast_shapes(Ls.value.shape, np.shape(g) + (1, 1)))
-        out[..., i, i] = -nu * np.asarray(g)[..., None] / d
-        return de._unbroadcast(out, Ls.value.shape)
+    def vjp(g):
+        g_ls = np.zeros(np.broadcast_shapes(Ls.value.shape, np.shape(g) + (1, 1)))
+        g_ls[..., i, i] = -nu * np.asarray(g)[..., None] / d
+        return (-np.asarray(g)[..., None, None] * Z.value, de._unbroadcast(g_ls, Ls.value.shape),
+                de._unbroadcast(c_ld * g, ld_block.value.shape))
 
-    return lift(val, [(Z, lambda g: -np.asarray(g)[..., None, None] * Z.value), (Ls, g_ls),
-                      (ld_block, lambda g: de._unbroadcast(c_ld * g, ld_block.value.shape))],
-                "wishart_log_density")
+    return lift(val, (Z, Ls, ld_block), vjp, "wishart_log_density")
 
 
 def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
@@ -520,10 +511,9 @@ def _bartlett_root(tsq, mu, sigma, below, xi) -> DiffTensor:
     T = (mu.value + sigma.value * xi) * below
     i = np.arange(below.shape[1])
     T[..., i, i] += tdiag
-    return lift(T, [(tsq, lambda g: g[..., i, i] * (0.5 / tdiag)),
-                    (mu, lambda g: de._unbroadcast(g * below, below.shape)),
-                    (sigma, lambda g: de._unbroadcast(g * below * xi, below.shape))],
-                "bartlett_root")
+    return lift(T, (tsq, mu, sigma), lambda g: (
+        g[..., i, i] * (0.5 / tdiag), de._unbroadcast(g * below, below.shape),
+        de._unbroadcast(g * below * xi, below.shape)), "bartlett_root")
 
 
 def _bartlett_logq(tsq, T, alpha, beta, mu, sigma, below, w_t, const, scale_logq) -> DiffTensor:
@@ -541,26 +531,18 @@ def _bartlett_logq(tsq, T, alpha, beta, mu, sigma, below, w_t, const, scale_logq
            + np.sum(below * (-0.5 * (np.log(v) + (d * d) * r) + (-0.5 * LOG2PI)), axis=(-2, -1))
            + const.value + scale_logq.value)
 
-    def vec(g):     # one sample's cotangent against its vector and matrix terms
-        return np.asarray(g)[..., None]
-
-    def mat(g):
-        return np.asarray(g)[..., None, None]
-
     def unb(x, t):
         return de._unbroadcast(x, t.value.shape)
 
-    parents = [
-        (tsq, lambda g: vec(g) * (am1 / ts - bv - 0.5 * w_t / ts)),
-        (alpha, lambda g: unb(vec(g) * lt, alpha)),
-        (beta, lambda g: unb(-vec(g) * ts, beta)),
-        (T, lambda g: -mat(g) * d * r),
-        (mu, lambda g: unb(mat(g) * d * r, mu)),
-        (sigma, lambda g: unb(mat(g) * below * (d * d * r - 1.0) / sg, sigma)),
-        (const, lambda g: unb(g, const)),
-        (scale_logq, lambda g: unb(g, scale_logq)),
-    ]
-    return lift(val, parents, "gwish_logq")
+    def vjp(g):
+        vec = np.asarray(g)[..., None]  # one sample's cotangent against its vector terms
+        mat = np.asarray(g)[..., None, None]    # and against its matrix terms
+        return (vec * (am1 / ts - bv - 0.5 * w_t / ts), unb(vec * lt, alpha),
+                unb(-vec * ts, beta), -mat * d * r, unb(mat * d * r, mu),
+                unb(mat * below * (d * d * r - 1.0) / sg, sigma), unb(g, const),
+                unb(g, scale_logq))
+
+    return lift(val, (tsq, alpha, beta, T, mu, sigma, const, scale_logq), vjp, "gwish_logq")
 
 
 def gwish_sample_and_logpdf(L, nu, alpha, beta, mu, sigma, rng: RngStream,
@@ -667,9 +649,9 @@ def gaussian_conditional(L, K_uf, k_ff):
     """
     W = de.triangular_solve(L, K_uf)
     k_ff = as_tensor(k_ff)
-    var = lift(k_ff.value - np.sum(W.value * W.value, axis=-2), [
-        (k_ff, lambda g: de._unbroadcast(g, k_ff.value.shape)),
-        (W, lambda g: np.expand_dims(-2.0 * g, -2) * W.value)], "conditional_variance")
+    var = lift(k_ff.value - np.sum(W.value * W.value, axis=-2), (k_ff, W), lambda g: (
+        de._unbroadcast(g, k_ff.value.shape), np.expand_dims(-2.0 * g, -2) * W.value),
+        "conditional_variance")
     return W, var
 
 
@@ -701,14 +683,14 @@ def conditional_sample(mean, var, rng) -> DiffTensor:
     xi = rng.normal(mean.value.shape[-2:] if rowwise else mean.value.shape[-1:])
     rows = std[..., None] if rowwise else std
 
-    def g_var(g):
+    def vjp(g):
         gs = g * xi
         if rowwise:
             gs = gs.sum(axis=-1)
-        return de._unbroadcast(gs * (0.5 / std) * pos, var.value.shape)
+        return (de._unbroadcast(g, mean.value.shape),
+                de._unbroadcast(gs * (0.5 / std) * pos, var.value.shape))
 
-    return lift(mean.value + rows * xi, [(mean, lambda g: de._unbroadcast(g, mean.value.shape)),
-                                         (var, g_var)], "conditional_sample")
+    return lift(mean.value + rows * xi, (mean, var), vjp, "conditional_sample")
 
 
 def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i):
@@ -751,7 +733,7 @@ def kl_divergences(variant: str, q, p) -> DiffTensor:
         if np.any(aq.value <= 0) or np.any(bq.value <= 0) or \
            np.any(ap.value <= 0) or np.any(bp.value <= 0):
             raise ValueError("gamma parameters must be positive")
-        dig = lift(spec.digamma(aq.value), [(aq, lambda g: g * spec.polygamma(1, aq.value))],
+        dig = lift(spec.digamma(aq.value), (aq,), lambda g: (g * spec.polygamma(1, aq.value),),
                    "digamma")
         out = de.mul(de.sub(aq, ap), dig)
         out = de.add(out, de.sub(lgamma(ap), lgamma(aq)))

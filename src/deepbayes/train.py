@@ -13,6 +13,16 @@ __all__ = ["TrainConfig", "AdamState", "adam_step", "kl_anneal_factor",
            "train_loop"]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def check_count(key: str, v):
+    """Raise a ValueError naming config key `key` unless v is an integer."""
+    if not _is_int(v):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+
+
 @dataclass
 class TrainConfig:
     steps: int = 20000
@@ -28,6 +38,13 @@ class TrainConfig:
     clip_norm: float = 100.0
 
     def __post_init__(self):
+        for key in ("steps", "anneal_steps", "train_samples", "eval_samples", "eval_every"):
+            check_count(key, getattr(self, key))
+        if self.batch_size is not None:
+            check_count("batch_size", self.batch_size)
+        if not (isinstance(self.lr_drop_steps, (list, tuple))
+                and all(_is_int(s) for s in self.lr_drop_steps)):
+            raise ValueError(f"lr_drop_steps must be a list of integers, got {self.lr_drop_steps!r}")
         if self.steps <= 0:
             raise ValueError("steps must be positive")
         if self.anneal_steps > self.steps:

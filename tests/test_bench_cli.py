@@ -95,6 +95,16 @@ def test_load_csv_error_messages(tmp_path):
     path = _write_csv(tmp_path, "", name="d4.csv")
     with pytest.raises(ValueError, match="empty"):
         load_csv(path)
+    # a header alone, or one data row, leaves no training or no test split
+    for name, text in [("d5.csv", "a,b\n"), ("d6.csv", "a,b\n1.0,2.0\n")]:
+        path = _write_csv(tmp_path, text, name=name)
+        with pytest.raises(ValueError, match=rf"{name}: need at least 2 data rows"):
+            load_csv(path)
+    # float() reads these, but normalisation would turn their column NaN
+    for k, cell in enumerate(["nan", "inf", "-Infinity"]):
+        path = _write_csv(tmp_path, f"a,b\n1.0,2.0\n3.0,4.0\n{cell},5.0\n", name=f"e{k}.csv")
+        with pytest.raises(ValueError, match=rf"e{k}.csv: non-finite cell at row 4, column 1"):
+            load_csv(path)
 
 
 def test_denormalization_round_trip(tmp_path):
@@ -156,6 +166,22 @@ def test_experiment_config_rejects_depth_and_M_below_one(model, key, value):
     with pytest.raises(ValueError, match=rf"config key '{key}' must be at least 1 "
                                          rf"for model '{model}', got {value}"):
         ExperimentConfig.from_dict({"model": model, key: value})
+
+
+@pytest.mark.parametrize("given,key", [
+    ({"train": {"lr_drop_steps": 5000}}, "lr_drop_steps"),
+    ({"train": {"lr_drop_steps": [5000.0]}}, "lr_drop_steps"),
+    ({"train": {"steps": 2.5}}, "steps"), ({"train": {"batch_size": 0.5}}, "batch_size"),
+    ({"train": {"anneal_steps": "10"}}, "anneal_steps"),
+    ({"train": {"train_samples": True}}, "train_samples"),
+    ({"train": {"eval_samples": 10.0}}, "eval_samples"),
+    ({"train": {"eval_every": None}}, "eval_every"),
+    ({"model": "dgp-gi", "depth": 2.0}, "depth"), ({"model": "svgp", "M": "20"}, "M"),
+    ({"model": "bnn-gi", "widths": 50}, "widths"), ({"model": "bnn-gi", "widths": [0, 5]}, "widths"),
+    ({"model": "bnn-fac", "widths": [5, 2.5]}, "widths")])
+def test_experiment_config_rejects_values_of_the_wrong_type(given, key):
+    with pytest.raises(ValueError, match=rf"{key}'? must be (an integer|a list of integers)"):
+        ExperimentConfig.from_dict({"model": "blr", **given})
 
 
 def test_experiment_config_rejects_train_seed():
@@ -501,6 +527,8 @@ def test_cli_check_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "FAIL" not in out
+    assert ("PASS  SE kernel gradient (sf2, lengthscales, both inputs) vs finite differences"
+            in out.splitlines())
 
 
 def test_cli_toy_writes_dataset(tmp_path, capsys):

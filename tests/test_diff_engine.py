@@ -222,6 +222,60 @@ def test_gradient_accumulates_over_reuse():
     assert np.isclose(grads["x"], 7.0)
 
 
+def test_node_keeps_only_its_tracked_operands():
+    # a constant operand is no edge of the tape (what tape_edges counts) and
+    # gets no gradient; the tracked one keeps its position among the operands
+    c = np.arange(6.0).reshape(3, 2)
+    with de.Tape() as t:
+        p = t.param(np.ones((2, 3)), "p")
+        const = de.as_tensor(np.full((2, 2), 0.5))
+        prod = de.matmul(p, c)
+        total = de.add(const, prod)
+        grads = de.backward_pass(de.tsum(total))
+    assert [(q is p, k) for q, k in prod._parents] == [(True, 0)]
+    assert [(q is prod, k) for q, k in total._parents] == [(True, 1)]
+    assert const.grad is None and list(grads) == ["p"]
+    assert np.array_equal(grads["p"], np.ones((2, 2)) @ c.T)
+
+
+def test_each_reached_vjp_runs_once_per_backward_pass():
+    # one VJP per node: on a DWP objective at S=10 (the dwp-s10 shape: two
+    # Gram layers, M=20, n=200, D=5) every op node the loss reaches runs its
+    # VJP exactly once, and no other node runs one
+    from deepbayes import rand_dist as rd
+    from deepbayes.bench_cli import Dataset, ExperimentConfig, _make_model
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-2, 2, (200, 5))
+    y = np.sin(X @ rng.standard_normal(5) / 2.0)
+    ds = Dataset(X_train=X, y_train=y, X_test=X[:5], y_test=y[:5])
+    model = _make_model(ExperimentConfig(model="dwp", depth=3, M=20), ds)
+    calls = []
+
+    def counted(node):
+        vjp = node._vjp
+
+        def call(g):
+            calls.append(id(node))
+            return vjp(g)
+        return call
+
+    with de.Tape() as t:
+        p = {k: t.param(v, k) for k, v in model.init_params().items()}
+        loss = model.objective(p, X, y, 200, 10, rd.RngStream(123), 1.0)
+        reached, todo = set(), [loss]
+        while todo:
+            node = todo.pop()
+            if node._vjp is not None and id(node) not in reached:
+                reached.add(id(node))
+                todo.extend(q for q, _ in node._parents)
+        for node in t._nodes:
+            if node._vjp is not None:
+                node._vjp = counted(node)
+        de.backward_pass(loss)
+    assert len(calls) == len(set(calls)) == len(reached) == 151
+    assert set(calls) == reached
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 10_000))
 def test_quadratic_form_gradient_property(n, seed):

@@ -537,7 +537,8 @@ def _read_only_grads(fn, params):
         ps = {k: tape.param(np.asarray(v, dtype=np.float64).copy(), k) for k, v in params.items()}
         out = fn(ps)
         for node in tape._nodes:
-            node._parents = [(p, frozen(f)) for p, f in node._parents]
+            if node._vjp is not None:
+                node._vjp = frozen(node._vjp)
         return de.backward_pass(out)
 
 

@@ -252,12 +252,13 @@ def test_exact_gp_step_peak_memory():
     assert peak <= 3.5 * n * n * 8
 
 
-def test_exact_gp_backward_releases_shared_cotangents():
-    # what the VJPs of a node share (shared_cotangent) is dropped once the
-    # walk has passed the node, so after backward_pass the traced memory is
-    # back at its post-forward level (it sat one n x n buffer above it when
-    # the last shared cotangent lived until the tape closed); shown on the
-    # LML built from the generic ops, whose kernel and density share n x n
+def test_exact_gp_backward_drops_each_nodes_cotangents():
+    # a node's one VJP returns all its operands' cotangents together, and the
+    # walk drops them, with whatever the VJP shared among them, once it has
+    # passed the node, so after backward_pass the traced memory is back at
+    # its post-forward level (it would sit one n x n buffer above it if the
+    # last node's cotangents lived until the tape closed); shown on the LML
+    # built from the generic ops, whose kernel and density VJPs form n x n
     # cotangents
     ds = gen_deep_linear(0)
     n = 500

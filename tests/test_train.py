@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -80,6 +81,13 @@ def test_config_validation():
                        ("lr_drop_factor", -1.0), ("clip_norm", 0.0), ("clip_norm", -1.0)]:
         with pytest.raises(ValueError, match=key):
             TrainConfig(steps=10, anneal_steps=5, **{key: value})
+    # counts that are not integers and drop steps that are not a list of them
+    for key, value in [("steps", 2.5), ("anneal_steps", 1.0), ("train_samples", "10"),
+                       ("eval_samples", None), ("eval_every", True), ("batch_size", 0.5),
+                       ("lr_drop_steps", 5000), ("lr_drop_steps", [5.5])]:
+        with pytest.raises(ValueError, match=rf"{key} must be .*, got {re.escape(repr(value))}"):
+            TrainConfig(**{"steps": 10, "anneal_steps": 5, key: value})
+    assert TrainConfig(steps=10, anneal_steps=5, lr_drop_steps=()).lr_drop_steps == ()
 
 
 # -- training loop -----------------------------------------------------------------------
