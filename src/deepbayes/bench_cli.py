@@ -92,7 +92,7 @@ def gen_deep_linear(seed=0) -> Dataset:
     return ds
 
 
-def load_csv(path, seed=0, test_fraction=0.1) -> Dataset:
+def load_csv(path, seed=0) -> Dataset:
     """Comma-separated numeric file with a header row and at least two data
     rows of finite numbers; last column is the target. 90/10 train/test split
     by seeded shuffle, with at least one test row; normalization from the
@@ -126,7 +126,7 @@ def load_csv(path, seed=0, test_fraction=0.1) -> Dataset:
     data = np.asarray(rows, dtype=np.float64)
     n = data.shape[0]
     perm = np.random.default_rng(seed).permutation(n)
-    n_te = max(1, int(round(n * test_fraction)))
+    n_te = max(1, int(round(n * 0.1)))
     te, tr = perm[:n_te], perm[n_te:]
     return _normalize(data[tr, :-1], data[tr, -1], data[te, :-1], data[te, -1])
 
@@ -161,12 +161,10 @@ class BlrViModel:
     regression. The ELBO is closed form (no MC), so at convergence it equals
     the exact log marginal likelihood."""
 
-    def __init__(self, dataset: Dataset, n_features=12, alpha=1.0, sigma=0.3):
-        self.alpha = alpha
-        self.sigma = sigma
-        x = dataset.X_train[:, 0]
-        self.centers, self.width = gm.make_bump_centers(x, n_features)
-        self.k = n_features
+    k, alpha, sigma = 12, 1.0, 0.3      # bump features, prior weight std, noise std
+
+    def __init__(self, dataset: Dataset):
+        self.centers, self.width = gm.make_bump_centers(dataset.X_train[:, 0], self.k)
 
     def _phi(self, X):
         return gm.gaussian_bump_features(np.ravel(np.asarray(as_tensor(X).value)),
@@ -458,6 +456,8 @@ class DwpModel(_MonteCarloModel):
 
     def __init__(self, dataset: Dataset, n_gram_layers=2, M=20, variant="base",
                  seed=0):
+        if variant not in ("base", "A", "AB"):
+            raise ValueError(f"unknown variant {variant!r}")
         super().__init__(dataset, M)
         self.nu = max(self.D, 2)
         self.n_layers = n_gram_layers
@@ -492,7 +492,7 @@ class DwpModel(_MonteCarloModel):
         layers = [dwp_mod.GWishLayerPosterior(
             V=p[f"V{i}"], logit_q=p[f"lq{i}"], nu=self.nu,
             log_alpha=p[f"la{i}"], log_beta=p[f"lb{i}"],
-            mu=p[f"mu{i}"], log_sigma=p[f"ls{i}"], variant=self.variant,
+            mu=p[f"mu{i}"], log_sigma=p[f"ls{i}"],
             A_packed=p.get(f"A{i}"), B_packed=p.get(f"B{i}"),
             kernel_params=_se_params(p, f"_{i}")) for i in range(self.n_layers)]
         final = dm.GiDgpLayer(V=p["Vf"], log_lambda=p["lamf"],
@@ -519,11 +519,12 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         """Build from a parsed config; unknown keys, top-level or under
-        `train`, raise a ValueError that lists the valid ones, and so does a
-        model key (depth, widths, M, prior) that the chosen model ignores, or
-        a depth or M below 1 for a model that reads it. A depth, M or train
-        count that is not an integer, an lr_drop_steps that is not a list of
-        integers and a widths that is not a list of integers >= 1 raise a
+        `train`, raise a ValueError that lists the valid ones, and so does an
+        unknown model or prior, a model key (depth, widths, M, prior) that the
+        chosen model ignores, or a depth or M below 1 for a model that reads
+        it. A depth, M or train count that is not an integer, an
+        lr_drop_steps that is not a list of integers, a widths that is not a
+        list of integers >= 1 and a seed that is not an integer >= 0 raise a
         ValueError that names the key."""
         d = dict(d)
         train = d.pop("train", None) or {}
@@ -532,15 +533,18 @@ class ExperimentConfig:
                              "`seed` seeds the data, the model and training")
         d["train"] = _from_keys(TrainConfig, train, "train")
         cfg = _from_keys(ExperimentConfig, d, "config")
-        # an unknown model is rejected by _make_model
-        reads = _MODEL_KEYS_READ.get(cfg.model, _MODEL_KEYS)
+        _check_choice("model", cfg.model, _MODEL_KEYS_READ)
+        if not (_is_int(cfg.seed) and cfg.seed >= 0):
+            raise ValueError(f"config key 'seed' must be an integer >= 0, got {cfg.seed!r}")
+        reads = _MODEL_KEYS_READ[cfg.model]
         ignored = [k for k in _MODEL_KEYS if k in d and k not in reads]
         if ignored:
             raise ValueError(f"model {cfg.model!r} does not read config key(s) {ignored}; "
                              f"it reads {list(reads)}")
+        _check_choice("prior", cfg.prior, dm.PRIOR_VARIANTS)
         for key in ("depth", "M"):
             check_count(f"config key {key!r}", getattr(cfg, key))
-            if key in _MODEL_KEYS_READ.get(cfg.model, ()) and getattr(cfg, key) < 1:
+            if key in reads and getattr(cfg, key) < 1:
                 raise ValueError(f"config key {key!r} must be at least 1 for model "
                                  f"{cfg.model!r}, got {getattr(cfg, key)}")
         if not (isinstance(cfg.widths, (list, tuple))
@@ -549,6 +553,11 @@ class ExperimentConfig:
                              f"got {cfg.widths!r}")
         cfg.widths = tuple(cfg.widths)
         return cfg
+
+
+def _check_choice(key: str, value, valid):
+    if not (isinstance(value, str) and value in valid):
+        raise ValueError(f"config key {key!r} must be one of {list(valid)}, got {value!r}")
 
 
 def _from_keys(cls, d: dict, where: str):
@@ -734,11 +743,10 @@ def main(argv=None) -> int:
     import yaml
     with open(args.config, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
+    for key in ("seed", "out"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     cfg = ExperimentConfig.from_dict(raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
     t0 = time.time()
     result = run_experiment(cfg)
     final = result.final or {}

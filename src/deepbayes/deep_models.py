@@ -19,7 +19,7 @@ import numpy as np
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, _se_kdiag, add_layer_noise, se_ard_features
+from .kernels import KernelParams, _se_kdiag, se_ard_features
 
 __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer",
@@ -28,6 +28,9 @@ __all__ = [
     "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals", "dsvi_dgp_layer_sample",
     "bnn_as_dgp_gram",
 ]
+
+
+PRIOR_VARIANTS = ("standard", "neal", "scale")
 
 
 @dataclass
@@ -42,7 +45,7 @@ class PriorSpec:
     beta_off: object = 0.0
 
     def __post_init__(self):
-        if self.variant not in ("standard", "neal", "scale"):
+        if self.variant not in PRIOR_VARIANTS:
             raise ValueError(f"unknown prior variant {self.variant!r}")
 
 
@@ -51,7 +54,6 @@ class GiBnnLayer:
     V: object                      # (M, width) pseudo-outputs
     log_lambda: object             # (M,) log of the diagonal precision
     prior: PriorSpec = field(default_factory=PriorSpec)
-    bias: bool = True
 
 
 @dataclass
@@ -60,7 +62,6 @@ class FacBnnLayer:
     log_std: object                # (d, width)
     scale: float = 1.0
     prior: PriorSpec = field(default_factory=PriorSpec)
-    bias: bool = True
 
 
 @dataclass
@@ -80,15 +81,12 @@ class DsviDgpLayer:
     mean_function: str = "zero"
 
 
-def _psi(F, first_layer: bool, bias: bool) -> DiffTensor:
+def _psi(F, first_layer: bool) -> DiffTensor:
     """Activation convention: inputs pass through untouched at layer 0,
-    relu elsewhere; optional appended column of ones for the bias."""
+    relu elsewhere; then a column of ones is appended for the bias."""
     F = as_tensor(F)
     h = F if first_layer else de.elementwise("relu", F)
-    if bias:
-        ones = np.ones(h.value.shape[:-1] + (1,))
-        h = de.concat([h, as_tensor(ones)], axis=-1)
-    return h
+    return de.concat([h, as_tensor(np.ones(h.value.shape[:-1] + (1,)))], axis=-1)
 
 
 def _prior_precision_scalar(prior: PriorSpec, fanin: int, s=None):
@@ -172,15 +170,16 @@ def _gi_bnn_posterior(psi_U, layer: GiBnnLayer, s=None):
     return _gi_posterior(root, psi_U, layer.log_lambda, layer.V)
 
 
-def gi_bnn_layer_moments(psi_U, layer: GiBnnLayer, s=None):
+def gi_bnn_layer_moments(psi_U, layer: GiBnnLayer):
     """Global-inducing conditional posterior of the layer weights: each
     column is N(Mean, S) with S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and
     Mean = S psi^T Lambda V.
 
     psi_U: (M, d) propagated, activated inducing features (bias included).
-    Returns (Mean, Ls) with Ls the lower Cholesky factor of S.
+    Returns (Mean, Ls) with Ls the lower Cholesky factor of S. A scale prior
+    needs the sampled s that gi_bnn_layer_sample takes.
     """
-    _, Mean, Ls, _ = _gi_bnn_posterior(as_tensor(psi_U), layer, s)
+    _, Mean, Ls, _ = _gi_bnn_posterior(as_tensor(psi_U), layer)
     return Mean, Ls
 
 
@@ -244,11 +243,11 @@ def bnn_forward(layers, X, rng, inducing_inputs=None):
     inc_sum = as_tensor(np.asarray(0.0))
     for i, layer in enumerate(layers):
         s, kl_s = scale_prior_terms(layer.prior, rng)
-        psi_F = _psi(F, i == 0, layer.bias)
+        psi_F = _psi(F, i == 0)
         if isinstance(layer, GiBnnLayer):
             if U is None:
                 raise ValueError("global-inducing layers need inducing inputs")
-            W, inc, U = gi_bnn_layer_sample(_psi(U, i == 0, layer.bias), layer, rng, s)
+            W, inc, U = gi_bnn_layer_sample(_psi(U, i == 0), layer, rng, s)
         else:
             W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[-1], rng, s=s)
         F = de.matmul(psi_F, W)
@@ -285,12 +284,6 @@ def bnn_elbo(layers, Xb, yb, total_n, n_samples, rng: rd.RngStream,
                    yb, total_n, n_samples, rng, log_noise, kl_scale)
 
 
-def _kuu(kp: KernelParams, U) -> DiffTensor:
-    """K(U, U), plus the layer noise if the kernel has one."""
-    K_uu = se_ard_features(kp, U)
-    return K_uu if kp.log_noise is None else add_layer_noise(K_uu, kp.noise_var())
-
-
 def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None):
     """gi_dgp_layer_sample from the layer's kernel blocks; inputs, if given,
     are the (U_prev, F_prev) that an identity mean function adds to the
@@ -317,8 +310,8 @@ def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream):
     prior conditional p(F | U), independent per point. Returns
     (U_next, F_next, logp - logq)."""
     U_prev, F_prev, kp = as_tensor(U_prev), as_tensor(F_prev), layer.kernel_params
-    return _gi_layer_sample(_kuu(kp, U_prev), se_ard_features(kp, F_prev, U_prev),
-                            _se_kdiag(kp, kp.sf2(), F_prev.value.shape[-2]), layer, rng,
+    return _gi_layer_sample(se_ard_features(kp, U_prev), se_ard_features(kp, F_prev, U_prev),
+                            _se_kdiag(kp.sf2(), F_prev.value.shape[-2]), layer, rng,
                             (U_prev, F_prev) if layer.mean_function == "identity" else None)
 
 
@@ -330,10 +323,10 @@ def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer):
     of K_zz. Returns (means, vars, kl) with output-major (..., w, nb) moments,
     stacked like F_prev (means[l]: output l's, unstacked)."""
     kp, F_prev, Z = layer.kernel_params, as_tensor(F_prev), as_tensor(layer.Z)
-    L = de.cholesky_factor(_kuu(kp, Z))
+    L = de.cholesky_factor(se_ard_features(kp, Z))
     kl = rd._kl_gaussian_chol(layer.m, layer.S_chol, np.zeros((L.value.shape[-1], 1)), L)
     K_fz = se_ard_features(kp, F_prev, Z)
-    kdiag = _se_kdiag(kp, kp.sf2(), F_prev.value.shape[-2])
+    kdiag = _se_kdiag(kp.sf2(), F_prev.value.shape[-2])
     W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz), kdiag)
     return (*rd.inducing_marginals(L, W, base_var, layer.m, layer.S_chol), kl)
 
@@ -350,13 +343,11 @@ def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
     return F_next, kl
 
 
-def bnn_as_dgp_gram(prior: PriorSpec, F_prev, fanin=None, activation="relu",
-                    s=1.0) -> DiffTensor:
+def bnn_as_dgp_gram(prior: PriorSpec, F_prev, activation="relu", s=1.0) -> DiffTensor:
     """Conditional Gram matrix of one BNN layer's activations:
     K_f = psi(F) Sigma psi(F)^T / fanin = psi(F) psi(F)^T / (nu Sigma^{-1}),
     the degenerate kernel that makes a BNN a DGP with this kernel."""
     F_prev = as_tensor(F_prev)
     psi = F_prev if activation == "identity" else de.elementwise("relu", F_prev)
-    prior_prec = _prior_precision_scalar(prior, psi.value.shape[1] if fanin is None else fanin,
-                                         s=s)
+    prior_prec = _prior_precision_scalar(prior, psi.value.shape[1], s=s)
     return de.div(de.matmul(psi, de.transpose(psi)), prior_prec)

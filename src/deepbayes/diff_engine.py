@@ -687,7 +687,7 @@ def backward_pass(loss: DiffTensor) -> dict:
     return out
 
 
-def finite_diff_check(fn, params, h=1e-5, tol=1e-5):
+def finite_diff_check(fn, params):
     """Compare reverse-mode gradients of fn against central finite differences.
 
     fn: callable taking a list (or dict) of DiffTensors, returning a scalar
@@ -696,6 +696,7 @@ def finite_diff_check(fn, params, h=1e-5, tol=1e-5):
 
     Returns a report dict with per-parameter max relative errors and a pass flag.
     """
+    h = tol = 1e-5      # the difference step, and the largest relative error that passes
     keys = None
     if isinstance(params, dict):
         keys = list(params.keys())

@@ -11,8 +11,7 @@ from . import diff_engine as de
 from . import rand_dist as rd
 from .deep_models import _gi_layer_sample, mc_elbo
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import (KernelParams, _gram_se_params, _se_gram, _se_kdiag,
-                      add_layer_noise, se_from_gram)
+from .kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag, se_from_gram
 
 __all__ = [
     "GWishLayerPosterior", "DwpState", "gram_kernel_blocks",
@@ -28,8 +27,10 @@ class GWishLayerPosterior:
 
     Mixed scale: (1-q) K(G_prev)/nu + q V V^T, q in (0,1) stored as a logit.
     alpha/beta generalize the Bartlett chi-squared diagonals, mu/sigma the
-    sub-diagonal Gaussians. Variants: base; A (extra invertible mixing of the
-    rows, LU-packed); AB (additionally a lower-triangular column mixing).
+    sub-diagonal Gaussians. The variant follows from the optional mixings:
+    base (neither); A (A_packed: an invertible mixing of the rows,
+    LU-packed); AB (A_packed and B_packed: also a lower-triangular column
+    mixing).
     """
     V: object                      # (M, M)
     logit_q: object                # scalar
@@ -38,14 +39,9 @@ class GWishLayerPosterior:
     log_beta: object = None        # (ntilde,)
     mu: object = None              # (M, ntilde), strictly-below-diagonal used
     log_sigma: object = None       # (M, ntilde)
-    variant: str = "base"          # base | A | AB
     A_packed: object = None        # (M, M) LU-packed
     B_packed: object = None        # (ntilde, ntilde): log-diag, raw sub-diag
     kernel_params: KernelParams = field(default_factory=KernelParams)  # K(G_prev)
-
-    def __post_init__(self):
-        if self.variant not in ("base", "A", "AB"):
-            raise ValueError(f"unknown variant {self.variant!r}")
 
 
 @dataclass
@@ -92,10 +88,7 @@ def gram_kernel_blocks(kp: KernelParams, G_ii, G_ti, g_tt, nu):
     gi = de.diag_part(G_ii)
     K_ii = _se_gram(gi, G_ii, gi, nu, sf2, ls)
     K_ti = _se_gram(g_tt, G_ti, gi, nu, sf2, ls)
-    k_tt = _se_kdiag(kp, sf2, nt)
-    if kp.log_noise is not None:
-        K_ii = add_layer_noise(K_ii, kp.noise_var())
-    return K_ii, K_ti, k_tt
+    return K_ii, K_ti, _se_kdiag(sf2, nt)
 
 
 def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
@@ -131,8 +124,7 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
         de.cholesky_factor(mixed), layer.nu, de.elementwise("exp", as_tensor(layer.log_alpha)),
         de.elementwise("exp", as_tensor(layer.log_beta)), layer.mu,
         de.elementwise("exp", as_tensor(layer.log_sigma)), rng,
-        layer.A_packed if layer.variant in ("A", "AB") else None,
-        _chol_from_raw(layer.B_packed) if layer.variant == "AB" else None)
+        layer.A_packed, None if layer.B_packed is None else _chol_from_raw(layer.B_packed))
     logp = rd._wishart_log_density_root(feat, L_ii, int(layer.nu), ld_block)
     return G, feat, de.sub(logp, logq)
 

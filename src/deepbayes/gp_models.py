@@ -242,9 +242,8 @@ def _svgp_marginals(state: SvgpState, Xb):
     Z = as_tensor(state.Z)
     Xb = as_tensor(Xb)
     Lz = de.cholesky_factor(state.kern(Z))
-    kp = state.kernel_params
     W, var = rd.gaussian_conditional(Lz, state.kern(Z, Xb),
-                                     _se_kdiag(kp, kp.sf2(), Xb.value.shape[0]))
+                                     _se_kdiag(state.kernel_params.sf2(), Xb.value.shape[0]))
     return (*rd.inducing_marginals(Lz, W, var, state.m, state.S_chol), Lz)
 
 
@@ -281,7 +280,7 @@ def svgp_collapsed_bound(state: SvgpState, X, y):
     W = de.triangular_solve(Lz, Kzx)                 # Lz^{-1} Kzx
     Q = de.matmul(de.transpose(W), W)
     fit = rd.mvn_log_density(y, np.zeros(n), de.add_diagonal(Q, s2))
-    kdiag = _se_kdiag(state.kernel_params, state.kernel_params.sf2(), n)
+    kdiag = _se_kdiag(state.kernel_params.sf2(), n)
     trace_gap = de.sub(de.tsum(kdiag), de.tsum(de.diag_part(Q)))
     bound = de.sub(fit, de.div(trace_gap, de.elementwise("affine", s2, a=2.0)))
 

@@ -1,14 +1,14 @@
 """Covariance functions on features and on Gram matrices."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor
 
-__all__ = ["KernelParams", "se_ard_features", "se_from_gram", "add_layer_noise"]
+__all__ = ["KernelParams", "se_ard_features", "se_from_gram"]
 
 
 @dataclass
@@ -16,23 +16,16 @@ class KernelParams:
     """Squared-exponential kernel hyperparameters, stored in log space.
 
     log_lengthscales is a length-D vector for ARD or a scalar for a single
-    shared lengthscale; log_noise is an optional per-layer noise variance
-    parameter (log sigma_l^2).
+    shared lengthscale.
     """
     log_sf2: object = 0.0                      # log signal variance
     log_lengthscales: object = 0.0             # scalar or (D,)
-    log_noise: object = None                   # log sigma_l^2, optional
 
     def sf2(self) -> DiffTensor:
         return de.elementwise("exp", as_tensor(self.log_sf2))
 
     def lengthscales(self) -> DiffTensor:
         return de.elementwise("exp", as_tensor(self.log_lengthscales))
-
-    def noise_var(self) -> DiffTensor:
-        if self.log_noise is None:
-            raise ValueError("kernel has no noise parameter")
-        return de.elementwise("exp", as_tensor(self.log_noise))
 
 
 def _clamp_sqdist(d2: np.ndarray, rows, cols, scale=1.0):
@@ -180,17 +173,7 @@ def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
     return de.lift(K, (sf2, ls, rows, cross, cols), vjp, "se_kernel")
 
 
-def _se_kdiag(params: KernelParams, sf2, n: int) -> DiffTensor:
-    """Diagonal of the SE kernel at n points in O(n): sf2 * 1 (sf2 is
-    params.sf2() or the caller's node for it), plus the layer noise if any."""
-    kdiag = de.mul(sf2, as_tensor(np.ones(n)))
-    return kdiag if params.log_noise is None else de.add(kdiag, params.noise_var())
-
-
-def add_layer_noise(K, noise_var) -> DiffTensor:
-    """K + noise_var * I."""
-    K = as_tensor(K)
-    n = K.value.shape[-1]
-    if K.value.shape[-2] != n:
-        raise ValueError("add_layer_noise requires a square matrix")
-    return de.add_diagonal(K, noise_var)
+def _se_kdiag(sf2, n: int) -> DiffTensor:
+    """Diagonal of the SE kernel at n points in O(n): sf2 * 1, sf2 being the
+    caller's node for the signal variance."""
+    return de.mul(sf2, as_tensor(np.ones(n)))

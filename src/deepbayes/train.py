@@ -51,10 +51,14 @@ class TrainConfig:
             raise ValueError("anneal steps exceed total steps")
         if self.train_samples < 1 or self.eval_samples < 1:
             raise ValueError("sample counts must be >= 1")
-        bad = [k for k in ("eval_every", "batch_size", "lr", "lr_drop_factor", "clip_norm")
+        bad = [k for k in ("eval_every", "batch_size")
                if getattr(self, k) is not None and getattr(self, k) <= 0]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be positive (batch_size may be None)")
+        for key in ("lr", "lr_drop_factor", "clip_norm"):
+            v = getattr(self, key)
+            if not ((_is_int(v) or isinstance(v, (float, np.floating))) and v > 0):
+                raise ValueError(f"{key} must be a number > 0, got {v!r}")
 
     def lr_at(self, step: int) -> float:
         lr = self.lr
@@ -64,14 +68,14 @@ class TrainConfig:
         return lr
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8     # Adam's moment decays and denominator floor
+
+
 @dataclass
 class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> dict:
@@ -89,11 +93,11 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr: float) -> dict:
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        mhat = state.m[name] / (1 - state.beta1 ** state.t)
-        vhat = state.v[name] / (1 - state.beta2 ** state.t)
-        out[name] = p - lr * mhat / (np.sqrt(vhat) + state.eps)
+        state.m[name] = BETA1 * state.m[name] + (1 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1 - BETA2) * g * g
+        mhat = state.m[name] / (1 - BETA1 ** state.t)
+        vhat = state.v[name] / (1 - BETA2 ** state.t)
+        out[name] = p - lr * mhat / (np.sqrt(vhat) + EPS)
     return out
 
 

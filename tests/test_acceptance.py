@@ -434,7 +434,7 @@ def test_criterion_09_exact_recovery_training():
     t0 = time.monotonic()
     ds = bc.gen_cubic_toy(0)
     n = ds.X_train.shape[0]
-    model = bc.BlrViModel(ds, n_features=12)
+    model = bc.BlrViModel(ds)
     exact_pp = model.exact_lml(ds) / n
     cfg = tr.TrainConfig(steps=5000, lr=1e-2, lr_drop_steps=(3000,),
                          anneal_steps=0, train_samples=1, eval_samples=1,
@@ -654,7 +654,7 @@ def test_criterion_15_dwp_elbo_rotation_invariance():
             logit_q=np.log(0.1 / 0.9), nu=nu,
             log_alpha=np.log(a) + 0.05 * rng.standard_normal(nt),
             log_beta=np.log(b), mu=mu, log_sigma=np.log(sg),
-            variant="base", kernel_params=KernelParams(log_sf2=0.1, log_lengthscales=0.2)))
+            kernel_params=KernelParams(log_sf2=0.1, log_lengthscales=0.2)))
     final = dm.GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
     state = dw.DwpState(inducing_inputs=Xi, layers=layers, final_layer=final,
                         log_noise=np.log(0.3), nu0=nu0)

@@ -330,7 +330,7 @@ def _ref_dsvi_terms(p, F, rng):
     F = as_tensor(F)
     K_fz = se_ard_features(kp, F, p["Z"])
     W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz),
-                                          _se_kdiag(kp, kp.sf2(), F.value.shape[-2]))
+                                          _se_kdiag(kp.sf2(), F.value.shape[-2]))
     mean = de.matmul(de.transpose(W), de.triangular_solve(L, p["m"]))
     U_sol = de.triangular_solve(L, W, trans=True)
     means, vars_, kl = [], [], as_tensor(np.asarray(0.0))

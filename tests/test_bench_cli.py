@@ -178,9 +178,13 @@ def test_experiment_config_rejects_depth_and_M_below_one(model, key, value):
     ({"train": {"eval_every": None}}, "eval_every"),
     ({"model": "dgp-gi", "depth": 2.0}, "depth"), ({"model": "svgp", "M": "20"}, "M"),
     ({"model": "bnn-gi", "widths": 50}, "widths"), ({"model": "bnn-gi", "widths": [0, 5]}, "widths"),
-    ({"model": "bnn-fac", "widths": [5, 2.5]}, "widths")])
+    ({"model": "bnn-fac", "widths": [5, 2.5]}, "widths"),
+    ({"model": "bnn"}, "model"), ({"model": ["gp"]}, "model"),
+    ({"model": "bnn-gi", "prior": "nael"}, "prior"), ({"model": "bnn-fac", "prior": None}, "prior"),
+    ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": "x"}, "seed"),
+    ({"seed": True}, "seed")])
 def test_experiment_config_rejects_values_of_the_wrong_type(given, key):
-    with pytest.raises(ValueError, match=rf"{key}'? must be (an integer|a list of integers)"):
+    with pytest.raises(ValueError, match=rf"{key}'? must be (an integer|a list of integers|one of)"):
         ExperimentConfig.from_dict({"model": "blr", **given})
 
 
@@ -328,6 +332,7 @@ def test_triangular_lapack_calls_per_objective(monkeypatch):
 # to working precision (cond 7e14), so a rounding-level change in a factor
 # moves them well beyond rounding; CHANGES.md records each re-pin.
 PINNED_OBJECTIVES = {
+    "blr": (-590.9001790017147, 29),
     "bnn-gi": (-298.66930508623346, 112),
     "bnn-fac": (-438.715464014261, 52),
     "dgp-gi": (-106.72853125690472, 102),
@@ -568,6 +573,9 @@ def test_cli_seed_and_out_flags_win_over_the_config(tmp_path, capsys, monkeypatc
     assert "seed=5" in capsys.readouterr().out
     assert (tmp_path / "flagdir" / "blr_cubic-toy_5.json").exists()
     assert not (tmp_path / "fromcfg").exists()
+    # a flag gets the config's checks
+    with pytest.raises(ValueError, match="config key 'seed' must be an integer >= 0, got -1"):
+        main(["--seed", "-1", "run", str(cfgp)])
     # without the flags the config's keys hold
     assert main(["run", str(cfgp)]) == 0
     assert (tmp_path / "fromcfg" / "blr_cubic-toy_1.json").exists()

@@ -227,7 +227,7 @@ def test_gi_linear_last_layer_on_fixed_features_is_blr():
     V = rng.standard_normal((M, 1))
     noise = 0.3
     layer = GiBnnLayer(V=V, log_lambda=np.full(M, -np.log(noise)),
-                       prior=PriorSpec("neal"), bias=False)
+                       prior=PriorSpec("neal"))
     draws = np.stack([gi_bnn_layer_sample(psi_U, layer, rd.RngStream(s))[0].value[:, 0]
                       for s in range(4000)])
     prec = d * np.eye(d) + psi_U.T @ psi_U / noise

@@ -27,7 +27,6 @@ def _posterior(M, nu, variant="base", rng=None, q=0.1, spread=0.0):
         log_beta=np.log(b) + spread * rng.standard_normal(nt),
         mu=mu + spread * rng.standard_normal((M, nt)),
         log_sigma=np.log(sg) + spread * rng.standard_normal((M, nt)),
-        variant=variant,
         A_packed=np.eye(M) if variant in ("A", "AB") else None,
         B_packed=np.zeros((nt, nt)) if variant == "AB" else None)
     return layer
@@ -358,7 +357,7 @@ def test_elbo_gradients_excluding_gamma_shape():
         layer = GWishLayerPosterior(
             V=ps["V"], logit_q=ps["lq"], nu=nu,
             log_alpha=np.log(a0), log_beta=ps["lb"], mu=ps["mu"],
-            log_sigma=ps["ls"], variant="AB", A_packed=ps["P"], B_packed=ps["B"],
+            log_sigma=ps["ls"], A_packed=ps["P"], B_packed=ps["B"],
             kernel_params=KernelParams(log_sf2=ps["lsf"], log_lengthscales=ps["lls"]))
         final = GiDgpLayer(V=ps["Vf"], log_lambda=ps["llf"])
         state = DwpState(inducing_inputs=ps["Xi"], layers=[layer], final_layer=final,

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from deepbayes import diff_engine as de
-from deepbayes.kernels import (KernelParams, _se_kdiag, add_layer_noise,
-                               se_ard_features, se_from_gram)
+from deepbayes.kernels import KernelParams, _se_kdiag, se_ard_features, se_from_gram
 
 
 def test_diagonal_equals_signal_variance():
@@ -107,33 +106,14 @@ def test_gram_kernel_rotation_invariance():
     assert np.allclose(K1, K2, atol=1e-12)
 
 
-def test_add_layer_noise():
-    K = np.ones((3, 3))
-    out = add_layer_noise(K, np.asarray(0.2)).value
-    assert np.allclose(out, K + 0.2 * np.eye(3))
-    with pytest.raises(ValueError):
-        add_layer_noise(np.ones((2, 3)), np.asarray(0.1))
-
-
 def test_kdiag_matches_the_kernel_diagonal():
-    # the O(n) diagonal against the diagonal of the n x n kernel, with and
-    # without the layer noise
+    # the O(n) diagonal against the diagonal of the n x n kernel
     X = np.random.default_rng(9).standard_normal((30, 3))
-    for p in (KernelParams(log_sf2=0.3, log_lengthscales=np.log([0.5, 1.0, 2.0])),
-              KernelParams(log_sf2=-0.2, log_lengthscales=0.1, log_noise=np.log(0.5))):
-        K = se_ard_features(p, X)
-        if p.log_noise is not None:
-            K = add_layer_noise(K, p.noise_var())
-        got = _se_kdiag(p, p.sf2(), 30).value
-        assert got.shape == (30,)
-        assert np.max(np.abs(got - np.diag(K.value))) <= 1e-14 * np.max(got)
-
-
-def test_noise_param_accessor():
-    p = KernelParams(log_noise=np.log(0.5))
-    assert np.isclose(p.noise_var().value, 0.5)
-    with pytest.raises(ValueError):
-        KernelParams().noise_var()
+    p = KernelParams(log_sf2=0.3, log_lengthscales=np.log([0.5, 1.0, 2.0]))
+    K = se_ard_features(p, X)
+    got = _se_kdiag(p.sf2(), 30).value
+    assert got.shape == (30,)
+    assert np.max(np.abs(got - np.diag(K.value))) <= 1e-14 * np.max(got)
 
 
 def test_kernel_gradients():
@@ -142,7 +122,7 @@ def test_kernel_gradients():
     def fn(ps):
         p = KernelParams(log_sf2=ps["log_sf2"], log_lengthscales=ps["log_ls"])
         K = se_ard_features(p, ps["X"])
-        return de.logdet_psd(add_layer_noise(K, de.elementwise("exp", ps["log_nv"])))
+        return de.logdet_psd(de.add_diagonal(K, de.elementwise("exp", ps["log_nv"])))
     rep = de.finite_diff_check(fn, {"log_sf2": np.asarray(0.1),
                                     "log_ls": np.array([0.2, -0.1]),
                                     "log_nv": np.asarray(-1.0), "X": X})

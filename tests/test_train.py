@@ -84,7 +84,10 @@ def test_config_validation():
     # counts that are not integers and drop steps that are not a list of them
     for key, value in [("steps", 2.5), ("anneal_steps", 1.0), ("train_samples", "10"),
                        ("eval_samples", None), ("eval_every", True), ("batch_size", 0.5),
-                       ("lr_drop_steps", 5000), ("lr_drop_steps", [5.5])]:
+                       ("lr_drop_steps", 5000), ("lr_drop_steps", [5.5]),
+                       # rates and norms that are not positive numbers
+                       ("lr", None), ("lr", "0.01"), ("lr_drop_factor", None),
+                       ("lr_drop_factor", [0.1]), ("clip_norm", None), ("clip_norm", True)]:
         with pytest.raises(ValueError, match=rf"{key} must be .*, got {re.escape(repr(value))}"):
             TrainConfig(**{"steps": 10, "anneal_steps": 5, key: value})
     assert TrainConfig(steps=10, anneal_steps=5, lr_drop_steps=()).lr_drop_steps == ()
