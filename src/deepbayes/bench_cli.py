@@ -164,6 +164,9 @@ class BlrViModel:
     k, alpha, sigma = 12, 1.0, 0.3      # bump features, prior weight std, noise std
 
     def __init__(self, dataset: Dataset):
+        if dataset.X_train.shape[1] != 1:
+            raise ValueError(f"model 'blr' takes one input column (bump features of x), "
+                             f"got input dimension {dataset.X_train.shape[1]}")
         self.centers, self.width = gm.make_bump_centers(dataset.X_train[:, 0], self.k)
 
     def _phi(self, X):
@@ -187,12 +190,6 @@ class BlrViModel:
         kl = rd._kl_gaussian_chol(m, Lq, np.zeros(self.k), self.alpha * np.eye(self.k))
         return de.sub(de.elementwise("affine", ll, a=float(total_n) / nb),
                       de.elementwise("affine", kl, a=float(kl_scale)))
-
-    def exact_lml(self, dataset: Dataset) -> float:
-        st = gm.BlrState(alpha=self.alpha, sigma=self.sigma,
-                         centers=self.centers, width=self.width)
-        _, _, _, lml = gm.blr_fit_predict_lml(st, dataset.X_train, dataset.y_train)
-        return float(lml.value)
 
     def predictive(self, params, dataset, X):
         """Latent predictive mean and variance at X, and the objective on the
@@ -516,16 +513,31 @@ class ExperimentConfig:
     out: str = "results"
     train: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self):
+        """A ValueError names the key of an unknown model or prior, a seed
+        that is not an integer >= 0, a depth or M that is not an integer (or
+        is below 1 for a model that reads it), and a widths that is not a
+        list of integers >= 1."""
+        _check_choice("model", self.model, _MODEL_KEYS_READ)
+        check_seed("config key 'seed'", self.seed)
+        _check_choice("prior", self.prior, dm.PRIOR_VARIANTS)
+        for key in ("depth", "M"):
+            check_count(f"config key {key!r}", getattr(self, key))
+            if key in _MODEL_KEYS_READ[self.model] and getattr(self, key) < 1:
+                raise ValueError(f"config key {key!r} must be at least 1 for model "
+                                 f"{self.model!r}, got {getattr(self, key)}")
+        if not (isinstance(self.widths, (list, tuple))
+                and all(_is_int(w) and w >= 1 for w in self.widths)):
+            raise ValueError(f"config key 'widths' must be a list of integers >= 1, "
+                             f"got {self.widths!r}")
+        self.widths = tuple(self.widths)
+
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """Build from a parsed config; unknown keys, top-level or under
-        `train`, raise a ValueError that lists the valid ones, and so does an
-        unknown model or prior, a model key (depth, widths, M, prior) that the
-        chosen model ignores, or a depth or M below 1 for a model that reads
-        it. A depth, M or train count that is not an integer, an
-        lr_drop_steps that is not a list of integers, a widths that is not a
-        list of integers >= 1 and a seed that is not an integer >= 0 raise a
-        ValueError that names the key."""
+        """Build from a parsed config, with the checks of __post_init__;
+        unknown keys, top-level or under `train`, raise a ValueError that
+        lists the valid ones, and so does a model key (depth, widths, M,
+        prior) that the chosen model ignores."""
         d = dict(d)
         train = d.pop("train", None) or {}
         if "seed" in train:
@@ -533,31 +545,24 @@ class ExperimentConfig:
                              "`seed` seeds the data, the model and training")
         d["train"] = _from_keys(TrainConfig, train, "train")
         cfg = _from_keys(ExperimentConfig, d, "config")
-        _check_choice("model", cfg.model, _MODEL_KEYS_READ)
-        if not (_is_int(cfg.seed) and cfg.seed >= 0):
-            raise ValueError(f"config key 'seed' must be an integer >= 0, got {cfg.seed!r}")
         reads = _MODEL_KEYS_READ[cfg.model]
         ignored = [k for k in _MODEL_KEYS if k in d and k not in reads]
         if ignored:
             raise ValueError(f"model {cfg.model!r} does not read config key(s) {ignored}; "
                              f"it reads {list(reads)}")
-        _check_choice("prior", cfg.prior, dm.PRIOR_VARIANTS)
-        for key in ("depth", "M"):
-            check_count(f"config key {key!r}", getattr(cfg, key))
-            if key in reads and getattr(cfg, key) < 1:
-                raise ValueError(f"config key {key!r} must be at least 1 for model "
-                                 f"{cfg.model!r}, got {getattr(cfg, key)}")
-        if not (isinstance(cfg.widths, (list, tuple))
-                and all(_is_int(w) and w >= 1 for w in cfg.widths)):
-            raise ValueError(f"config key 'widths' must be a list of integers >= 1, "
-                             f"got {cfg.widths!r}")
-        cfg.widths = tuple(cfg.widths)
         return cfg
+
+
+def check_seed(key: str, v):
+    """Raise a ValueError naming `key` unless v is an integer >= 0."""
+    if not (_is_int(v) and v >= 0):
+        raise ValueError(f"{key} must be an integer >= 0, got {v!r}")
 
 
 def _check_choice(key: str, value, valid):
     if not (isinstance(value, str) and value in valid):
-        raise ValueError(f"config key {key!r} must be one of {list(valid)}, got {value!r}")
+        raise ValueError(f"unknown {key} {value!r}: config key {key!r} must be one of "
+                         f"{list(valid)}")
 
 
 def _from_keys(cls, d: dict, where: str):
@@ -730,6 +735,7 @@ def main(argv=None) -> int:
 
     if args.cmd == "toy":
         seed = 0 if args.seed is None else args.seed
+        check_seed("--seed", seed)
         out = "results" if args.out is None else args.out
         ds = _make_dataset(args.name, seed)
         os.makedirs(out, exist_ok=True)

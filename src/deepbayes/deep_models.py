@@ -23,10 +23,9 @@ from .kernels import KernelParams, _se_kdiag, se_ard_features
 
 __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer",
-    "gi_bnn_layer_moments", "gi_bnn_layer_sample", "fac_bnn_layer_sample",
-    "bnn_forward", "mc_elbo", "bnn_elbo", "scale_prior_terms",
-    "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals", "dsvi_dgp_layer_sample",
-    "bnn_as_dgp_gram",
+    "gi_bnn_layer_sample", "fac_bnn_layer_sample", "bnn_forward", "mc_elbo",
+    "scale_prior_terms", "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals",
+    "dsvi_dgp_layer_sample",
 ]
 
 
@@ -170,23 +169,13 @@ def _gi_bnn_posterior(psi_U, layer: GiBnnLayer, s=None):
     return _gi_posterior(root, psi_U, layer.log_lambda, layer.V)
 
 
-def gi_bnn_layer_moments(psi_U, layer: GiBnnLayer):
-    """Global-inducing conditional posterior of the layer weights: each
-    column is N(Mean, S) with S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and
-    Mean = S psi^T Lambda V.
-
-    psi_U: (M, d) propagated, activated inducing features (bias included).
-    Returns (Mean, Ls) with Ls the lower Cholesky factor of S. A scale prior
-    needs the sampled s that gi_bnn_layer_sample takes.
-    """
-    _, Mean, Ls, _ = _gi_bnn_posterior(as_tensor(psi_U), layer)
-    return Mean, Ls
-
-
 def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
-    """Sample the layer weights from the global-inducing conditional posterior
-    (gi_bnn_layer_moments). Returns (W, logp_minus_logq, U_next) with
-    U_next = psi_U @ W.
+    """Sample the layer weights from their global-inducing conditional
+    posterior: each column is N(Mean, S) with
+    S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and Mean = S psi^T Lambda V,
+    psi_U (M, d) being the propagated, activated inducing features (bias
+    included); a scale prior reads the sampled s. Returns
+    (W, logp_minus_logq, U_next) with U_next = psi_U @ W.
     """
     psi_U = as_tensor(psi_U)
     W, _, inc = _gi_sample(_gi_bnn_posterior(psi_U, layer, s), rng)
@@ -224,8 +213,7 @@ def scale_prior_terms(prior: PriorSpec, rng: rd.RngStream):
     bq = de.elementwise("affine", b_off, b=2.0)
     s = rd.gamma_sample_reparam(aq, bq, rng)
     s = de.reshape(s, s.value.shape + (1, 1))
-    kl = rd.kl_divergences("gamma-gamma", (aq, bq),
-                           (np.asarray(2.0), np.asarray(2.0)))
+    kl = rd.kl_gamma((aq, bq), (np.asarray(2.0), np.asarray(2.0)))
     return s, kl
 
 
@@ -274,14 +262,6 @@ def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
     lik = de.elementwise("affine", ll, a=float(total_n) / (nb * out.value.shape[0]))
     return de.add(lik, de.elementwise("affine", de.tsum(inc),
                                       a=float(kl_scale) / inc.value.size))
-
-
-def bnn_elbo(layers, Xb, yb, total_n, n_samples, rng: rd.RngStream,
-             inducing_inputs=None, log_noise=0.0, kl_scale=1.0):
-    """Monte-Carlo ELBO for a BNN with a Gaussian likelihood:
-    (N/Nb) * mean log-likelihood + kl_scale * (sum of logp - logq terms)."""
-    return mc_elbo(lambda st: bnn_forward(layers, Xb, st, inducing_inputs),
-                   yb, total_n, n_samples, rng, log_noise, kl_scale)
 
 
 def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None):
@@ -341,13 +321,3 @@ def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
     if layer.mean_function == "identity":
         F_next = de.add(F_next, as_tensor(F_prev))
     return F_next, kl
-
-
-def bnn_as_dgp_gram(prior: PriorSpec, F_prev, activation="relu", s=1.0) -> DiffTensor:
-    """Conditional Gram matrix of one BNN layer's activations:
-    K_f = psi(F) Sigma psi(F)^T / fanin = psi(F) psi(F)^T / (nu Sigma^{-1}),
-    the degenerate kernel that makes a BNN a DGP with this kernel."""
-    F_prev = as_tensor(F_prev)
-    psi = F_prev if activation == "identity" else de.elementwise("relu", F_prev)
-    prior_prec = _prior_precision_scalar(prior, psi.value.shape[1], s=s)
-    return de.div(de.matmul(psi, de.transpose(psi)), prior_prec)

@@ -20,7 +20,7 @@ import scipy.linalg as sla
 
 __all__ = [
     "Tape", "DiffTensor", "as_tensor", "lift",
-    "matmul", "add", "sub", "mul", "div", "neg", "transpose", "tsum",
+    "matmul", "add", "sub", "mul", "div", "transpose", "tsum",
     "elementwise", "cholesky_factor", "triangular_solve", "logdet_psd",
     "log_diag_sum", "diag_part", "add_diagonal", "diag_embed", "concat", "reshape",
     "getitem", "backward_pass", "finite_diff_check",
@@ -100,9 +100,6 @@ class DiffTensor:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -203,11 +200,6 @@ def div(a, b) -> DiffTensor:
     return mul(a, elementwise("reciprocal", b))
 
 
-def neg(a) -> DiffTensor:
-    a = as_tensor(a)
-    return lift(-a.value, (a,), lambda g: (-g,), "neg")
-
-
 def transpose(a) -> DiffTensor:
     """Swap the last two axes: the transpose of a matrix or of each matrix in
     a stack."""
@@ -301,17 +293,13 @@ def diag_embed(v) -> DiffTensor:
 
 # -- elementwise family -----------------------------------------------------
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
-    """Elementwise map. tag in {exp, log, softplus, relu, square, reciprocal,
-    affine, sqrt, sigmoid}; affine computes a*x + b for python scalars a, b."""
+    """Elementwise map. tag in {exp, log, relu, square, reciprocal, affine,
+    sqrt, sigmoid}; affine computes a*x + b for python scalars a, b."""
     x = as_tensor(x)
     v = x.value
     if tag == "exp":
@@ -322,9 +310,6 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
             raise ValueError("log domain violation: non-positive input")
         val = np.log(v)
         d = 1.0 / v
-    elif tag == "softplus":
-        val = _softplus(v)
-        d = _sigmoid(v)
     elif tag == "relu":
         val = np.maximum(v, 0.0)
         d = (v > 0).astype(np.float64)

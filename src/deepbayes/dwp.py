@@ -1,6 +1,7 @@
-"""Deep Wishart process: prior over Gram matrices, generalized-Wishart
-approximate posterior, inducing-point ELBO, and the inducing-extension
-consistency algebra."""
+"""Deep Wishart process: prior over Gram matrices and a generalized-Wishart
+approximate posterior over the inducing Grams, with the batch rows drawn
+from the prior conditional; the ELBO is deep_models.mc_elbo over
+dwp_forward."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -9,15 +10,13 @@ import numpy as np
 
 from . import diff_engine as de
 from . import rand_dist as rd
-from .deep_models import _gi_layer_sample, mc_elbo
+from .deep_models import _gi_layer_sample
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag, se_from_gram
+from .kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag
 
 __all__ = [
-    "GWishLayerPosterior", "DwpState", "gram_kernel_blocks",
-    "dwp_prior_layer", "dwp_posterior_layer",
+    "GWishLayerPosterior", "DwpState", "gram_kernel_blocks", "dwp_posterior_layer",
     "dwp_conditional_testpoints", "dwp_forward",
-    "dwp_elbo_batch", "wishart_inducing_extension",
 ]
 
 
@@ -49,7 +48,6 @@ class DwpState:
     inducing_inputs: object        # (M, nu0)
     layers: list                   # GWishLayerPosterior per Gram layer
     final_layer: object            # deep_models.GiDgpLayer over the last Gram
-    log_noise: object = 0.0
     nu0: int = 1
 
 
@@ -89,21 +87,6 @@ def gram_kernel_blocks(kp: KernelParams, G_ii, G_ti, g_tt, nu):
     K_ii = _se_gram(gi, G_ii, gi, nu, sf2, ls)
     K_ti = _se_gram(g_tt, G_ti, gi, nu, sf2, ls)
     return K_ii, K_ti, _se_kdiag(sf2, nt)
-
-
-def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
-                    nu_prev=None):
-    """One prior layer: G ~ Wishart(K(G_prev)/nu, nu), sampled via Bartlett.
-
-    Returns (G, log_density, features) with features the sampled root."""
-    K = se_from_gram(kp, G_prev, nu_prev if nu_prev is not None else nu)
-    N = K.value.shape[0]
-    scale = de.elementwise("affine", K, a=1.0 / float(nu))
-    L = de.cholesky_factor(scale)
-    feat = de.matmul(L, as_tensor(rd.bartlett_sample(N, nu, rng)))
-    G = de.matmul(feat, de.transpose(feat))
-    # the root L T is lower-trapezoidal, so its diagonal gives G's leading block
-    return G, rd._wishart_log_density_root(feat, L, nu, de.log_diag_sum(feat, 2.0)), feat
 
 
 def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStream):
@@ -181,47 +164,3 @@ def dwp_forward(state: DwpState, Xt, rng):
     _, F, inc = _gi_layer_sample(*gram_kernel_blocks(final.kernel_params, *grams, nu_prev),
                                  final, rng)
     return F, de.add(inc_sum, inc)
-
-
-def dwp_elbo_batch(state: DwpState, Xt, y, total_n, rng: rd.RngStream,
-                   n_samples=1, kl_scale=1.0):
-    """One minibatch ELBO for the deep Wishart process: the Monte-Carlo
-    average of dwp_forward's samples, drawn in one batch."""
-    return mc_elbo(lambda st: dwp_forward(state, Xt, st), y, total_n,
-                   n_samples, rng, state.log_noise, kl_scale)
-
-
-def wishart_inducing_extension(Sigma_uu, sigma_us, sigma_ss, Psi_uu):
-    """Extend a Wishart posterior scale Psi_uu on the inducing block to new
-    points so the conditional beyond the inducing block is the prior's.
-
-    x = Psi_uu Sigma_uu^{-1} sigma_us,
-    a = sigma_ss - sigma_us^T Sigma_uu^{-1} (Sigma_uu - Psi_uu) Sigma_uu^{-1} sigma_us.
-
-    Returns (x, a, certificate) where the certificate reports how closely the
-    extended scale's conditional parameters match the prior conditional, plus
-    the analogous inverse-Wishart residual (nonzero whenever Psi != Sigma,
-    showing the same extension is impossible there).
-    """
-    Sigma_uu = np.asarray(as_tensor(Sigma_uu).value, dtype=np.float64)
-    Psi_uu = np.asarray(as_tensor(Psi_uu).value, dtype=np.float64)
-    sigma_us = np.asarray(as_tensor(sigma_us).value, dtype=np.float64).reshape(-1)
-    sigma_ss = float(as_tensor(sigma_ss).value)
-
-    sol = np.linalg.solve(Sigma_uu, sigma_us)       # Sigma^{-1} sigma
-    x = Psi_uu @ sol
-    a = sigma_ss - sigma_us @ sol + sol @ Psi_uu @ sol
-
-    prior_schur = sigma_ss - sigma_us @ sol
-    if a - x @ np.linalg.solve(Psi_uu, x) <= 0 and prior_schur > 0:
-        raise ValueError("extension infeasible: Schur complement not positive")
-
-    cond_weights_ext = np.linalg.solve(Psi_uu, x)   # Psi^{-1} x
-    cert = {
-        "weights_residual": float(np.max(np.abs(cond_weights_ext - sol))),
-        "schur_residual": float(abs((a - x @ cond_weights_ext) - prior_schur)),
-        "iw_residual": float(abs(prior_schur)
-                             * np.linalg.norm(np.linalg.inv(Psi_uu)
-                                              - np.linalg.inv(Sigma_uu))),
-    }
-    return x, a, cert

@@ -1,5 +1,5 @@
-"""Bayesian linear regression, exact GP regression, sparse variational GPs,
-and deep-kernel features, all differentiable through diff_engine."""
+"""Gaussian-bump features, exact GP regression, sparse variational GPs, and
+deep-kernel features, all differentiable through diff_engine."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
@@ -12,22 +12,9 @@ from .diff_engine import DiffTensor, as_tensor
 from .kernels import KernelParams, _SeArd, _se_kdiag, se_ard_features
 
 __all__ = [
-    "BlrState", "GpState", "SvgpState",
-    "gaussian_bump_features", "blr_fit_predict_lml", "gp_predict_lml",
+    "GpState", "SvgpState", "gaussian_bump_features", "gp_predict_lml",
     "prop31_check", "svgp_elbo", "svgp_collapsed_bound", "dkl_forward",
 ]
-
-
-@dataclass
-class BlrState:
-    """Linear regression with a Gaussian prior N(0, alpha^2 I) on weights.
-
-    Features are either Gaussian bumps (centers/width set) or the raw inputs.
-    """
-    alpha: object = 1.0            # prior scale
-    sigma: object = 1.0            # observation noise std
-    centers: np.ndarray = None     # (K,) bump centers for 1-D inputs
-    width: float = None
 
 
 @dataclass
@@ -75,65 +62,6 @@ def make_bump_centers(x, n_centers):
     centers = np.linspace(lo, hi, n_centers)
     width = (hi - lo) / max(n_centers - 1, 1)
     return centers, width
-
-
-def _blr_features(state: BlrState, X) -> DiffTensor:
-    if state.centers is not None:
-        return gaussian_bump_features(np.asarray(np.ravel(de.as_tensor(X).value)),
-                                      state.centers, state.width)
-    X = as_tensor(X)
-    if X.value.ndim == 1:
-        return de.reshape(X, (X.value.shape[0], 1))
-    return X
-
-
-def blr_fit_predict_lml(state: BlrState, X, y, X_star=None):
-    """Posterior (m, S), predictive mean/var at X_star, and log marginal
-    likelihood of linear regression with prior N(0, alpha^2 I) on weights.
-    """
-    alpha = as_tensor(state.alpha)
-    sigma = as_tensor(state.sigma)
-    if alpha.value <= 0 or sigma.value <= 0:
-        raise ValueError("alpha and sigma must be positive")
-    phi = _blr_features(state, X)
-    n, k = phi.value.shape
-    y = as_tensor(y)
-    a2 = de.elementwise("square", alpha)
-    s2 = de.elementwise("square", sigma)
-
-    if n == 0:
-        m = as_tensor(np.zeros(k))
-        S = de.add_diagonal(np.zeros((k, k)), a2)
-        lml = as_tensor(np.asarray(0.0))
-    elif n <= k:
-        # function-space form: better conditioned than the weight-space
-        # precision when the features outnumber the data or the noise is tiny
-        cov = de.add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
-        Lc = de.cholesky_factor(cov)
-        w_y = de.triangular_solve(Lc, y)
-        w_p = de.triangular_solve(Lc, phi)                     # Lc^{-1} phi
-        m = de.mul(a2, de.matmul(de.transpose(w_p), w_y))
-        S = de.add_diagonal(de.neg(de.mul(de.elementwise("square", a2),
-                                          de.matmul(de.transpose(w_p), w_p))), a2)
-        lml = rd.mvn_log_density(y, np.zeros(n), cov, chol=Lc)
-    else:
-        prec = de.add_diagonal(de.div(de.matmul(de.transpose(phi), phi), s2),
-                               de.elementwise("reciprocal", a2))
-        Lp = de.cholesky_factor(prec)
-        # S = prec^{-1}
-        w = de.triangular_solve(Lp, np.eye(k))
-        S = de.matmul(de.transpose(w), w)
-        m = de.matmul(S, de.div(de.matmul(de.transpose(phi), y), s2))
-        cov = de.add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
-        lml = rd.mvn_log_density(y, np.zeros(n), cov)
-
-    pred = None
-    if X_star is not None:
-        phis = _blr_features(state, X_star)
-        mean = de.matmul(phis, m)
-        var = de.add(de.tsum(de.mul(de.matmul(phis, S), phis), axis=1), s2)
-        pred = (mean, var)
-    return m, S, pred, lml
 
 
 def gp_predict_lml(state: GpState, X, y, X_star=None):

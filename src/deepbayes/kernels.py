@@ -8,7 +8,7 @@ import numpy as np
 from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor
 
-__all__ = ["KernelParams", "se_ard_features", "se_from_gram"]
+__all__ = ["KernelParams", "se_ard_features"]
 
 
 @dataclass
@@ -127,22 +127,11 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
     return de.lift(se.K, parents, vjp, "se_kernel")
 
 
-def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
-    """SE kernel evaluated from a normalized Gram matrix G = F F^T / nu.
-
-    d2_ij = nu * (G_ii - 2 G_ij + G_jj); single shared lengthscale only, since
-    there are no explicit feature coordinates to weight separately.
-    """
-    G = as_tensor(G)
-    diag = de.diag_part(G)
-    return _se_gram(diag, G, diag, nu, *_gram_se_params(params))
-
-
 def _gram_se_params(params: KernelParams):
     """(sf2, lengthscale) of an SE kernel on Gram matrices."""
     ls = params.lengthscales()
     if ls.value.ndim and ls.value.size > 1:
-        raise ValueError("se_from_gram requires a single shared lengthscale")
+        raise ValueError("an SE kernel on Gram matrices requires a single shared lengthscale")
     return params.sf2(), ls
 
 

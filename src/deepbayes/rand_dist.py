@@ -1,4 +1,4 @@
-"""Samplers, log-densities, KL divergences, and change-of-variable Jacobians.
+"""Random streams, samplers, log-densities and KL divergences.
 
 Everything is reparameterized: samples are differentiable functions of the
 distribution parameters, and log-densities are built from diff_engine ops so
@@ -14,13 +14,9 @@ from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor, lift
 
 __all__ = [
-    "RngStream", "StreamBatch",
-    "gaussian_sample", "matrix_normal_sample", "gamma_sample_reparam",
-    "wishart_log_density", "inverse_wishart_log_density", "bartlett_sample",
-    "jacobian_logdets", "gwish_sample_and_logpdf",
-    "gaussian_conditional", "inducing_marginals",
-    "conditional_sample", "matrix_normal_conditional",
-    "kl_divergences", "mvn_log_density", "normal_log_density", "lgamma",
+    "RngStream", "StreamBatch", "gamma_sample_reparam", "wishart_log_density",
+    "gaussian_conditional", "inducing_marginals", "conditional_sample",
+    "kl_gamma", "mvn_log_density", "normal_log_density", "lgamma",
     "lu_packed_matrix", "lu_packed_logdet",
 ]
 
@@ -199,29 +195,6 @@ class StreamBatch(_Streams):
         return self._stack([g.standard_gamma(alpha) for g in self._generators()])
 
 
-# -- Gaussian sampling --------------------------------------------------------
-
-def gaussian_sample(mean, chol_cov, rng: RngStream) -> DiffTensor:
-    """mean + L xi with xi ~ N(0, I); reparameterized in mean and L."""
-    mean = as_tensor(mean)
-    chol_cov = as_tensor(chol_cov)
-    if chol_cov.value.shape[0] != mean.value.shape[0]:
-        raise ValueError("gaussian_sample shape mismatch")
-    xi = rng.normal(mean.value.shape)
-    return de.add(mean, de.matmul(chol_cov, as_tensor(xi)) if xi.ndim == 2
-                  else de.reshape(de.matmul(chol_cov, as_tensor(xi[:, None])), mean.value.shape))
-
-
-def matrix_normal_sample(mean, row_chol, col_chol, rng: RngStream) -> DiffTensor:
-    """M + Lr Xi Lc^T; col_chol=None means identity column covariance."""
-    mean = as_tensor(mean)
-    xi = as_tensor(rng.normal(mean.value.shape))
-    out = de.matmul(as_tensor(row_chol), xi)
-    if col_chol is not None:
-        out = de.matmul(out, de.transpose(as_tensor(col_chol)))
-    return de.add(mean, out)
-
-
 # -- gamma with implicit reparameterization -----------------------------------
 
 def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
@@ -328,7 +301,7 @@ def mvn_log_density(y, mean, cov, chol=None) -> DiffTensor:
     return lift(np.asarray(val), (y, mean, cov), vjp, "mvn_log_density")
 
 
-# -- Wishart / inverse-Wishart densities ----------------------------------------
+# -- Wishart densities -------------------------------------------------------------
 
 def _check_rank(G: np.ndarray, ntilde: int):
     sv = np.linalg.svd(G, compute_uv=False)
@@ -383,100 +356,6 @@ def _wishart_log_density_root(F, Ls, nu, ld_block) -> DiffTensor:
                 de._unbroadcast(c_ld * g, ld_block.value.shape))
 
     return lift(val, (Z, Ls, ld_block), vjp, "wishart_log_density")
-
-
-def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
-    """Log density of the inverse Wishart; requires nu >= N and PD G, Sigma."""
-    G, Sigma = as_tensor(G), as_tensor(Sigma)
-    N = G.value.shape[0]
-    nu = float(nu)
-    if nu < N:
-        raise ValueError("inverse Wishart requires nu >= N")
-    const = -0.5 * nu * N * np.log(2.0) - _multigammaln(0.5 * nu, N)
-    ld_sigma = de.logdet_psd(Sigma)
-    Lg = de.cholesky_factor(G)
-    ld_g = de.log_diag_sum(Lg, 2.0)
-    w = de.triangular_solve(Lg, Sigma)                    # tr(Lg^{-1} Sigma Lg^{-T})
-    tr = de.tsum(de.diag_part(de.triangular_solve(Lg, de.transpose(w))))
-    out = de.elementwise("affine", ld_sigma, a=0.5 * nu, b=const)
-    out = de.add(out, de.elementwise("affine", ld_g, a=-0.5 * (nu + N + 1)))
-    out = de.add(out, de.elementwise("affine", tr, a=-0.5))
-    if not np.isfinite(out.value):
-        raise ValueError("inverse_wishart_log_density: non-finite result")
-    return out
-
-
-# -- Bartlett ---------------------------------------------------------------
-
-def bartlett_sample(N: int, nu, rng: RngStream) -> np.ndarray:
-    """Standard (singular) Bartlett factor T, N x min(N, nu) and
-    lower-trapezoidal: T T^T ~ Wishart(I_N, nu)."""
-    nu_f = float(nu)
-    if nu_f < N and abs(nu_f - round(nu_f)) > 1e-12:
-        raise ValueError("singular Bartlett requires integer nu")
-    ntilde = int(min(round(nu_f), N)) if nu_f < N else N
-    T = np.zeros((N, ntilde))
-    j = np.arange(1, ntilde + 1)
-    T[j - 1, j - 1] = np.sqrt(2.0 * rng.standard_gamma(0.5 * (nu_f - j + 1.0)))
-    rows, cols = np.tril_indices(N, k=-1)
-    keep = cols < ntilde
-    T[rows[keep], cols[keep]] = rng.normal(int(keep.sum()))
-    return T
-
-
-# -- Appendix-style Jacobian log determinants ---------------------------------
-
-def jacobian_logdets(variant: str, **kw) -> DiffTensor:
-    """Log absolute Jacobian determinants for the matrix transforms used by
-    the generalized Wishart densities.
-
-    variants:
-      llt:        Lambda (N x ntilde lower-trapezoidal) -> Lambda Lambda^T
-      left_mul:   T -> L T, L lower-tri N x N           (kw: L, nu)
-      right_mul:  T -> T B, B lower-tri ntilde x ntilde (kw: B, N, nu)
-      congruence: C -> A C A^T, A invertible            (kw: A, C_block, D_block:
-                   the leading ntilde blocks; N, nu)
-    """
-    if variant == "llt":
-        lam = as_tensor(kw["factor"])
-        N = lam.value.shape[0]
-        ntilde = lam.value.shape[1]
-        if np.any(np.diag(lam.value[:ntilde, :ntilde]) == 0):
-            raise ValueError("singular factor in llt Jacobian")
-        d = de.diag_part(lam)
-        # prod_i 2 * Lam_ii^{N-i+1}, i = 1..ntilde
-        exps = np.arange(N, N - ntilde, -1, dtype=np.float64)
-        logs = de.elementwise("log", d)
-        return de.add(de.tsum(de.mul(logs, as_tensor(exps))),
-                      as_tensor(np.asarray(ntilde * np.log(2.0))))
-    if variant == "left_mul":
-        L = as_tensor(kw["L"])
-        nu = int(kw["nu"])
-        N = L.value.shape[0]
-        if np.any(np.diag(L.value) == 0):
-            raise ValueError("singular factor in left_mul Jacobian")
-        exps = np.minimum(np.arange(1, N + 1), nu).astype(np.float64)
-        return de.tsum(de.mul(de.elementwise("log", de.diag_part(L)), as_tensor(exps)))
-    if variant == "right_mul":
-        B = as_tensor(kw["B"])
-        N = int(kw["N"])
-        ntilde = B.value.shape[0]
-        if np.any(np.diag(B.value) == 0):
-            raise ValueError("singular factor in right_mul Jacobian")
-        exps = np.arange(N, N - ntilde, -1, dtype=np.float64)
-        return de.tsum(de.mul(de.elementwise("log", de.diag_part(B)), as_tensor(exps)))
-    if variant == "congruence":
-        nu = float(kw["nu"])
-        N = int(kw["N"])
-        s, ld = np.linalg.slogdet(np.asarray(as_tensor(kw["A"]).value))
-        if s == 0:
-            raise ValueError("singular A in congruence Jacobian")
-        lad = as_tensor(np.asarray(ld))
-        ld_c = de.logdet_psd(kw["C_block"])
-        ld_d = de.logdet_psd(kw["D_block"])
-        out = de.elementwise("affine", lad, a=nu)
-        return de.add(out, de.elementwise("affine", de.sub(ld_c, ld_d), a=0.5 * (nu - N - 1)))
-    raise ValueError(f"unknown Jacobian variant {variant!r}")
 
 
 # -- LU-packed invertible matrices ---------------------------------------------
@@ -545,8 +424,7 @@ def _bartlett_logq(tsq, T, alpha, beta, mu, sigma, below, w_t, const, scale_logq
     return lift(val, (tsq, alpha, beta, T, mu, sigma, const, scale_logq), vjp, "gwish_logq")
 
 
-def gwish_sample_and_logpdf(L, nu, alpha, beta, mu, sigma, rng: RngStream,
-                            A_packed=None, B=None):
+def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, B=None):
     """Sample G from the (A/AB-)generalized singular Wishart with N x N lower
     scale factor L and nu degrees of freedom, and evaluate its log density
     at the sample.
@@ -558,28 +436,15 @@ def gwish_sample_and_logpdf(L, nu, alpha, beta, mu, sigma, rng: RngStream,
     optional lower-triangular ntilde x ntilde column mixing with positive
     diagonal (AB-variant). G = (L A T B)(L A T B)^T.
 
-    Returns (G, log_density, feat, ld_block): feat is the retained root with
-    feat feat^T = G (the imagined features of the inducing block), and
-    ld_block the log-determinant of G's leading ntilde x ntilde block, from
-    the diagonals the density forms (A-variant: and its one factorised block).
-    """
-    G, logq, feat, ld_block, ATB = _gwish_sample(L, nu, alpha, beta, mu, sigma, rng,
-                                                 A_packed, B)
-    if A_packed is None:
-        return G, logq, feat, ld_block
-    # the A-variant's log-det db of the leading block of (A T B)(A T B)^T
-    nu, N = int(nu), ATB.value.shape[-2]
-    S = de.getitem(ATB, (Ellipsis, slice(0, min(N, nu)), slice(None)))
-    db = de.logdet_psd(de.matmul(S, de.transpose(S)))
-    c_db = 0.5 * (nu - N - 1)
-    return G, de.add(logq, de.elementwise("affine", db, a=c_db)), feat, de.add(db, ld_block)
-
-
-def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, B=None):
-    """gwish_sample_and_logpdf less the A-variant's db, plus the root A T B:
-    (G, log_density - c db, feat, ld_block - db, ATB), c = 0.5 (nu - N - 1).
-    A Wishart log density of G read through ld_block holds the same c db, so
-    log p - log q needs neither term, and db's factorisation is saved."""
+    Returns (G, log_density, feat, ld_block, ATB): feat is the retained root
+    with feat feat^T = G (the imagined features of the inducing block), ATB
+    the root A T B, and ld_block the log-determinant of G's leading
+    ntilde x ntilde block, from the diagonals the density forms. The
+    A-variant leaves out the log-det db of the leading block of
+    (A T B)(A T B)^T: log_density is less c db, c = 0.5 (nu - N - 1), and
+    ld_block less db. A Wishart log density of G read through ld_block holds
+    the same c db, so log p - log q needs neither term, and db's
+    factorisation is saved."""
     nu = int(nu)
     alpha, beta, mu, sigma = map(as_tensor, (alpha, beta, mu, sigma))
     if np.any(alpha.value <= 0) or np.any(beta.value <= 0) or np.any(sigma.value <= 0):
@@ -693,55 +558,24 @@ def conditional_sample(mean, var, rng) -> DiffTensor:
     return lift(mean.value + rows * xi, (mean, var), vjp, "conditional_sample")
 
 
-def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i):
-    """Conditional of rows t given rows i of a matrix normal with row scale
-    [[S_ii, S_ti^T], [S_ti, S_tt]] and identity column covariance: returns
-    (mean, row_cov) with mean = S_ti S_ii^{-1} F_i and
-    row_cov = S_tt - S_ti S_ii^{-1} S_ti^T.
-    """
-    S_ii, S_ti, S_tt, F_i = map(as_tensor, (S_ii, S_ti, S_tt, F_i))
-    L = de.cholesky_factor(S_ii)
-    w_s = de.triangular_solve(L, de.transpose(S_ti))
-    mean = de.matmul(de.transpose(w_s), de.triangular_solve(L, F_i))
-    row_cov = de.sub(S_tt, de.matmul(de.transpose(w_s), w_s))
-    return mean, row_cov
-
-
 # -- KL divergences ----------------------------------------------------------------
 
-def kl_divergences(variant: str, q, p) -> DiffTensor:
-    """Closed-form KL(q || p).
-
-    gaussian-full:     q = (mean, cov), p = (mean, cov)
-    gaussian-diagonal: q = (mean, var), p = (mean, var), elementwise vectors
-    gamma-gamma:       q = (shape, rate), p = (shape, rate)
-    """
-    if variant == "gaussian-full":
-        (mq, Sq), (mp_, Sp) = q, p
-        return _kl_gaussian_chol(mq, de.cholesky_factor(Sq), mp_, de.cholesky_factor(Sp))
-    if variant == "gaussian-diagonal":
-        mq, vq = map(as_tensor, q)
-        mp_, vp = map(as_tensor, p)
-        ratio = de.div(vq, vp)
-        quad = de.div(de.elementwise("square", de.sub(mq, mp_)), vp)
-        term = de.sub(de.add(ratio, quad),
-                      de.add(de.elementwise("log", ratio), as_tensor(np.ones_like(vq.value))))
-        return de.elementwise("affine", de.tsum(term), a=0.5)
-    if variant == "gamma-gamma":
-        aq, bq = map(as_tensor, q)
-        ap, bp = map(as_tensor, p)
-        if np.any(aq.value <= 0) or np.any(bq.value <= 0) or \
-           np.any(ap.value <= 0) or np.any(bp.value <= 0):
-            raise ValueError("gamma parameters must be positive")
-        dig = lift(spec.digamma(aq.value), (aq,), lambda g: (g * spec.polygamma(1, aq.value),),
-                   "digamma")
-        out = de.mul(de.sub(aq, ap), dig)
-        out = de.add(out, de.sub(lgamma(ap), lgamma(aq)))
-        out = de.add(out, de.mul(ap, de.sub(de.elementwise("log", bq),
-                                            de.elementwise("log", bp))))
-        out = de.add(out, de.mul(aq, de.div(de.sub(bp, bq), bq)))
-        return de.tsum(out)
-    raise ValueError(f"unknown KL variant {variant!r}")
+def kl_gamma(q, p) -> DiffTensor:
+    """Closed-form KL(Gamma(q) || Gamma(p)), q and p (shape, rate) pairs,
+    summed over their elements."""
+    aq, bq = map(as_tensor, q)
+    ap, bp = map(as_tensor, p)
+    if np.any(aq.value <= 0) or np.any(bq.value <= 0) or \
+       np.any(ap.value <= 0) or np.any(bp.value <= 0):
+        raise ValueError("gamma parameters must be positive")
+    dig = lift(spec.digamma(aq.value), (aq,), lambda g: (g * spec.polygamma(1, aq.value),),
+               "digamma")
+    out = de.mul(de.sub(aq, ap), dig)
+    out = de.add(out, de.sub(lgamma(ap), lgamma(aq)))
+    out = de.add(out, de.mul(ap, de.sub(de.elementwise("log", bq),
+                                        de.elementwise("log", bp))))
+    out = de.add(out, de.mul(aq, de.div(de.sub(bp, bq), bq)))
+    return de.tsum(out)
 
 
 def _kl_gaussian_chol(mq, Lq, mp, Lp) -> DiffTensor:

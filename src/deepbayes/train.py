@@ -125,7 +125,7 @@ def train_loop(model, dataset, config: TrainConfig):
     The model exposes:
       init_params() -> dict of arrays
       objective(params, Xb, yb, total_n, n_samples, rng, kl_scale) -> scalar
-      evaluate(params, dataset, rng, n_samples) -> metrics dict (optional)
+      evaluate(params, dataset, rng, n_samples) -> metrics dict
     """
     params = {k: np.asarray(v, dtype=np.float64).copy()
               for k, v in model.init_params().items()}
@@ -161,9 +161,8 @@ def train_loop(model, dataset, config: TrainConfig):
         if step % config.eval_every == 0 or step == config.steps - 1:
             eval_rng = rd.RngStream(np.random.SeedSequence(
                 entropy=config.seed, spawn_key=(1 << 20, step)))
-            rec = {"step": step}
-            rec.update(_evaluate(model, params, dataset, eval_rng, config))
-            trace.append(rec)
+            trace.append({"step": step, **model.evaluate(params, dataset, eval_rng,
+                                                         config.eval_samples)})
 
     result = {
         "trace": trace,
@@ -186,14 +185,3 @@ def _loss_and_grads(model, params, Xb, yb, total_n, n_samples, rng, kl_scale):
         loss = de.elementwise("affine", model.objective(
             wrapped, Xb, yb, total_n, n_samples, rng, kl_scale), a=-1.0)
         return float(loss.value), de.backward_pass(loss)
-
-
-def _evaluate(model, params, dataset, rng: rd.RngStream, config: TrainConfig):
-    if hasattr(model, "evaluate"):
-        return model.evaluate(params, dataset, rng, config.eval_samples)
-    n = dataset.X_train.shape[0]
-    elbo = model.objective(
-        {k: de.as_tensor(v) for k, v in params.items()},
-        dataset.X_train, dataset.y_train, n, config.eval_samples, rng, 1.0)
-    return {"elbo_per_point": float(elbo.value) / n,
-            "elbo_samples": config.eval_samples, "pred_samples": 0}

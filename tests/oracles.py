@@ -1,0 +1,327 @@
+"""Reference computations that only the tests call.
+
+The models never run these: they are the closed forms and plain samplers
+that the paper's propositions are checked against (Gaussian, matrix-normal
+and Bartlett samplers, the inverse-Wishart density, the generalized
+Wishart's Jacobians, matrix-normal conditioning, the Gram-matrix SE kernel,
+a Wishart prior layer, the inducing-extension certificate, the BNN-as-DGP
+Gram, and exact Bayesian linear regression). They are built from the same
+diff_engine ops as the library, so tests can differentiate through them.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from deepbayes import diff_engine as de
+from deepbayes import gp_models as gm
+from deepbayes import rand_dist as rd
+from deepbayes.deep_models import PriorSpec, _prior_precision_scalar
+from deepbayes.diff_engine import DiffTensor, as_tensor
+from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram
+from deepbayes.rand_dist import RngStream, _multigammaln
+
+
+# -- samplers ------------------------------------------------------------------
+
+def gaussian_sample(mean, chol_cov, rng: RngStream) -> DiffTensor:
+    """mean + L xi with xi ~ N(0, I); reparameterized in mean and L."""
+    mean = as_tensor(mean)
+    chol_cov = as_tensor(chol_cov)
+    if chol_cov.value.shape[0] != mean.value.shape[0]:
+        raise ValueError("gaussian_sample shape mismatch")
+    xi = rng.normal(mean.value.shape)
+    return de.add(mean, de.matmul(chol_cov, as_tensor(xi)) if xi.ndim == 2
+                  else de.reshape(de.matmul(chol_cov, as_tensor(xi[:, None])), mean.value.shape))
+
+
+def matrix_normal_sample(mean, row_chol, col_chol, rng: RngStream) -> DiffTensor:
+    """M + Lr Xi Lc^T; col_chol=None means identity column covariance."""
+    mean = as_tensor(mean)
+    xi = as_tensor(rng.normal(mean.value.shape))
+    out = de.matmul(as_tensor(row_chol), xi)
+    if col_chol is not None:
+        out = de.matmul(out, de.transpose(as_tensor(col_chol)))
+    return de.add(mean, out)
+
+
+def bartlett_sample(N: int, nu, rng: RngStream) -> np.ndarray:
+    """Standard (singular) Bartlett factor T, N x min(N, nu) and
+    lower-trapezoidal: T T^T ~ Wishart(I_N, nu)."""
+    nu_f = float(nu)
+    if nu_f < N and abs(nu_f - round(nu_f)) > 1e-12:
+        raise ValueError("singular Bartlett requires integer nu")
+    ntilde = int(min(round(nu_f), N)) if nu_f < N else N
+    T = np.zeros((N, ntilde))
+    j = np.arange(1, ntilde + 1)
+    T[j - 1, j - 1] = np.sqrt(2.0 * rng.standard_gamma(0.5 * (nu_f - j + 1.0)))
+    rows, cols = np.tril_indices(N, k=-1)
+    keep = cols < ntilde
+    T[rows[keep], cols[keep]] = rng.normal(int(keep.sum()))
+    return T
+
+
+# -- densities and Jacobians -----------------------------------------------------
+
+def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
+    """Log density of the inverse Wishart; requires nu >= N and PD G, Sigma."""
+    G, Sigma = as_tensor(G), as_tensor(Sigma)
+    N = G.value.shape[0]
+    nu = float(nu)
+    if nu < N:
+        raise ValueError("inverse Wishart requires nu >= N")
+    const = -0.5 * nu * N * np.log(2.0) - _multigammaln(0.5 * nu, N)
+    ld_sigma = de.logdet_psd(Sigma)
+    Lg = de.cholesky_factor(G)
+    ld_g = de.log_diag_sum(Lg, 2.0)
+    w = de.triangular_solve(Lg, Sigma)                    # tr(Lg^{-1} Sigma Lg^{-T})
+    tr = de.tsum(de.diag_part(de.triangular_solve(Lg, de.transpose(w))))
+    out = de.elementwise("affine", ld_sigma, a=0.5 * nu, b=const)
+    out = de.add(out, de.elementwise("affine", ld_g, a=-0.5 * (nu + N + 1)))
+    out = de.add(out, de.elementwise("affine", tr, a=-0.5))
+    if not np.isfinite(out.value):
+        raise ValueError("inverse_wishart_log_density: non-finite result")
+    return out
+
+
+def jacobian_logdets(variant: str, **kw) -> DiffTensor:
+    """Log absolute Jacobian determinants for the matrix transforms used by
+    the generalized Wishart densities.
+
+    variants:
+      llt:        Lambda (N x ntilde lower-trapezoidal) -> Lambda Lambda^T
+      left_mul:   T -> L T, L lower-tri N x N           (kw: L, nu)
+      right_mul:  T -> T B, B lower-tri ntilde x ntilde (kw: B, N, nu)
+      congruence: C -> A C A^T, A invertible            (kw: A, C_block, D_block:
+                   the leading ntilde blocks; N, nu)
+    """
+    if variant == "llt":
+        lam = as_tensor(kw["factor"])
+        N = lam.value.shape[0]
+        ntilde = lam.value.shape[1]
+        if np.any(np.diag(lam.value[:ntilde, :ntilde]) == 0):
+            raise ValueError("singular factor in llt Jacobian")
+        d = de.diag_part(lam)
+        # prod_i 2 * Lam_ii^{N-i+1}, i = 1..ntilde
+        exps = np.arange(N, N - ntilde, -1, dtype=np.float64)
+        logs = de.elementwise("log", d)
+        return de.add(de.tsum(de.mul(logs, as_tensor(exps))),
+                      as_tensor(np.asarray(ntilde * np.log(2.0))))
+    if variant == "left_mul":
+        L = as_tensor(kw["L"])
+        nu = int(kw["nu"])
+        N = L.value.shape[0]
+        if np.any(np.diag(L.value) == 0):
+            raise ValueError("singular factor in left_mul Jacobian")
+        exps = np.minimum(np.arange(1, N + 1), nu).astype(np.float64)
+        return de.tsum(de.mul(de.elementwise("log", de.diag_part(L)), as_tensor(exps)))
+    if variant == "right_mul":
+        B = as_tensor(kw["B"])
+        N = int(kw["N"])
+        ntilde = B.value.shape[0]
+        if np.any(np.diag(B.value) == 0):
+            raise ValueError("singular factor in right_mul Jacobian")
+        exps = np.arange(N, N - ntilde, -1, dtype=np.float64)
+        return de.tsum(de.mul(de.elementwise("log", de.diag_part(B)), as_tensor(exps)))
+    if variant == "congruence":
+        nu = float(kw["nu"])
+        N = int(kw["N"])
+        s, ld = np.linalg.slogdet(np.asarray(as_tensor(kw["A"]).value))
+        if s == 0:
+            raise ValueError("singular A in congruence Jacobian")
+        lad = as_tensor(np.asarray(ld))
+        ld_c = de.logdet_psd(kw["C_block"])
+        ld_d = de.logdet_psd(kw["D_block"])
+        out = de.elementwise("affine", lad, a=nu)
+        return de.add(out, de.elementwise("affine", de.sub(ld_c, ld_d), a=0.5 * (nu - N - 1)))
+    raise ValueError(f"unknown Jacobian variant {variant!r}")
+
+
+def gwish_full_density(sample, nu, A_packed=None):
+    """(G, log q, feat, ld_block) of the generalized Wishart from
+    rand_dist._gwish_sample's (G, log q, feat, ld_block, ATB). With an A
+    mixing, _gwish_sample leaves db, the log-det of the leading min(N, nu)
+    block of (A T B)(A T B)^T, out of ld_block and c db (c = 0.5 (nu - N - 1))
+    out of log q: a Wishart density read through ld_block holds the same
+    c db, so the models' log p - log q needs neither. This adds both back."""
+    G, logq, feat, ld_block, ATB = sample
+    if A_packed is None:
+        return G, logq, feat, ld_block
+    nu, N = int(nu), ATB.value.shape[-2]
+    S = de.getitem(ATB, (Ellipsis, slice(0, min(N, nu)), slice(None)))
+    db = de.logdet_psd(de.matmul(S, de.transpose(S)))
+    c_db = 0.5 * (nu - N - 1)
+    return G, de.add(logq, de.elementwise("affine", db, a=c_db)), feat, de.add(db, ld_block)
+
+
+# -- conditioning ------------------------------------------------------------------
+
+def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i):
+    """Conditional of rows t given rows i of a matrix normal with row scale
+    [[S_ii, S_ti^T], [S_ti, S_tt]] and identity column covariance: returns
+    (mean, row_cov) with mean = S_ti S_ii^{-1} F_i and
+    row_cov = S_tt - S_ti S_ii^{-1} S_ti^T.
+    """
+    S_ii, S_ti, S_tt, F_i = map(as_tensor, (S_ii, S_ti, S_tt, F_i))
+    L = de.cholesky_factor(S_ii)
+    w_s = de.triangular_solve(L, de.transpose(S_ti))
+    mean = de.matmul(de.transpose(w_s), de.triangular_solve(L, F_i))
+    row_cov = de.sub(S_tt, de.matmul(de.transpose(w_s), w_s))
+    return mean, row_cov
+
+
+# -- Gram-matrix kernels and Wishart layers ---------------------------------------------
+
+def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
+    """SE kernel evaluated from a normalized Gram matrix G = F F^T / nu.
+
+    d2_ij = nu * (G_ii - 2 G_ij + G_jj); single shared lengthscale only, since
+    there are no explicit feature coordinates to weight separately.
+    """
+    G = as_tensor(G)
+    diag = de.diag_part(G)
+    return _se_gram(diag, G, diag, nu, *_gram_se_params(params))
+
+
+def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
+                    nu_prev=None):
+    """One prior layer: G ~ Wishart(K(G_prev)/nu, nu), sampled via Bartlett.
+
+    Returns (G, log_density, features) with features the sampled root."""
+    K = se_from_gram(kp, G_prev, nu_prev if nu_prev is not None else nu)
+    N = K.value.shape[0]
+    scale = de.elementwise("affine", K, a=1.0 / float(nu))
+    L = de.cholesky_factor(scale)
+    feat = de.matmul(L, as_tensor(bartlett_sample(N, nu, rng)))
+    G = de.matmul(feat, de.transpose(feat))
+    # the root L T is lower-trapezoidal, so its diagonal gives G's leading block
+    return G, rd._wishart_log_density_root(feat, L, nu, de.log_diag_sum(feat, 2.0)), feat
+
+
+def wishart_inducing_extension(Sigma_uu, sigma_us, sigma_ss, Psi_uu):
+    """Extend a Wishart posterior scale Psi_uu on the inducing block to new
+    points so the conditional beyond the inducing block is the prior's.
+
+    x = Psi_uu Sigma_uu^{-1} sigma_us,
+    a = sigma_ss - sigma_us^T Sigma_uu^{-1} (Sigma_uu - Psi_uu) Sigma_uu^{-1} sigma_us.
+
+    Returns (x, a, certificate) where the certificate reports how closely the
+    extended scale's conditional parameters match the prior conditional, plus
+    the analogous inverse-Wishart residual (nonzero whenever Psi != Sigma,
+    showing the same extension is impossible there).
+    """
+    Sigma_uu = np.asarray(as_tensor(Sigma_uu).value, dtype=np.float64)
+    Psi_uu = np.asarray(as_tensor(Psi_uu).value, dtype=np.float64)
+    sigma_us = np.asarray(as_tensor(sigma_us).value, dtype=np.float64).reshape(-1)
+    sigma_ss = float(as_tensor(sigma_ss).value)
+
+    sol = np.linalg.solve(Sigma_uu, sigma_us)       # Sigma^{-1} sigma
+    x = Psi_uu @ sol
+    a = sigma_ss - sigma_us @ sol + sol @ Psi_uu @ sol
+
+    prior_schur = sigma_ss - sigma_us @ sol
+    if a - x @ np.linalg.solve(Psi_uu, x) <= 0 and prior_schur > 0:
+        raise ValueError("extension infeasible: Schur complement not positive")
+
+    cond_weights_ext = np.linalg.solve(Psi_uu, x)   # Psi^{-1} x
+    cert = {
+        "weights_residual": float(np.max(np.abs(cond_weights_ext - sol))),
+        "schur_residual": float(abs((a - x @ cond_weights_ext) - prior_schur)),
+        "iw_residual": float(abs(prior_schur)
+                             * np.linalg.norm(np.linalg.inv(Psi_uu)
+                                              - np.linalg.inv(Sigma_uu))),
+    }
+    return x, a, cert
+
+
+def bnn_as_dgp_gram(prior: PriorSpec, F_prev, activation="relu", s=1.0) -> DiffTensor:
+    """Conditional Gram matrix of one BNN layer's activations:
+    K_f = psi(F) Sigma psi(F)^T / fanin = psi(F) psi(F)^T / (nu Sigma^{-1}),
+    the degenerate kernel that makes a BNN a DGP with this kernel."""
+    F_prev = as_tensor(F_prev)
+    psi = F_prev if activation == "identity" else de.elementwise("relu", F_prev)
+    prior_prec = _prior_precision_scalar(prior, psi.value.shape[1], s=s)
+    return de.div(de.matmul(psi, de.transpose(psi)), prior_prec)
+
+
+# -- exact Bayesian linear regression -------------------------------------------------
+
+@dataclass
+class BlrState:
+    """Linear regression with a Gaussian prior N(0, alpha^2 I) on weights.
+
+    Features are either Gaussian bumps (centers/width set) or the raw inputs.
+    """
+    alpha: object = 1.0            # prior scale
+    sigma: object = 1.0            # observation noise std
+    centers: np.ndarray = None     # (K,) bump centers for 1-D inputs
+    width: float = None
+
+
+def _blr_features(state: BlrState, X) -> DiffTensor:
+    if state.centers is not None:
+        return gm.gaussian_bump_features(np.asarray(np.ravel(de.as_tensor(X).value)),
+                                         state.centers, state.width)
+    X = as_tensor(X)
+    if X.value.ndim == 1:
+        return de.reshape(X, (X.value.shape[0], 1))
+    return X
+
+
+def blr_fit_predict_lml(state: BlrState, X, y, X_star=None):
+    """Posterior (m, S), predictive mean/var at X_star, and log marginal
+    likelihood of linear regression with prior N(0, alpha^2 I) on weights.
+    """
+    alpha = as_tensor(state.alpha)
+    sigma = as_tensor(state.sigma)
+    if alpha.value <= 0 or sigma.value <= 0:
+        raise ValueError("alpha and sigma must be positive")
+    phi = _blr_features(state, X)
+    n, k = phi.value.shape
+    y = as_tensor(y)
+    a2 = de.elementwise("square", alpha)
+    s2 = de.elementwise("square", sigma)
+
+    if n == 0:
+        m = as_tensor(np.zeros(k))
+        S = de.add_diagonal(np.zeros((k, k)), a2)
+        lml = as_tensor(np.asarray(0.0))
+    elif n <= k:
+        # function-space form: better conditioned than the weight-space
+        # precision when the features outnumber the data or the noise is tiny
+        cov = de.add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
+        Lc = de.cholesky_factor(cov)
+        w_y = de.triangular_solve(Lc, y)
+        w_p = de.triangular_solve(Lc, phi)                     # Lc^{-1} phi
+        m = de.mul(a2, de.matmul(de.transpose(w_p), w_y))
+        S = de.add_diagonal(de.elementwise("affine", de.mul(
+            de.elementwise("square", a2), de.matmul(de.transpose(w_p), w_p)), a=-1.0), a2)
+        lml = rd.mvn_log_density(y, np.zeros(n), cov, chol=Lc)
+    else:
+        prec = de.add_diagonal(de.div(de.matmul(de.transpose(phi), phi), s2),
+                               de.elementwise("reciprocal", a2))
+        Lp = de.cholesky_factor(prec)
+        # S = prec^{-1}
+        w = de.triangular_solve(Lp, np.eye(k))
+        S = de.matmul(de.transpose(w), w)
+        m = de.matmul(S, de.div(de.matmul(de.transpose(phi), y), s2))
+        cov = de.add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
+        lml = rd.mvn_log_density(y, np.zeros(n), cov)
+
+    pred = None
+    if X_star is not None:
+        phis = _blr_features(state, X_star)
+        mean = de.matmul(phis, m)
+        var = de.add(de.tsum(de.mul(de.matmul(phis, S), phis), axis=1), s2)
+        pred = (mean, var)
+    return m, S, pred, lml
+
+
+def exact_lml(model, dataset) -> float:
+    """The exact log marginal likelihood of a bench_cli.BlrViModel's linear
+    model (its bump features, prior scale and noise) on the training set."""
+    st = BlrState(alpha=model.alpha, sigma=model.sigma,
+                  centers=model.centers, width=model.width)
+    _, _, _, lml = blr_fit_predict_lml(st, dataset.X_train, dataset.y_train)
+    return float(lml.value)

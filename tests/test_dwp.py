@@ -3,12 +3,14 @@ import pytest
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
-from deepbayes.deep_models import GiDgpLayer
+from deepbayes.deep_models import GiDgpLayer, mc_elbo
 from deepbayes.dwp import (DwpState, GWishLayerPosterior, dwp_conditional_testpoints,
-                           dwp_elbo_batch, dwp_forward, dwp_posterior_layer, dwp_prior_layer,
-                           gram_kernel_blocks, standard_bartlett_params,
-                           wishart_inducing_extension)
-from deepbayes.kernels import KernelParams, se_from_gram
+                           dwp_forward, dwp_posterior_layer, gram_kernel_blocks,
+                           standard_bartlett_params)
+from deepbayes.kernels import KernelParams
+
+from oracles import (dwp_prior_layer, gwish_full_density, se_from_gram,
+                     wishart_inducing_extension)
 
 
 def _spd(rng, n, scale=1.0):
@@ -139,9 +141,9 @@ def test_root_form_density_matches_wishart_log_density(variant):
         B = (np.tril(0.2 * rng.standard_normal((nu, nu)), -1) + np.diag(np.exp(
             0.2 * rng.standard_normal(nu)))) if variant == "AB" else None
         L_mix = np.linalg.cholesky(0.7 * S + 0.3 * _spd(rng, M) / M)
-        G, _, feat, ld_block = rd.gwish_sample_and_logpdf(
+        G, _, feat, ld_block = gwish_full_density(rd._gwish_sample(
             L_mix, nu, a * np.exp(0.1 * rng.standard_normal(nu)), b, mu + 0.1, sg,
-            rd.RngStream(2), A, B)
+            rd.RngStream(2), A, B), nu, A)
         logp = rd._wishart_log_density_root(feat, np.linalg.cholesky(S), nu, ld_block)
     ref = rd.wishart_log_density(G.value, S, nu).value
     assert abs(logp.value - ref) <= 1e-10 * abs(ref)
@@ -288,6 +290,15 @@ def test_conditional_testpoints_root_rotation_invariance():
 
 # -- full ELBO ---------------------------------------------------------------------------
 
+LOG_NOISE = np.log(0.3)
+
+
+def _elbo(state, Xt, y, total_n, rng, n_samples=1, kl_scale=1.0, log_noise=LOG_NOISE):
+    """The deep-Wishart ELBO as the model runs it: mc_elbo over dwp_forward."""
+    return mc_elbo(lambda st: dwp_forward(state, Xt, st), y, total_n, n_samples, rng,
+                   log_noise, kl_scale)
+
+
 def _small_state(rng, M=4, nu=3, depth=1, variant="base", nu0=2):
     Xi = rng.standard_normal((M, nu0))
     layers = []
@@ -296,8 +307,7 @@ def _small_state(rng, M=4, nu=3, depth=1, variant="base", nu0=2):
                                  rng=np.random.default_rng(0), spread=0.1))
         layers[-1].kernel_params = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
     final = GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
-    return DwpState(inducing_inputs=Xi, layers=layers, final_layer=final,
-                    log_noise=np.log(0.3), nu0=nu0)
+    return DwpState(inducing_inputs=Xi, layers=layers, final_layer=final, nu0=nu0)
 
 
 def test_elbo_rotation_invariance_of_inducing_inputs():
@@ -305,10 +315,10 @@ def test_elbo_rotation_invariance_of_inducing_inputs():
     state = _small_state(rng)
     Xt = rng.standard_normal((3, 2))
     y = rng.standard_normal(3)
-    e1 = dwp_elbo_batch(state, Xt, y, total_n=3, rng=rd.RngStream(21)).value
+    e1 = _elbo(state, Xt, y, total_n=3, rng=rd.RngStream(21)).value
     Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     state.inducing_inputs = state.inducing_inputs @ Q
-    e2 = dwp_elbo_batch(state, Xt @ Q, y, total_n=3, rng=rd.RngStream(21)).value
+    e2 = _elbo(state, Xt @ Q, y, total_n=3, rng=rd.RngStream(21)).value
     assert np.isclose(e1, e2, atol=1e-10)
 
 
@@ -319,8 +329,7 @@ def test_elbo_variant_nesting_exact_under_same_seed():
     vals = []
     for variant in ("base", "A", "AB"):
         state = _small_state(np.random.default_rng(14), variant=variant)
-        vals.append(dwp_elbo_batch(state, Xt, y, total_n=3,
-                                   rng=rd.RngStream(33)).value)
+        vals.append(_elbo(state, Xt, y, total_n=3, rng=rd.RngStream(33)).value)
     assert np.isclose(vals[0], vals[1], atol=1e-10)
     assert np.isclose(vals[0], vals[2], atol=1e-10)
 
@@ -330,10 +339,9 @@ def test_elbo_multi_sample_average():
     state = _small_state(rng)
     Xt = rng.standard_normal((3, 2))
     y = rng.standard_normal(3)
-    e = dwp_elbo_batch(state, Xt, y, total_n=6, rng=rd.RngStream(9), n_samples=3,
-                       kl_scale=0.7)
+    e = _elbo(state, Xt, y, total_n=6, rng=rd.RngStream(9), n_samples=3, kl_scale=0.7)
     # each term is the per-sample forward driven by its own split stream
-    s2 = np.exp(state.log_noise)
+    s2 = np.exp(LOG_NOISE)
     terms = []
     for st in rd.RngStream(9).split(3):
         F, inc = dwp_forward(state, Xt, st)
@@ -360,9 +368,8 @@ def test_elbo_gradients_excluding_gamma_shape():
             log_sigma=ps["ls"], A_packed=ps["P"], B_packed=ps["B"],
             kernel_params=KernelParams(log_sf2=ps["lsf"], log_lengthscales=ps["lls"]))
         final = GiDgpLayer(V=ps["Vf"], log_lambda=ps["llf"])
-        state = DwpState(inducing_inputs=ps["Xi"], layers=[layer], final_layer=final,
-                         log_noise=ps["ln"], nu0=nu0)
-        return dwp_elbo_batch(state, Xt, y, total_n=2, rng=rd.RngStream(41))
+        state = DwpState(inducing_inputs=ps["Xi"], layers=[layer], final_layer=final, nu0=nu0)
+        return _elbo(state, Xt, y, total_n=2, rng=rd.RngStream(41), log_noise=ps["ln"])
     rep = de.finite_diff_check(fn, {
         "V": np.linalg.cholesky(_spd(rng, M)) / M, "lq": np.asarray(-1.5),
         "lb": np.log(b0), "mu": mu0 + 0.1 * rng.standard_normal((M, nt)),
@@ -379,7 +386,7 @@ def test_elbo_two_gram_layers_runs_and_is_finite():
     state = _small_state(rng, depth=2)
     Xt = rng.standard_normal((3, 2))
     y = rng.standard_normal(3)
-    e = dwp_elbo_batch(state, Xt, y, total_n=3, rng=rd.RngStream(1))
+    e = _elbo(state, Xt, y, total_n=3, rng=rd.RngStream(1))
     assert np.isfinite(e.value)
 
 

@@ -104,7 +104,17 @@ class _Dataset:
         self.y_test = self.y_train
 
 
-class _QuadModel:
+class _Evaluated:
+    """The per-point objective on the whole training set as the evaluation."""
+
+    def evaluate(self, params, dataset, rng, n_samples):
+        n = dataset.X_train.shape[0]
+        elbo = self.objective({k: de.as_tensor(v) for k, v in params.items()},
+                              dataset.X_train, dataset.y_train, n, n_samples, rng, 1.0)
+        return {"elbo_per_point": float(elbo.value) / n}
+
+
+class _QuadModel(_Evaluated):
     """Deterministic toy objective: -(w - 1)^2, maximized at w = 1."""
 
     def init_params(self):
@@ -145,7 +155,7 @@ class _OverflowAfterModel(_NanAfterModel):
         return out
 
 
-class _NoisyLinearModel:
+class _NoisyLinearModel(_Evaluated):
     """1-sample reparameterized Bayesian linear regression ELBO."""
 
     def init_params(self):
@@ -157,12 +167,9 @@ class _NoisyLinearModel:
                    de.mul(de.elementwise("exp", params["log_s"]), np.asarray(xi)))
         pred = de.mul(de.as_tensor(Xb[:, 0]), w)
         ll = de.tsum(rd.normal_log_density(yb, pred, np.asarray(0.01)))
-        kl = rd.kl_divergences(
-            "gaussian-diagonal",
-            (de.reshape(params["m"], (1,)),
-             de.reshape(de.elementwise("square",
-                                       de.elementwise("exp", params["log_s"])), (1,))),
-            (np.zeros(1), np.ones(1)))
+        kl = rd._kl_gaussian_chol(de.reshape(params["m"], (1,)),
+                                  de.reshape(de.elementwise("exp", params["log_s"]), (1, 1)),
+                                  np.zeros(1), np.eye(1))
         nb = Xb.shape[0]
         return de.sub(de.elementwise("affine", ll, a=float(total_n) / nb),
                       de.elementwise("affine", kl, a=float(kl_scale)))
