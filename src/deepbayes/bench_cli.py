@@ -514,11 +514,14 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        """A ValueError names the key of an unknown model or prior, a seed
-        that is not an integer >= 0, a depth or M that is not an integer (or
-        is below 1 for a model that reads it), and a widths that is not a
-        list of integers >= 1."""
+        """A ValueError names the key of an unknown model or prior, a dataset
+        that is not a non-empty string, a seed that is not an integer >= 0, a
+        depth or M that is not an integer (or is below 1 for a model that
+        reads it), and a widths that is not a list of integers >= 1."""
         _check_choice("model", self.model, _MODEL_KEYS_READ)
+        if not (isinstance(self.dataset, str) and self.dataset):
+            raise ValueError("config key 'dataset' must be one of ['cubic-toy', 'deep-linear'] "
+                             f"or the path of a CSV file, got {self.dataset!r}")
         check_seed("config key 'seed'", self.seed)
         _check_choice("prior", self.prior, dm.PRIOR_VARIANTS)
         for key in ("depth", "M"):

@@ -65,7 +65,15 @@ def make_bump_centers(x, n_centers):
 
 
 def gp_predict_lml(state: GpState, X, y, X_star=None):
-    """Exact GP regression: predictive mean/cov at X_star and the LML."""
+    """Exact GP regression: predictive mean/cov at X_star and the LML.
+
+    Under the built-in SE-ARD kernel the LML is one tape node
+    (_se_exact_lml). Predictions with no tracked input (evaluation and
+    plotting) come from the same factor of K + s2 I, made in place in the
+    kernel's own buffer (_se_exact_fit), so the LML they return equals the
+    node's bitwise. Predictions with a tracked input, and any kernel_fn,
+    build the chain of generic ops: kernel, add_diagonal, cholesky_factor,
+    the density and two triangular solves."""
     X = as_tensor(X)
     y = as_tensor(y)
     n = X.value.shape[0]
@@ -77,8 +85,19 @@ def gp_predict_lml(state: GpState, X, y, X_star=None):
         m = as_tensor(np.zeros(as_tensor(X_star).value.shape[0]))
         return m, Kss, as_tensor(np.asarray(0.0))
 
-    if X_star is None and state.kernel_fn is None:
-        return None, None, _se_exact_lml(state.kernel_params, s2, X, y)
+    if state.kernel_fn is None:
+        if X_star is None:
+            return None, None, _se_exact_lml(state.kernel_params, s2, X, y)
+        X_star = as_tensor(X_star)
+        kp = state.kernel_params
+        if not any(isinstance(t, DiffTensor) and t._tape is not None
+                   for t in (kp.log_sf2, kp.log_lengthscales, s2, X, y, X_star)):
+            _, L, val, w_y = _se_exact_fit(kp, s2, X, y, keep_kernel=False)
+            w_k = de._solve_tri(L, state.kern(X, X_star).value, False)
+            cov = state.kern(X_star).value
+            cov -= w_k.T @ w_k
+            return (as_tensor(w_k.T @ w_y), as_tensor(cov),
+                    de.lift(np.asarray(val), (), None, _EXACT_LML))
     Kn = de.add_diagonal(state.kern(X), s2)
     L = de.cholesky_factor(Kn)
     # L only serves predictions: the LML's gradient reaches Kn directly
@@ -98,26 +117,38 @@ def gp_predict_lml(state: GpState, X, y, X_star=None):
 _EXACT_LML = "exact_gp_lml"
 
 
+def _se_exact_fit(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTensor,
+                  keep_kernel: bool):
+    """(se, L, log N(y; 0, K + s2 I), L^{-1} y) for the SE-ARD kernel K =
+    se.K of the rows of X: K + s2 I is built in one n x n buffer, a copy of
+    K when keep_kernel, else K's own, and potrf factorises it there into L
+    with the jitter ladder; as a _Handed buffer it gets no symmetrising copy
+    and no symmetry check, and L's strict upper triangle is not zeroed."""
+    se = _SeArd(params, X, X)
+    K = se.K
+    de._check_finite(K, f"kernel of op {_EXACT_LML!r}")
+    buf = K.copy() if keep_kernel else K
+    i = np.arange(K.shape[0])
+    buf[i, i] += s2.value
+    L = de._chol_with_jitter(buf.view(de._Handed))
+    val, w = rd._gaussian_fit(L, y.value)
+    return se, L, val, w
+
+
 def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTensor):
     """log N(y; 0, K + s2 I) for the SE-ARD kernel K of the rows of X, in one
     tape node over sf2, the lengthscales, s2, X and y.
 
-    The node owns two n x n buffers. One is K (kernels._SeArd). The other
-    starts as K + s2 I, which the node built itself, so potrf factorises it
-    in place with no symmetrising copy and no symmetry check. The backward
-    runs potri on that factor in place and forms there W = 0.5 g (alpha
-    alpha^T - (K + s2 I)^{-1}), the cotangent of K + s2 I (Rasmussen &
-    Williams 2006, eq. 5.9), whose trace is s2's; then W * K, from which the
-    kernel's reductions give the rest. The factor is thus consumed, and a
-    second backward pass over the node raises."""
-    se = _SeArd(params, X, X)
+    The node owns two n x n buffers: K (kernels._SeArd), and the factor of
+    K + s2 I that _se_exact_fit makes in a copy of K. The backward runs
+    potri on that factor in place and forms there W = 0.5 g (alpha alpha^T -
+    (K + s2 I)^{-1}), the cotangent of K + s2 I (Rasmussen & Williams 2006,
+    eq. 5.9), whose trace is s2's; then W * K, from which the kernel's
+    reductions give the rest. The factor is thus consumed, and a second
+    backward pass over the node raises."""
+    se, L, val, w = _se_exact_fit(params, s2, X, y, keep_kernel=True)
     K = se.K
-    de._check_finite(K, f"kernel of op {_EXACT_LML!r}")
     i = np.arange(K.shape[0])
-    buf = K.copy()
-    buf[i, i] += s2.value
-    L = de._chol_with_jitter(buf.view(de._Handed))
-    val, w = rd._gaussian_fit(L, y.value)
     consumed = []
 
     def vjp(g):

@@ -184,7 +184,8 @@ def test_experiment_config_rejects_depth_and_M_below_one(model, key, value):
     ({"model": "bnn"}, "model"), ({"model": ["gp"]}, "model"),
     ({"model": "bnn-gi", "prior": "nael"}, "prior"), ({"model": "bnn-fac", "prior": None}, "prior"),
     ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": "x"}, "seed"),
-    ({"seed": True}, "seed")])
+    ({"seed": True}, "seed"), ({"dataset": 0}, "dataset"), ({"dataset": None}, "dataset"),
+    ({"dataset": ""}, "dataset")])
 def test_experiment_config_rejects_values_of_the_wrong_type(given, key):
     with pytest.raises(ValueError, match=rf"{key}'? must be (an integer|a list of integers|one of)"):
         ExperimentConfig.from_dict({"model": "blr", **given})
@@ -193,12 +194,21 @@ def test_experiment_config_rejects_values_of_the_wrong_type(given, key):
 @pytest.mark.parametrize("given,key", [
     ({"model": "blr", "seed": True}, "seed"), ({"model": "nope"}, "model"),
     ({"model": "svgp", "M": 0}, "M"), ({"model": "bnn-gi", "widths": (0,)}, "widths"),
-    ({"model": "bnn-gi", "prior": "bad"}, "prior")])
+    ({"model": "bnn-gi", "prior": "bad"}, "prior"), ({"model": "gp", "dataset": 0}, "dataset"),
+    ({"model": "gp", "dataset": None}, "dataset"), ({"model": "gp", "dataset": ""}, "dataset")])
 def test_experiment_config_checks_values_when_built_directly(given, key):
     # the checks of from_dict hold for a config built in code, which before
-    # ran (seed True wrote blr_cubic-toy_True.json) or failed far from the key
+    # ran (seed True wrote blr_cubic-toy_True.json; dataset 0 read a CSV from
+    # standard input and wrote gp_0_0.json) or failed far from the key
     with pytest.raises(ValueError, match=rf"config key '{key}' must be"):
         ExperimentConfig(**given)
+
+
+def test_experiment_config_accepts_each_kind_of_dataset(tmp_path):
+    path = _write_csv(tmp_path, "a,b\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    for name in ("cubic-toy", "deep-linear", path):
+        assert ExperimentConfig.from_dict({"model": "gp", "dataset": name}).dataset == name
+        assert ExperimentConfig(model="gp", dataset=name).dataset == name
 
 
 def test_experiment_config_rejects_train_seed():

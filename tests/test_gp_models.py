@@ -6,7 +6,7 @@ import pytest
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
-from deepbayes.bench_cli import GpLmlModel, gen_deep_linear
+from deepbayes.bench_cli import GpLmlModel, gen_cubic_toy, gen_deep_linear
 from deepbayes.gp_models import (GpState, SvgpState, dkl_forward, gaussian_bump_features,
                                  gp_predict_lml, make_bump_centers, prop31_check,
                                  svgp_collapsed_bound, svgp_elbo)
@@ -179,17 +179,89 @@ def _near_singular_gp():
     return GpState(log_noise=np.asarray(-40.0)), X, y
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap diff_engine's `name` so that each call appends to the list
+    returned."""
+    calls = []
+    fn = getattr(de, name)
+    monkeypatch.setattr(de, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
 def test_exact_lml_node_climbs_the_jitter_ladder_as_the_chain(monkeypatch):
     state, X, y = _near_singular_gp()
-    calls = []
-    potrf = de._POTRF
-    monkeypatch.setattr(de, "_POTRF", lambda *a, **k: calls.append(1) or potrf(*a, **k))
+    calls = _count_calls(monkeypatch, "_POTRF")
     lml = gp_predict_lml(state, X, y)[2].value
     node_calls = len(calls)
     calls.clear()
     ref = gp_predict_lml(_generic_chain(state), X, y)[2].value
     assert node_calls == len(calls) == 2    # the plain attempt and the first rung
     assert abs(lml - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("make", [gen_cubic_toy, gen_deep_linear])
+@pytest.mark.parametrize("moved", [False, True])
+def test_evaluation_lml_equals_the_training_objective(make, moved):
+    # evaluation predicts from the factor the LML node makes, so the ELBO
+    # per point it reports is the training objective over n, bitwise
+    ds = make(0)
+    model = GpLmlModel(ds)
+    params = model.init_params()
+    if moved:
+        rng = np.random.default_rng(3)
+        params = {k: v + 0.3 * rng.standard_normal(np.shape(v)) for k, v in params.items()}
+    n = ds.X_train.shape[0]
+    with de.Tape() as tape:
+        p = {k: tape.param(v, k) for k, v in params.items()}
+        objective = float(model.objective(p, ds.X_train, ds.y_train, n, 1,
+                                          rd.RngStream(0), 1.0).value)
+    ev = model.evaluate(params, ds, rd.RngStream(0), 1)
+    assert ev["elbo_per_point"] == objective / n
+
+
+def _well_conditioned_gp(log_lengthscales):
+    ds = gen_deep_linear(0)
+    state = GpState(kernel_params=KernelParams(log_sf2=np.asarray(0.2),
+                                               log_lengthscales=log_lengthscales),
+                    log_noise=np.asarray(-1.5))
+    return state, ds.X_train[:60], ds.y_train[:60]
+
+
+@pytest.mark.parametrize("case, potrf_calls", [
+    ("ard", 1), ("shared", 1), ("near-singular", 2)])
+def test_untaped_predictions_match_the_chain(case, potrf_calls, monkeypatch):
+    # ARD lengthscales, one shared lengthscale, and a kernel that needs the
+    # jitter ladder; the chain is reached through a kernel_fn, and through a
+    # tracked noise parameter
+    if case == "near-singular":
+        state, X, y = _near_singular_gp()
+    else:
+        ls = np.linspace(-0.3, 0.4, 5) if case == "ard" else np.asarray(0.1)
+        state, X, y = _well_conditioned_gp(ls)
+    Xs = np.random.default_rng(21).standard_normal((7, X.shape[1]))
+    calls = _count_calls(monkeypatch, "_POTRF")
+    out = gp_predict_lml(state, X, y, X_star=Xs)
+    node_calls = len(calls)
+    calls.clear()
+    ref = gp_predict_lml(_generic_chain(state), X, y, X_star=Xs)
+    assert node_calls == len(calls) == potrf_calls
+    with de.Tape() as tape:
+        taped = gp_predict_lml(replace(state, log_noise=tape.param(state.log_noise, "lnv")),
+                               X, y, X_star=Xs)
+    assert out[0]._tape is None and taped[0]._tape is not None
+    for a, b, c in zip(out, ref, taped):
+        assert np.max(np.abs(a.value - b.value)) <= 1e-10 * np.max(np.abs(b.value))
+        assert np.max(np.abs(a.value - c.value)) <= 1e-10 * np.max(np.abs(c.value))
+
+
+@pytest.mark.parametrize("dkl_widths", [None, (4, 3)])
+def test_evaluation_factorises_once_and_checks_no_symmetry(dkl_widths, monkeypatch):
+    ds = gen_cubic_toy(0)
+    model = GpLmlModel(ds, dkl_widths=dkl_widths)
+    potrf = _count_calls(monkeypatch, "_POTRF")
+    sym = _count_calls(monkeypatch, "_check_symmetric")
+    model.evaluate(model.init_params(), ds, rd.RngStream(0), 1)
+    assert (len(potrf), len(sym)) == (1, 0)
 
 
 def test_exact_lml_node_raises_the_ladders_message(monkeypatch):
@@ -250,6 +322,23 @@ def test_exact_gp_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * n * n * 8
+
+
+def test_exact_gp_evaluation_peak_memory():
+    # an evaluation at n = 1000 factorises the kernel's own buffer, and holds
+    # at most 1.75 n x n buffers at once (the chain held 2.2)
+    ds = gen_deep_linear(0)
+    n = ds.X_train.shape[0]
+    model = GpLmlModel(ds)
+    params = model.init_params()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.evaluate(params, ds, rd.RngStream(0), 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert n == 1000 and peak <= 1.75 * n * n * 8
 
 
 def test_exact_gp_backward_drops_each_nodes_cotangents():
