@@ -75,9 +75,6 @@ class DiffTensor:
     def shape(self):
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
         return add(self, other)

@@ -21,14 +21,11 @@ __all__ = [
 class GpState:
     kernel_params: KernelParams = field(default_factory=KernelParams)
     log_noise: object = 0.0        # log sigma^2
-    kernel_fn: object = None       # optional (X1, X2) -> DiffTensor override
 
     def noise_var(self) -> DiffTensor:
         return de.elementwise("exp", as_tensor(self.log_noise))
 
     def kern(self, X1, X2=None) -> DiffTensor:
-        if self.kernel_fn is not None:
-            return self.kernel_fn(X1, X1 if X2 is None else X2)
         return se_ard_features(self.kernel_params, X1, X2)
 
 
@@ -65,53 +62,32 @@ def make_bump_centers(x, n_centers):
 
 
 def gp_predict_lml(state: GpState, X, y, X_star=None):
-    """Exact GP regression: predictive mean/cov at X_star and the LML.
+    """Exact GP regression under the SE-ARD kernel: (mean, var, lml), the
+    predictive mean and marginal variance at X_star and the LML.
 
-    Under the built-in SE-ARD kernel the LML is one tape node
-    (_se_exact_lml). Predictions with no tracked input (evaluation and
-    plotting) come from the same factor of K + s2 I, made in place in the
-    kernel's own buffer (_se_exact_fit), so the LML they return equals the
-    node's bitwise. Predictions with a tracked input, and any kernel_fn,
-    build the chain of generic ops: kernel, add_diagonal, cholesky_factor,
-    the density and two triangular solves."""
+    Without X_star, the LML is one tape node (_se_exact_lml) and mean and
+    var are None. With X_star, nothing is taped: the factor L of K + s2 I
+    is made in place in the kernel's own buffer (_se_exact_fit), so the LML
+    equals the node's bitwise, and with W = L^{-1} K(X, X_star) the mean is
+    W^T L^{-1} y and test point j's variance sf2 - |W_j|^2 (Rasmussen &
+    Williams 2006, Alg. 2.1). A tracked operand with X_star raises, since
+    its gradient would be lost."""
     X = as_tensor(X)
     y = as_tensor(y)
-    n = X.value.shape[0]
     s2 = state.noise_var()
-    if n == 0:
-        if X_star is None:
-            return None, None, as_tensor(np.asarray(0.0))
-        Kss = state.kern(X_star)
-        m = as_tensor(np.zeros(as_tensor(X_star).value.shape[0]))
-        return m, Kss, as_tensor(np.asarray(0.0))
-
-    if state.kernel_fn is None:
-        if X_star is None:
-            return None, None, _se_exact_lml(state.kernel_params, s2, X, y)
-        X_star = as_tensor(X_star)
-        kp = state.kernel_params
-        if not any(isinstance(t, DiffTensor) and t._tape is not None
-                   for t in (kp.log_sf2, kp.log_lengthscales, s2, X, y, X_star)):
-            _, L, val, w_y = _se_exact_fit(kp, s2, X, y, keep_kernel=False)
-            w_k = de._solve_tri(L, state.kern(X, X_star).value, False)
-            cov = state.kern(X_star).value
-            cov -= w_k.T @ w_k
-            return (as_tensor(w_k.T @ w_y), as_tensor(cov),
-                    de.lift(np.asarray(val), (), None, _EXACT_LML))
-    Kn = de.add_diagonal(state.kern(X), s2)
-    L = de.cholesky_factor(Kn)
-    # L only serves predictions: the LML's gradient reaches Kn directly
-    lml = rd.mvn_log_density(y, np.zeros(n), Kn, chol=L)
-
+    kp = state.kernel_params
     if X_star is None:
-        return None, None, lml
-    Ks = state.kern(X, X_star)          # n x n*
-    Kss = state.kern(X_star)
-    w_y = de.triangular_solve(L, y)
-    w_k = de.triangular_solve(L, Ks)
-    mean = de.matmul(de.transpose(w_k), w_y)
-    cov = de.sub(Kss, de.matmul(de.transpose(w_k), w_k))
-    return mean, cov, lml
+        return None, None, _se_exact_lml(kp, s2, X, y)
+    X_star = as_tensor(X_star)
+    if any(isinstance(t, DiffTensor) and t._tape is not None
+           for t in (kp.log_sf2, kp.log_lengthscales, s2, X, y, X_star)):
+        raise ValueError("gp_predict_lml predicts at X_star off the tape, so a tracked "
+                         "operand would lose its gradient; differentiate the LML alone")
+    _, L, val, w_y = _se_exact_fit(kp, s2, X, y, keep_kernel=False)
+    w_k = de._solve_tri(L, state.kern(X, X_star).value, False)
+    var = kp.sf2().value - np.sum(w_k * w_k, axis=0)
+    return (as_tensor(w_k.T @ w_y), as_tensor(var),
+            de.lift(np.asarray(val), (), None, _EXACT_LML))
 
 
 _EXACT_LML = "exact_gp_lml"

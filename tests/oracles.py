@@ -5,7 +5,8 @@ that the paper's propositions are checked against (Gaussian, matrix-normal
 and Bartlett samplers, the inverse-Wishart density, the generalized
 Wishart's Jacobians, matrix-normal conditioning, the Gram-matrix SE kernel,
 a Wishart prior layer, the inducing-extension certificate, the BNN-as-DGP
-Gram, and exact Bayesian linear regression). They are built from the same
+Gram, exact Bayesian linear regression, and the exact GP from generic
+ops for any kernel function). They are built from the same
 diff_engine ops as the library, so tests can differentiate through them.
 """
 from __future__ import annotations
@@ -319,9 +320,36 @@ def blr_fit_predict_lml(state: BlrState, X, y, X_star=None):
 
 
 def exact_lml(model, dataset) -> float:
-    """The exact log marginal likelihood of a bench_cli.BlrViModel's linear
+    """The exact log marginal likelihood of a models.BlrViModel's linear
     model (its bump features, prior scale and noise) on the training set."""
     st = BlrState(alpha=model.alpha, sigma=model.sigma,
                   centers=model.centers, width=model.width)
     _, _, _, lml = blr_fit_predict_lml(st, dataset.X_train, dataset.y_train)
     return float(lml.value)
+
+
+# -- exact GP regression from generic ops ----------------------------------------------
+
+def gp_chain(kern, s2, X, y, X_star=None):
+    """Exact GP regression for any kernel function kern(X1, X2) and noise
+    variance s2, built from generic ops (the kernel, add_diagonal,
+    cholesky_factor, the density and two triangular solves), so every
+    output is differentiable: (mean, full predictive covariance at X_star,
+    log N(y; 0, K + s2 I)), mean and covariance None without X_star."""
+    X = as_tensor(X)
+    y = as_tensor(y)
+    n = X.value.shape[0]
+    Kn = de.add_diagonal(kern(X, X), s2)
+    L = de.cholesky_factor(Kn)
+    # L only serves predictions: the LML's gradient reaches Kn directly
+    lml = rd.mvn_log_density(y, np.zeros(n), Kn, chol=L)
+
+    if X_star is None:
+        return None, None, lml
+    Ks = kern(X, X_star)                # n x n*
+    Kss = kern(X_star, X_star)
+    w_y = de.triangular_solve(L, y)
+    w_k = de.triangular_solve(L, Ks)
+    mean = de.matmul(de.transpose(w_k), w_y)
+    cov = de.sub(Kss, de.matmul(de.transpose(w_k), w_k))
+    return mean, cov, lml

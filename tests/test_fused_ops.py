@@ -10,13 +10,12 @@ import pytest
 from scipy.special import multigammaln
 
 from deepbayes import diff_engine as de
-from deepbayes import gp_models as gm
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import ExperimentConfig, _make_model, gen_cubic_toy
 from deepbayes.diff_engine import as_tensor
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, se_ard_features
 
-from oracles import gwish_full_density
+from oracles import gp_chain, gwish_full_density
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -358,8 +357,7 @@ def test_add_diagonal_matches_reference(shape):
 
 
 def test_gp_training_step_skips_the_cholesky_adjoint(monkeypatch):
-    # the exact GP's LML differentiates through the Gaussian density's own
-    # adjoint; the factor it shares with the predictions gets no cotangent
+    # the exact GP's LML is one node whose backward runs no Cholesky adjoint
     calls = []
     phi = de._phi
     monkeypatch.setattr(de, "_phi", lambda x: calls.append(1) or phi(x))
@@ -370,11 +368,12 @@ def test_gp_training_step_skips_the_cholesky_adjoint(monkeypatch):
         lml = model.objective(p, ds.X_train, ds.y_train, 40, 1, rd.RngStream(0), 1.0)
         grads = de.backward_pass(lml)
     assert set(grads) == set(p) and not calls
-    # differentiating a prediction does run it
+    # differentiating a prediction of the generic chain does run it
     with de.Tape() as tape:
         p = {k: tape.param(v, k) for k, v in model.init_params().items()}
         st, X = model._state_and_features(p, ds.X_train)
-        mean, _, _ = gm.gp_predict_lml(st, X, ds.y_train, ds.X_test)
+        mean, _, _ = gp_chain(lambda a, b: se_ard_features(st.kernel_params, a, b),
+                              st.noise_var(), X, ds.y_train, ds.X_test)
         de.backward_pass(de.tsum(mean))
     assert calls
 

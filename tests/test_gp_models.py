@@ -12,7 +12,7 @@ from deepbayes.gp_models import (GpState, SvgpState, dkl_forward, gaussian_bump_
                                  svgp_collapsed_bound, svgp_elbo)
 from deepbayes.kernels import KernelParams, se_ard_features
 
-from oracles import BlrState, blr_fit_predict_lml
+from oracles import BlrState, blr_fit_predict_lml, gp_chain
 
 
 def _chol_lower(S):
@@ -77,23 +77,15 @@ def test_bump_centers_span_inputs():
 
 # -- exact GP regression ------------------------------------------------------------
 
-def test_gp_prior_with_no_data():
-    state = GpState(kernel_params=KernelParams(log_sf2=np.log(2.0)))
-    Xs = np.array([[0.0], [1.0]])
-    m, cov, lml = gp_predict_lml(state, np.zeros((0, 1)), np.zeros(0), X_star=Xs)
-    assert np.allclose(m.value, 0.0)
-    assert np.isclose(cov.value[0, 0], 2.0)
-    assert lml.value == 0.0
-
-
 def test_gp_interpolates_as_noise_vanishes():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((6, 1))
     y = np.sin(X[:, 0])
     state = GpState(log_noise=np.log(1e-10))
-    mean, cov, _ = gp_predict_lml(state, X, y, X_star=X)
+    mean, var, _ = gp_predict_lml(state, X, y, X_star=X)
+    assert var.value.shape == (6,)
     assert np.max(np.abs(mean.value - y)) < 1e-4
-    assert np.max(np.diag(cov.value)) < 1e-4
+    assert np.max(var.value) < 1e-4
 
 
 def test_gp_with_linear_kernel_equals_blr():
@@ -109,23 +101,25 @@ def test_gp_with_linear_kernel_equals_blr():
         p1 = gaussian_bump_features(np.ravel(de.as_tensor(X1).value), centers, width)
         p2 = gaussian_bump_features(np.ravel(de.as_tensor(X2).value), centers, width)
         return de.elementwise("affine", de.matmul(p1, de.transpose(p2)), a=alpha ** 2)
-    state = GpState(kernel_fn=kern, log_noise=np.log(sigma ** 2))
-    _, _, lml_gp = gp_predict_lml(state, x.reshape(-1, 1), y)
+    state = GpState(log_noise=np.log(sigma ** 2))
+    _, _, lml_gp = _chain(state, x.reshape(-1, 1), y, kern=kern)
     assert np.isclose(lml_blr.value, lml_gp.value, atol=1e-10)
 
 
-def _generic_chain(state: GpState) -> GpState:
-    """The same GP with its SE-ARD kernel given as a kernel_fn, so that
-    gp_predict_lml builds the LML from the generic ops (se_ard_features,
-    add_diagonal, cholesky_factor, mvn_log_density) instead of its one node."""
-    return replace(state, kernel_fn=lambda a, b: se_ard_features(state.kernel_params, a, b))
+def _chain(state: GpState, X, y, X_star=None, kern=None):
+    """The same GP built from the generic ops (oracles.gp_chain: the kernel,
+    add_diagonal, cholesky_factor, mvn_log_density) instead of its one node,
+    with the state's noise and its SE-ARD kernel, or the kernel function
+    kern."""
+    kern = kern or (lambda a, b: se_ard_features(state.kernel_params, a, b))
+    return gp_chain(kern, state.noise_var(), X, y, X_star)
 
 
 def _lml_and_grads(model, params, X, y, generic=False):
     with de.Tape() as tape:
         p = {k: tape.param(v, k) for k, v in params.items()}
         st, feats = model._state_and_features(p, X)
-        lml = gp_predict_lml(_generic_chain(st) if generic else st, feats, y)[2]
+        lml = (_chain if generic else gp_predict_lml)(st, feats, y)[2]
         return float(lml.value), de.backward_pass(lml), len(tape._nodes)
 
 
@@ -194,7 +188,7 @@ def test_exact_lml_node_climbs_the_jitter_ladder_as_the_chain(monkeypatch):
     lml = gp_predict_lml(state, X, y)[2].value
     node_calls = len(calls)
     calls.clear()
-    ref = gp_predict_lml(_generic_chain(state), X, y)[2].value
+    ref = _chain(state, X, y)[2].value
     assert node_calls == len(calls) == 2    # the plain attempt and the first rung
     assert abs(lml - ref) <= 1e-12 * abs(ref)
 
@@ -231,8 +225,7 @@ def _well_conditioned_gp(log_lengthscales):
     ("ard", 1), ("shared", 1), ("near-singular", 2)])
 def test_untaped_predictions_match_the_chain(case, potrf_calls, monkeypatch):
     # ARD lengthscales, one shared lengthscale, and a kernel that needs the
-    # jitter ladder; the chain is reached through a kernel_fn, and through a
-    # tracked noise parameter
+    # jitter ladder; the variance is the chain covariance's diagonal
     if case == "near-singular":
         state, X, y = _near_singular_gp()
     else:
@@ -243,15 +236,20 @@ def test_untaped_predictions_match_the_chain(case, potrf_calls, monkeypatch):
     out = gp_predict_lml(state, X, y, X_star=Xs)
     node_calls = len(calls)
     calls.clear()
-    ref = gp_predict_lml(_generic_chain(state), X, y, X_star=Xs)
+    mean, cov, lml = _chain(state, X, y, X_star=Xs)
     assert node_calls == len(calls) == potrf_calls
-    with de.Tape() as tape:
-        taped = gp_predict_lml(replace(state, log_noise=tape.param(state.log_noise, "lnv")),
-                               X, y, X_star=Xs)
-    assert out[0]._tape is None and taped[0]._tape is not None
-    for a, b, c in zip(out, ref, taped):
-        assert np.max(np.abs(a.value - b.value)) <= 1e-10 * np.max(np.abs(b.value))
-        assert np.max(np.abs(a.value - c.value)) <= 1e-10 * np.max(np.abs(c.value))
+    assert out[0]._tape is None and out[1].value.shape == (7,)
+    for a, b in zip(out, (mean.value, np.diag(cov.value), lml.value)):
+        assert np.max(np.abs(a.value - b)) <= 1e-10 * np.max(np.abs(b))
+
+
+def test_predictions_with_a_tracked_operand_raise():
+    # predictions are untaped, so a tracked operand would lose its gradient
+    state, X, y = _well_conditioned_gp(np.asarray(0.1))
+    Xs = np.random.default_rng(21).standard_normal((7, X.shape[1]))
+    with de.Tape() as tape, pytest.raises(ValueError, match="tracked operand"):
+        gp_predict_lml(replace(state, log_noise=tape.param(state.log_noise, "lnv")),
+                       X, y, X_star=Xs)
 
 
 @pytest.mark.parametrize("dkl_widths", [None, (4, 3)])
@@ -271,9 +269,9 @@ def test_exact_lml_node_raises_the_ladders_message(monkeypatch):
     potrf = de._POTRF
     monkeypatch.setattr(de, "_POTRF", lambda *a, **k: (potrf(*a, **k)[0], 3))
     msgs = []
-    for st in (state, _generic_chain(state)):
+    for run in (gp_predict_lml, _chain):
         with pytest.raises(np.linalg.LinAlgError, match="after max jitter") as err:
-            gp_predict_lml(st, X, y)
+            run(state, X, y)
         msgs.append(str(err.value))
     assert msgs[0] == msgs[1] == "matrix not positive definite after max jitter (pivot 3 of 12)"
 
@@ -360,7 +358,7 @@ def test_exact_gp_backward_drops_each_nodes_cotangents():
         with de.Tape() as tape:
             p = {k: tape.param(v, k) for k, v in init.items()}
             st, _ = model._state_and_features(p, X)
-            lml = gp_predict_lml(_generic_chain(st), X, y)[2]
+            lml = _chain(st, X, y)[2]
             forward = tracemalloc.get_traced_memory()[0] - base
             de.backward_pass(lml)
             after = tracemalloc.get_traced_memory()[0] - base
@@ -368,6 +366,24 @@ def test_exact_gp_backward_drops_each_nodes_cotangents():
         tracemalloc.stop()
     assert forward >= 3 * n * n * 8
     assert after <= forward + 0.05 * n * n * 8
+
+
+def test_exact_gp_prediction_peak_memory():
+    # predictions hold n x n* buffers and n* variances, never an n* x n*
+    # covariance (at n* = 2,000 one such buffer alone would take 32 MB)
+    ds = gen_deep_linear(0)
+    sub = replace(ds, X_train=ds.X_train[:100], y_train=ds.y_train[:100])
+    Xs = np.random.default_rng(22).standard_normal((2000, ds.X_train.shape[1]))
+    model = GpLmlModel(sub)
+    params = model.init_params()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, var, _ = model.predictive(params, sub, Xs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert var.shape == (2000,) and peak <= 8e6
 
 
 def test_gp_lml_matches_direct_density():
