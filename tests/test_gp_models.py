@@ -225,7 +225,9 @@ def _well_conditioned_gp(log_lengthscales):
     ("ard", 1), ("shared", 1), ("near-singular", 2)])
 def test_untaped_predictions_match_the_chain(case, potrf_calls, monkeypatch):
     # ARD lengthscales, one shared lengthscale, and a kernel that needs the
-    # jitter ladder; the variance is the chain covariance's diagonal
+    # jitter ladder; the variance is the chain covariance's diagonal, and a
+    # tracked operand raises, since an untaped prediction would lose its
+    # gradient
     if case == "near-singular":
         state, X, y = _near_singular_gp()
     else:
@@ -241,12 +243,6 @@ def test_untaped_predictions_match_the_chain(case, potrf_calls, monkeypatch):
     assert out[0]._tape is None and out[1].value.shape == (7,)
     for a, b in zip(out, (mean.value, np.diag(cov.value), lml.value)):
         assert np.max(np.abs(a.value - b)) <= 1e-10 * np.max(np.abs(b))
-
-
-def test_predictions_with_a_tracked_operand_raise():
-    # predictions are untaped, so a tracked operand would lose its gradient
-    state, X, y = _well_conditioned_gp(np.asarray(0.1))
-    Xs = np.random.default_rng(21).standard_normal((7, X.shape[1]))
     with de.Tape() as tape, pytest.raises(ValueError, match="tracked operand"):
         gp_predict_lml(replace(state, log_noise=tape.param(state.log_noise, "lnv")),
                        X, y, X_star=Xs)
