@@ -511,19 +511,26 @@ def _check_symmetric(v: np.ndarray, op: str):
 _POTRI = sla.get_lapack_funcs("potri", (np.zeros((1, 1)),))
 
 
-def _chol_inverse(L: np.ndarray, overwrite=False):
+def _chol_inverse(L: np.ndarray):
     """(L L^T)^{-1} from a lower Cholesky factor, or for each factor of a
-    stack, by LAPACK potri (a third of the flops of solving against I), in
-    place on L when overwrite, else on one copy of it; L is Fortran-ordered
-    per matrix, as the factors are. potri reads and writes only the lower
-    triangle; the upper one is then filled from it (_mirror_lower)."""
-    inv = L if overwrite else _mT(_mT(L).copy())
-    for i in np.ndindex(inv.shape[:-2]):
-        info = _POTRI(inv[i], lower=1, overwrite_c=1)[1]
-        if info != 0:
-            raise np.linalg.LinAlgError(f"potri failed: info {info}")
+    stack, by LAPACK potri (a third of the flops of solving against I) on
+    one copy of L; L is Fortran-ordered per matrix, as the factors are.
+    potri reads and writes only the lower triangle; the upper one is then
+    filled from it (_mirror_lower)."""
+    inv = _potri(_mT(_mT(L).copy()))
     _mirror_lower(inv)
     return inv
+
+
+def _potri(L: np.ndarray):
+    """LAPACK potri in place on each Fortran-ordered lower factor of L: its
+    lower triangle becomes that of (L L^T)^{-1}, and its strict upper one is
+    left as it was. Returns L."""
+    for i in np.ndindex(L.shape[:-2]):
+        info = _POTRI(L[i], lower=1, overwrite_c=1)[1]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"potri failed: info {info}")
+    return L
 
 
 def _mirror_lower(a: np.ndarray):

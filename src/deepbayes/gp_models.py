@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import diff_engine as de
 from . import rand_dist as rd
@@ -66,12 +67,14 @@ def gp_predict_lml(state: GpState, X, y, X_star=None):
     predictive mean and marginal variance at X_star and the LML.
 
     Without X_star, the LML is one tape node (_se_exact_lml) and mean and
-    var are None. With X_star, nothing is taped: the factor L of K + s2 I
-    is made in place in the kernel's own buffer (_se_exact_fit), so the LML
-    equals the node's bitwise, and with W = L^{-1} K(X, X_star) the mean is
-    W^T L^{-1} y and test point j's variance sf2 - |W_j|^2 (Rasmussen &
-    Williams 2006, Alg. 2.1). A tracked operand with X_star raises, since
-    its gradient would be lost."""
+    var are None. With X_star, nothing is taped: _se_exact_fit, the node's
+    forward, builds K in one n x n buffer and factorises K + s2 I there, so
+    the buffer's upper triangle holds the factor L (read as its Fortran
+    transpose), its strict lower triangle still holds K, and K's diagonal is
+    kept apart; the LML equals the node's bitwise. With W = L^{-1} K(X,
+    X_star) the mean is W^T L^{-1} y and test point j's variance sf2 -
+    |W_j|^2 (Rasmussen & Williams 2006, Alg. 2.1). A tracked operand with
+    X_star raises, since its gradient would be lost."""
     X = as_tensor(X)
     y = as_tensor(y)
     s2 = state.noise_var()
@@ -83,7 +86,7 @@ def gp_predict_lml(state: GpState, X, y, X_star=None):
            for t in (kp.log_sf2, kp.log_lengthscales, s2, X, y, X_star)):
         raise ValueError("gp_predict_lml predicts at X_star off the tape, so a tracked "
                          "operand would lose its gradient; differentiate the LML alone")
-    _, L, val, w_y = _se_exact_fit(kp, s2, X, y, keep_kernel=False)
+    _, _, L, val, w_y = _se_exact_fit(kp, s2, X, y)
     w_k = de._solve_tri(L, state.kern(X, X_star).value, False)
     var = kp.sf2().value - np.sum(w_k * w_k, axis=0)
     return (as_tensor(w_k.T @ w_y), as_tensor(var),
@@ -91,40 +94,54 @@ def gp_predict_lml(state: GpState, X, y, X_star=None):
 
 
 _EXACT_LML = "exact_gp_lml"
+_TILE = 128     # the side of the tiles _se_exact_lml's backward reduces
 
 
-def _se_exact_fit(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTensor,
-                  keep_kernel: bool):
-    """(se, L, log N(y; 0, K + s2 I), L^{-1} y) for the SE-ARD kernel K =
-    se.K of the rows of X: K + s2 I is built in one n x n buffer, a copy of
-    K when keep_kernel, else K's own, and potrf factorises it there into L
-    with the jitter ladder; as a _Handed buffer it gets no symmetrising copy
-    and no symmetry check, and L's strict upper triangle is not zeroed."""
+def _se_exact_fit(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTensor):
+    """(se, kdiag, L, log N(y; 0, K + s2 I), L^{-1} y) for the SE-ARD kernel
+    K = se.K of the rows of X, in K's one C-ordered n x n buffer: K's
+    diagonal is saved (kdiag) and s2 added to it, and potrf factorises K +
+    s2 I there with the jitter ladder, as a _Handed buffer (no symmetrising
+    copy, no symmetry check). potrf writes only the buffer's upper triangle,
+    which then holds L^T (L is its Fortran-ordered transpose, whose strict
+    upper triangle is not zeroed); the strict lower triangle still holds K,
+    from which the ladder rebuilds a failed attempt."""
     se = _SeArd(params, X, X)
     K = se.K
     de._check_finite(K, f"kernel of op {_EXACT_LML!r}")
-    buf = K.copy() if keep_kernel else K
+    kdiag = np.diagonal(K).copy()
     i = np.arange(K.shape[0])
-    buf[i, i] += s2.value
-    L = de._chol_with_jitter(buf.view(de._Handed))
+    K[i, i] += s2.value
+    L = de._chol_with_jitter(K.view(de._Handed))
     val, w = rd._gaussian_fit(L, y.value)
-    return se, L, val, w
+    return se, kdiag, L, val, w
 
 
 def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTensor):
     """log N(y; 0, K + s2 I) for the SE-ARD kernel K of the rows of X, in one
     tape node over sf2, the lengthscales, s2, X and y.
 
-    The node owns two n x n buffers: K (kernels._SeArd), and the factor of
-    K + s2 I that _se_exact_fit makes in a copy of K. The backward runs
-    potri on that factor in place and forms there W = 0.5 g (alpha alpha^T -
-    (K + s2 I)^{-1}), the cotangent of K + s2 I (Rasmussen & Williams 2006,
-    eq. 5.9), whose trace is s2's; then W * K, from which the kernel's
-    reductions give the rest. The factor is thus consumed, and a second
-    backward pass over the node raises."""
-    se, L, val, w = _se_exact_fit(params, s2, X, y, keep_kernel=True)
-    K = se.K
-    i = np.arange(K.shape[0])
+    The node owns one n x n buffer B, laid out by _se_exact_fit: K in the
+    strict lower triangle, the factor of C = K + s2 I in the upper one, K's
+    diagonal kept apart. The backward runs potri on the factor in place, so
+    the upper triangle holds C^{-1}, and then visits each _TILE x _TILE tile
+    at or below the diagonal once. With alpha = C^{-1} y it forms there t =
+    (alpha alpha^T - C^{-1}) * K, C^{-1} read from the mirror tile and the
+    rank-1 term added by dger (one rounding per entry where it cancels
+    C^{-1}); the mirror tile's transpose is the same t. 0.5 g (alpha alpha^T
+    - C^{-1}) is the cotangent of C (Rasmussen & Williams 2006, eq. 5.9), so
+    0.5 g times the sum of t over all tiles is sf2 times sf2's cotangent,
+    and 0.5 g times the trace of alpha alpha^T - C^{-1} is s2's. The row sums of t, masked where the
+    kernel clamped the tile's or its mirror's squared distances, and their
+    products with the scaled inputs, added for both tiles, are -2/g times
+    those of P + P^T, P = -0.25 g t being the cotangent of the clamped
+    distances; they give the inputs' and the lengthscales' cotangents. No
+    n x n buffer but B is made,
+    and the factor is consumed: a second backward pass over the node
+    raises."""
+    se, kdiag, L, val, w = _se_exact_fit(params, s2, X, y)
+    B, Xs, neg = se.K, se.Xs, se.neg
+    n = B.shape[0]
     consumed = []
 
     def vjp(g):
@@ -134,11 +151,50 @@ def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
                                "backward pass; build the objective again")
         consumed.append(True)
         alpha = de._solve_tri(L, w[:, None], True)[:, 0]
-        W = rd._gaussian_cov_cotangent(L, alpha, g, overwrite=True)
-        g_s2 = de._unbroadcast(W[i, i].sum(), s2.value.shape)
-        W = de._mT(W)       # the same symmetric matrix, C-ordered like K
-        W *= K
-        g_sf2, (gXs,) = se.backward(W)
+        de._potri(L)
+        # a column of ones makes each tile's row sums part of its product
+        # with the scaled inputs
+        D = Xs.shape[1]
+        Xs1 = np.ones((n, D + 1))
+        Xs1[:, :D] = Xs
+        acc = np.zeros((n, D + 1))
+        upper = np.triu(np.ones((_TILE, _TILE), dtype=bool))
+
+        def reduce_tile(kb, jb):
+            # t on rows kb and columns jb, kb at or below jb, C-ordered as K's
+            # tile is; returns its sum over both tiles, before the mask
+            if kb == jb:
+                blk = B[kb, kb]
+                on_or_above = upper[:blk.shape[0], :blk.shape[0]]
+                t = np.where(on_or_above, blk, blk.T)
+                np.negative(t, out=t)
+                K = np.where(on_or_above, blk.T, blk)
+                np.fill_diagonal(K, kdiag[kb])
+            else:
+                t, K = np.negative(B[jb, kb].T, order="C"), B[kb, jb]
+            t = blas.dger(1.0, alpha[jb], alpha[kb], a=t.T, overwrite_a=1).T
+            t *= K
+            total = t.sum() if kb == jb else 2.0 * t.sum()
+            if neg is not None:
+                lo, up = neg[kb, jb], neg[jb, kb].T
+                if lo.any() or up.any():    # the mean of t masked as each tile
+                    t_up = np.where(up, 0.0, t)
+                    t[lo] = 0.0
+                    t += t_up
+                    t *= 0.5
+            acc[kb] += t @ Xs1[jb]
+            if kb != jb:
+                acc[jb] += t.T @ Xs1[kb]
+            return total
+
+        total = 0.0
+        for k in range(0, n, _TILE):
+            for j in range(0, k + 1, _TILE):
+                total += reduce_tile(slice(k, k + _TILE), slice(j, j + _TILE))
+        h = 0.5 * float(g)
+        g_sf2 = de._unbroadcast(h * total / se.sf2.value, np.shape(se.sf2.value))
+        g_s2 = de._unbroadcast(h * np.sum(alpha * alpha - np.diagonal(B)), s2.value.shape)
+        gXs = (-2.0 * h) * (acc[:, D:] * Xs - acc[:, :D])
         return g_sf2, se.g_ls((gXs,)), g_s2, gXs * se.r, -g * alpha
 
     return de.lift(np.asarray(val), (se.sf2, se.ls, s2, X, y), vjp, _EXACT_LML)

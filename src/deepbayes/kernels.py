@@ -61,7 +61,8 @@ class _SeArd:
     """sf2 * exp(-0.5 sum_d (x_d - x'_d)^2 / l_d^2) on explicit features, as
     se_ard_features and the exact-GP marginal likelihood (gp_models) share
     it: the value, and the cotangents of sf2, the lengthscales and the inputs
-    from the cotangent of the kernel. Squared distances come from the scaled
+    from the cotangent of the kernel (the exact GP reduces its own tiles and
+    takes only the lengthscales' from here). Squared distances come from the scaled
     inputs' norms and cross products; their rounding negatives are clamped
     to zero, larger ones raise. X and X2 (tensors) may be stacks of inputs
     (leading axes), one kernel matrix per sample."""

@@ -265,12 +265,12 @@ def _gaussian_fit(L: np.ndarray, r: np.ndarray):
     return -0.5 * (np.sum(w * w) + ld) + (-0.5 * r.shape[0] * LOG2PI), w
 
 
-def _gaussian_cov_cotangent(L: np.ndarray, alpha: np.ndarray, g, overwrite=False):
+def _gaussian_cov_cotangent(L: np.ndarray, alpha: np.ndarray, g):
     """0.5 g (alpha alpha^T - cov^{-1}), the cotangent of cov = L L^T in
     log N(r; 0, cov) with alpha = cov^{-1} r, in one n x n buffer: the
-    inverse from the factor (potri, in place on L when overwrite), scaled,
-    plus the rank-1 term."""
-    out = de._chol_inverse(L, overwrite)
+    inverse from the factor (potri, on a copy of L), scaled, plus the
+    rank-1 term."""
+    out = de._chol_inverse(L)
     out *= -0.5 * g
     return sla.blas.dger(0.5 * float(g), alpha, alpha, a=out, overwrite_a=1)
 

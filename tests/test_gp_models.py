@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from deepbayes import diff_engine as de
+from deepbayes import gp_models
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import GpLmlModel, gen_cubic_toy, gen_deep_linear
+from deepbayes.diff_engine import as_tensor
 from deepbayes.gp_models import (GpState, SvgpState, dkl_forward, gaussian_bump_features,
                                  gp_predict_lml, make_bump_centers, prop31_check,
                                  svgp_collapsed_bound, svgp_elbo)
-from deepbayes.kernels import KernelParams, se_ard_features
+from deepbayes.kernels import KernelParams, _SeArd, se_ard_features
 
 from oracles import BlrState, blr_fit_predict_lml, gp_chain
 
@@ -123,16 +125,7 @@ def _lml_and_grads(model, params, X, y, generic=False):
         return float(lml.value), de.backward_pass(lml), len(tape._nodes)
 
 
-@pytest.mark.parametrize("ard, dkl_widths", [(True, None), (False, None), (True, (4, 3))])
-def test_exact_lml_node_matches_the_generic_chain(ard, dkl_widths):
-    # ARD lengthscales, one shared lengthscale, and deep-kernel features,
-    # whose inputs to the kernel are tracked
-    ds = gen_deep_linear(0)
-    X, y = ds.X_train[:60], ds.y_train[:60]
-    model = GpLmlModel(ds, ard=ard, dkl_widths=dkl_widths)
-    rng = np.random.default_rng(3)
-    params = {k: v + 0.1 * rng.standard_normal(np.shape(v))
-              for k, v in model.init_params().items()}
+def _assert_node_matches_the_chain(model, params, X, y):
     val, grads, nodes = _lml_and_grads(model, params, X, y)
     ref, ref_grads, ref_nodes = _lml_and_grads(model, params, X, y, generic=True)
     assert abs(val - ref) <= 1e-12 * abs(ref)
@@ -141,11 +134,90 @@ def test_exact_lml_node_matches_the_generic_chain(ard, dkl_widths):
     for k, g in ref_grads.items():
         # the last bias of the features moves none of their differences, so
         # its gradient is zero but for rounding: held against the total
-        scale = np.linalg.norm(g) if k != f"b{len(dkl_widths or ()) - 1}" else total
+        scale = np.linalg.norm(g) if k != f"b{len(model.dkl_widths or ()) - 1}" else total
         assert np.linalg.norm(grads[k] - g) <= 1e-12 * scale, k
     # one node in place of the kernel, add_diagonal, cholesky_factor and
     # the density
     assert nodes == ref_nodes - 3
+
+
+def _moved_params(model):
+    rng = np.random.default_rng(3)
+    return {k: v + 0.1 * rng.standard_normal(np.shape(v))
+            for k, v in model.init_params().items()}
+
+
+@pytest.mark.parametrize("ard, dkl_widths", [(True, None), (False, None), (True, (4, 3))])
+def test_exact_lml_node_matches_the_generic_chain(ard, dkl_widths):
+    # ARD lengthscales, one shared lengthscale, and deep-kernel features,
+    # whose inputs to the kernel are tracked
+    ds = gen_deep_linear(0)
+    model = GpLmlModel(ds, ard=ard, dkl_widths=dkl_widths)
+    _assert_node_matches_the_chain(model, _moved_params(model), ds.X_train[:60], ds.y_train[:60])
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 300])
+@pytest.mark.parametrize("ard, dkl_widths", [(True, None), (False, None), (True, (4, 3))])
+def test_exact_lml_node_matches_the_chain_across_tiles(ard, dkl_widths, n):
+    # the backward reduces 128 x 128 tiles of one triangle and their
+    # mirrors: one tile and a one-row remainder, and a partial last tile
+    assert gp_models._TILE == 128
+    ds = gen_deep_linear(0)
+    model = GpLmlModel(ds, ard=ard, dkl_widths=dkl_widths)
+    _assert_node_matches_the_chain(model, _moved_params(model), ds.X_train[:n], ds.y_train[:n])
+
+
+def _duplicated_rows(log_noise):
+    # 150 standard-normal rows in 2-D, each repeated 150 rows later, so a
+    # row and its copy meet in an off-diagonal tile (rows 128-299 against
+    # columns 0-149) as well as in the diagonal ones; the copies move by
+    # 1e-9, so a clamped pair's term in the inputs' gradient is not zero
+    # with or without the mask, as it is for an exact copy
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((150, 2))
+    X = np.concatenate([X, X + 1e-9 * rng.standard_normal((150, 2))])
+    params = {"log_sf2": np.asarray(0.2), "log_ls": np.array([-0.1, 0.3]),
+              "log_noise": np.asarray(log_noise)}
+    return params, X, np.sin(X[:, 0])
+
+
+def _state_lml_and_grads(params, X, y, generic=False):
+    # the rows of X are tracked too, so their cotangents reach both tiles
+    with de.Tape() as tape:
+        p = {k: tape.param(v, k) for k, v in {**params, "X": X}.items()}
+        state = GpState(kernel_params=KernelParams(log_sf2=p["log_sf2"],
+                                                   log_lengthscales=p["log_ls"]),
+                        log_noise=p["log_noise"])
+        lml = (_chain if generic else gp_predict_lml)(state, p["X"], y)[2]
+        return float(lml.value), de.backward_pass(lml)
+
+
+def test_exact_lml_node_masks_clamped_distances_in_mirrored_tiles():
+    params, X, y = _duplicated_rows(-1.5)
+    kp = KernelParams(log_sf2=params["log_sf2"], log_lengthscales=params["log_ls"])
+    neg = _SeArd(kp, as_tensor(X), as_tensor(X)).neg
+    assert neg is not None and neg[128:, :128].any()
+    val, grads = _state_lml_and_grads(params, X, y)
+    ref, ref_grads = _state_lml_and_grads(params, X, y, generic=True)
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+    for k, g in ref_grads.items():
+        assert np.linalg.norm(grads[k] - g) <= 1e-12 * np.linalg.norm(g), k
+
+
+def test_exact_lml_node_climbs_the_jitter_ladder_across_tiles(monkeypatch):
+    # a noise of e^-40 leaves K + s2 I singular to working precision, so
+    # both factorise twice; the jittered factor is rebuilt from the strict
+    # lower triangle of the node's buffer
+    params, X, y = _duplicated_rows(-40.0)
+    calls = _count_calls(monkeypatch, "_POTRF")
+    val, grads = _state_lml_and_grads(params, X, y)
+    node_calls = len(calls)
+    calls.clear()
+    ref, ref_grads = _state_lml_and_grads(params, X, y, generic=True)
+    assert node_calls == len(calls) == 2
+    assert abs(val - ref) <= 1e-6 * abs(ref)
+    for k, g in ref_grads.items():
+        assert np.linalg.norm(grads[k] - g) <= 1e-6 * np.linalg.norm(g), k
 
 
 def test_exact_lml_node_gradients():
@@ -297,10 +369,10 @@ def test_exact_lml_node_runs_one_backward_pass():
 
 
 def test_exact_gp_step_peak_memory():
-    # one LML objective plus its backward at n = 500 holds at most 3.5 n x n
+    # one LML objective plus its backward at n = 500 holds at most 1.5 n x n
     # buffers at once, as numpy's traced allocations count them: the node
-    # owns two (the kernel, and K + s2 I turned into its factor, inverse and
-    # cotangent in place)
+    # owns one (the kernel, whose upper triangle becomes the factor of K +
+    # s2 I and then its inverse), and its backward reduces tiles of it
     ds = gen_deep_linear(0)
     n = 500
     X, y = ds.X_train[:n], ds.y_train[:n]
@@ -315,7 +387,7 @@ def test_exact_gp_step_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * n * n * 8
+    assert peak <= 1.5 * n * n * 8
 
 
 def test_exact_gp_evaluation_peak_memory():
