@@ -131,14 +131,13 @@ def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
     C^{-1}); the mirror tile's transpose is the same t. 0.5 g (alpha alpha^T
     - C^{-1}) is the cotangent of C (Rasmussen & Williams 2006, eq. 5.9), so
     0.5 g times the sum of t over all tiles is sf2 times sf2's cotangent,
-    and 0.5 g times the trace of alpha alpha^T - C^{-1} is s2's. The row sums of t, masked where the
-    kernel clamped the tile's or its mirror's squared distances, and their
-    products with the scaled inputs, added for both tiles, are -2/g times
-    those of P + P^T, P = -0.25 g t being the cotangent of the clamped
-    distances; they give the inputs' and the lengthscales' cotangents. No
-    n x n buffer but B is made,
-    and the factor is consumed: a second backward pass over the node
-    raises."""
+    and 0.5 g times the trace of alpha alpha^T - C^{-1} is s2's. The row
+    sums of t, masked where the kernel clamped the tile's or its mirror's
+    squared distances, and their products with the scaled inputs, added for
+    both tiles, are -2/g times those of P + P^T, P = -0.25 g t being the
+    cotangent of the clamped distances; they give the inputs' and the
+    lengthscales' cotangents. No n x n buffer but B is made, and the factor
+    is consumed: a second backward pass over the node raises."""
     se, kdiag, L, val, w = _se_exact_fit(params, s2, X, y)
     B, Xs, neg = se.K, se.Xs, se.neg
     n = B.shape[0]
