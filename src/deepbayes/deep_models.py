@@ -5,10 +5,12 @@ Layer parameters may be plain arrays or tracked DiffTensors; every function
 composes diff_engine ops so gradients flow when a tape is active.
 
 A forward draws all its Monte-Carlo samples at once from a
-rand_dist.StreamBatch: every sampled tensor carries a leading sample axis,
-and the sample-independent work it is combined with (the first layer's,
-built once per forward) broadcasts against it. Given one RngStream the same
-functions draw a single sample without that axis.
+rand_dist.RngStream with sample count S, each draw site once from a child
+stream of its own: every sampled tensor carries a leading sample axis, and
+the sample-independent work it is combined with (the first layer's, built
+once per forward) broadcasts against it. Without S the same functions draw
+a single sample without that axis. A function that draws at one site draws
+from the stream it is given; one that draws at several splits it.
 """
 from __future__ import annotations
 
@@ -145,8 +147,8 @@ def _scalar_root(L) -> bool:
 
 
 def _gi_sample(posterior, rng):
-    """A draw X = Mean + Ls xi from a _gi_posterior per sample of rng (an
-    RngStream or a StreamBatch). Returns (X, L^{-1} X, increment) with
+    """A draw X = Mean + Ls xi from a _gi_posterior per sample of rng (one
+    draw from it). Returns (X, L^{-1} X, increment) with
     increment = sum_cols log N(x; 0, L L^T) - log N(x; Mean, Ls Ls^T)
               = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 + width sum log diag R,
     one per sample."""
@@ -218,10 +220,11 @@ def scale_prior_terms(prior: PriorSpec, rng: rd.RngStream):
 
 
 def bnn_forward(layers, X, rng, inducing_inputs=None):
-    """The Monte-Carlo samples of a BNN at the batch X, one per stream of rng
-    (a StreamBatch, or one RngStream): returns (outputs, increment) with
-    increment the sum over layers of
-    log p(W) - log q(W) - KL(q(s) || p(s)), one per sample.
+    """The Monte-Carlo samples of a BNN at the batch X, one per sample of
+    rng (or one sample if it has no sample count): returns (outputs,
+    increment) with increment the sum over layers of
+    log p(W) - log q(W) - KL(q(s) || p(s)), one per sample. Each layer's
+    prior scale and weights draw from children of their own.
 
     Global-inducing layers propagate the learned inducing inputs alongside
     the batch; factorised layers only need the batch.
@@ -230,14 +233,15 @@ def bnn_forward(layers, X, rng, inducing_inputs=None):
     U = None if inducing_inputs is None else as_tensor(inducing_inputs)
     inc_sum = as_tensor(np.asarray(0.0))
     for i, layer in enumerate(layers):
-        s, kl_s = scale_prior_terms(layer.prior, rng)
+        scale_rng, weight_rng = rng.split(2)
+        s, kl_s = scale_prior_terms(layer.prior, scale_rng)
         psi_F = _psi(F, i == 0)
         if isinstance(layer, GiBnnLayer):
             if U is None:
                 raise ValueError("global-inducing layers need inducing inputs")
-            W, inc, U = gi_bnn_layer_sample(_psi(U, i == 0), layer, rng, s)
+            W, inc, U = gi_bnn_layer_sample(_psi(U, i == 0), layer, weight_rng, s)
         else:
-            W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[-1], rng, s=s)
+            W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[-1], weight_rng, s=s)
         F = de.matmul(psi_F, W)
         inc_sum = de.add(inc_sum, de.sub(inc, kl_s))
     return F, inc_sum
@@ -247,8 +251,8 @@ def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
             kl_scale=1.0):
     """Monte-Carlo ELBO with a Gaussian likelihood over one batched forward.
 
-    forward(batch) -> (outputs, increment) draws sample s from stream s of
-    batch = rng.split_batch(n_samples): outputs (S, Nb, 1) and
+    forward(stream) -> (outputs, increment) draws the samples from rng's
+    seed with the sample count S = n_samples: outputs (S, Nb, 1) and
     increment (S,); an output (Nb, 1) or a scalar increment is shared by
     every sample. The returned value is the sample mean of
     (N/Nb) * log-likelihood + kl_scale * increment.
@@ -256,7 +260,7 @@ def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
     yb = as_tensor(yb)
     nb = yb.value.shape[0]
     s2 = de.elementwise("exp", as_tensor(log_noise))
-    F, inc = forward(rng.split_batch(n_samples))
+    F, inc = forward(rd.RngStream(rng.seed, n_samples))
     out = de.reshape(F, (-1, nb))                   # one row per sample
     ll = rd.normal_log_density(yb, out, s2)         # summed over the rows
     lik = de.elementwise("affine", ll, a=float(total_n) / (nb * out.value.shape[0]))
@@ -267,7 +271,7 @@ def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
 def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None):
     """gi_dgp_layer_sample from the layer's kernel blocks; inputs, if given,
     are the (U_prev, F_prev) that an identity mean function adds to the
-    outputs."""
+    outputs. The inducing and the row draw take a child of rng each."""
     L = de.cholesky_factor(as_tensor(K_uu))
     W, var = rd.gaussian_conditional(L, de.transpose(K_fu), kdiag)
     posterior = _gi_posterior(L, None, layer.log_lambda, layer.V)
@@ -276,8 +280,9 @@ def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None):
     # largest array, and holding it through the draws raises the heap's
     # high-water mark (measured as extra page faults per evaluation).
     del K_uu, K_fu, kdiag
-    U, wu, inc = _gi_sample(posterior, rng)
-    F = rd.conditional_sample(de.matmul(de.transpose(W), wu), var, rng)
+    u_rng, f_rng = rng.split(2)
+    U, wu, inc = _gi_sample(posterior, u_rng)
+    F = rd.conditional_sample(de.matmul(de.transpose(W), wu), var, f_rng)
     if inputs is not None:
         U, F = de.add(U, inputs[0]), de.add(F, inputs[1])
     return U, F, inc
@@ -285,7 +290,7 @@ def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None):
 
 def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream):
     """Samples of a global-inducing DGP layer at inputs F_prev and inducing
-    inputs U_prev, one per stream of rng: U from the posterior of its
+    inputs U_prev, one per sample of rng: U from the posterior of its
     inducing outputs under L = chol(K_uu), then the batch outputs from the
     prior conditional p(F | U), independent per point. Returns
     (U_next, F_next, logp - logq)."""
@@ -313,11 +318,10 @@ def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer):
 
 def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
     """Doubly-stochastic DGP layer: sample the marginals that
-    dsvi_dgp_layer_marginals gives at F_prev in one draw, output l from stream
-    l of rng.split(w); returns (F_next, kl), kl being that call's KL."""
+    dsvi_dgp_layer_marginals gives at F_prev in one (S, w, nb) draw from
+    rng; returns (F_next, kl), kl being that call's KL."""
     means, vars_, kl = dsvi_dgp_layer_marginals(F_prev, layer)
-    F_next = de.transpose(rd.conditional_sample(means, vars_,
-                                                rng.split_batch(means.value.shape[-2])))
+    F_next = de.transpose(rd.conditional_sample(means, vars_, rng))
     if layer.mean_function == "identity":
         F_next = de.add(F_next, as_tensor(F_prev))
     return F_next, kl

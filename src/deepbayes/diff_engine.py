@@ -320,7 +320,7 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
         d = -val * val
     elif tag == "affine":
         val = a * v + b
-        d = np.full_like(v, a)
+        d = a
     elif tag == "sqrt":
         if np.any(v < 0):
             raise ValueError("sqrt domain violation: negative input")

@@ -93,8 +93,9 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
     """One posterior layer on the inducing block: samples G_ii from the
     layer's generalized Wishart over the mixed scale (1-q) S_ii + q V V^T,
     with S_ii the prior scale K(G_ii_prev)/nu and L_ii its lower Cholesky
-    factor, and returns (G_ii, features, increment) with features the
-    retained generalized-Bartlett root (F F^T = G_ii) and
+    factor (the Bartlett draws take children of rng), and returns
+    (G_ii, features, increment) with features the retained
+    generalized-Bartlett root (F F^T = G_ii) and
     increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev), the prior
     density read from the root. The A-variant's block log-det enters both
     densities alike and is left out of both.
@@ -113,8 +114,8 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
 
 
 def dwp_conditional_testpoints(feat_i, L_ii, W, var, nu: int, rng: rd.RngStream):
-    """Sample imagined test-point features from the prior conditional and
-    assemble the Gram cross blocks (G_ti, g_tt).
+    """Sample imagined test-point features from the prior conditional, in
+    one draw from rng, and assemble the Gram cross blocks (G_ti, g_tt).
 
     feat_i: (M, ntilde) root of the inducing Gram (padded to M x nu if needed);
     L_ii: lower Cholesky factor of the prior scale block S_ii (K/nu);
@@ -136,13 +137,14 @@ def dwp_conditional_testpoints(feat_i, L_ii, W, var, nu: int, rng: rd.RngStream)
 
 def dwp_forward(state: DwpState, Xt, rng):
     """The Monte-Carlo samples of the deep Wishart process at the batch
-    inputs Xt, one per stream of rng (a StreamBatch, or one RngStream):
-    returns (outputs, increment), stacked over samples. Each Gram layer
-    samples the inducing block from the approximate posterior (contributing
-    log p - log q) and the batch rows from the prior conditional (their
-    densities cancel); the final layer is a global-inducing GP over the last
-    Gram matrix. The first layer's kernel blocks and factors see only the
-    parameters and the inputs, so they carry no sample axis."""
+    inputs Xt, one per sample of rng (or one sample if it has no sample
+    count): returns (outputs, increment), stacked over samples. Each Gram
+    layer samples the inducing block from the approximate posterior
+    (contributing log p - log q) and the batch rows from the prior
+    conditional (their densities cancel), from children of rng of their
+    own; the final layer is a global-inducing GP over the last Gram matrix.
+    The first layer's kernel blocks and factors see only the parameters and
+    the inputs, so they carry no sample axis."""
     Xi, Xt = as_tensor(state.inducing_inputs), as_tensor(Xt)
     grams = [de.matmul(Xi, de.transpose(Xi)), de.matmul(Xt, de.transpose(Xi)),
              de.tsum(de.elementwise("square", Xt), axis=1)]
@@ -155,11 +157,11 @@ def dwp_forward(state: DwpState, Xt, rng):
                             gram_kernel_blocks(layer.kernel_params, *grams, nu_prev))
         L_ii = de.cholesky_factor(S_ii)
         W, var = rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt)
-        sub = rng.split(3)
-        G_ii, feat_i, inc = dwp_posterior_layer(layer, S_ii, L_ii, sub[0])
+        post_rng, rows_rng, rng = rng.split(3)
+        G_ii, feat_i, inc = dwp_posterior_layer(layer, S_ii, L_ii, post_rng)
         inc_sum = de.add(inc_sum, inc)
-        grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, W, var, nu, sub[1]))
-        nu_prev, rng = nu, sub[2]
+        grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, W, var, nu, rows_rng))
+        nu_prev = nu
     final = state.final_layer
     _, F, inc = _gi_layer_sample(*gram_kernel_blocks(final.kernel_params, *grams, nu_prev),
                                  final, rng)

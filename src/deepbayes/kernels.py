@@ -140,16 +140,23 @@ def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
     """sf2 * exp(-0.5 d2 / l^2) with d2_ij = scale (rows_i - 2 cross_ij +
     cols_j), from a Gram block `cross` and the Gram diagonals `rows` and
     `cols` (vectors), in one tape node, for one block or a stack of them.
-    Rounding negatives of d2 are clamped to zero; larger ones raise."""
+    Rounding negatives of d2 are clamped to zero; larger ones raise. Two
+    buffers of the block's size, d2 and K, with the roundings of
+    rows - 2 cross + cols and sf2 exp(-0.5 d2)."""
     rows, cross, cols = as_tensor(rows), as_tensor(cross), as_tensor(cols)
-    d2 = rows.value[..., :, None] - 2.0 * cross.value
-    d2 += cols.value[..., None, :]
+    r, c = rows.value[..., :, None], cols.value[..., None, :]
+    d2 = np.multiply(cross.value, -2.0,
+                     out=np.empty(np.broadcast_shapes(r.shape, cross.value.shape, c.shape)))
+    d2 += r
+    d2 += c
     if scale != 1.0:
         d2 *= float(scale)
     neg = _clamp_sqdist(d2, rows.value, cols.value, float(scale))
     inv_l2 = 1.0 / (ls.value * ls.value)
     d2 *= inv_l2
-    K = sf2.value * np.exp(-0.5 * d2)
+    K = d2 * -0.5
+    np.exp(K, out=K)
+    K *= sf2.value
 
     def unb(x, t):
         return de._unbroadcast(x, t.value.shape)

@@ -177,9 +177,10 @@ class SvgpModel(_ClosedFormModel):
 class _MonteCarloModel:
     """Shared objective and evaluation for models whose ELBO and predictive
     samples both come from one batched
-    `forward(params, X, streams) -> (outputs, increment)` at inputs X, sample
-    s drawn from stream s of the rand_dist.StreamBatch. Evaluation uses up to
-    `max_elbo_samples` samples for the ELBO and up to `max_pred_samples`
+    `forward(params, X, rng) -> (outputs, increment)` at inputs X, from a
+    rand_dist.RngStream whose sample count S is the number of samples (each
+    draw site draws once for all S; sample s reads row s). Evaluation uses
+    up to `max_elbo_samples` samples for the ELBO and up to `max_pred_samples`
     (None: no cap) for the predictive, and records the counts it used."""
 
     max_elbo_samples = 20
@@ -199,7 +200,7 @@ class _MonteCarloModel:
     def predictive_samples(self, params, X, rng, n_samples):
         """(n_samples, n) predictive draws of the first output."""
         p = {k: as_tensor(v) for k, v in params.items()}
-        return self.forward(p, X, rng.split_batch(n_samples))[0].value[..., 0]
+        return self.forward(p, X, rd.RngStream(rng.seed, n_samples))[0].value[..., 0]
 
     def evaluate(self, params, dataset, rng, n_samples):
         n = dataset.X_train.shape[0]
@@ -312,7 +313,7 @@ class DgpModel(_MonteCarloModel):
         F, U = as_tensor(X), as_tensor(p["Z0"])
         inc_sum = as_tensor(np.asarray(0.0))
         d_in = self.D
-        for i, w in enumerate(self.widths):
+        for i, (w, layer_rng) in enumerate(zip(self.widths, rng.split(len(self.widths)))):
             last = i == len(self.widths) - 1
             mean_fn = "identity" if (not last and d_in == w) else "zero"
             d_in = w
@@ -320,14 +321,14 @@ class DgpModel(_MonteCarloModel):
                 layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
                                       kernel_params=_se_params(p, f"_{i}"),
                                       mean_function=mean_fn)
-                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, rng)
+                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, layer_rng)
                 inc_sum = de.add(inc_sum, inc)
             else:
                 layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"], m=p[f"m{i}"],
                                         S_chol=_chol_from_raw(p[f"S_raw{i}"]),
                                         kernel_params=_se_params(p, f"_{i}"),
                                         mean_function=mean_fn)
-                F, kl = dm.dsvi_dgp_layer_sample(F, layer, rng)
+                F, kl = dm.dsvi_dgp_layer_sample(F, layer, layer_rng)
                 inc_sum = de.sub(inc_sum, kl)
         return F, inc_sum
 

@@ -14,7 +14,7 @@ from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor, lift
 
 __all__ = [
-    "RngStream", "StreamBatch", "gamma_sample_reparam", "wishart_log_density",
+    "RngStream", "gamma_sample_reparam", "wishart_log_density",
     "gaussian_conditional", "inducing_marginals", "conditional_sample",
     "kl_gamma", "mvn_log_density", "normal_log_density", "lgamma",
     "lu_packed_matrix", "lu_packed_logdet",
@@ -23,176 +23,46 @@ __all__ = [
 LOG2PI = float(np.log(2.0 * np.pi))
 
 
-# numpy's SeedSequence constants (pool size 4): a pool absorbs each entropy
-# word past the first four by 4 hashmix calls, each followed by a mix, and
-# a Philox key is generate_state(2, uint64) of the pool. The hash constant
-# of the k-th hashmix call is INIT_A * MULT_A**k mod 2**32; generate_state's
-# are INIT_B * MULT_B**j (_KEY_HASH).
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_KEY_HASH = np.array([_INIT_B * pow(_MULT_B, j, 1 << 32) % (1 << 32)
-                      for j in range(_POOL + 1)], dtype=np.uint32)
-_SPAWN_LIMIT = 1 << 32          # a larger spawn index takes two entropy words
+class RngStream:
+    """A splittable, reproducible random stream: one numpy SeedSequence
+    (built from an int, or given) and an optional sample count S. split(n)
+    is SeedSequence.spawn(n), the children keeping S; the stream builds one
+    Generator(Philox(seed)) on its first draw, so without S it draws exactly
+    what numpy's generator draws. With S set, a draw returns all S samples
+    along a new leading axis from one call and the stream draws once (a
+    second draw raises ValueError): sample s reads row s, so its numbers do
+    not depend on S, and each draw site takes a child of its own."""
 
+    __slots__ = ("seed", "samples", "_gen")
 
-class _Key(np.random.bit_generator.ISeedSequence):
-    """A precomputed Philox key, handed to Philox in place of a SeedSequence."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.key
-
-
-def _shift_mix(x):
-    x ^= x >> 16
-    return x
-
-
-def _children(pool, nhash, first, n):
-    """Pools of n children per member: child i's spawn index first + i mixed
-    into its parent's pool, as numpy's mix_entropy adds one entropy word
-    after the nhash hashmix calls that built the pool. pool (..., 4) uint32,
-    nhash and first (...) ints; returns (..., n, 4) uint32."""
-    if n and int(np.max(first)) + n > _SPAWN_LIMIT:
-        raise ValueError("spawn index >= 2**32: the child's key would take two "
-                         "entropy words, which this stream cannot mix")
-    h = _INIT_A * np.power(np.uint64(_MULT_A),
-                           np.add.outer(nhash, np.arange(_POOL + 1)).astype(np.uint64))
-    h = h.astype(np.uint32)[..., None, :]
-    word = np.add.outer(first, np.arange(n)).astype(np.uint32)[..., None]
-    hashed = _shift_mix((word ^ h[..., :-1]) * h[..., 1:])
-    return _shift_mix(pool[..., None, :] * _MIX_L - hashed * _MIX_R)
-
-
-def _philox_keys(pool):
-    """generate_state(2, uint64) of each pool: (..., 4) uint32 -> (..., 2) uint64."""
-    words = _shift_mix((pool ^ _KEY_HASH[:-1]) * _KEY_HASH[1:])
-    return words.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _Streams:
-    """The state of a stream, or of each member of a batch, as arrays: the
-    SeedSequence pool (4 uint32 words), the number of hashmix calls that
-    built it, and the spawn counter. No SeedSequence is kept; a member's
-    Philox generator is built from its pool on its first draw."""
-
-    __slots__ = ("_pool", "_nhash", "_spawned", "_gens")
-
-    @classmethod
-    def _of(cls, pool, nhash, spawned, gens=None):
-        self = object.__new__(cls)
-        self._pool, self._nhash, self._spawned, self._gens = pool, nhash, spawned, gens
-        return self
-
-    def _generators(self) -> list:
-        """One generator per member, in C order, built on first use."""
-        gens = self._gens
-        if gens is None or None in gens:
-            keys = _philox_keys(self._pool).reshape(-1, 2)
-            gens = [np.random.Generator(np.random.Philox(_Key(k))) if g is None else g
-                    for g, k in zip(gens or [None] * len(keys), keys)]
-            self._gens = gens
-        return gens
-
-    def _split(self, n):
-        pool = _children(self._pool, self._nhash, self._spawned, n)
-        self._spawned = self._spawned + n
-        return pool, self._nhash + _POOL
-
-    def split(self, n: int) -> list:
-        """n independent streams (batches of the same shape), continuing the
-        spawn counter as SeedSequence.spawn does."""
-        pool, nhash = self._split(n)
-        zero = np.zeros_like(self._spawned)
-        return [type(self)._of(pool[..., i, :], nhash, zero) for i in range(n)]
-
-    def split_batch(self, n: int) -> "StreamBatch":
-        """The n streams of split(n) as one batch, nested after this one's axes."""
-        pool, nhash = self._split(n)
-        shape = pool.shape[:-1]
-        return StreamBatch._of(pool, np.broadcast_to(nhash[..., None], shape),
-                               np.zeros(shape, dtype=np.int64))
-
-
-class RngStream(_Streams):
-    """Splittable, reproducible random stream (counter-based Philox core).
-
-    Every draw is addressable by (seed, spawn path, draw index), and each
-    stream draws exactly what numpy's Generator(Philox(ss)) draws for the
-    SeedSequence ss with that spawn path. split(n) mixes each child's spawn
-    index into the parent's pool in one array pass, and the generator is
-    built from the pool's key on the first draw, so streams that are only
-    split never build one; Philox reads only the seed's entropy and spawn
-    path, not how often it was split.
-
-    The root takes an int or a SeedSequence of pool size 4 and reads its
-    pool; a spawn index past 2**32 - 1 raises ValueError.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, seed):
+    def __init__(self, seed, samples=None):
         if not isinstance(seed, np.random.SeedSequence):
             seed = np.random.SeedSequence(int(seed))
-        if seed.pool_size != _POOL:
-            raise ValueError(f"SeedSequence pool_size must be {_POOL}, got {seed.pool_size}")
-        words = np.random.bit_generator._coerce_to_uint32_array
-        run, spawn = len(words(seed.entropy)), len(words(seed.spawn_key))
-        # a spawned sequence pads its run entropy to the pool size first
-        extra = (max(run, _POOL) + spawn if spawn else run) - _POOL
-        self._pool = np.array(seed.pool, dtype=np.uint32)
-        self._nhash = np.array(_POOL * _POOL + _POOL * max(extra, 0))
-        self._spawned = np.array(seed.n_children_spawned)
-        self._gens = None
+        self.seed, self.samples, self._gen = seed, samples, None
+
+    def split(self, n: int) -> list:
+        return [RngStream(ss, self.samples) for ss in self.seed.spawn(n)]
+
+    def _generator(self):
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(self.seed))
+        elif self.samples is not None:
+            raise ValueError("a stream with a sample count draws once: "
+                             "split it to give each draw site a child")
+        return self._gen
 
     def normal(self, shape=()):
-        return self._generators()[0].standard_normal(shape)
+        shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+        return self._generator().standard_normal(
+            shape if self.samples is None else (self.samples, *shape))
 
     def standard_gamma(self, alpha):
-        return self._generators()[0].standard_gamma(alpha)
+        if self.samples is None:
+            return self._generator().standard_gamma(alpha)
+        return self._generator().standard_gamma(alpha, (self.samples, *np.shape(alpha)))
 
     def permutation(self, n):
-        return self._generators()[0].permutation(n)
-
-
-class StreamBatch(_Streams):
-    """S streams drawn as one, held as arrays of pools and spawn counters:
-    each draw stacks every member's draw, in member order, along a new
-    leading axis, and split(n) splits every member in one array pass, so
-    sample s draws exactly the numbers its own stream would. Shapes passed
-    to a draw are one sample's. split_batch(n), as on one stream, draws the
-    n streams of split(n) as one; here they nest, so draws stack as (S, n, ...).
-
-    StreamBatch(streams) takes each stream's (or equal-shaped batch's) pool,
-    spawn counter and, where one was built, generator, so the batch goes on
-    from where each member stood; afterwards only the batch should be used.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, streams):
-        streams = list(streams)
-        self._pool = np.stack([st._pool for st in streams])
-        self._nhash = np.stack([st._nhash for st in streams])
-        self._spawned = np.stack([st._spawned for st in streams])
-        self._gens = [g for st in streams
-                      for g in (st._gens or [None] * (st._pool.size // _POOL))]
-
-    def _stack(self, draws):
-        out = np.stack(draws)
-        return out.reshape(self._spawned.shape + out.shape[1:])
-
-    def normal(self, shape=()):
-        return self._stack([g.standard_normal(shape) for g in self._generators()])
-
-    def standard_gamma(self, alpha):
-        return self._stack([g.standard_gamma(alpha) for g in self._generators()])
+        return self._generator().permutation(n)
 
 
 # -- gamma with implicit reparameterization -----------------------------------
@@ -202,7 +72,10 @@ def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
 
     Rate gradient is exact via z = g / beta. Shape gradient uses implicit
     reparameterization dz/da = -(dF/da) / p(z), with dF/da by central finite
-    differences of the regularized incomplete gamma (step 1e-5).
+    differences of the regularized incomplete gamma (step 1e-5; below
+    alpha = 1e-5 the lower point is clamped at 1e-12 and the difference is
+    taken over the narrower step). With rng's sample count S, z carries a
+    leading sample axis.
     """
     alpha = as_tensor(alpha)
     beta = as_tensor(beta)
@@ -214,7 +87,9 @@ def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
 
     h = 1e-5
     x = np.maximum(g, 1e-300)
-    dF_da = (spec.gammainc(av + h, x) - spec.gammainc(np.maximum(av - h, 1e-12), x)) / (2 * h)
+    lo = np.maximum(av - h, 1e-12)
+    dF_da = (spec.gammainc(av + h, x) - spec.gammainc(lo, x)) / np.where(
+        av - h < 1e-12, (av + h) - lo, 2 * h)
     logpdf = (av - 1.0) * np.log(x) - x - spec.gammaln(av)
     dg_da = -dF_da / np.exp(logpdf)
     return lift(z, (beta, alpha), lambda gr: (de._unbroadcast(gr * (-z / bv), bv.shape),
@@ -427,7 +302,8 @@ def _bartlett_logq(tsq, T, alpha, beta, mu, sigma, below, w_t, const, scale_logq
 def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, B=None):
     """Sample G from the (A/AB-)generalized singular Wishart with N x N lower
     scale factor L and nu degrees of freedom, and evaluate its log density
-    at the sample.
+    at the sample. The Bartlett gamma and normals each draw from a child of
+    rng.
 
     alpha, beta: length-ntilde positive gamma shapes and rates of the squared
     diagonal of the Bartlett factor T (ntilde = min(N, nu)); mu, sigma:
@@ -480,8 +356,9 @@ def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, 
 
     # sample the generalized Bartlett factor
     below = np.tril(np.ones((N, ntilde)), k=-1)
-    tsq = gamma_sample_reparam(alpha, beta, rng)                # length ntilde
-    T = _bartlett_root(tsq, mu, sigma, below, rng.normal((N, ntilde)))
+    gamma_rng, normal_rng = rng.split(2)
+    tsq = gamma_sample_reparam(alpha, beta, gamma_rng)          # length ntilde
+    T = _bartlett_root(tsq, mu, sigma, below, normal_rng.normal((N, ntilde)))
 
     # assemble the root A T B and the Gram sample
     ATB = T if B is None else de.matmul(T, B)
@@ -537,15 +414,15 @@ def inducing_marginals(L, W, var, m, S_chol):
 
 
 def conditional_sample(mean, var, rng) -> DiffTensor:
-    """mean + sqrt(max(var, 0) + 1e-12) xi, with xi ~ N(0, I) shaped like
-    one sample of mean; one tape node. One sample is a vector with var shaped
-    like mean, or a matrix with one variance per row (var has one axis
-    fewer); leading axes are rng's samples (a StreamBatch, nested or not)."""
+    """mean + sqrt(max(var, 0) + 1e-12) xi in one tape node, with xi ~ N(0, I)
+    drawn once from rng for one sample of mean: its last two axes (or its
+    one), var shaped like mean or, one per row, with one axis fewer; a
+    leading axis is the samples of rng's sample count."""
     mean, var = as_tensor(mean), as_tensor(var)
     pos = var.value > 0
     std = np.sqrt(var.value * pos + 1e-12)
     rowwise = mean.value.ndim > var.value.ndim
-    xi = rng.normal(mean.value.shape[-2:] if rowwise else mean.value.shape[-1:])
+    xi = rng.normal(mean.value.shape[-2:])
     rows = std[..., None] if rowwise else std
 
     def vjp(g):

@@ -4,6 +4,7 @@ The models never run these: they are the closed forms and plain samplers
 that the paper's propositions are checked against (Gaussian, matrix-normal
 and Bartlett samplers, the inverse-Wishart density, the generalized
 Wishart's Jacobians, matrix-normal conditioning, the Gram-matrix SE kernel,
+one sample's view of a stream with a sample count,
 a Wishart prior layer, the inducing-extension certificate, the BNN-as-DGP
 Gram, exact Bayesian linear regression, and the exact GP from generic
 ops for any kernel function). They are built from the same
@@ -25,6 +26,33 @@ from deepbayes.rand_dist import RngStream, _multigammaln
 
 
 # -- samplers ------------------------------------------------------------------
+
+class SampleRow:
+    """Sample s of a stream with a sample count S, as the per-sample loop
+    reads it: each draw is row s of the stream's one draw for all S
+    samples, and each child of a split is the same view of the stream's
+    child. A forward given it computes sample s alone, without a sample
+    axis."""
+
+    def __init__(self, stream: RngStream, s: int):
+        self.stream, self.s = stream, s
+
+    def split(self, n: int) -> list:
+        return [SampleRow(child, self.s) for child in self.stream.split(n)]
+
+    def normal(self, shape=()):
+        return self.stream.normal(shape)[self.s]
+
+    def standard_gamma(self, alpha):
+        return self.stream.standard_gamma(alpha)[self.s]
+
+
+def sample_rows(seed, n_samples: int) -> list:
+    """One SampleRow per sample of a fresh RngStream(seed, n_samples) each,
+    which is how mc_elbo and predictive_samples draw from a stream of that
+    seed (a split of one stream advances its spawn counter, so each sample
+    needs its own)."""
+    return [SampleRow(RngStream(seed, n_samples), s) for s in range(n_samples)]
 
 def gaussian_sample(mean, chol_cov, rng: RngStream) -> DiffTensor:
     """mean + L xi with xi ~ N(0, I); reparameterized in mean and L."""

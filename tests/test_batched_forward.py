@@ -1,9 +1,12 @@
 """The Monte-Carlo forward runs once over a stacked sample axis. These tests
-hold it to the per-sample loop it replaced, kept here as the reference, and
-check the stack-aware engine pieces it rests on."""
+hold it to the per-sample loop it replaced, kept here as the reference (sample
+s reads row s of each draw site's one draw), and check the stack-aware engine
+pieces it rests on."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
+
+import oracles
 
 from deepbayes import bench_cli as bc
 from deepbayes import deep_models as dm
@@ -43,14 +46,15 @@ def _params(model):
             for k, v in model.init_params().items()}
 
 
-def _loop_objective(model, p, Xb, yb, total_n, n_samples, rng, kl_scale):
-    """The per-sample Monte-Carlo ELBO: one forward per stream of
-    rng.split(n_samples), each drawing a single sample without a sample
-    axis, summed term by term."""
+def _loop_objective(model, p, Xb, yb, total_n, n_samples, seed, kl_scale):
+    """The per-sample Monte-Carlo ELBO: one forward per sample s of a stream
+    RngStream(seed) with n_samples samples, each reading row s of every
+    draw and drawing a single sample without a sample axis, summed term by
+    term."""
     s2 = de.elementwise("exp", de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0))
     nb = yb.shape[0]
     total = None
-    for st in rng.split(n_samples):
+    for st in oracles.sample_rows(seed, n_samples):
         F, inc = model.forward(p, Xb, st)
         ll = rd.normal_log_density(yb, de.reshape(F, (nb,)), s2)
         term = de.add(de.elementwise("affine", ll, a=float(total_n) / nb),
@@ -80,7 +84,7 @@ def test_batched_objective_and_gradients_match_the_per_sample_loop(kind):
     v1, g1, n1 = _value_grads_nodes(lambda p: model.objective(
         p, Xb, yb, 200, 3, rd.RngStream(11), 0.7), params)
     v2, g2, n2 = _value_grads_nodes(lambda p: _loop_objective(
-        model, p, Xb, yb, 200, 3, rd.RngStream(11), 0.7), params)
+        model, p, Xb, yb, 200, 3, 11, 0.7), params)
     assert np.isfinite(v1) and abs(v1 - v2) <= 1e-10 * abs(v2)
     assert g1.keys() == g2.keys()
     for k in g2:
@@ -107,23 +111,46 @@ def test_predictive_samples_match_the_per_sample_loop():
     got = model.predictive_samples(params, ds.X_test, rd.RngStream(4), 5)
     p = {k: as_tensor(v) for k, v in params.items()}
     want = np.stack([model.forward(p, ds.X_test, st)[0].value[:, 0]
-                     for st in rd.RngStream(4).split(5)])
+                     for st in oracles.sample_rows(4, 5)])
     assert got.shape == (5, ds.X_test.shape[0])
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-def test_stream_batch_draws_each_members_numbers():
-    batch = rd.StreamBatch(rd.RngStream(2).split(3))
-    sub = batch.split(2)
-    got = (batch.normal((2, 3)), batch.standard_gamma(np.array([0.5, 2.0])),
-           sub[1].normal(4))
-    members = rd.RngStream(2).split(3)
-    want = [np.stack(d) for d in zip(*[
-        (st.normal((2, 3)), st.standard_gamma(np.array([0.5, 2.0])), st.split(2)[1].normal(4))
-        for st in members])]
-    assert len(sub) == 2
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and np.array_equal(g, w)
+@pytest.mark.parametrize("kind", MC_KINDS)
+def test_each_draw_site_gives_sample_s_the_same_numbers_at_S_and_2S(kind, monkeypatch):
+    # every site draws once from a child of its own, keyed by its seed:
+    # the first S rows of each draw at 2S samples are the draw at S, so the
+    # first S predictive samples agree to rounding (a stacked factor's
+    # inverse is checked over the whole stack)
+    sites = {}
+
+    def recorded(draw):
+        def call(self, arg):
+            out = draw(self, arg)
+            key = (self.seed.entropy, self.seed.spawn_key)
+            assert key not in sites
+            sites[key] = out
+            return out
+        return call
+
+    for name in ("normal", "standard_gamma"):
+        monkeypatch.setattr(rd.RngStream, name, recorded(getattr(rd.RngStream, name)))
+    ds = _synthetic_200(0)
+    model = _model(kind, ds)
+    params = _params(model)
+    p = {k: as_tensor(v) for k, v in params.items()}
+    runs = []
+    for S in (3, 6):
+        sites.clear()
+        model.objective(p, ds.X_train, ds.y_train, 200, S, rd.RngStream(11), 0.7)
+        preds = model.predictive_samples(params, ds.X_test, rd.RngStream(4), S)
+        runs.append((dict(sites), preds))
+    (small, pred_small), (large, pred_large) = runs
+    assert small.keys() == large.keys() and len(small) >= 2
+    for key, draw in small.items():
+        assert draw.shape[0] == 3 and large[key].shape[0] == 6
+        assert np.array_equal(draw, large[key][:3]), key
+    assert np.max(np.abs(pred_small - pred_large[:3])) <= 1e-10 * np.max(np.abs(pred_small))
 
 
 def test_stacked_cholesky_runs_the_jitter_ladder_per_matrix():
@@ -319,10 +346,20 @@ def test_dsvi_tape_nodes_do_not_grow_with_layer_width():
     assert nodes[0] == nodes[1]
 
 
+class _Drawn:
+    """A stream whose one draw is the given array."""
+
+    def __init__(self, xi):
+        self.xi = xi
+
+    def normal(self, shape):
+        return self.xi
+
+
 def _ref_dsvi_terms(p, F, rng):
     """The per-output DSVI layer that the stacked one replaced: one factor,
-    one variance and one KL per output, and one draw per stream of
-    rng.split(w), concatenated."""
+    one variance, one KL and one conditional sample per output,
+    concatenated; output l reads row l of one (w, nb) draw per sample."""
     kp = KernelParams(log_sf2=p["log_sf2"], log_lengthscales=p["log_ls"])
     w = p["m"].value.shape[1]
     roots = [_chol_from_raw(de.getitem(p["S_raw"], lam)) for lam in range(w)]
@@ -340,8 +377,10 @@ def _ref_dsvi_terms(p, F, rng):
         vars_.append(de.add(base_var, de.tsum(de.elementwise("square", C), axis=-2)))
         kl = de.add(kl, rd._kl_gaussian_chol(de.getitem(p["m"], (slice(None), lam)), Sc,
                                              np.zeros(L.value.shape[0]), L))
-    F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)), v, st)
-                        for m, v, st in zip(means, vars_, rng.split(w))], axis=-1)
+    xi = rng.normal((w, F.value.shape[-2]))
+    F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)), v,
+                                              _Drawn(xi[..., lam, :, None]))
+                        for lam, (m, v) in enumerate(zip(means, vars_))], axis=-1)
     return means, vars_, kl, F_next
 
 
@@ -374,8 +413,8 @@ def test_stacked_dsvi_layer_matches_the_per_output_layer(batch):
               "log_ls": np.asarray([0.1, -0.2])}
     F = rng.standard_normal((S, nb, d) if batch.endswith("stacked-inputs") else (nb, d))
 
-    def streams():     # a fresh stream per call: splitting a stream advances it
-        return rd.RngStream(8) if batch == "stream" else rd.StreamBatch(rd.RngStream(8).split(S))
+    def streams():     # a fresh stream per call: a stream with S samples draws once
+        return rd.RngStream(8) if batch == "stream" else rd.RngStream(8, S)
 
     got = [_value_grads_nodes(lambda p: _dsvi_loss(terms(p, F, streams())), params)
            for terms in (_dsvi_terms, _ref_dsvi_terms)]
@@ -393,24 +432,11 @@ def test_stacked_dsvi_layer_matches_the_per_output_layer(batch):
                        (kl.value, r_kl.value), (F_next.value, r_F.value)]:
         assert got_.shape == want.shape
         assert np.max(np.abs(got_ - want)) <= 1e-12 * np.max(np.abs(want))
-    # sample s, output l is drawn from member s's split(w)[l], exactly
-    members = [rd.RngStream(8)] if batch == "stream" else rd.RngStream(8).split(S)
-    xi = np.stack([[st.normal(nb) for st in member.split(w)] for member in members])
+    # every output and row of sample s comes from row s of one draw, exactly
+    xi = streams().normal((w, nb))
     v = vars_.value
-    want = means.value + np.sqrt(v * (v > 0) + 1e-12) * (xi[0] if batch == "stream" else xi)
+    want = means.value + np.sqrt(v * (v > 0) + 1e-12) * xi
     assert np.array_equal(F_next.value, np.swapaxes(want, -1, -2))
-
-
-def test_split_batch_nests_each_members_split():
-    batch = rd.StreamBatch(rd.RngStream(2).split(3)).split_batch(4)
-    got = (batch.normal((2,)), batch.standard_gamma(np.array([0.5, 2.0])))
-    leaves = [member.split(4) for member in rd.RngStream(2).split(3)]
-    want = (np.stack([[st.normal((2,)) for st in row] for row in leaves]),
-            np.stack([[st.standard_gamma(np.array([0.5, 2.0])) for st in row] for row in leaves]))
-    for g, w_ in zip(got, want):
-        assert g.shape[:2] == (3, 4) and np.array_equal(g, w_)
-    one = rd.RngStream(5).split_batch(2).normal(3)
-    assert np.array_equal(one, np.stack([st.normal(3) for st in rd.RngStream(5).split(2)]))
 
 
 def test_stacked_diag_embed_and_chol_from_raw_gradients():

@@ -12,7 +12,7 @@ from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
 from deepbayes.gp_models import GpState, SvgpState, gp_predict_lml, svgp_elbo
 from deepbayes.kernels import KernelParams, se_ard_features
 
-from oracles import bnn_as_dgp_gram
+from oracles import bnn_as_dgp_gram, sample_rows
 
 
 def _chol(S):
@@ -140,9 +140,9 @@ def test_bnn_elbo_matched_factorised_posterior_equals_prior_expectation():
                         prior=prior)
     e1 = mc_elbo(lambda st: bnn_forward([layer], X, st), y, 6, 4, rd.RngStream(7), 0.0)
     # the value is the average prior-sample log likelihood: each term is the
-    # per-sample forward driven by its own split stream, with zero increment
+    # per-sample forward reading its row of each draw, with zero increment
     lls = []
-    for st in rd.RngStream(7).split(4):
+    for st in sample_rows(7, 4):
         F, inc = bnn_forward([layer], X, st)
         assert abs(inc.value) <= 1e-12
         lls.append(rd.normal_log_density(y, F.value[:, 0], np.asarray(1.0)).value.sum())
@@ -278,7 +278,7 @@ def test_gi_dgp_batch_outputs_follow_posterior_gp_mean():
     F_prev = np.array([[0.3], [-1.1]])
     layer = GiDgpLayer(V=V, log_lambda=np.full(7, 30.0),
                        kernel_params=KernelParams())
-    streams = rd.StreamBatch([rd.RngStream(s) for s in range(4000)])
+    streams = rd.RngStream(0, 4000)
     draws = gi_dgp_layer_sample(F_prev, U_prev, layer, streams)[1].value[..., 0]
     gp = GpState(log_noise=-60.0)
     mean, var, _ = gp_predict_lml(gp, U_prev, V[:, 0], X_star=F_prev)
@@ -349,8 +349,7 @@ def test_dsvi_sample_moments_match_marginals():
     means, vars_, _ = dsvi_dgp_layer_marginals(F, layer)
     n = 20000
     draws = dsvi_dgp_layer_sample(F, layer,
-                                  rd.StreamBatch([rd.RngStream(s) for s in range(n)])
-                                  )[0].value[..., 0]
+                                  rd.RngStream(0, n))[0].value[..., 0]
     se = np.sqrt(vars_[0].value / n)
     assert np.all(np.abs(draws.mean(0) - means[0].value) < 4 * se)
     assert np.all(np.abs(draws.var(0) - vars_[0].value) < 0.1 * vars_[0].value)
@@ -370,7 +369,7 @@ def test_dsvi_two_outputs_sample_each_from_its_own_marginals():
     means, vars_, kl = dsvi_dgp_layer_marginals(F, layer)
     n = 4000
     draws = dsvi_dgp_layer_sample(F, layer,
-                                  rd.StreamBatch(rd.RngStream(3).split(n)))[0].value
+                                  rd.RngStream(3, n))[0].value
     assert draws.shape == (n, 3, 2)
     for lam in range(2):
         se = np.sqrt(vars_[lam].value / n)

@@ -9,7 +9,7 @@ from deepbayes.dwp import (DwpState, GWishLayerPosterior, dwp_conditional_testpo
                            standard_bartlett_params)
 from deepbayes.kernels import KernelParams
 
-from oracles import (dwp_prior_layer, gwish_full_density, se_from_gram,
+from oracles import (dwp_prior_layer, gwish_full_density, sample_rows, se_from_gram,
                      wishart_inducing_extension)
 
 
@@ -185,7 +185,7 @@ def test_posterior_layer_increment_mean_is_negative_kl():
     M, nu = 3, 4
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=0.4, spread=0.15)
-    streams = rd.StreamBatch([rd.RngStream(s) for s in range(3000)])
+    streams = rd.RngStream(0, 3000)
     incs = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), streams)[2].value
     # KL >= 0, so the mean increment must not be significantly positive
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
@@ -340,10 +340,10 @@ def test_elbo_multi_sample_average():
     Xt = rng.standard_normal((3, 2))
     y = rng.standard_normal(3)
     e = _elbo(state, Xt, y, total_n=6, rng=rd.RngStream(9), n_samples=3, kl_scale=0.7)
-    # each term is the per-sample forward driven by its own split stream
+    # each term is the per-sample forward reading its row of each draw
     s2 = np.exp(LOG_NOISE)
     terms = []
-    for st in rd.RngStream(9).split(3):
+    for st in sample_rows(9, 3):
         F, inc = dwp_forward(state, Xt, st)
         ll = rd.normal_log_density(y, F.value[:, 0], s2).value.sum()
         terms.append(ll * 6 / 3 + 0.7 * inc.value)

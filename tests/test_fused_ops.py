@@ -106,9 +106,10 @@ def _ref_gwish(L, nu, alpha, beta, mu, sigma, rng, A_packed=None, B=None):
     N = L.value.shape[0]
     ntilde = min(N, nu)
     alpha, beta, mu, sigma = map(as_tensor, (alpha, beta, mu, sigma))
-    tsq = rd.gamma_sample_reparam(alpha, beta, rng)
+    gamma_rng, normal_rng = rng.split(2)
+    tsq = rd.gamma_sample_reparam(alpha, beta, gamma_rng)
     tdiag = de.elementwise("sqrt", tsq)
-    xi = as_tensor(rng.normal((N, ntilde)))
+    xi = as_tensor(normal_rng.normal((N, ntilde)))
     below = np.tril(np.ones((N, ntilde)), k=-1)
     T = de.mul(de.add(mu, de.mul(sigma, xi)), as_tensor(below))
     T = de.add(T, de.matmul(as_tensor(np.eye(N, ntilde)), de.diag_embed(tdiag)))

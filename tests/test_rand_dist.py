@@ -28,7 +28,7 @@ def test_stream_determinism_and_split_independence():
     assert abs(np.corrcoef(x1, x2)[0, 1]) < 0.1
 
 
-# Streams hold SeedSequence pools as arrays; numpy's SeedSequence.spawn and
+# A stream is one SeedSequence: numpy's SeedSequence.spawn and
 # Generator(Philox(ss)) are the reference every draw must equal bitwise.
 ROOT_ENTROPIES = [0, 7, (1 << 64) + 12345, (1 << 130) + 3]
 
@@ -88,52 +88,37 @@ def test_repeated_splits_on_one_stream_advance_its_spawn_counter():
     for n in (2, 1, 3):
         for ref, got in zip(ss.spawn(n), st.split(n)):
             _assert_same(_draws(got), _ref_draws(_ref_gen(ref)))
-    kids = [r.spawn(2) for r in ss.spawn(2)]
-    for i, got in enumerate(st.split_batch(2).split(2)):
-        want = np.stack([_ref_gen(pair[i]).normal(size=3) for pair in kids])
-        assert np.array_equal(got.normal(3), want)
 
 
-def test_nested_batches_of_independent_roots_match_seedsequence():
-    def roots(make):
-        return [make(np.random.SeedSequence(e)) for e in ROOT_ENTROPIES] + [
-            make(np.random.SeedSequence(2, spawn_key=(1 << 20, 5)))]
-    seqs, batch = roots(lambda ss: ss), rd.StreamBatch(roots(rd.RngStream))
-    first = batch.split(2)                       # advances every member's counter
-    got = _draws(batch.split_batch(3).split_batch(2))
-    assert got[0].shape == (5, 3, 2, 2) and got[1].shape == (5, 3, 2, 2, 3)
-    firsts = [ss.spawn(2)[1] for ss in seqs]
-    leaves = [[_ref_draws(_ref_gen(leaf)) for kid in ss.spawn(3) for leaf in kid.spawn(2)]
-              for ss in seqs]
-    for k in range(2):
-        want = np.stack([[d[k] for d in row] for row in leaves]).reshape(got[k].shape)
-        assert np.array_equal(got[k], want)
-    assert np.array_equal(first[1].normal(4),
-                          np.stack([_ref_gen(ss).normal(size=4) for ss in firsts]))
+def test_a_stream_with_samples_draws_all_of_them_from_one_call():
+    S = 4
+    st = rd.RngStream(np.random.SeedSequence(3, spawn_key=(1 << 20, 2)), S)
+    kids = st.split(2)
+    assert [k.samples for k in kids] == [S, S]
+    ref = np.random.SeedSequence(3, spawn_key=(1 << 20, 2)).spawn(2)
+    got = kids[0].normal((2, 3))
+    assert np.array_equal(got, _ref_gen(ref[0]).standard_normal((S, 2, 3)))
+    alpha = np.array([0.5, 3.0])
+    got = kids[1].standard_gamma(alpha)
+    assert np.array_equal(got, _ref_gen(ref[1]).standard_gamma(alpha, (S, 2)))
+    # sample s reads row s: the first S rows at 2S are the same numbers
+    assert rd.RngStream(7, 2 * S).normal(5).shape == (2 * S, 5)
+    assert np.array_equal(rd.RngStream(7, S).normal(5), rd.RngStream(7, 2 * S).normal(5)[:S])
+    assert np.array_equal(rd.RngStream(7, S).standard_gamma(alpha),
+                          rd.RngStream(7, 2 * S).standard_gamma(alpha)[:S])
 
 
-def test_a_batch_continues_the_draws_of_a_stream_that_already_drew():
-    st, ref = rd.RngStream(4), _ref_gen(np.random.SeedSequence(4))
-    assert np.array_equal(st.normal(3), ref.normal(size=3))
-    batch = rd.StreamBatch([st, rd.RngStream(6)])
-    got = batch.normal(2)
-    assert np.array_equal(got[0], ref.normal(size=2))
-    assert np.array_equal(got[1], _ref_gen(np.random.SeedSequence(6)).normal(size=2))
-
-
-def test_streams_reject_what_the_pool_path_cannot_reproduce():
-    with pytest.raises(ValueError, match="pool_size"):
-        rd.RngStream(np.random.SeedSequence(0, pool_size=8))
-    last = rd.RngStream(np.random.SeedSequence(0, n_children_spawned=2**32 - 2))
-    kids = last.split(2)                          # spawn indices 2**32 - 2 and 2**32 - 1
-    ref = np.random.SeedSequence(0, spawn_key=(2**32 - 1,))   # what spawn would build
-    assert np.array_equal(kids[1].normal(3), _ref_gen(ref).normal(size=3))
-    for make in (lambda: last.split(1), lambda: last.split_batch(1),
-                 lambda: rd.RngStream(np.random.SeedSequence(
-                     0, n_children_spawned=2**32 - 1)).split(2),
-                 lambda: rd.StreamBatch([rd.RngStream(0), last]).split_batch(3)):
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            make()
+def test_a_stream_with_samples_draws_once():
+    st = rd.RngStream(5, 3)
+    st.normal(2)
+    with pytest.raises(ValueError, match="draws once"):
+        st.normal(2)
+    with pytest.raises(ValueError, match="draws once"):
+        st.standard_gamma(np.ones(2))
+    # a stream without a sample count goes on drawing, as numpy's generator
+    plain, ref = rd.RngStream(5), _ref_gen(np.random.SeedSequence(5))
+    for _ in range(3):
+        assert np.array_equal(plain.normal(2), ref.standard_normal(2))
 
 
 # -- gaussian sampling -----------------------------------------------------------
@@ -223,6 +208,22 @@ def test_gamma_shape_gradient_of_mean_is_unbiased():
         z = rd.gamma_sample_reparam(a, np.full(n, 1.0), stream)
         grads = de.backward_pass(de.tsum(z) * (1.0 / n))
     assert abs(grads["a"].sum() - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("a0", [3e-6, 8e-6])
+def test_gamma_shape_gradient_below_the_difference_step(a0):
+    # below a = 1e-5 the central difference's lower point is clamped at
+    # 1e-12, so dF/da is taken over the narrower step; the draw underflows
+    # to 0 at these shapes and is read at 1e-300
+    with de.Tape() as t:
+        a = t.param(np.asarray(a0), "a")
+        z = rd.gamma_sample_reparam(a, np.asarray(1.0), rd.RngStream(0))
+        grads = de.backward_pass(z)
+    x = max(float(z.value), 1e-300)
+    h = 1e-9
+    dF = (spec.gammainc(a0 + h, x) - spec.gammainc(a0 - h, x)) / (2 * h)
+    ref = -dF / np.exp((a0 - 1.0) * np.log(x) - x - spec.gammaln(a0))
+    assert abs(grads["a"] / ref - 1.0) < 1e-2
 
 
 def test_gamma_rejects_nonpositive_params():
