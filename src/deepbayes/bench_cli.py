@@ -5,11 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import deep_models as dm
 from . import diff_engine as de
@@ -305,9 +307,37 @@ def _write_plot_data(model, params, ds: Dataset, path):
 
 # -- CLI ---------------------------------------------------------------------------
 
-def _quick_checks() -> int:
-    """Fast self-contained oracle checks; returns a process exit code."""
+# the gamma shapes' gradient is the implicit one by design, which central
+# differences through one fixed draw do not see; check holds them fixed
+_GAMMA_SHAPES = re.compile(r"la\d+|log_a_s\d+")
+
+
+def _objective_check(kind: str, prior: str) -> dict:
+    """finite_diff_check's report on the whole objective of one model kind
+    under one prior, at tiny shapes: 12 rows, 2 input columns (1 for blr),
+    M=4, widths (3, 3), a (3, 2) extractor for dkl, 2 samples of a fixed
+    stream, and parameters at init + 0.05 N(0, 1)."""
     rng = np.random.default_rng(0)
+    X = rng.standard_normal((12, 1 if kind == "blr" else 2))
+    y = rng.standard_normal(12)
+    ds = Dataset(X_train=X, y_train=y, X_test=X, y_test=y)
+    if kind == "dkl":
+        model = GpLmlModel(ds, dkl_widths=(3, 2))
+    else:
+        model = _make_model(ExperimentConfig(model=kind, widths=(3, 3), M=4, prior=prior), ds)
+    init = {k: v + 0.05 * rng.standard_normal(np.shape(v))
+            for k, v in model.init_params().items()}
+    fixed = {k: de.as_tensor(v) for k, v in init.items() if _GAMMA_SHAPES.fullmatch(k)}
+    free = {k: v for k, v in init.items() if k not in fixed}
+    return de.finite_diff_check(lambda ps: model.objective(
+        {**fixed, **ps}, X, y, len(y), 2, rd.RngStream(0), 1.0), free)
+
+
+def _quick_checks() -> int:
+    """Gradient checks of the code the models run; returns a process exit
+    code. Each model kind's objective (and the BNN's under prior: scale) is
+    checked against finite differences, the exact-GP likelihood node against
+    scipy's Cholesky, and the SE kernel's gradient in all four operands."""
     failures = []
 
     def check(name, ok):
@@ -315,30 +345,24 @@ def _quick_checks() -> int:
         if not ok:
             failures.append(name)
 
-    rep = de.finite_diff_check(
-        lambda ps: de.logdet_psd(de.elementwise(
-            "affine", de.add(ps[0], de.transpose(ps[0])), a=0.5)),
-        [np.eye(3) * 3 + rng.standard_normal((3, 3)) * 0.1])
-    check("logdet gradient vs finite differences", rep["passed"])
+    for kind, prior in [(k, "neal") for k in _MODEL_KEYS_READ] + [("bnn-gi", "scale")]:
+        rep = _objective_check(kind, prior)
+        label = kind if prior == "neal" else f"{kind} (prior: {prior})"
+        check(f"{label} objective gradient vs finite differences "
+              f"(max relative error {rep['max_rel_error']:.1e})", rep["passed"])
 
+    rng = np.random.default_rng(0)
     X = rng.standard_normal((8, 2))
     y = rng.standard_normal(8)
     st = gm.GpState(kernel_params=KernelParams(log_lengthscales=np.zeros(2)),
                     log_noise=np.log(0.1))
-    _, dfit, _ = gm.prop31_check(st, X, y)
-    check("optimal-signal-variance data fit = -N/2", abs(dfit.value + 4.0) < 1e-8)
-
-    sv = gm.SvgpState(Z=X, m=np.zeros(8), S_chol=np.eye(8),
-                      kernel_params=st.kernel_params, log_noise=np.log(0.1))
-    bound, _, _ = gm.svgp_collapsed_bound(sv, X, y)
     _, _, lml = gm.gp_predict_lml(st, X, y)
-    check("collapsed bound equals LML at Z=X", abs(bound.value - lml.value) < 1e-8)
-
-    from scipy.stats import wishart as sw
-    G = X[:3] @ X[:3].T + 2 * np.eye(3)
-    S = np.eye(3)
-    check("Wishart log density matches reference",
-          abs(rd.wishart_log_density(G, S, 5.0).value - sw.logpdf(G, 5, S)) < 1e-8)
+    C = np.exp(-0.5 * np.sum((X[:, None] - X[None]) ** 2, axis=-1)) + 0.1 * np.eye(8)
+    c = sla.cho_factor(C, lower=True)
+    ref = (-0.5 * y @ sla.cho_solve(c, y) - np.sum(np.log(np.diag(c[0])))
+           - 0.5 * len(y) * np.log(2.0 * np.pi))
+    check("exact-GP log marginal likelihood vs scipy cho_factor",
+          abs(lml.value - ref) <= 1e-10 * abs(ref))
 
     # one kernel node over four operands, whose VJP returns all their cotangents
     wts = rng.standard_normal((4, 3))
@@ -362,7 +386,8 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_toy = sub.add_parser("toy", help="generate a synthetic dataset")
     p_toy.add_argument("name", choices=["cubic-toy", "deep-linear"])
-    sub.add_parser("check", help="run quick oracle checks")
+    sub.add_parser("check", help="check each model kind's objective gradient by finite "
+                   "differences, the exact-GP likelihood and the SE kernel's gradient")
     args = ap.parse_args(argv)
 
     if args.cmd == "check":

