@@ -101,43 +101,25 @@ def _prior_precision_scalar(prior: PriorSpec, fanin: int, s=None):
     return de.elementwise("affine", as_tensor(s), a=float(fanin))
 
 
-_REVERSE = (Ellipsis, slice(None, None, -1), slice(None, None, -1))
-
-
-def _inverse_chol(A) -> DiffTensor:
-    """Lower Cholesky factor of A^{-1} (each matrix of a stack) from one
-    factorisation of A: chol(A^{-1}) = J chol(J A J)^{-T} J, with J reversing
-    the row and column order (it maps upper-triangular matrices to
-    lower-triangular ones)."""
-    C = de.cholesky_factor(de.getitem(as_tensor(A), _REVERSE))
-    eye = as_tensor(np.eye(C.value.shape[-1]))
-    return de.getitem(de.triangular_solve(C, eye, trans=True), _REVERSE)
-
-
 def _gi_posterior(L, A, log_lambda, V):
     """Global-inducing posterior of BNN weights and of GP inducing outputs.
 
     Each column x of X has the prior N(0, L L^T), with L a lower-triangular
     root or a scalar (the root L I; shaped (1, 1), or (S, 1, 1) with one per
     sample), and pseudo-observations V = A x + noise of precisions
-    Lambda = exp(log_lambda) (A = None means I). With
-    R = chol((I + L^T A^T Lambda A L)^{-1}) from one Cholesky, the posterior
-    is N(Mean, Ls Ls^T), Ls = L R, Mean = Ls Ls^T A^T Lambda V. L and A may
-    carry a leading sample axis. Returns (L, Mean, Ls, R), which _gi_sample
+    Lambda = exp(log_lambda) (A = None means I). Read through z = L^{-1} x,
+    the prior is N(0, I) and V = B z + noise with B = A L, so the posterior
+    of z is N(C^{-T} h, (C C^T)^{-1}) with C = chol(I + B^T Lambda B) from
+    one Cholesky and h = C^{-1} B^T Lambda V; that of x is L times it. L and
+    A may carry a leading sample axis. Returns (L, C, h), which _gi_sample
     draws from."""
     L, V = as_tensor(L), as_tensor(V)
     lam = de.elementwise("exp", as_tensor(log_lambda))
-    M = V.value.shape[0]
     times_root = de.mul if _scalar_root(L) else de.matmul
-    B = L if A is None else times_root(as_tensor(A), L)         # A L
-    BtLam = de.mul(de.transpose(B), de.reshape(lam, (1, M)))     # B^T Lambda
-    R = _inverse_chol(de.add(as_tensor(np.eye(B.value.shape[-1])), de.matmul(BtLam, B)))
-    Ls = times_root(L, R)
-    if A is None:   # Ls^T Lambda V, in the GI-DGP and DWP op order
-        Mean = de.matmul(Ls, de.matmul(de.transpose(Ls), de.mul(de.reshape(lam, (M, 1)), V)))
-    else:           # Ls^T A^T Lambda V = R^T B^T Lambda V
-        Mean = de.matmul(Ls, de.matmul(de.transpose(R), de.matmul(BtLam, V)))
-    return L, Mean, Ls, R
+    B = L if A is None else times_root(as_tensor(A), L)                        # A L
+    BtLam = de.mul(de.transpose(B), de.reshape(lam, (1, V.value.shape[0])))    # B^T Lambda
+    C = de.cholesky_factor(de.add(as_tensor(np.eye(B.value.shape[-1])), de.matmul(BtLam, B)))
+    return L, C, de.triangular_solve(C, de.matmul(BtLam, V))
 
 
 def _scalar_root(L) -> bool:
@@ -147,20 +129,19 @@ def _scalar_root(L) -> bool:
 
 
 def _gi_sample(posterior, rng):
-    """A draw X = Mean + Ls xi from a _gi_posterior per sample of rng (one
-    draw from it). Returns (X, L^{-1} X, increment) with
-    increment = sum_cols log N(x; 0, L L^T) - log N(x; Mean, Ls Ls^T)
-              = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 + width sum log diag R,
+    """A draw X = L C^{-T} (h + xi) from a _gi_posterior (L, C, h) per sample
+    of rng (one draw from it). Returns (X, L^{-1} X, increment) with
+    increment = sum_cols log N(x; 0, L L^T) - log q(x)
+              = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 - width sum log diag C,
     one per sample."""
-    L, Mean, Ls, R = posterior
-    xi = rng.normal(Mean.value.shape[-2:])
-    X = de.add(Mean, de.matmul(Ls, as_tensor(xi)))
-    LinvX = de.div(X, L) if _scalar_root(L) else de.triangular_solve(L, X)
+    L, C, h = posterior
+    xi = rng.normal(h.value.shape[-2:])
+    LinvX = de.triangular_solve(C, de.add(h, as_tensor(xi)), trans=True)
     sq = np.sum(xi * xi, axis=(-2, -1))
     inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", LinvX), axis=(-2, -1)),
                                 a=-0.5),
-                 de.add(de.log_diag_sum(R, float(Mean.value.shape[-1])), as_tensor(0.5 * sq)))
-    return X, LinvX, inc
+                 de.add(de.log_diag_sum(C, -float(h.value.shape[-1])), as_tensor(0.5 * sq)))
+    return (de.mul if _scalar_root(L) else de.matmul)(L, LinvX), LinvX, inc
 
 
 def _gi_bnn_posterior(psi_U, layer: GiBnnLayer, s=None):
@@ -176,8 +157,10 @@ def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
     posterior: each column is N(Mean, S) with
     S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and Mean = S psi^T Lambda V,
     psi_U (M, d) being the propagated, activated inducing features (bias
-    included); a scale prior reads the sampled s. Returns
-    (W, logp_minus_logq, U_next) with U_next = psi_U @ W.
+    included); a scale prior reads the sampled s. W is drawn as
+    r C^{-T} (h + xi) from _gi_posterior's factor C, with the scalar prior
+    root r = (nu Sigma^{-1})^{-1/2}. Returns (W, logp_minus_logq, U_next)
+    with U_next = psi_U @ W.
     """
     psi_U = as_tensor(psi_U)
     W, _, inc = _gi_sample(_gi_bnn_posterior(psi_U, layer, s), rng)

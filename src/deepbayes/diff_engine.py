@@ -21,7 +21,7 @@ __all__ = [
     "Tape", "DiffTensor", "as_tensor", "lift",
     "matmul", "add", "sub", "mul", "div", "transpose", "tsum",
     "elementwise", "cholesky_factor", "triangular_solve", "log_diag_sum",
-    "diag_part", "diag_embed", "concat", "reshape", "getitem",
+    "diag_part", "diag_embed", "concat", "reshape",
     "backward_pass", "finite_diff_check",
 ]
 
@@ -186,24 +186,6 @@ def tsum(a, axis=None, keepdims=False) -> DiffTensor:
 def reshape(a, shape) -> DiffTensor:
     a = as_tensor(a)
     return lift(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),), "reshape")
-
-
-def getitem(a, idx) -> DiffTensor:
-    """a[idx]; stacked operands index their matrices with a leading Ellipsis."""
-    a = as_tensor(a)
-    # basic indexing (slices, ints, Ellipsis) selects each entry at most once
-    basic = all(isinstance(i, (slice, int)) or i is Ellipsis
-                for i in (idx if isinstance(idx, tuple) else (idx,)))
-
-    def vjp(g):
-        out = np.zeros_like(a.value)
-        if basic:
-            out[idx] = g
-        else:
-            np.add.at(out, idx, g)
-        return (out,)
-
-    return lift(a.value[idx], (a,), vjp, "getitem")
 
 
 def concat(parts, axis=0) -> DiffTensor:

@@ -31,18 +31,10 @@ class GpState:
 
 
 @dataclass
-class SvgpState:
+class SvgpState(GpState):
     Z: object = None               # (M, D)
     m: object = None               # (M,) variational mean
     S_chol: object = None          # (M, M) lower Cholesky of S
-    kernel_params: KernelParams = field(default_factory=KernelParams)
-    log_noise: object = 0.0
-
-    def noise_var(self) -> DiffTensor:
-        return de.elementwise("exp", as_tensor(self.log_noise))
-
-    def kern(self, X1, X2=None) -> DiffTensor:
-        return se_ard_features(self.kernel_params, X1, X2)
 
 
 def gaussian_bump_features(X, centers, width) -> DiffTensor:

@@ -224,6 +224,8 @@ class BnnModel(_MonteCarloModel):
 
     def __init__(self, dataset, posterior="gi", widths=(50, 50), M=40,
                  prior_variant="neal", seed=0):
+        if posterior not in ("gi", "fac"):
+            raise ValueError(f"unknown posterior {posterior!r}; expected 'gi' or 'fac'")
         super().__init__(dataset, M)
         self.posterior = posterior
         self.widths = list(widths) + [1]
@@ -277,6 +279,8 @@ class DgpModel(_MonteCarloModel):
     widths allow it and the final layer is zero-mean."""
 
     def __init__(self, dataset, posterior="gi", depth=2, M=20, seed=0):
+        if posterior not in ("gi", "dsvi"):
+            raise ValueError(f"unknown posterior {posterior!r}; expected 'gi' or 'dsvi'")
         super().__init__(dataset, M)
         self.posterior = posterior
         self.widths = [self.D] * (depth - 1) + [1]

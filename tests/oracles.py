@@ -2,15 +2,15 @@
 
 The models never run these: they are the closed forms and plain samplers
 that the paper's propositions are checked against (Gaussian, matrix-normal
-and Bartlett samplers, the log-determinant by Cholesky, the multivariate
-Gaussian, Wishart and inverse-Wishart densities, the generalized Wishart's
-Jacobians, matrix-normal conditioning, the Gram-matrix SE kernel, one
-sample's view of a stream with a sample count, a Wishart prior layer, the
-inducing-extension certificate, the BNN-as-DGP Gram, exact Bayesian linear
-regression, the optimal-signal-variance identity, the collapsed sparse-GP
-bound, and the exact GP from generic ops for any kernel function). They
-are built from the same diff_engine ops as the library, so tests can
-differentiate through them.
+and Bartlett samplers, indexing, the log-determinant by Cholesky, the
+multivariate Gaussian, Wishart and inverse-Wishart densities, the
+generalized Wishart's Jacobians, matrix-normal conditioning, the Gram-matrix
+SE kernel, one sample's view of a stream with a sample count, a Wishart
+prior layer, the inducing-extension certificate, the BNN-as-DGP Gram, exact
+Bayesian linear regression, the optimal-signal-variance identity, the
+collapsed sparse-GP bound, and the exact GP from generic ops for any kernel
+function). They are built from the same diff_engine ops as the library, so
+tests can differentiate through them.
 """
 from __future__ import annotations
 
@@ -96,6 +96,24 @@ def bartlett_sample(N: int, nu, rng: RngStream) -> np.ndarray:
 
 
 # -- linear algebra ------------------------------------------------------------------
+
+def getitem(a, idx) -> DiffTensor:
+    """a[idx]; stacked operands index their matrices with a leading Ellipsis."""
+    a = as_tensor(a)
+    # basic indexing (slices, ints, Ellipsis) selects each entry at most once
+    basic = all(isinstance(i, (slice, int)) or i is Ellipsis
+                for i in (idx if isinstance(idx, tuple) else (idx,)))
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        if basic:
+            out[idx] = g
+        else:
+            np.add.at(out, idx, g)
+        return (out,)
+
+    return de.lift(a.value[idx], (a,), vjp, "getitem")
+
 
 def add_diagonal(a, d) -> DiffTensor:
     """a + d I for a scalar d: d added to the leading diagonal of a matrix,
@@ -196,8 +214,8 @@ def wishart_log_density(G, Sigma, nu) -> DiffTensor:
         raise ValueError("singular Wishart (nu < N) requires integer nu")
     n = int(min(round(nu_f), N)) if nu_f < N else N
     _check_rank(G.value, n)
-    rows = de.getitem(G, slice(0, n))                     # G[:n] = G[:, :n]^T
-    C = de.cholesky_factor(de.getitem(rows, (slice(None), slice(0, n))))
+    rows = getitem(G, slice(0, n))                        # G[:n] = G[:, :n]^T
+    C = de.cholesky_factor(getitem(rows, (slice(None), slice(0, n))))
     F = de.transpose(de.triangular_solve(C, rows))        # F F^T = G
     return rd._wishart_log_density_root(F, de.cholesky_factor(Sigma), nu,
                                         de.log_diag_sum(C, 2.0))
@@ -288,7 +306,7 @@ def gwish_full_density(sample, nu, A_packed=None):
     if A_packed is None:
         return G, logq, feat, ld_block
     nu, N = int(nu), ATB.value.shape[-2]
-    S = de.getitem(ATB, (Ellipsis, slice(0, min(N, nu)), slice(None)))
+    S = getitem(ATB, (Ellipsis, slice(0, min(N, nu)), slice(None)))
     db = logdet_psd(de.matmul(S, de.transpose(S)))
     c_db = 0.5 * (nu - N - 1)
     return G, de.add(logq, de.elementwise("affine", db, a=c_db)), feat, de.add(db, ld_block)

@@ -54,7 +54,7 @@ def _fn_dense(p):
     w = de.matmul(T, v)                                       # matvec
     r = de.elementwise("sigmoid", w)
     q = de.elementwise("relu", de.elementwise("affine", r, a=2.0, b=0.3))
-    c = de.concat([q, de.getitem(T, 1)], axis=0)              # (6,)
+    c = de.concat([q, oracles.getitem(T, 1)], axis=0)         # (6,)
     s1 = de.tsum(de.mul(c, c))
     dp = de.diag_part(de.matmul(M, M))
     s2 = de.tsum(de.div(dp, de.elementwise("affine",
@@ -418,13 +418,14 @@ def test_criterion_08_optimal_last_layer_matches_exact_posterior():
         layer = dm.GiBnnLayer(V=y[:, None].copy(),
                               log_lambda=np.full(M, -2.0 * np.log(sigma)),
                               prior=dm.PriorSpec("standard"))
-        _, mean, Ls, _ = dm._gi_bnn_posterior(as_tensor(feats), layer)
+        root, C, h_post = (t.value for t in dm._gi_bnn_posterior(as_tensor(feats), layer))
+        Ls = root * np.linalg.inv(C).T                    # the posterior root L C^{-T}
 
         m, S, _, _ = oracles.blr_fit_predict_lml(oracles.BlrState(alpha=1.0, sigma=sigma),
                                                  feats, y)
         worst = max(worst,
-                    np.max(np.abs(mean.value[:, 0] - m.value)),
-                    np.max(np.abs(Ls.value @ Ls.value.T - S.value)))
+                    np.max(np.abs((Ls @ h_post)[:, 0] - m.value)),
+                    np.max(np.abs(Ls @ Ls.T - S.value)))
     assert worst < 1e-8
     el = _budget(8, t0, 10)
     _report(8, f"global-inducing last layer reproduces the exact linear-model "

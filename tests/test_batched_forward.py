@@ -362,7 +362,7 @@ def _ref_dsvi_terms(p, F, rng):
     concatenated; output l reads row l of one (w, nb) draw per sample."""
     kp = KernelParams(log_sf2=p["log_sf2"], log_lengthscales=p["log_ls"])
     w = p["m"].value.shape[1]
-    roots = [_chol_from_raw(de.getitem(p["S_raw"], lam)) for lam in range(w)]
+    roots = [_chol_from_raw(oracles.getitem(p["S_raw"], lam)) for lam in range(w)]
     L = de.cholesky_factor(se_ard_features(kp, p["Z"]))
     F = as_tensor(F)
     K_fz = se_ard_features(kp, F, p["Z"])
@@ -373,9 +373,9 @@ def _ref_dsvi_terms(p, F, rng):
     means, vars_, kl = [], [], as_tensor(np.asarray(0.0))
     for lam, Sc in enumerate(roots):
         C = de.matmul(de.transpose(Sc), U_sol)
-        means.append(de.getitem(mean, (Ellipsis, lam)))
+        means.append(oracles.getitem(mean, (Ellipsis, lam)))
         vars_.append(de.add(base_var, de.tsum(de.elementwise("square", C), axis=-2)))
-        kl = de.add(kl, rd._kl_gaussian_chol(de.getitem(p["m"], (slice(None), lam)), Sc,
+        kl = de.add(kl, rd._kl_gaussian_chol(oracles.getitem(p["m"], (slice(None), lam)), Sc,
                                              np.zeros(L.value.shape[0]), L))
     xi = rng.normal((w, F.value.shape[-2]))
     F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)), v,

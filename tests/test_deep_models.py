@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.stats as sps
+from scipy.linalg import solve_triangular
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
-                                   GiDgpLayer, PriorSpec, bnn_forward,
+                                   GiDgpLayer, PriorSpec, _gi_bnn_posterior,
+                                   _gi_posterior, _gi_sample, bnn_forward,
                                    dsvi_dgp_layer_marginals, dsvi_dgp_layer_sample,
                                    fac_bnn_layer_sample, gi_bnn_layer_sample,
                                    gi_dgp_layer_sample, mc_elbo, scale_prior_terms)
@@ -295,6 +297,47 @@ def test_gi_dgp_increment_has_nonpositive_mean():
     incs = np.array([gi_dgp_layer_sample(rng.standard_normal((2, 1)), U_prev, layer,
                                          rd.RngStream(s))[2].value for s in range(3000)])
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
+
+
+@pytest.mark.parametrize("root", ["scalar", "scalar per sample", "single factor",
+                                  "stacked factors"])
+def test_gi_increment_is_the_log_density_ratio_at_the_draw(root):
+    # the four roots the GI core serves: a BNN layer's (1, 1) root (prior:
+    # neal) or (S, 1, 1) one (prior: scale) with A = psi_U, and chol(K_uu)
+    # of a DGP's first layer or stacked one per sample (deeper layers) with
+    # A = I. The increment is sum_cols log N(x; 0, L L^T) - log N(x; Mean, Cov)
+    # at the drawn X, Cov = L (I + B^T Lambda B)^{-1} L^T with B = A L and
+    # Mean = Cov A^T Lambda V, all formed in numpy
+    rng = np.random.default_rng(21)
+    S, M, d, w = 3, 6, 4, 2
+    log_lam = 0.5 * rng.standard_normal(M)
+    V = rng.standard_normal((M, w))
+    if root.startswith("scalar"):
+        A = rng.standard_normal((M, d))
+        prior, s = ((PriorSpec("neal"), None) if root == "scalar" else
+                    (PriorSpec("scale"), rng.gamma(2.0, 0.5, (S, 1, 1))))
+        posterior = _gi_bnn_posterior(de.as_tensor(A), GiBnnLayer(V=V, log_lambda=log_lam,
+                                                                  prior=prior), s)
+        roots = np.broadcast_to(posterior[0].value, (S, 1, 1)) * np.eye(d)
+    else:
+        G = rng.standard_normal((S if root == "stacked factors" else 1, M, M))
+        K = G @ np.swapaxes(G, -1, -2) / M + np.eye(M)     # well-conditioned K_uu
+        L = de.cholesky_factor(K if root == "stacked factors" else K[0])
+        posterior = _gi_posterior(L, None, log_lam, V)
+        A, roots = np.eye(M), np.broadcast_to(L.value, (S, M, M))
+    X, LinvX, inc = _gi_sample(posterior, rd.RngStream(4, S))
+    lam = np.exp(log_lam)
+    for i, Li in enumerate(roots):
+        B = A @ Li
+        cov = Li @ np.linalg.inv(np.eye(len(Li)) + B.T @ (lam[:, None] * B)) @ Li.T
+        cov = 0.5 * (cov + cov.T)
+        mean = cov @ A.T @ (lam[:, None] * V)
+        want = sum(mvn_log_density(x, np.zeros(len(x)), Li @ Li.T).value
+                   - mvn_log_density(x, m, cov).value
+                   for x, m in zip(X.value[i].T, mean.T))
+        assert abs(inc.value[i] - want) <= 1e-10 * abs(want)
+        np.testing.assert_allclose(LinvX.value[i], solve_triangular(Li, X.value[i], lower=True),
+                                   rtol=1e-10, atol=1e-12)
 
 
 # -- doubly-stochastic DGP layers -----------------------------------------------------------

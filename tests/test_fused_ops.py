@@ -17,8 +17,8 @@ from deepbayes.bench_cli import ExperimentConfig, _make_model, gen_cubic_toy
 from deepbayes.diff_engine import as_tensor
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, se_ard_features
 
-from oracles import (_chol_inverse, add_diagonal, gp_chain, gwish_full_density, logdet_psd,
-                     mvn_log_density)
+from oracles import (_chol_inverse, add_diagonal, getitem, gp_chain, gwish_full_density,
+                     logdet_psd, mvn_log_density)
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -128,7 +128,7 @@ def _ref_gwish(L, nu, alpha, beta, mu, sigma, rng, A_packed=None, B=None):
     exps_top = np.arange(N, N - ntilde, -1, dtype=np.float64)
     log_ld = de.elementwise("log", de.diag_part(L))
     logq = de.elementwise("affine", de.tsum(de.mul(log_ld, as_tensor(exps_all))), a=-1.0)
-    top = de.getitem(log_ld, slice(0, ntilde))
+    top = getitem(log_ld, slice(0, ntilde))
     logq = de.sub(logq, de.tsum(de.mul(top, as_tensor(exps_top))))
     gam = de.add(
         de.sub(de.mul(alpha, de.elementwise("log", beta)), rd.lgamma(alpha)),
@@ -150,7 +150,7 @@ def _ref_gwish(L, nu, alpha, beta, mu, sigma, rng, A_packed=None, B=None):
         ld_block = de.elementwise("affine", de.tsum(de.elementwise("log", de.diag_part(feat))),
                                   a=2.0)
     else:
-        S = de.getitem(ATB, slice(0, ntilde))
+        S = getitem(ATB, slice(0, ntilde))
         db = logdet_psd(de.matmul(S, de.transpose(S)))
         half_cb = de.tsum(log_t) if B is None else de.add(de.tsum(log_t), de.tsum(log_b))
         logq = de.add(logq, de.elementwise(
@@ -580,8 +580,8 @@ _CORE = {
                     "v": _RNG.standard_normal(4)}),
     "shape": (lambda ps: _wsum(de.concat([
         de.reshape(de.tsum(de.transpose(ps["A"]), axis=0), (1, 12)),
-        de.reshape(de.getitem(ps["A"], (Ellipsis, slice(1, 3), slice(None))), (1, 16)),
-        de.reshape(de.getitem(ps["A"], (np.array([0, 1, 1]), 0)), (1, 12))], axis=1)),
+        de.reshape(getitem(ps["A"], (Ellipsis, slice(1, 3), slice(None))), (1, 16)),
+        de.reshape(getitem(ps["A"], (np.array([0, 1, 1]), 0)), (1, 12))], axis=1)),
         {"A": _RNG.standard_normal((2, 3, 4))}),
     "diagonal": (lambda ps: de.add(
         _wsum(de.diag_embed(de.diag_part(add_diagonal(ps["A"], ps["s"])))),
