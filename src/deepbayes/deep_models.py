@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diff_engine as de
 from . import rand_dist as rd
-from .diff_engine import DiffTensor, as_tensor
+from .diff_engine import DiffTensor, _mT, as_tensor
 from .kernels import KernelParams, _se_kdiag, se_ard_features
 
 __all__ = [
@@ -101,8 +101,15 @@ def _prior_precision_scalar(prior: PriorSpec, fanin: int, s=None):
     return de.elementwise("affine", as_tensor(s), a=float(fanin))
 
 
-def _gi_posterior(L, A, log_lambda, V):
-    """Global-inducing posterior of BNN weights and of GP inducing outputs.
+def _scalar_root(L) -> bool:
+    """A root of shape (), (1, 1) or (S, 1, 1) is the scalar root L I. (A
+    1 x 1 triangular root gives the same posterior read either way.)"""
+    return L.value.ndim < 2 or L.value.shape[-2:] == (1, 1)
+
+
+def _gi_draw(L, A, log_lambda, V, rng):
+    """A draw from the global-inducing posterior of BNN weights or of GP
+    inducing outputs, per sample of rng (one draw from it).
 
     Each column x of X has the prior N(0, L L^T), with L a lower-triangular
     root or a scalar (the root L I; shaped (1, 1), or (S, 1, 1) with one per
@@ -110,46 +117,85 @@ def _gi_posterior(L, A, log_lambda, V):
     Lambda = exp(log_lambda) (A = None means I). Read through z = L^{-1} x,
     the prior is N(0, I) and V = B z + noise with B = A L, so the posterior
     of z is N(C^{-T} h, (C C^T)^{-1}) with C = chol(I + B^T Lambda B) from
-    one Cholesky and h = C^{-1} B^T Lambda V; that of x is L times it. L and
-    A may carry a leading sample axis. Returns (L, C, h), which _gi_sample
-    draws from."""
-    L, V = as_tensor(L), as_tensor(V)
-    lam = de.elementwise("exp", as_tensor(log_lambda))
-    times_root = de.mul if _scalar_root(L) else de.matmul
-    B = L if A is None else times_root(as_tensor(A), L)                        # A L
-    BtLam = de.mul(de.transpose(B), de.reshape(lam, (1, V.value.shape[0])))    # B^T Lambda
-    C = de.cholesky_factor(de.add(as_tensor(np.eye(B.value.shape[-1])), de.matmul(BtLam, B)))
-    return L, C, de.triangular_solve(C, de.matmul(BtLam, V))
-
-
-def _scalar_root(L) -> bool:
-    """A root of shape (), (1, 1) or (S, 1, 1) is the scalar root L I. (A
-    1 x 1 triangular root gives the same posterior read either way.)"""
-    return L.value.ndim < 2 or L.value.shape[-2:] == (1, 1)
-
-
-def _gi_sample(posterior, rng):
-    """A draw X = L C^{-T} (h + xi) from a _gi_posterior (L, C, h) per sample
-    of rng (one draw from it). Returns (X, L^{-1} X, increment) with
+    one Cholesky and h = C^{-1} B^T Lambda V. L and A may carry a leading
+    sample axis. Returns (X, L^{-1} X, increment) with
+    L^{-1} X = C^{-T} (h + xi), X = L L^{-1} X and
     increment = sum_cols log N(x; 0, L L^T) - log q(x)
               = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 - width sum log diag C,
-    one per sample."""
-    L, C, h = posterior
-    xi = rng.normal(h.value.shape[-2:])
-    LinvX = de.triangular_solve(C, de.add(h, as_tensor(xi)), trans=True)
-    sq = np.sum(xi * xi, axis=(-2, -1))
-    inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", LinvX), axis=(-2, -1)),
-                                a=-0.5),
-                 de.add(de.log_diag_sum(C, -float(h.value.shape[-1])), as_tensor(0.5 * sq)))
-    return (de.mul if _scalar_root(L) else de.matmul)(L, LinvX), LinvX, inc
+    one per sample.
+
+    L^{-1} X is one tape node (gi_draw) over L, A, log_lambda and V, whose
+    VJP works back through the one factor C; the increment is one node
+    (gi_increment) over it, and X a mul or matmul."""
+    L, log_lambda, V = as_tensor(L), as_tensor(log_lambda), as_tensor(V)
+    scalar = _scalar_root(L)
+    Lv, Av, Vv = L.value, None if A is None else as_tensor(A).value, V.value
+    lam = np.exp(log_lambda.value)
+    B = Lv if Av is None else (np.multiply if scalar else np.matmul)(Av, Lv)
+    P = _mT(B) * lam.reshape(1, Vv.shape[0])                  # B^T Lambda
+    G = np.eye(B.shape[-1]) + P @ B
+    de._check_finite(G, "I + B^T Lambda B of op 'gi_draw'")
+    de._check_symmetric(G, "gi_draw")
+    factor = de._Factor(de._chol_with_jitter(G))
+    C = factor.L
+    h = factor.solve(P @ Vv, False)
+    xi = rng.normal(h.shape[-2:])
+    z = factor.solve(h + xi, True)
+    width = Vv.shape[-1]
+    dC = np.diagonal(C, axis1=-2, axis2=-1)
+    inc = -0.5 * np.sum(z * z, axis=(-2, -1)) + (np.sum(-float(width) * np.log(dC), axis=-1)
+                                                 + 0.5 * np.sum(xi * xi, axis=(-2, -1)))
+    i = np.arange(dC.shape[-1])
+    g_inc = [None]     # the increment's cotangent, left there by its VJP
+
+    def vjp(g):
+        de._check_finite(g, "cotangent of op 'gi_draw'")
+        r_bar = factor.solve(g, False)                          # of h + xi
+        h_bar = de._unbroadcast(r_bar, h.shape)
+        u_bar = factor.solve(h_bar, True)                       # of B^T Lambda V
+        # C's cotangent from both solves, and from the log-determinant. Its
+        # strict upper triangle is left in: the lower triangle of C^T C_bar,
+        # all the Cholesky VJP reads, does not depend on it
+        C_bar = -(de._unbroadcast(z @ _mT(r_bar), C.shape) + u_bar @ _mT(h))
+        if g_inc[0] is not None:
+            gd, g_inc[0] = de._unbroadcast(g_inc[0], C.shape[:-2]), None
+            C_bar[..., i, i] -= float(width) * gd[..., None] / dC
+        p = de._phi(_mT(C) @ C_bar)
+        s = factor.solve(_mT(factor.solve(_mT(p), True)), True)
+        G_bar = s + _mT(s)
+        G_bar *= 0.5
+        BG = B @ G_bar
+        Pt_bar = BG + Vv @ _mT(u_bar)                           # of Lambda B = P^T
+        B_bar = (BG + Pt_bar) * lam[:, None]
+        if Av is None:
+            A_bar, L_bar = None, B_bar
+        elif scalar:
+            A_bar, L_bar = B_bar * Lv, B_bar * Av
+        else:
+            A_bar, L_bar = B_bar @ _mT(Lv), _mT(Av) @ B_bar
+        return (de._unbroadcast(L_bar, Lv.shape),
+                None if Av is None else de._unbroadcast(A_bar, Av.shape),
+                de._unbroadcast(np.sum(Pt_bar * B, axis=-1), lam.shape) * lam,
+                de._unbroadcast(_mT(P) @ u_bar, Vv.shape))
+
+    def inc_vjp(g):
+        # backward_pass walks the tape in reverse creation order, so this
+        # VJP, recorded after LinvX's, runs before it and leaves g there for
+        # the log-determinant term
+        g_inc[0] = g
+        return (-np.asarray(g)[..., None, None] * z,)
+
+    LinvX = de.lift(z, (L, A, log_lambda, V), vjp, "gi_draw")
+    inc = de.lift(inc, (LinvX,), inc_vjp, "gi_increment")
+    return (de.mul if scalar else de.matmul)(L, LinvX), LinvX, inc
 
 
-def _gi_bnn_posterior(psi_U, layer: GiBnnLayer, s=None):
-    """_gi_posterior of the weights: A = psi_U, L = (nu Sigma^{-1})^{-1/2} I."""
-    prec = _prior_precision_scalar(layer.prior, psi_U.value.shape[-1], s=s)
+def _gi_bnn_root(prior: PriorSpec, fanin: int, s=None):
+    """The scalar prior root (nu Sigma^{-1})^{-1/2} of a GI BNN layer's
+    weights, shaped (1, 1), or (S, 1, 1) under a scale prior's s."""
+    prec = _prior_precision_scalar(prior, fanin, s=s)
     root = de.elementwise("sqrt", de.elementwise("reciprocal", prec))
-    root = de.reshape(root, root.value.shape[:-2] + (1, 1))
-    return _gi_posterior(root, psi_U, layer.log_lambda, layer.V)
+    return de.reshape(root, root.value.shape[:-2] + (1, 1))
 
 
 def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
@@ -158,12 +204,13 @@ def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
     S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and Mean = S psi^T Lambda V,
     psi_U (M, d) being the propagated, activated inducing features (bias
     included); a scale prior reads the sampled s. W is drawn as
-    r C^{-T} (h + xi) from _gi_posterior's factor C, with the scalar prior
-    root r = (nu Sigma^{-1})^{-1/2}. Returns (W, logp_minus_logq, U_next)
-    with U_next = psi_U @ W.
+    r C^{-T} (h + xi) by _gi_draw, with A = psi_U and the scalar prior root
+    r = (nu Sigma^{-1})^{-1/2}. Returns (W, logp_minus_logq, U_next) with
+    U_next = psi_U @ W.
     """
     psi_U = as_tensor(psi_U)
-    W, _, inc = _gi_sample(_gi_bnn_posterior(psi_U, layer, s), rng)
+    W, _, inc = _gi_draw(_gi_bnn_root(layer.prior, psi_U.value.shape[-1], s), psi_U,
+                         layer.log_lambda, layer.V, rng)
     return W, inc, de.matmul(psi_U, W)
 
 
@@ -257,14 +304,13 @@ def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None):
     outputs. The inducing and the row draw take a child of rng each."""
     L = de.cholesky_factor(as_tensor(K_uu))
     W, var = rd.gaussian_conditional(L, de.transpose(K_fu), kdiag)
-    posterior = _gi_posterior(L, None, layer.log_lambda, layer.V)
     # Without a tape nothing else holds blocks passed in unnamed, so they are
     # freed before the draws: an evaluation's stacked K_fu is the layer's
     # largest array, and holding it through the draws raises the heap's
     # high-water mark (measured as extra page faults per evaluation).
     del K_uu, K_fu, kdiag
     u_rng, f_rng = rng.split(2)
-    U, wu, inc = _gi_sample(posterior, u_rng)
+    U, wu, inc = _gi_draw(L, None, layer.log_lambda, layer.V, u_rng)
     F = rd.conditional_sample(de.matmul(de.transpose(W), wu), var, f_rng)
     if inputs is not None:
         U, F = de.add(U, inputs[0]), de.add(F, inputs[1])

@@ -357,17 +357,26 @@ def _trtrs(l: np.ndarray, b: np.ndarray, trans: bool):
 
 def _solve_tri(l: np.ndarray, b: np.ndarray, trans: bool):
     """_trtrs over the broadcast leading axes of l and b (b a matrix or a
-    stack of them), one call per matrix: LAPACK's rounding depends on the
-    number of right-hand sides, so stacked right-hand sides are not merged
-    into one call even where they share l. A stack of factors that _Factor
-    has inverted is solved by one matmul instead; this loop serves single
-    matrices, matrices that are not factors and ill-conditioned stacks."""
+    stack of them). One matrix l is solved against a stack of right-hand
+    sides of two or more columns each in one call, on their columns side by
+    side; otherwise one call runs per matrix, since LAPACK takes another
+    path for one column, whose rounding a merged call would change. A stack
+    of factors that _Factor has inverted is solved by one matmul instead;
+    this serves single matrices, matrices that are not factors and
+    ill-conditioned stacks."""
     if l.ndim == 2 and b.ndim == 2:
         return _trtrs(l, b, trans)
+    n, k = b.shape[-2:]
+    if l.ndim == 2 and k > 1:
+        lead = b.shape[:-2]
+        # member s's columns are columns s k, ..., s k + k - 1 of one (n, S k)
+        # matrix. LAPACK returns x Fortran-ordered, so x^T read as (S, k, n)
+        # is the buffer of Fortran-ordered matrices that the loop below fills
+        x = _trtrs(l, _mT(b).reshape(-1, n).T, trans)
+        return _mT(x.T.reshape(lead + (k, n)))
     batch = np.broadcast_shapes(l.shape[:-2], b.shape[:-2])
     ls = np.broadcast_to(l, batch + l.shape[-2:])
     bs = np.broadcast_to(b, batch + b.shape[-2:])
-    n, k = b.shape[-2:]
     x = _mT(np.empty(batch + (k, n)))   # Fortran-ordered matrices, as LAPACK returns them
     for i in np.ndindex(*batch):
         x[i] = _trtrs(ls[i], bs[i], trans)
@@ -498,7 +507,8 @@ def triangular_solve(l, b, trans=False) -> DiffTensor:
     operands' cotangents share one solve. Against a stack of factors from
     cholesky_factor, the forward and that solve are each one matmul with the
     factors' inverses (see _Factor); against anything else, LAPACK trtrs
-    runs once per matrix."""
+    runs once per matrix, or once for a stack of b against one l
+    (_solve_tri)."""
     l, b = as_tensor(l), as_tensor(b)
     lv, bv = l.value, b.value
     if lv.ndim < 2 or lv.shape[-1] != lv.shape[-2]:

@@ -8,8 +8,8 @@ generalized Wishart's Jacobians, matrix-normal conditioning, the Gram-matrix
 SE kernel, one sample's view of a stream with a sample count, a Wishart
 prior layer, the inducing-extension certificate, the BNN-as-DGP Gram, exact
 Bayesian linear regression, the optimal-signal-variance identity, the
-collapsed sparse-GP bound, and the exact GP from generic ops for any kernel
-function). They are built from the same diff_engine ops as the library, so
+collapsed sparse-GP bound, the global-inducing posterior and its draw from
+generic ops, and the exact GP from generic ops for any kernel function). They are built from the same diff_engine ops as the library, so
 tests can differentiate through them.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.special import multigammaln
 from deepbayes import diff_engine as de
 from deepbayes import gp_models as gm
 from deepbayes import rand_dist as rd
-from deepbayes.deep_models import PriorSpec, _prior_precision_scalar
+from deepbayes.deep_models import PriorSpec, _prior_precision_scalar, _scalar_root
 from deepbayes.diff_engine import DiffTensor, as_tensor
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag
 from deepbayes.rand_dist import RngStream
@@ -541,6 +541,45 @@ def svgp_collapsed_bound(state: gm.SvgpState, X, y):
     m_opt = de.matmul(de.transpose(wk), wr)
     S_opt = de.matmul(de.transpose(wk), wk)
     return bound, m_opt, S_opt
+
+
+# -- the global-inducing posterior from generic ops ------------------------------------
+
+def gi_posterior(L, A, log_lambda, V):
+    """Global-inducing posterior of BNN weights and of GP inducing outputs.
+
+    Each column x of X has the prior N(0, L L^T), with L a lower-triangular
+    root or a scalar (the root L I; shaped (1, 1), or (S, 1, 1) with one per
+    sample), and pseudo-observations V = A x + noise of precisions
+    Lambda = exp(log_lambda) (A = None means I). Read through z = L^{-1} x,
+    the prior is N(0, I) and V = B z + noise with B = A L, so the posterior
+    of z is N(C^{-T} h, (C C^T)^{-1}) with C = chol(I + B^T Lambda B) from
+    one Cholesky and h = C^{-1} B^T Lambda V; that of x is L times it. L and
+    A may carry a leading sample axis. Returns (L, C, h), which gi_sample
+    draws from."""
+    L, V = as_tensor(L), as_tensor(V)
+    lam = de.elementwise("exp", as_tensor(log_lambda))
+    times_root = de.mul if _scalar_root(L) else de.matmul
+    B = L if A is None else times_root(as_tensor(A), L)                        # A L
+    BtLam = de.mul(de.transpose(B), de.reshape(lam, (1, V.value.shape[0])))    # B^T Lambda
+    C = de.cholesky_factor(de.add(as_tensor(np.eye(B.value.shape[-1])), de.matmul(BtLam, B)))
+    return L, C, de.triangular_solve(C, de.matmul(BtLam, V))
+
+
+def gi_sample(posterior, rng):
+    """A draw X = L C^{-T} (h + xi) from a gi_posterior (L, C, h) per sample
+    of rng (one draw from it). Returns (X, L^{-1} X, increment) with
+    increment = sum_cols log N(x; 0, L L^T) - log q(x)
+              = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 - width sum log diag C,
+    one per sample."""
+    L, C, h = posterior
+    xi = rng.normal(h.value.shape[-2:])
+    LinvX = de.triangular_solve(C, de.add(h, as_tensor(xi)), trans=True)
+    sq = np.sum(xi * xi, axis=(-2, -1))
+    inc = de.add(de.elementwise("affine", de.tsum(de.elementwise("square", LinvX), axis=(-2, -1)),
+                                a=-0.5),
+                 de.add(de.log_diag_sum(C, -float(h.value.shape[-1])), as_tensor(0.5 * sq)))
+    return (de.mul if _scalar_root(L) else de.matmul)(L, LinvX), LinvX, inc
 
 
 # -- exact GP regression from generic ops ----------------------------------------------

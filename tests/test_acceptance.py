@@ -418,7 +418,8 @@ def test_criterion_08_optimal_last_layer_matches_exact_posterior():
         layer = dm.GiBnnLayer(V=y[:, None].copy(),
                               log_lambda=np.full(M, -2.0 * np.log(sigma)),
                               prior=dm.PriorSpec("standard"))
-        root, C, h_post = (t.value for t in dm._gi_bnn_posterior(as_tensor(feats), layer))
+        root, C, h_post = (t.value for t in oracles.gi_posterior(
+            dm._gi_bnn_root(layer.prior, feats.shape[1]), feats, layer.log_lambda, layer.V))
         Ls = root * np.linalg.inv(C).T                    # the posterior root L C^{-T}
 
         m, S, _, _ = oracles.blr_fit_predict_lml(oracles.BlrState(alpha=1.0, sigma=sigma),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import (_MODEL_KEYS_READ, BlrViModel, Dataset, ExperimentConfig,
                                  _make_model, _normalize, gen_cubic_toy,
                                  gen_deep_linear, load_csv, main, run_experiment)
-from deepbayes.models import BnnModel, DgpModel
-from deepbayes.train import TrainConfig, train_loop
+from deepbayes.models import BnnModel, DgpModel, DwpModel
+from deepbayes.train import TrainConfig, _loss_and_grads, train_loop
 
 from oracles import exact_lml, mvn_log_density
 
@@ -325,12 +326,12 @@ def test_triangular_lapack_calls_per_objective(monkeypatch):
     monkeypatch.setattr(de, "_TRTRS", counted("trtrs", de._TRTRS))
     monkeypatch.setattr(de, "_TRTRI", counted("trtri", de._TRTRI))
     expected = {    # (trtrs, trtri)
-        ("criterion-14", "dgp-gi"): (28, 20),
-        ("criterion-14", "dwp"): (46, 40),
-        ("criterion-14", "bnn-gi"): (24, 20),
+        ("criterion-14", "dgp-gi"): (10, 20),
+        ("criterion-14", "dwp"): (10, 40),
+        ("criterion-14", "bnn-gi"): (6, 20),
         ("cubic-toy", "dgp-gi"): (68, 20),
-        ("cubic-toy", "dwp"): (166, 40),
-        ("cubic-toy", "bnn-gi"): (24, 20),
+        ("cubic-toy", "dwp"): (130, 40),
+        ("cubic-toy", "bnn-gi"): (6, 20),
     }
     for (data, kind), want in expected.items():
         ds, M = (_synthetic_200(0), 20) if data == "criterion-14" else (gen_cubic_toy(0), 10)
@@ -343,6 +344,28 @@ def test_triangular_lapack_calls_per_objective(monkeypatch):
             de.backward_pass(model.objective(p, ds.X_train, ds.y_train, len(ds.y_train), 10,
                                              rd.RngStream(0), 1.0))
         assert (calls["trtrs"], calls["trtri"]) == want, (data, kind)
+
+
+def test_lift_calls_per_step_at_the_benchmark_shapes(monkeypatch):
+    """Tape ops (lift calls) of one training step, the objective, the loss
+    negation and the backward, at the shapes of two benchmark workloads:
+    dwp-s10 (criterion 14's data, 2 Gram layers, M=20, S=10) and
+    dgp-gi-mb200 (deep-linear data, a batch of 200 of 1000 rows, depth 2,
+    M=20, S=10). Before the global-inducing draw was one node they read 148
+    and 79."""
+    calls = []
+    lift = de.lift
+    counted = lambda *args: calls.append(args[-1]) or lift(*args)
+    monkeypatch.setattr(de, "lift", counted)
+    monkeypatch.setattr(rd, "lift", counted)
+    dwp_data, dgp_data = _synthetic_200(0), gen_deep_linear(0)
+    for model, ds, rows, want in [
+            (DwpModel(dwp_data, n_gram_layers=2, M=20), dwp_data, 200, 133),
+            (DgpModel(dgp_data, posterior="gi", depth=2, M=20), dgp_data, 200, 49)]:
+        calls.clear()
+        _loss_and_grads(model, model.init_params(), ds.X_train[:rows], ds.y_train[:rows],
+                        len(ds.y_train), 10, rd.RngStream(0), 1.0)
+        assert len(calls) == want, (type(model).__name__, len(calls))
 
 
 # Objective at the init params (cubic-toy, S=3, kl_scale 0.7, RngStream(123)),
@@ -358,14 +381,14 @@ def test_triangular_lapack_calls_per_objective(monkeypatch):
 # moves them well beyond rounding; CHANGES.md records each re-pin.
 PINNED_OBJECTIVES = {
     "blr": (-590.9001790017147, 29),
-    "bnn-gi": (-273.723334340322, 94),
+    "bnn-gi": (-273.723334340322, 46),
     "bnn-fac": (-441.92053635610716, 52),
-    "dgp-gi": (-83.22007032052232, 88),
+    "dgp-gi": (-83.22007032052232, 58),
     "dgp-dsvi": (-15429043117.487757, 112),
     "svgp": (-4558421318340.829, 54),
-    "dwp": (-4801675787.394119, 166),
-    "dwp-a": (-4801675787.394119, 192),
-    "dwp-ab": (-4801675787.394119, 210),
+    "dwp": (-4801675787.394119, 151),
+    "dwp-a": (-4801675787.394119, 177),
+    "dwp-ab": (-4801675787.394119, 195),
 }
 
 
@@ -399,14 +422,14 @@ def _synthetic_200(seed=0):
 # number 7 here (7e14 on cubic-toy), so unlike PINNED_OBJECTIVES these values
 # move only by rounding under a change that keeps them in exact arithmetic.
 PINNED_WELL_CONDITIONED = {
-    "bnn-gi": (-1774.7266382485793, 17729.844616084654, 94),
+    "bnn-gi": (-1774.7266382485793, 17729.844616084654, 46),
     "bnn-fac": (-1726.224886770709, 15882.249422212511, 52),
-    "dgp-gi": (-3095.7527198610937, 30962.382784344485, 88),
+    "dgp-gi": (-3095.7527198610937, 30962.382784344485, 58),
     "dgp-dsvi": (-3246.1194487351763, 32460.913802845505, 112),
     "svgp": (-1315.7364604842587, 1359.9896318138508, 54),
-    "dwp": (-3215.2503793601145, 31995.43582484086, 166),
-    "dwp-a": (-3247.81413327154, 32360.755405149815, 192),
-    "dwp-ab": (-3196.8532830068575, 31790.6051341246, 210),
+    "dwp": (-3215.2503793601145, 31995.43582484086, 151),
+    "dwp-a": (-3247.81413327154, 32360.755405149815, 177),
+    "dwp-ab": (-3196.8532830068575, 31790.6051341246, 195),
     "gp": (-189.88369863626264, 70.40262624672695, 7),
     "dkl": (-659.9294929191087, 1009.4387090354612, 21),
 }
@@ -582,23 +605,39 @@ def test_cli_check_passes(capsys):
     assert len(lines) == len(_MODEL_KEYS_READ) + 3
 
 
-@pytest.mark.parametrize("op", ["se_kernel", "conditional_sample", "gwish_logq",
-                                "exact_gp_lml", "triangular_solve"])
+_GI_CHECKS = ["bnn-gi", "dgp-gi", "dwp", "dwp-a", "dwp-ab", "bnn-gi (prior: scale)"]
+# the check lines that a 1.01 scale planted in each op's VJP fails
+_PLANT_FAILS = {
+    "se_kernel": ["svgp", "dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab", "SE kernel"],
+    "conditional_sample": ["dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"],
+    "gwish_logq": ["dwp", "dwp-a", "dwp-ab"],
+    "exact_gp_lml": ["gp", "dkl"],
+    "triangular_solve": ["blr", "svgp", "dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"],
+    "gi_draw": _GI_CHECKS,
+    "gi_increment": _GI_CHECKS,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_PLANT_FAILS))
 def test_cli_check_fails_on_a_planted_vjp_error(op, monkeypatch, capsys):
     """Every VJP of the op tagged `op` scales its cotangents by 1.01: the
-    objectives that run it fail their finite-difference line."""
+    checks that run it, and only those, fail their finite-difference line.
+    (An operand that is not a tensor, such as gi_draw's A = None, has no
+    cotangent to scale.)"""
     lift = de.lift
 
     def planted(value, parents, vjp, tag):
         if tag == op and vjp is not None:
             right = vjp
-            vjp = lambda g: [1.01 * np.asarray(c) for c in right(g)]
+            vjp = lambda g: [None if c is None else 1.01 * np.asarray(c) for c in right(g)]
         return lift(value, parents, vjp, tag)
 
     monkeypatch.setattr(de, "lift", planted)
     monkeypatch.setattr(rd, "lift", planted)
     assert main(["check"]) == 1
-    assert [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL  ")]
+    failed = [re.match(r"FAIL  (.*?) (objective )?gradient", ln).group(1)
+              for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL  ")]
+    assert failed == _PLANT_FAILS[op]
 
 
 def test_cli_toy_writes_dataset(tmp_path, capsys):

@@ -6,8 +6,8 @@ from scipy.linalg import solve_triangular
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
-                                   GiDgpLayer, PriorSpec, _gi_bnn_posterior,
-                                   _gi_posterior, _gi_sample, bnn_forward,
+                                   GiDgpLayer, PriorSpec, _gi_bnn_root, _gi_draw,
+                                   bnn_forward,
                                    dsvi_dgp_layer_marginals, dsvi_dgp_layer_sample,
                                    fac_bnn_layer_sample, gi_bnn_layer_sample,
                                    gi_dgp_layer_sample, mc_elbo, scale_prior_terms)
@@ -316,16 +316,15 @@ def test_gi_increment_is_the_log_density_ratio_at_the_draw(root):
         A = rng.standard_normal((M, d))
         prior, s = ((PriorSpec("neal"), None) if root == "scalar" else
                     (PriorSpec("scale"), rng.gamma(2.0, 0.5, (S, 1, 1))))
-        posterior = _gi_bnn_posterior(de.as_tensor(A), GiBnnLayer(V=V, log_lambda=log_lam,
-                                                                  prior=prior), s)
-        roots = np.broadcast_to(posterior[0].value, (S, 1, 1)) * np.eye(d)
+        L = _gi_bnn_root(prior, d, s)
+        X, LinvX, inc = _gi_draw(L, A, log_lam, V, rd.RngStream(4, S))
+        roots = np.broadcast_to(L.value, (S, 1, 1)) * np.eye(d)
     else:
         G = rng.standard_normal((S if root == "stacked factors" else 1, M, M))
         K = G @ np.swapaxes(G, -1, -2) / M + np.eye(M)     # well-conditioned K_uu
         L = de.cholesky_factor(K if root == "stacked factors" else K[0])
-        posterior = _gi_posterior(L, None, log_lam, V)
+        X, LinvX, inc = _gi_draw(L, None, log_lam, V, rd.RngStream(4, S))
         A, roots = np.eye(M), np.broadcast_to(L.value, (S, M, M))
-    X, LinvX, inc = _gi_sample(posterior, rd.RngStream(4, S))
     lam = np.exp(log_lam)
     for i, Li in enumerate(roots):
         B = A @ Li

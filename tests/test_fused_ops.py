@@ -14,11 +14,12 @@ from scipy.special import multigammaln
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import ExperimentConfig, _make_model, gen_cubic_toy
+from deepbayes.deep_models import _gi_draw
 from deepbayes.diff_engine import as_tensor
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, se_ard_features
 
-from oracles import (_chol_inverse, add_diagonal, getitem, gp_chain, gwish_full_density,
-                     logdet_psd, mvn_log_density)
+from oracles import (_chol_inverse, add_diagonal, getitem, gi_posterior, gi_sample, gp_chain,
+                     gwish_full_density, logdet_psd, mvn_log_density)
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -488,6 +489,87 @@ def test_gwish_sample_and_logpdf_matches_reference(variant):
     _assert_matches_reference(make(True), make(False), params)
 
 
+# -- the global-inducing draw ---------------------------------------------------------------
+
+_GI_CASES = ("scalar root", "scalar root per sample", "single factor", "stacked factors",
+             "factor with A", "factor off the jitter ladder", "factor, increment unread")
+
+
+def _gi_case(case, rng):
+    """(fused, reference, params) for _gi_draw on one of the roots it serves:
+    a BNN layer's (1, 1) root (prior: neal) with A = psi_U, its (S, 1, 1) one
+    (prior: scale) with a stacked psi_U, chol(K_uu) of a DGP's first layer
+    or stacked one per sample (deeper layers) with A = I, a factor with A
+    given, a factor of a K_uu that only the jitter ladder factorises
+    (rank M - 2, shifted by -1e-9 I), and a factor whose draw's increment
+    the objective does not read."""
+    S, M, d, w = 3, 6, 4, 2
+    params = {"lam": 0.5 * rng.standard_normal(M), "V": rng.standard_normal((M, w))}
+    if case.startswith("scalar"):
+        lead = (S,) if case.endswith("per sample") else ()
+        params.update(A=rng.standard_normal(lead + (M, d)),
+                      r=-0.3 + 0.2 * rng.standard_normal(lead))
+
+        def operands(ps):
+            return de.reshape(de.elementwise("exp", ps["r"]), lead + (1, 1)), ps["A"]
+    else:
+        ladder = case.endswith("ladder")
+        params["R"] = rng.standard_normal((S if case == "stacked factors" else 1, M,
+                                           M - 2 if ladder else M)) / np.sqrt(M)
+        if case == "factor with A":
+            params["A"] = rng.standard_normal((M, M))
+
+        def operands(ps):
+            K = de.matmul(ps["R"], de.transpose(ps["R"]))
+            K = add_diagonal(K if case == "stacked factors" else de.reshape(K, (M, M)),
+                             -1e-9 if ladder else 1.0)
+            return de.cholesky_factor(K), ps.get("A")
+
+    def objective(draw):
+        def fn(ps):
+            X, LinvX, inc = draw(*operands(ps), ps["lam"], ps["V"], rd.RngStream(7, S))
+            out = de.add(_wsum(X), _wsum(LinvX))
+            return out if case.endswith("unread") else de.add(out, _wsum(inc))
+        return fn
+
+    return (objective(_gi_draw),
+            objective(lambda L, A, lam, V, rng: gi_sample(gi_posterior(L, A, lam, V), rng)),
+            params)
+
+
+@pytest.mark.parametrize("case", _GI_CASES)
+def test_gi_draw_matches_reference(case):
+    fused, ref, params = _gi_case(case, np.random.default_rng(31))
+    if not case.endswith("ladder"):
+        _assert_matches_reference(fused, ref, params, grad_tol=1e-10)
+        return
+    # the plain Cholesky fails; both forms read the same jittered factor.
+    # Finite differences are left out: a step of 1e-5 in R moves K's
+    # smallest eigenvalue, and the jitter, far beyond the shift
+    R = params["R"][0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(R @ R.T - 1e-9 * np.eye(len(R)))
+    v1, g1, n1 = _value_and_grads(fused, params)
+    v2, g2, n2 = _value_and_grads(ref, params)
+    assert abs(v1 - v2) <= 1e-12 * abs(v2) and n1 < n2
+    for k in params:
+        assert np.max(np.abs(g1[k] - g2[k])) <= 1e-10 * np.max(np.abs(g2[k])), k
+
+
+def test_gi_draw_cotangent_guard_names_the_op():
+    # a finite forward whose backward overflows: d log(y) / dy = 1 / 1e-310
+    L = np.linalg.cholesky(np.eye(4) + 0.1)
+    with de.Tape() as tape, np.errstate(over="ignore", divide="ignore"):
+        V = tape.param(np.random.default_rng(32).standard_normal((4, 2)), "V")
+        LinvX = _gi_draw(L, None, np.zeros(4), V, rd.RngStream(7))[1]
+        out = de.elementwise("log", de.mul(de.elementwise("exp", de.tsum(LinvX)),
+                                           as_tensor(1e-310)))
+        assert np.isfinite(out.value)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite values in cotangent of op 'gi_draw'"):
+            de.backward_pass(out)
+
+
 # -- the finite guard ---------------------------------------------------------------------------
 
 def test_nonfinite_op_output_names_its_op():
@@ -508,6 +590,13 @@ def test_nonfinite_op_output_names_its_op():
                 # squared norms overflow, so their difference is NaN
                 se_ard_features(KernelParams(),
                                 de.elementwise("affine", de.reshape(x, (2, 1)), a=1e200))
+        with pytest.raises(FloatingPointError,
+                           match="non-finite values in output of op 'gi_draw'"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                # B^T Lambda V overflows, while I + B^T Lambda B is 1 + 1.01
+                _gi_draw(de.reshape(de.elementwise("affine", de.tsum(x), a=1e-152 / 801.0),
+                                    (1, 1)), None, np.array([700.0]), np.array([[1e200]]),
+                         rd.RngStream(0))
 
 
 def test_nonfinite_constants_and_parameters_trip_the_guard():
@@ -689,6 +778,7 @@ def _fused_cases():
             lambda ps: _wsum(_ref_conditional_sample(ps["mean"], ps["var"], rd.RngStream(9))),
             {"mean": rng.standard_normal((5, 3)), "var": np.array([0.5, 1.2, -1e-9, 0.3, 2.0])}),
         "gwish_sample_and_logpdf": (gwish_fn(True), gwish_fn(False), gw),
+        **{f"gi_draw ({case})": _gi_case(case, rng) for case in _GI_CASES},
     }
 
 
