@@ -135,8 +135,7 @@ def _gi_draw(L, A, log_lambda, V, rng):
     P = _mT(B) * lam.reshape(1, Vv.shape[0])                  # B^T Lambda
     G = np.eye(B.shape[-1]) + P @ B
     de._check_finite(G, "I + B^T Lambda B of op 'gi_draw'")
-    de._check_symmetric(G, "gi_draw")
-    factor = de._Factor(de._chol_with_jitter(G))
+    factor = de._Factor(de._chol_with_jitter(G, "gi_draw"))
     C = factor.L
     h = factor.solve(P @ Vv, False)
     xi = rng.normal(h.shape[-2:])
@@ -154,17 +153,12 @@ def _gi_draw(L, A, log_lambda, V, rng):
         h_bar = de._unbroadcast(r_bar, h.shape)
         u_bar = factor.solve(h_bar, True)                       # of B^T Lambda V
         # C's cotangent from both solves, and from the log-determinant. Its
-        # strict upper triangle is left in: the lower triangle of C^T C_bar,
-        # all the Cholesky VJP reads, does not depend on it
+        # strict upper triangle is left in: the Cholesky VJP does not read it
         C_bar = -(de._unbroadcast(z @ _mT(r_bar), C.shape) + u_bar @ _mT(h))
         if g_inc[0] is not None:
             gd, g_inc[0] = de._unbroadcast(g_inc[0], C.shape[:-2]), None
             C_bar[..., i, i] -= float(width) * gd[..., None] / dC
-        p = de._phi(_mT(C) @ C_bar)
-        s = factor.solve(_mT(factor.solve(_mT(p), True)), True)
-        G_bar = s + _mT(s)
-        G_bar *= 0.5
-        BG = B @ G_bar
+        BG = B @ factor.adjoint(C_bar)
         Pt_bar = BG + Vv @ _mT(u_bar)                           # of Lambda B = P^T
         B_bar = (BG + Pt_bar) * lam[:, None]
         if Av is None:

@@ -271,60 +271,57 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
 # -- factorizations ---------------------------------------------------------
 
 _POTRF = sla.get_lapack_funcs("potrf", (np.zeros((1, 1)),))
+_STRICT_LOWER = {}      # n -> the mask of an n x n matrix's strict lower triangle
 
 
-class _Handed(np.ndarray):
-    """A view marking a C-ordered, exactly symmetric matrix, or stack, that
-    its maker hands to _chol_with_jitter to factorise in place: no
-    symmetrising copy is made. potrf writes only the upper triangle of each
-    matrix, so the factor's other triangle keeps the matrix's strict lower
-    one."""
-
-
-def _chol_with_jitter(s: np.ndarray):
+def _chol_with_jitter(s: np.ndarray, op: str):
     """Lower Cholesky factor of a symmetric matrix s, or of each matrix of a
-    stack, with the jitter ladder. Each member of the one symmetrised buffer
-    is factorised in place by LAPACK potrf (its transpose is the Fortran
-    matrix LAPACK reads); a member that fails goes up the ladder on its own,
-    so every matrix gets the jitter it would alone. The factors are
-    Fortran-ordered views of that buffer. s is only read, unless it is a
-    _Handed view: then s itself is that buffer, and its factors' strict upper
-    triangles are not zeroed."""
-    handed = isinstance(s, _Handed)
-    if handed:
-        sym = s.view(np.ndarray)
-        diag = np.diagonal(sym, axis1=-2, axis2=-1).copy()
-    else:
-        sym = np.add(s, _mT(s), order="C")
-        sym *= 0.5
+    stack: _chol_in_place on one symmetrised copy of s (s is only read),
+    whose factors' strict upper triangles are then set to +0.0. An s that
+    is not square and symmetric raises naming op."""
+    _check_symmetric(s, op)
+    sym = np.add(s, _mT(s), order="C")
+    sym *= 0.5
+    L = _chol_in_place(sym, op)
+    n = sym.shape[-1]
+    if n not in _STRICT_LOWER:
+        _STRICT_LOWER[n] = np.tri(n, k=-1, dtype=bool)
+    np.copyto(sym, 0.0, where=_STRICT_LOWER[n])
+    return L
+
+
+def _chol_in_place(sym: np.ndarray, op: str):
+    """Lower Cholesky factor of a C-ordered symmetric matrix sym, or of each
+    matrix of a stack, in place: LAPACK potrf factorises each member (its
+    transpose is the Fortran matrix LAPACK reads), and a member that fails
+    goes up the jitter ladder on its own, so every matrix gets the jitter it
+    would alone. potrf reads and writes only each matrix's upper triangle;
+    a rung rebuilds it from the strict lower one and the saved diagonal. So
+    the factors, Fortran-ordered views of sym, keep sym's strict lower
+    triangle in their strict upper one. Past the top rung the error names
+    op."""
+    diag = np.diagonal(sym, axis1=-2, axis2=-1).copy()
     for i in np.ndindex(sym.shape[:-2]):
-        if _POTRF(sym[i].T, lower=1, overwrite_a=1, clean=int(not handed))[1]:
-            if handed:
-                _jitter_ladder(sym[i], diag=diag[i])
-            else:
-                _jitter_ladder(sym[i], s[i])
+        if _POTRF(sym[i].T, lower=1, overwrite_a=1, clean=0)[1]:
+            _jitter_ladder(sym[i], diag[i], op)
     return _mT(sym)
 
 
-def _jitter_ladder(m: np.ndarray, s=None, diag=None):
-    """Factorise (s + s^T) / 2 into m in place, as _chol_with_jitter does,
-    with jitter 1e-8*mean(diag) doubling to 1e-4*mean(diag): a failed potrf
-    overwrites m, so each attempt rebuilds it, from s, or for a _Handed
-    buffer (no s) from m's strict lower triangle, which potrf leaves as it
-    was, and its saved diagonal diag."""
+def _jitter_ladder(m: np.ndarray, diag: np.ndarray, op: str):
+    """Factorise into m in place, as _chol_in_place does, the symmetric
+    matrix with m's strict lower triangle and diagonal diag, with jitter
+    1e-8*mean(diag) doubling to 1e-4*mean(diag): a failed potrf overwrites
+    m's upper triangle, so each attempt rebuilds it from the strict lower
+    one, which potrf leaves as it was."""
     n = m.shape[0]
     i = np.arange(n)
 
     def attempt(jit):
-        if s is None:
-            _mirror_lower(m)
-            m[i, i] = diag + jit
-        else:
-            np.multiply(np.add(s, s.T, out=m), 0.5, out=m)
-            m[i, i] += jit
-        return _POTRF(m.T, lower=1, overwrite_a=1, clean=int(s is not None))[1]
+        _mirror_lower(m)
+        m[i, i] = diag + jit
+        return _POTRF(m.T, lower=1, overwrite_a=1, clean=0)[1]
 
-    scale = float(np.mean(np.diagonal(s) if s is not None else diag))
+    scale = float(np.mean(diag))
     if scale <= 0:
         scale = 1.0
     jit = 1e-8 * scale
@@ -336,7 +333,7 @@ def _jitter_ladder(m: np.ndarray, s=None, diag=None):
     # positive definite at the maximum jitter, as LAPACK reports it
     info = attempt(1e-4 * scale)
     raise np.linalg.LinAlgError(
-        f"matrix not positive definite after max jitter (pivot {info or n} of {n})")
+        f"matrix not positive definite after max jitter (pivot {info or n} of {n}) in op {op!r}")
 
 
 _TRTRS = sla.get_lapack_funcs("trtrs", (np.zeros((1, 1)),))
@@ -426,6 +423,17 @@ class _Factor:
             return _solve_tri(self.L, b, trans)
         return (_mT(self.inv) if trans else self.inv) @ b
 
+    def adjoint(self, g):
+        """The Cholesky VJP: the cotangent of the factorised matrix, made
+        symmetric, from the cotangent g of L (Murray 2016, arXiv
+        1602.07527). With P = Phi(L^T g), it is S + S^T halved, S = L^{-T}
+        (L^{-T} P^T)^T. g's strict upper triangle does not enter it."""
+        p = _phi(_mT(self.L) @ g)
+        s = self.solve(_mT(self.solve(_mT(p), True)), True)
+        out = s + _mT(s)
+        out *= 0.5
+        return out
+
 
 def _phi(x):
     """Lower triangle with halved diagonal (Cholesky reverse-mode helper)."""
@@ -454,14 +462,14 @@ def _check_symmetric(v: np.ndarray, op: str):
 _POTRI = sla.get_lapack_funcs("potri", (np.zeros((1, 1)),))
 
 
-def _potri(L: np.ndarray):
+def _potri(L: np.ndarray, op: str):
     """LAPACK potri in place on each Fortran-ordered lower factor of L: its
     lower triangle becomes that of (L L^T)^{-1}, and its strict upper one is
-    left as it was. Returns L."""
+    left as it was. Returns L; a failure raises naming op."""
     for i in np.ndindex(L.shape[:-2]):
         info = _POTRI(L[i], lower=1, overwrite_c=1)[1]
         if info != 0:
-            raise np.linalg.LinAlgError(f"potri failed: info {info}")
+            raise np.linalg.LinAlgError(f"potri failed: info {info} in op {op!r}")
     return L
 
 
@@ -482,21 +490,13 @@ def cholesky_factor(s) -> DiffTensor:
     stack, with the jitter policy. The output carries a _Factor, which its
     VJP and every triangular_solve against the output share."""
     s = as_tensor(s)
-    v = s.value
-    _check_symmetric(v, "cholesky_factor")
-    L = _chol_with_jitter(v)
-    factor = _Factor(L)
+    factor = _Factor(_chol_with_jitter(s.value, "cholesky_factor"))
 
     def vjp(g):
         _check_finite(g, "cotangent of op 'cholesky_factor'")
-        p = _phi(_mT(L) @ g)
-        s1 = factor.solve(_mT(p), True)
-        s2 = factor.solve(_mT(s1), True)
-        out = s2 + _mT(s2)
-        out *= 0.5
-        return (out,)
+        return (factor.adjoint(g),)
 
-    out = lift(L, (s,), vjp, "cholesky_factor")
+    out = lift(factor.L, (s,), vjp, "cholesky_factor")
     out._factor = factor
     return out
 
@@ -540,7 +540,7 @@ def log_diag_sum(a, weights=1.0) -> DiffTensor:
     a = as_tensor(a)
     d = np.diagonal(a.value, axis1=-2, axis2=-1)
     if np.any(d <= 0):
-        raise ValueError("log domain violation: non-positive diagonal")
+        raise ValueError("log domain violation: non-positive diagonal in op 'log_diag_sum'")
     w = np.broadcast_to(np.asarray(weights, dtype=np.float64), d.shape[-1:])
     i = np.arange(d.shape[-1])
 

@@ -92,19 +92,19 @@ _TILE = 128     # the side of the tiles _se_exact_lml's backward reduces
 def _se_exact_fit(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTensor):
     """(se, kdiag, L, log N(y; 0, K + s2 I), L^{-1} y) for the SE-ARD kernel
     K = se.K of the rows of X, in K's one C-ordered n x n buffer: K's
-    diagonal is saved (kdiag) and s2 added to it, and potrf factorises K +
-    s2 I there with the jitter ladder, as a _Handed buffer (no symmetrising
-    copy, no symmetry check). potrf writes only the buffer's upper triangle,
-    which then holds L^T (L is its Fortran-ordered transpose, whose strict
-    upper triangle is not zeroed); the strict lower triangle still holds K,
-    from which the ladder rebuilds a failed attempt."""
-    se = _SeArd(params, X, X)
+    diagonal is saved (kdiag) and s2 added to it, and _chol_in_place
+    factorises K + s2 I there (no symmetrising copy, no symmetry check).
+    potrf writes only the buffer's upper triangle, which then holds L^T (L
+    is its Fortran-ordered transpose, whose strict upper triangle is not
+    zeroed); the strict lower triangle still holds K, from which the jitter
+    ladder rebuilds a failed attempt."""
+    se = _SeArd(params, X, X, _EXACT_LML)
     K = se.K
     de._check_finite(K, f"kernel of op {_EXACT_LML!r}")
     kdiag = np.diagonal(K).copy()
     i = np.arange(K.shape[0])
     K[i, i] += s2.value
-    L = de._chol_with_jitter(K.view(de._Handed))
+    L = de._chol_in_place(K, _EXACT_LML)
     val, w = rd._gaussian_fit(L, y.value)
     return se, kdiag, L, val, w
 
@@ -142,7 +142,7 @@ def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
                                "backward pass; build the objective again")
         consumed.append(True)
         alpha = de._solve_tri(L, w[:, None], True)[:, 0]
-        de._potri(L)
+        de._potri(L, _EXACT_LML)
         # a column of ones makes each tile's row sums part of its product
         # with the scaled inputs
         D = Xs.shape[1]

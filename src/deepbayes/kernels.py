@@ -28,17 +28,17 @@ class KernelParams:
         return de.elementwise("exp", as_tensor(self.log_lengthscales))
 
 
-def _clamp_sqdist(d2: np.ndarray, rows, cols, scale=1.0):
+def _clamp_sqdist(d2: np.ndarray, rows, cols, op: str, scale=1.0):
     """Clamp the rounding negatives of squared distances d2 to zero in place;
-    larger ones raise. d2_ij = scale (rows_i - 2 cross_ij + cols_j), whose
-    rounding grows with the squared norms rows and cols that the subtraction
-    cancels, so the tolerance is 1e-10 plus 1e-12 of scale times the largest
-    row and column terms; they are read only when d2 dips below -1e-10.
-    Returns the mask of clamped entries (their gradient is zero), or None
-    when there are none."""
+    larger ones raise naming op. d2_ij = scale (rows_i - 2 cross_ij +
+    cols_j), whose rounding grows with the squared norms rows and cols that
+    the subtraction cancels, so the tolerance is 1e-10 plus 1e-12 of scale
+    times the largest row and column terms; they are read only when d2 dips
+    below -1e-10. Returns the mask of clamped entries (their gradient is
+    zero), or None when there are none."""
     low = d2.min() if d2.size else 0.0
     if low < -1e-10 and low < -1e-10 - 1e-12 * scale * (np.abs(rows).max() + np.abs(cols).max()):
-        raise ValueError("squared distance negative beyond tolerance")
+        raise ValueError(f"squared distance negative beyond tolerance in op {op!r}")
     neg = d2 < 0
     if not neg.any():
         return None
@@ -65,9 +65,10 @@ class _SeArd:
     takes only the lengthscales' from here). Squared distances come from the scaled
     inputs' norms and cross products; their rounding negatives are clamped
     to zero, larger ones raise. X and X2 (tensors) may be stacks of inputs
-    (leading axes), one kernel matrix per sample."""
+    (leading axes), one kernel matrix per sample. op names the tape op
+    built on it in the clamp's error."""
 
-    def __init__(self, params: KernelParams, X: DiffTensor, X2: DiffTensor):
+    def __init__(self, params: KernelParams, X: DiffTensor, X2: DiffTensor, op: str):
         if X.value.shape[-1] != X2.value.shape[-1]:
             raise ValueError("feature dimension mismatch")
         self.ls, self.sf2 = params.lengthscales(), params.sf2()
@@ -87,7 +88,7 @@ class _SeArd:
         K *= -2.0
         K += n1
         K += de._mT(n2)
-        self.neg = _clamp_sqdist(K, n1, n2)
+        self.neg = _clamp_sqdist(K, n1, n2, op)
         K *= -0.5
         np.exp(K, out=K)
         K *= self.sf2.value
@@ -118,7 +119,7 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
     sample."""
     X = as_tensor(X)
     X2 = X if X2 is None else as_tensor(X2)
-    se = _SeArd(params, X, X2)
+    se = _SeArd(params, X, X2, "se_kernel")
 
     def vjp(g):
         g_sf2, gs = se.backward(g * se.K)   # cotangents of sf2 and of the scaled inputs
@@ -151,7 +152,7 @@ def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
     d2 += c
     if scale != 1.0:
         d2 *= float(scale)
-    neg = _clamp_sqdist(d2, rows.value, cols.value, float(scale))
+    neg = _clamp_sqdist(d2, rows.value, cols.value, "se_kernel", float(scale))
     inv_l2 = 1.0 / (ls.value * ls.value)
     d2 *= inv_l2
     K = d2 * -0.5

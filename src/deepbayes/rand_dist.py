@@ -79,7 +79,7 @@ def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
     beta = as_tensor(beta)
     av, bv = alpha.value, beta.value
     if np.any(av <= 0) or np.any(bv <= 0):
-        raise ValueError("gamma parameters must be positive")
+        raise ValueError("gamma parameters must be positive in op 'gamma_sample'")
     g = rng.standard_gamma(np.broadcast_to(av, np.broadcast_shapes(av.shape, bv.shape)))
     z = g / bv
 
@@ -111,7 +111,7 @@ def normal_log_density(x, mean, var, event_ndim=None) -> DiffTensor:
     x, mean, var = as_tensor(x), as_tensor(mean), as_tensor(var)
     v = var.value
     if np.any(v <= 0):
-        raise ValueError("log domain violation: non-positive variance")
+        raise ValueError("log domain violation: non-positive variance in op 'normal_log_density'")
     d = x.value - mean.value
     r = 1.0 / v
     axes = None if event_ndim is None else tuple(range(-event_ndim, 0))
@@ -151,7 +151,7 @@ def _wishart_log_density_root(F, Ls, nu, ld_block) -> DiffTensor:
     Z = de.triangular_solve(Ls, F)
     d = np.diagonal(Ls.value, axis1=-2, axis2=-1)
     if np.any(d <= 0):
-        raise ValueError("log domain violation: non-positive diagonal")
+        raise ValueError("log domain violation: non-positive diagonal in op 'wishart_log_density'")
     c_ld = 0.5 * (nu - N - 1)
     val = ((-nu * np.sum(np.log(d), axis=-1) + const) + c_ld * ld_block.value
            + (-0.5 * np.sum(Z.value * Z.value, axis=(-2, -1))))
@@ -377,7 +377,7 @@ def kl_gamma(q, p) -> DiffTensor:
     ap, bp = map(as_tensor, p)
     if np.any(aq.value <= 0) or np.any(bq.value <= 0) or \
        np.any(ap.value <= 0) or np.any(bp.value <= 0):
-        raise ValueError("gamma parameters must be positive")
+        raise ValueError("gamma parameters must be positive in op 'kl_gamma'")
     dig = lift(spec.digamma(aq.value), (aq,), lambda g: (g * spec.polygamma(1, aq.value),),
                "digamma")
     out = de.mul(de.sub(aq, ap), dig)

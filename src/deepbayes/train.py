@@ -169,7 +169,6 @@ def train_loop(model, dataset, config: TrainConfig):
         "params": params,
         "aborted": aborted,
         "wall_clock": time.time() - t0,
-        "seed": config.seed,
     }
     if trace:
         result["final"] = trace[-1]

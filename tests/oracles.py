@@ -135,7 +135,7 @@ def _chol_inverse(L: np.ndarray):
     one copy of L; L is Fortran-ordered per matrix, as the factors are.
     potri reads and writes only the lower triangle; the upper one is then
     filled from it (_mirror_lower)."""
-    inv = de._potri(de._mT(de._mT(L).copy()))
+    inv = de._potri(de._mT(de._mT(L).copy()), "chol_inverse")
     de._mirror_lower(inv)
     return inv
 
@@ -144,8 +144,7 @@ def logdet_psd(s) -> DiffTensor:
     """log|s| for symmetric PD s (or each matrix of a stack), via Cholesky;
     gradient s^{-1}, formed from the factor when the cotangent arrives."""
     s = as_tensor(s)
-    de._check_symmetric(s.value, "logdet_psd")
-    L = de._chol_with_jitter(s.value)
+    L = de._chol_with_jitter(s.value, "logdet_psd")
     val = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
 
     def vjp(g):
@@ -179,8 +178,7 @@ def mvn_log_density(y, mean, cov, chol=None) -> DiffTensor:
     """
     y, mean, cov = as_tensor(y), as_tensor(mean), as_tensor(cov)
     if chol is None:
-        de._check_symmetric(cov.value, "mvn_log_density")
-        L = de._chol_with_jitter(cov.value)
+        L = de._chol_with_jitter(cov.value, "mvn_log_density")
     else:
         L = as_tensor(chol).value
     val, w = rd._gaussian_fit(L, y.value - mean.value)

@@ -161,8 +161,8 @@ def test_stacked_cholesky_runs_the_jitter_ladder_per_matrix():
     stack = np.stack([A @ A.T + 4 * np.eye(4), near_singular, 2 * np.eye(4)])
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(near_singular)
-    got = de._chol_with_jitter(stack)
-    want = np.stack([de._chol_with_jitter(m) for m in stack])
+    got = de._chol_with_jitter(stack, "test")
+    want = np.stack([de._chol_with_jitter(m, "test") for m in stack])
     assert np.array_equal(got, want)
     # the other members are not jittered
     assert np.array_equal(got[0], np.linalg.cholesky(stack[0]))

@@ -9,11 +9,12 @@ import yaml
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import (_MODEL_KEYS_READ, BlrViModel, Dataset, ExperimentConfig,
-                                 _make_model, _normalize, gen_cubic_toy,
-                                 gen_deep_linear, load_csv, main, run_experiment)
+                                 _make_model, gen_cubic_toy, gen_deep_linear, load_csv, main,
+                                 run_experiment)
 from deepbayes.models import BnnModel, DgpModel, DwpModel
 from deepbayes.train import TrainConfig, _loss_and_grads, train_loop
 
+from fingerprint import synthetic_200 as _synthetic_200
 from oracles import exact_lml, mvn_log_density
 
 
@@ -270,13 +271,12 @@ def test_closed_form_models_write_bands(tmp_path, kind):
 def test_factorisations_per_objective(monkeypatch):
     """Each matrix is factorised once per layer per sample, and matrices that
     depend only on the parameters and the batch (the first layer's) once per
-    objective. Counted in matrices at _chol_with_jitter, the entry point of
-    cholesky_factor and of the exact-GP node: a call on a stack of S counts
-    S."""
+    objective. Counted in matrices at _chol_in_place, which every
+    factorisation runs: a call on a stack of S counts S."""
     calls = []
-    chol = de._chol_with_jitter
-    monkeypatch.setattr(de, "_chol_with_jitter",
-                        lambda s: calls.append(int(np.prod(s.shape[:-2]))) or chol(s))
+    chol = de._chol_in_place
+    monkeypatch.setattr(de, "_chol_in_place",
+                        lambda s, op: calls.append(int(np.prod(s.shape[:-2]))) or chol(s, op))
     ds = gen_cubic_toy(0)
     S = 3
     expected = {
@@ -405,15 +405,6 @@ def test_monte_carlo_objective_and_tape_nodes_are_pinned(kind):
     want, want_nodes = PINNED_OBJECTIVES[kind]
     assert abs(float(value) - want) <= 1e-10 * abs(want)
     assert nodes == want_nodes
-
-
-def _synthetic_200(seed=0):
-    """Acceptance criterion 14's data: 200 train / 20 test points, D=5."""
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-2, 2, (220, 5))
-    w = rng.standard_normal(5)
-    y = np.sin(X @ w / 2.0) + 0.3 * X[:, 0] + 0.1 * rng.standard_normal(220)
-    return _normalize(X[:200], y[:200], X[200:], y[200:])
 
 
 # Objective, global gradient norm and tape nodes per objective on criterion

@@ -136,14 +136,14 @@ def test_jitter_ladder_factorisation_counts(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: counts.append(1) or chol(a))
     monkeypatch.setattr(de, "_POTRF", lambda *a, **k: counts.append(1) or potrf(*a, **k))
     R = np.random.default_rng(0).standard_normal((6, 3))
-    L = de._chol_with_jitter(R @ R.T)
+    L = de._chol_with_jitter(R @ R.T, "test")
     assert np.max(np.abs(L @ L.T - R @ R.T)) < 1e-6
     assert len(counts) == 2
     counts.clear()
     d = np.ones(300)
     d[149] = -1.0
     with pytest.raises(np.linalg.LinAlgError, match="pivot 150 of 300"):
-        de._chol_with_jitter(np.diag(d))
+        de._chol_with_jitter(np.diag(d), "test")
     assert len(counts) == 16
 
 
@@ -153,6 +153,26 @@ def test_factors_are_fortran_ordered_per_matrix():
         A = rng.standard_normal(shape)
         L = de.cholesky_factor(A @ np.swapaxes(A, -1, -2) + 5 * np.eye(5)).value
         assert all(L[i].flags.f_contiguous for i in np.ndindex(shape[:-2]))
+
+
+@pytest.mark.parametrize("climb", [False, True])
+def test_factors_other_triangle_is_positive_zero(climb, monkeypatch):
+    # a stack of two matrices with negative off-diagonal entries, the second
+    # of rank 3 when the ladder is climbed; the strict upper triangle of
+    # every factor is +0.0, as potrf's clean wrote it, never -0.0
+    R = np.random.default_rng(3).standard_normal((2, 6, 6))
+    if climb:
+        R[1, :, 3:] = 0.0
+    S = R @ np.swapaxes(R, -1, -2)
+    assert (S < 0).any()
+    calls = []
+    potrf = de._POTRF
+    monkeypatch.setattr(de, "_POTRF", lambda *a, **k: calls.append(1) or potrf(*a, **k))
+    for L in (de._chol_with_jitter(S, "test"), de.cholesky_factor(S).value):
+        upper = L[..., ~np.tri(6, dtype=bool)]
+        assert np.all(upper == 0.0) and not np.signbit(upper).any()
+        assert np.max(np.abs(L @ np.swapaxes(L, -1, -2) - S)) < 1e-6
+    assert len(calls) == (6 if climb else 4)    # each climb: the plain attempt and one rung
 
 
 def _counted_trtrs(monkeypatch):

@@ -12,10 +12,12 @@ import pytest
 from scipy.special import multigammaln
 
 from deepbayes import diff_engine as de
+from deepbayes import kernels
 from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import ExperimentConfig, _make_model, gen_cubic_toy
 from deepbayes.deep_models import _gi_draw
 from deepbayes.diff_engine import as_tensor
+from deepbayes.gp_models import GpState, gp_predict_lml
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, se_ard_features
 
 from oracles import (_chol_inverse, add_diagonal, getitem, gi_posterior, gi_sample, gp_chain,
@@ -605,6 +607,74 @@ def test_nonfinite_constants_and_parameters_trip_the_guard():
     with pytest.raises(FloatingPointError, match="non-finite values in parameter 'w'"):
         with de.Tape() as tape:
             tape.param(np.array([np.inf]), "w")
+
+
+def _potrf_fails(monkeypatch):
+    # a potrf that always reports a failing pivot 3, so the ladder tops out
+    potrf = de._POTRF
+    monkeypatch.setattr(de, "_POTRF", lambda *a, **k: (potrf(*a, **k)[0], 3))
+
+
+def _exact_gp_step():
+    # the exact GP's LML node and its backward, on 5 rows
+    X = np.random.default_rng(33).standard_normal((5, 2))
+    with de.Tape() as tape:
+        state = GpState(log_noise=tape.param(np.asarray(-1.0), "log_noise"))
+        de.backward_pass(gp_predict_lml(state, X, np.sin(X[:, 0]))[2])
+
+
+def _sqdist_shifted(monkeypatch):
+    # every squared distance the kernel forms, less 1: far below the
+    # clamp's tolerance, which finite inputs to one SE-ARD kernel never reach
+    clamp = kernels._clamp_sqdist
+    monkeypatch.setattr(kernels, "_clamp_sqdist", lambda d2, *a: clamp(d2 - 1.0, *a))
+
+
+_GUARDS = {     # case: (error, message before " in op '<op>'", op, setup and call)
+    "log_diag_sum": (ValueError, "log domain violation: non-positive diagonal", "log_diag_sum",
+                     lambda mp: de.log_diag_sum(np.diag([1.0, -1.0]))),
+    "wishart_log_density": (
+        ValueError, "log domain violation: non-positive diagonal", "wishart_log_density",
+        lambda mp: rd._wishart_log_density_root(np.eye(2), np.diag([1.0, -1.0]), 3.0, 0.0)),
+    "gamma_sample": (ValueError, "gamma parameters must be positive", "gamma_sample",
+                     lambda mp: rd.gamma_sample_reparam(-1.0, 1.0, rd.RngStream(0))),
+    "kl_gamma": (ValueError, "gamma parameters must be positive", "kl_gamma",
+                 lambda mp: rd.kl_gamma((1.0, -1.0), (1.0, 1.0))),
+    "normal_log_density": (ValueError, "log domain violation: non-positive variance",
+                           "normal_log_density",
+                           lambda mp: rd.normal_log_density(0.0, 0.0, -1.0)),
+    "se_kernel clamp (Gram)": (
+        ValueError, "squared distance negative beyond tolerance", "se_kernel",
+        lambda mp: _se_gram(np.ones(1), np.full((1, 1), 5.0), np.ones(1), 1.0,
+                            *_gram_se_params(KernelParams()))),
+    "se_kernel clamp (features)": (
+        ValueError, "squared distance negative beyond tolerance", "se_kernel",
+        lambda mp: _sqdist_shifted(mp) or se_ard_features(KernelParams(), np.eye(3))),
+    "exact_gp_lml clamp": (ValueError, "squared distance negative beyond tolerance",
+                           "exact_gp_lml", lambda mp: _sqdist_shifted(mp) or _exact_gp_step()),
+    "exact_gp_lml potri": (
+        np.linalg.LinAlgError, "potri failed: info 1", "exact_gp_lml",
+        lambda mp: mp.setattr(de, "_POTRI", lambda L, **k: (L, 1)) or _exact_gp_step()),
+    "cholesky_factor ladder": (
+        np.linalg.LinAlgError, "matrix not positive definite after max jitter (pivot 2 of 2)",
+        "cholesky_factor", lambda mp: de.cholesky_factor(np.diag([1.0, -1.0]))),
+    # G = I + B^T Lambda B is positive definite, so potrf is made to fail
+    "gi_draw ladder": (
+        np.linalg.LinAlgError, "matrix not positive definite after max jitter (pivot 3 of 4)",
+        "gi_draw", lambda mp: _potrf_fails(mp) or _gi_draw(
+            np.eye(4), None, np.zeros(4), np.ones((4, 2)), rd.RngStream(0))),
+    "exact_gp_lml ladder": (
+        np.linalg.LinAlgError, "matrix not positive definite after max jitter (pivot 3 of 5)",
+        "exact_gp_lml", lambda mp: _potrf_fails(mp) or _exact_gp_step()),
+}
+
+
+@pytest.mark.parametrize("case", list(_GUARDS))
+def test_numerical_guards_name_their_op(case, monkeypatch):
+    error, text, op, trip = _GUARDS[case]
+    with pytest.raises(error) as err:
+        trip(monkeypatch)
+    assert str(err.value) == f"{text} in op {op!r}"
 
 
 def test_guard_scans_when_the_sum_overflows():

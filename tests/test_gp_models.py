@@ -195,7 +195,7 @@ def _state_lml_and_grads(params, X, y, generic=False):
 def test_exact_lml_node_masks_clamped_distances_in_mirrored_tiles():
     params, X, y = _duplicated_rows(-1.5)
     kp = KernelParams(log_sf2=params["log_sf2"], log_lengthscales=params["log_ls"])
-    neg = _SeArd(kp, as_tensor(X), as_tensor(X)).neg
+    neg = _SeArd(kp, as_tensor(X), as_tensor(X), "test").neg
     assert neg is not None and neg[128:, :128].any()
     val, grads = _state_lml_and_grads(params, X, y)
     ref, ref_grads = _state_lml_and_grads(params, X, y, generic=True)
@@ -265,6 +265,21 @@ def test_exact_lml_node_climbs_the_jitter_ladder_as_the_chain(monkeypatch):
     assert abs(lml - ref) <= 1e-12 * abs(ref)
 
 
+def test_exact_lml_buffer_keeps_the_kernel_after_a_climb(monkeypatch):
+    # the node's buffer holds K's strict lower triangle after the ladder
+    # rebuilt and factorised it, and the factor L^T in its upper triangle
+    state, X, y = _near_singular_gp()
+    calls = _count_calls(monkeypatch, "_POTRF")
+    kp, X = state.kernel_params, as_tensor(X)
+    se, kdiag, L, _, _ = gp_models._se_exact_fit(kp, state.noise_var(), X, as_tensor(y))
+    assert len(calls) == 2
+    K = _SeArd(kp, X, X, "test").K
+    lower = np.tri(len(K), k=-1, dtype=bool)
+    assert np.array_equal(se.K[lower], K[lower]) and np.array_equal(kdiag, np.diag(K))
+    Lt = np.tril(L)
+    assert np.shares_memory(L, se.K) and np.max(np.abs(Lt @ Lt.T - K)) <= 1e-6
+
+
 @pytest.mark.parametrize("make", [gen_cubic_toy, gen_deep_linear])
 @pytest.mark.parametrize("moved", [False, True])
 def test_evaluation_lml_equals_the_training_objective(make, moved):
@@ -332,7 +347,7 @@ def test_evaluation_factorises_once_and_checks_no_symmetry(dkl_widths, monkeypat
 
 def test_exact_lml_node_raises_the_ladders_message(monkeypatch):
     # a potrf that always reports a failing pivot takes both paths to the
-    # top of the ladder
+    # top of the ladder; each error names the op that factorised
     state, X, y = _near_singular_gp()
     potrf = de._POTRF
     monkeypatch.setattr(de, "_POTRF", lambda *a, **k: (potrf(*a, **k)[0], 3))
@@ -341,7 +356,8 @@ def test_exact_lml_node_raises_the_ladders_message(monkeypatch):
         with pytest.raises(np.linalg.LinAlgError, match="after max jitter") as err:
             run(state, X, y)
         msgs.append(str(err.value))
-    assert msgs[0] == msgs[1] == "matrix not positive definite after max jitter (pivot 3 of 12)"
+    text = "matrix not positive definite after max jitter (pivot 3 of 12)"
+    assert msgs == [f"{text} in op 'exact_gp_lml'", f"{text} in op 'cholesky_factor'"]
 
 
 @pytest.mark.parametrize("x_scale, y_scale, what", [(1.0, 1e200, "output"),
