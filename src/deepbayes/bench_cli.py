@@ -337,7 +337,8 @@ def _quick_checks() -> int:
     """Gradient checks of the code the models run; returns a process exit
     code. Each model kind's objective (and the BNN's under prior: scale) is
     checked against finite differences, the exact-GP likelihood node against
-    scipy's Cholesky, and the SE kernel's gradient in all four operands."""
+    scipy's Cholesky and, at 300 rows, its gradient against finite
+    differences, and the SE kernel's gradient in all four operands."""
     failures = []
 
     def check(name, ok):
@@ -363,6 +364,15 @@ def _quick_checks() -> int:
            - 0.5 * len(y) * np.log(2.0 * np.pi))
     check("exact-GP log marginal likelihood vs scipy cho_factor",
           abs(lml.value - ref) <= 1e-10 * abs(ref))
+
+    # above 128 rows the node's backward inverts its factor by blocks
+    r3 = np.random.default_rng(1)
+    X3, y3 = r3.standard_normal((300, 2)), r3.standard_normal(300)
+    rep = de.finite_diff_check(lambda ps: gm.gp_predict_lml(gm.GpState(
+        kernel_params=KernelParams(log_sf2=ps[0], log_lengthscales=ps[1]), log_noise=ps[2]),
+        X3, y3)[2], [np.asarray(0.2), np.array([0.1, -0.3]), np.asarray(np.log(0.1))])
+    check("exact-GP LML at 300 rows gradient (sf2, two lengthscales, noise) vs finite "
+          f"differences (max relative error {rep['max_rel_error']:.1e})", rep["passed"])
 
     # one kernel node over four operands, whose VJP returns all their cotangents
     wts = rng.standard_normal((4, 3))

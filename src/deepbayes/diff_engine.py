@@ -12,10 +12,12 @@ cotangent is summed back over the axes its operand was broadcast along.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import cython_blas, cython_lapack
 
 __all__ = [
     "Tape", "DiffTensor", "as_tensor", "lift",
@@ -459,15 +461,83 @@ def _check_symmetric(v: np.ndarray, op: str):
         raise ValueError(f"{op} requires a symmetric matrix")
 
 
-_POTRI = sla.get_lapack_funcs("potri", (np.zeros((1, 1)),))
+_CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+_CHAR, _INT, _PTR = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+
+
+def _scipy_c_function(module, name: str, *argtypes):
+    """A ctypes handle on the C function `name` that scipy's Cython BLAS or
+    LAPACK module exports. It takes pointers, so it runs on a sub-block of a
+    buffer, which scipy's f2py wrappers would copy unless it is contiguous.
+    Its signature, read from the capsule, must pass characters and LP64
+    integers where argtypes says so."""
+    capsule = module.__pyx_capi__[name]
+    sig = _CAPSULE_NAME(capsule)
+    params = sig.decode()[sig.index(b"(") + 1:-1].split(", ")
+    want = {_CHAR: "char *", _INT: "int *"}
+    if len(params) != len(argtypes) or any(want.get(t, p) != p for t, p in zip(argtypes, params)):
+        raise ImportError(f"scipy's {name} has the signature {sig.decode()!r}")
+    return ctypes.CFUNCTYPE(None, *argtypes)(_CAPSULE_POINTER(capsule, sig))
+
+
+# integer arguments and info are passed as ctypes.c_int objects, which ctypes
+# hands over by reference
+_DTRMM = _scipy_c_function(cython_blas, "dtrmm", _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT,
+                           ctypes.POINTER(ctypes.c_double), _PTR, _INT, _PTR, _INT)
+_DTRTRI = _scipy_c_function(cython_lapack, "dtrtri", _CHAR, _CHAR, _INT, _PTR, _INT, _INT)
+_DLAUUM = _scipy_c_function(cython_lapack, "dlauum", _CHAR, _INT, _PTR, _INT, _INT)
+_LEAF = 128     # the largest diagonal block _tri_inverse_blocks hands to trtri
+
+
+def _tri_inverse_blocks(a: int, ld: int, off: int, n: int) -> int:
+    """Invert in place the lower-triangular n x n block at row and column off
+    of the column-major matrix at address a, with leading dimension ld.
+    Split as [[A, 0], [B, C]], A of n // 2 rows, A and C are inverted by
+    recursion, down to blocks of at most _LEAF rows, which LAPACK trtri
+    inverts; then B becomes -C^{-1} B A^{-1} by two BLAS trmm calls. Reads
+    and writes only the block's lower triangle. Returns trtri's info at the
+    whole matrix's rows: 0, or the 1-based index of the first zero on the
+    diagonal."""
+    def at(r, c):
+        return a + 8 * (r + c * ld)
+
+    if n <= _LEAF:
+        info = ctypes.c_int(0)
+        _DTRTRI(b"L", b"N", ctypes.c_int(n), at(off, off), ctypes.c_int(ld), info)
+        return info.value and off + info.value
+    n1, n2 = n // 2, n - n // 2
+    info = _tri_inverse_blocks(a, ld, off, n1) or _tri_inverse_blocks(a, ld, off + n1, n2)
+    if info:
+        return info
+    for side, alpha, tri in ((b"R", -1.0, at(off, off)), (b"L", 1.0, at(off + n1, off + n1))):
+        _DTRMM(side, b"L", b"N", b"N", ctypes.c_int(n2), ctypes.c_int(n1), ctypes.c_double(alpha),
+               tri, ctypes.c_int(ld), at(off + n1, off), ctypes.c_int(ld))
+    return 0
 
 
 def _potri(L: np.ndarray, op: str):
-    """LAPACK potri in place on each Fortran-ordered lower factor of L: its
-    lower triangle becomes that of (L L^T)^{-1}, and its strict upper one is
-    left as it was. Returns L; a failure raises naming op."""
+    """(L L^T)^{-1} in place on each Fortran-ordered lower factor of L, as
+    LAPACK potri forms it, with no temporary of the factor's size:
+    _tri_inverse_blocks inverts the factor, and LAPACK lauum forms L^{-T}
+    L^{-1} from it. Each factor's lower triangle becomes that of (L
+    L^T)^{-1}, and its strict upper one is left as it was. Returns L; a
+    failure raises naming op and, as potri would, the index of the first
+    zero on the diagonal."""
+    n = L.shape[-1]
     for i in np.ndindex(L.shape[:-2]):
-        info = _POTRI(L[i], lower=1, overwrite_c=1)[1]
+        m = L[i]
+        if not (m.dtype == np.float64 and m.shape == (n, n) and m.flags.f_contiguous
+                and m.flags.writeable):
+            raise ValueError(f"potri needs writeable Fortran-ordered float64 square factors "
+                             f"in op {op!r}")
+        info = _tri_inverse_blocks(m.ctypes.data, n, 0, n)
+        if info == 0:
+            lauum_info = ctypes.c_int(0)
+            _DLAUUM(b"L", ctypes.c_int(n), m.ctypes.data, ctypes.c_int(n), lauum_info)
+            info = lauum_info.value
         if info != 0:
             raise np.linalg.LinAlgError(f"potri failed: info {info} in op {op!r}")
     return L

@@ -37,11 +37,11 @@ def _clamp_sqdist(d2: np.ndarray, rows, cols, op: str, scale=1.0):
     below -1e-10. Returns the mask of clamped entries (their gradient is
     zero), or None when there are none."""
     low = d2.min() if d2.size else 0.0
+    if low >= 0:
+        return None
     if low < -1e-10 and low < -1e-10 - 1e-12 * scale * (np.abs(rows).max() + np.abs(cols).max()):
         raise ValueError(f"squared distance negative beyond tolerance in op {op!r}")
     neg = d2 < 0
-    if not neg.any():
-        return None
     d2[neg] = 0.0
     return neg
 

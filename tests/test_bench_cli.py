@@ -591,9 +591,12 @@ def test_cli_check_passes(capsys):
         prefix = f"PASS  {label} objective gradient vs finite differences (max relative error "
         assert sum(ln.startswith(prefix) for ln in lines) == 1, label
     assert "PASS  exact-GP log marginal likelihood vs scipy cho_factor" in lines
+    prefix = ("PASS  exact-GP LML at 300 rows gradient (sf2, two lengthscales, noise) vs finite "
+              "differences (max relative error ")
+    assert sum(ln.startswith(prefix) for ln in lines) == 1
     assert ("PASS  SE kernel gradient (sf2, lengthscales, both inputs) vs finite differences"
             in lines)
-    assert len(lines) == len(_MODEL_KEYS_READ) + 3
+    assert len(lines) == len(_MODEL_KEYS_READ) + 4
 
 
 _GI_CHECKS = ["bnn-gi", "dgp-gi", "dwp", "dwp-a", "dwp-ab", "bnn-gi (prior: scale)"]
@@ -602,7 +605,7 @@ _PLANT_FAILS = {
     "se_kernel": ["svgp", "dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab", "SE kernel"],
     "conditional_sample": ["dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"],
     "gwish_logq": ["dwp", "dwp-a", "dwp-ab"],
-    "exact_gp_lml": ["gp", "dkl"],
+    "exact_gp_lml": ["gp", "dkl", "exact-GP LML at 300 rows"],
     "triangular_solve": ["blr", "svgp", "dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"],
     "gi_draw": _GI_CHECKS,
     "gi_increment": _GI_CHECKS,

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from deepbayes import diff_engine as de
@@ -209,6 +210,65 @@ def test_one_column_right_hand_sides_keep_one_call_per_member(monkeypatch):
     calls = _counted_trtrs(monkeypatch)
     de._solve_tri(L, rng.standard_normal((4, 5, 1)), False)
     assert len(calls) == 4
+
+
+def _factors_under_noise(rng, shape):
+    """Fortran-ordered lower Cholesky factors of the given (stack) shape
+    whose strict upper triangles hold noise, as the exact GP's factor holds
+    its kernel there."""
+    n = shape[-1]
+    buf = rng.standard_normal(shape)
+    L = np.swapaxes(buf, -1, -2)
+    for i in np.ndindex(shape[:-2]):
+        A = rng.standard_normal((n, n))
+        L[i][np.tri(n, dtype=bool)] = np.linalg.cholesky(A @ A.T / n + np.eye(n))[
+            np.tri(n, dtype=bool)]
+    return L
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (127, 127), (128, 128), (129, 129), (257, 257),
+                                   (1000, 1000), (2, 300, 300)])
+def test_blocked_inverse_matches_potri(shape, monkeypatch):
+    # the blocked inverse and lauum against LAPACK potri on each factor: the
+    # lower triangles agree to rounding, the strict upper ones are untouched,
+    # and a zero planted on the diagonal of the second leaf (the only one
+    # below 129 rows) is reported at LAPACK's index
+    rng = np.random.default_rng(shape[-1])
+    n = shape[-1]
+    L = _factors_under_noise(rng, shape)
+    lower, upper = np.tri(n, dtype=bool), ~np.tri(n, dtype=bool)
+    want = [sla.lapack.dpotri(L[i].copy(order="F"), lower=1)[0] for i in np.ndindex(shape[:-2])]
+    before = L[..., upper].copy()
+    leaves = []
+    trtri = de._DTRTRI
+    monkeypatch.setattr(de, "_DTRTRI", lambda *a: leaves.append(a[2].value) or trtri(*a))
+    assert de._potri(L, "test") is L
+    for i, w in zip(np.ndindex(shape[:-2]), want):
+        assert np.max(np.abs(L[i][lower] - w[lower])) <= 1e-12 * np.max(np.abs(w[lower]))
+    assert np.array_equal(L[..., upper], before)
+    members = int(np.prod(shape[:-2]))
+    assert len(leaves) % members == 0 and max(leaves) <= 128 and sum(leaves) == n * members
+
+    planted = _factors_under_noise(rng, shape)
+    second = leaves[0] if len(leaves) > members else 0
+    row = min(second + 2, n - 1)
+    last = tuple(k - 1 for k in shape[:-2])     # the stack's last member
+    planted[last + (row, row)] = 0.0
+    info = sla.lapack.dpotri(planted[last].copy(order="F"), lower=1)[1]
+    assert info == row + 1
+    with pytest.raises(np.linalg.LinAlgError, match=rf"^potri failed: info {info} in op 'test'$"):
+        de._potri(planted, "test")
+
+
+def test_blocked_inverse_rejects_factors_it_cannot_address():
+    # BLAS and LAPACK get raw pointers, so a factor that is not a writeable
+    # Fortran-ordered float64 matrix raises before any call
+    L = np.linalg.cholesky(_spd(np.random.default_rng(4), 5))     # C-ordered
+    ro = np.asfortranarray(L)
+    ro.flags.writeable = False
+    for bad in (L, ro, np.asfortranarray(L, dtype=np.float32), np.asfortranarray(L[:, :4])):
+        with pytest.raises(ValueError, match="in op 'test'$"):
+            de._potri(bad, "test")
 
 
 @pytest.mark.parametrize("shape,entry", [((600, 600), (10, 590)), ((600, 600), (590, 10)),

@@ -615,6 +615,12 @@ def _potrf_fails(monkeypatch):
     monkeypatch.setattr(de, "_POTRF", lambda *a, **k: (potrf(*a, **k)[0], 3))
 
 
+def _trtri_reports_info_1(*args):
+    # a leaf trtri of the blocked inverse that finds a zero at its first
+    # diagonal entry: it sets info, its last argument
+    args[-1].value = 1
+
+
 def _exact_gp_step():
     # the exact GP's LML node and its backward, on 5 rows
     X = np.random.default_rng(33).standard_normal((5, 2))
@@ -654,7 +660,7 @@ _GUARDS = {     # case: (error, message before " in op '<op>'", op, setup and ca
                            "exact_gp_lml", lambda mp: _sqdist_shifted(mp) or _exact_gp_step()),
     "exact_gp_lml potri": (
         np.linalg.LinAlgError, "potri failed: info 1", "exact_gp_lml",
-        lambda mp: mp.setattr(de, "_POTRI", lambda L, **k: (L, 1)) or _exact_gp_step()),
+        lambda mp: mp.setattr(de, "_DTRTRI", _trtri_reports_info_1) or _exact_gp_step()),
     "cholesky_factor ladder": (
         np.linalg.LinAlgError, "matrix not positive definite after max jitter (pivot 2 of 2)",
         "cholesky_factor", lambda mp: de.cholesky_factor(np.diag([1.0, -1.0]))),

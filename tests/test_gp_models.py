@@ -384,6 +384,21 @@ def test_exact_lml_node_runs_one_backward_pass():
     assert np.isfinite(first)
 
 
+def test_exact_gp_step_lapack_calls(monkeypatch):
+    # one LML objective and its backward at n = 1000: one potrf, and (L
+    # L^T)^{-1} by the blocked inverse (eight leaves of 125 rows, two trmm
+    # per split) and one lauum, with no potri and no f2py trtri
+    X = np.random.default_rng(5).standard_normal((1000, 2))
+    counts = {name: _count_calls(monkeypatch, name)
+              for name in ("_POTRF", "_DTRTRI", "_DTRMM", "_DLAUUM", "_TRTRI", "_TRTRS")}
+    with de.Tape() as tape:
+        state = GpState(log_noise=tape.param(np.asarray(-2.0), "log_noise"))
+        de.backward_pass(gp_predict_lml(state, X, np.sin(X[:, 0]))[2])
+    assert {k: len(v) for k, v in counts.items()} == {
+        "_POTRF": 1, "_DTRTRI": 8, "_DTRMM": 14, "_DLAUUM": 1, "_TRTRI": 0, "_TRTRS": 2}
+    assert not hasattr(de, "_POTRI")
+
+
 def test_exact_gp_step_peak_memory():
     # one LML objective plus its backward at n = 500 holds at most 1.5 n x n
     # buffers at once, as numpy's traced allocations count them: the node
