@@ -101,37 +101,30 @@ def _prior_precision_scalar(prior: PriorSpec, fanin: int, s=None):
     return de.elementwise("affine", as_tensor(s), a=float(fanin))
 
 
-def _scalar_root(L) -> bool:
-    """A root of shape (), (1, 1) or (S, 1, 1) is the scalar root L I. (A
-    1 x 1 triangular root gives the same posterior read either way.)"""
-    return L.value.ndim < 2 or L.value.shape[-2:] == (1, 1)
-
-
 def _gi_draw(L, A, log_lambda, V, rng):
     """A draw from the global-inducing posterior of BNN weights or of GP
     inducing outputs, per sample of rng (one draw from it).
 
-    Each column x of X has the prior N(0, L L^T), with L a lower-triangular
-    root or a scalar (the root L I; shaped (1, 1), or (S, 1, 1) with one per
-    sample), and pseudo-observations V = A x + noise of precisions
-    Lambda = exp(log_lambda) (A = None means I). Read through z = L^{-1} x,
-    the prior is N(0, I) and V = B z + noise with B = A L, so the posterior
-    of z is N(C^{-T} h, (C C^T)^{-1}) with C = chol(I + B^T Lambda B) from
-    one Cholesky and h = C^{-1} B^T Lambda V. L and A may carry a leading
-    sample axis. Returns (X, L^{-1} X, increment) with
-    L^{-1} X = C^{-T} (h + xi), X = L L^{-1} X and
+    Each column x of X has the prior N(0, L L^T), and pseudo-observations
+    V = A x + noise of precisions Lambda = exp(log_lambda): either L is a
+    lower-triangular root and A = None (meaning I), or A is given and L a
+    scalar (the root L I; shaped (1, 1), or (S, 1, 1) with one per
+    sample). Read through z = L^{-1} x, the prior is N(0, I) and V = B z +
+    noise with B = A L, so the posterior of z is N(C^{-T} h, (C C^T)^{-1})
+    with C = chol(I + B^T Lambda B) from one Cholesky and h = C^{-1} B^T
+    Lambda V. L and A may carry a leading sample axis. Returns
+    (X, L^{-1} X, increment) with L^{-1} X = C^{-T} (h + xi), X = L L^{-1} X,
     increment = sum_cols log N(x; 0, L L^T) - log q(x)
               = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 - width sum log diag C,
     one per sample.
 
     L^{-1} X is one tape node (gi_draw) over L, A, log_lambda and V, whose
     VJP works back through the one factor C; the increment is one node
-    (gi_increment) over it, and X a mul or matmul."""
+    (gi_increment) over it, and X a matmul (a mul when A is given)."""
     L, log_lambda, V = as_tensor(L), as_tensor(log_lambda), as_tensor(V)
-    scalar = _scalar_root(L)
     Lv, Av, Vv = L.value, None if A is None else as_tensor(A).value, V.value
     lam = np.exp(log_lambda.value)
-    B = Lv if Av is None else (np.multiply if scalar else np.matmul)(Av, Lv)
+    B = Lv if Av is None else Av * Lv
     P = _mT(B) * lam.reshape(1, Vv.shape[0])                  # B^T Lambda
     G = np.eye(B.shape[-1]) + P @ B
     de._check_finite(G, "I + B^T Lambda B of op 'gi_draw'")
@@ -161,12 +154,7 @@ def _gi_draw(L, A, log_lambda, V, rng):
         BG = B @ factor.adjoint(C_bar)
         Pt_bar = BG + Vv @ _mT(u_bar)                           # of Lambda B = P^T
         B_bar = (BG + Pt_bar) * lam[:, None]
-        if Av is None:
-            A_bar, L_bar = None, B_bar
-        elif scalar:
-            A_bar, L_bar = B_bar * Lv, B_bar * Av
-        else:
-            A_bar, L_bar = B_bar @ _mT(Lv), _mT(Av) @ B_bar
+        A_bar, L_bar = (None, B_bar) if Av is None else (B_bar * Lv, B_bar * Av)
         return (de._unbroadcast(L_bar, Lv.shape),
                 None if Av is None else de._unbroadcast(A_bar, Av.shape),
                 de._unbroadcast(np.sum(Pt_bar * B, axis=-1), lam.shape) * lam,
@@ -181,7 +169,7 @@ def _gi_draw(L, A, log_lambda, V, rng):
 
     LinvX = de.lift(z, (L, A, log_lambda, V), vjp, "gi_draw")
     inc = de.lift(inc, (LinvX,), inc_vjp, "gi_increment")
-    return (de.mul if scalar else de.matmul)(L, LinvX), LinvX, inc
+    return (de.matmul if A is None else de.mul)(L, LinvX), LinvX, inc
 
 
 def _gi_bnn_root(prior: PriorSpec, fanin: int, s=None):

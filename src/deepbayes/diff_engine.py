@@ -49,7 +49,7 @@ class Tape:
         return False
 
     def param(self, value, name: str) -> "DiffTensor":
-        t = DiffTensor(value, tape=self, name=name, source=f"parameter {name!r}")
+        t = DiffTensor(value, tape=self, name=name)
         self._nodes.append(t)
         return t
 
@@ -58,15 +58,18 @@ class Tape:
 
 
 class DiffTensor:
-    """Dense real matrix/vector with a gradient slot on a recording tape."""
+    """Dense real matrix/vector on a recording tape, tagged with the op that
+    made it (None for parameters and constants)."""
 
-    __slots__ = ("value", "name", "grad", "_tape", "_parents", "_vjp", "_factor")
+    __slots__ = ("value", "name", "op", "_tape", "_parents", "_vjp", "_factor")
 
-    def __init__(self, value, tape=None, name=None, parents=(), vjp=None, source="constant"):
+    def __init__(self, value, tape=None, name=None, parents=(), vjp=None, op=None):
         self.value = np.asarray(value, dtype=np.float64)
-        _check_finite(self.value, source)
+        if not math.isfinite(self.value.sum()):     # the message is built only then
+            _check_finite(self.value, f"output of op {op!r}" if op is not None else
+                          f"parameter {name!r}" if name is not None else "constant")
         self.name = name
-        self.grad = None
+        self.op = op
         self._tape = tape
         self._parents = parents     # (tracked operand, its position among the op's operands)
         self._vjp = vjp
@@ -100,13 +103,14 @@ def lift(value, parents, vjp, op: str) -> DiffTensor:
     cotangent per operand, in operand order, so work the operands' cotangents
     share runs once. The node keeps only its tracked operands, each with its
     position; the output is tracked iff a tape is active and some operand is
-    tracked. op names the op in the error raised for a non-finite output.
+    tracked. op tags the node and names the op in the error raised for a
+    non-finite output.
     """
     tape = _ACTIVE[-1] if _ACTIVE else None
     kept = [] if tape is None else [
         (p, k) for k, p in enumerate(parents) if isinstance(p, DiffTensor) and p._tape is not None]
     out = DiffTensor(value, tape=tape if kept else None, parents=kept,
-                     vjp=vjp if kept else None, source=f"output of op {op!r}")
+                     vjp=vjp if kept else None, op=op)
     if kept:
         tape._record(out)
     return out
@@ -627,12 +631,12 @@ def log_diag_sum(a, weights=1.0) -> DiffTensor:
 def backward_pass(loss: DiffTensor) -> dict:
     """Gradients of a scalar loss with respect to the named parameters.
 
-    Each named tensor's gradient is stored in its .grad, as an array of its
-    own, and returned in a dict mapping parameter name -> gradient; other
-    tensors get no .grad. Each reached node's VJP runs once, and its tracked
-    operands' cotangents are added in operand order. Cotangents pass between
-    VJPs without copies, so a VJP must not write into the cotangent it is
-    given; the walk drops each one once it has passed its node.
+    Returns a dict mapping the name of each named tensor the loss reaches to
+    its gradient, an array of its own, in tape order. Each reached node's
+    VJP runs once, and its tracked operands' cotangents are added in operand
+    order. Cotangents pass between VJPs without copies, so a VJP must not
+    write into the cotangent it is given; the walk drops each one once it
+    has passed its node.
     """
     if loss.value.size != 1:
         raise ValueError("backward_pass requires a scalar loss")
@@ -642,12 +646,13 @@ def backward_pass(loss: DiffTensor) -> dict:
     if tape._nodes is None:
         raise ValueError("backward_pass on a closed tape: call it inside the tape's with block")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
+    named = []
     for node in reversed(tape._nodes):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node.name is not None:
-            node.grad = np.array(g)
+            named.append((node.name, np.array(g)))
         if node._vjp is None:
             continue
         cts = node._vjp(g)
@@ -656,11 +661,7 @@ def backward_pass(loss: DiffTensor) -> dict:
             prev = grads.get(id(parent))
             grads[id(parent)] = pg if prev is None else prev + pg
         del cts     # an untracked operand's cotangent is dropped before the next VJP runs
-    out = {}
-    for node in tape._nodes:
-        if node.name is not None and node.grad is not None:
-            out[node.name] = node.grad
-    return out
+    return dict(reversed(named))
 
 
 def finite_diff_check(fn, params):

@@ -229,8 +229,6 @@ def dkl_forward(weights, X) -> DiffTensor:
     and weight gradients flow through when the LML is differentiated.
     """
     h = as_tensor(X)
-    if h.value.ndim == 1:
-        h = de.reshape(h, (h.value.shape[0], 1))
     for i, (Wl, bl) in enumerate(weights):
         Wl, bl = as_tensor(Wl), as_tensor(bl)
         if h.value.shape[1] != Wl.value.shape[0]:

@@ -19,24 +19,25 @@ from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import _MODEL_KEYS_READ, ExperimentConfig, _make_model, _normalize, gen_cubic_toy
 
 
-def synthetic_200(seed=0):
-    """Acceptance criterion 14's data: 200 train / 20 test points, D=5."""
+def synthetic_200(seed=0, D=5):
+    """Acceptance criterion 14's data: 200 train / 20 test points, D=5 (or
+    D) inputs."""
     rng = np.random.default_rng(seed)
-    X = rng.uniform(-2, 2, (220, 5))
-    w = rng.standard_normal(5)
+    X = rng.uniform(-2, 2, (220, D))
+    w = rng.standard_normal(D)
     y = np.sin(X @ w / 2.0) + 0.3 * X[:, 0] + 0.1 * rng.standard_normal(220)
     return _normalize(X[:200], y[:200], X[200:], y[200:])
 
 
 def configurations():
-    """(label, dataset, config) for each fingerprinted configuration."""
+    """(data, dataset, config) for each fingerprinted configuration."""
     kinds = sorted(_MODEL_KEYS_READ)
     for data, ds, M in [("cubic-toy", gen_cubic_toy(0), 10), ("criterion-14", synthetic_200(0), 20)]:
         runs = [(k, "neal") for k in kinds if not (k == "blr" and data == "criterion-14")]
         for kind, prior in runs + [("bnn-gi", "scale")]:
             cfg = ExperimentConfig(model=kind, depth=3 if kind.startswith("dwp") else 2,
                                    widths=(5, 5), M=M, prior=prior)
-            yield f"{data} {kind} prior={prior}", ds, cfg
+            yield data, ds, cfg
 
 
 def fingerprint(ds, cfg) -> str:
@@ -59,8 +60,8 @@ def fingerprint(ds, cfg) -> str:
 
 
 def main():
-    for label, ds, cfg in configurations():
-        print(fingerprint(ds, cfg), label)
+    for data, ds, cfg in configurations():
+        print(fingerprint(ds, cfg), data, cfg.model, f"prior={cfg.prior}")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from scipy.special import multigammaln
 from deepbayes import diff_engine as de
 from deepbayes import gp_models as gm
 from deepbayes import rand_dist as rd
-from deepbayes.deep_models import PriorSpec, _prior_precision_scalar, _scalar_root
+from deepbayes.deep_models import PriorSpec, _prior_precision_scalar
 from deepbayes.diff_engine import DiffTensor, as_tensor
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag
 from deepbayes.rand_dist import RngStream
@@ -542,6 +542,11 @@ def svgp_collapsed_bound(state: gm.SvgpState, X, y):
 
 
 # -- the global-inducing posterior from generic ops ------------------------------------
+
+def _scalar_root(L) -> bool:
+    """A root of shape (), (1, 1) or (S, 1, 1) is the scalar root L I."""
+    return L.value.ndim < 2 or L.value.shape[-2:] == (1, 1)
+
 
 def gi_posterior(L, A, log_lambda, V):
     """Global-inducing posterior of BNN weights and of GP inducing outputs.

@@ -22,6 +22,7 @@ from deepbayes.diff_engine import as_tensor
 from deepbayes.kernels import KernelParams, se_ard_features
 
 import oracles
+from fingerprint import synthetic_200
 
 
 def _report(num, msg):
@@ -601,19 +602,10 @@ def test_criterion_13_global_inducing_beats_factorised_bnn():
 
 # -- 14: Gram-layer variants do not hurt ---------------------------------------------
 
-def _synthetic_200(seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-2, 2, (220, 5))
-    w = rng.standard_normal(5)
-    y = (np.sin(X @ w / 2.0) + 0.3 * X[:, 0]
-         + 0.1 * rng.standard_normal(220))
-    return bc._normalize(X[:200], y[:200], X[200:], y[200:])
-
-
 @pytest.mark.slow
 def test_criterion_14_variant_final_bounds_at_least_base():
     t0 = time.monotonic()
-    ds = _synthetic_200(0)
+    ds = synthetic_200(0)
     n = ds.X_train.shape[0]
     finals = {"base": [], "A": [], "AB": []}
     for seed in range(3):

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg as sla
 
 import oracles
+from counts import engine_calls
+from fingerprint import synthetic_200
 
 from deepbayes import bench_cli as bc
 from deepbayes import deep_models as dm
@@ -19,16 +21,6 @@ from deepbayes.kernels import KernelParams, _se_kdiag, se_ard_features
 # every Monte-Carlo kind, and the BNN whose prior scale is sampled per draw
 MC_KINDS = ["bnn-gi", "bnn-fac", "dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab",
             "bnn-gi/scale", "bnn-fac/scale"]
-
-
-def _synthetic_200(seed=0, D=5):
-    """Acceptance criterion 14's data: 200 train / 20 test points, D=5
-    (or D) inputs."""
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-2, 2, (220, D))
-    w = rng.standard_normal(D)
-    y = np.sin(X @ w / 2.0) + 0.3 * X[:, 0] + 0.1 * rng.standard_normal(220)
-    return bc._normalize(X[:200], y[:200], X[200:], y[200:])
 
 
 def _model(kind, ds):
@@ -74,7 +66,7 @@ def _value_grads_nodes(objective, params):
 
 @pytest.mark.parametrize("kind", MC_KINDS)
 def test_batched_objective_and_gradients_match_the_per_sample_loop(kind):
-    ds = _synthetic_200(0)
+    ds = synthetic_200(0)
     model = _model(kind, ds)
     params = _params(model)
     # rows past the first M: none coincides with an inducing input, whose
@@ -95,7 +87,7 @@ def test_batched_objective_and_gradients_match_the_per_sample_loop(kind):
 
 @pytest.mark.parametrize("kind", MC_KINDS)
 def test_tape_nodes_per_objective_do_not_grow_with_samples(kind):
-    ds = _synthetic_200(0)
+    ds = synthetic_200(0)
     model = _model(kind, ds)
     params = model.init_params()
     nodes = [_value_grads_nodes(lambda p: model.objective(
@@ -105,7 +97,7 @@ def test_tape_nodes_per_objective_do_not_grow_with_samples(kind):
 
 
 def test_predictive_samples_match_the_per_sample_loop():
-    ds = _synthetic_200(0)
+    ds = synthetic_200(0)
     model = _model("dwp", ds)
     params = _params(model)
     got = model.predictive_samples(params, ds.X_test, rd.RngStream(4), 5)
@@ -135,7 +127,7 @@ def test_each_draw_site_gives_sample_s_the_same_numbers_at_S_and_2S(kind, monkey
 
     for name in ("normal", "standard_gamma"):
         monkeypatch.setattr(rd.RngStream, name, recorded(getattr(rd.RngStream, name)))
-    ds = _synthetic_200(0)
+    ds = synthetic_200(0)
     model = _model(kind, ds)
     params = _params(model)
     p = {k: as_tensor(v) for k, v in params.items()}
@@ -216,22 +208,6 @@ def _spd_stack(rng, S, n, ill=None):
     return out
 
 
-class _LapackCalls:
-    """Counts of de._TRTRS and de._TRTRI calls."""
-
-    def __init__(self, monkeypatch):
-        self.trtrs = self.trtri = 0
-        for name in ("trtrs", "trtri"):
-            handle = getattr(de, "_" + name.upper())
-            monkeypatch.setattr(de, "_" + name.upper(), self._counted(name, handle))
-
-    def _counted(self, name, handle):
-        def call(*args, **kwargs):
-            setattr(self, name, getattr(self, name) + 1)
-            return handle(*args, **kwargs)
-        return call
-
-
 def _solve_objective(S, B, P):
     """A forward solve and its transpose against one stack of factors, so
     the forward, the solve's VJP and the Cholesky VJP all solve against
@@ -255,11 +231,11 @@ def test_an_ill_conditioned_stack_keeps_the_trtrs_loop(monkeypatch):
     L1 = np.linalg.cholesky(S[1])
     assert (np.abs(L1).sum(axis=0).max() * np.abs(np.linalg.inv(L1)).sum(axis=0).max()
             > de._MAX_COND)
-    calls = _LapackCalls(monkeypatch)
-    value, grads, factor = _solve_objective(S, B, P)
+    with engine_calls() as calls:
+        value, grads, factor = _solve_objective(S, B, P)
     assert factor.inv is None
-    assert calls.trtri == 3             # built once to be checked, then dropped
-    assert calls.trtrs == 3 * 6         # forward and VJP per solve, 2 in the Cholesky VJP
+    assert calls["trtri"] == 3          # built once to be checked, then dropped
+    assert calls["trtrs"] == 3 * 6      # forward and VJP per solve, 2 in the Cholesky VJP
     monkeypatch.setattr(de, "_tri_inverse", lambda L: None)
     ref_value, ref_grads, _ = _solve_objective(S, B, P)
     assert np.array_equal(value, ref_value)
@@ -274,9 +250,9 @@ def test_a_well_conditioned_stack_is_inverted_once(monkeypatch):
     rng = np.random.default_rng(5)
     S = _spd_stack(rng, 3, 6)
     B, P = rng.standard_normal((6, 2)), rng.standard_normal((3, 6, 2))
-    calls = _LapackCalls(monkeypatch)
-    value, grads, factor = _solve_objective(S, B, P)
-    assert (calls.trtri, calls.trtrs) == (3, 0)
+    with engine_calls() as calls:
+        value, grads, factor = _solve_objective(S, B, P)
+    assert (calls["trtri"], calls["trtrs"]) == (3, 0)
     assert factor.inv.shape == (3, 6, 6)
     monkeypatch.setattr(de, "_tri_inverse", lambda L: None)
     ref_value, ref_grads, _ = _solve_objective(S, B, P)
@@ -285,18 +261,18 @@ def test_a_well_conditioned_stack_is_inverted_once(monkeypatch):
         assert np.max(np.abs(grads[k] - ref_grads[k])) <= 1e-12 * np.max(np.abs(ref_grads[k])), k
 
 
-def test_factors_not_solved_against_or_single_build_no_inverse(monkeypatch):
+def test_factors_not_solved_against_or_single_build_no_inverse():
     rng = np.random.default_rng(6)
-    calls = _LapackCalls(monkeypatch)
-    # a stack read only through its diagonal, as a log-determinant
-    L = de.cholesky_factor(_spd_stack(rng, 3, 6))
-    de.log_diag_sum(L, 2.0)
-    assert L._factor.inv is None and calls.trtri == 0
-    # a single matrix is solved by trtrs, forward and backward
-    _, _, factor = _solve_objective(_spd_stack(rng, 1, 6)[0], rng.standard_normal((6, 2)),
-                                    rng.standard_normal((6, 2)))
+    with engine_calls() as calls:
+        # a stack read only through its diagonal, as a log-determinant
+        L = de.cholesky_factor(_spd_stack(rng, 3, 6))
+        de.log_diag_sum(L, 2.0)
+        assert L._factor.inv is None and calls["trtri"] == 0
+        # a single matrix is solved by trtrs, forward and backward
+        _, _, factor = _solve_objective(_spd_stack(rng, 1, 6)[0], rng.standard_normal((6, 2)),
+                                        rng.standard_normal((6, 2)))
     assert factor.inv is None
-    assert (calls.trtri, calls.trtrs) == (0, 6)
+    assert (calls["trtri"], calls["trtrs"]) == (0, 6)
 
 
 def test_stacked_factorisation_gradients_match_finite_differences():
@@ -339,7 +315,7 @@ def test_dsvi_tape_nodes_do_not_grow_with_layer_width():
     # layer 0 of a depth-2 DSVI DGP is as wide as the inputs
     nodes = []
     for D in (2, 5):
-        ds = _synthetic_200(0, D=D)
+        ds = synthetic_200(0, D=D)
         model = _model("dgp-dsvi", ds)
         nodes.append(_value_grads_nodes(lambda p: model.objective(
             p, ds.X_train, ds.y_train, 200, 3, rd.RngStream(5), 1.0), model.init_params())[2])

@@ -8,13 +8,12 @@ import yaml
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
-from deepbayes.bench_cli import (_MODEL_KEYS_READ, BlrViModel, Dataset, ExperimentConfig,
-                                 _make_model, gen_cubic_toy, gen_deep_linear, load_csv, main,
-                                 run_experiment)
-from deepbayes.models import BnnModel, DgpModel, DwpModel
-from deepbayes.train import TrainConfig, _loss_and_grads, train_loop
+from deepbayes.bench_cli import (_MODEL_KEYS_READ, BlrViModel, ExperimentConfig, _make_model,
+                                 gen_cubic_toy, gen_deep_linear, load_csv, main, run_experiment)
+from deepbayes.models import BnnModel, DgpModel
+from deepbayes.train import TrainConfig, train_loop
 
-from fingerprint import synthetic_200 as _synthetic_200
+from fingerprint import synthetic_200
 from oracles import exact_lml, mvn_log_density
 
 
@@ -266,129 +265,26 @@ def test_closed_form_models_write_bands(tmp_path, kind):
         assert np.all(lo <= hi)
 
 
-# -- factorisations per objective ----------------------------------------------------
-
-def test_factorisations_per_objective(monkeypatch):
-    """Each matrix is factorised once per layer per sample, and matrices that
-    depend only on the parameters and the batch (the first layer's) once per
-    objective. Counted in matrices at _chol_in_place, which every
-    factorisation runs: a call on a stack of S counts S."""
-    calls = []
-    chol = de._chol_in_place
-    monkeypatch.setattr(de, "_chol_in_place",
-                        lambda s, op: calls.append(int(np.prod(s.shape[:-2]))) or chol(s, op))
-    ds = gen_cubic_toy(0)
-    S = 3
-    expected = {
-        # one per global-inducing layer (3 layers); layer 0's once
-        "bnn-gi": 1 + 2 * S,
-        # K_uu and I + L^T Lambda L per layer (2 layers); layer 0's once
-        "dgp-gi": 2 + 2 * S,
-        # K_zz once per layer; the marginals and the KL reuse its factor
-        "dgp-dsvi": 2,
-        # per Gram layer (2): prior scale and mixed scale, the first layer's
-        # once; the Wishart densities read the sampled root; then 2 in the
-        # output layer
-        "dwp": 2 + 4 * S,
-        # as dwp: the leading block of (A T B)(A T B)^T enters log p and
-        # log q alike, so its log-det is not formed
-        "dwp-a": 2 + 4 * S,
-        "svgp": 1,              # K_zz, for both the marginals and the KL
-        "gp": 1,                # K + s2 I; the Gaussian density reads its factor
-        "blr": 0,               # the KL works on the roots it is given
-    }
-    for kind, n in expected.items():
-        cfg = ExperimentConfig(model=kind, depth=3 if kind.startswith("dwp") else 2,
-                               widths=(5, 5), M=10)
-        model = _make_model(cfg, ds)
-        p = {k: de.as_tensor(v) for k, v in model.init_params().items()}
-        calls.clear()
-        model.objective(p, ds.X_train, ds.y_train, 40, S, rd.RngStream(0), 1.0)
-        assert sum(calls) == n, kind
-
-
-def test_triangular_lapack_calls_per_objective(monkeypatch):
-    """LAPACK trtrs and trtri calls of one objective and its backward at the
-    benchmark's S=10. A stack of factors is inverted on its first solve, one
-    trtri per member, and every solve against it is then a matmul; single
-    factors keep one trtrs per matrix. On criterion 14's data every stack
-    passes the condition check; on cubic-toy (M=10) the stacks of K_uu
-    factors fail it and go back to trtrs. Before the inverses every count
-    here was trtrs: dgp-gi 128, dwp 246 and bnn-gi 84, on both datasets."""
-    calls = {"trtrs": 0, "trtri": 0}
-
-    def counted(name, handle):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return handle(*args, **kwargs)
-        return call
-
-    monkeypatch.setattr(de, "_TRTRS", counted("trtrs", de._TRTRS))
-    monkeypatch.setattr(de, "_TRTRI", counted("trtri", de._TRTRI))
-    expected = {    # (trtrs, trtri)
-        ("criterion-14", "dgp-gi"): (10, 20),
-        ("criterion-14", "dwp"): (10, 40),
-        ("criterion-14", "bnn-gi"): (6, 20),
-        ("cubic-toy", "dgp-gi"): (68, 20),
-        ("cubic-toy", "dwp"): (130, 40),
-        ("cubic-toy", "bnn-gi"): (6, 20),
-    }
-    for (data, kind), want in expected.items():
-        ds, M = (_synthetic_200(0), 20) if data == "criterion-14" else (gen_cubic_toy(0), 10)
-        cfg = ExperimentConfig(model=kind, depth=3 if kind.startswith("dwp") else 2,
-                               widths=(5, 5), M=M)
-        model = _make_model(cfg, ds)
-        calls.update(trtrs=0, trtri=0)
-        with de.Tape() as tape:
-            p = {k: tape.param(v, k) for k, v in model.init_params().items()}
-            de.backward_pass(model.objective(p, ds.X_train, ds.y_train, len(ds.y_train), 10,
-                                             rd.RngStream(0), 1.0))
-        assert (calls["trtrs"], calls["trtri"]) == want, (data, kind)
-
-
-def test_lift_calls_per_step_at_the_benchmark_shapes(monkeypatch):
-    """Tape ops (lift calls) of one training step, the objective, the loss
-    negation and the backward, at the shapes of two benchmark workloads:
-    dwp-s10 (criterion 14's data, 2 Gram layers, M=20, S=10) and
-    dgp-gi-mb200 (deep-linear data, a batch of 200 of 1000 rows, depth 2,
-    M=20, S=10). Before the global-inducing draw was one node they read 148
-    and 79."""
-    calls = []
-    lift = de.lift
-    counted = lambda *args: calls.append(args[-1]) or lift(*args)
-    monkeypatch.setattr(de, "lift", counted)
-    monkeypatch.setattr(rd, "lift", counted)
-    dwp_data, dgp_data = _synthetic_200(0), gen_deep_linear(0)
-    for model, ds, rows, want in [
-            (DwpModel(dwp_data, n_gram_layers=2, M=20), dwp_data, 200, 133),
-            (DgpModel(dgp_data, posterior="gi", depth=2, M=20), dgp_data, 200, 49)]:
-        calls.clear()
-        _loss_and_grads(model, model.init_params(), ds.X_train[:rows], ds.y_train[:rows],
-                        len(ds.y_train), 10, rd.RngStream(0), 1.0)
-        assert len(calls) == want, (type(model).__name__, len(calls))
-
-
 # Objective at the init params (cubic-toy, S=3, kl_scale 0.7, RngStream(123)),
 # held to 1e-10 relative so that a refactor keeps every Monte-Carlo model's
-# values, and tape nodes per objective, counted inside the tape block, held
-# exactly so that graph growth shows; the samples run as one stacked forward,
-# so the count does not grow with S. The DWP values read each Gram layer's
-# prior density from the sampled root; at 60 digits their density error is
+# values; their tape nodes are pinned in tests/counts.txt (`cubic-toy <kind>
+# M=10 S=3 objective nodes`). The DWP values read each Gram layer's prior
+# density from the sampled root; at 60 digits their density error is
 # 1e-6, against 6e-3 for the G-based form they replaced. svgp is the one
 # closed-form caller of the sparse-GP marginals that DSVI layers share.
 # dgp-gi, dgp-dsvi, svgp and the dwp kinds start from a K_uu that is singular
 # to working precision (cond 7e14), so a rounding-level change in a factor
 # moves them well beyond rounding; CHANGES.md records each re-pin.
 PINNED_OBJECTIVES = {
-    "blr": (-590.9001790017147, 29),
-    "bnn-gi": (-273.723334340322, 46),
-    "bnn-fac": (-441.92053635610716, 52),
-    "dgp-gi": (-83.22007032052232, 58),
-    "dgp-dsvi": (-15429043117.487757, 112),
-    "svgp": (-4558421318340.829, 54),
-    "dwp": (-4801675787.394119, 151),
-    "dwp-a": (-4801675787.394119, 177),
-    "dwp-ab": (-4801675787.394119, 195),
+    "blr": -590.9001790017147,
+    "bnn-gi": -273.723334340322,
+    "bnn-fac": -441.92053635610716,
+    "dgp-gi": -83.22007032052232,
+    "dgp-dsvi": -15429043117.487757,
+    "svgp": -4558421318340.829,
+    "dwp": -4801675787.394119,
+    "dwp-a": -4801675787.394119,
+    "dwp-ab": -4801675787.394119,
 }
 
 
@@ -401,34 +297,33 @@ def test_monte_carlo_objective_and_tape_nodes_are_pinned(kind):
     with de.Tape() as tape:
         p = {k: tape.param(v, k) for k, v in model.init_params().items()}
         value = model.objective(p, ds.X_train, ds.y_train, 40, 3, rd.RngStream(123), 0.7).value
-        nodes = len(tape._nodes)
-    want, want_nodes = PINNED_OBJECTIVES[kind]
+    want = PINNED_OBJECTIVES[kind]
     assert abs(float(value) - want) <= 1e-10 * abs(want)
-    assert nodes == want_nodes
 
 
-# Objective, global gradient norm and tape nodes per objective on criterion
-# 14's data (M=20, widths (5, 5)) at init + 0.05 N(0, 1) from default_rng(1),
-# S=3, kl_scale 0.7, RngStream(123). The first layer's K_uu has condition
-# number 7 here (7e14 on cubic-toy), so unlike PINNED_OBJECTIVES these values
-# move only by rounding under a change that keeps them in exact arithmetic.
+# Objective and global gradient norm on criterion 14's data (M=20, widths
+# (5, 5)) at init + 0.05 N(0, 1) from default_rng(1), S=3, kl_scale 0.7,
+# RngStream(123); tape nodes as in `criterion-14 <kind> M=20 S=3 objective
+# nodes` of tests/counts.txt. The first layer's K_uu has condition number 7
+# here (7e14 on cubic-toy), so unlike PINNED_OBJECTIVES these values move
+# only by rounding under a change that keeps them in exact arithmetic.
 PINNED_WELL_CONDITIONED = {
-    "bnn-gi": (-1774.7266382485793, 17729.844616084654, 46),
-    "bnn-fac": (-1726.224886770709, 15882.249422212511, 52),
-    "dgp-gi": (-3095.7527198610937, 30962.382784344485, 58),
-    "dgp-dsvi": (-3246.1194487351763, 32460.913802845505, 112),
-    "svgp": (-1315.7364604842587, 1359.9896318138508, 54),
-    "dwp": (-3215.2503793601145, 31995.43582484086, 151),
-    "dwp-a": (-3247.81413327154, 32360.755405149815, 177),
-    "dwp-ab": (-3196.8532830068575, 31790.6051341246, 195),
-    "gp": (-189.88369863626264, 70.40262624672695, 7),
-    "dkl": (-659.9294929191087, 1009.4387090354612, 21),
+    "bnn-gi": (-1774.7266382485793, 17729.844616084654),
+    "bnn-fac": (-1726.224886770709, 15882.249422212511),
+    "dgp-gi": (-3095.7527198610937, 30962.382784344485),
+    "dgp-dsvi": (-3246.1194487351763, 32460.913802845505),
+    "svgp": (-1315.7364604842587, 1359.9896318138508),
+    "dwp": (-3215.2503793601145, 31995.43582484086),
+    "dwp-a": (-3247.81413327154, 32360.755405149815),
+    "dwp-ab": (-3196.8532830068575, 31790.6051341246),
+    "gp": (-189.88369863626264, 70.40262624672695),
+    "dkl": (-659.9294929191087, 1009.4387090354612),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_WELL_CONDITIONED))
 def test_well_conditioned_objective_gradient_and_tape_nodes_are_pinned(kind):
-    ds = _synthetic_200(0)
+    ds = synthetic_200(0)
     cfg = ExperimentConfig(model=kind, depth=3 if kind.startswith("dwp") else 2,
                            widths=(5, 5), M=20)
     model = _make_model(cfg, ds)
@@ -438,17 +333,15 @@ def test_well_conditioned_objective_gradient_and_tape_nodes_are_pinned(kind):
     with de.Tape() as tape:
         p = {k: tape.param(v, k) for k, v in params.items()}
         value = model.objective(p, ds.X_train, ds.y_train, 200, 3, rd.RngStream(123), 0.7)
-        nodes = len(tape._nodes)
         grads = de.backward_pass(value)
     gnorm = float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
-    want, want_gnorm, want_nodes = PINNED_WELL_CONDITIONED[kind]
+    want, want_gnorm = PINNED_WELL_CONDITIONED[kind]
     assert abs(float(value.value) - want) <= 1e-10 * abs(want)
     assert abs(gnorm - want_gnorm) <= 1e-10 * want_gnorm
-    assert nodes == want_nodes
 
 
 def test_svgp_kl_scale_scales_exactly_its_kl():
-    ds = _synthetic_200(0)
+    ds = synthetic_200(0)
     model = _make_model(ExperimentConfig(model="svgp", M=20), ds)
     rng = np.random.default_rng(1)
     params = {k: v + 0.05 * rng.standard_normal(np.shape(v))
@@ -476,7 +369,7 @@ def test_streams_build_one_generator_per_draw_site(monkeypatch):
             philox.append(self)
 
     monkeypatch.setattr(np.random, "Philox", CountingPhilox)
-    ds = _synthetic_200(0)      # the dwp-s10 shape: 2 Gram layers, M=20, n=200, S=10
+    ds = synthetic_200(0)      # the dwp-s10 shape: 2 Gram layers, M=20, n=200, S=10
     model = _make_model(ExperimentConfig(model="dwp", depth=3, widths=(5, 5), M=20), ds)
     params = model.init_params()
     with de.Tape() as tape:

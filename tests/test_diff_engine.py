@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from deepbayes import diff_engine as de
 
+from counts import engine_calls, reached
+from fingerprint import synthetic_200
 from oracles import getitem, logdet_psd
 
 
@@ -127,25 +129,21 @@ def test_cholesky_failure_names_the_pivot():
         de.cholesky_factor(np.diag([1.0, -1.0]))
 
 
-def test_jitter_ladder_factorisation_counts(monkeypatch):
+def test_jitter_ladder_factorisation_counts():
     # a rank-deficient 6 x 6 takes the plain attempt and the first rung; a
     # 300 x 300 with a negative pivot fails the plain attempt and all 14
     # rungs (1e-8 doubling to 1e-4), and one more factorisation locates
     # the pivot
-    counts = []
-    chol, potrf = np.linalg.cholesky, de._POTRF
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: counts.append(1) or chol(a))
-    monkeypatch.setattr(de, "_POTRF", lambda *a, **k: counts.append(1) or potrf(*a, **k))
     R = np.random.default_rng(0).standard_normal((6, 3))
-    L = de._chol_with_jitter(R @ R.T, "test")
+    with engine_calls() as calls:
+        L = de._chol_with_jitter(R @ R.T, "test")
     assert np.max(np.abs(L @ L.T - R @ R.T)) < 1e-6
-    assert len(counts) == 2
-    counts.clear()
+    assert calls["potrf"] == 2
     d = np.ones(300)
     d[149] = -1.0
-    with pytest.raises(np.linalg.LinAlgError, match="pivot 150 of 300"):
+    with engine_calls() as calls, pytest.raises(np.linalg.LinAlgError, match="pivot 150 of 300"):
         de._chol_with_jitter(np.diag(d), "test")
-    assert len(counts) == 16
+    assert calls["potrf"] == 16
 
 
 def test_factors_are_fortran_ordered_per_matrix():
@@ -157,7 +155,7 @@ def test_factors_are_fortran_ordered_per_matrix():
 
 
 @pytest.mark.parametrize("climb", [False, True])
-def test_factors_other_triangle_is_positive_zero(climb, monkeypatch):
+def test_factors_other_triangle_is_positive_zero(climb):
     # a stack of two matrices with negative off-diagonal entries, the second
     # of rank 3 when the ladder is climbed; the strict upper triangle of
     # every factor is +0.0, as potrf's clean wrote it, never -0.0
@@ -166,50 +164,41 @@ def test_factors_other_triangle_is_positive_zero(climb, monkeypatch):
         R[1, :, 3:] = 0.0
     S = R @ np.swapaxes(R, -1, -2)
     assert (S < 0).any()
-    calls = []
-    potrf = de._POTRF
-    monkeypatch.setattr(de, "_POTRF", lambda *a, **k: calls.append(1) or potrf(*a, **k))
-    for L in (de._chol_with_jitter(S, "test"), de.cholesky_factor(S).value):
+    with engine_calls() as calls:
+        factors = (de._chol_with_jitter(S, "test"), de.cholesky_factor(S).value)
+    for L in factors:
         upper = L[..., ~np.tri(6, dtype=bool)]
         assert np.all(upper == 0.0) and not np.signbit(upper).any()
         assert np.max(np.abs(L @ np.swapaxes(L, -1, -2) - S)) < 1e-6
-    assert len(calls) == (6 if climb else 4)    # each climb: the plain attempt and one rung
-
-
-def _counted_trtrs(monkeypatch):
-    calls = []
-    trtrs = de._TRTRS
-    monkeypatch.setattr(de, "_TRTRS", lambda *a, **kw: calls.append(1) or trtrs(*a, **kw))
-    return calls
+    assert calls["potrf"] == (6 if climb else 4)    # each climb: the plain attempt and one rung
 
 
 @pytest.mark.parametrize("k", [2, 5, 20])
 @pytest.mark.parametrize("trans", [False, True])
-def test_one_factor_solves_a_stack_of_right_hand_sides_in_one_call(k, trans, monkeypatch):
+def test_one_factor_solves_a_stack_of_right_hand_sides_in_one_call(k, trans):
     # the merged call against the loop of one call per member, for a
     # Fortran-ordered factor (as cholesky_factor makes) and a C-ordered one
     rng = np.random.default_rng(k)
     n, S = 9, 6
     b = rng.standard_normal((S, n, k))
-    calls = _counted_trtrs(monkeypatch)
     for L in (np.asfortranarray(np.linalg.cholesky(_spd(rng, n))),
               np.tril(rng.standard_normal((n, n))) + 3.0 * np.eye(n)):
         want = np.stack([de._trtrs(L, bi, trans) for bi in b])
-        calls.clear()
-        x = de._solve_tri(L, b, trans)
-        assert len(calls) == 1
+        with engine_calls() as calls:
+            x = de._solve_tri(L, b, trans)
+        assert calls["trtrs"] == 1
         assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
         assert x[0].flags.f_contiguous     # Fortran-ordered matrices, as the loop leaves them
 
 
-def test_one_column_right_hand_sides_keep_one_call_per_member(monkeypatch):
+def test_one_column_right_hand_sides_keep_one_call_per_member():
     # LAPACK takes another path for one column, so merging them would move
     # the rounding of every one-column solve
     rng = np.random.default_rng(3)
     L = np.linalg.cholesky(_spd(rng, 5))
-    calls = _counted_trtrs(monkeypatch)
-    de._solve_tri(L, rng.standard_normal((4, 5, 1)), False)
-    assert len(calls) == 4
+    with engine_calls() as calls:
+        de._solve_tri(L, rng.standard_normal((4, 5, 1)), False)
+    assert calls["trtrs"] == 4
 
 
 def _factors_under_noise(rng, shape):
@@ -269,6 +258,7 @@ def test_blocked_inverse_rejects_factors_it_cannot_address():
     for bad in (L, ro, np.asfortranarray(L, dtype=np.float32), np.asfortranarray(L[:, :4])):
         with pytest.raises(ValueError, match="in op 'test'$"):
             de._potri(bad, "test")
+    assert not hasattr(de, "_POTRI")    # the blocked inverse replaced LAPACK potri
 
 
 @pytest.mark.parametrize("shape,entry", [((600, 600), (10, 590)), ((600, 600), (590, 10)),
@@ -352,20 +342,17 @@ def test_node_keeps_only_its_tracked_operands():
         grads = de.backward_pass(de.tsum(total))
     assert [(q is p, k) for q, k in prod._parents] == [(True, 0)]
     assert [(q is prod, k) for q, k in total._parents] == [(True, 1)]
-    assert const.grad is None and list(grads) == ["p"]
+    assert list(grads) == ["p"]
     assert np.array_equal(grads["p"], np.ones((2, 2)) @ c.T)
 
 
 def test_each_reached_vjp_runs_once_per_backward_pass():
     # one VJP per node: on a DWP objective at S=10 (the dwp-s10 shape: two
-    # Gram layers, M=20, n=200, D=5) every op node the loss reaches runs its
-    # VJP exactly once, and no other node runs one
+    # Gram layers, M=20, criterion 14's data) every op node the loss reaches
+    # runs its VJP exactly once, and no other node runs one
     from deepbayes import rand_dist as rd
-    from deepbayes.bench_cli import Dataset, ExperimentConfig, _make_model
-    rng = np.random.default_rng(0)
-    X = rng.uniform(-2, 2, (200, 5))
-    y = np.sin(X @ rng.standard_normal(5) / 2.0)
-    ds = Dataset(X_train=X, y_train=y, X_test=X[:5], y_test=y[:5])
+    from deepbayes.bench_cli import ExperimentConfig, _make_model
+    ds = synthetic_200(0)
     model = _make_model(ExperimentConfig(model="dwp", depth=3, M=20), ds)
     calls = []
 
@@ -379,19 +366,23 @@ def test_each_reached_vjp_runs_once_per_backward_pass():
 
     with de.Tape() as t:
         p = {k: t.param(v, k) for k, v in model.init_params().items()}
-        loss = model.objective(p, X, y, 200, 10, rd.RngStream(123), 1.0)
-        reached, todo = set(), [loss]
-        while todo:
-            node = todo.pop()
-            if node._vjp is not None and id(node) not in reached:
-                reached.add(id(node))
-                todo.extend(q for q, _ in node._parents)
+        loss = model.objective(p, ds.X_train, ds.y_train, 200, 10, rd.RngStream(123), 1.0)
         for node in t._nodes:
             if node._vjp is not None:
                 node._vjp = counted(node)
         de.backward_pass(loss)
-    assert len(calls) == len(set(calls)) == len(reached) == 128
-    assert set(calls) == reached
+    assert len(calls) == len(set(calls)) and set(calls) == reached(loss)
+
+
+def test_backward_pass_returns_only_what_its_loss_reaches():
+    # two passes on one tape: the second returns no gradient of the first's
+    # parameter that it does not reach, and the gradients of its own
+    with de.Tape() as t:
+        a, b = t.param(np.asarray(2.0), "a"), t.param(np.asarray(1.0), "b")
+        first = de.backward_pass(de.mul(a, b))
+        second = de.backward_pass(de.mul(a, a))
+    assert first == {"a": 1.0, "b": 2.0}
+    assert second == {"a": 4.0}
 
 
 @settings(max_examples=25, deadline=None)

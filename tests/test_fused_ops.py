@@ -494,17 +494,17 @@ def test_gwish_sample_and_logpdf_matches_reference(variant):
 # -- the global-inducing draw ---------------------------------------------------------------
 
 _GI_CASES = ("scalar root", "scalar root per sample", "single factor", "stacked factors",
-             "factor with A", "factor off the jitter ladder", "factor, increment unread")
+             "factor off the jitter ladder", "factor, increment unread")
 
 
 def _gi_case(case, rng):
     """(fused, reference, params) for _gi_draw on one of the roots it serves:
     a BNN layer's (1, 1) root (prior: neal) with A = psi_U, its (S, 1, 1) one
     (prior: scale) with a stacked psi_U, chol(K_uu) of a DGP's first layer
-    or stacked one per sample (deeper layers) with A = I, a factor with A
-    given, a factor of a K_uu that only the jitter ladder factorises
-    (rank M - 2, shifted by -1e-9 I), and a factor whose draw's increment
-    the objective does not read."""
+    or stacked one per sample (deeper layers) with A = I, a factor of a
+    K_uu that only the jitter ladder factorises (rank M - 2, shifted by
+    -1e-9 I), and a factor whose draw's increment the objective does not
+    read."""
     S, M, d, w = 3, 6, 4, 2
     params = {"lam": 0.5 * rng.standard_normal(M), "V": rng.standard_normal((M, w))}
     if case.startswith("scalar"):
@@ -518,14 +518,12 @@ def _gi_case(case, rng):
         ladder = case.endswith("ladder")
         params["R"] = rng.standard_normal((S if case == "stacked factors" else 1, M,
                                            M - 2 if ladder else M)) / np.sqrt(M)
-        if case == "factor with A":
-            params["A"] = rng.standard_normal((M, M))
 
         def operands(ps):
             K = de.matmul(ps["R"], de.transpose(ps["R"]))
             K = add_diagonal(K if case == "stacked factors" else de.reshape(K, (M, M)),
                              -1e-9 if ladder else 1.0)
-            return de.cholesky_factor(K), ps.get("A")
+            return de.cholesky_factor(K), None
 
     def objective(draw):
         def fn(ps):

@@ -13,6 +13,7 @@ from deepbayes.gp_models import (GpState, SvgpState, dkl_forward, gaussian_bump_
                                  gp_predict_lml, make_bump_centers, svgp_elbo)
 from deepbayes.kernels import KernelParams, _SeArd, se_ard_features
 
+from counts import engine_calls
 from oracles import (BlrState, blr_fit_predict_lml, gp_chain, mvn_log_density, prop31_check,
                      svgp_collapsed_bound)
 
@@ -204,17 +205,16 @@ def test_exact_lml_node_masks_clamped_distances_in_mirrored_tiles():
         assert np.linalg.norm(grads[k] - g) <= 1e-12 * np.linalg.norm(g), k
 
 
-def test_exact_lml_node_climbs_the_jitter_ladder_across_tiles(monkeypatch):
+def test_exact_lml_node_climbs_the_jitter_ladder_across_tiles():
     # a noise of e^-40 leaves K + s2 I singular to working precision, so
     # both factorise twice; the jittered factor is rebuilt from the strict
     # lower triangle of the node's buffer
     params, X, y = _duplicated_rows(-40.0)
-    calls = _count_calls(monkeypatch, "_POTRF")
-    val, grads = _state_lml_and_grads(params, X, y)
-    node_calls = len(calls)
-    calls.clear()
-    ref, ref_grads = _state_lml_and_grads(params, X, y, generic=True)
-    assert node_calls == len(calls) == 2
+    with engine_calls() as calls:
+        val, grads = _state_lml_and_grads(params, X, y)
+    with engine_calls() as ref_calls:
+        ref, ref_grads = _state_lml_and_grads(params, X, y, generic=True)
+    assert calls["potrf"] == ref_calls["potrf"] == 2
     assert abs(val - ref) <= 1e-6 * abs(ref)
     for k, g in ref_grads.items():
         assert np.linalg.norm(grads[k] - g) <= 1e-6 * np.linalg.norm(g), k
@@ -245,34 +245,24 @@ def _near_singular_gp():
     return GpState(log_noise=np.asarray(-40.0)), X, y
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap diff_engine's `name` so that each call appends to the list
-    returned."""
-    calls = []
-    fn = getattr(de, name)
-    monkeypatch.setattr(de, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
-    return calls
-
-
-def test_exact_lml_node_climbs_the_jitter_ladder_as_the_chain(monkeypatch):
+def test_exact_lml_node_climbs_the_jitter_ladder_as_the_chain():
     state, X, y = _near_singular_gp()
-    calls = _count_calls(monkeypatch, "_POTRF")
-    lml = gp_predict_lml(state, X, y)[2].value
-    node_calls = len(calls)
-    calls.clear()
-    ref = _chain(state, X, y)[2].value
-    assert node_calls == len(calls) == 2    # the plain attempt and the first rung
+    with engine_calls() as calls:
+        lml = gp_predict_lml(state, X, y)[2].value
+    with engine_calls() as ref_calls:
+        ref = _chain(state, X, y)[2].value
+    assert calls["potrf"] == ref_calls["potrf"] == 2    # the plain attempt and the first rung
     assert abs(lml - ref) <= 1e-12 * abs(ref)
 
 
-def test_exact_lml_buffer_keeps_the_kernel_after_a_climb(monkeypatch):
+def test_exact_lml_buffer_keeps_the_kernel_after_a_climb():
     # the node's buffer holds K's strict lower triangle after the ladder
     # rebuilt and factorised it, and the factor L^T in its upper triangle
     state, X, y = _near_singular_gp()
-    calls = _count_calls(monkeypatch, "_POTRF")
     kp, X = state.kernel_params, as_tensor(X)
-    se, kdiag, L, _, _ = gp_models._se_exact_fit(kp, state.noise_var(), X, as_tensor(y))
-    assert len(calls) == 2
+    with engine_calls() as calls:
+        se, kdiag, L, _, _ = gp_models._se_exact_fit(kp, state.noise_var(), X, as_tensor(y))
+    assert calls["potrf"] == 2
     K = _SeArd(kp, X, X, "test").K
     lower = np.tri(len(K), k=-1, dtype=bool)
     assert np.array_equal(se.K[lower], K[lower]) and np.array_equal(kdiag, np.diag(K))
@@ -310,7 +300,7 @@ def _well_conditioned_gp(log_lengthscales):
 
 @pytest.mark.parametrize("case, potrf_calls", [
     ("ard", 1), ("shared", 1), ("near-singular", 2)])
-def test_untaped_predictions_match_the_chain(case, potrf_calls, monkeypatch):
+def test_untaped_predictions_match_the_chain(case, potrf_calls):
     # ARD lengthscales, one shared lengthscale, and a kernel that needs the
     # jitter ladder; the variance is the chain covariance's diagonal, and a
     # tracked operand raises, since an untaped prediction would lose its
@@ -321,12 +311,11 @@ def test_untaped_predictions_match_the_chain(case, potrf_calls, monkeypatch):
         ls = np.linspace(-0.3, 0.4, 5) if case == "ard" else np.asarray(0.1)
         state, X, y = _well_conditioned_gp(ls)
     Xs = np.random.default_rng(21).standard_normal((7, X.shape[1]))
-    calls = _count_calls(monkeypatch, "_POTRF")
-    out = gp_predict_lml(state, X, y, X_star=Xs)
-    node_calls = len(calls)
-    calls.clear()
-    mean, cov, lml = _chain(state, X, y, X_star=Xs)
-    assert node_calls == len(calls) == potrf_calls
+    with engine_calls() as calls:
+        out = gp_predict_lml(state, X, y, X_star=Xs)
+    with engine_calls() as ref_calls:
+        mean, cov, lml = _chain(state, X, y, X_star=Xs)
+    assert calls["potrf"] == ref_calls["potrf"] == potrf_calls
     assert out[0]._tape is None and out[1].value.shape == (7,)
     for a, b in zip(out, (mean.value, np.diag(cov.value), lml.value)):
         assert np.max(np.abs(a.value - b)) <= 1e-10 * np.max(np.abs(b))
@@ -339,10 +328,11 @@ def test_untaped_predictions_match_the_chain(case, potrf_calls, monkeypatch):
 def test_evaluation_factorises_once_and_checks_no_symmetry(dkl_widths, monkeypatch):
     ds = gen_cubic_toy(0)
     model = GpLmlModel(ds, dkl_widths=dkl_widths)
-    potrf = _count_calls(monkeypatch, "_POTRF")
-    sym = _count_calls(monkeypatch, "_check_symmetric")
-    model.evaluate(model.init_params(), ds, rd.RngStream(0), 1)
-    assert (len(potrf), len(sym)) == (1, 0)
+    sym = []
+    monkeypatch.setattr(de, "_check_symmetric", lambda *a: sym.append(a))
+    with engine_calls() as calls:
+        model.evaluate(model.init_params(), ds, rd.RngStream(0), 1)
+    assert (calls["potrf"], len(sym)) == (1, 0)
 
 
 def test_exact_lml_node_raises_the_ladders_message(monkeypatch):
@@ -382,21 +372,6 @@ def test_exact_lml_node_runs_one_backward_pass():
         with pytest.raises(RuntimeError, match="'exact_gp_lml' consumed its factor"):
             de.backward_pass(lml)
     assert np.isfinite(first)
-
-
-def test_exact_gp_step_lapack_calls(monkeypatch):
-    # one LML objective and its backward at n = 1000: one potrf, and (L
-    # L^T)^{-1} by the blocked inverse (eight leaves of 125 rows, two trmm
-    # per split) and one lauum, with no potri and no f2py trtri
-    X = np.random.default_rng(5).standard_normal((1000, 2))
-    counts = {name: _count_calls(monkeypatch, name)
-              for name in ("_POTRF", "_DTRTRI", "_DTRMM", "_DLAUUM", "_TRTRI", "_TRTRS")}
-    with de.Tape() as tape:
-        state = GpState(log_noise=tape.param(np.asarray(-2.0), "log_noise"))
-        de.backward_pass(gp_predict_lml(state, X, np.sin(X[:, 0]))[2])
-    assert {k: len(v) for k, v in counts.items()} == {
-        "_POTRF": 1, "_DTRTRI": 8, "_DTRMM": 14, "_DLAUUM": 1, "_TRTRI": 0, "_TRTRS": 2}
-    assert not hasattr(de, "_POTRI")
 
 
 def test_exact_gp_step_peak_memory():
