@@ -1,16 +1,17 @@
 """Reference computations that only the tests call.
 
 The models never run these: they are the closed forms and plain samplers
-that the paper's propositions are checked against (Gaussian, matrix-normal
-and Bartlett samplers, indexing, the log-determinant by Cholesky, the
+that the paper's propositions are checked against (Gaussian and
+matrix-normal samplers, indexing, the log-determinant by Cholesky, the
 multivariate Gaussian, Wishart and inverse-Wishart densities, the
 generalized Wishart's Jacobians, matrix-normal conditioning, the Gram-matrix
 SE kernel, one sample's view of a stream with a sample count, a Wishart
-prior layer, the inducing-extension certificate, the BNN-as-DGP Gram, exact
-Bayesian linear regression, the optimal-signal-variance identity, the
-collapsed sparse-GP bound, the global-inducing posterior and its draw from
-generic ops, and the exact GP from generic ops for any kernel function). They are built from the same diff_engine ops as the library, so
-tests can differentiate through them.
+prior layer drawn by the models' Bartlett sampler, the inducing-extension
+certificate, the BNN-as-DGP Gram, exact Bayesian linear regression, the
+optimal-signal-variance identity, the collapsed sparse-GP bound, the
+global-inducing posterior and its draw from generic ops, and the exact GP
+from generic ops for any kernel function). They are built from the same
+diff_engine ops as the library, so tests can differentiate through them.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from deepbayes import gp_models as gm
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import PriorSpec, _prior_precision_scalar
 from deepbayes.diff_engine import DiffTensor, as_tensor
+from deepbayes.dwp import standard_bartlett_params
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag
 from deepbayes.rand_dist import RngStream
 
@@ -77,22 +79,6 @@ def matrix_normal_sample(mean, row_chol, col_chol, rng: RngStream) -> DiffTensor
     if col_chol is not None:
         out = de.matmul(out, de.transpose(as_tensor(col_chol)))
     return de.add(mean, out)
-
-
-def bartlett_sample(N: int, nu, rng: RngStream) -> np.ndarray:
-    """Standard (singular) Bartlett factor T, N x min(N, nu) and
-    lower-trapezoidal: T T^T ~ Wishart(I_N, nu)."""
-    nu_f = float(nu)
-    if nu_f < N and abs(nu_f - round(nu_f)) > 1e-12:
-        raise ValueError("singular Bartlett requires integer nu")
-    ntilde = int(min(round(nu_f), N)) if nu_f < N else N
-    T = np.zeros((N, ntilde))
-    j = np.arange(1, ntilde + 1)
-    T[j - 1, j - 1] = np.sqrt(2.0 * rng.standard_gamma(0.5 * (nu_f - j + 1.0)))
-    rows, cols = np.tril_indices(N, k=-1)
-    keep = cols < ntilde
-    T[rows[keep], cols[keep]] = rng.normal(int(keep.sum()))
-    return T
 
 
 # -- linear algebra ------------------------------------------------------------------
@@ -341,17 +327,17 @@ def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
 
 def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
                     nu_prev=None):
-    """One prior layer: G ~ Wishart(K(G_prev)/nu, nu), sampled via Bartlett.
+    """One prior layer: G ~ Wishart(K(G_prev)/nu, nu), drawn by the models'
+    Bartlett sampler (rand_dist._gwish_sample at the standard parameters,
+    one draw per sample of rng).
 
-    Returns (G, log_density, features) with features the sampled root."""
+    Returns (G, log_density, features) with features the sampled root and
+    the Wishart density read from it."""
     K = se_from_gram(kp, G_prev, nu_prev if nu_prev is not None else nu)
-    N = K.value.shape[0]
-    scale = de.elementwise("affine", K, a=1.0 / float(nu))
-    L = de.cholesky_factor(scale)
-    feat = de.matmul(L, as_tensor(bartlett_sample(N, nu, rng)))
-    G = de.matmul(feat, de.transpose(feat))
-    # the root L T is lower-trapezoidal, so its diagonal gives G's leading block
-    return G, rd._wishart_log_density_root(feat, L, nu, de.log_diag_sum(feat, 2.0)), feat
+    L = de.cholesky_factor(de.elementwise("affine", K, a=1.0 / float(nu)))
+    G, _, feat, ld_block, _ = rd._gwish_sample(
+        L, nu, *standard_bartlett_params(K.value.shape[0], nu), rng)
+    return G, rd._wishart_log_density_root(feat, L, nu, ld_block), feat
 
 
 def wishart_inducing_extension(Sigma_uu, sigma_us, sigma_ss, Psi_uu):

@@ -5,6 +5,7 @@ from scipy.linalg import solve_triangular
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
+from deepbayes.bench_cli import Dataset
 from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
                                    GiDgpLayer, PriorSpec, _gi_bnn_root, _gi_draw,
                                    bnn_forward,
@@ -13,7 +14,9 @@ from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
                                    gi_dgp_layer_sample, mc_elbo, scale_prior_terms)
 from deepbayes.gp_models import GpState, SvgpState, gp_predict_lml, svgp_elbo
 from deepbayes.kernels import KernelParams, se_ard_features
+from deepbayes.models import DgpModel
 
+from fingerprint import synthetic_200
 from oracles import bnn_as_dgp_gram, mvn_log_density, sample_rows
 
 
@@ -337,6 +340,33 @@ def test_gi_increment_is_the_log_density_ratio_at_the_draw(root):
         assert abs(inc.value[i] - want) <= 1e-10 * abs(want)
         np.testing.assert_allclose(LinvX.value[i], solve_triangular(Li, X.value[i], lower=True),
                                    rtol=1e-10, atol=1e-12)
+
+
+def test_gi_dgp_at_its_exact_optimum_reads_the_exact_lml():
+    # a depth-1 GI deep GP with Z = X, pseudo-observations V = y and
+    # precisions 1/s2 has the exact posterior as q(u), and f = u at the
+    # inputs, so each sample's log p(y | f) + log p(u) - log q(u) is the
+    # exact log marginal likelihood; conditional_sample's 1e-12 variance
+    # floor leaves a gap of order 1e-5 nats
+    full, n, s2 = synthetic_200(0), 30, 0.1
+    ds = Dataset(X_train=full.X_train[:n], y_train=full.y_train[:n],
+                 X_test=full.X_test, y_test=full.y_test)
+    model = DgpModel(ds, posterior="gi", depth=1, M=n)
+    p = model.init_params()
+    p.update(V0=ds.y_train[:, None].copy(), lam0=np.full(n, -np.log(s2)),
+             log_noise_s=np.asarray(np.log(s2) / 10))
+    gp = GpState(kernel_params=KernelParams(log_sf2=p["log_sf2_0"],
+                                            log_lengthscales=p["log_ls_0"]),
+                 log_noise=np.log(s2))
+    lml = gp_predict_lml(gp, ds.X_train, ds.y_train)[2].value
+
+    def objective(params, seed):
+        return model.objective(params, ds.X_train, ds.y_train, n, 1, rd.RngStream(seed),
+                               1.0).value
+
+    assert max(abs(objective(p, seed) - lml) for seed in range(20)) < 1e-4
+    # away from the optimum the bound is strictly below the LML
+    assert objective(dict(p, V0=0.5 * p["V0"]), 0) < lml - 1.0
 
 
 # -- doubly-stochastic DGP layers -----------------------------------------------------------

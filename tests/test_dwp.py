@@ -90,15 +90,9 @@ def test_prior_layer_moments():
     nu = 5
     K = se_from_gram(kp, G0, nu0).value
     n = 30_000
-    stream = rd.RngStream(7)
-    acc = np.zeros_like(K)
-    acc2 = np.zeros_like(K)
-    for _ in range(n):
-        G, _, _ = dwp_prior_layer(G0, kp, nu, stream, nu_prev=nu0)
-        acc += G.value
-        acc2 += G.value ** 2
-    mean = acc / n
-    var = acc2 / n - mean ** 2
+    G = dwp_prior_layer(G0, kp, nu, rd.RngStream(7, n), nu_prev=nu0)[0].value
+    mean = G.mean(axis=0)
+    var = G.var(axis=0)
     var_ref = (K ** 2 + np.outer(np.diag(K), np.diag(K))) / nu
     se_m = np.sqrt(var_ref / n)
     assert np.all(np.abs(mean - K) < 4 * se_m)
@@ -215,19 +209,13 @@ def test_conditional_testpoints_moments():
     mean_ref = S_ti @ np.linalg.solve(S_ii, feat_i)
     schur = s_tt - np.sum(S_ti * np.linalg.solve(S_ii, S_ti.T).T, axis=1)
     n = 40_000
-    stream = rd.RngStream(5)
-    acc_ti = np.zeros((nt, M))
-    acc_tt = np.zeros(nt)
-    L_ii = np.linalg.cholesky(S_ii)
-    for _ in range(n):
-        G_ti, g_tt = _testpoints(feat_i, L_ii, S_ti, s_tt, nu, stream)
-        acc_ti += G_ti.value
-        acc_tt += g_tt.value
+    G_ti, g_tt = _testpoints(feat_i, np.linalg.cholesky(S_ii), S_ti, s_tt, nu,
+                             rd.RngStream(5, n))
     ref_ti = mean_ref @ feat_i.T
     ref_tt = nu * schur + np.sum(mean_ref ** 2, axis=1)
     sd_ti = np.sqrt(np.outer(schur, np.sum(feat_i ** 2, axis=1)) / n)
-    assert np.all(np.abs(acc_ti / n - ref_ti) < 4 * sd_ti + 1e-9)
-    assert np.all(np.abs(acc_tt / n - ref_tt) < 0.05 * np.abs(ref_tt) + 0.02)
+    assert np.all(np.abs(G_ti.value.mean(axis=0) - ref_ti) < 4 * sd_ti + 1e-9)
+    assert np.all(np.abs(g_tt.value.mean(axis=0) - ref_tt) < 0.05 * np.abs(ref_tt) + 0.02)
 
 
 def test_conditional_testpoints_zero_pads_singular_roots():
@@ -268,24 +256,14 @@ def test_conditional_testpoints_root_rotation_invariance():
     feat_i = rng.standard_normal((M, nu))
     Q, _ = np.linalg.qr(rng.standard_normal((nu, nu)))
     n = 30_000
-    s1, s2 = rd.RngStream(3), rd.RngStream(3)
-    acc1, acc2 = np.zeros((nt, M)), np.zeros((nt, M))
-    v1, v2 = np.zeros(nt), np.zeros(nt)
     L_ii = np.linalg.cholesky(S[:M, :M])
-    for _ in range(n):
-        G_ti, g_tt = _testpoints(feat_i, L_ii, S[M:, :M], np.diag(S)[M:], nu, s1)
-        acc1 += G_ti.value
-        v1 += g_tt.value
-    for _ in range(n):
-        G_ti, g_tt = _testpoints(feat_i @ Q, L_ii, S[M:, :M], np.diag(S)[M:], nu, s2)
-        # rotate back to compare against the same inducing root
-        acc2 += G_ti.value
-        v2 += g_tt.value
+    (G1, g1), (G2, g2) = [_testpoints(root, L_ii, S[M:, :M], np.diag(S)[M:], nu,
+                                      rd.RngStream(3, n)) for root in (feat_i, feat_i @ Q)]
     # G_ti = F_t F_i^T: with the rotated root, F_t Q^T Q F_i^T has identical
     # mean since the conditional mean rotates with the root
     sd = 4 * np.sqrt(1.0 / n)
-    assert np.max(np.abs(acc1 - acc2) / n) < sd
-    assert np.max(np.abs(v1 - v2) / n) < sd
+    assert np.max(np.abs(G1.value.mean(axis=0) - G2.value.mean(axis=0))) < sd
+    assert np.max(np.abs(g1.value.mean(axis=0) - g2.value.mean(axis=0))) < sd
 
 
 # -- full ELBO ---------------------------------------------------------------------------

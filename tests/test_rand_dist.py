@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as hst
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
+from deepbayes.dwp import standard_bartlett_params
 
 import oracles
 
@@ -323,33 +324,31 @@ def test_wishart_density_gradient():
 
 # -- Bartlett sampling --------------------------------------------------------------
 
+def _standard_bartlett(N, nu, stream):
+    """The Bartlett sampler the Gram layers run, at an identity scale and the
+    standard Wishart's parameters: (G, T) with T the Bartlett factor and
+    G = T T^T ~ Wishart(I_N, nu)."""
+    G, _, T, _, _ = rd._gwish_sample(np.eye(N), nu, *standard_bartlett_params(N, nu), stream)
+    return G.value, T.value
+
+
 def test_bartlett_full_rank_mean():
-    stream = rd.RngStream(21)
     n = 50_000
-    N, nu = 3, 5.0
-    acc = np.zeros((N, N))
-    for _ in range(n):
-        T = oracles.bartlett_sample(N, nu, stream)
-        acc += T @ T.T
-    assert np.max(np.abs(acc / n - nu * np.eye(N))) < 0.1
+    N, nu = 3, 5
+    G, _ = _standard_bartlett(N, nu, rd.RngStream(21, n))
+    assert np.max(np.abs(G.mean(axis=0) - nu * np.eye(N))) < 0.1
 
 
 def test_bartlett_singular_shape_and_rank():
-    T = oracles.bartlett_sample(4, 2, rd.RngStream(0))
+    G, T = _standard_bartlett(4, 2, rd.RngStream(0))
     assert T.shape == (4, 2)
-    G = T @ T.T
     assert np.linalg.matrix_rank(G) == 2
 
 
-def test_bartlett_singular_requires_integer_nu():
-    with pytest.raises(ValueError):
-        oracles.bartlett_sample(4, 2.5, rd.RngStream(0))
-
-
 def test_bartlett_diag_squared_are_chi2():
-    stream = rd.RngStream(33)
     n = 30_000
-    d = np.stack([np.diag(oracles.bartlett_sample(2, 5.0, stream)) ** 2 for _ in range(n)])
+    _, T = _standard_bartlett(2, 5, rd.RngStream(33, n))
+    d = np.diagonal(T, axis1=-2, axis2=-1) ** 2
     # T_jj^2 ~ chi2(nu - j + 1)
     for j, dof in enumerate([5.0, 4.0]):
         se = np.sqrt(2 * dof / n)
