@@ -113,22 +113,21 @@ def _gi_draw(L, A, log_lambda, V, rng):
     noise with B = A L, so the posterior of z is N(C^{-T} h, (C C^T)^{-1})
     with C = chol(I + B^T Lambda B) from one Cholesky and h = C^{-1} B^T
     Lambda V. L and A may carry a leading sample axis. Returns
-    (X, L^{-1} X, increment) with L^{-1} X = C^{-T} (h + xi), X = L L^{-1} X,
+    (L^{-1} X, increment) with L^{-1} X = C^{-T} (h + xi) and
     increment = sum_cols log N(x; 0, L L^T) - log q(x)
               = -0.5 |L^{-1} X|^2 + 0.5 |xi|^2 - width sum log diag C,
-    one per sample.
+    one per sample; a caller that reads X forms it as L L^{-1} X.
 
     L^{-1} X is one tape node (gi_draw) over L, A, log_lambda and V, whose
     VJP works back through the one factor C; the increment is one node
-    (gi_increment) over it, and X a matmul (a mul when A is given)."""
+    (gi_increment) over it."""
     L, log_lambda, V = as_tensor(L), as_tensor(log_lambda), as_tensor(V)
     Lv, Av, Vv = L.value, None if A is None else as_tensor(A).value, V.value
     lam = np.exp(log_lambda.value)
     B = Lv if Av is None else Av * Lv
     P = _mT(B) * lam.reshape(1, Vv.shape[0])                  # B^T Lambda
     G = np.eye(B.shape[-1]) + P @ B
-    de._check_finite(G, "I + B^T Lambda B of op 'gi_draw'")
-    factor = de._Factor(de._chol_with_jitter(G, "gi_draw"))
+    factor = de._Factor(de._chol_with_jitter(G, "gi_draw"), "gi_draw")
     C = factor.L
     h = factor.solve(P @ Vv, False)
     xi = rng.normal(h.shape[-2:])
@@ -168,8 +167,7 @@ def _gi_draw(L, A, log_lambda, V, rng):
         return (-np.asarray(g)[..., None, None] * z,)
 
     LinvX = de.lift(z, (L, A, log_lambda, V), vjp, "gi_draw")
-    inc = de.lift(inc, (LinvX,), inc_vjp, "gi_increment")
-    return (de.matmul if A is None else de.mul)(L, LinvX), LinvX, inc
+    return LinvX, de.lift(inc, (LinvX,), inc_vjp, "gi_increment")
 
 
 def _gi_bnn_root(prior: PriorSpec, fanin: int, s=None):
@@ -180,7 +178,7 @@ def _gi_bnn_root(prior: PriorSpec, fanin: int, s=None):
     return de.reshape(root, root.value.shape[:-2] + (1, 1))
 
 
-def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
+def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None, last=False):
     """Sample the layer weights from their global-inducing conditional
     posterior: each column is N(Mean, S) with
     S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and Mean = S psi^T Lambda V,
@@ -188,12 +186,13 @@ def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None):
     included); a scale prior reads the sampled s. W is drawn as
     r C^{-T} (h + xi) by _gi_draw, with A = psi_U and the scalar prior root
     r = (nu Sigma^{-1})^{-1/2}. Returns (W, logp_minus_logq, U_next) with
-    U_next = psi_U @ W.
+    U_next = psi_U @ W, or None on the last layer, which no layer reads.
     """
     psi_U = as_tensor(psi_U)
-    W, _, inc = _gi_draw(_gi_bnn_root(layer.prior, psi_U.value.shape[-1], s), psi_U,
-                         layer.log_lambda, layer.V, rng)
-    return W, inc, de.matmul(psi_U, W)
+    root = _gi_bnn_root(layer.prior, psi_U.value.shape[-1], s)
+    LinvW, inc = _gi_draw(root, psi_U, layer.log_lambda, layer.V, rng)
+    W = de.mul(root, LinvW)
+    return W, inc, None if last else de.matmul(psi_U, W)
 
 
 def fac_bnn_layer_sample(layer: FacBnnLayer, d: int, rng: rd.RngStream, s=None):
@@ -251,7 +250,8 @@ def bnn_forward(layers, X, rng, inducing_inputs=None):
         if isinstance(layer, GiBnnLayer):
             if U is None:
                 raise ValueError("global-inducing layers need inducing inputs")
-            W, inc, U = gi_bnn_layer_sample(_psi(U, i == 0), layer, weight_rng, s)
+            W, inc, U = gi_bnn_layer_sample(_psi(U, i == 0), layer, weight_rng, s,
+                                            last=i == len(layers) - 1)
         else:
             W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[-1], weight_rng, s=s)
         F = de.matmul(psi_F, W)
@@ -280,35 +280,33 @@ def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
                                       a=float(kl_scale) / inc.value.size))
 
 
-def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None):
+def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None, last=False):
     """gi_dgp_layer_sample from the layer's kernel blocks; inputs, if given,
     are the (U_prev, F_prev) that an identity mean function adds to the
     outputs. The inducing and the row draw take a child of rng each."""
     L = de.cholesky_factor(as_tensor(K_uu))
-    W, var = rd.gaussian_conditional(L, de.transpose(K_fu), kdiag)
-    # Without a tape nothing else holds blocks passed in unnamed, so they are
-    # freed before the draws: an evaluation's stacked K_fu is the layer's
-    # largest array, and holding it through the draws raises the heap's
-    # high-water mark (measured as extra page faults per evaluation).
-    del K_uu, K_fu, kdiag
     u_rng, f_rng = rng.split(2)
-    U, wu, inc = _gi_draw(L, None, layer.log_lambda, layer.V, u_rng)
-    F = rd.conditional_sample(de.matmul(de.transpose(W), wu), var, f_rng)
+    LinvU, inc = _gi_draw(L, None, layer.log_lambda, layer.V, u_rng)
+    F = rd.conditional_draw(L, K_fu, kdiag, LinvU, f_rng)
+    U = None if last else de.matmul(L, LinvU)
     if inputs is not None:
-        U, F = de.add(U, inputs[0]), de.add(F, inputs[1])
+        U = None if U is None else de.add(U, inputs[0])
+        F = de.add(F, inputs[1])
     return U, F, inc
 
 
-def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream):
+def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream, last=False):
     """Samples of a global-inducing DGP layer at inputs F_prev and inducing
     inputs U_prev, one per sample of rng: U from the posterior of its
     inducing outputs under L = chol(K_uu), then the batch outputs from the
-    prior conditional p(F | U), independent per point. Returns
-    (U_next, F_next, logp - logq)."""
+    prior conditional p(F | U), independent per point, in one
+    conditional_draw node. Returns (U_next, F_next, logp - logq), U_next
+    None on the last layer, which no layer reads."""
     U_prev, F_prev, kp = as_tensor(U_prev), as_tensor(F_prev), layer.kernel_params
     return _gi_layer_sample(se_ard_features(kp, U_prev), se_ard_features(kp, F_prev, U_prev),
                             _se_kdiag(kp.sf2(), F_prev.value.shape[-2]), layer, rng,
-                            (U_prev, F_prev) if layer.mean_function == "identity" else None)
+                            (U_prev, F_prev) if layer.mean_function == "identity" else None,
+                            last)
 
 
 def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer):

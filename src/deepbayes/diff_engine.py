@@ -9,9 +9,17 @@ Matrix ops (matmul, transpose, diag_part, log_diag_sum, cholesky_factor,
 triangular_solve) act on the last two axes and broadcast over any leading
 ones, so S Monte-Carlo samples run as one op on a stack of S matrices; a
 cotangent is summed back over the axes its operand was broadcast along.
+
+Finiteness is checked at the engine's boundaries: every matrix handed to
+LAPACK, every cotangent a factorising or solving VJP receives, and (by the
+caller, see run_checked) the loss, the gradients and the metrics. A tensor
+checks its own values as it is built only inside check_each_tensor, which
+run_checked opens to replay a failed run, so that the error names the op
+whose output first went non-finite.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 
@@ -24,10 +32,11 @@ __all__ = [
     "matmul", "add", "sub", "mul", "div", "transpose", "tsum",
     "elementwise", "cholesky_factor", "triangular_solve", "log_diag_sum",
     "diag_part", "diag_embed", "concat", "reshape",
-    "backward_pass", "finite_diff_check",
+    "backward_pass", "finite_diff_check", "run_checked",
 ]
 
 _ACTIVE: list["Tape"] = []
+_CHECK_EACH = False     # True inside check_each_tensor
 
 
 class Tape:
@@ -65,7 +74,7 @@ class DiffTensor:
 
     def __init__(self, value, tape=None, name=None, parents=(), vjp=None, op=None):
         self.value = np.asarray(value, dtype=np.float64)
-        if not math.isfinite(self.value.sum()):     # the message is built only then
+        if _CHECK_EACH and not math.isfinite(self.value.sum()):    # the message is built only then
             _check_finite(self.value, f"output of op {op!r}" if op is not None else
                           f"parameter {name!r}" if name is not None else "constant")
         self.name = name
@@ -88,6 +97,37 @@ def _check_finite(v: np.ndarray, source: str):
     reduction; the full scan only confirms a sum that overflowed."""
     if not math.isfinite(v.sum()) and not np.isfinite(v).all():
         raise FloatingPointError(f"non-finite values in {source}")
+
+
+@contextlib.contextmanager
+def check_each_tensor():
+    """Within the block every DiffTensor checks its values as it is built
+    and raises FloatingPointError naming the op that made it ("output of op
+    '<tag>'"), its parameter or "constant" if they hold inf or NaN."""
+    global _CHECK_EACH
+    saved, _CHECK_EACH = _CHECK_EACH, True
+    try:
+        yield
+    finally:
+        _CHECK_EACH = saved
+
+
+def run_checked(fn, finite):
+    """fn(), run without per-tensor checks. If it raises ArithmeticError or
+    ValueError (LinAlgError is one), or finite(result) is False, fn runs
+    again inside check_each_tensor and that run's result or error is the
+    outcome: the run as the engine made it when every tensor checked itself,
+    which raises at the first non-finite output, naming its op. fn must
+    reproduce its run (draw from streams it makes afresh), and only a failed
+    run pays for the replay."""
+    try:
+        out = fn()
+        if finite(out):
+            return out
+    except (ArithmeticError, ValueError):
+        pass
+    with check_each_tensor():
+        return fn()
 
 
 def as_tensor(x) -> DiffTensor:
@@ -284,10 +324,12 @@ def _chol_with_jitter(s: np.ndarray, op: str):
     """Lower Cholesky factor of a symmetric matrix s, or of each matrix of a
     stack: _chol_in_place on one symmetrised copy of s (s is only read),
     whose factors' strict upper triangles are then set to +0.0. An s that
-    is not square and symmetric raises naming op."""
+    is not square and symmetric, or whose copy holds inf or NaN, raises
+    naming op."""
     _check_symmetric(s, op)
     sym = np.add(s, _mT(s), order="C")
     sym *= 0.5
+    _check_finite(sym, f"input of op {op!r}")
     L = _chol_in_place(sym, op)
     n = sym.shape[-1]
     if n not in _STRICT_LOWER:
@@ -305,7 +347,10 @@ def _chol_in_place(sym: np.ndarray, op: str):
     a rung rebuilds it from the strict lower one and the saved diagonal. So
     the factors, Fortran-ordered views of sym, keep sym's strict lower
     triangle in their strict upper one. Past the top rung the error names
-    op."""
+    op. sym must be finite, which each caller checks (_chol_with_jitter and
+    gp_models._se_exact_fit, each in one pass over the matrix it built):
+    potrf factorises NaN without complaint, and NaN passes
+    _check_symmetric."""
     diag = np.diagonal(sym, axis1=-2, axis2=-1).copy()
     for i in np.ndindex(sym.shape[:-2]):
         if _POTRF(sym[i].T, lower=1, overwrite_a=1, clean=0)[1]:
@@ -358,7 +403,7 @@ def _trtrs(l: np.ndarray, b: np.ndarray, trans: bool):
     return x
 
 
-def _solve_tri(l: np.ndarray, b: np.ndarray, trans: bool):
+def _solve_tri(l: np.ndarray, b: np.ndarray, trans: bool, op: str):
     """_trtrs over the broadcast leading axes of l and b (b a matrix or a
     stack of them). One matrix l is solved against a stack of right-hand
     sides of two or more columns each in one call, on their columns side by
@@ -366,7 +411,10 @@ def _solve_tri(l: np.ndarray, b: np.ndarray, trans: bool):
     path for one column, whose rounding a merged call would change. A stack
     of factors that _Factor has inverted is solved by one matmul instead;
     this serves single matrices, matrices that are not factors and
-    ill-conditioned stacks."""
+    ill-conditioned stacks. A b that holds inf or NaN raises naming op; l
+    is a factor of a matrix _chol_in_place checked, or its caller checks it
+    (_solver)."""
+    _check_finite(b, f"input of op {op!r}")
     if l.ndim == 2 and b.ndim == 2:
         return _trtrs(l, b, trans)
     n, k = b.shape[-2:]
@@ -413,20 +461,22 @@ class _Factor:
     the inverses. A single matrix, or a stack that is ill-conditioned, is
     solved by _solve_tri's trtrs calls instead."""
 
-    __slots__ = ("L", "inv", "_tried")
+    __slots__ = ("L", "op", "inv", "_tried")
 
-    def __init__(self, L: np.ndarray):
+    def __init__(self, L: np.ndarray, op: str):
         self.L = L
+        self.op = op                # the op that factorised
         self.inv = None             # L^{-1} per member, once built
         self._tried = L.ndim == 2   # single matrices are never inverted
 
-    def solve(self, b: np.ndarray, trans: bool):
-        """x with L x = b (L^T x = b when trans), broadcast as _solve_tri."""
+    def solve(self, b: np.ndarray, trans: bool, op=None):
+        """x with L x = b (L^T x = b when trans), broadcast as _solve_tri,
+        in op (by default the op that factorised)."""
         if not self._tried:
             self._tried = True
             self.inv = _tri_inverse(self.L)
         if self.inv is None:
-            return _solve_tri(self.L, b, trans)
+            return _solve_tri(self.L, b, trans, op or self.op)
         return (_mT(self.inv) if trans else self.inv) @ b
 
     def adjoint(self, g):
@@ -564,7 +614,7 @@ def cholesky_factor(s) -> DiffTensor:
     stack, with the jitter policy. The output carries a _Factor, which its
     VJP and every triangular_solve against the output share."""
     s = as_tensor(s)
-    factor = _Factor(_chol_with_jitter(s.value, "cholesky_factor"))
+    factor = _Factor(_chol_with_jitter(s.value, "cholesky_factor"), "cholesky_factor")
 
     def vjp(g):
         _check_finite(g, "cotangent of op 'cholesky_factor'")
@@ -573,6 +623,22 @@ def cholesky_factor(s) -> DiffTensor:
     out = lift(factor.L, (s,), vjp, "cholesky_factor")
     out._factor = factor
     return out
+
+
+def _solver(l: DiffTensor, op: str):
+    """solve(b, trans) against the lower-triangular operand l of op: its
+    _Factor's, or _solve_tri's on l's value, which is first checked to be
+    finite. Raises naming op unless l is square with no zero on its
+    diagonal."""
+    lv = l.value
+    if lv.ndim < 2 or lv.shape[-1] != lv.shape[-2]:
+        raise ValueError(f"{op} requires a square triangular factor")
+    if np.any(np.diagonal(lv, axis1=-2, axis2=-1) == 0):
+        raise ValueError(f"{op}: zero diagonal element")
+    if l._factor is not None:
+        return lambda b, trans: l._factor.solve(b, trans, op)
+    _check_finite(lv, f"input of op {op!r}")
+    return lambda b, trans: _solve_tri(lv, b, trans, op)
 
 
 def triangular_solve(l, b, trans=False) -> DiffTensor:
@@ -585,14 +651,10 @@ def triangular_solve(l, b, trans=False) -> DiffTensor:
     (_solve_tri)."""
     l, b = as_tensor(l), as_tensor(b)
     lv, bv = l.value, b.value
-    if lv.ndim < 2 or lv.shape[-1] != lv.shape[-2]:
-        raise ValueError("triangular_solve requires a square triangular factor")
-    if np.any(np.diagonal(lv, axis1=-2, axis2=-1) == 0):
-        raise ValueError("triangular_solve: zero diagonal element")
+    solve = _solver(l, "triangular_solve")
     squeeze = bv.ndim == 1
     if squeeze and lv.ndim != 2:
         raise ValueError("triangular_solve: a vector right-hand side needs one factor")
-    solve = l._factor.solve if l._factor is not None else lambda r, t: _solve_tri(lv, r, t)
     x = solve(bv[:, None] if squeeze else bv, trans)
 
     def vjp(g):

@@ -113,14 +113,15 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
     return G, feat, de.sub(logp, logq)
 
 
-def dwp_conditional_testpoints(feat_i, L_ii, W, var, nu: int, rng: rd.RngStream):
+def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int, rng: rd.RngStream):
     """Sample imagined test-point features from the prior conditional, in
     one draw from rng, and assemble the Gram cross blocks (G_ti, g_tt).
 
     feat_i: (M, ntilde) root of the inducing Gram (padded to M x nu if needed);
     L_ii: lower Cholesky factor of the prior scale block S_ii (K/nu);
-    W, var: rd.gaussian_conditional(L_ii, S_ti^T, s_tt), so that per point
-    F_t = S_ti S_ii^{-1} F_i + sqrt(s_tt - s_ti S_ii^{-1} s_it) xi."""
+    S_ti, s_tt: the test rows' prior scale block and diagonal, so that per
+    point F_t = S_ti S_ii^{-1} F_i + sqrt(s_tt - s_ti S_ii^{-1} s_it) xi,
+    drawn by rd.conditional_draw at L_ii^{-1} F_i."""
     feat_i = as_tensor(feat_i)
     width = feat_i.value.shape[-1]
     if width < nu:
@@ -128,8 +129,7 @@ def dwp_conditional_testpoints(feat_i, L_ii, W, var, nu: int, rng: rd.RngStream)
         feat_i = de.concat([feat_i, as_tensor(pad)], axis=-1)
     elif width > nu:
         raise ValueError("feature root wider than the layer width")
-    mean_t = de.matmul(de.transpose(W), de.triangular_solve(L_ii, feat_i))
-    feat_t = rd.conditional_sample(mean_t, var, rng)
+    feat_t = rd.conditional_draw(L_ii, S_ti, s_tt, de.triangular_solve(L_ii, feat_i), rng)
     G_ti = de.matmul(feat_t, de.transpose(feat_i))
     g_tt = de.tsum(de.elementwise("square", feat_t), axis=-1)
     return G_ti, g_tt
@@ -156,13 +156,12 @@ def dwp_forward(state: DwpState, Xt, rng):
         S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
                             gram_kernel_blocks(layer.kernel_params, *grams, nu_prev))
         L_ii = de.cholesky_factor(S_ii)
-        W, var = rd.gaussian_conditional(L_ii, de.transpose(S_ti), s_tt)
         post_rng, rows_rng, rng = rng.split(3)
         G_ii, feat_i, inc = dwp_posterior_layer(layer, S_ii, L_ii, post_rng)
         inc_sum = de.add(inc_sum, inc)
-        grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, W, var, nu, rows_rng))
+        grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu, rows_rng))
         nu_prev = nu
     final = state.final_layer
     _, F, inc = _gi_layer_sample(*gram_kernel_blocks(final.kernel_params, *grams, nu_prev),
-                                 final, rng)
+                                 final, rng, last=True)
     return F, de.add(inc_sum, inc)

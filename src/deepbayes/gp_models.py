@@ -79,7 +79,7 @@ def gp_predict_lml(state: GpState, X, y, X_star=None):
         raise ValueError("gp_predict_lml predicts at X_star off the tape, so a tracked "
                          "operand would lose its gradient; differentiate the LML alone")
     _, _, L, val, w_y = _se_exact_fit(kp, s2, X, y)
-    w_k = de._solve_tri(L, state.kern(X, X_star).value, False)
+    w_k = de._solve_tri(L, state.kern(X, X_star).value, False, _EXACT_LML)
     var = kp.sf2().value - np.sum(w_k * w_k, axis=0)
     return (as_tensor(w_k.T @ w_y), as_tensor(var),
             de.lift(np.asarray(val), (), None, _EXACT_LML))
@@ -104,8 +104,10 @@ def _se_exact_fit(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
     kdiag = np.diagonal(K).copy()
     i = np.arange(K.shape[0])
     K[i, i] += s2.value
+    # K + s2 I is finite if its diagonal is: K was checked just above
+    de._check_finite(np.diagonal(K), f"input of op {_EXACT_LML!r}")
     L = de._chol_in_place(K, _EXACT_LML)
-    val, w = rd._gaussian_fit(L, y.value)
+    val, w = rd._gaussian_fit(L, y.value, _EXACT_LML)
     return se, kdiag, L, val, w
 
 
@@ -141,7 +143,7 @@ def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
             raise RuntimeError(f"op {_EXACT_LML!r} consumed its factor in an earlier "
                                "backward pass; build the objective again")
         consumed.append(True)
-        alpha = de._solve_tri(L, w[:, None], True)[:, 0]
+        alpha = de._solve_tri(L, w[:, None], True, _EXACT_LML)[:, 0]
         de._potri(L, _EXACT_LML)
         # a column of ones makes each tile's row sums part of its product
         # with the scaled inputs

@@ -325,7 +325,7 @@ class DgpModel(_MonteCarloModel):
                 layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
                                       kernel_params=_se_params(p, f"_{i}"),
                                       mean_function=mean_fn)
-                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, layer_rng)
+                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, layer_rng, last)
                 inc_sum = de.add(inc_sum, inc)
             else:
                 layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"], m=p[f"m{i}"],

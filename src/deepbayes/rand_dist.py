@@ -14,7 +14,8 @@ from .diff_engine import DiffTensor, as_tensor, lift
 
 __all__ = [
     "RngStream", "gamma_sample_reparam", "gaussian_conditional",
-    "inducing_marginals", "conditional_sample", "kl_gamma", "normal_log_density",
+    "inducing_marginals", "conditional_sample", "conditional_draw", "kl_gamma",
+    "normal_log_density",
     "lgamma", "lu_packed_matrix", "lu_packed_logdet",
 ]
 
@@ -72,8 +73,8 @@ def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
     reparameterization dz/da = -(dF/da) / p(z), with dF/da by central finite
     differences of the regularized incomplete gamma (step 1e-5; below
     alpha = 1e-5 the lower point is clamped at 1e-12 and the difference is
-    taken over the narrower step). With rng's sample count S, z carries a
-    leading sample axis.
+    taken over the narrower step), formed only when the VJP runs. With
+    rng's sample count S, z carries a leading sample axis.
     """
     alpha = as_tensor(alpha)
     beta = as_tensor(beta)
@@ -83,16 +84,18 @@ def gamma_sample_reparam(alpha, beta, rng: RngStream) -> DiffTensor:
     g = rng.standard_gamma(np.broadcast_to(av, np.broadcast_shapes(av.shape, bv.shape)))
     z = g / bv
 
-    h = 1e-5
-    x = np.maximum(g, 1e-300)
-    lo = np.maximum(av - h, 1e-12)
-    dF_da = (spec.gammainc(av + h, x) - spec.gammainc(lo, x)) / np.where(
-        av - h < 1e-12, (av + h) - lo, 2 * h)
-    logpdf = (av - 1.0) * np.log(x) - x - spec.gammaln(av)
-    dg_da = -dF_da / np.exp(logpdf)
-    return lift(z, (beta, alpha), lambda gr: (de._unbroadcast(gr * (-z / bv), bv.shape),
-                                              de._unbroadcast(gr * dg_da / bv, av.shape)),
-                "gamma_sample")
+    def vjp(gr):
+        h = 1e-5
+        x = np.maximum(g, 1e-300)
+        lo = np.maximum(av - h, 1e-12)
+        dF_da = (spec.gammainc(av + h, x) - spec.gammainc(lo, x)) / np.where(
+            av - h < 1e-12, (av + h) - lo, 2 * h)
+        logpdf = (av - 1.0) * np.log(x) - x - spec.gammaln(av)
+        dg_da = -dF_da / np.exp(logpdf)
+        return (de._unbroadcast(gr * (-z / bv), bv.shape),
+                de._unbroadcast(gr * dg_da / bv, av.shape))
+
+    return lift(z, (beta, alpha), vjp, "gamma_sample")
 
 
 # -- scalar special functions as diff ops --------------------------------------
@@ -126,10 +129,10 @@ def normal_log_density(x, mean, var, event_ndim=None) -> DiffTensor:
     return lift(val, (x, mean, var), vjp, "normal_log_density")
 
 
-def _gaussian_fit(L: np.ndarray, r: np.ndarray):
+def _gaussian_fit(L: np.ndarray, r: np.ndarray, op: str):
     """(log N(r; 0, L L^T), w = L^{-1} r) for a lower Cholesky factor L and
-    a residual vector r."""
-    w = de._solve_tri(L, r[:, None], False)[:, 0]
+    a residual vector r, in op."""
+    w = de._solve_tri(L, r[:, None], False, op)[:, 0]
     ld = np.sum(2.0 * np.log(np.diagonal(L)))
     return -0.5 * (np.sum(w * w) + ld) + (-0.5 * r.shape[0] * LOG2PI), w
 
@@ -366,6 +369,40 @@ def conditional_sample(mean, var, rng) -> DiffTensor:
                 de._unbroadcast(gs * (0.5 / std) * pos, var.value.shape))
 
     return lift(mean.value + rows * xi, (mean, var), vjp, "conditional_sample")
+
+
+def conditional_draw(L, K_fu, k_ff, Z, rng) -> DiffTensor:
+    """A draw of the rows F from the prior conditional p(F | U) in one tape
+    node: F = W^T Z + sqrt(max(var, 0) + 1e-12) xi per row, with L the lower
+    Cholesky factor of K_uu, W = L^{-1} K_fu^T, var = k_ff - sum_rows W^2,
+    Z = L^{-1} U the solved inducing values and xi ~ N(0, I) drawn once from
+    rng; a leading axis of any operand, or rng's sample count, stacks
+    samples. The forward runs gaussian_conditional and conditional_sample's
+    steps in their order, solving through L's _Factor as triangular_solve
+    does, and the VJP returns the cotangents of L (lower triangle), K_fu,
+    k_ff and Z from one solve against L."""
+    L, K_fu, k_ff, Z = map(as_tensor, (L, K_fu, k_ff, Z))
+    solve = de._solver(L, "conditional_draw")
+    Lv, Kt, Zv = L.value, de._mT(K_fu.value), Z.value
+    W = solve(Kt, False)
+    var = k_ff.value - np.sum(W * W, axis=-2)
+    Wt = de._mT(W)
+    mean = Wt @ Zv
+    pos = var > 0
+    std = np.sqrt(var * pos + 1e-12)
+    xi = rng.normal(mean.shape[-2:])
+
+    def vjp(g):
+        de._check_finite(g, "cotangent of op 'conditional_draw'")
+        g_var = de._unbroadcast((g * xi).sum(axis=-1) * (0.5 / std) * pos, var.shape)
+        g_W = (de._mT(de._unbroadcast(g @ de._mT(Zv), Wt.shape))
+               + np.expand_dims(-2.0 * g_var, -2) * W)
+        gb = solve(g_W, True)
+        return (de._unbroadcast(np.tril(-gb @ Wt), Lv.shape),
+                de._mT(de._unbroadcast(gb, Kt.shape)),
+                de._unbroadcast(g_var, k_ff.value.shape), de._unbroadcast(W @ g, Zv.shape))
+
+    return lift(mean + std[..., None] * xi, (L, K_fu, k_ff, Z), vjp, "conditional_draw")
 
 
 # -- KL divergences ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared reparameterized stochastic-gradient training loop (Adam)."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -118,6 +119,12 @@ def _clip_global_norm(grads: dict, max_norm: float) -> dict:
     return {k: g * scale for k, g in grads.items()}
 
 
+def _finite(*values) -> bool:
+    """Whether the numbers and arrays of values are all finite, from one
+    sum each (a sum that overflows reads as not finite)."""
+    return math.isfinite(sum(float(np.sum(v)) for v in values))
+
+
 def train_loop(model, dataset, config: TrainConfig):
     """Maximize the model's ELBO with Adam; returns a result dict with the
     evaluation trace, final parameters, and summary.
@@ -126,6 +133,11 @@ def train_loop(model, dataset, config: TrainConfig):
       init_params() -> dict of arrays
       objective(params, Xb, yb, total_n, n_samples, rng, kl_scale) -> scalar
       evaluate(params, dataset, rng, n_samples) -> metrics dict
+
+    Each step and each evaluation runs through diff_engine.run_checked: a
+    non-finite loss, gradient or metric, or a failed op, replays it from
+    fresh streams with every tensor checked, so an abort names the op whose
+    output first went non-finite.
     """
     params = {k: np.asarray(v, dtype=np.float64).copy()
               for k, v in model.init_params().items()}
@@ -136,18 +148,23 @@ def train_loop(model, dataset, config: TrainConfig):
     aborted = None
     t0 = time.time()
 
+    def stream(*key):
+        # a split advances its SeedSequence, so a replay needs a fresh one
+        return rd.RngStream(np.random.SeedSequence(entropy=config.seed, spawn_key=key))
+
     for step in range(config.steps):
-        step_rng = rd.RngStream(np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(step,)))
         if batch < n:
-            idx = step_rng.permutation(n)[:batch]
+            idx = stream(step).permutation(n)[:batch]
         else:
             idx = np.arange(n)
         Xb, yb = dataset.X_train[idx], dataset.y_train[idx]
         kl_scale = kl_anneal_factor(step, config.anneal_steps)
         try:
-            loss, grads = _loss_and_grads(model, params, Xb, yb, n, config.train_samples,
-                                          step_rng.split(1)[0], kl_scale)
+            # the step stream's first child, as RngStream.split(1) makes it
+            loss, grads = de.run_checked(
+                lambda: _loss_and_grads(model, params, Xb, yb, n, config.train_samples,
+                                        stream(step, 0), kl_scale),
+                lambda out: _finite(out[0], *out[1].values()))
             if not np.isfinite(loss):
                 raise FloatingPointError("non-finite loss")
             grads = _clip_global_norm(grads, config.clip_norm)
@@ -159,10 +176,10 @@ def train_loop(model, dataset, config: TrainConfig):
             break
 
         if step % config.eval_every == 0 or step == config.steps - 1:
-            eval_rng = rd.RngStream(np.random.SeedSequence(
-                entropy=config.seed, spawn_key=(1 << 20, step)))
-            trace.append({"step": step, **model.evaluate(params, dataset, eval_rng,
-                                                         config.eval_samples)})
+            trace.append({"step": step, **de.run_checked(
+                lambda: model.evaluate(params, dataset, stream(1 << 20, step),
+                                       config.eval_samples),
+                lambda metrics: _finite(*metrics.values()))})
 
     result = {
         "trace": trace,

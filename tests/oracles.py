@@ -61,14 +61,16 @@ def sample_rows(seed, n_samples: int) -> list:
     return [SampleRow(RngStream(seed, n_samples), s) for s in range(n_samples)]
 
 def gaussian_sample(mean, chol_cov, rng: RngStream) -> DiffTensor:
-    """mean + L xi with xi ~ N(0, I); reparameterized in mean and L."""
+    """mean + L xi with xi ~ N(0, I) for a vector mean, one per sample of
+    rng (rows of an (S, n) draw under its sample count S); reparameterized
+    in mean and L."""
     mean = as_tensor(mean)
     chol_cov = as_tensor(chol_cov)
     if chol_cov.value.shape[0] != mean.value.shape[0]:
         raise ValueError("gaussian_sample shape mismatch")
-    xi = rng.normal(mean.value.shape)
-    return de.add(mean, de.matmul(chol_cov, as_tensor(xi)) if xi.ndim == 2
-                  else de.reshape(de.matmul(chol_cov, as_tensor(xi[:, None])), mean.value.shape))
+    xi = as_tensor(rng.normal(mean.value.shape))
+    return de.add(mean, de.matmul(chol_cov, xi) if xi.value.ndim == 1
+                  else de.matmul(xi, de.transpose(chol_cov)))
 
 
 def matrix_normal_sample(mean, row_chol, col_chol, rng: RngStream) -> DiffTensor:
@@ -167,11 +169,11 @@ def mvn_log_density(y, mean, cov, chol=None) -> DiffTensor:
         L = de._chol_with_jitter(cov.value, "mvn_log_density")
     else:
         L = as_tensor(chol).value
-    val, w = rd._gaussian_fit(L, y.value - mean.value)
+    val, w = rd._gaussian_fit(L, y.value - mean.value, "mvn_log_density")
 
     def vjp(g):
         de._check_finite(g, "cotangent of op 'mvn_log_density'")
-        alpha = de._solve_tri(L, w[:, None], True)[:, 0]    # L^{-T} w
+        alpha = de._solve_tri(L, w[:, None], True, "mvn_log_density")[:, 0]    # L^{-T} w
         return (-g * alpha, de._unbroadcast(g * alpha, mean.value.shape),
                 _gaussian_cov_cotangent(L, alpha, g))
 
@@ -596,3 +598,14 @@ def gp_chain(kern, s2, X, y, X_star=None):
     mean = de.matmul(de.transpose(w_k), w_y)
     cov = de.sub(Kss, de.matmul(de.transpose(w_k), w_k))
     return mean, cov, lml
+
+
+# -- the prior conditional draw from generic ops ----------------------------------------
+
+def conditional_chain(L, K_fu, k_ff, Z, rng):
+    """A draw of the rows F from the prior conditional p(F | U), composed
+    as the layers drew it before rand_dist.conditional_draw: W, var from
+    gaussian_conditional(L, K_fu^T, k_ff), then conditional_sample at the
+    mean W^T Z, with Z = L^{-1} U the solved inducing values."""
+    W, var = rd.gaussian_conditional(L, de.transpose(K_fu), k_ff)
+    return rd.conditional_sample(de.matmul(de.transpose(W), Z), var, rng)

@@ -513,8 +513,7 @@ def test_criterion_11_imagined_feature_root_invariance():
     assert np.allclose(roots[0] @ roots[0].T, roots[1] @ roots[1].T, atol=1e-12)
 
     L_ii = np.linalg.cholesky(S_ii)
-    W, var = rd.gaussian_conditional(L_ii, S_ti.T, s_tt)
-    draws = [dw.dwp_conditional_testpoints(R, L_ii, W, var, nu, rd.RngStream(1100 + i, K))
+    draws = [dw.dwp_conditional_testpoints(R, L_ii, S_ti, s_tt, nu, rd.RngStream(1100 + i, K))
              for i, R in enumerate(roots)]
     (a1, b1), (a2, b2) = [(g_ti.value, g_tt.value) for g_ti, g_tt in draws]
     ratios = [_se_ratio(x1.mean(axis=0) - x2.mean(axis=0),

@@ -86,12 +86,8 @@ def test_gi_layer_posterior_matches_ridge_regression():
     prec = d * np.eye(d) + psi_U.T @ (lam[:, None] * psi_U)
     S_ref = np.linalg.inv(prec)
     mean_ref = S_ref @ psi_U.T @ (lam * V[:, 0])
-    # recover the implied posterior from two draws with known noise
-    draws = []
-    for seed in range(2000):
-        W, _, _ = gi_bnn_layer_sample(psi_U, layer, rd.RngStream(seed))
-        draws.append(W.value[:, 0])
-    draws = np.stack(draws)
+    # recover the implied posterior from 2000 draws, made in one call
+    draws = gi_bnn_layer_sample(psi_U, layer, rd.RngStream(1, 2000))[0].value[..., 0]
     se = np.sqrt(np.diag(S_ref) / len(draws))
     assert np.all(np.abs(draws.mean(0) - mean_ref) < 4 * se)
     assert np.max(np.abs(np.cov(draws.T) - S_ref)) < 0.15 * np.max(np.abs(S_ref))
@@ -297,8 +293,9 @@ def test_gi_dgp_increment_has_nonpositive_mean():
     U_prev = rng.standard_normal((4, 1))
     layer = GiDgpLayer(V=rng.standard_normal((4, 1)), log_lambda=np.zeros(4),
                        kernel_params=KernelParams())
-    incs = np.array([gi_dgp_layer_sample(rng.standard_normal((2, 1)), U_prev, layer,
-                                         rd.RngStream(s))[2].value for s in range(3000)])
+    # 3000 draws in one call, each at inputs of its own
+    incs = gi_dgp_layer_sample(rng.standard_normal((3000, 2, 1)), U_prev, layer,
+                               rd.RngStream(13, 3000))[2].value
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
 
 
@@ -320,13 +317,15 @@ def test_gi_increment_is_the_log_density_ratio_at_the_draw(root):
         prior, s = ((PriorSpec("neal"), None) if root == "scalar" else
                     (PriorSpec("scale"), rng.gamma(2.0, 0.5, (S, 1, 1))))
         L = _gi_bnn_root(prior, d, s)
-        X, LinvX, inc = _gi_draw(L, A, log_lam, V, rd.RngStream(4, S))
+        LinvX, inc = _gi_draw(L, A, log_lam, V, rd.RngStream(4, S))
+        X = de.mul(L, LinvX)        # the weights, as gi_bnn_layer_sample forms them
         roots = np.broadcast_to(L.value, (S, 1, 1)) * np.eye(d)
     else:
         G = rng.standard_normal((S if root == "stacked factors" else 1, M, M))
         K = G @ np.swapaxes(G, -1, -2) / M + np.eye(M)     # well-conditioned K_uu
         L = de.cholesky_factor(K if root == "stacked factors" else K[0])
-        X, LinvX, inc = _gi_draw(L, None, log_lam, V, rd.RngStream(4, S))
+        LinvX, inc = _gi_draw(L, None, log_lam, V, rd.RngStream(4, S))
+        X = de.matmul(L, LinvX)     # the inducing outputs, as a GI deep-GP layer forms them
         A, roots = np.eye(M), np.broadcast_to(L.value, (S, M, M))
     lam = np.exp(log_lam)
     for i, Li in enumerate(roots):

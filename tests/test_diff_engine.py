@@ -185,7 +185,7 @@ def test_one_factor_solves_a_stack_of_right_hand_sides_in_one_call(k, trans):
               np.tril(rng.standard_normal((n, n))) + 3.0 * np.eye(n)):
         want = np.stack([de._trtrs(L, bi, trans) for bi in b])
         with engine_calls() as calls:
-            x = de._solve_tri(L, b, trans)
+            x = de._solve_tri(L, b, trans, "test")
         assert calls["trtrs"] == 1
         assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
         assert x[0].flags.f_contiguous     # Fortran-ordered matrices, as the loop leaves them
@@ -197,7 +197,7 @@ def test_one_column_right_hand_sides_keep_one_call_per_member():
     rng = np.random.default_rng(3)
     L = np.linalg.cholesky(_spd(rng, 5))
     with engine_calls() as calls:
-        de._solve_tri(L, rng.standard_normal((4, 5, 1)), False)
+        de._solve_tri(L, rng.standard_normal((4, 5, 1)), False, "test")
     assert calls["trtrs"] == 4
 
 

@@ -20,8 +20,8 @@ from deepbayes.diff_engine import as_tensor
 from deepbayes.gp_models import GpState, gp_predict_lml
 from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, se_ard_features
 
-from oracles import (_chol_inverse, add_diagonal, getitem, gi_posterior, gi_sample, gp_chain,
-                     gwish_full_density, logdet_psd, mvn_log_density)
+from oracles import (_chol_inverse, add_diagonal, conditional_chain, getitem, gi_posterior,
+                     gi_sample, gp_chain, gwish_full_density, logdet_psd, mvn_log_density)
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -532,9 +532,15 @@ def _gi_case(case, rng):
             return out if case.endswith("unread") else de.add(out, _wsum(inc))
         return fn
 
-    return (objective(_gi_draw),
+    return (objective(_gi_draw_x),
             objective(lambda L, A, lam, V, rng: gi_sample(gi_posterior(L, A, lam, V), rng)),
             params)
+
+
+def _gi_draw_x(L, A, log_lambda, V, rng):
+    """_gi_draw with X = L L^{-1} X formed as the layers form it."""
+    LinvX, inc = _gi_draw(L, A, log_lambda, V, rng)
+    return (de.matmul if A is None else de.mul)(L, LinvX), LinvX, inc
 
 
 @pytest.mark.parametrize("case", _GI_CASES)
@@ -561,7 +567,7 @@ def test_gi_draw_cotangent_guard_names_the_op():
     L = np.linalg.cholesky(np.eye(4) + 0.1)
     with de.Tape() as tape, np.errstate(over="ignore", divide="ignore"):
         V = tape.param(np.random.default_rng(32).standard_normal((4, 2)), "V")
-        LinvX = _gi_draw(L, None, np.zeros(4), V, rd.RngStream(7))[1]
+        LinvX = _gi_draw(L, None, np.zeros(4), V, rd.RngStream(7))[0]
         out = de.elementwise("log", de.mul(de.elementwise("exp", de.tsum(LinvX)),
                                            as_tensor(1e-310)))
         assert np.isfinite(out.value)
@@ -570,10 +576,85 @@ def test_gi_draw_cotangent_guard_names_the_op():
             de.backward_pass(out)
 
 
+# -- the prior conditional draw ------------------------------------------------------------------
+
+_COND_CASES = ("one factor, stacked Z", "stacked factors", "triangular L without a factor",
+               "stack past the condition guard")
+
+
+def _cond_case(case, rng):
+    """(fused, reference, params) for conditional_draw on one of the
+    operands it serves: chol(K_uu) of a deep GP's first layer against a
+    stack of solved inducing values Z, stacked factors (deeper layers and
+    the DWP's Gram layers), a lower-triangular L that carries no _Factor
+    (solved by trtrs, one sample without a sample axis), and a stack of
+    factors whose condition number sends it back from the inverses to
+    trtrs: K_uu = D (R R^T + I) D with D = diag(1, 1, 1, 1, 1e-3), so that
+    kappa_1(L) is about 2e3 while K_uu stays smooth in R. k_ff keeps every
+    variance clear of the clamp."""
+    S, M, n, w = 3, 5, 4, 2
+    lead = (S,) if case in ("stacked factors", "stack past the condition guard") else ()
+    if case == "triangular L without a factor":
+        params = {"L": np.tril(0.3 * rng.standard_normal((M, M))) + np.eye(M),
+                  "Z": rng.standard_normal((M, w))}
+    else:
+        params = {"R": rng.standard_normal(lead + (M, M)) / np.sqrt(M),
+                  "Z": rng.standard_normal((S, M, w))}
+    params["K_fu"] = rng.standard_normal(lead + (n, M))
+    scale = np.ones(M)
+    if case == "stack past the condition guard":
+        scale[-1] = 1e-3
+
+    def factor(ps):
+        if "L" in ps:
+            return ps["L"]
+        K = add_diagonal(de.matmul(ps["R"], de.transpose(ps["R"])), 1.0)
+        return de.cholesky_factor(de.mul(K, as_tensor(np.outer(scale, scale))))
+
+    L = factor({k: as_tensor(v) for k, v in params.items()}).value
+    W = np.linalg.solve(L, np.swapaxes(params["K_fu"], -1, -2))
+    params["k_ff"] = 1.0 + 2.0 * np.sum(W * W, axis=-2) + rng.random(lead + (n,))
+    samples = None if case == "triangular L without a factor" else S
+
+    def objective(draw):
+        return lambda ps: _wsum(draw(factor(ps), ps["K_fu"], ps["k_ff"], ps["Z"],
+                                     rd.RngStream(9, samples)))
+
+    return objective(rd.conditional_draw), objective(conditional_chain), params
+
+
+@pytest.mark.parametrize("case", _COND_CASES)
+def test_conditional_draw_matches_reference(case):
+    fused, ref, params = _cond_case(case, np.random.default_rng(41))
+    if case.startswith("stack"):
+        # the guard keeps the inverses of the first stack, not of the second
+        R = params["R"]
+        scale = np.array([1.0, 1.0, 1.0, 1.0, 1e-3 if case.endswith("guard") else 1.0])
+        K = (R @ np.swapaxes(R, -1, -2) + np.eye(5)) * np.outer(scale, scale)
+        assert (de._tri_inverse(np.linalg.cholesky(K)) is None) == case.endswith("guard")
+    assert _value_and_grads(fused, params)[0] == _value_and_grads(ref, params)[0]
+    _assert_matches_reference(fused, ref, params, grad_tol=1e-10)
+
+
+def test_conditional_draw_cotangent_guard_names_the_op():
+    # a finite forward whose backward overflows: d log(y) / dy = 1 / 1e-310
+    L = np.linalg.cholesky(np.eye(3) + 0.1)
+    with de.Tape() as tape, np.errstate(over="ignore", divide="ignore"):
+        K = tape.param(np.random.default_rng(42).standard_normal((2, 3)), "K")
+        F = rd.conditional_draw(L, K, np.full(2, 5.0), np.ones((3, 1)), rd.RngStream(7))
+        out = de.elementwise("log", de.mul(de.elementwise("exp", de.tsum(F)),
+                                           as_tensor(1e-310)))
+        assert np.isfinite(out.value)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite values in cotangent of op 'conditional_draw'"):
+            de.backward_pass(out)
+
+
 # -- the finite guard ---------------------------------------------------------------------------
 
 def test_nonfinite_op_output_names_its_op():
-    with de.Tape() as tape:
+    # as a replay of a failed step or evaluation checks each tensor
+    with de.check_each_tensor(), de.Tape() as tape:
         x = tape.param(np.array([1.0, 800.0]), "x")
         with np.errstate(over="ignore"):
             with pytest.raises(FloatingPointError,
@@ -591,20 +672,57 @@ def test_nonfinite_op_output_names_its_op():
                 se_ard_features(KernelParams(),
                                 de.elementwise("affine", de.reshape(x, (2, 1)), a=1e200))
         with pytest.raises(FloatingPointError,
-                           match="non-finite values in output of op 'gi_draw'"):
+                           match="non-finite values in input of op 'gi_draw'"):
             with np.errstate(over="ignore", invalid="ignore"):
-                # B^T Lambda V overflows, while I + B^T Lambda B is 1 + 1.01
+                # B^T Lambda V overflows, while I + B^T Lambda B is 1 + 1.01:
+                # the solve against C stops it before LAPACK sees it
                 _gi_draw(de.reshape(de.elementwise("affine", de.tsum(x), a=1e-152 / 801.0),
                                     (1, 1)), None, np.array([700.0]), np.array([[1e200]]),
                          rd.RngStream(0))
 
 
 def test_nonfinite_constants_and_parameters_trip_the_guard():
-    with pytest.raises(FloatingPointError, match="non-finite values in constant"):
-        as_tensor(np.array([1.0, np.nan]))
-    with pytest.raises(FloatingPointError, match="non-finite values in parameter 'w'"):
-        with de.Tape() as tape:
-            tape.param(np.array([np.inf]), "w")
+    with de.check_each_tensor():
+        with pytest.raises(FloatingPointError, match="non-finite values in constant"):
+            as_tensor(np.array([1.0, np.nan]))
+        with pytest.raises(FloatingPointError, match="non-finite values in parameter 'w'"):
+            with de.Tape() as tape:
+                tape.param(np.array([np.inf]), "w")
+    # outside a replay a tensor is not checked as it is built
+    assert np.isnan(as_tensor(np.array([1.0, np.nan])).value[1])
+
+
+def _exact_gp_lml(log_noise):
+    X = np.random.default_rng(34).standard_normal((4, 2))
+    return gp_predict_lml(GpState(log_noise=log_noise), X, X[:, 0])[2]
+
+
+_NAN = np.array([[1.0, 0.5], [np.nan, 1.0]])     # passes _check_symmetric
+_LAPACK_INPUTS = {      # case: (op, call)
+    "cholesky_factor": ("cholesky_factor", lambda: de.cholesky_factor(_NAN)),
+    "cholesky_factor stack": ("cholesky_factor",
+                              lambda: de.cholesky_factor(np.stack([np.eye(2), 2.0 * _NAN]))),
+    "gi_draw": ("gi_draw", lambda: _gi_draw(np.array([[1.0, 0.0], [np.nan, 1.0]]), None,
+                                            np.zeros(2), np.ones((2, 1)), rd.RngStream(0))),
+    "exact_gp_lml": ("exact_gp_lml", lambda: _exact_gp_lml(800.0)),
+    "triangular_solve rhs": ("triangular_solve",
+                             lambda: de.triangular_solve(np.eye(2), np.array([[1.0], [np.nan]]))),
+    "triangular_solve factor": ("triangular_solve",
+                                lambda: de.triangular_solve(_NAN, np.ones((2, 1)))),
+    "conditional_draw": ("conditional_draw", lambda: rd.conditional_draw(
+        de.cholesky_factor(np.eye(2)), np.array([[np.inf, 0.0]]), np.ones(1), np.ones((2, 1)),
+        rd.RngStream(0))),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAPACK_INPUTS))
+def test_nonfinite_lapack_input_names_its_op(case):
+    # a matrix with inf or NaN is stopped before LAPACK sees it, with an
+    # error that names the op, not the jitter ladder's or a solver's
+    op, call = _LAPACK_INPUTS[case]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError) as err:
+        call()
+    assert str(err.value) == f"non-finite values in input of op {op!r}"
 
 
 def _potrf_fails(monkeypatch):
@@ -684,10 +802,11 @@ def test_numerical_guards_name_their_op(case, monkeypatch):
 def test_guard_scans_when_the_sum_overflows():
     # a finite array whose sum overflows passes; one inf among finite values fails
     big = np.full(4, 1e308)
-    with np.errstate(over="ignore"):
-        assert np.all(as_tensor(big).value == big)
-    with pytest.raises(FloatingPointError):
-        as_tensor(np.array([1e308, -1e308, np.inf]))
+    with de.check_each_tensor():
+        with np.errstate(over="ignore"):
+            assert np.all(as_tensor(big).value == big)
+        with pytest.raises(FloatingPointError):
+            as_tensor(np.array([1e308, -1e308, np.inf]))
 
 
 # -- copy-free backward -------------------------------------------------------------
@@ -853,6 +972,7 @@ def _fused_cases():
             {"mean": rng.standard_normal((5, 3)), "var": np.array([0.5, 1.2, -1e-9, 0.3, 2.0])}),
         "gwish_sample_and_logpdf": (gwish_fn(True), gwish_fn(False), gw),
         **{f"gi_draw ({case})": _gi_case(case, rng) for case in _GI_CASES},
+        **{f"conditional_draw ({case})": _cond_case(case, rng) for case in _COND_CASES},
     }
 
 

@@ -133,9 +133,8 @@ def test_gaussian_sample_moments():
     rng = np.random.default_rng(0)
     S = _spd(rng, 3)
     L = np.linalg.cholesky(S)
-    stream = rd.RngStream(7)
     n = 20000
-    draws = np.stack([oracles.gaussian_sample(np.zeros(3), L, stream).value for _ in range(n)])
+    draws = oracles.gaussian_sample(np.zeros(3), L, rd.RngStream(7, n)).value
     se = np.sqrt(np.diag(S) / n)
     assert np.all(np.abs(draws.mean(0)) < 3 * se)
     assert np.max(np.abs(np.cov(draws.T) - S)) < 0.1 * np.max(np.abs(S))

@@ -242,6 +242,51 @@ def test_train_loop_aborts_on_nonfinite_tensor():
     assert np.all(np.isfinite(res["params"]["w"])) and res["params"]["w"] != -2.0
 
 
+class _DrawThenOverflowModel(_QuadModel):
+    """Records the normal each objective draws from its stream; from call
+    blow_at + 1 on, its objective adds exp(1e6), which overflows. Each
+    evaluation overflows when overflow_eval is set."""
+
+    def __init__(self, blow_at, overflow_eval=False):
+        self.blow_at, self.overflow_eval, self.draws = blow_at, overflow_eval, []
+
+    def objective(self, params, Xb, yb, total_n, n_samples, rng, kl_scale):
+        self.draws.append(float(rng.normal(())))
+        out = super().objective(params, Xb, yb, total_n, n_samples, rng, kl_scale)
+        if len(self.draws) > self.blow_at:
+            with np.errstate(over="ignore"):
+                out = de.add(out, de.elementwise("exp", de.as_tensor(1e6)))
+        return out
+
+    def evaluate(self, params, dataset, rng, n_samples):
+        with np.errstate(over="ignore"):
+            out = de.elementwise("exp", de.as_tensor(1e6 if self.overflow_eval else 0.0))
+        return {"elbo_per_point": float(out.value)}
+
+
+def test_train_loop_replays_a_failed_step_from_the_same_draws():
+    # the step runs without per-tensor checks; its non-finite loss replays
+    # it with them, from a fresh stream that draws what the first run drew
+    model = _DrawThenOverflowModel(blow_at=2)
+    res = train_loop(model, _Dataset(np.random.default_rng(9)),
+                     TrainConfig(steps=10, lr=0.05, anneal_steps=0, eval_every=100))
+    assert res["aborted"] == {"step": 2,
+                              "reason": "non-finite values in output of op 'exp'"}
+    # steps 0 and 1, step 2 and its replay
+    assert len(model.draws) == 4 and model.draws[3] == model.draws[2] != model.draws[1]
+
+
+def test_train_loop_names_the_op_of_a_nonfinite_evaluation():
+    # a good run checks only its metrics; a non-finite one is replayed with
+    # every tensor checked, which raises at the op as evaluation always did
+    cfg = TrainConfig(steps=3, lr=0.05, anneal_steps=0, eval_every=1)
+    ds = _Dataset(np.random.default_rng(10))
+    assert train_loop(_DrawThenOverflowModel(blow_at=10), ds, cfg)["final"] == {
+        "step": 2, "elbo_per_point": 1.0}
+    with pytest.raises(FloatingPointError, match="non-finite values in output of op 'exp'"):
+        train_loop(_DrawThenOverflowModel(blow_at=10, overflow_eval=True), ds, cfg)
+
+
 class _GraphProbeModel(_QuadModel):
     """Holds a weak reference to an intermediate's value array of every
     objective, and at the start of each objective records whether the
