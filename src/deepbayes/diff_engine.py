@@ -216,13 +216,13 @@ def transpose(a) -> DiffTensor:
     return lift(_mT(a.value), (a,), lambda g: (_mT(g),), "transpose")
 
 
-def tsum(a, axis=None, keepdims=False) -> DiffTensor:
+def tsum(a, axis=None) -> DiffTensor:
     a = as_tensor(a)
-    val = a.value.sum(axis=axis, keepdims=keepdims)
+    val = a.value.sum(axis=axis)
 
     def vjp(g):
         g = np.asarray(g, dtype=np.float64)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.value.shape).copy(),)
 

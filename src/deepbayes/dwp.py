@@ -1,7 +1,9 @@
 """Deep Wishart process: prior over Gram matrices and a generalized-Wishart
 approximate posterior over the inducing Grams, with the batch rows drawn
 from the prior conditional; the ELBO is deep_models.mc_elbo over
-dwp_forward."""
+dwp_forward. Each layer holds its Gram G = F F^T by the root F that its
+samplers draw, and its SE kernel reads G only through the squared
+distances of the root's rows, so no Gram matrix is formed."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -12,7 +14,7 @@ from . import diff_engine as de
 from . import rand_dist as rd
 from .deep_models import _gi_layer_sample
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag
+from .kernels import KernelParams, _se_kdiag, _se_node
 
 __all__ = [
     "GWishLayerPosterior", "DwpState", "gram_kernel_blocks", "dwp_posterior_layer",
@@ -45,10 +47,9 @@ class GWishLayerPosterior:
 
 @dataclass
 class DwpState:
-    inducing_inputs: object        # (M, nu0)
+    inducing_inputs: object        # (M, D)
     layers: list                   # GWishLayerPosterior per Gram layer
     final_layer: object            # deep_models.GiDgpLayer over the last Gram
-    nu0: int = 1
 
 
 def standard_bartlett_params(M: int, nu: int):
@@ -73,20 +74,23 @@ def _chol_from_raw(raw) -> DiffTensor:
     return de.add(low, diag)
 
 
-def gram_kernel_blocks(kp: KernelParams, G_ii, G_ti, g_tt, nu):
-    """SE kernel blocks from Gram blocks: only needs the squared-distance
-    identity d2_ij = nu (G_ii - 2 G_ij + G_jj), so the test-test off-diagonal
-    Gram entries are never required.
-
-    Returns (K_ii, K_ti, k_tt_diag); stacked Gram blocks give stacked
-    kernel blocks."""
-    G_ii, g_tt = as_tensor(G_ii), as_tensor(g_tt)
-    nt = g_tt.value.shape[-1]
-    sf2, ls = _gram_se_params(kp)
-    gi = de.diag_part(G_ii)
-    K_ii = _se_gram(gi, G_ii, gi, nu, sf2, ls)
-    K_ti = _se_gram(g_tt, G_ti, gi, nu, sf2, ls)
-    return K_ii, K_ti, _se_kdiag(sf2, nt)
+def gram_kernel_blocks(kp: KernelParams, F_i, F_t, nu):
+    """SE kernel blocks (K_ii, K_ti, k_tt_diag) of a layer over the inducing
+    rows i and the test rows t, from the roots F_i and F_t of its Gram
+    blocks (G = F F^T; stacked roots give stacked blocks). The kernel reads
+    G only through d2_ij = nu (G_ii - 2 G_ij + G_jj) = nu |f_i - f_j|^2, so
+    the blocks are the feature SE kernel on the roots at lengthscale
+    l / sqrt(nu), and the test rows' Gram entries among themselves are never
+    needed. Only a single shared lengthscale makes it a function of G,
+    invariant under rotations of the roots."""
+    ls = kp.lengthscales()
+    if ls.value.size > 1:
+        raise ValueError("an SE kernel on Gram matrices requires a single shared lengthscale")
+    if nu != 1:
+        ls = de.elementwise("affine", ls, a=float(nu) ** -0.5)
+    sf2, F_t = kp.sf2(), as_tensor(F_t)
+    return (_se_node(ls, sf2, F_i), _se_node(ls, sf2, F_t, F_i),
+            _se_kdiag(sf2, F_t.value.shape[-2]))
 
 
 def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStream):
@@ -94,8 +98,8 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
     layer's generalized Wishart over the mixed scale (1-q) S_ii + q V V^T,
     with S_ii the prior scale K(G_ii_prev)/nu and L_ii its lower Cholesky
     factor (the Bartlett draws take children of rng), and returns
-    (G_ii, features, increment) with features the retained
-    generalized-Bartlett root (F F^T = G_ii) and
+    (features, increment) with features the generalized-Bartlett root
+    (F F^T = G_ii) and
     increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev), the prior
     density read from the root. The A-variant's block log-det enters both
     densities alike and is left out of both.
@@ -104,20 +108,22 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
     V = as_tensor(layer.V)
     mixed = de.add(de.mul(de.elementwise("affine", q, a=-1.0, b=1.0), as_tensor(S_ii)),
                    de.mul(q, de.matmul(V, de.transpose(V))))
-    G, logq, feat, ld_block, _ = rd._gwish_sample(
+    logq, feat, ld_block, _ = rd._gwish_sample(
         de.cholesky_factor(mixed), layer.nu, de.elementwise("exp", as_tensor(layer.log_alpha)),
         de.elementwise("exp", as_tensor(layer.log_beta)), layer.mu,
         de.elementwise("exp", as_tensor(layer.log_sigma)), rng,
         layer.A_packed, None if layer.B_packed is None else _chol_from_raw(layer.B_packed))
     logp = rd._wishart_log_density_root(feat, L_ii, int(layer.nu), ld_block)
-    return G, feat, de.sub(logp, logq)
+    return feat, de.sub(logp, logq)
 
 
 def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int, rng: rd.RngStream):
     """Sample imagined test-point features from the prior conditional, in
-    one draw from rng, and assemble the Gram cross blocks (G_ti, g_tt).
+    one draw from rng: returns (F_i, F_t), the inducing root padded with
+    zero columns to M x nu and the test points' root, whose Gram blocks are
+    G_ti = F_t F_i^T and g_tt = |F_t|^2 per row.
 
-    feat_i: (M, ntilde) root of the inducing Gram (padded to M x nu if needed);
+    feat_i: (M, ntilde) root of the inducing Gram;
     L_ii: lower Cholesky factor of the prior scale block S_ii (K/nu);
     S_ti, s_tt: the test rows' prior scale block and diagonal, so that per
     point F_t = S_ti S_ii^{-1} F_i + sqrt(s_tt - s_ti S_ii^{-1} s_it) xi,
@@ -129,10 +135,7 @@ def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int, rng: rd.RngStr
         feat_i = de.concat([feat_i, as_tensor(pad)], axis=-1)
     elif width > nu:
         raise ValueError("feature root wider than the layer width")
-    feat_t = rd.conditional_draw(L_ii, S_ti, s_tt, de.triangular_solve(L_ii, feat_i), rng)
-    G_ti = de.matmul(feat_t, de.transpose(feat_i))
-    g_tt = de.tsum(de.elementwise("square", feat_t), axis=-1)
-    return G_ti, g_tt
+    return feat_i, rd.conditional_draw(L_ii, S_ti, s_tt, de.triangular_solve(L_ii, feat_i), rng)
 
 
 def dwp_forward(state: DwpState, Xt, rng):
@@ -143,25 +146,23 @@ def dwp_forward(state: DwpState, Xt, rng):
     (contributing log p - log q) and the batch rows from the prior
     conditional (their densities cancel), from children of rng of their
     own; the final layer is a global-inducing GP over the last Gram matrix.
-    The first layer's kernel blocks and factors see only the parameters and
-    the inputs, so they carry no sample axis."""
-    Xi, Xt = as_tensor(state.inducing_inputs), as_tensor(Xt)
-    grams = [de.matmul(Xi, de.transpose(Xi)), de.matmul(Xt, de.transpose(Xi)),
-             de.tsum(de.elementwise("square", Xt), axis=1)]
-    grams = [de.elementwise("affine", G, a=1.0 / float(state.nu0)) for G in grams]
-    nu_prev = state.nu0
+    Each layer's kernel reads the roots of the layer before; the first
+    layer's reads the inputs as they are (the SE kernel of G = X X^T / D at
+    nu = D is that of X), so its blocks and factors see only the parameters
+    and the inputs and carry no sample axis."""
+    roots, nu_prev = (as_tensor(state.inducing_inputs), as_tensor(Xt)), 1
     inc_sum = as_tensor(np.asarray(0.0))
     for layer in state.layers:
         nu = int(layer.nu)
         S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
-                            gram_kernel_blocks(layer.kernel_params, *grams, nu_prev))
+                            gram_kernel_blocks(layer.kernel_params, *roots, nu_prev))
         L_ii = de.cholesky_factor(S_ii)
         post_rng, rows_rng, rng = rng.split(3)
-        G_ii, feat_i, inc = dwp_posterior_layer(layer, S_ii, L_ii, post_rng)
+        feat_i, inc = dwp_posterior_layer(layer, S_ii, L_ii, post_rng)
         inc_sum = de.add(inc_sum, inc)
-        grams = (G_ii, *dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu, rows_rng))
+        roots = dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu, rows_rng)
         nu_prev = nu
     final = state.final_layer
-    _, F, inc = _gi_layer_sample(*gram_kernel_blocks(final.kernel_params, *grams, nu_prev),
+    _, F, inc = _gi_layer_sample(*gram_kernel_blocks(final.kernel_params, *roots, nu_prev),
                                  final, rng, last=True)
     return F, de.add(inc_sum, inc)

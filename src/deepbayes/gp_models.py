@@ -98,7 +98,7 @@ def _se_exact_fit(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
     is its Fortran-ordered transpose, whose strict upper triangle is not
     zeroed); the strict lower triangle still holds K, from which the jitter
     ladder rebuilds a failed attempt."""
-    se = _SeArd(params, X, X, _EXACT_LML)
+    se = _SeArd(params.lengthscales(), params.sf2(), X, X, _EXACT_LML)
     K = se.K
     de._check_finite(K, f"kernel of op {_EXACT_LML!r}")
     kdiag = np.diagonal(K).copy()
@@ -225,18 +225,20 @@ def svgp_elbo(state: SvgpState, Xb, yb, total_n, kl_scale=1.0) -> DiffTensor:
 
 def dkl_forward(weights, X) -> DiffTensor:
     """Deterministic feature extractor: the relu net with layers
-    weights = [(W, b), ...] applied to the inputs.
+    weights = [(W, b), ...] applied to the inputs; b None adds no bias.
 
     The effective kernel is the GP kernel on these features; hyperparameter
     and weight gradients flow through when the LML is differentiated.
     """
     h = as_tensor(X)
     for i, (Wl, bl) in enumerate(weights):
-        Wl, bl = as_tensor(Wl), as_tensor(bl)
+        Wl = as_tensor(Wl)
         if h.value.shape[1] != Wl.value.shape[0]:
             raise ValueError(
                 f"extractor layer {i}: input dim {h.value.shape[1]} != {Wl.value.shape[0]}")
-        h = de.add(de.matmul(h, Wl), bl)
+        h = de.matmul(h, Wl)
+        if bl is not None:
+            h = de.add(h, bl)
         if i < len(weights) - 1:
             h = de.elementwise("relu", h)
     return h

@@ -1,4 +1,7 @@
-"""Covariance functions on features and on Gram matrices."""
+"""The squared-exponential covariance function on features, one
+implementation that the feature kernels, the deep Wishart process's Gram
+layers (on the roots of their Gram matrices) and the exact-GP marginal
+likelihood share."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -28,33 +31,22 @@ class KernelParams:
         return de.elementwise("exp", as_tensor(self.log_lengthscales))
 
 
-def _clamp_sqdist(d2: np.ndarray, rows, cols, op: str, scale=1.0):
+def _clamp_sqdist(d2: np.ndarray, rows, cols, op: str):
     """Clamp the rounding negatives of squared distances d2 to zero in place;
-    larger ones raise naming op. d2_ij = scale (rows_i - 2 cross_ij +
-    cols_j), whose rounding grows with the squared norms rows and cols that
-    the subtraction cancels, so the tolerance is 1e-10 plus 1e-12 of scale
-    times the largest row and column terms; they are read only when d2 dips
-    below -1e-10. Returns the mask of clamped entries (their gradient is
-    zero), or None when there are none."""
+    larger ones raise naming op. d2_ij = rows_i - 2 cross_ij + cols_j, whose
+    rounding grows with the squared norms rows and cols that the subtraction
+    cancels, so the tolerance is 1e-10 plus 1e-12 of the largest row and
+    column terms; they are read only when d2 dips below -1e-10. Returns the
+    mask of clamped entries (their gradient is zero), or None when there are
+    none."""
     low = d2.min() if d2.size else 0.0
     if low >= 0:
         return None
-    if low < -1e-10 and low < -1e-10 - 1e-12 * scale * (np.abs(rows).max() + np.abs(cols).max()):
+    if low < -1e-10 and low < -1e-10 - 1e-12 * (np.abs(rows).max() + np.abs(cols).max()):
         raise ValueError(f"squared distance negative beyond tolerance in op {op!r}")
     neg = d2 < 0
     d2[neg] = 0.0
     return neg
-
-
-def _se_cotangent(gk, neg, sf2):
-    """(cotangent of sf2, cotangent of the clamped exponent argument d2 in
-    K = sf2 exp(-0.5 d2)) from gk = g * K, the cotangent g of K times K,
-    which becomes the second in place."""
-    g_sf2 = de._unbroadcast(gk.sum() / sf2, np.shape(sf2))
-    gk *= -0.5
-    if neg is not None:
-        gk[neg] = 0.0
-    return g_sf2, gk
 
 
 class _SeArd:
@@ -64,14 +56,15 @@ class _SeArd:
     from the cotangent of the kernel (the exact GP reduces its own tiles and
     takes only the lengthscales' from here). Squared distances come from the scaled
     inputs' norms and cross products; their rounding negatives are clamped
-    to zero, larger ones raise. X and X2 (tensors) may be stacks of inputs
+    to zero, larger ones raise. ls and sf2 are the lengthscales' and the
+    signal variance's nodes. X and X2 (tensors) may be stacks of inputs
     (leading axes), one kernel matrix per sample. op names the tape op
     built on it in the clamp's error."""
 
-    def __init__(self, params: KernelParams, X: DiffTensor, X2: DiffTensor, op: str):
+    def __init__(self, ls: DiffTensor, sf2: DiffTensor, X: DiffTensor, X2: DiffTensor, op: str):
         if X.value.shape[-1] != X2.value.shape[-1]:
             raise ValueError("feature dimension mismatch")
-        self.ls, self.sf2 = params.lengthscales(), params.sf2()
+        self.ls, self.sf2 = ls, sf2
         if self.ls.value.ndim == 1 and self.ls.value.shape[0] not in (1, X.value.shape[-1]):
             raise ValueError("lengthscale count does not match feature dimension")
         self.X, self.X2, self.same = X, X2, X2 is X
@@ -97,7 +90,11 @@ class _SeArd:
         """(cotangent of sf2, cotangents of the scaled inputs: one array when
         X2 is X, else one each, unbroadcast) from gk = g * K, for the
         kernel's cotangent g; gk is overwritten."""
-        g_sf2, P = _se_cotangent(gk, self.neg, self.sf2.value)
+        g_sf2 = de._unbroadcast(gk.sum() / self.sf2.value, np.shape(self.sf2.value))
+        P = gk      # in place: the cotangent of the clamped squared distances
+        P *= -0.5
+        if self.neg is not None:
+            P[self.neg] = 0.0
         Xs, Xs2 = self.Xs, self.Xs2
         gXs = 2.0 * (P.sum(axis=-1)[..., None] * Xs - P @ Xs2)
         gXs2 = 2.0 * (P.sum(axis=-2)[..., None] * Xs2 - de._mT(P) @ Xs)
@@ -117,9 +114,15 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
     one tape node over X, X2, the lengthscales and sf2 (see _SeArd). X and
     X2 may be stacks of inputs (leading axes), one kernel matrix per
     sample."""
+    return _se_node(params.lengthscales(), params.sf2(), X, X2)
+
+
+def _se_node(ls: DiffTensor, sf2: DiffTensor, X, X2=None) -> DiffTensor:
+    """se_ard_features at the lengthscale and signal-variance nodes ls and
+    sf2, for callers that build several kernel blocks from the same ones."""
     X = as_tensor(X)
     X2 = X if X2 is None else as_tensor(X2)
-    se = _SeArd(params, X, X2, "se_kernel")
+    se = _SeArd(ls, sf2, X, X2, "se_kernel")
 
     def vjp(g):
         g_sf2, gs = se.backward(g * se.K)   # cotangents of sf2 and of the scaled inputs
@@ -127,48 +130,6 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
 
     parents = (se.sf2, se.ls, X) if se.same else (se.sf2, se.ls, X, X2)
     return de.lift(se.K, parents, vjp, "se_kernel")
-
-
-def _gram_se_params(params: KernelParams):
-    """(sf2, lengthscale) of an SE kernel on Gram matrices."""
-    ls = params.lengthscales()
-    if ls.value.ndim and ls.value.size > 1:
-        raise ValueError("an SE kernel on Gram matrices requires a single shared lengthscale")
-    return params.sf2(), ls
-
-
-def _se_gram(rows, cross, cols, scale, sf2, ls) -> DiffTensor:
-    """sf2 * exp(-0.5 d2 / l^2) with d2_ij = scale (rows_i - 2 cross_ij +
-    cols_j), from a Gram block `cross` and the Gram diagonals `rows` and
-    `cols` (vectors), in one tape node, for one block or a stack of them.
-    Rounding negatives of d2 are clamped to zero; larger ones raise. Two
-    buffers of the block's size, d2 and K, with the roundings of
-    rows - 2 cross + cols and sf2 exp(-0.5 d2)."""
-    rows, cross, cols = as_tensor(rows), as_tensor(cross), as_tensor(cols)
-    r, c = rows.value[..., :, None], cols.value[..., None, :]
-    d2 = np.multiply(cross.value, -2.0,
-                     out=np.empty(np.broadcast_shapes(r.shape, cross.value.shape, c.shape)))
-    d2 += r
-    d2 += c
-    if scale != 1.0:
-        d2 *= float(scale)
-    neg = _clamp_sqdist(d2, rows.value, cols.value, "se_kernel", float(scale))
-    inv_l2 = 1.0 / (ls.value * ls.value)
-    d2 *= inv_l2
-    K = d2 * -0.5
-    np.exp(K, out=K)
-    K *= sf2.value
-
-    def unb(x, t):
-        return de._unbroadcast(x, t.value.shape)
-
-    def vjp(g):
-        g_sf2, Q = _se_cotangent(g * K, neg, sf2.value)    # Q: cotangent of d2 / l^2
-        gd = Q * (float(scale) * inv_l2)    # cotangent of d2, times scale
-        return (g_sf2, unb(-2.0 * np.sum(Q * d2) / ls.value, ls), unb(gd.sum(axis=-1), rows),
-                unb(-2.0 * gd, cross), unb(gd.sum(axis=-2), cols))
-
-    return de.lift(K, (sf2, ls, rows, cross, cols), vjp, "se_kernel")
 
 
 def _se_kdiag(sf2, n: int) -> DiffTensor:

@@ -125,13 +125,14 @@ class GpLmlModel(_ClosedFormModel):
             dims = [self.D] + list(self.dkl_widths)
             for i in range(len(dims) - 1):
                 p[f"W{i}"] = rng.standard_normal((dims[i], dims[i + 1])) / np.sqrt(dims[i])
-                p[f"b{i}"] = np.zeros(dims[i + 1])
+                if i < len(dims) - 2:   # the kernel is translation-invariant: no last bias
+                    p[f"b{i}"] = np.zeros(dims[i + 1])
         return p
 
     def _state_and_features(self, p, X):
         st = gm.GpState(kernel_params=_se_params(p, ""), log_noise=p["log_noise"])
         if self.dkl_widths:
-            X = gm.dkl_forward([(p[f"W{i}"], p[f"b{i}"])
+            X = gm.dkl_forward([(p[f"W{i}"], p.get(f"b{i}"))
                                 for i in range(len(self.dkl_widths))], X)
         return st, X
 
@@ -384,6 +385,5 @@ class DwpModel(_MonteCarloModel):
             kernel_params=_se_params(p, f"_{i}")) for i in range(self.n_layers)]
         final = dm.GiDgpLayer(V=p["Vf"], log_lambda=p["lamf"],
                               kernel_params=_se_params(p, "_f"))
-        state = dwp_mod.DwpState(inducing_inputs=p["Xi"], layers=layers,
-                                 final_layer=final, nu0=self.D)
+        state = dwp_mod.DwpState(inducing_inputs=p["Xi"], layers=layers, final_layer=final)
         return dwp_mod.dwp_forward(state, X, rng)

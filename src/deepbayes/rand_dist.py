@@ -237,9 +237,9 @@ def _bartlett_logq(tsq, T, alpha, beta, mu, sigma, below, w_t, const, scale_logq
 
 def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, B=None):
     """Sample G from the (A/AB-)generalized singular Wishart with N x N lower
-    scale factor L and nu degrees of freedom, and evaluate its log density
-    at the sample. The Bartlett gamma and normals each draw from a child of
-    rng.
+    scale factor L and nu degrees of freedom, by its root, and evaluate its
+    log density at the sample. The Bartlett gamma and normals each draw from
+    a child of rng.
 
     alpha, beta: length-ntilde positive gamma shapes and rates of the squared
     diagonal of the Bartlett factor T (ntilde = min(N, nu)); mu, sigma:
@@ -248,11 +248,11 @@ def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, 
     optional lower-triangular ntilde x ntilde column mixing with positive
     diagonal (AB-variant). G = (L A T B)(L A T B)^T.
 
-    Returns (G, log_density, feat, ld_block, ATB): feat is the retained root
-    with feat feat^T = G (the imagined features of the inducing block), ATB
-    the root A T B, and ld_block the log-determinant of G's leading
-    ntilde x ntilde block, from the diagonals the density forms. The
-    A-variant leaves out the log-det db of the leading block of
+    Returns (log_density, feat, ld_block, ATB): feat is the root with
+    feat feat^T = G (the imagined features of the inducing block; G itself
+    is not formed), ATB the root A T B, and ld_block the log-determinant of
+    G's leading ntilde x ntilde block, from the diagonals the density
+    forms. The A-variant leaves out the log-det db of the leading block of
     (A T B)(A T B)^T: log_density is less c db, c = 0.5 (nu - N - 1), and
     ld_block less db. A Wishart log density of G read through ld_block holds
     the same c db, so log p - log q needs neither term, and db's
@@ -296,23 +296,22 @@ def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, 
     tsq = gamma_sample_reparam(alpha, beta, gamma_rng)          # length ntilde
     T = _bartlett_root(tsq, mu, sigma, below, normal_rng.normal((N, ntilde)))
 
-    # assemble the root A T B and the Gram sample
+    # assemble the roots A T B and L A T B
     ATB = T if B is None else de.matmul(T, B)
     if A is not None:
         ATB = de.matmul(A, ATB)
     feat = de.matmul(L, ATB)
-    G = de.matmul(feat, de.transpose(feat))
     # coefficient of log T_jj = 0.5 log tsq_j: T_jj^{N-j}, and the A-variant's
     # log|C block| = 2 sum log T_jj (+ B's, in const)
     w_t = exps_top - 1.0 + (2.0 * c_db if A is not None else 0.0)
     logq = _bartlett_logq(tsq, T, alpha, beta, mu, sigma, below, w_t, const, scale_logq)
 
     if A is None:       # the root L T B is lower-trapezoidal: 2 sum log of its diagonal
-        return G, logq, feat, de.log_diag_sum(feat, 2.0), ATB
+        return logq, feat, de.log_diag_sum(feat, 2.0), ATB
     # G's leading block is L's times D's: 2 sum log of L's leading diagonal
     top = np.zeros(N)
     top[:ntilde] = 2.0
-    return G, logq, feat, de.log_diag_sum(L, top), ATB
+    return logq, feat, de.log_diag_sum(L, top), ATB
 
 
 # -- Gaussian conditioning --------------------------------------------------------
@@ -352,23 +351,18 @@ def inducing_marginals(L, W, var, m, S_chol):
 def conditional_sample(mean, var, rng) -> DiffTensor:
     """mean + sqrt(max(var, 0) + 1e-12) xi in one tape node, with xi ~ N(0, I)
     drawn once from rng for one sample of mean: its last two axes (or its
-    one), var shaped like mean or, one per row, with one axis fewer; a
-    leading axis is the samples of rng's sample count."""
+    one), var broadcasting to mean (one variance per row takes a trailing
+    axis of 1); a leading axis is the samples of rng's sample count."""
     mean, var = as_tensor(mean), as_tensor(var)
     pos = var.value > 0
     std = np.sqrt(var.value * pos + 1e-12)
-    rowwise = mean.value.ndim > var.value.ndim
     xi = rng.normal(mean.value.shape[-2:])
-    rows = std[..., None] if rowwise else std
 
     def vjp(g):
-        gs = g * xi
-        if rowwise:
-            gs = gs.sum(axis=-1)
         return (de._unbroadcast(g, mean.value.shape),
-                de._unbroadcast(gs * (0.5 / std) * pos, var.value.shape))
+                de._unbroadcast(g * xi * (0.5 / std) * pos, var.value.shape))
 
-    return lift(mean.value + rows * xi, (mean, var), vjp, "conditional_sample")
+    return lift(mean.value + std * xi, (mean, var), vjp, "conditional_sample")
 
 
 def conditional_draw(L, K_fu, k_ff, Z, rng) -> DiffTensor:

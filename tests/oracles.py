@@ -27,7 +27,7 @@ from deepbayes import rand_dist as rd
 from deepbayes.deep_models import PriorSpec, _prior_precision_scalar
 from deepbayes.diff_engine import DiffTensor, as_tensor
 from deepbayes.dwp import standard_bartlett_params
-from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag
+from deepbayes.kernels import KernelParams, _se_kdiag
 from deepbayes.rand_dist import RngStream
 
 
@@ -283,12 +283,14 @@ def jacobian_logdets(variant: str, **kw) -> DiffTensor:
 
 def gwish_full_density(sample, nu, A_packed=None):
     """(G, log q, feat, ld_block) of the generalized Wishart from
-    rand_dist._gwish_sample's (G, log q, feat, ld_block, ATB). With an A
-    mixing, _gwish_sample leaves db, the log-det of the leading min(N, nu)
-    block of (A T B)(A T B)^T, out of ld_block and c db (c = 0.5 (nu - N - 1))
-    out of log q: a Wishart density read through ld_block holds the same
-    c db, so the models' log p - log q needs neither. This adds both back."""
-    G, logq, feat, ld_block, ATB = sample
+    rand_dist._gwish_sample's (log q, feat, ld_block, ATB), G = feat feat^T
+    formed here. With an A mixing, _gwish_sample leaves db, the log-det of
+    the leading min(N, nu) block of (A T B)(A T B)^T, out of ld_block and
+    c db (c = 0.5 (nu - N - 1)) out of log q: a Wishart density read
+    through ld_block holds the same c db, so the models' log p - log q
+    needs neither. This adds both back."""
+    logq, feat, ld_block, ATB = sample
+    G = de.matmul(feat, de.transpose(feat))
     if A_packed is None:
         return G, logq, feat, ld_block
     nu, N = int(nu), ATB.value.shape[-2]
@@ -317,14 +319,27 @@ def matrix_normal_conditional(S_ii, S_ti, S_tt, F_i):
 # -- Gram-matrix kernels and Wishart layers ---------------------------------------------
 
 def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
-    """SE kernel evaluated from a normalized Gram matrix G = F F^T / nu.
-
-    d2_ij = nu * (G_ii - 2 G_ij + G_jj); single shared lengthscale only, since
+    """SE kernel evaluated from a normalized Gram matrix G = F F^T / nu (or
+    a stack of them), from generic ops: sf2 exp(-0.5 d2 / l^2) with
+    d2_ij = nu (G_ii - 2 G_ij + G_jj); single shared lengthscale only, since
     there are no explicit feature coordinates to weight separately.
+    Rounding negatives of d2 are clamped to zero (no gradient through
+    them); below -1e-10 it raises.
     """
     G = as_tensor(G)
+    ls = params.lengthscales()
+    if ls.value.size > 1:
+        raise ValueError("an SE kernel on Gram matrices requires a single shared lengthscale")
     diag = de.diag_part(G)
-    return _se_gram(diag, G, diag, nu, *_gram_se_params(params))
+    shape = diag.value.shape
+    d2 = de.add(de.sub(de.reshape(diag, shape + (1,)), de.elementwise("affine", G, a=2.0)),
+                de.reshape(diag, shape[:-1] + (1, shape[-1])))
+    d2 = de.elementwise("affine", d2, a=float(nu))
+    if np.any(d2.value < -1e-10):
+        raise ValueError("squared distance negative beyond tolerance")
+    d2 = de.mul(d2, as_tensor((d2.value >= 0).astype(np.float64)))
+    return de.mul(params.sf2(), de.elementwise("exp", de.elementwise(
+        "affine", de.div(d2, de.elementwise("square", ls)), a=-0.5)))
 
 
 def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
@@ -337,9 +352,10 @@ def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
     the Wishart density read from it."""
     K = se_from_gram(kp, G_prev, nu_prev if nu_prev is not None else nu)
     L = de.cholesky_factor(de.elementwise("affine", K, a=1.0 / float(nu)))
-    G, _, feat, ld_block, _ = rd._gwish_sample(
+    _, feat, ld_block, _ = rd._gwish_sample(
         L, nu, *standard_bartlett_params(K.value.shape[0], nu), rng)
-    return G, rd._wishart_log_density_root(feat, L, nu, ld_block), feat
+    return (de.matmul(feat, de.transpose(feat)),
+            rd._wishart_log_density_root(feat, L, nu, ld_block), feat)
 
 
 def wishart_inducing_extension(Sigma_uu, sigma_us, sigma_ss, Psi_uu):
@@ -608,4 +624,5 @@ def conditional_chain(L, K_fu, k_ff, Z, rng):
     gaussian_conditional(L, K_fu^T, k_ff), then conditional_sample at the
     mean W^T Z, with Z = L^{-1} U the solved inducing values."""
     W, var = rd.gaussian_conditional(L, de.transpose(K_fu), k_ff)
+    var = de.reshape(var, var.value.shape + (1,))       # one variance per row
     return rd.conditional_sample(de.matmul(de.transpose(W), Z), var, rng)

@@ -150,8 +150,9 @@ def test_criterion_03_wishart_moments():
 
     # the Bartlett sampler the Gram layers run, at the standard Wishart's
     # parameters, and the outer product of nu Gaussian rows
-    G1 = rd._gwish_sample(Ls, nu, *dw.standard_bartlett_params(N, nu),
-                          rd.RngStream(30, K))[0].value
+    F1 = rd._gwish_sample(Ls, nu, *dw.standard_bartlett_params(N, nu),
+                          rd.RngStream(30, K))[1].value
+    G1 = F1 @ np.swapaxes(F1, -1, -2)
     xs = rd.RngStream(31).normal((K, nu, N)) @ Ls.T
     G2 = np.einsum("kji,kjl->kil", xs, xs)
 
@@ -286,7 +287,8 @@ def test_criterion_05_generalized_wishart_reduction():
     nt = min(N, nu)
     worst = 0.0
     for seed in range(20):
-        G, logq, _, _, _ = rd._gwish_sample(L, nu, a, b, mu, sg, rd.RngStream(500 + seed))
+        G, logq, _, _ = oracles.gwish_full_density(
+            rd._gwish_sample(L, nu, a, b, mu, sg, rd.RngStream(500 + seed)), nu)
         worst = max(worst, abs(float(logq.value)
                                - float(oracles.wishart_log_density(G.value, S, nu).value)))
     assert worst < 1e-8
@@ -294,7 +296,8 @@ def test_criterion_05_generalized_wishart_reduction():
     # A = I and A = I, B = I reduce to the base sampler exactly under shared draws
     worst_nest = 0.0
     for seed in range(5):
-        G0, lq0, _, _, _ = rd._gwish_sample(L, nu, a, b, mu, sg, rd.RngStream(900 + seed))
+        G0, lq0, _, _ = oracles.gwish_full_density(
+            rd._gwish_sample(L, nu, a, b, mu, sg, rd.RngStream(900 + seed)), nu)
         Ga, lqa, _, _ = oracles.gwish_full_density(rd._gwish_sample(
             L, nu, a, b, mu, sg, rd.RngStream(900 + seed), A_packed=np.eye(N)), nu, np.eye(N))
         Gab, lqab, _, _ = oracles.gwish_full_density(rd._gwish_sample(
@@ -472,7 +475,7 @@ def test_criterion_10_gram_prior_matches_dgp_layer():
     # a Bartlett factor, the root the sampler draws at an identity scale
     G = oracles.dwp_prior_layer(G0, kp, nu, rd.RngStream(42, 50), nu_prev=nu0)[0].value
     T = rd._gwish_sample(np.eye(N), nu, *dw.standard_bartlett_params(N, nu),
-                         rd.RngStream(42, 50))[4].value
+                         rd.RngStream(42, 50))[3].value
     F = Lp @ T
     assert np.allclose(G, F @ np.swapaxes(F, -1, -2), atol=1e-12)
 
@@ -515,7 +518,9 @@ def test_criterion_11_imagined_feature_root_invariance():
     L_ii = np.linalg.cholesky(S_ii)
     draws = [dw.dwp_conditional_testpoints(R, L_ii, S_ti, s_tt, nu, rd.RngStream(1100 + i, K))
              for i, R in enumerate(roots)]
-    (a1, b1), (a2, b2) = [(g_ti.value, g_tt.value) for g_ti, g_tt in draws]
+    # the cross blocks G_ti = F_t F_i^T and g_tt = |F_t|^2 of each draw's roots
+    (a1, b1), (a2, b2) = [(F_t.value @ F_i.value.T, np.sum(F_t.value ** 2, axis=-1))
+                          for F_i, F_t in draws]
     ratios = [_se_ratio(x1.mean(axis=0) - x2.mean(axis=0),
                         np.sqrt(x1.var(axis=0) / K + x2.var(axis=0) / K))
               for x1, x2 in ((a1, a2), (a1 ** 2, a2 ** 2), (b1, b2), (b1 ** 2, b2 ** 2))]
@@ -620,8 +625,8 @@ def test_criterion_14_variant_final_bounds_at_least_base():
 def test_criterion_15_dwp_elbo_rotation_invariance():
     t0 = time.monotonic()
     rng = np.random.default_rng(15)
-    M, nu, nu0 = 4, 3, 2
-    Xi = rng.standard_normal((M, nu0))
+    M, nu, D = 4, 3, 2
+    Xi = rng.standard_normal((M, D))
     a, b, mu, sg = dw.standard_bartlett_params(M, nu)
     nt = min(M, nu)
     layers = []
@@ -633,15 +638,15 @@ def test_criterion_15_dwp_elbo_rotation_invariance():
             log_beta=np.log(b), mu=mu, log_sigma=np.log(sg),
             kernel_params=KernelParams(log_sf2=0.1, log_lengthscales=0.2)))
     final = dm.GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
-    state = dw.DwpState(inducing_inputs=Xi, layers=layers, final_layer=final, nu0=nu0)
-    Xt = rng.standard_normal((5, nu0))
+    state = dw.DwpState(inducing_inputs=Xi, layers=layers, final_layer=final)
+    Xt = rng.standard_normal((5, D))
     y = rng.standard_normal(5)
 
     def elbo(X):
         return float(dm.mc_elbo(lambda st: dw.dwp_forward(state, X, st), y, 5, 1,
                                 rd.RngStream(150), np.log(0.3)).value)
     e1 = elbo(Xt)
-    Q, _ = np.linalg.qr(rng.standard_normal((nu0, nu0)))
+    Q, _ = np.linalg.qr(rng.standard_normal((D, D)))
     state.inducing_inputs = Xi @ Q
     e2 = elbo(Xt @ Q)
     dev = abs(e1 - e2)

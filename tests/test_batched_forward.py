@@ -354,7 +354,8 @@ def _ref_dsvi_terms(p, F, rng):
         kl = de.add(kl, rd._kl_gaussian_chol(oracles.getitem(p["m"], (slice(None), lam)), Sc,
                                              np.zeros(L.value.shape[0]), L))
     xi = rng.normal((w, F.value.shape[-2]))
-    F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)), v,
+    F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)),
+                                              de.reshape(v, v.value.shape + (1,)),
                                               _Drawn(xi[..., lam, :, None]))
                         for lam, (m, v) in enumerate(zip(means, vars_))], axis=-1)
     return means, vars_, kl, F_next

@@ -282,9 +282,9 @@ PINNED_OBJECTIVES = {
     "dgp-gi": -83.22007032052232,
     "dgp-dsvi": -15429043117.487757,
     "svgp": -4558421318340.829,
-    "dwp": -4801675787.394119,
-    "dwp-a": -4801675787.394119,
-    "dwp-ab": -4801675787.394119,
+    "dwp": -4801661292.391195,
+    "dwp-a": -4801661292.391194,
+    "dwp-ab": -4801661292.391194,
 }
 
 

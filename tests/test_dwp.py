@@ -41,35 +41,56 @@ def _prior_scale(G0, nu_prev, nu):
     return S, de.cholesky_factor(S)
 
 
-# -- kernel blocks from Gram blocks ------------------------------------------------
+# -- kernel blocks from the roots of Gram blocks ------------------------------------------
+
+def _gram_blocks(roots):
+    """(G_ti, g_tt), the Gram blocks of dwp_conditional_testpoints' roots."""
+    F_i, F_t = (r.value for r in roots)
+    return F_t @ np.swapaxes(F_i, -1, -2), np.sum(F_t * F_t, axis=-1)
+
 
 def test_gram_kernel_blocks_match_full_kernel():
+    # the blocks from the roots F_i, F_t against the SE kernel of the whole
+    # Gram G = F F^T, at nu = 1 (the first layer, on the inputs) and nu = 3,
+    # for one root and for a stack of them, and for an inducing root
+    # narrower than nu that the test-point draw pads with zeros
     rng = np.random.default_rng(0)
-    nu = 3
-    F = rng.standard_normal((7, nu))
-    G = F @ F.T / nu
     kp = KernelParams(log_sf2=0.2, log_lengthscales=0.1)
-    K_full = se_from_gram(kp, G, nu).value
-    i, t = [0, 1, 2, 3], [4, 5, 6]
-    K_ii, K_ti, k_tt = gram_kernel_blocks(
-        kp, G[np.ix_(i, i)], G[np.ix_(t, i)], np.diag(G)[t], nu)
-    assert np.allclose(K_ii.value, K_full[np.ix_(i, i)], atol=1e-12)
-    assert np.allclose(K_ti.value, K_full[np.ix_(t, i)], atol=1e-12)
-    assert np.allclose(k_tt.value, np.diag(K_full)[t], atol=1e-12)
+    M, nt = 4, 3
+    for nu, width, lead in [(1, 1, ()), (3, 3, ()), (1, 1, (2,)), (3, 3, (2,)), (3, 2, ()),
+                            (3, 2, (2,))]:
+        F_i = rng.standard_normal(lead + (M, width))
+        if width < nu:
+            S = _spd(rng, M + nt) / (M + nt)
+            F_i, F_t = dwp_conditional_testpoints(
+                F_i, np.linalg.cholesky(S[:M, :M]), S[M:, :M], np.diag(S)[M:], nu,
+                rd.RngStream(1, lead[0] if lead else None))
+            assert F_i.value.shape[-1] == nu and not np.any(F_i.value[..., width:])
+        else:
+            F_t = rng.standard_normal(lead + (nt, nu))
+        F = np.concatenate([de.as_tensor(F_i).value, de.as_tensor(F_t).value], axis=-2)
+        K_full = se_from_gram(kp, F @ np.swapaxes(F, -1, -2), nu).value
+        K_ii, K_ti, k_tt = gram_kernel_blocks(kp, F_i, F_t, nu)
+        assert K_ii.value.shape == lead + (M, M) and K_ti.value.shape == lead + (nt, M)
+        # k_tt, the signal variance, carries no sample axis
+        for got, want in ((K_ii, K_full[..., :M, :M]), (K_ti, K_full[..., M:, :M]),
+                          (k_tt, np.diagonal(K_full, axis1=-2, axis2=-1)[..., M:])):
+            assert np.max(np.abs(got.value - want)) <= 1e-12 * np.max(np.abs(want)), (nu, lead)
 
 
 def test_gram_kernel_blocks_never_need_test_test_entries():
-    # two Gram-completions that differ only in the test-test off-diagonal
-    # entries must give identical blocks
+    # the test rows' Gram entries among themselves never enter: two test
+    # roots that differ only in their second row, and so in every test-test
+    # entry but the first, give identical first rows of K_ti and k_tt
     rng = np.random.default_rng(1)
-    kp = KernelParams()
-    G_ii = _spd(rng, 3)
-    G_ti = rng.standard_normal((2, 3))
-    g_tt = np.abs(rng.standard_normal(2)) + 1.0
-    out1 = gram_kernel_blocks(kp, G_ii, G_ti, g_tt, 4)
-    out2 = gram_kernel_blocks(kp, G_ii, G_ti, g_tt, 4)
-    for a, b in zip(out1, out2):
-        assert np.array_equal(a.value, b.value)
+    kp = KernelParams(log_sf2=0.3, log_lengthscales=-0.2)
+    F_i, F_t = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+    F_t2 = F_t.copy()
+    F_t2[1] = rng.standard_normal(4)
+    _, K1, k1 = gram_kernel_blocks(kp, F_i, F_t, 4)
+    _, K2, k2 = gram_kernel_blocks(kp, F_i, F_t2, 4)
+    assert np.array_equal(K1.value[0], K2.value[0]) and k1.value[0] == k2.value[0]
+    assert not np.array_equal(K1.value[1], K2.value[1])
 
 
 # -- prior layers ----------------------------------------------------------------------
@@ -147,7 +168,7 @@ def test_posterior_layer_prior_reduction():
     layer = _posterior(M, nu, rng=rng, q=1e-12)
     factors = _prior_scale(G0, M, nu)
     for seed in range(5):
-        _, _, inc = dwp_posterior_layer(layer, *factors, rd.RngStream(seed))
+        _, inc = dwp_posterior_layer(layer, *factors, rd.RngStream(seed))
         assert abs(inc.value) < 1e-8, seed
 
 
@@ -160,8 +181,8 @@ def test_posterior_layer_variant_nesting_exact():
     for variant in ("base", "A", "AB"):
         layer = _posterior(M, nu, variant=variant, rng=np.random.default_rng(6),
                            spread=0.2)
-        G, feat, inc = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(11))
-        outs.append((G.value, feat.value, inc.value))
+        feat, inc = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(11))
+        outs.append((feat.value @ feat.value.T, feat.value, inc.value))
     for G, feat, inc in outs[1:]:
         assert np.allclose(G, outs[0][0], atol=1e-12)
         assert np.allclose(feat, outs[0][1], atol=1e-12)
@@ -174,7 +195,7 @@ def test_posterior_layer_increment_mean_is_negative_kl():
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=0.4, spread=0.15)
     streams = rd.RngStream(0, 3000)
-    incs = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), streams)[2].value
+    incs = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), streams)[1].value
     # KL >= 0, so the mean increment must not be significantly positive
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
 
@@ -184,9 +205,13 @@ def test_posterior_layer_root_consistency():
     M, nu = 4, 2
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, spread=0.1)
-    G, feat, _ = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(3))
+    # the root is L T: lower-trapezoidal with a positive diagonal, so its
+    # Gram has rank min(M, nu) and the density reads the leading block's
+    # log-determinant from the root's diagonal
+    feat, _ = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(3))
     assert feat.value.shape == (M, min(M, nu))
-    assert np.allclose(feat.value @ feat.value.T, G.value, atol=1e-12)
+    assert not np.any(np.triu(feat.value, 1)) and np.all(np.diag(feat.value) > 0)
+    assert np.linalg.matrix_rank(feat.value @ feat.value.T) == min(M, nu)
 
 
 # -- conditional test-point sampling ---------------------------------------------------------
@@ -203,13 +228,13 @@ def test_conditional_testpoints_moments():
     mean_ref = S_ti @ np.linalg.solve(S_ii, feat_i)
     schur = s_tt - np.sum(S_ti * np.linalg.solve(S_ii, S_ti.T).T, axis=1)
     n = 40_000
-    G_ti, g_tt = dwp_conditional_testpoints(feat_i, np.linalg.cholesky(S_ii), S_ti, s_tt, nu,
-                                            rd.RngStream(5, n))
+    G_ti, g_tt = _gram_blocks(dwp_conditional_testpoints(
+        feat_i, np.linalg.cholesky(S_ii), S_ti, s_tt, nu, rd.RngStream(5, n)))
     ref_ti = mean_ref @ feat_i.T
     ref_tt = nu * schur + np.sum(mean_ref ** 2, axis=1)
     sd_ti = np.sqrt(np.outer(schur, np.sum(feat_i ** 2, axis=1)) / n)
-    assert np.all(np.abs(G_ti.value.mean(axis=0) - ref_ti) < 4 * sd_ti + 1e-9)
-    assert np.all(np.abs(g_tt.value.mean(axis=0) - ref_tt) < 0.05 * np.abs(ref_tt) + 0.02)
+    assert np.all(np.abs(G_ti.mean(axis=0) - ref_ti) < 4 * sd_ti + 1e-9)
+    assert np.all(np.abs(g_tt.mean(axis=0) - ref_tt) < 0.05 * np.abs(ref_tt) + 0.02)
 
 
 def test_conditional_testpoints_zero_pads_singular_roots():
@@ -218,9 +243,10 @@ def test_conditional_testpoints_zero_pads_singular_roots():
     feat_i = rng.standard_normal((M, 4))    # rank-deficient root, ntilde < nu
     S = _spd(rng, M + 1) / (M + 1)
     L_ii = np.linalg.cholesky(S[:M, :M])
-    G_ti, g_tt = dwp_conditional_testpoints(feat_i, L_ii, S[M:, :M], np.diag(S)[M:], nu,
-                                            rd.RngStream(0))
-    assert G_ti.value.shape == (1, M) and g_tt.value.shape == (1,)
+    F_i, F_t = dwp_conditional_testpoints(feat_i, L_ii, S[M:, :M], np.diag(S)[M:], nu,
+                                          rd.RngStream(0))
+    assert F_i.value.shape == (M, nu) and F_t.value.shape == (1, nu)
+    assert np.array_equal(F_i.value, np.pad(feat_i, ((0, 0), (0, nu - 4))))
     with pytest.raises(ValueError):
         dwp_conditional_testpoints(rng.standard_normal((M, 7)), L_ii, S[M:, :M], np.diag(S)[M:],
                                    6, rd.RngStream(0))
@@ -233,11 +259,12 @@ def test_conditional_testpoints_degenerate_at_inducing_row():
     M, nu = 3, 3
     S_ii = _spd(rng, M) / M
     feat_i = rng.standard_normal((M, nu))
-    G_ti, g_tt = dwp_conditional_testpoints(feat_i, np.linalg.cholesky(S_ii), S_ii[0:1, :],
-                                            np.array([S_ii[0, 0]]), nu, rd.RngStream(1))
+    G_ti, g_tt = _gram_blocks(dwp_conditional_testpoints(
+        feat_i, np.linalg.cholesky(S_ii), S_ii[0:1, :], np.array([S_ii[0, 0]]), nu,
+        rd.RngStream(1)))
     G_ii = feat_i @ feat_i.T
-    assert np.max(np.abs(G_ti.value - G_ii[0:1, :])) < 1e-4
-    assert abs(g_tt.value[0] - G_ii[0, 0]) < 1e-4
+    assert np.max(np.abs(G_ti - G_ii[0:1, :])) < 1e-4
+    assert abs(g_tt[0] - G_ii[0, 0]) < 1e-4
 
 
 def test_conditional_testpoints_root_rotation_invariance():
@@ -253,11 +280,11 @@ def test_conditional_testpoints_root_rotation_invariance():
     Q, _ = np.linalg.qr(rng.standard_normal((nu, nu)))
     n = 30_000
     L_ii = np.linalg.cholesky(S[:M, :M])
-    (G1, g1), (G2, g2) = [dwp_conditional_testpoints(root, L_ii, S[M:, :M], np.diag(S)[M:], nu,
-                                                     rd.RngStream(3, n))
+    (G1, g1), (G2, g2) = [_gram_blocks(dwp_conditional_testpoints(
+        root, L_ii, S[M:, :M], np.diag(S)[M:], nu, rd.RngStream(3, n)))
                           for root in (feat_i, feat_i @ Q)]
     for a, b in ((G1, G2), (g1, g2)):
-        d = a.value - b.value
+        d = a - b
         assert np.max(np.abs(d.mean(axis=0)) / (4 * d.std(axis=0) / np.sqrt(n))) < 1
 
 
@@ -272,15 +299,15 @@ def _elbo(state, Xt, y, total_n, rng, n_samples=1, kl_scale=1.0, log_noise=LOG_N
                    log_noise, kl_scale)
 
 
-def _small_state(rng, M=4, nu=3, depth=1, variant="base", nu0=2):
-    Xi = rng.standard_normal((M, nu0))
+def _small_state(rng, M=4, nu=3, depth=1, variant="base", D=2):
+    Xi = rng.standard_normal((M, D))
     layers = []
     for _ in range(depth):
         layers.append(_posterior(M, nu, variant=variant,
                                  rng=np.random.default_rng(0), spread=0.1))
         layers[-1].kernel_params = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
     final = GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
-    return DwpState(inducing_inputs=Xi, layers=layers, final_layer=final, nu0=nu0)
+    return DwpState(inducing_inputs=Xi, layers=layers, final_layer=final)
 
 
 def test_elbo_rotation_invariance_of_inducing_inputs():
@@ -328,9 +355,9 @@ def test_elbo_gradients_excluding_gamma_shape():
     # finite differences are invalid through the gamma sampler's shape
     # parameter; every other parameter must pass
     rng = np.random.default_rng(17)
-    M, nu, nu0 = 3, 2, 2
-    Xi = rng.standard_normal((M, nu0))
-    Xt = rng.standard_normal((2, nu0))
+    M, nu, D = 3, 2, 2
+    Xi = rng.standard_normal((M, D))
+    Xt = rng.standard_normal((2, D))
     y = rng.standard_normal(2)
     nt = min(M, nu)
     a0, b0, mu0, sg0 = standard_bartlett_params(M, nu)
@@ -341,7 +368,7 @@ def test_elbo_gradients_excluding_gamma_shape():
             log_sigma=ps["ls"], A_packed=ps["P"], B_packed=ps["B"],
             kernel_params=KernelParams(log_sf2=ps["lsf"], log_lengthscales=ps["lls"]))
         final = GiDgpLayer(V=ps["Vf"], log_lambda=ps["llf"])
-        state = DwpState(inducing_inputs=ps["Xi"], layers=[layer], final_layer=final, nu0=nu0)
+        state = DwpState(inducing_inputs=ps["Xi"], layers=[layer], final_layer=final)
         return _elbo(state, Xt, y, total_n=2, rng=rd.RngStream(41), log_noise=ps["ln"])
     rep = de.finite_diff_check(fn, {
         "V": np.linalg.cholesky(_spd(rng, M)) / M, "lq": np.asarray(-1.5),

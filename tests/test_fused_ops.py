@@ -18,7 +18,8 @@ from deepbayes.bench_cli import ExperimentConfig, _make_model, gen_cubic_toy
 from deepbayes.deep_models import _gi_draw
 from deepbayes.diff_engine import as_tensor
 from deepbayes.gp_models import GpState, gp_predict_lml
-from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, se_ard_features
+from deepbayes.dwp import gram_kernel_blocks
+from deepbayes.kernels import KernelParams, se_ard_features
 
 from oracles import (_chol_inverse, add_diagonal, conditional_chain, getitem, gi_posterior,
                      gi_sample, gp_chain, gwish_full_density, logdet_psd, mvn_log_density)
@@ -43,8 +44,8 @@ def _ref_se_ard(params, X, X2=None):
     X2 = X if X2 is None else as_tensor(X2)
     ls = params.lengthscales()
     Xs, Xs2 = de.div(X, ls), de.div(X2, ls)
-    n1 = de.tsum(de.elementwise("square", Xs), axis=1, keepdims=True)
-    n2 = de.tsum(de.elementwise("square", Xs2), axis=1, keepdims=True)
+    n1 = de.reshape(de.tsum(de.elementwise("square", Xs), axis=1), (Xs.value.shape[0], 1))
+    n2 = de.reshape(de.tsum(de.elementwise("square", Xs2), axis=1), (Xs2.value.shape[0], 1))
     d2 = _ref_sqdist(n1, de.matmul(Xs, de.transpose(Xs2)), de.transpose(n2), 1.0)
     return de.mul(params.sf2(), de.elementwise("exp", de.elementwise("affine", d2, a=-0.5)))
 
@@ -55,6 +56,18 @@ def _ref_se_gram(rows, cross, cols, scale, sf2, ls):
                      de.reshape(cols, (1, cols.value.shape[0])), scale)
     l2 = de.elementwise("square", ls)
     return de.mul(sf2, de.elementwise("exp", de.elementwise("affine", de.div(d2, l2), a=-0.5)))
+
+
+def _ref_gram_kernel_blocks(kp, F, Ft, nu):
+    """dwp.gram_kernel_blocks' (K_ii, K_ti) as the Gram layers built them
+    before they read the roots: from the Gram blocks F F^T, Ft F^T and the
+    squared norms of Ft's rows."""
+    G = de.matmul(F, de.transpose(F))
+    gi = de.diag_part(G)
+    G_ti = de.matmul(Ft, de.transpose(F))
+    g_tt = de.tsum(de.elementwise("square", Ft), axis=1)
+    sf2, ls = kp.sf2(), kp.lengthscales()
+    return _ref_se_gram(gi, G, gi, nu, sf2, ls), _ref_se_gram(g_tt, G_ti, gi, nu, sf2, ls)
 
 
 def _ref_normal(x, mean, var):
@@ -96,14 +109,10 @@ def _ref_conditional_variance(L, K_uf, k_ff):
 
 def _ref_conditional_sample(mean, var, rng):
     mean, var = as_tensor(mean), as_tensor(var)
-    n = var.value.shape[0]
     var = de.add(de.mul(var, as_tensor((var.value > 0).astype(np.float64))),
-                 as_tensor(np.full(n, 1e-12)))
+                 as_tensor(np.full(var.value.shape, 1e-12)))
     xi = as_tensor(rng.normal(mean.value.shape))
-    std = de.elementwise("sqrt", var)
-    if mean.value.ndim == 2:
-        std = de.reshape(std, (n, 1))
-    return de.add(mean, de.mul(std, xi))
+    return de.add(mean, de.mul(de.elementwise("sqrt", var), xi))
 
 
 def _ref_gwish(L, nu, alpha, beta, mu, sigma, rng, A_packed=None, B=None):
@@ -232,25 +241,21 @@ def test_se_kernel_clamped_distances_match_reference():
 
 @pytest.mark.parametrize("scale", [1.0, 3.0])
 def test_se_kernel_gram_matches_reference(scale):
+    # the Gram layers' kernel blocks from the roots F, Ft at nu = scale
+    # against the kernel of their Gram blocks
     rng = np.random.default_rng(3)
     F = rng.standard_normal((6, 3))
     params = {"F": F, "Ft": rng.standard_normal((4, 3)), "log_sf2": np.asarray(0.2),
               "log_ls": np.asarray(-0.3)}
 
-    def make(kernel):
+    def make(blocks):
         def fn(ps):
-            G = de.matmul(ps["F"], de.transpose(ps["F"]))
-            G_ti = de.matmul(ps["Ft"], de.transpose(ps["F"]))
-            g_tt = de.tsum(de.elementwise("square", ps["Ft"]), axis=1)
-            gi = de.diag_part(G)
-            sf2, ls = _gram_se_params(_kp(ps))
-            K_ii = kernel(gi, G, gi, scale, sf2, ls)
-            K_ti = kernel(g_tt, G_ti, gi, scale, sf2, ls)
+            K_ii, K_ti = blocks(_kp(ps), ps["F"], ps["Ft"], scale)[:2]
             return de.add(logdet_psd(de.add(K_ii, as_tensor(np.eye(6)))),
                           de.tsum(de.elementwise("square", K_ti)))
         return fn
 
-    _assert_matches_reference(make(_se_gram), make(_ref_se_gram), params)
+    _assert_matches_reference(make(gram_kernel_blocks), make(_ref_gram_kernel_blocks), params)
 
 
 # -- densities ---------------------------------------------------------------------------
@@ -431,9 +436,10 @@ def test_conditional_variance_matches_reference():
 def test_conditional_sample_matches_reference(ndim):
     rng = np.random.default_rng(8)
     shape = (5,) if ndim == 1 else (5, 3)
-    # one variance clamps (negative), the rest are positive
+    # one variance clamps (negative), the rest are positive; rows of a
+    # matrix share theirs, along a trailing axis of 1
     params = {"mean": rng.standard_normal(shape),
-              "var": np.array([0.5, 1.2, -1e-9, 0.3, 2.0])}
+              "var": np.array([0.5, 1.2, -1e-9, 0.3, 2.0]).reshape(shape[:1] + (1,) * (ndim - 1))}
 
     def make(sample):
         def fn(ps):
@@ -765,10 +771,6 @@ _GUARDS = {     # case: (error, message before " in op '<op>'", op, setup and ca
     "normal_log_density": (ValueError, "log domain violation: non-positive variance",
                            "normal_log_density",
                            lambda mp: rd.normal_log_density(0.0, 0.0, -1.0)),
-    "se_kernel clamp (Gram)": (
-        ValueError, "squared distance negative beyond tolerance", "se_kernel",
-        lambda mp: _se_gram(np.ones(1), np.full((1, 1), 5.0), np.ones(1), 1.0,
-                            *_gram_se_params(KernelParams()))),
     "se_kernel clamp (features)": (
         ValueError, "squared distance negative beyond tolerance", "se_kernel",
         lambda mp: _sqdist_shifted(mp) or se_ard_features(KernelParams(), np.eye(3))),
@@ -898,15 +900,10 @@ def _fused_cases():
     gram = {"F": rng.standard_normal((6, 3)), "Ft": rng.standard_normal((4, 3)),
             "log_sf2": np.asarray(0.2), "log_ls": np.asarray(-0.3)}
 
-    def gram_fn(kernel):
+    def gram_fn(blocks):
         def fn(ps):
-            G = de.matmul(ps["F"], de.transpose(ps["F"]))
-            gi = de.diag_part(G)
-            sf2, ls = _gram_se_params(_kp(ps))
-            G_ti = de.matmul(ps["Ft"], de.transpose(ps["F"]))
-            g_tt = de.tsum(de.elementwise("square", ps["Ft"]), axis=1)
-            return de.add(_wsum(kernel(gi, G, gi, 3.0, sf2, ls)),
-                          _wsum(kernel(g_tt, G_ti, gi, 3.0, sf2, ls)))
+            K_ii, K_ti = blocks(_kp(ps), ps["F"], ps["Ft"], 3)[:2]
+            return de.add(_wsum(K_ii), _wsum(K_ti))
         return fn
 
     N, nu, nt = 4, 3, 3
@@ -947,7 +944,7 @@ def _fused_cases():
                       lambda ps: _wsum(_ref_se_ard(_kp(ps), ps["X"])), X),
         "se_kernel_cross": (lambda ps: _wsum(se_ard_features(_kp(ps), ps["X"], ps["X2"])),
                             lambda ps: _wsum(_ref_se_ard(_kp(ps), ps["X"], ps["X2"])), X),
-        "se_gram": (gram_fn(_se_gram), gram_fn(_ref_se_gram), gram),
+        "se_gram": (gram_fn(gram_kernel_blocks), gram_fn(_ref_gram_kernel_blocks), gram),
         "normal_log_density": (
             lambda ps: rd.normal_log_density(ps["x"], ps["m"], de.elementwise("exp", ps["v"])),
             lambda ps: _ref_normal(ps["x"], ps["m"], de.elementwise("exp", ps["v"])),
@@ -969,7 +966,8 @@ def _fused_cases():
         "conditional_sample": (
             lambda ps: _wsum(rd.conditional_sample(ps["mean"], ps["var"], rd.RngStream(9))),
             lambda ps: _wsum(_ref_conditional_sample(ps["mean"], ps["var"], rd.RngStream(9))),
-            {"mean": rng.standard_normal((5, 3)), "var": np.array([0.5, 1.2, -1e-9, 0.3, 2.0])}),
+            {"mean": rng.standard_normal((5, 3)),
+             "var": np.array([[0.5], [1.2], [-1e-9], [0.3], [2.0]])}),
         "gwish_sample_and_logpdf": (gwish_fn(True), gwish_fn(False), gw),
         **{f"gi_draw ({case})": _gi_case(case, rng) for case in _GI_CASES},
         **{f"conditional_draw ({case})": _cond_case(case, rng) for case in _COND_CASES},

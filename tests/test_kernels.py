@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from deepbayes import diff_engine as de
-from deepbayes.kernels import KernelParams, _gram_se_params, _se_gram, _se_kdiag, se_ard_features
+from deepbayes.dwp import gram_kernel_blocks
+from deepbayes.kernels import KernelParams, _se_kdiag, se_ard_features
 
 from oracles import add_diagonal, logdet_psd, se_from_gram
 
@@ -75,9 +76,14 @@ def test_gram_kernel_constant_gram_gives_constant_kernel():
 
 
 def test_gram_kernel_rejects_ard():
+    # the reference and the Gram layers' blocks from roots: an SE kernel of
+    # the roots with one lengthscale per column is no function of their
+    # Gram, since it changes when the roots rotate
     p = KernelParams(log_lengthscales=np.zeros(2))
     with pytest.raises(ValueError):
         se_from_gram(p, np.eye(3), 2)
+    with pytest.raises(ValueError, match="single shared lengthscale"):
+        gram_kernel_blocks(p, np.eye(2), np.ones((1, 2)), 2)
 
 
 @pytest.mark.parametrize("log_ls", [-5.0, -7.0, -9.0])
@@ -95,24 +101,6 @@ def test_gram_kernel_rejects_a_block_that_is_not_a_gram():
     G = np.array([[1.0, 3.0], [3.0, 1.0]])
     with pytest.raises(ValueError, match="negative beyond tolerance"):
         se_from_gram(KernelParams(), G, 1)
-
-
-@pytest.mark.parametrize("stacked", ["none", "rows", "cross", "cols", "all"])
-def test_gram_kernel_block_rounds_as_the_plain_formula(stacked):
-    # the block is built in two buffers, d2 at the operands' broadcast shape
-    # and K, with the roundings of sf2 exp(-0.5 scale (rows - 2 cross + cols)
-    # / l^2), whichever operands carry a sample axis
-    rng = np.random.default_rng(5)
-    A, B = rng.standard_normal((4, 3)), rng.standard_normal((6, 3))
-    ops = {"rows": np.sum(A * A, axis=1), "cross": A @ B.T, "cols": np.sum(B * B, axis=1)}
-    for name in ops:
-        if stacked in (name, "all"):
-            ops[name] = np.broadcast_to(ops[name], (2,) + ops[name].shape).copy()
-    sf2, ls = _gram_se_params(KernelParams(log_sf2=0.3, log_lengthscales=-0.2))
-    K = _se_gram(ops["rows"], ops["cross"], ops["cols"], 3.0, sf2, ls).value
-    d2 = ((ops["rows"][..., :, None] - 2.0 * ops["cross"]) + ops["cols"][..., None, :]) * 3.0
-    want = sf2.value * np.exp(-0.5 * (d2 * (1.0 / (ls.value * ls.value))))
-    assert K.shape == want.shape and np.array_equal(K, want)
 
 
 def test_gram_kernel_rotation_invariance():

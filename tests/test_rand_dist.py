@@ -327,8 +327,8 @@ def _standard_bartlett(N, nu, stream):
     """The Bartlett sampler the Gram layers run, at an identity scale and the
     standard Wishart's parameters: (G, T) with T the Bartlett factor and
     G = T T^T ~ Wishart(I_N, nu)."""
-    G, _, T, _, _ = rd._gwish_sample(np.eye(N), nu, *standard_bartlett_params(N, nu), stream)
-    return G.value, T.value
+    T = rd._gwish_sample(np.eye(N), nu, *standard_bartlett_params(N, nu), stream)[1].value
+    return T @ np.swapaxes(T, -1, -2), T
 
 
 def test_bartlett_full_rank_mean():
@@ -510,9 +510,9 @@ def test_gwish_standard_params_reduce_to_wishart_density(N, nu):
     L = np.linalg.cholesky(S)
     a, b, mu, sg = _standard_bartlett_params(N, nu)
     for seed in range(5):
-        G, logq, feat, _, _ = rd._gwish_sample(L, nu, a, b, mu, sg, rd.RngStream(seed))
-        assert np.allclose(feat.value @ feat.value.T, G.value)
-        assert np.isclose(logq.value, oracles.wishart_log_density(G.value, S, nu).value,
+        logq, feat, _, _ = rd._gwish_sample(L, nu, a, b, mu, sg, rd.RngStream(seed))
+        G = feat.value @ feat.value.T
+        assert np.isclose(logq.value, oracles.wishart_log_density(G, S, nu).value,
                           atol=1e-10), seed
 
 
@@ -520,7 +520,8 @@ def test_gwish_variant_nesting_is_exact_under_same_seed():
     # A=I / B=I reduce the A and AB variants to the base sampler exactly
     N, nu = 3, 5
     a, b, mu, sg = _standard_bartlett_params(N, nu)
-    base = rd._gwish_sample(np.eye(N), nu, a, b, mu, sg, rd.RngStream(4))
+    base = oracles.gwish_full_density(rd._gwish_sample(np.eye(N), nu, a, b, mu, sg,
+                                                       rd.RngStream(4)), nu)
     witha = oracles.gwish_full_density(rd._gwish_sample(
         np.eye(N), nu, a, b, mu, sg, rd.RngStream(4), A_packed=np.eye(N)), nu, np.eye(N))
     withab = oracles.gwish_full_density(rd._gwish_sample(
@@ -544,7 +545,7 @@ def test_gwish_ab_density_change_of_variables():
     B = np.tril(rng.standard_normal((N, N)) * 0.2) + np.eye(N)
     g_ab, logq_ab, feat, _ = oracles.gwish_full_density(rd._gwish_sample(
         np.eye(N), nu, a, b, mu, sg, rd.RngStream(17), A_packed=P, B=B), nu, P)
-    g0, logq0, feat0, _, _ = rd._gwish_sample(np.eye(N), nu, a, b, mu, sg, rd.RngStream(17))
+    logq0, feat0, _, _ = rd._gwish_sample(np.eye(N), nu, a, b, mu, sg, rd.RngStream(17))
     A = rd.lu_packed_matrix(P).value
     assert np.allclose(feat.value, A @ feat0.value @ B)
     jac_b = oracles.jacobian_logdets("right_mul", B=B, N=N, nu=nu).value
