@@ -1,16 +1,23 @@
 """Bayesian neural networks and deep GPs with factorised, local-inducing
-(DSVI), and global-inducing variational posteriors.
+(DSVI), and global-inducing variational posteriors, and the one layer loop
+that they and the deep Wishart process run, forward(layers, U0, X, rng).
 
-Layer parameters may be plain arrays or tracked DiffTensors; every function
-composes diff_engine ops so gradients flow when a tape is active.
+Every layer kind has sample(U, F, rng, last) -> (U_next, F_next,
+increment, rng_next): it maps the inducing-side and batch-side inputs
+(U, F; U is None where nothing reads it) to the next pair and adds
+log p - log q. It draws from rng and hands back the stream the next layer
+reads, so each family keeps its streams: BNN layers draw from rng.split(2)
+and deep-GP layers from rng.split(1)[0], both handing back rng (spawn
+numbers children across calls, so layer i reads children 2i and 2i + 1, or
+child i), and the deep Wishart process's Gram layers hand back the third
+child of rng.split(3).
 
-A forward draws all its Monte-Carlo samples at once from a
-rand_dist.RngStream with sample count S, each draw site once from a child
-stream of its own: every sampled tensor carries a leading sample axis, and
-the sample-independent work it is combined with (the first layer's, built
-once per forward) broadcasts against it. Without S the same functions draw
-a single sample without that axis. A function that draws at one site draws
-from the stream it is given; one that draws at several splits it.
+Parameters may be plain arrays or tracked DiffTensors. A stream with
+sample count S draws all S Monte-Carlo samples at once, each draw site once
+from a child of its own: every sampled tensor carries a leading sample
+axis, and the sample-independent work (the first layer's, built once per
+forward) broadcasts against it. Without S the same code draws one sample
+without that axis.
 """
 from __future__ import annotations
 
@@ -21,13 +28,11 @@ import numpy as np
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, _mT, as_tensor
-from .kernels import KernelParams, _se_kdiag, se_ard_features
+from .kernels import KernelParams, _se_blocks
 
 __all__ = [
-    "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer",
-    "gi_bnn_layer_sample", "fac_bnn_layer_sample", "bnn_forward", "mc_elbo",
-    "scale_prior_terms", "gi_dgp_layer_sample", "dsvi_dgp_layer_marginals",
-    "dsvi_dgp_layer_sample",
+    "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer", "forward",
+    "mc_elbo", "scale_prior_terms",
 ]
 
 
@@ -50,44 +55,10 @@ class PriorSpec:
             raise ValueError(f"unknown prior variant {self.variant!r}")
 
 
-@dataclass
-class GiBnnLayer:
-    V: object                      # (M, width) pseudo-outputs
-    log_lambda: object             # (M,) log of the diagonal precision
-    prior: PriorSpec = field(default_factory=PriorSpec)
-
-
-@dataclass
-class FacBnnLayer:
-    mean_scaled: object            # (d, width); effective mean = mean_scaled * scale
-    log_std: object                # (d, width)
-    scale: float = 1.0
-    prior: PriorSpec = field(default_factory=PriorSpec)
-
-
-@dataclass
-class GiDgpLayer:
-    V: object                      # (M, width)
-    log_lambda: object             # (M,)
-    kernel_params: KernelParams = field(default_factory=KernelParams)
-    mean_function: str = "zero"    # "zero" | "identity"
-
-
-@dataclass
-class DsviDgpLayer:
-    Z: object                      # (M, d_in) local inducing inputs
-    m: object                      # (M, width)
-    S_chol: object                 # (width, M, M): S_chol[l] is output l's covariance root
-    kernel_params: KernelParams = field(default_factory=KernelParams)
-    mean_function: str = "zero"
-
-
-def _psi(F, first_layer: bool) -> DiffTensor:
-    """Activation convention: inputs pass through untouched at layer 0,
-    relu elsewhere; then a column of ones is appended for the bias."""
+def _psi(F) -> DiffTensor:
+    """F with a column of ones appended for the bias."""
     F = as_tensor(F)
-    h = F if first_layer else de.elementwise("relu", F)
-    return de.concat([h, as_tensor(np.ones(h.value.shape[:-1] + (1,)))], axis=-1)
+    return de.concat([F, as_tensor(np.ones(F.value.shape[:-1] + (1,)))], axis=-1)
 
 
 def _prior_precision_scalar(prior: PriorSpec, fanin: int, s=None):
@@ -178,40 +149,6 @@ def _gi_bnn_root(prior: PriorSpec, fanin: int, s=None):
     return de.reshape(root, root.value.shape[:-2] + (1, 1))
 
 
-def gi_bnn_layer_sample(psi_U, layer: GiBnnLayer, rng: rd.RngStream, s=None, last=False):
-    """Sample the layer weights from their global-inducing conditional
-    posterior: each column is N(Mean, S) with
-    S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and Mean = S psi^T Lambda V,
-    psi_U (M, d) being the propagated, activated inducing features (bias
-    included); a scale prior reads the sampled s. W is drawn as
-    r C^{-T} (h + xi) by _gi_draw, with A = psi_U and the scalar prior root
-    r = (nu Sigma^{-1})^{-1/2}. Returns (W, logp_minus_logq, U_next) with
-    U_next = psi_U @ W, or None on the last layer, which no layer reads.
-    """
-    psi_U = as_tensor(psi_U)
-    root = _gi_bnn_root(layer.prior, psi_U.value.shape[-1], s)
-    LinvW, inc = _gi_draw(root, psi_U, layer.log_lambda, layer.V, rng)
-    W = de.mul(root, LinvW)
-    return W, inc, None if last else de.matmul(psi_U, W)
-
-
-def fac_bnn_layer_sample(layer: FacBnnLayer, d: int, rng: rd.RngStream, s=None):
-    """Sample weights from the mean-field posterior, one per sample of rng;
-    returns (W, logp - logq)."""
-    mean = de.elementwise("affine", as_tensor(layer.mean_scaled), a=float(layer.scale))
-    std = de.elementwise("exp", as_tensor(layer.log_std))
-    if mean.value.shape[0] != d:
-        raise ValueError("factorised layer fan-in mismatch")
-    xi = as_tensor(rng.normal(mean.value.shape))
-    W = de.add(mean, de.mul(std, xi))
-    prior_prec = _prior_precision_scalar(layer.prior, d, s=s)
-    prior_var = de.elementwise("reciprocal", prior_prec)
-    logp = rd.normal_log_density(W, as_tensor(np.zeros_like(mean.value)), prior_var,
-                                 event_ndim=2)
-    logq = rd.normal_log_density(W, mean, de.elementwise("square", std), event_ndim=2)
-    return W, de.sub(logp, logq)
-
-
 def scale_prior_terms(prior: PriorSpec, rng: rd.RngStream):
     """Sample the prior-scale s reparameterized from q(s), one per sample of
     rng, shaped (..., 1, 1) to scale matrices, and return
@@ -230,33 +167,144 @@ def scale_prior_terms(prior: PriorSpec, rng: rd.RngStream):
     return s, kl
 
 
-def bnn_forward(layers, X, rng, inducing_inputs=None):
-    """The Monte-Carlo samples of a BNN at the batch X, one per sample of
-    rng (or one sample if it has no sample count): returns (outputs,
-    increment) with increment the sum over layers of
-    log p(W) - log q(W) - KL(q(s) || p(s)), one per sample. Each layer's
-    prior scale and weights draw from children of their own.
+class _BnnLayer:
+    """A BNN layer kind draws its weights in _weights(U, d, s, rng, last)
+    -> (W, logp - logq, U_next), d the fan-in with the bias, s the prior
+    scale."""
 
-    Global-inducing layers propagate the learned inducing inputs alongside
-    the batch; factorised layers only need the batch.
-    """
-    F = as_tensor(X)
-    U = None if inducing_inputs is None else as_tensor(inducing_inputs)
-    inc_sum = as_tensor(np.asarray(0.0))
-    for i, layer in enumerate(layers):
+    def sample(self, U, F, rng, last=False):
+        """The batch outputs psi(F) W, psi appending a bias column; unless
+        last, they and U_next go through a relu. The increment is
+        log p(W) - log q(W), less KL(q(s) || p(s)) under a scale prior."""
         scale_rng, weight_rng = rng.split(2)
-        s, kl_s = scale_prior_terms(layer.prior, scale_rng)
-        psi_F = _psi(F, i == 0)
-        if isinstance(layer, GiBnnLayer):
-            if U is None:
-                raise ValueError("global-inducing layers need inducing inputs")
-            W, inc, U = gi_bnn_layer_sample(_psi(U, i == 0), layer, weight_rng, s,
-                                            last=i == len(layers) - 1)
-        else:
-            W, inc = fac_bnn_layer_sample(layer, psi_F.value.shape[-1], weight_rng, s=s)
+        s, kl_s = scale_prior_terms(self.prior, scale_rng)
+        psi_F = _psi(F)
+        W, inc, U = self._weights(U, psi_F.value.shape[-1], s, weight_rng, last)
         F = de.matmul(psi_F, W)
-        inc_sum = de.add(inc_sum, de.sub(inc, kl_s))
-    return F, inc_sum
+        if self.prior.variant == "scale":
+            inc = de.sub(inc, kl_s)
+        if not last:
+            F, U = de.elementwise("relu", F), None if U is None else de.elementwise("relu", U)
+        return U, F, inc, rng
+
+
+@dataclass
+class GiBnnLayer(_BnnLayer):
+    V: object                      # (M, width) pseudo-outputs
+    log_lambda: object             # (M,) log of the diagonal precision
+    prior: PriorSpec = field(default_factory=PriorSpec)
+
+    def _weights(self, U, d, s, rng, last):
+        """Weights from their global-inducing conditional posterior: each
+        column is N(Mean, S), S = (nu Sigma^{-1} + psi^T Lambda psi)^{-1} and
+        Mean = S psi^T Lambda V at the inducing features psi = psi(U), drawn
+        as r C^{-T} (h + xi) by _gi_draw with A = psi and the prior root
+        r = (nu Sigma^{-1})^{-1/2}; U_next = psi W unless last."""
+        if U is None:
+            raise ValueError("global-inducing layers need inducing inputs")
+        psi_U = _psi(U)
+        root = _gi_bnn_root(self.prior, psi_U.value.shape[-1], s)
+        LinvW, inc = _gi_draw(root, psi_U, self.log_lambda, self.V, rng)
+        W = de.mul(root, LinvW)
+        return W, inc, None if last else de.matmul(psi_U, W)
+
+
+@dataclass
+class FacBnnLayer(_BnnLayer):
+    mean_scaled: object            # (d, width); effective mean = mean_scaled * scale
+    log_std: object                # (d, width)
+    scale: float = 1.0
+    prior: PriorSpec = field(default_factory=PriorSpec)
+
+    def _weights(self, U, d, s, rng, last):
+        """Weights from the mean-field posterior; U passes through."""
+        mean = de.elementwise("affine", as_tensor(self.mean_scaled), a=float(self.scale))
+        std = de.elementwise("exp", as_tensor(self.log_std))
+        if mean.value.shape[0] != d:
+            raise ValueError("factorised layer fan-in mismatch")
+        xi = as_tensor(rng.normal(mean.value.shape))
+        W = de.add(mean, de.mul(std, xi))
+        prior_var = de.elementwise("reciprocal", _prior_precision_scalar(self.prior, d, s=s))
+        logp = rd.normal_log_density(W, as_tensor(np.zeros_like(mean.value)), prior_var,
+                                     event_ndim=2)
+        logq = rd.normal_log_density(W, mean, de.elementwise("square", std), event_ndim=2)
+        return W, de.sub(logp, logq), U
+
+
+@dataclass
+class GiDgpLayer:
+    V: object                      # (M, width)
+    log_lambda: object             # (M,)
+    kernel_params: KernelParams = field(default_factory=KernelParams)
+    mean_function: str = "zero"    # "zero" | "identity"
+
+    def sample(self, U, F, rng, last=False):
+        return (*self._draw(U, F, rng.split(1)[0], last), rng)
+
+    def _blocks(self, U, F):
+        """The kernel blocks (K_uu, K_fu, k_ff diagonal) at (U, F)."""
+        kp = self.kernel_params
+        return _se_blocks(kp.lengthscales(), kp.sf2(), U, F)
+
+    def _draw(self, U, F, rng, last):
+        """(U_next, F_next, logp - logq): the inducing outputs from their
+        posterior under L = chol(K_uu), then the batch rows from the prior
+        conditional p(F | U) in one conditional_draw node, each from a child
+        of rng; U_next is None on the last layer, which no layer reads."""
+        U, F = as_tensor(U), as_tensor(F)
+        K_uu, K_fu, kdiag = self._blocks(U, F)
+        L = de.cholesky_factor(K_uu)
+        u_rng, f_rng = rng.split(2)
+        LinvU, inc = _gi_draw(L, None, self.log_lambda, self.V, u_rng)
+        F_next = rd.conditional_draw(L, K_fu, kdiag, LinvU, f_rng)
+        U_next = None if last else de.matmul(L, LinvU)
+        if self.mean_function == "identity":
+            U_next = None if U_next is None else de.add(U_next, U)
+            F_next = de.add(F_next, F)
+        return U_next, F_next, inc
+
+
+@dataclass
+class DsviDgpLayer:
+    Z: object                      # (M, d_in) local inducing inputs
+    m: object                      # (M, width)
+    S_chol: object                 # (width, M, M): S_chol[l] is output l's covariance root
+    kernel_params: KernelParams = field(default_factory=KernelParams)
+    mean_function: str = "zero"
+
+    def marginals(self, F):
+        """(means, vars, increment): the per-point q(f) moments at inputs F
+        (nb, d) or a stack of them with the local inducing outputs
+        integrated out, output-major (..., w, nb), and -KL(q(u) || p(u))
+        summed over outputs, q(u_l) = N(m_l, S_l S_l^T), p(u_l) = N(0, K_zz),
+        all from one factor of K_zz."""
+        kp = self.kernel_params
+        K_zz, K_fz, kdiag = _se_blocks(kp.lengthscales(), kp.sf2(), as_tensor(self.Z), F)
+        L = de.cholesky_factor(K_zz)
+        inc = rd._kl_gaussian_chol(self.m, self.S_chol, np.zeros((L.value.shape[-1], 1)), L,
+                                   negate=True)
+        W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz), kdiag)
+        return (*rd.inducing_marginals(L, W, base_var, self.m, self.S_chol), inc)
+
+    def sample(self, U, F, rng, last=False):
+        """The marginals at F sampled in one (S, w, nb) draw."""
+        means, vars_, inc = self.marginals(F)
+        F_next = de.transpose(rd.conditional_sample(means, vars_, rng.split(1)[0]))
+        if self.mean_function == "identity":
+            F_next = de.add(F_next, as_tensor(F))
+        return U, F_next, inc, rng
+
+
+def forward(layers, U0, X, rng):
+    """The layers' Monte-Carlo samples from (U0, X), one per sample of rng:
+    (outputs, increment), the increment the sum of the layers' (0 with no
+    layers)."""
+    U, F = None if U0 is None else as_tensor(U0), as_tensor(X)
+    inc = as_tensor(np.asarray(0.0))
+    for i, layer in enumerate(layers):
+        U, F, inc_i, rng = layer.sample(U, F, rng, i == len(layers) - 1)
+        inc = inc_i if i == 0 else de.add(inc, inc_i)
+    return F, inc
 
 
 def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
@@ -280,57 +328,3 @@ def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
                                       a=float(kl_scale) / inc.value.size))
 
 
-def _gi_layer_sample(K_uu, K_fu, kdiag, layer, rng, inputs=None, last=False):
-    """gi_dgp_layer_sample from the layer's kernel blocks; inputs, if given,
-    are the (U_prev, F_prev) that an identity mean function adds to the
-    outputs. The inducing and the row draw take a child of rng each."""
-    L = de.cholesky_factor(as_tensor(K_uu))
-    u_rng, f_rng = rng.split(2)
-    LinvU, inc = _gi_draw(L, None, layer.log_lambda, layer.V, u_rng)
-    F = rd.conditional_draw(L, K_fu, kdiag, LinvU, f_rng)
-    U = None if last else de.matmul(L, LinvU)
-    if inputs is not None:
-        U = None if U is None else de.add(U, inputs[0])
-        F = de.add(F, inputs[1])
-    return U, F, inc
-
-
-def gi_dgp_layer_sample(F_prev, U_prev, layer: GiDgpLayer, rng: rd.RngStream, last=False):
-    """Samples of a global-inducing DGP layer at inputs F_prev and inducing
-    inputs U_prev, one per sample of rng: U from the posterior of its
-    inducing outputs under L = chol(K_uu), then the batch outputs from the
-    prior conditional p(F | U), independent per point, in one
-    conditional_draw node. Returns (U_next, F_next, logp - logq), U_next
-    None on the last layer, which no layer reads."""
-    U_prev, F_prev, kp = as_tensor(U_prev), as_tensor(F_prev), layer.kernel_params
-    return _gi_layer_sample(se_ard_features(kp, U_prev), se_ard_features(kp, F_prev, U_prev),
-                            _se_kdiag(kp.sf2(), F_prev.value.shape[-2]), layer, rng,
-                            (U_prev, F_prev) if layer.mean_function == "identity" else None,
-                            last)
-
-
-def dsvi_dgp_layer_marginals(F_prev, layer: DsviDgpLayer):
-    """Per-point marginal q(f) moments after analytically integrating out the
-    local inducing outputs, at inputs F_prev (nb, d) or a stack of them, and
-    KL(q(u) || p(u)) summed over the layer's outputs, with
-    q(u_l) = N(m_l, S_l S_l^T) and p(u_l) = N(0, K_zz): both read one factor
-    of K_zz. Returns (means, vars, kl) with output-major (..., w, nb) moments,
-    stacked like F_prev (means[l]: output l's, unstacked)."""
-    kp, F_prev, Z = layer.kernel_params, as_tensor(F_prev), as_tensor(layer.Z)
-    L = de.cholesky_factor(se_ard_features(kp, Z))
-    kl = rd._kl_gaussian_chol(layer.m, layer.S_chol, np.zeros((L.value.shape[-1], 1)), L)
-    K_fz = se_ard_features(kp, F_prev, Z)
-    kdiag = _se_kdiag(kp.sf2(), F_prev.value.shape[-2])
-    W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz), kdiag)
-    return (*rd.inducing_marginals(L, W, base_var, layer.m, layer.S_chol), kl)
-
-
-def dsvi_dgp_layer_sample(F_prev, layer: DsviDgpLayer, rng: rd.RngStream):
-    """Doubly-stochastic DGP layer: sample the marginals that
-    dsvi_dgp_layer_marginals gives at F_prev in one (S, w, nb) draw from
-    rng; returns (F_next, kl), kl being that call's KL."""
-    means, vars_, kl = dsvi_dgp_layer_marginals(F_prev, layer)
-    F_next = de.transpose(rd.conditional_sample(means, vars_, rng))
-    if layer.mean_function == "identity":
-        F_next = de.add(F_next, as_tensor(F_prev))
-    return F_next, kl

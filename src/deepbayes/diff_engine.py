@@ -73,6 +73,8 @@ class DiffTensor:
     __slots__ = ("value", "name", "op", "_tape", "_parents", "_vjp", "_factor")
 
     def __init__(self, value, tape=None, name=None, parents=(), vjp=None, op=None):
+        if value is None:       # np.asarray would make it a NaN scalar
+            raise TypeError(f"a DiffTensor needs a value, got None (op {op!r}, name {name!r})")
         self.value = np.asarray(value, dtype=np.float64)
         if _CHECK_EACH and not math.isfinite(self.value.sum()):    # the message is built only then
             _check_finite(self.value, f"output of op {op!r}" if op is not None else

@@ -1,9 +1,9 @@
-"""Deep Wishart process: prior over Gram matrices and a generalized-Wishart
-approximate posterior over the inducing Grams, with the batch rows drawn
-from the prior conditional; the ELBO is deep_models.mc_elbo over
-dwp_forward. Each layer holds its Gram G = F F^T by the root F that its
-samplers draw, and its SE kernel reads G only through the squared
-distances of the root's rows, so no Gram matrix is formed."""
+"""Deep Wishart process layers for deep_models.forward: Gram layers with a
+generalized-Wishart posterior over the inducing block and the batch rows
+from the prior conditional, then a global-inducing GP. Each layer holds its
+Gram G = F F^T by the root F that its samplers draw (the loop's U and F are
+the inducing and the batch roots), and its SE kernel reads G only through
+the squared distances of the root's rows, so no Gram matrix is formed."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -12,13 +12,13 @@ import numpy as np
 
 from . import diff_engine as de
 from . import rand_dist as rd
-from .deep_models import _gi_layer_sample
+from .deep_models import GiDgpLayer
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, _se_kdiag, _se_node
+from .kernels import KernelParams, _se_blocks
 
 __all__ = [
-    "GWishLayerPosterior", "DwpState", "gram_kernel_blocks", "dwp_posterior_layer",
-    "dwp_conditional_testpoints", "dwp_forward",
+    "GWishLayerPosterior", "DwpOutputLayer", "gram_kernel_blocks", "dwp_posterior_layer",
+    "dwp_conditional_testpoints",
 ]
 
 
@@ -43,13 +43,35 @@ class GWishLayerPosterior:
     A_packed: object = None        # (M, M) LU-packed
     B_packed: object = None        # (ntilde, ntilde): log-diag, raw sub-diag
     kernel_params: KernelParams = field(default_factory=KernelParams)  # K(G_prev)
+    nu_in: int = 1                 # the previous layer's nu; 1 reads the inputs as they are
+
+    def sample(self, U, F, rng, last=False):
+        """The inducing root from the approximate posterior (log p - log q),
+        then the batch rows from the prior conditional (their densities
+        cancel). The first layer's kernel reads the inputs as they are (the
+        SE kernel of G = X X^T / D at nu = D is that of X), so its blocks
+        and factors carry no sample axis."""
+        nu = int(self.nu)
+        S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
+                            gram_kernel_blocks(self.kernel_params, U, F, self.nu_in))
+        L_ii = de.cholesky_factor(S_ii)
+        post_rng, rows_rng, rng = rng.split(3)
+        feat_i, inc = dwp_posterior_layer(self, S_ii, L_ii, post_rng)
+        return (*dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu, rows_rng), inc, rng)
 
 
 @dataclass
-class DwpState:
-    inducing_inputs: object        # (M, D)
-    layers: list                   # GWishLayerPosterior per Gram layer
-    final_layer: object            # deep_models.GiDgpLayer over the last Gram
+class DwpOutputLayer(GiDgpLayer):
+    """The global-inducing GP over the last Gram matrix, whose kernel
+    blocks gram_kernel_blocks reads from the roots (U, F) of that layer
+    (width nu_in). It draws from the stream it is handed."""
+    nu_in: int = 1
+
+    def sample(self, U, F, rng, last=True):
+        return (*self._draw(U, F, rng, last), rng)
+
+    def _blocks(self, U, F):
+        return gram_kernel_blocks(self.kernel_params, U, F, self.nu_in)
 
 
 def standard_bartlett_params(M: int, nu: int):
@@ -88,9 +110,7 @@ def gram_kernel_blocks(kp: KernelParams, F_i, F_t, nu):
         raise ValueError("an SE kernel on Gram matrices requires a single shared lengthscale")
     if nu != 1:
         ls = de.elementwise("affine", ls, a=float(nu) ** -0.5)
-    sf2, F_t = kp.sf2(), as_tensor(F_t)
-    return (_se_node(ls, sf2, F_i), _se_node(ls, sf2, F_t, F_i),
-            _se_kdiag(sf2, F_t.value.shape[-2]))
+    return _se_blocks(ls, kp.sf2(), F_i, F_t)
 
 
 def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStream):
@@ -136,33 +156,3 @@ def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int, rng: rd.RngStr
     elif width > nu:
         raise ValueError("feature root wider than the layer width")
     return feat_i, rd.conditional_draw(L_ii, S_ti, s_tt, de.triangular_solve(L_ii, feat_i), rng)
-
-
-def dwp_forward(state: DwpState, Xt, rng):
-    """The Monte-Carlo samples of the deep Wishart process at the batch
-    inputs Xt, one per sample of rng (or one sample if it has no sample
-    count): returns (outputs, increment), stacked over samples. Each Gram
-    layer samples the inducing block from the approximate posterior
-    (contributing log p - log q) and the batch rows from the prior
-    conditional (their densities cancel), from children of rng of their
-    own; the final layer is a global-inducing GP over the last Gram matrix.
-    Each layer's kernel reads the roots of the layer before; the first
-    layer's reads the inputs as they are (the SE kernel of G = X X^T / D at
-    nu = D is that of X), so its blocks and factors see only the parameters
-    and the inputs and carry no sample axis."""
-    roots, nu_prev = (as_tensor(state.inducing_inputs), as_tensor(Xt)), 1
-    inc_sum = as_tensor(np.asarray(0.0))
-    for layer in state.layers:
-        nu = int(layer.nu)
-        S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
-                            gram_kernel_blocks(layer.kernel_params, *roots, nu_prev))
-        L_ii = de.cholesky_factor(S_ii)
-        post_rng, rows_rng, rng = rng.split(3)
-        feat_i, inc = dwp_posterior_layer(layer, S_ii, L_ii, post_rng)
-        inc_sum = de.add(inc_sum, inc)
-        roots = dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu, rows_rng)
-        nu_prev = nu
-    final = state.final_layer
-    _, F, inc = _gi_layer_sample(*gram_kernel_blocks(final.kernel_params, *roots, nu_prev),
-                                 final, rng, last=True)
-    return F, de.add(inc_sum, inc)

@@ -132,6 +132,14 @@ def _se_node(ls: DiffTensor, sf2: DiffTensor, X, X2=None) -> DiffTensor:
     return de.lift(se.K, parents, vjp, "se_kernel")
 
 
+def _se_blocks(ls: DiffTensor, sf2: DiffTensor, U, F):
+    """The blocks (K_uu, K_fu, k_ff diagonal) of the SE kernel over
+    inducing inputs U and inputs F, all at the lengthscale and
+    signal-variance nodes ls and sf2."""
+    F = as_tensor(F)
+    return _se_node(ls, sf2, U), _se_node(ls, sf2, F, U), _se_kdiag(sf2, F.value.shape[-2])
+
+
 def _se_kdiag(sf2, n: int) -> DiffTensor:
     """Diagonal of the SE kernel at n points in O(n): sf2 * 1, sf2 being the
     caller's node for the signal variance."""

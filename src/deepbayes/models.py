@@ -176,8 +176,9 @@ class SvgpModel(_ClosedFormModel):
 
 
 class _MonteCarloModel:
-    """Shared objective and evaluation for models whose ELBO and predictive
-    samples both come from one batched
+    """Shared forward, objective and evaluation for the deep models, each
+    of which builds its layers from the parameters in `layers(p)`. The ELBO
+    and the predictive samples both come from one batched
     `forward(params, X, rng) -> (outputs, increment)` at inputs X, from a
     rand_dist.RngStream whose sample count S is the number of samples (each
     draw site draws once for all S; sample s reads row s). Evaluation uses
@@ -192,6 +193,10 @@ class _MonteCarloModel:
         self.D = dataset.X_train.shape[1]
         self.M = min(M, dataset.X_train.shape[0])
         self.X0, self.y0 = dataset.X_train[:self.M].copy(), dataset.y_train[:self.M].copy()
+
+    def forward(self, p, X, rng):
+        """deep_models.forward over the (layers, U0) of `layers(p)`."""
+        return dm.forward(*self.layers(p), X, rng)
 
     def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
         log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
@@ -257,9 +262,10 @@ class BnnModel(_MonteCarloModel):
                       for i in range(n_layers) for ab in "ab"})
         return p
 
-    def forward(self, p, X, rng):
+    def layers(self, p):
+        """One layer per width, and the inducing inputs (None for 'fac')."""
         layers = []
-        for i in range(len(self.widths)):
+        for i, fi in enumerate(self._fanins()):
             prior = (dm.PriorSpec("scale", de.elementwise("exp", p[f"log_a_s{i}"]),
                                   de.elementwise("exp", p[f"log_b_s{i}"]))
                      if self.prior_variant == "scale" else dm.PriorSpec(self.prior_variant))
@@ -267,17 +273,16 @@ class BnnModel(_MonteCarloModel):
                 layers.append(dm.GiBnnLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
                                             prior=prior))
             else:
-                fi = self._fanins()[i]
                 layers.append(dm.FacBnnLayer(mean_scaled=p[f"mean{i}"],
-                                             log_std=p[f"lstd{i}"],
-                                             scale=1.0 / np.sqrt(fi), prior=prior))
-        return dm.bnn_forward(layers, X, rng, inducing_inputs=p.get("U0"))
+                                             log_std=p[f"lstd{i}"], scale=1.0 / np.sqrt(fi),
+                                             prior=prior))
+        return layers, p.get("U0")
 
 
 class DgpModel(_MonteCarloModel):
     """Deep GP with 'gi' (global inducing) or 'dsvi' (local inducing)
-    posterior; intermediate layers use identity mean functions when the
-    widths allow it and the final layer is zero-mean."""
+    posterior; intermediate layers, as wide as the inputs, use identity
+    mean functions and the final layer is zero-mean."""
 
     def __init__(self, dataset, posterior="gi", depth=2, M=20, seed=0):
         if posterior not in ("gi", "dsvi"):
@@ -314,28 +319,20 @@ class DgpModel(_MonteCarloModel):
                 p[f"S_raw{i}"] = np.tile(raw[None], (w, 1, 1))
         return p
 
-    def forward(self, p, X, rng):
-        F, U = as_tensor(X), as_tensor(p["Z0"])
-        inc_sum = as_tensor(np.asarray(0.0))
-        d_in = self.D
-        for i, (w, layer_rng) in enumerate(zip(self.widths, rng.split(len(self.widths)))):
-            last = i == len(self.widths) - 1
-            mean_fn = "identity" if (not last and d_in == w) else "zero"
-            d_in = w
+    def layers(self, p):
+        """One layer per width, and the inducing inputs (None for 'dsvi')."""
+        layers = []
+        for i in range(len(self.widths)):
+            kp = _se_params(p, f"_{i}")
+            mean_fn = "zero" if i == len(self.widths) - 1 else "identity"
             if self.posterior == "gi":
-                layer = dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
-                                      kernel_params=_se_params(p, f"_{i}"),
-                                      mean_function=mean_fn)
-                U, F, inc = dm.gi_dgp_layer_sample(F, U, layer, layer_rng, last)
-                inc_sum = de.add(inc_sum, inc)
+                layers.append(dm.GiDgpLayer(V=p[f"V{i}"], log_lambda=p[f"lam{i}"],
+                                            kernel_params=kp, mean_function=mean_fn))
             else:
-                layer = dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"], m=p[f"m{i}"],
-                                        S_chol=_chol_from_raw(p[f"S_raw{i}"]),
-                                        kernel_params=_se_params(p, f"_{i}"),
-                                        mean_function=mean_fn)
-                F, kl = dm.dsvi_dgp_layer_sample(F, layer, layer_rng)
-                inc_sum = de.sub(inc_sum, kl)
-        return F, inc_sum
+                layers.append(dm.DsviDgpLayer(Z=p["Z0"] if i == 0 else p[f"Z{i}"], m=p[f"m{i}"],
+                                              S_chol=_chol_from_raw(p[f"S_raw{i}"]),
+                                              kernel_params=kp, mean_function=mean_fn))
+        return layers, p["Z0"] if self.posterior == "gi" else None
 
 
 class DwpModel(_MonteCarloModel):
@@ -376,14 +373,16 @@ class DwpModel(_MonteCarloModel):
                 p[f"B{i}"] = np.zeros((ntilde, ntilde))
         return p
 
-    def forward(self, p, X, rng):
+    def layers(self, p):
+        """The Gram layers, each reading the one before, the output layer,
+        and the inducing inputs."""
         layers = [dwp_mod.GWishLayerPosterior(
             V=p[f"V{i}"], logit_q=p[f"lq{i}"], nu=self.nu,
             log_alpha=p[f"la{i}"], log_beta=p[f"lb{i}"],
             mu=p[f"mu{i}"], log_sigma=p[f"ls{i}"],
             A_packed=p.get(f"A{i}"), B_packed=p.get(f"B{i}"),
-            kernel_params=_se_params(p, f"_{i}")) for i in range(self.n_layers)]
-        final = dm.GiDgpLayer(V=p["Vf"], log_lambda=p["lamf"],
-                              kernel_params=_se_params(p, "_f"))
-        state = dwp_mod.DwpState(inducing_inputs=p["Xi"], layers=layers, final_layer=final)
-        return dwp_mod.dwp_forward(state, X, rng)
+            kernel_params=_se_params(p, f"_{i}"), nu_in=self.nu if i else 1)
+            for i in range(self.n_layers)]
+        return layers + [dwp_mod.DwpOutputLayer(
+            V=p["Vf"], log_lambda=p["lamf"], kernel_params=_se_params(p, "_f"),
+            nu_in=self.nu if self.n_layers else 1)], p["Xi"]

@@ -419,14 +419,17 @@ def kl_gamma(q, p) -> DiffTensor:
     return de.tsum(out)
 
 
-def _kl_gaussian_chol(mq, Lq, mp, Lp) -> DiffTensor:
+def _kl_gaussian_chol(mq, Lq, mp, Lp, negate=False) -> DiffTensor:
     """KL(N(mq, Lq Lq^T) || N(mp, Lp Lp^T)) from lower Cholesky factors with
     positive diagonals: 0.5 (|Lp^{-1} Lq|_F^2 + |Lp^{-1} (mp - mq)|^2 - k)
-    + log|Lp| - log|Lq|; summed over a stack Lq (w, k, k) with means mq (k, w)."""
+    + log|Lp| - log|Lq|; summed over a stack Lq (w, k, k) with means mq (k, w).
+    With negate, -KL (a layer's increment), bitwise, in as many nodes."""
     mq, Lq, mp, Lp = map(as_tensor, (mq, Lq, mp, Lp))
     tr = de.tsum(de.elementwise("square", de.triangular_solve(Lp, Lq)), axis=(-2, -1))
     quad = de.tsum(de.elementwise("square", de.triangular_solve(Lp, de.sub(mp, mq))), axis=0)
     ld = de.sub(de.log_diag_sum(Lp), de.log_diag_sum(Lq))
-    kl = de.add(de.elementwise("affine", de.add(tr, quad), a=0.5,
-                               b=-0.5 * mq.value.shape[0]), ld)
+    sign = -1.0 if negate else 1.0
+    half = de.elementwise("affine", de.add(tr, quad), a=0.5 * sign,
+                          b=-0.5 * sign * mq.value.shape[0])
+    kl = de.sub(half, ld) if negate else de.add(half, ld)
     return kl if Lq.value.ndim == 2 else de.tsum(kl)

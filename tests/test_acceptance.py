@@ -630,25 +630,25 @@ def test_criterion_15_dwp_elbo_rotation_invariance():
     a, b, mu, sg = dw.standard_bartlett_params(M, nu)
     nt = min(M, nu)
     layers = []
-    for _ in range(2):
+    for i in range(2):
         layers.append(dw.GWishLayerPosterior(
             V=np.linalg.cholesky(_spd(rng, M)) / np.sqrt(M),
             logit_q=np.log(0.1 / 0.9), nu=nu,
             log_alpha=np.log(a) + 0.05 * rng.standard_normal(nt),
             log_beta=np.log(b), mu=mu, log_sigma=np.log(sg),
-            kernel_params=KernelParams(log_sf2=0.1, log_lengthscales=0.2)))
-    final = dm.GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
-    state = dw.DwpState(inducing_inputs=Xi, layers=layers, final_layer=final)
+            kernel_params=KernelParams(log_sf2=0.1, log_lengthscales=0.2),
+            nu_in=nu if i else 1))
+    layers.append(dw.DwpOutputLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M),
+                                    nu_in=nu))
     Xt = rng.standard_normal((5, D))
     y = rng.standard_normal(5)
 
-    def elbo(X):
-        return float(dm.mc_elbo(lambda st: dw.dwp_forward(state, X, st), y, 5, 1,
+    def elbo(Xi, X):
+        return float(dm.mc_elbo(lambda st: dm.forward(layers, Xi, X, st), y, 5, 1,
                                 rd.RngStream(150), np.log(0.3)).value)
-    e1 = elbo(Xt)
+    e1 = elbo(Xi, Xt)
     Q, _ = np.linalg.qr(rng.standard_normal((D, D)))
-    state.inducing_inputs = Xi @ Q
-    e2 = elbo(Xt @ Q)
+    e2 = elbo(Xi @ Q, Xt @ Q)
     dev = abs(e1 - e2)
     assert dev < 1e-10
     el = _budget(15, t0, 10)

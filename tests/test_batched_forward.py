@@ -362,13 +362,14 @@ def _ref_dsvi_terms(p, F, rng):
 
 
 def _dsvi_terms(p, F, rng):
-    """The same layer through deep_models' stacked functions."""
+    """The same layer as deep_models stacks it; it draws from
+    rng.split(1)[0], and its increment is -KL."""
     layer = dm.DsviDgpLayer(Z=p["Z"], m=p["m"], S_chol=_chol_from_raw(p["S_raw"]),
                             kernel_params=KernelParams(log_sf2=p["log_sf2"],
                                                        log_lengthscales=p["log_ls"]))
-    means, vars_, _ = dm.dsvi_dgp_layer_marginals(F, layer)
-    F_next, kl = dm.dsvi_dgp_layer_sample(F, layer, rng)
-    return means, vars_, kl, F_next
+    means, vars_, _ = layer.marginals(F)
+    _, F_next, inc, _ = layer.sample(None, F, rng)
+    return means, vars_, de.elementwise("affine", inc, a=-1.0), F_next
 
 
 def _dsvi_loss(terms):
@@ -393,8 +394,11 @@ def test_stacked_dsvi_layer_matches_the_per_output_layer(batch):
     def streams():     # a fresh stream per call: a stream with S samples draws once
         return rd.RngStream(8) if batch == "stream" else rd.RngStream(8, S)
 
-    got = [_value_grads_nodes(lambda p: _dsvi_loss(terms(p, F, streams())), params)
-           for terms in (_dsvi_terms, _ref_dsvi_terms)]
+    def drawn():       # the child that the layer draws from
+        return streams().split(1)[0]
+
+    got = [_value_grads_nodes(lambda p: _dsvi_loss(terms(p, F, rng())), params)
+           for terms, rng in ((_dsvi_terms, streams), (_ref_dsvi_terms, drawn))]
     (v1, g1, n1), (v2, g2, n2) = got
     assert abs(v1 - v2) <= 1e-12 * abs(v2) and n1 < n2
     for k in g2:
@@ -402,7 +406,7 @@ def test_stacked_dsvi_layer_matches_the_per_output_layer(batch):
 
     p = {k: as_tensor(v) for k, v in params.items()}
     means, vars_, kl, F_next = _dsvi_terms(p, F, streams())
-    r_means, r_vars, r_kl, r_F = _ref_dsvi_terms(p, F, streams())
+    r_means, r_vars, r_kl, r_F = _ref_dsvi_terms(p, F, drawn())
     assert means.value.shape[-2:] == (w, nb) and F_next.value.shape[-2:] == (nb, w)
     for got_, want in [(means.value, np.stack([m.value for m in r_means], axis=-2)),
                        (vars_.value, np.stack([v.value for v in r_vars], axis=-2)),
@@ -410,7 +414,7 @@ def test_stacked_dsvi_layer_matches_the_per_output_layer(batch):
         assert got_.shape == want.shape
         assert np.max(np.abs(got_ - want)) <= 1e-12 * np.max(np.abs(want))
     # every output and row of sample s comes from row s of one draw, exactly
-    xi = streams().normal((w, nb))
+    xi = drawn().normal((w, nb))
     v = vars_.value
     want = means.value + np.sqrt(v * (v > 0) + 1e-12) * xi
     assert np.array_equal(F_next.value, np.swapaxes(want, -1, -2))

@@ -8,10 +8,7 @@ from deepbayes import rand_dist as rd
 from deepbayes.bench_cli import Dataset
 from deepbayes.deep_models import (DsviDgpLayer, FacBnnLayer, GiBnnLayer,
                                    GiDgpLayer, PriorSpec, _gi_bnn_root, _gi_draw,
-                                   bnn_forward,
-                                   dsvi_dgp_layer_marginals, dsvi_dgp_layer_sample,
-                                   fac_bnn_layer_sample, gi_bnn_layer_sample,
-                                   gi_dgp_layer_sample, mc_elbo, scale_prior_terms)
+                                   forward, mc_elbo, scale_prior_terms)
 from deepbayes.gp_models import GpState, SvgpState, gp_predict_lml, svgp_elbo
 from deepbayes.kernels import KernelParams, se_ard_features
 from deepbayes.models import DgpModel
@@ -22,6 +19,11 @@ from oracles import bnn_as_dgp_gram, mvn_log_density, sample_rows
 
 def _chol(S):
     return np.linalg.cholesky(S)
+
+
+def _with_bias(U):
+    """psi(U) of a first layer: U with a column of ones appended."""
+    return np.column_stack([U, np.ones(len(U))])
 
 
 # -- priors -----------------------------------------------------------------------
@@ -66,10 +68,10 @@ def test_nonscale_prior_contributes_nothing():
 def test_gi_layer_vanishing_precision_recovers_prior():
     # Lambda -> 0: posterior reverts to the prior, so logp - logq -> 0
     rng = np.random.default_rng(0)
-    psi_U = rng.standard_normal((4, 3))
+    U = rng.standard_normal((4, 2))
     layer = GiBnnLayer(V=rng.standard_normal((4, 2)),
                        log_lambda=np.full(4, -40.0))
-    _, inc, _ = gi_bnn_layer_sample(psi_U, layer, rd.RngStream(3))
+    _, _, inc, _ = layer.sample(U, U, rd.RngStream(3))
     assert abs(inc.value) < 1e-10
 
 
@@ -78,7 +80,8 @@ def test_gi_layer_posterior_matches_ridge_regression():
     # regression of V on psi_U with per-row precisions Lambda
     rng = np.random.default_rng(1)
     M, d = 6, 3
-    psi_U = rng.standard_normal((M, d))
+    U = rng.standard_normal((M, d - 1))
+    psi_U = _with_bias(U)
     V = rng.standard_normal((M, 1))
     log_lam = rng.standard_normal(M) * 0.5
     layer = GiBnnLayer(V=V, log_lambda=log_lam, prior=PriorSpec("neal"))
@@ -87,7 +90,7 @@ def test_gi_layer_posterior_matches_ridge_regression():
     S_ref = np.linalg.inv(prec)
     mean_ref = S_ref @ psi_U.T @ (lam * V[:, 0])
     # recover the implied posterior from 2000 draws, made in one call
-    draws = gi_bnn_layer_sample(psi_U, layer, rd.RngStream(1, 2000))[0].value[..., 0]
+    draws = layer._weights(U, d, None, rd.RngStream(1, 2000), False)[0].value[..., 0]
     se = np.sqrt(np.diag(S_ref) / len(draws))
     assert np.all(np.abs(draws.mean(0) - mean_ref) < 4 * se)
     assert np.max(np.abs(np.cov(draws.T) - S_ref)) < 0.15 * np.max(np.abs(S_ref))
@@ -95,10 +98,10 @@ def test_gi_layer_posterior_matches_ridge_regression():
 
 def test_gi_layer_propagates_inducing_outputs():
     rng = np.random.default_rng(2)
-    psi_U = rng.standard_normal((4, 3))
+    U = rng.standard_normal((4, 2))
     layer = GiBnnLayer(V=rng.standard_normal((4, 2)), log_lambda=np.zeros(4))
-    W, _, U_next = gi_bnn_layer_sample(psi_U, layer, rd.RngStream(0))
-    assert np.allclose(U_next.value, psi_U @ W.value)
+    W, _, U_next = layer._weights(U, 3, None, rd.RngStream(0), False)
+    assert np.allclose(U_next.value, _with_bias(U) @ W.value)
 
 
 def test_fac_layer_matched_to_prior_has_zero_increment():
@@ -108,14 +111,14 @@ def test_fac_layer_matched_to_prior_has_zero_increment():
     layer = FacBnnLayer(mean_scaled=np.zeros((d, width)),
                         log_std=np.full((d, width), -0.5 * np.log(d)),
                         scale=1.0, prior=prior)
-    _, inc = fac_bnn_layer_sample(layer, d, rd.RngStream(5))
+    _, _, inc, _ = layer.sample(None, np.ones((2, d - 1)), rd.RngStream(5))
     assert abs(inc.value) < 1e-12
 
 
 def test_fac_layer_fanin_mismatch():
     layer = FacBnnLayer(mean_scaled=np.zeros((3, 1)), log_std=np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        fac_bnn_layer_sample(layer, 4, rd.RngStream(0))
+        layer.sample(None, np.ones((2, 3)), rd.RngStream(0))      # fan-in 4 with the bias
 
 
 # -- BNN ELBO ---------------------------------------------------------------------------
@@ -124,7 +127,7 @@ def test_bnn_elbo_zero_layers_is_average_log_likelihood():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(5)
     X1 = rng.standard_normal((5, 1))
-    got = mc_elbo(lambda st: bnn_forward([], X1, st), y, 5, 3, rd.RngStream(0), np.log(0.5))
+    got = mc_elbo(lambda st: forward([], None, X1, st), y, 5, 3, rd.RngStream(0), np.log(0.5))
     ref = rd.normal_log_density(y, X1[:, 0], np.asarray(0.5)).value.sum()
     assert np.isclose(got.value, ref)
 
@@ -139,18 +142,18 @@ def test_bnn_elbo_matched_factorised_posterior_equals_prior_expectation():
     layer = FacBnnLayer(mean_scaled=np.zeros((d0, 1)),
                         log_std=np.full((d0, 1), -0.5 * np.log(d0)),
                         prior=prior)
-    e1 = mc_elbo(lambda st: bnn_forward([layer], X, st), y, 6, 4, rd.RngStream(7), 0.0)
+    e1 = mc_elbo(lambda st: forward([layer], None, X, st), y, 6, 4, rd.RngStream(7), 0.0)
     # the value is the average prior-sample log likelihood: each term is the
     # per-sample forward reading its row of each draw, with zero increment
     lls = []
     for st in sample_rows(7, 4):
-        F, inc = bnn_forward([layer], X, st)
+        F, inc = forward([layer], None, X, st)
         assert abs(inc.value) <= 1e-12
         lls.append(rd.normal_log_density(y, F.value[:, 0], np.asarray(1.0)).value.sum())
     assert np.ptp(lls) > 0
     assert abs(e1.value - np.mean(lls)) <= 1e-12
     # kl scaling cannot change the value
-    e2 = mc_elbo(lambda st: bnn_forward([layer], X, st), y, 6, 4, rd.RngStream(7), 0.0,
+    e2 = mc_elbo(lambda st: forward([layer], None, X, st), y, 6, 4, rd.RngStream(7), 0.0,
                  kl_scale=0.0)
     assert np.isclose(e1.value, e2.value, atol=1e-10)
 
@@ -163,7 +166,7 @@ def test_bnn_elbo_minibatch_partition_recovers_full_batch_data_term():
                         log_std=np.full((2, 1), -1.0), prior=PriorSpec("neal"))
     # same weight draw via the same seed: scaled batch terms average to the full
     def elbo(Xb, yb):
-        return mc_elbo(lambda st: bnn_forward([layer], Xb, st), yb, 8, 1, rd.RngStream(9), 0.0)
+        return mc_elbo(lambda st: forward([layer], None, Xb, st), yb, 8, 1, rd.RngStream(9), 0.0)
     full = elbo(X, y)
     parts = [elbo(X[i:i + 4], y[i:i + 4]) for i in (0, 4)]
     assert np.isclose(np.mean([p.value for p in parts]), full.value, atol=1e-9)
@@ -172,7 +175,7 @@ def test_bnn_elbo_minibatch_partition_recovers_full_batch_data_term():
 def test_bnn_elbo_gi_requires_inducing_inputs():
     layer = GiBnnLayer(V=np.zeros((3, 1)), log_lambda=np.zeros(3))
     with pytest.raises(ValueError):
-        mc_elbo(lambda st: bnn_forward([layer], np.zeros((2, 1)), st), np.zeros(2), 2, 1,
+        mc_elbo(lambda st: forward([layer], None, np.zeros((2, 1)), st), np.zeros(2), 2, 1,
                 rd.RngStream(0), 0.0)
 
 
@@ -186,7 +189,7 @@ def test_bnn_elbo_stays_below_analytic_lml_linear_model():
     prior = PriorSpec("neal")
     layer = FacBnnLayer(mean_scaled=rng.standard_normal((d0, 1)) * 0.2,
                         log_std=np.full((d0, 1), -1.2), prior=prior)
-    vals = [mc_elbo(lambda st: bnn_forward([layer], X, st), y, 10, 1,
+    vals = [mc_elbo(lambda st: forward([layer], None, X, st), y, 10, 1,
                     rd.RngStream(1000 + k), np.log(0.25)).value
             for k in range(300)]
     # exact marginal: weights ~ N(0, I/d0), features (x, 1)
@@ -207,7 +210,7 @@ def test_bnn_elbo_gradients():
                              prior=PriorSpec("neal")),
                   GiBnnLayer(V=ps["V1"], log_lambda=ps["ll1"],
                              prior=PriorSpec("neal"))]
-        return mc_elbo(lambda st: bnn_forward(layers, X, st, inducing_inputs=ps["U0"]),
+        return mc_elbo(lambda st: forward(layers, ps["U0"], X, st),
                        y, 5, 2, rd.RngStream(11), ps["ln"])
     rep = de.finite_diff_check(fn, {
         "V0": rng.standard_normal((3, 2)), "ll0": rng.standard_normal(3) * 0.3,
@@ -222,12 +225,13 @@ def test_gi_linear_last_layer_on_fixed_features_is_blr():
     # posterior mean/cov against Bayesian linear regression directly
     rng = np.random.default_rng(8)
     M, d = 8, 3
-    psi_U = rng.standard_normal((M, d))
+    U = rng.standard_normal((M, d - 1))
+    psi_U = _with_bias(U)
     V = rng.standard_normal((M, 1))
     noise = 0.3
     layer = GiBnnLayer(V=V, log_lambda=np.full(M, -np.log(noise)),
                        prior=PriorSpec("neal"))
-    draws = np.stack([gi_bnn_layer_sample(psi_U, layer, rd.RngStream(s))[0].value[:, 0]
+    draws = np.stack([layer._weights(U, d, None, rd.RngStream(s), True)[0].value[:, 0]
                       for s in range(4000)])
     prec = d * np.eye(d) + psi_U.T @ psi_U / noise
     S_ref = np.linalg.inv(prec)
@@ -244,7 +248,7 @@ def test_gi_dgp_vanishing_precision_recovers_prior():
     F_prev = rng.standard_normal((4, 1))
     layer = GiDgpLayer(V=rng.standard_normal((5, 1)), log_lambda=np.full(5, -40.0),
                        kernel_params=KernelParams())
-    _, _, inc = gi_dgp_layer_sample(F_prev, U_prev, layer, rd.RngStream(2))
+    _, _, inc, _ = layer.sample(U_prev, F_prev, rd.RngStream(2))
     assert abs(inc.value) < 1e-10
 
 
@@ -254,7 +258,7 @@ def test_gi_dgp_large_precision_pins_inducing_outputs():
     V = rng.standard_normal((5, 1))
     layer = GiDgpLayer(V=V, log_lambda=np.full(5, 30.0),
                        kernel_params=KernelParams())
-    U, _, _ = gi_dgp_layer_sample(rng.standard_normal((3, 1)), U_prev, layer, rd.RngStream(3))
+    U, _, _, _ = layer.sample(U_prev, rng.standard_normal((3, 1)), rd.RngStream(3))
     assert np.max(np.abs(U.value - V)) < 1e-5
 
 
@@ -265,7 +269,7 @@ def test_gi_dgp_identity_mean_function():
     layer = GiDgpLayer(V=np.zeros((4, 1)), log_lambda=np.full(4, 30.0),
                        kernel_params=KernelParams(),
                        mean_function="identity")
-    U, F, _ = gi_dgp_layer_sample(F_prev, U_prev, layer, rd.RngStream(4))
+    U, F, _, _ = layer.sample(U_prev, F_prev, rd.RngStream(4))
     # inducing outputs pinned to V = 0, so the identity mean leaves U = U_prev
     assert np.max(np.abs(U.value - U_prev)) < 1e-5
 
@@ -280,7 +284,7 @@ def test_gi_dgp_batch_outputs_follow_posterior_gp_mean():
     layer = GiDgpLayer(V=V, log_lambda=np.full(7, 30.0),
                        kernel_params=KernelParams())
     streams = rd.RngStream(0, 4000)
-    draws = gi_dgp_layer_sample(F_prev, U_prev, layer, streams)[1].value[..., 0]
+    draws = layer.sample(U_prev, F_prev, streams)[1].value[..., 0]
     gp = GpState(log_noise=-60.0)
     mean, var, _ = gp_predict_lml(gp, U_prev, V[:, 0], X_star=F_prev)
     se = np.sqrt(np.maximum(var.value, 1e-12) / draws.shape[0]) + 1e-4
@@ -294,8 +298,8 @@ def test_gi_dgp_increment_has_nonpositive_mean():
     layer = GiDgpLayer(V=rng.standard_normal((4, 1)), log_lambda=np.zeros(4),
                        kernel_params=KernelParams())
     # 3000 draws in one call, each at inputs of its own
-    incs = gi_dgp_layer_sample(rng.standard_normal((3000, 2, 1)), U_prev, layer,
-                               rd.RngStream(13, 3000))[2].value
+    incs = layer.sample(U_prev, rng.standard_normal((3000, 2, 1)),
+                        rd.RngStream(13, 3000))[2].value
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
 
 
@@ -318,7 +322,7 @@ def test_gi_increment_is_the_log_density_ratio_at_the_draw(root):
                     (PriorSpec("scale"), rng.gamma(2.0, 0.5, (S, 1, 1))))
         L = _gi_bnn_root(prior, d, s)
         LinvX, inc = _gi_draw(L, A, log_lam, V, rd.RngStream(4, S))
-        X = de.mul(L, LinvX)        # the weights, as gi_bnn_layer_sample forms them
+        X = de.mul(L, LinvX)        # the weights, as GiBnnLayer forms them
         roots = np.broadcast_to(L.value, (S, 1, 1)) * np.eye(d)
     else:
         G = rng.standard_normal((S if root == "stacked factors" else 1, M, M))
@@ -379,8 +383,8 @@ def test_dsvi_prior_matched_posterior_zero_kl_and_prior_marginals():
                          S_chol=_chol(Kzz + 1e-10 * np.eye(4))[None, :, :],
                          kernel_params=kp)
     F = rng.standard_normal((5, 1))
-    means, vars_, kl = dsvi_dgp_layer_marginals(F, layer)
-    assert abs(kl.value) < 1e-6
+    means, vars_, inc = layer.marginals(F)
+    assert abs(inc.value) < 1e-6
     # marginals reduce to the prior: mean 0, variance = kernel diagonal
     kdiag = np.diag(se_ard_features(kp, F).value)
     assert np.allclose(means.value[0], 0.0, atol=1e-10)
@@ -398,11 +402,11 @@ def test_dsvi_depth_one_elbo_equals_sparse_gp_bound():
     kp = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
     layer = DsviDgpLayer(Z=Z, m=m, S_chol=_chol(S)[None, :, :],
                          kernel_params=kp)
-    means, vars_, kl = dsvi_dgp_layer_marginals(X, layer)
+    means, vars_, inc = layer.marginals(X)
     s2 = 0.3
     ell = rd.normal_log_density(y, means.value[0], np.asarray(s2)).value.sum() \
         - vars_.value[0].sum() / (2 * s2)
-    elbo_dgp = ell - kl.value
+    elbo_dgp = ell + inc.value          # the increment is -KL
     svgp = SvgpState(Z=Z, m=m[:, 0], S_chol=_chol(S), kernel_params=kp,
                      log_noise=np.log(s2))
     elbo_ref = svgp_elbo(svgp, X, y, total_n=8).value
@@ -417,10 +421,9 @@ def test_dsvi_sample_moments_match_marginals():
                          S_chol=_chol(A @ A.T + 4 * np.eye(4))[None, :, :],
                          kernel_params=KernelParams())
     F = rng.standard_normal((3, 1))
-    means, vars_, _ = dsvi_dgp_layer_marginals(F, layer)
+    means, vars_, _ = layer.marginals(F)
     n = 20000
-    draws = dsvi_dgp_layer_sample(F, layer,
-                                  rd.RngStream(0, n))[0].value[..., 0]
+    draws = layer.sample(None, F, rd.RngStream(0, n))[1].value[..., 0]
     se = np.sqrt(vars_.value[0] / n)
     assert np.all(np.abs(draws.mean(0) - means.value[0]) < 4 * se)
     assert np.all(np.abs(draws.var(0) - vars_.value[0]) < 0.1 * vars_.value[0])
@@ -437,10 +440,9 @@ def test_dsvi_two_outputs_sample_each_from_its_own_marginals():
                                           _chol(0.1 * B @ B.T + np.eye(4))]),
                          kernel_params=KernelParams())
     F = rng.standard_normal((3, 1))
-    means, vars_, kl = dsvi_dgp_layer_marginals(F, layer)
+    means, vars_, inc = layer.marginals(F)
     n = 4000
-    draws = dsvi_dgp_layer_sample(F, layer,
-                                  rd.RngStream(3, n))[0].value
+    draws = layer.sample(None, F, rd.RngStream(3, n))[1].value
     assert draws.shape == (n, 3, 2)
     for lam in range(2):
         se = np.sqrt(vars_.value[lam] / n)
@@ -449,8 +451,8 @@ def test_dsvi_two_outputs_sample_each_from_its_own_marginals():
     assert abs(np.corrcoef(draws[:, 0, 0], draws[:, 0, 1])[0, 1]) < 0.1
     one = [DsviDgpLayer(Z=Z, m=layer.m[:, [lam]], S_chol=layer.S_chol[[lam]],
                         kernel_params=KernelParams()) for lam in range(2)]
-    kls = [dsvi_dgp_layer_marginals(F, lay)[2].value for lay in one]
-    assert np.isclose(kl.value, sum(kls), rtol=1e-12)
+    incs = [lay.marginals(F)[2].value for lay in one]
+    assert np.isclose(inc.value, sum(incs), rtol=1e-12)
 
 
 def test_dsvi_identity_mean_function_shifts_samples():
@@ -464,8 +466,8 @@ def test_dsvi_identity_mean_function_shifts_samples():
                          kernel_params=KernelParams(),
                          mean_function="identity")
     F = rng.standard_normal((4, 1))
-    f0, _ = dsvi_dgp_layer_sample(F, base, rd.RngStream(6))
-    f1, _ = dsvi_dgp_layer_sample(F, ident, rd.RngStream(6))
+    f0 = base.sample(None, F, rd.RngStream(6))[1]
+    f1 = ident.sample(None, F, rd.RngStream(6))[1]
     assert np.allclose(f1.value - f0.value, F)
 
 

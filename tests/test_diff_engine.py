@@ -288,6 +288,19 @@ def test_log_domain_violation_raises():
         de.elementwise("log", np.array([1.0, -1.0]))
 
 
+def test_a_tensor_rejects_none():
+    # np.asarray(None, float64) is a NaN scalar: a leftover None must not
+    # become an operand that only the loss's finiteness check would catch
+    with pytest.raises(TypeError, match="got None"):
+        de.as_tensor(None)
+    with pytest.raises(TypeError, match="got None"):
+        de.sub(None, np.ones(2))
+    with de.Tape() as t:
+        x = t.param(np.ones(2), "x")
+        with pytest.raises(TypeError, match="got None"):
+            de.add(x, None)
+
+
 def test_backward_requires_scalar():
     with de.Tape() as t:
         x = t.param(np.ones(3), "x")

@@ -3,10 +3,9 @@ import pytest
 
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
-from deepbayes.deep_models import GiDgpLayer, mc_elbo
-from deepbayes.dwp import (DwpState, GWishLayerPosterior, dwp_conditional_testpoints,
-                           dwp_forward, dwp_posterior_layer, gram_kernel_blocks,
-                           standard_bartlett_params)
+from deepbayes.deep_models import forward, mc_elbo
+from deepbayes.dwp import (DwpOutputLayer, GWishLayerPosterior, dwp_conditional_testpoints,
+                           dwp_posterior_layer, gram_kernel_blocks, standard_bartlett_params)
 from deepbayes.kernels import KernelParams
 
 from oracles import (dwp_prior_layer, gwish_full_density, sample_rows, se_from_gram,
@@ -294,20 +293,25 @@ LOG_NOISE = np.log(0.3)
 
 
 def _elbo(state, Xt, y, total_n, rng, n_samples=1, kl_scale=1.0, log_noise=LOG_NOISE):
-    """The deep-Wishart ELBO as the model runs it: mc_elbo over dwp_forward."""
-    return mc_elbo(lambda st: dwp_forward(state, Xt, st), y, total_n, n_samples, rng,
+    """The deep-Wishart ELBO as the model runs it: mc_elbo over the layer
+    loop, state being (layers, inducing inputs)."""
+    return mc_elbo(lambda st: forward(*state, Xt, st), y, total_n, n_samples, rng,
                    log_noise, kl_scale)
 
 
 def _small_state(rng, M=4, nu=3, depth=1, variant="base", D=2):
+    """(layers, inducing inputs): depth Gram layers, each reading the one
+    before (the first the inputs), and the output layer."""
     Xi = rng.standard_normal((M, D))
     layers = []
-    for _ in range(depth):
+    for i in range(depth):
         layers.append(_posterior(M, nu, variant=variant,
                                  rng=np.random.default_rng(0), spread=0.1))
         layers[-1].kernel_params = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
-    final = GiDgpLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M))
-    return DwpState(inducing_inputs=Xi, layers=layers, final_layer=final)
+        layers[-1].nu_in = nu if i else 1
+    final = DwpOutputLayer(V=rng.standard_normal((M, 1)), log_lambda=np.zeros(M),
+                           nu_in=nu if depth else 1)
+    return layers + [final], Xi
 
 
 def test_elbo_rotation_invariance_of_inducing_inputs():
@@ -317,8 +321,8 @@ def test_elbo_rotation_invariance_of_inducing_inputs():
     y = rng.standard_normal(3)
     e1 = _elbo(state, Xt, y, total_n=3, rng=rd.RngStream(21)).value
     Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    state.inducing_inputs = state.inducing_inputs @ Q
-    e2 = _elbo(state, Xt @ Q, y, total_n=3, rng=rd.RngStream(21)).value
+    layers, Xi = state
+    e2 = _elbo((layers, Xi @ Q), Xt @ Q, y, total_n=3, rng=rd.RngStream(21)).value
     assert np.isclose(e1, e2, atol=1e-10)
 
 
@@ -344,7 +348,7 @@ def test_elbo_multi_sample_average():
     s2 = np.exp(LOG_NOISE)
     terms = []
     for st in sample_rows(9, 3):
-        F, inc = dwp_forward(state, Xt, st)
+        F, inc = forward(*state, Xt, st)
         ll = rd.normal_log_density(y, F.value[:, 0], s2).value.sum()
         terms.append(ll * 6 / 3 + 0.7 * inc.value)
     assert np.ptp(terms) > 0
@@ -367,9 +371,8 @@ def test_elbo_gradients_excluding_gamma_shape():
             log_alpha=np.log(a0), log_beta=ps["lb"], mu=ps["mu"],
             log_sigma=ps["ls"], A_packed=ps["P"], B_packed=ps["B"],
             kernel_params=KernelParams(log_sf2=ps["lsf"], log_lengthscales=ps["lls"]))
-        final = GiDgpLayer(V=ps["Vf"], log_lambda=ps["llf"])
-        state = DwpState(inducing_inputs=ps["Xi"], layers=[layer], final_layer=final)
-        return _elbo(state, Xt, y, total_n=2, rng=rd.RngStream(41), log_noise=ps["ln"])
+        final = DwpOutputLayer(V=ps["Vf"], log_lambda=ps["llf"], nu_in=nu)
+        return _elbo(([layer, final], ps["Xi"]), Xt, y, total_n=2, rng=rd.RngStream(41), log_noise=ps["ln"])
     rep = de.finite_diff_check(fn, {
         "V": np.linalg.cholesky(_spd(rng, M)) / M, "lq": np.asarray(-1.5),
         "lb": np.log(b0), "mu": mu0 + 0.1 * rng.standard_normal((M, nt)),

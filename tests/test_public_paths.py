@@ -6,10 +6,14 @@ datasets, a 2-step run of every model kind on cubic-toy (and of the BNNs
 under their other priors), and a run on a small CSV file. Each function
 that a module lists in `__all__` must have been entered; one that is not is
 a wrapper or a reference computation that only tests call, and belongs in
-tests/oracles.py or nowhere.
+tests/oracles.py or nowhere. The layer kinds keep their work in methods, so
+for the classes that deep_models and dwp list, each method written in the
+package (inherited ones included, dataclass-made ones not) must have been
+entered too.
 """
 import importlib
 import inspect
+import os
 import pkgutil
 import sys
 
@@ -19,13 +23,21 @@ import deepbayes
 from deepbayes.bench_cli import _MODEL_KEYS_READ, ExperimentConfig, main, run_experiment
 
 
+LAYER_MODULES = ("deep_models", "dwp")
+
+
 def _public_functions():
+    package = os.path.dirname(deepbayes.__file__)
     for info in pkgutil.iter_modules(deepbayes.__path__):
         mod = importlib.import_module(f"deepbayes.{info.name}")
         for name in getattr(mod, "__all__", ()):
             obj = getattr(mod, name)
             if inspect.isfunction(obj):
                 yield f"{info.name}.{name}", obj.__code__
+            elif inspect.isclass(obj) and info.name in LAYER_MODULES:
+                for meth, fn in inspect.getmembers(obj, inspect.isfunction):
+                    if os.path.dirname(fn.__code__.co_filename) == package:
+                        yield f"{info.name}.{name}.{meth}", fn.__code__
 
 
 def _documented_runs(tmp_path):

@@ -91,6 +91,23 @@ def test_repeated_splits_on_one_stream_advance_its_spawn_counter():
             _assert_same(_draws(got), _ref_draws(_ref_gen(ref)))
 
 
+def test_k_splits_of_one_are_one_split_of_k_and_split_numbering_continues():
+    # the layer loop hands each layer the same parent: deep-GP layers take
+    # split(1)[0] each, which must be the children of one split(k), and
+    # BNN layers take split(2) each, layer i reading children 2i and 2i + 1
+    k, whole = 3, rd.RngStream(5, 4).split(3)
+    one_by_one = rd.RngStream(5, 4)
+    for want in whole:
+        got = one_by_one.split(1)[0]
+        assert got.seed.spawn_key == want.seed.spawn_key and got.samples == 4
+        assert np.array_equal(got.normal((2, 3)), want.normal((2, 3)))
+    pairs, flat = rd.RngStream(6), rd.RngStream(6).split(2 * k)
+    for i in range(k):
+        for got, want in zip(pairs.split(2), flat[2 * i:2 * i + 2]):
+            assert got.seed.spawn_key == want.seed.spawn_key
+            _assert_same(_draws(got), _draws(want))
+
+
 def test_a_stream_with_samples_draws_all_of_them_from_one_call():
     S = 4
     st = rd.RngStream(np.random.SeedSequence(3, spawn_key=(1 << 20, 2)), S)
