@@ -28,7 +28,7 @@ import numpy as np
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, _mT, as_tensor
-from .kernels import KernelParams, _se_blocks
+from .kernels import KernelParams, _se_blocks, _se_node
 
 __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer", "forward",
@@ -241,22 +241,26 @@ class GiDgpLayer:
     def sample(self, U, F, rng, last=False):
         return (*self._draw(U, F, rng.split(1)[0], last), rng)
 
-    def _blocks(self, U, F):
-        """The kernel blocks (K_uu, K_fu, k_ff diagonal) at (U, F)."""
+    def _blocks(self, U):
+        """(K_uu, ls, sf2): the kernel over the inducing inputs U and the
+        lengthscale and signal-variance nodes it is built at, from which
+        conditional_draw builds the batch rows' blocks."""
         kp = self.kernel_params
-        return _se_blocks(kp.lengthscales(), kp.sf2(), U, F)
+        ls, sf2 = kp.lengthscales(), kp.sf2()
+        return _se_node(ls, sf2, U), ls, sf2
 
     def _draw(self, U, F, rng, last):
         """(U_next, F_next, logp - logq): the inducing outputs from their
         posterior under L = chol(K_uu), then the batch rows from the prior
-        conditional p(F | U) in one conditional_draw node, each from a child
-        of rng; U_next is None on the last layer, which no layer reads."""
+        conditional p(F | U) in one conditional_draw node from the kernel
+        inputs (U, F), each from a child of rng; U_next is None on the last
+        layer, which no layer reads."""
         U, F = as_tensor(U), as_tensor(F)
-        K_uu, K_fu, kdiag = self._blocks(U, F)
+        K_uu, ls, sf2 = self._blocks(U)
         L = de.cholesky_factor(K_uu)
         u_rng, f_rng = rng.split(2)
         LinvU, inc = _gi_draw(L, None, self.log_lambda, self.V, u_rng)
-        F_next = rd.conditional_draw(L, K_fu, kdiag, LinvU, f_rng)
+        F_next = rd.conditional_draw(L, ls, sf2, U, F, LinvU, f_rng)
         U_next = None if last else de.matmul(L, LinvU)
         if self.mean_function == "identity":
             U_next = None if U_next is None else de.add(U_next, U)

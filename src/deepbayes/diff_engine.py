@@ -149,13 +149,23 @@ def lift(value, parents, vjp, op: str) -> DiffTensor:
     non-finite output.
     """
     tape = _ACTIVE[-1] if _ACTIVE else None
-    kept = [] if tape is None else [
-        (p, k) for k, p in enumerate(parents) if isinstance(p, DiffTensor) and p._tape is not None]
+    kept = [] if tape is None else [(p, k) for k, p in enumerate(parents) if _tracked(p)]
     out = DiffTensor(value, tape=tape if kept else None, parents=kept,
                      vjp=vjp if kept else None, op=op)
     if kept:
         tape._record(out)
     return out
+
+
+def _tracked(p) -> bool:
+    return isinstance(p, DiffTensor) and p._tape is not None
+
+
+def _records(parents) -> bool:
+    """Whether lift would record a node over parents (a tape is active and
+    some operand is tracked), for an op that keeps what its VJP reads only
+    then."""
+    return bool(_ACTIVE) and any(map(_tracked, parents))
 
 
 def _mT(x):

@@ -3,7 +3,10 @@ generalized-Wishart posterior over the inducing block and the batch rows
 from the prior conditional, then a global-inducing GP. Each layer holds its
 Gram G = F F^T by the root F that its samplers draw (the loop's U and F are
 the inducing and the batch roots), and its SE kernel reads G only through
-the squared distances of the root's rows, so no Gram matrix is formed."""
+the squared distances of the root's rows, so no Gram matrix is formed. A
+layer builds its inducing block K_ii on the tape; the batch rows' blocks
+are built inside the one rand_dist.conditional_draw node that draws them,
+from the two roots."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -14,7 +17,7 @@ from . import diff_engine as de
 from . import rand_dist as rd
 from .deep_models import GiDgpLayer
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, _se_blocks
+from .kernels import KernelParams, _se_node
 
 __all__ = [
     "GWishLayerPosterior", "DwpOutputLayer", "gram_kernel_blocks", "dwp_posterior_layer",
@@ -52,26 +55,27 @@ class GWishLayerPosterior:
         SE kernel of G = X X^T / D at nu = D is that of X), so its blocks
         and factors carry no sample axis."""
         nu = int(self.nu)
-        S_ii, S_ti, s_tt = (de.elementwise("affine", K, a=1.0 / nu) for K in
-                            gram_kernel_blocks(self.kernel_params, U, F, self.nu_in))
+        K_ii, ls, sf2 = gram_kernel_blocks(self.kernel_params, U, self.nu_in)
+        S_ii = de.elementwise("affine", K_ii, a=1.0 / nu)
         L_ii = de.cholesky_factor(S_ii)
         post_rng, rows_rng, rng = rng.split(3)
         feat_i, inc = dwp_posterior_layer(self, S_ii, L_ii, post_rng)
-        return (*dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu, rows_rng), inc, rng)
+        return (*dwp_conditional_testpoints(feat_i, L_ii, ls, sf2, U, F, nu, rows_rng), inc, rng)
 
 
 @dataclass
 class DwpOutputLayer(GiDgpLayer):
-    """The global-inducing GP over the last Gram matrix, whose kernel
-    blocks gram_kernel_blocks reads from the roots (U, F) of that layer
-    (width nu_in). It draws from the stream it is handed."""
+    """The global-inducing GP over the last Gram matrix, whose K_uu and
+    kernel nodes gram_kernel_blocks builds from that layer's inducing root U
+    (width nu_in); its rows' blocks come from the roots (U, F) inside the
+    draw. It draws from the stream it is handed."""
     nu_in: int = 1
 
     def sample(self, U, F, rng, last=True):
         return (*self._draw(U, F, rng, last), rng)
 
-    def _blocks(self, U, F):
-        return gram_kernel_blocks(self.kernel_params, U, F, self.nu_in)
+    def _blocks(self, U):
+        return gram_kernel_blocks(self.kernel_params, U, self.nu_in)
 
 
 def standard_bartlett_params(M: int, nu: int):
@@ -96,21 +100,24 @@ def _chol_from_raw(raw) -> DiffTensor:
     return de.add(low, diag)
 
 
-def gram_kernel_blocks(kp: KernelParams, F_i, F_t, nu):
-    """SE kernel blocks (K_ii, K_ti, k_tt_diag) of a layer over the inducing
-    rows i and the test rows t, from the roots F_i and F_t of its Gram
-    blocks (G = F F^T; stacked roots give stacked blocks). The kernel reads
-    G only through d2_ij = nu (G_ii - 2 G_ij + G_jj) = nu |f_i - f_j|^2, so
-    the blocks are the feature SE kernel on the roots at lengthscale
-    l / sqrt(nu), and the test rows' Gram entries among themselves are never
-    needed. Only a single shared lengthscale makes it a function of G,
-    invariant under rotations of the roots."""
+def gram_kernel_blocks(kp: KernelParams, F_i, nu):
+    """(K_ii, ls, sf2): a layer's SE kernel block over the inducing rows i
+    from the root F_i of their Gram block (G = F F^T; a stacked root gives
+    stacked blocks), and the lengthscale and signal-variance nodes it is
+    built at, from which rand_dist.conditional_draw builds the test rows'
+    blocks K_ti and k_tt from their root. The kernel reads G only through
+    d2_ij = nu (G_ii - 2 G_ij + G_jj) = nu |f_i - f_j|^2, so the blocks are
+    the feature SE kernel on the roots at lengthscale l / sqrt(nu), and the
+    test rows' Gram entries among themselves are never needed. Only a
+    single shared lengthscale makes it a function of G, invariant under
+    rotations of the roots."""
     ls = kp.lengthscales()
     if ls.value.size > 1:
         raise ValueError("an SE kernel on Gram matrices requires a single shared lengthscale")
     if nu != 1:
         ls = de.elementwise("affine", ls, a=float(nu) ** -0.5)
-    return _se_blocks(ls, kp.sf2(), F_i, F_t)
+    sf2 = kp.sf2()
+    return _se_node(ls, sf2, F_i), ls, sf2
 
 
 def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStream):
@@ -137,17 +144,20 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
     return feat, de.sub(logp, logq)
 
 
-def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int, rng: rd.RngStream):
+def dwp_conditional_testpoints(feat_i, L_ii, ls, sf2, U, F, nu: int, rng: rd.RngStream):
     """Sample imagined test-point features from the prior conditional, in
     one draw from rng: returns (F_i, F_t), the inducing root padded with
     zero columns to M x nu and the test points' root, whose Gram blocks are
     G_ti = F_t F_i^T and g_tt = |F_t|^2 per row.
 
     feat_i: (M, ntilde) root of the inducing Gram;
-    L_ii: lower Cholesky factor of the prior scale block S_ii (K/nu);
-    S_ti, s_tt: the test rows' prior scale block and diagonal, so that per
-    point F_t = S_ti S_ii^{-1} F_i + sqrt(s_tt - s_ti S_ii^{-1} s_it) xi,
-    drawn by rd.conditional_draw at L_ii^{-1} F_i."""
+    L_ii: lower Cholesky factor of the prior scale block S_ii = K_ii / nu;
+    ls, sf2, U, F: the kernel's lengthscale and signal-variance nodes
+    (gram_kernel_blocks) and its inputs, the previous layer's inducing and
+    test roots, so that the test rows' prior scale blocks are S_ti = K_ti /
+    nu and s_tt = sf2 / nu, and per point F_t = S_ti S_ii^{-1} F_i +
+    sqrt(s_tt - s_ti S_ii^{-1} s_it) xi, drawn by rd.conditional_draw at
+    L_ii^{-1} F_i with scale 1/nu."""
     feat_i = as_tensor(feat_i)
     width = feat_i.value.shape[-1]
     if width < nu:
@@ -155,4 +165,5 @@ def dwp_conditional_testpoints(feat_i, L_ii, S_ti, s_tt, nu: int, rng: rd.RngStr
         feat_i = de.concat([feat_i, as_tensor(pad)], axis=-1)
     elif width > nu:
         raise ValueError("feature root wider than the layer width")
-    return feat_i, rd.conditional_draw(L_ii, S_ti, s_tt, de.triangular_solve(L_ii, feat_i), rng)
+    return feat_i, rd.conditional_draw(L_ii, ls, sf2, U, F, de.triangular_solve(L_ii, feat_i),
+                                       rng, scale=1.0 / nu)

@@ -1,7 +1,8 @@
 """The squared-exponential covariance function on features, one
 implementation that the feature kernels, the deep Wishart process's Gram
-layers (on the roots of their Gram matrices) and the exact-GP marginal
-likelihood share."""
+layers (on the roots of their Gram matrices), the prior conditional draw
+(rand_dist.conditional_draw, which builds the batch rows' blocks inside its
+node) and the exact-GP marginal likelihood share."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -31,32 +32,35 @@ class KernelParams:
         return de.elementwise("exp", as_tensor(self.log_lengthscales))
 
 
-def _clamp_sqdist(d2: np.ndarray, rows, cols, op: str):
-    """Clamp the rounding negatives of squared distances d2 to zero in place;
-    larger ones raise naming op. d2_ij = rows_i - 2 cross_ij + cols_j, whose
-    rounding grows with the squared norms rows and cols that the subtraction
-    cancels, so the tolerance is 1e-10 plus 1e-12 of the largest row and
-    column terms; they are read only when d2 dips below -1e-10. Returns the
-    mask of clamped entries (their gradient is zero), or None when there are
-    none."""
-    low = d2.min() if d2.size else 0.0
-    if low >= 0:
+def _clamp_sqdist(h: np.ndarray, rows, cols, op: str):
+    """Clamp the rounding negatives of the squared distances d2 to zero in
+    place, in the buffer h = -d2 / 2 that holds them: positive entries
+    become zero, and ones above the tolerance raise naming op. h_ij =
+    cross_ij - rows_i - cols_j, rows and cols the halved squared norms,
+    whose rounding grows with the terms the subtraction cancels, so the
+    tolerance is 0.5e-10 plus 1e-12 of the largest row and column terms
+    (1e-10 and 1e-12 on d2); they are read only when h exceeds 0.5e-10.
+    Returns the mask of clamped entries (their gradient is zero), or None
+    when there are none."""
+    high = h.max() if h.size else 0.0
+    if high <= 0:
         return None
-    if low < -1e-10 and low < -1e-10 - 1e-12 * (np.abs(rows).max() + np.abs(cols).max()):
+    if high > 0.5e-10 and high > 0.5e-10 + 1e-12 * (np.abs(rows).max() + np.abs(cols).max()):
         raise ValueError(f"squared distance negative beyond tolerance in op {op!r}")
-    neg = d2 < 0
-    d2[neg] = 0.0
+    neg = h > 0
+    h[neg] = 0.0
     return neg
 
 
 class _SeArd:
     """sf2 * exp(-0.5 sum_d (x_d - x'_d)^2 / l_d^2) on explicit features, as
-    se_ard_features and the exact-GP marginal likelihood (gp_models) share
-    it: the value, and the cotangents of sf2, the lengthscales and the inputs
-    from the cotangent of the kernel (the exact GP reduces its own tiles and
-    takes only the lengthscales' from here). Squared distances come from the scaled
-    inputs' norms and cross products; their rounding negatives are clamped
-    to zero, larger ones raise. ls and sf2 are the lengthscales' and the
+    se_ard_features, rand_dist.conditional_draw and the exact-GP marginal
+    likelihood (gp_models) share it: the value, and the cotangents of sf2,
+    the lengthscales and the inputs from the cotangent of the kernel (the
+    exact GP reduces its own tiles and takes only the lengthscales' from
+    here). -d2 / 2 comes from the scaled inputs' cross products less their
+    halved squared norms; rounding negatives of d2 are clamped to zero,
+    larger ones raise. ls and sf2 are the lengthscales' and the
     signal variance's nodes. X and X2 (tensors) may be stacks of inputs
     (leading axes), one kernel matrix per sample. op names the tape op
     built on it in the clamp's error."""
@@ -73,16 +77,14 @@ class _SeArd:
         # BLAS routine than X X2^T, and the kernel's rounding should not
         # depend on it
         self.Xs, self.Xs2 = Xs, Xs2 = X.value * r, X2.value * r
-        n1 = np.sum(Xs * Xs, axis=-1, keepdims=True)                           # N x 1
-        n2 = n1 if self.same else np.sum(Xs2 * Xs2, axis=-1, keepdims=True)    # N' x 1
-        # in place, one N x N' buffer becomes d2 and then K: the same
-        # roundings as n1 - 2 Xs Xs2^T + n2^T and sf2 exp(-0.5 d2)
+        h1 = 0.5 * np.sum(Xs * Xs, axis=-1, keepdims=True)                     # N x 1
+        h2 = h1 if self.same else 0.5 * np.sum(Xs2 * Xs2, axis=-1, keepdims=True)
+        # in place, one N x N' buffer becomes -d2 / 2 = Xs Xs2^T - h1 - h2^T,
+        # with no pass to scale it, and then K
         self.K = K = Xs @ de._mT(Xs2)
-        K *= -2.0
-        K += n1
-        K += de._mT(n2)
-        self.neg = _clamp_sqdist(K, n1, n2, op)
-        K *= -0.5
+        K -= h1
+        K -= de._mT(h2)
+        self.neg = _clamp_sqdist(K, h1, h2, op)
         np.exp(K, out=K)
         K *= self.sf2.value
 
@@ -91,13 +93,12 @@ class _SeArd:
         X2 is X, else one each, unbroadcast) from gk = g * K, for the
         kernel's cotangent g; gk is overwritten."""
         g_sf2 = de._unbroadcast(gk.sum() / self.sf2.value, np.shape(self.sf2.value))
-        P = gk      # in place: the cotangent of the clamped squared distances
-        P *= -0.5
+        P = gk      # in place: the cotangent of -d2 / 2, clamped entries zeroed
         if self.neg is not None:
             P[self.neg] = 0.0
         Xs, Xs2 = self.Xs, self.Xs2
-        gXs = 2.0 * (P.sum(axis=-1)[..., None] * Xs - P @ Xs2)
-        gXs2 = 2.0 * (P.sum(axis=-2)[..., None] * Xs2 - de._mT(P) @ Xs)
+        gXs = P @ Xs2 - P.sum(axis=-1)[..., None] * Xs
+        gXs2 = de._mT(P) @ Xs - P.sum(axis=-2)[..., None] * Xs2
         if self.same:
             return g_sf2, (gXs + gXs2,)
         return g_sf2, (de._unbroadcast(gXs, Xs.shape), de._unbroadcast(gXs2, Xs2.shape))

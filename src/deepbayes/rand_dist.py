@@ -6,11 +6,14 @@ gradients flow through both the sample path and the density evaluation.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.special as spec
 
 from . import diff_engine as de
 from .diff_engine import DiffTensor, as_tensor, lift
+from .kernels import _SeArd
 
 __all__ = [
     "RngStream", "gamma_sample_reparam", "gaussian_conditional",
@@ -365,38 +368,91 @@ def conditional_sample(mean, var, rng) -> DiffTensor:
     return lift(mean.value + std * xi, (mean, var), vjp, "conditional_sample")
 
 
-def conditional_draw(L, K_fu, k_ff, Z, rng) -> DiffTensor:
-    """A draw of the rows F from the prior conditional p(F | U) in one tape
-    node: F = W^T Z + sqrt(max(var, 0) + 1e-12) xi per row, with L the lower
-    Cholesky factor of K_uu, W = L^{-1} K_fu^T, var = k_ff - sum_rows W^2,
-    Z = L^{-1} U the solved inducing values and xi ~ N(0, I) drawn once from
-    rng; a leading axis of any operand, or rng's sample count, stacks
-    samples. The forward runs gaussian_conditional and conditional_sample's
-    steps in their order, solving through L's _Factor as triangular_solve
-    does, and the VJP returns the cotangents of L (lower triangle), K_fu,
-    k_ff and Z from one solve against L."""
-    L, K_fu, k_ff, Z = map(as_tensor, (L, K_fu, k_ff, Z))
+_ROWS = 256     # the most batch rows conditional_draw handles at once
+
+
+def _row_blocks(n: int):
+    """Slices of n rows in near-equal blocks of at most _ROWS rows. None has
+    one row unless n = 1: trtrs solves one column by another LAPACK path,
+    whose rounding differs."""
+    k = max(1, -(-n // _ROWS))
+    cuts = [n * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def conditional_draw(L, ls, sf2, U, F, Z, rng, scale=1.0) -> DiffTensor:
+    """A draw of the next rows from the prior conditional p(F_next | U) in
+    one tape node from the kernel inputs: with K_fu = scale SE(F, U) at the
+    lengthscale and signal-variance nodes ls and sf2 (kernels._SeArd, the
+    one SE implementation) and k_ff = scale sf2, each row is W^T Z +
+    sqrt(max(var, 0) + 1e-12) xi, where L is the lower Cholesky factor of
+    K_uu, W = L^{-1} K_fu^T, var = k_ff - sum_rows W^2, Z = L^{-1} u the
+    solved inducing outputs and xi ~ N(0, I), drawn for all rows at once
+    from rng. A leading axis of any operand, or rng's sample count, stacks
+    samples; the deep Wishart process's layers pass scale 1/nu.
+
+    Given U the rows are independent, so the forward runs gaussian_conditional
+    and conditional_sample's steps on blocks of at most _ROWS rows
+    (_row_blocks), solving through L's _Factor as triangular_solve does.
+    An output that is not recorded keeps no block's kernel or solve past
+    that block; a recorded one keeps, per block, the kernel and W, so the
+    VJP rebuilds no kernel and redoes no forward solve: per block it solves
+    once against L for the cotangents of L (lower triangle), K_fu and Z,
+    and takes those of ls, sf2, U and F from K_fu's through the kernel."""
+    L, ls, sf2, U, F, Z = parents = tuple(map(as_tensor, (L, ls, sf2, U, F, Z)))
     solve = de._solver(L, "conditional_draw")
-    Lv, Kt, Zv = L.value, de._mT(K_fu.value), Z.value
-    W = solve(Kt, False)
-    var = k_ff.value - np.sum(W * W, axis=-2)
-    Wt = de._mT(W)
-    mean = Wt @ Zv
-    pos = var > 0
-    std = np.sqrt(var * pos + 1e-12)
-    xi = rng.normal(mean.shape[-2:])
+    Lv, Fv, Zv = L.value, F.value, Z.value
+    k_ff = scale * sf2.value
+    xi = rng.normal(Fv.shape[-2:-1] + Zv.shape[-1:])
+    keep = de._records(parents)
+    saved = []
+
+    def block(rows):
+        se = _SeArd(ls, sf2, as_tensor(Fv[..., rows, :]), U, "conditional_draw")
+        # K_fu in place of the kernel unless the VJP reads the kernel
+        K_fu = se.K if scale == 1.0 else np.multiply(se.K, scale, out=None if keep else se.K)
+        W = solve(de._mT(K_fu), False)
+        kept = (rows, se, W) if keep else ()
+        del se, K_fu        # unless kept, the kernel goes before the next temporary
+        var = k_ff - np.sum(W * W, axis=-2)
+        pos = var > 0
+        std = np.sqrt(var * pos + 1e-12)
+        if keep:
+            saved.append(kept + (std, pos))
+        return de._mT(W) @ Zv + std[..., None] * xi[..., rows, :]
+
+    def block_vjp(g, rows, se, W, std, pos):
+        g, x, Wt = g[..., rows, :], xi[..., rows, :], de._mT(W)
+        g_var = de._unbroadcast((g * x).sum(axis=-1) * (0.5 / std) * pos, std.shape)
+        g_Z = de._unbroadcast(W @ g, Zv.shape)
+        gb = solve(de._mT(de._unbroadcast(g @ de._mT(Zv), Wt.shape))
+                   + np.expand_dims(-2.0 * g_var, -2) * W, True)
+        g_L = de._unbroadcast(np.tril(-gb @ Wt), Lv.shape)
+        g_K = de._mT(de._unbroadcast(gb, de._mT(se.K).shape))
+        del gb      # before the kernel's backward makes its temporaries
+        if scale != 1.0:
+            g_K = g_K * scale
+        g_sf2, (gF, gU) = se.backward(g_K * se.K)
+        return g_L, se.g_ls((gF, gU)), g_sf2, gU * se.r, gF * se.r, g_Z, g_var
 
     def vjp(g):
         de._check_finite(g, "cotangent of op 'conditional_draw'")
-        g_var = de._unbroadcast((g * xi).sum(axis=-1) * (0.5 / std) * pos, var.shape)
-        g_W = (de._mT(de._unbroadcast(g @ de._mT(Zv), Wt.shape))
-               + np.expand_dims(-2.0 * g_var, -2) * W)
-        gb = solve(g_W, True)
-        return (de._unbroadcast(np.tril(-gb @ Wt), Lv.shape),
-                de._mT(de._unbroadcast(gb, Kt.shape)),
-                de._unbroadcast(g_var, k_ff.value.shape), de._unbroadcast(W @ g, Zv.shape))
+        g_L, g_ls, g_sf2, g_U, g_F, g_Z, g_var = zip(*(block_vjp(g, *b) for b in saved))
+        # k_ff's cotangent, summed over all rows as the one-block node sums it
+        g_kff = de._unbroadcast(np.concatenate(g_var, axis=-1), Fv.shape[-2:-1])
+        g_sf2 = de._unbroadcast(g_kff * scale, np.shape(sf2.value)) + _total(g_sf2)
+        return (_total(g_L), _total(g_ls), g_sf2, _total(g_U),
+                np.concatenate(g_F, axis=-2), _total(g_Z))
 
-    return lift(mean + std[..., None] * xi, (L, K_fu, k_ff, Z), vjp, "conditional_draw")
+    value = [block(rows) for rows in _row_blocks(Fv.shape[-2])]
+    value = value[0] if len(value) == 1 else np.concatenate(value, axis=-2)
+    return lift(value, parents, vjp, "conditional_draw")
+
+
+def _total(parts):
+    """The sum of the blocks' cotangents of one operand (the one block's
+    as it is)."""
+    return functools.reduce(np.add, parts)
 
 
 # -- KL divergences ----------------------------------------------------------------

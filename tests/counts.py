@@ -9,10 +9,12 @@ tests/counts.txt, so a change that moves a count shows as a diff of lines
 that name the configuration and the counter. Each line reads
 `<data> <kind> [prior=<prior>] M=<M> S=<S> <phase> <counter> <value>`.
 
-Phases, both at the model's init parameters with RngStream(0) and kl_scale 1,
-on one tape: `objective` runs the objective over the whole training set and
-its backward; `step` runs a training step as train._loss_and_grads does (the
-objective, its negation and the backward). Counters:
+Phases, all at the model's init parameters with RngStream(0), the first two
+on one tape at kl_scale 1: `objective` runs the objective over the whole
+training set and its backward; `step` runs a training step as
+train._loss_and_grads does (the objective, its negation and the backward);
+`evaluate` runs the model's evaluate as training does, at the benchmark's
+50 evaluation samples, off the tape. Counters:
 - `nodes`: tape nodes, and `nodes.<op>` per op tag (`nodes.param` for the
   parameters);
 - `reached`: op nodes the loss reaches, each of whose VJPs the backward runs
@@ -21,14 +23,17 @@ objective, its negation and the backward). Counters:
   of S counts S), and `factorised.<op>` per op;
 - `climbs`: matrices that go up the jitter ladder, and `climbs.<op>` per op;
 - `potrf`, `trtrs`, `trtri`, `dtrtri`, `dtrmm`, `dlauum`: calls of each
-  LAPACK or BLAS routine.
+  LAPACK or BLAS routine;
+- `peak_kb` (evaluate only): the tracemalloc peak of one evaluation in KB,
+  after a first evaluation that pays the one-time costs.
 
 The configurations are fingerprint.py's at S=3 (every kind on cubic-toy at
 M=10, every kind but blr on criterion 14's data at M=20, bnn-gi under prior:
 scale on both), the kinds that solve against stacks of factors (bnn-gi,
 dgp-gi, dwp) on both datasets at the benchmark's S=10, and the three
 benchmark workloads' steps: dwp-s10, dgp-gi-mb200 (the first 200 rows of
-deep-linear as the batch) and gp-exact-n1000.
+deep-linear as the batch) and gp-exact-n1000, and the evaluations of dwp-s10
+and dgp-gi-mb200 (all 1000 rows of deep-linear).
 
 What the counts should read: each matrix is factorised once per layer per
 sample, and the first layer's, which sees only the parameters and the batch,
@@ -37,7 +42,10 @@ factors is inverted on its first solve, one trtri per member, and solved
 against by matmul from then on; a single factor, or a stack that fails the
 condition check (the K_uu stacks on cubic-toy), is solved by trtrs."""
 import contextlib
+import gc
+import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -109,8 +117,21 @@ def count(model, X, y, n, S, phase) -> dict:
     return out
 
 
+def eval_peak(model, ds, S) -> dict:
+    """The `peak_kb` of one evaluation (see the module docstring)."""
+    params = model.init_params()
+    model.evaluate(params, ds, rd.RngStream(0), S)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model.evaluate(params, ds, rd.RngStream(0), S)
+        return {"peak_kb": round(tracemalloc.get_traced_memory()[1] / 1024)}
+    finally:
+        tracemalloc.stop()
+
+
 def cases():
-    """(label, model, X, y, n, S, phase) for each configuration."""
+    """(label, counters) for each configuration, counters() its dict."""
     def label(data, cfg, S, phase):
         prior = "" if cfg.prior == "neal" else f" prior={cfg.prior}"
         return f"{data} {cfg.model}{prior} M={cfg.M} S={S} {phase}"
@@ -119,20 +140,25 @@ def cases():
     for S in (3, 10):
         for data, ds, cfg in fingerprinted:
             if S == 3 or (cfg.model in ("bnn-gi", "dgp-gi", "dwp") and cfg.prior == "neal"):
-                yield (label(data, cfg, S, "objective"), _make_model(cfg, ds),
-                       ds.X_train, ds.y_train, len(ds.y_train), S, "objective")
+                yield label(data, cfg, S, "objective"), partial(
+                    count, _make_model(cfg, ds), ds.X_train, ds.y_train, len(ds.y_train), S,
+                    "objective")
     c14, dl = synthetic_200(0), gen_deep_linear(0)
     for data, ds, cfg, rows, S in [
             ("criterion-14", c14, ExperimentConfig(model="dwp", depth=3, M=20), 200, 10),
             ("deep-linear[:200]", dl, ExperimentConfig(model="dgp-gi", depth=2, M=20), 200, 10),
             ("deep-linear", dl, ExperimentConfig(model="gp"), 1000, 1)]:
-        yield (label(data, cfg, S, "step"), _make_model(cfg, ds),
-               ds.X_train[:rows], ds.y_train[:rows], len(ds.y_train), S, "step")
+        yield label(data, cfg, S, "step"), partial(
+            count, _make_model(cfg, ds), ds.X_train[:rows], ds.y_train[:rows], len(ds.y_train),
+            S, "step")
+    for data, ds, cfg in [("criterion-14", c14, ExperimentConfig(model="dwp", depth=3, M=20)),
+                          ("deep-linear", dl, ExperimentConfig(model="dgp-gi", depth=2, M=20))]:
+        yield label(data, cfg, 50, "evaluate"), partial(eval_peak, _make_model(cfg, ds), ds, 50)
 
 
 def main():
-    for label, *case in cases():
-        for counter, value in count(*case).items():
+    for label, counters in cases():
+        for counter, value in counters().items():
             print(label, counter, value)
 
 

@@ -5,12 +5,13 @@ that the paper's propositions are checked against (Gaussian and
 matrix-normal samplers, indexing, the log-determinant by Cholesky, the
 multivariate Gaussian, Wishart and inverse-Wishart densities, the
 generalized Wishart's Jacobians, matrix-normal conditioning, the Gram-matrix
-SE kernel, one sample's view of a stream with a sample count, a Wishart
-prior layer drawn by the models' Bartlett sampler, the inducing-extension
-certificate, the BNN-as-DGP Gram, exact Bayesian linear regression, the
-optimal-signal-variance identity, the collapsed sparse-GP bound, the
-global-inducing posterior and its draw from generic ops, and the exact GP
-from generic ops for any kernel function). They are built from the same
+SE kernel and the Gram layers' kernel blocks from roots, one sample's view
+of a stream with a sample count, a Wishart prior layer drawn by the models'
+Bartlett sampler, the inducing-extension certificate, the BNN-as-DGP Gram,
+exact Bayesian linear regression, the optimal-signal-variance identity, the
+collapsed sparse-GP bound, the global-inducing posterior and its draw from
+generic ops, the exact GP from generic ops for any kernel function, and the
+prior conditional draw from generic ops). They are built from the same
 diff_engine ops as the library, so tests can differentiate through them.
 """
 from __future__ import annotations
@@ -26,8 +27,8 @@ from deepbayes import gp_models as gm
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import PriorSpec, _prior_precision_scalar
 from deepbayes.diff_engine import DiffTensor, as_tensor
-from deepbayes.dwp import standard_bartlett_params
-from deepbayes.kernels import KernelParams, _se_kdiag
+from deepbayes.dwp import gram_kernel_blocks, standard_bartlett_params
+from deepbayes.kernels import KernelParams, _se_kdiag, _se_node, se_ard_features
 from deepbayes.rand_dist import RngStream
 
 
@@ -340,6 +341,29 @@ def se_from_gram(params: KernelParams, G, nu) -> DiffTensor:
     d2 = de.mul(d2, as_tensor((d2.value >= 0).astype(np.float64)))
     return de.mul(params.sf2(), de.elementwise("exp", de.elementwise(
         "affine", de.div(d2, de.elementwise("square", ls)), a=-0.5)))
+
+
+def gram_blocks_of_roots(kp: KernelParams, F_i, F_t, nu):
+    """(K_ii, K_ti, k_tt) of a deep Wishart layer from the inducing root F_i
+    and the test root F_t: dwp.gram_kernel_blocks' K_ii, and K_ti and the
+    diagonal k_tt at the lengthscale and signal-variance nodes it returns,
+    by the SE kernel node that rand_dist.conditional_draw runs on the test
+    rows inside its own node."""
+    K_ii, ls, sf2 = gram_kernel_blocks(kp, F_i, nu)
+    F_t = as_tensor(F_t)
+    return K_ii, _se_node(ls, sf2, F_t, F_i), _se_kdiag(sf2, F_t.value.shape[-2])
+
+
+def se_conditional_chain(L, kp: KernelParams, U, F, Z, rng, scale=1.0):
+    """conditional_chain fed with the SE blocks as the layers built them
+    before rand_dist.conditional_draw read the kernel inputs: K_fu =
+    se_ard_features(kp, F, U) and k_ff = sf2 per row, each scaled by an
+    affine node unless scale is 1."""
+    K_fu = se_ard_features(kp, F, U)
+    k_ff = _se_kdiag(kp.sf2(), as_tensor(F).value.shape[-2])
+    if scale != 1.0:
+        K_fu, k_ff = (de.elementwise("affine", K, a=scale) for K in (K_fu, k_ff))
+    return conditional_chain(L, K_fu, k_ff, Z, rng)
 
 
 def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,

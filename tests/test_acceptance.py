@@ -508,15 +508,18 @@ def test_criterion_11_imagined_feature_root_invariance():
     t0 = time.monotonic()
     M, nt, nu, K = 4, 3, 3, 20_000
     rng = np.random.default_rng(11)
-    J = _spd(rng, M + nt) / (M + nt)
-    S_ii, S_ti, s_tt = J[:M, :M], J[M:, :M], np.diag(J)[M:]
+    # the previous layer's roots of the inducing and the test rows, whose
+    # SE kernel over 1/nu is the prior scale of the test rows' draw
+    kp, X = KernelParams(), rng.standard_normal((M + nt, 2))
+    S_ii = se_ard_features(kp, X[:M]).value / nu
     F0 = rng.standard_normal((M, nu))
     Q, _ = np.linalg.qr(rng.standard_normal((nu, nu)))
     roots = [F0, F0 @ Q]
     assert np.allclose(roots[0] @ roots[0].T, roots[1] @ roots[1].T, atol=1e-12)
 
     L_ii = np.linalg.cholesky(S_ii)
-    draws = [dw.dwp_conditional_testpoints(R, L_ii, S_ti, s_tt, nu, rd.RngStream(1100 + i, K))
+    draws = [dw.dwp_conditional_testpoints(R, L_ii, kp.lengthscales(), kp.sf2(), X[:M], X[M:],
+                                           nu, rd.RngStream(1100 + i, K))
              for i, R in enumerate(roots)]
     # the cross blocks G_ti = F_t F_i^T and g_tt = |F_t|^2 of each draw's roots
     (a1, b1), (a2, b2) = [(F_t.value @ F_i.value.T, np.sum(F_t.value ** 2, axis=-1))

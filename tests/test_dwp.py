@@ -5,11 +5,11 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import forward, mc_elbo
 from deepbayes.dwp import (DwpOutputLayer, GWishLayerPosterior, dwp_conditional_testpoints,
-                           dwp_posterior_layer, gram_kernel_blocks, standard_bartlett_params)
+                           dwp_posterior_layer, standard_bartlett_params)
 from deepbayes.kernels import KernelParams
 
-from oracles import (dwp_prior_layer, gwish_full_density, sample_rows, se_from_gram,
-                     wishart_inducing_extension, wishart_log_density)
+from oracles import (dwp_prior_layer, gram_blocks_of_roots, gwish_full_density, sample_rows,
+                     se_from_gram, wishart_inducing_extension, wishart_log_density)
 
 
 def _spd(rng, n, scale=1.0):
@@ -31,6 +31,22 @@ def _posterior(M, nu, variant="base", rng=None, q=0.1, spread=0.0):
         A_packed=np.eye(M) if variant in ("A", "AB") else None,
         B_packed=np.zeros((nt, nt)) if variant == "AB" else None)
     return layer
+
+
+def _se_scale(rng, M, nt, nu, d=2):
+    """Kernel inputs of a Gram layer's draw of nt test rows, the roots U
+    (M, d) and F (nt, d) of the inducing and the test rows, and the prior
+    scale S = K / nu of all M + nt rows, K their SE kernel at unit
+    lengthscale and signal variance (the kernel parameters the draws are
+    given)."""
+    X = rng.standard_normal((M + nt, d))
+    K = np.exp(-0.5 * np.sum((X[:, None] - X[None]) ** 2, axis=-1))
+    return X[:M], X[M:], K / nu
+
+
+def _testpoints(feat_i, U, F, S_ii, nu, rng):
+    """dwp_conditional_testpoints at the kernel inputs (U, F) of _se_scale."""
+    return dwp_conditional_testpoints(feat_i, np.linalg.cholesky(S_ii), 1.0, 1.0, U, F, nu, rng)
 
 
 def _prior_scale(G0, nu_prev, nu):
@@ -60,16 +76,15 @@ def test_gram_kernel_blocks_match_full_kernel():
                             (3, 2, (2,))]:
         F_i = rng.standard_normal(lead + (M, width))
         if width < nu:
-            S = _spd(rng, M + nt) / (M + nt)
-            F_i, F_t = dwp_conditional_testpoints(
-                F_i, np.linalg.cholesky(S[:M, :M]), S[M:, :M], np.diag(S)[M:], nu,
-                rd.RngStream(1, lead[0] if lead else None))
+            U, F, S = _se_scale(rng, M, nt, nu)
+            F_i, F_t = _testpoints(F_i, U, F, S[:M, :M], nu,
+                                   rd.RngStream(1, lead[0] if lead else None))
             assert F_i.value.shape[-1] == nu and not np.any(F_i.value[..., width:])
         else:
             F_t = rng.standard_normal(lead + (nt, nu))
         F = np.concatenate([de.as_tensor(F_i).value, de.as_tensor(F_t).value], axis=-2)
         K_full = se_from_gram(kp, F @ np.swapaxes(F, -1, -2), nu).value
-        K_ii, K_ti, k_tt = gram_kernel_blocks(kp, F_i, F_t, nu)
+        K_ii, K_ti, k_tt = gram_blocks_of_roots(kp, F_i, F_t, nu)
         assert K_ii.value.shape == lead + (M, M) and K_ti.value.shape == lead + (nt, M)
         # k_tt, the signal variance, carries no sample axis
         for got, want in ((K_ii, K_full[..., :M, :M]), (K_ti, K_full[..., M:, :M]),
@@ -86,8 +101,8 @@ def test_gram_kernel_blocks_never_need_test_test_entries():
     F_i, F_t = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
     F_t2 = F_t.copy()
     F_t2[1] = rng.standard_normal(4)
-    _, K1, k1 = gram_kernel_blocks(kp, F_i, F_t, 4)
-    _, K2, k2 = gram_kernel_blocks(kp, F_i, F_t2, 4)
+    _, K1, k1 = gram_blocks_of_roots(kp, F_i, F_t, 4)
+    _, K2, k2 = gram_blocks_of_roots(kp, F_i, F_t2, 4)
     assert np.array_equal(K1.value[0], K2.value[0]) and k1.value[0] == k2.value[0]
     assert not np.array_equal(K1.value[1], K2.value[1])
 
@@ -220,15 +235,14 @@ def test_conditional_testpoints_moments():
     # E[G_ti] = E[F_t] F_i^T exactly; E[g_tt] = nu * schur + ||mean||^2
     rng = np.random.default_rng(9)
     M, nu, nt = 4, 3, 2
-    S = _spd(rng, M + nt) / (M + nt)
+    U, F, S = _se_scale(rng, M, nt, nu)
     S_ii, S_ti = S[:M, :M], S[M:, :M]
     s_tt = np.diag(S)[M:]
     feat_i = rng.standard_normal((M, nu))
     mean_ref = S_ti @ np.linalg.solve(S_ii, feat_i)
     schur = s_tt - np.sum(S_ti * np.linalg.solve(S_ii, S_ti.T).T, axis=1)
     n = 40_000
-    G_ti, g_tt = _gram_blocks(dwp_conditional_testpoints(
-        feat_i, np.linalg.cholesky(S_ii), S_ti, s_tt, nu, rd.RngStream(5, n)))
+    G_ti, g_tt = _gram_blocks(_testpoints(feat_i, U, F, S_ii, nu, rd.RngStream(5, n)))
     ref_ti = mean_ref @ feat_i.T
     ref_tt = nu * schur + np.sum(mean_ref ** 2, axis=1)
     sd_ti = np.sqrt(np.outer(schur, np.sum(feat_i ** 2, axis=1)) / n)
@@ -240,15 +254,12 @@ def test_conditional_testpoints_zero_pads_singular_roots():
     rng = np.random.default_rng(10)
     M, nu = 4, 6
     feat_i = rng.standard_normal((M, 4))    # rank-deficient root, ntilde < nu
-    S = _spd(rng, M + 1) / (M + 1)
-    L_ii = np.linalg.cholesky(S[:M, :M])
-    F_i, F_t = dwp_conditional_testpoints(feat_i, L_ii, S[M:, :M], np.diag(S)[M:], nu,
-                                          rd.RngStream(0))
+    U, F, S = _se_scale(rng, M, 1, nu)
+    F_i, F_t = _testpoints(feat_i, U, F, S[:M, :M], nu, rd.RngStream(0))
     assert F_i.value.shape == (M, nu) and F_t.value.shape == (1, nu)
     assert np.array_equal(F_i.value, np.pad(feat_i, ((0, 0), (0, nu - 4))))
     with pytest.raises(ValueError):
-        dwp_conditional_testpoints(rng.standard_normal((M, 7)), L_ii, S[M:, :M], np.diag(S)[M:],
-                                   6, rd.RngStream(0))
+        _testpoints(rng.standard_normal((M, 7)), U, F, S[:M, :M], 6, rd.RngStream(0))
 
 
 def test_conditional_testpoints_degenerate_at_inducing_row():
@@ -256,11 +267,9 @@ def test_conditional_testpoints_degenerate_at_inducing_row():
     # entries exactly (the conditional is a point mass there)
     rng = np.random.default_rng(11)
     M, nu = 3, 3
-    S_ii = _spd(rng, M) / M
+    U, _, S = _se_scale(rng, M, 0, nu)
     feat_i = rng.standard_normal((M, nu))
-    G_ti, g_tt = _gram_blocks(dwp_conditional_testpoints(
-        feat_i, np.linalg.cholesky(S_ii), S_ii[0:1, :], np.array([S_ii[0, 0]]), nu,
-        rd.RngStream(1)))
+    G_ti, g_tt = _gram_blocks(_testpoints(feat_i, U, U[0:1], S, nu, rd.RngStream(1)))
     G_ii = feat_i @ feat_i.T
     assert np.max(np.abs(G_ti - G_ii[0:1, :])) < 1e-4
     assert abs(g_tt[0] - G_ii[0, 0]) < 1e-4
@@ -274,13 +283,12 @@ def test_conditional_testpoints_root_rotation_invariance():
     # entry's mean difference lies within 4 of its standard errors
     rng = np.random.default_rng(12)
     M, nu, nt = 3, 3, 2
-    S = _spd(rng, M + nt) / (M + nt)
+    U, F, S = _se_scale(rng, M, nt, nu)
     feat_i = rng.standard_normal((M, nu))
     Q, _ = np.linalg.qr(rng.standard_normal((nu, nu)))
     n = 30_000
-    L_ii = np.linalg.cholesky(S[:M, :M])
-    (G1, g1), (G2, g2) = [_gram_blocks(dwp_conditional_testpoints(
-        root, L_ii, S[M:, :M], np.diag(S)[M:], nu, rd.RngStream(3, n)))
+    (G1, g1), (G2, g2) = [_gram_blocks(_testpoints(root, U, F, S[:M, :M], nu,
+                                                   rd.RngStream(3, n)))
                           for root in (feat_i, feat_i @ Q)]
     for a, b in ((G1, G2), (g1, g2)):
         d = a - b

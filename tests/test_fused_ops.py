@@ -18,11 +18,11 @@ from deepbayes.bench_cli import ExperimentConfig, _make_model, gen_cubic_toy
 from deepbayes.deep_models import _gi_draw
 from deepbayes.diff_engine import as_tensor
 from deepbayes.gp_models import GpState, gp_predict_lml
-from deepbayes.dwp import gram_kernel_blocks
 from deepbayes.kernels import KernelParams, se_ard_features
 
-from oracles import (_chol_inverse, add_diagonal, conditional_chain, getitem, gi_posterior,
-                     gi_sample, gp_chain, gwish_full_density, logdet_psd, mvn_log_density)
+from oracles import (_chol_inverse, add_diagonal, getitem, gi_posterior, gi_sample, gp_chain,
+                     gram_blocks_of_roots, gwish_full_density, logdet_psd, mvn_log_density,
+                     se_conditional_chain)
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -59,7 +59,7 @@ def _ref_se_gram(rows, cross, cols, scale, sf2, ls):
 
 
 def _ref_gram_kernel_blocks(kp, F, Ft, nu):
-    """dwp.gram_kernel_blocks' (K_ii, K_ti) as the Gram layers built them
+    """oracles.gram_blocks_of_roots' (K_ii, K_ti) as the Gram layers built them
     before they read the roots: from the Gram blocks F F^T, Ft F^T and the
     squared norms of Ft's rows."""
     G = de.matmul(F, de.transpose(F))
@@ -255,7 +255,7 @@ def test_se_kernel_gram_matches_reference(scale):
                           de.tsum(de.elementwise("square", K_ti)))
         return fn
 
-    _assert_matches_reference(make(gram_kernel_blocks), make(_ref_gram_kernel_blocks), params)
+    _assert_matches_reference(make(gram_blocks_of_roots), make(_ref_gram_kernel_blocks), params)
 
 
 # -- densities ---------------------------------------------------------------------------
@@ -588,17 +588,21 @@ _COND_CASES = ("one factor, stacked Z", "stacked factors", "triangular L without
                "stack past the condition guard")
 
 
-def _cond_case(case, rng):
-    """(fused, reference, params) for conditional_draw on one of the
-    operands it serves: chol(K_uu) of a deep GP's first layer against a
-    stack of solved inducing values Z, stacked factors (deeper layers and
-    the DWP's Gram layers), a lower-triangular L that carries no _Factor
-    (solved by trtrs, one sample without a sample axis), and a stack of
-    factors whose condition number sends it back from the inverses to
+def _cond_case(case, rng, n=4):
+    """(fused, reference, params) for conditional_draw over n rows on one of
+    the operands it serves: chol(K_uu) of a deep GP's first layer, whose
+    inputs carry no sample axis, against a stack of solved inducing values
+    Z; stacked factors and inputs (deeper layers), scaled by 1/3 as a Gram
+    layer of width 3 scales them; a lower-triangular L that carries no
+    _Factor (solved by trtrs, one sample without a sample axis); and a stack
+    of factors whose condition number sends it back from the inverses to
     trtrs: K_uu = D (R R^T + I) D with D = diag(1, 1, 1, 1, 1e-3), so that
-    kappa_1(L) is about 2e3 while K_uu stays smooth in R. k_ff keeps every
-    variance clear of the clamp."""
-    S, M, n, w = 3, 5, 4, 2
+    kappa_1(L) is about 2e3 while K_uu stays smooth in R, and the last
+    inducing input lies far from the rows, so that the column of K_fu that
+    L^{-1} amplifies stays negligible. The reference is
+    oracles.se_conditional_chain. A signal variance of 0.05 keeps every
+    variance clear of the clamp, as asserted."""
+    S, M, d, w = 3, 5, 2, 2
     lead = (S,) if case in ("stacked factors", "stack past the condition guard") else ()
     if case == "triangular L without a factor":
         params = {"L": np.tril(0.3 * rng.standard_normal((M, M))) + np.eye(M),
@@ -606,27 +610,34 @@ def _cond_case(case, rng):
     else:
         params = {"R": rng.standard_normal(lead + (M, M)) / np.sqrt(M),
                   "Z": rng.standard_normal((S, M, w))}
-    params["K_fu"] = rng.standard_normal(lead + (n, M))
-    scale = np.ones(M)
+    params.update(U=rng.standard_normal(lead + (M, d)), F=rng.standard_normal(lead + (n, d)),
+                  log_ls=0.2 * rng.standard_normal(d), log_sf2=np.asarray(np.log(0.05)))
+    D = np.ones(M)
     if case == "stack past the condition guard":
-        scale[-1] = 1e-3
+        D[-1] = 1e-3
+        params["U"][..., -1, :] += 10.0
+    scale = 1.0 / 3.0 if case == "stacked factors" else 1.0
 
     def factor(ps):
         if "L" in ps:
             return ps["L"]
         K = add_diagonal(de.matmul(ps["R"], de.transpose(ps["R"])), 1.0)
-        return de.cholesky_factor(de.mul(K, as_tensor(np.outer(scale, scale))))
+        return de.cholesky_factor(de.mul(K, as_tensor(np.outer(D, D))))
 
-    L = factor({k: as_tensor(v) for k, v in params.items()}).value
-    W = np.linalg.solve(L, np.swapaxes(params["K_fu"], -1, -2))
-    params["k_ff"] = 1.0 + 2.0 * np.sum(W * W, axis=-2) + rng.random(lead + (n,))
+    ps = {k: as_tensor(v) for k, v in params.items()}
+    K_fu = scale * se_ard_features(_kp(ps), ps["F"], ps["U"]).value
+    W = np.linalg.solve(factor(ps).value, np.swapaxes(K_fu, -1, -2))
+    assert np.min(scale * 0.05 - np.sum(W * W, axis=-2)) > 0.2 * scale * 0.05
     samples = None if case == "triangular L without a factor" else S
 
-    def objective(draw):
-        return lambda ps: _wsum(draw(factor(ps), ps["K_fu"], ps["k_ff"], ps["Z"],
-                                     rd.RngStream(9, samples)))
+    def fused(L, kp, U, F, Z, rng, scale):
+        return rd.conditional_draw(L, kp.lengthscales(), kp.sf2(), U, F, Z, rng, scale)
 
-    return objective(rd.conditional_draw), objective(conditional_chain), params
+    def objective(draw):
+        return lambda ps: _wsum(draw(factor(ps), _kp(ps), ps["U"], ps["F"], ps["Z"],
+                                     rd.RngStream(9, samples), scale))
+
+    return objective(fused), objective(se_conditional_chain), params
 
 
 @pytest.mark.parametrize("case", _COND_CASES)
@@ -642,12 +653,58 @@ def test_conditional_draw_matches_reference(case):
     _assert_matches_reference(fused, ref, params, grad_tol=1e-10)
 
 
+def test_row_blocks_are_near_equal_and_never_one_row_but_at_one():
+    for n in (0, 1, 2, 255, 256, 257, 513, 600, 1000):
+        blocks = rd._row_blocks(n)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n, n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:])), n
+        assert len(blocks) == max(1, -(-n // rd._ROWS)) and max(sizes) - min(sizes) <= 1, n
+        assert min(sizes) > 1 or n <= 1, n
+
+
+@pytest.mark.parametrize("n", [257, 600])
+@pytest.mark.parametrize("case", ["triangular L without a factor", "stacked factors"])
+def test_conditional_draw_row_blocks_match_one_block(case, n, monkeypatch):
+    # the rows in blocks (128 + 129 rows at n = 257, 3 x 200 at 600), solved
+    # by trtrs or by the stack's inverses: the draw is bitwise the one-block
+    # draw's, recorded or not, and the gradients agree to 1e-12 of each
+    # parameter's largest, since the blocks' cotangents are summed apart
+    fused, _, params = _cond_case(case, np.random.default_rng(43), n)
+    draw = rd.conditional_draw
+
+    def both():
+        # the draw recorded on a tape, its gradients, and the draw off the tape
+        draws = []
+        monkeypatch.setattr(rd, "conditional_draw",
+                            lambda *a, **k: draws.append(draw(*a, **k)) or draws[-1])
+        grads = _value_and_grads(fused, params)[1]
+        fused({k: as_tensor(v) for k, v in params.items()})
+        assert [t._vjp is not None for t in draws] == [True, False]
+        return [t.value for t in draws], grads
+
+    blocked, g = both()
+    monkeypatch.setattr(rd, "_ROWS", n)
+    whole, g1 = both()
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, whole))
+    for k in params:
+        assert np.max(np.abs(g[k] - g1[k])) <= 1e-12 * np.max(np.abs(g1[k])), k
+    # the finite differences of every parameter but the n rows' inputs
+    F = params.pop("F")
+    monkeypatch.undo()
+    rep = de.finite_diff_check(lambda ps: fused({**ps, "F": F}), params)
+    assert rep["passed"], rep
+
+
 def test_conditional_draw_cotangent_guard_names_the_op():
     # a finite forward whose backward overflows: d log(y) / dy = 1 / 1e-310
     L = np.linalg.cholesky(np.eye(3) + 0.1)
     with de.Tape() as tape, np.errstate(over="ignore", divide="ignore"):
-        K = tape.param(np.random.default_rng(42).standard_normal((2, 3)), "K")
-        F = rd.conditional_draw(L, K, np.full(2, 5.0), np.ones((3, 1)), rd.RngStream(7))
+        F = tape.param(np.random.default_rng(42).standard_normal((2, 1)), "F")
+        # a small signal variance keeps the draw near 0, so the cotangent of
+        # the log overflows
+        F = rd.conditional_draw(L, 1.0, 1e-4, np.zeros((3, 1)), F, np.ones((3, 1)),
+                                rd.RngStream(7))
         out = de.elementwise("log", de.mul(de.elementwise("exp", de.tsum(F)),
                                            as_tensor(1e-310)))
         assert np.isfinite(out.value)
@@ -715,9 +772,10 @@ _LAPACK_INPUTS = {      # case: (op, call)
                              lambda: de.triangular_solve(np.eye(2), np.array([[1.0], [np.nan]]))),
     "triangular_solve factor": ("triangular_solve",
                                 lambda: de.triangular_solve(_NAN, np.ones((2, 1)))),
+    # an inf input row, whose kernel row is NaN
     "conditional_draw": ("conditional_draw", lambda: rd.conditional_draw(
-        de.cholesky_factor(np.eye(2)), np.array([[np.inf, 0.0]]), np.ones(1), np.ones((2, 1)),
-        rd.RngStream(0))),
+        de.cholesky_factor(np.eye(2)), 1.0, 1.0, np.zeros((2, 1)), np.array([[np.inf]]),
+        np.ones((2, 1)), rd.RngStream(0))),
 }
 
 
@@ -752,10 +810,11 @@ def _exact_gp_step():
 
 
 def _sqdist_shifted(monkeypatch):
-    # every squared distance the kernel forms, less 1: far below the
-    # clamp's tolerance, which finite inputs to one SE-ARD kernel never reach
+    # every squared distance the kernel forms, less 1 (the clamp reads -d2 / 2):
+    # far below the clamp's tolerance, which finite inputs to one SE-ARD
+    # kernel never reach
     clamp = kernels._clamp_sqdist
-    monkeypatch.setattr(kernels, "_clamp_sqdist", lambda d2, *a: clamp(d2 - 1.0, *a))
+    monkeypatch.setattr(kernels, "_clamp_sqdist", lambda h, *a: clamp(h + 0.5, *a))
 
 
 _GUARDS = {     # case: (error, message before " in op '<op>'", op, setup and call)
@@ -944,7 +1003,7 @@ def _fused_cases():
                       lambda ps: _wsum(_ref_se_ard(_kp(ps), ps["X"])), X),
         "se_kernel_cross": (lambda ps: _wsum(se_ard_features(_kp(ps), ps["X"], ps["X2"])),
                             lambda ps: _wsum(_ref_se_ard(_kp(ps), ps["X"], ps["X2"])), X),
-        "se_gram": (gram_fn(gram_kernel_blocks), gram_fn(_ref_gram_kernel_blocks), gram),
+        "se_gram": (gram_fn(gram_blocks_of_roots), gram_fn(_ref_gram_kernel_blocks), gram),
         "normal_log_density": (
             lambda ps: rd.normal_log_density(ps["x"], ps["m"], de.elementwise("exp", ps["v"])),
             lambda ps: _ref_normal(ps["x"], ps["m"], de.elementwise("exp", ps["v"])),

@@ -83,7 +83,7 @@ def test_gram_kernel_rejects_ard():
     with pytest.raises(ValueError):
         se_from_gram(p, np.eye(3), 2)
     with pytest.raises(ValueError, match="single shared lengthscale"):
-        gram_kernel_blocks(p, np.eye(2), np.ones((1, 2)), 2)
+        gram_kernel_blocks(p, np.eye(2), 2)
 
 
 @pytest.mark.parametrize("log_ls", [-5.0, -7.0, -9.0])
