@@ -51,16 +51,18 @@ class GWishLayerPosterior:
     def sample(self, U, F, rng, last=False):
         """The inducing root from the approximate posterior (log p - log q),
         then the batch rows from the prior conditional (their densities
-        cancel). The first layer's kernel reads the inputs as they are (the
-        SE kernel of G = X X^T / D at nu = D is that of X), so its blocks
-        and factors carry no sample axis."""
+        cancel), both from the one solve L_ii^{-1} F_i of the root against
+        the prior scale S_ii = K_ii / nu, which the kernel node builds. The
+        first layer's kernel reads the inputs as they are (the SE kernel of
+        G = X X^T / D at nu = D is that of X), so its blocks and factors
+        carry no sample axis."""
         nu = int(self.nu)
-        K_ii, ls, sf2 = gram_kernel_blocks(self.kernel_params, U, self.nu_in)
-        S_ii = de.elementwise("affine", K_ii, a=1.0 / nu)
+        S_ii, ls, sf2 = gram_kernel_blocks(self.kernel_params, U, self.nu_in, 1.0 / nu)
         L_ii = de.cholesky_factor(S_ii)
         post_rng, rows_rng, rng = rng.split(3)
-        feat_i, inc = dwp_posterior_layer(self, S_ii, L_ii, post_rng)
-        return (*dwp_conditional_testpoints(feat_i, L_ii, ls, sf2, U, F, nu, rows_rng), inc, rng)
+        feat_i, Z_i, inc = dwp_posterior_layer(self, S_ii, L_ii, post_rng)
+        return (*dwp_conditional_testpoints(feat_i, Z_i, L_ii, ls, sf2, U, F, nu, rows_rng), inc,
+                rng)
 
 
 @dataclass
@@ -100,10 +102,11 @@ def _chol_from_raw(raw) -> DiffTensor:
     return de.add(low, diag)
 
 
-def gram_kernel_blocks(kp: KernelParams, F_i, nu):
+def gram_kernel_blocks(kp: KernelParams, F_i, nu, scale=1.0):
     """(K_ii, ls, sf2): a layer's SE kernel block over the inducing rows i
     from the root F_i of their Gram block (G = F F^T; a stacked root gives
-    stacked blocks), and the lengthscale and signal-variance nodes it is
+    stacked blocks), times the constant scale in the same node (a Gram
+    layer's 1/nu), and the lengthscale and signal-variance nodes it is
     built at, from which rand_dist.conditional_draw builds the test rows'
     blocks K_ti and k_tt from their root. The kernel reads G only through
     d2_ij = nu (G_ii - 2 G_ij + G_jj) = nu |f_i - f_j|^2, so the blocks are
@@ -117,7 +120,7 @@ def gram_kernel_blocks(kp: KernelParams, F_i, nu):
     if nu != 1:
         ls = de.elementwise("affine", ls, a=float(nu) ** -0.5)
     sf2 = kp.sf2()
-    return _se_node(ls, sf2, F_i), ls, sf2
+    return _se_node(ls, sf2, F_i, scale=scale), ls, sf2
 
 
 def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStream):
@@ -125,11 +128,12 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
     layer's generalized Wishart over the mixed scale (1-q) S_ii + q V V^T,
     with S_ii the prior scale K(G_ii_prev)/nu and L_ii its lower Cholesky
     factor (the Bartlett draws take children of rng), and returns
-    (features, increment) with features the generalized-Bartlett root
-    (F F^T = G_ii) and
+    (features, solved, increment) with features the generalized-Bartlett
+    root (F F^T = G_ii), solved = L_ii^{-1} features, the one solve that the
+    prior density and dwp_conditional_testpoints read, and
     increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev), the prior
-    density read from the root. The A-variant's block log-det enters both
-    densities alike and is left out of both.
+    density read from the solved root. The A-variant's block log-det enters
+    both densities alike and is left out of both.
     """
     q = de.elementwise("sigmoid", as_tensor(layer.logit_q))
     V = as_tensor(layer.V)
@@ -140,30 +144,32 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
         de.elementwise("exp", as_tensor(layer.log_beta)), layer.mu,
         de.elementwise("exp", as_tensor(layer.log_sigma)), rng,
         layer.A_packed, None if layer.B_packed is None else _chol_from_raw(layer.B_packed))
-    logp = rd._wishart_log_density_root(feat, L_ii, int(layer.nu), ld_block)
-    return feat, de.sub(logp, logq)
+    Z = de.triangular_solve(L_ii, feat)
+    logp = rd._wishart_log_density_root(Z, L_ii, int(layer.nu), ld_block)
+    return feat, Z, de.sub(logp, logq)
 
 
-def dwp_conditional_testpoints(feat_i, L_ii, ls, sf2, U, F, nu: int, rng: rd.RngStream):
+def dwp_conditional_testpoints(feat_i, Z_i, L_ii, ls, sf2, U, F, nu: int, rng: rd.RngStream):
     """Sample imagined test-point features from the prior conditional, in
     one draw from rng: returns (F_i, F_t), the inducing root padded with
     zero columns to M x nu and the test points' root, whose Gram blocks are
     G_ti = F_t F_i^T and g_tt = |F_t|^2 per row.
 
     feat_i: (M, ntilde) root of the inducing Gram;
+    Z_i: L_ii^{-1} feat_i, the solved root, padded here with zero columns
+    as feat_i is (L^{-1} [F, 0] = [L^{-1} F, 0]);
     L_ii: lower Cholesky factor of the prior scale block S_ii = K_ii / nu;
     ls, sf2, U, F: the kernel's lengthscale and signal-variance nodes
     (gram_kernel_blocks) and its inputs, the previous layer's inducing and
     test roots, so that the test rows' prior scale blocks are S_ti = K_ti /
     nu and s_tt = sf2 / nu, and per point F_t = S_ti S_ii^{-1} F_i +
     sqrt(s_tt - s_ti S_ii^{-1} s_it) xi, drawn by rd.conditional_draw at
-    L_ii^{-1} F_i with scale 1/nu."""
-    feat_i = as_tensor(feat_i)
+    the padded Z_i with scale 1/nu."""
+    feat_i, Z_i = as_tensor(feat_i), as_tensor(Z_i)
     width = feat_i.value.shape[-1]
     if width < nu:
-        pad = np.zeros(feat_i.value.shape[:-1] + (nu - width,))
-        feat_i = de.concat([feat_i, as_tensor(pad)], axis=-1)
+        pad = as_tensor(np.zeros(feat_i.value.shape[:-1] + (nu - width,)))
+        feat_i, Z_i = (de.concat([x, pad], axis=-1) for x in (feat_i, Z_i))
     elif width > nu:
         raise ValueError("feature root wider than the layer width")
-    return feat_i, rd.conditional_draw(L_ii, ls, sf2, U, F, de.triangular_solve(L_ii, feat_i),
-                                       rng, scale=1.0 / nu)
+    return feat_i, rd.conditional_draw(L_ii, ls, sf2, U, F, Z_i, rng, scale=1.0 / nu)

@@ -63,9 +63,12 @@ class _SeArd:
     larger ones raise. ls and sf2 are the lengthscales' and the
     signal variance's nodes. X and X2 (tensors) may be stacks of inputs
     (leading axes), one kernel matrix per sample. op names the tape op
-    built on it in the clamp's error."""
+    built on it in the clamp's error. The kernel is multiplied by scale in
+    place right after sf2 (a deep Wishart layer's 1/nu), so K holds
+    scale * sf2 * exp(...)."""
 
-    def __init__(self, ls: DiffTensor, sf2: DiffTensor, X: DiffTensor, X2: DiffTensor, op: str):
+    def __init__(self, ls: DiffTensor, sf2: DiffTensor, X: DiffTensor, X2: DiffTensor, op: str,
+                 scale=1.0):
         if X.value.shape[-1] != X2.value.shape[-1]:
             raise ValueError("feature dimension mismatch")
         self.ls, self.sf2 = ls, sf2
@@ -87,18 +90,23 @@ class _SeArd:
         self.neg = _clamp_sqdist(K, h1, h2, op)
         np.exp(K, out=K)
         K *= self.sf2.value
+        if scale != 1.0:
+            K *= scale
 
     def backward(self, gk):
         """(cotangent of sf2, cotangents of the scaled inputs: one array when
         X2 is X, else one each, unbroadcast) from gk = g * K, for the
-        kernel's cotangent g; gk is overwritten."""
+        kernel's cotangent g; gk is overwritten. P's row and column sums are
+        products with ones vectors, which BLAS runs, not numpy reductions
+        along a short axis."""
         g_sf2 = de._unbroadcast(gk.sum() / self.sf2.value, np.shape(self.sf2.value))
         P = gk      # in place: the cotangent of -d2 / 2, clamped entries zeroed
         if self.neg is not None:
             P[self.neg] = 0.0
         Xs, Xs2 = self.Xs, self.Xs2
-        gXs = P @ Xs2 - P.sum(axis=-1)[..., None] * Xs
-        gXs2 = de._mT(P) @ Xs - P.sum(axis=-2)[..., None] * Xs2
+        n, m = P.shape[-2:]
+        gXs = P @ Xs2 - (P @ np.ones(m))[..., None] * Xs
+        gXs2 = de._mT(P) @ Xs - (np.ones(n) @ P)[..., None] * Xs2
         if self.same:
             return g_sf2, (gXs + gXs2,)
         return g_sf2, (de._unbroadcast(gXs, Xs.shape), de._unbroadcast(gXs2, Xs2.shape))
@@ -118,12 +126,13 @@ def se_ard_features(params: KernelParams, X, X2=None) -> DiffTensor:
     return _se_node(params.lengthscales(), params.sf2(), X, X2)
 
 
-def _se_node(ls: DiffTensor, sf2: DiffTensor, X, X2=None) -> DiffTensor:
+def _se_node(ls: DiffTensor, sf2: DiffTensor, X, X2=None, scale=1.0) -> DiffTensor:
     """se_ard_features at the lengthscale and signal-variance nodes ls and
-    sf2, for callers that build several kernel blocks from the same ones."""
+    sf2, for callers that build several kernel blocks from the same ones,
+    times the constant scale (see _SeArd)."""
     X = as_tensor(X)
     X2 = X if X2 is None else as_tensor(X2)
-    se = _SeArd(ls, sf2, X, X2, "se_kernel")
+    se = _SeArd(ls, sf2, X, X2, "se_kernel", scale)
 
     def vjp(g):
         g_sf2, gs = se.backward(g * se.K)   # cotangents of sf2 and of the scaled inputs

@@ -142,19 +142,19 @@ def _gaussian_fit(L: np.ndarray, r: np.ndarray, op: str):
 
 # -- Wishart densities -------------------------------------------------------------
 
-def _wishart_log_density_root(F, Ls, nu, ld_block) -> DiffTensor:
+def _wishart_log_density_root(Z, Ls, nu, ld_block) -> DiffTensor:
     """The log density of the (possibly singular) Wishart with nu degrees of
-    freedom and scale Sigma = Ls Ls^T at G = F F^T, from its N x rank root F
-    (rank min(N, nu)), the lower Cholesky factor Ls of the scale and the
-    log-determinant ld_block of G's leading rank x rank block; tr(Sigma^{-1}
-    G) = |Ls^{-1} F|^2. One tape node after the triangular solve."""
-    F, Ls, ld_block = as_tensor(F), as_tensor(Ls), as_tensor(ld_block)
-    N, ntilde = F.value.shape[-2:]
+    freedom and scale Sigma = Ls Ls^T at G = F F^T, from the solved root Z =
+    Ls^{-1} F of its N x rank root F (rank min(N, nu)), the lower Cholesky
+    factor Ls of the scale and the log-determinant ld_block of G's leading
+    rank x rank block; tr(Sigma^{-1} G) = |Z|^2. One tape node; the caller
+    solves, so that others can read the same solve."""
+    Z, Ls, ld_block = as_tensor(Z), as_tensor(Ls), as_tensor(ld_block)
+    N, ntilde = Z.value.shape[-2:]
     nu = float(nu)
     const = (0.5 * nu * (ntilde - N) * np.log(np.pi)
              - 0.5 * nu * N * np.log(2.0)
              - float(spec.multigammaln(0.5 * nu, ntilde)))
-    Z = de.triangular_solve(Ls, F)
     d = np.diagonal(Ls.value, axis1=-2, axis2=-1)
     if np.any(d <= 0):
         raise ValueError("log domain violation: non-positive diagonal in op 'wishart_log_density'")
@@ -398,7 +398,9 @@ def conditional_draw(L, ls, sf2, U, F, Z, rng, scale=1.0) -> DiffTensor:
     that block; a recorded one keeps, per block, the kernel and W, so the
     VJP rebuilds no kernel and redoes no forward solve: per block it solves
     once against L for the cotangents of L (lower triangle), K_fu and Z,
-    and takes those of ls, sf2, U and F from K_fu's through the kernel."""
+    and takes those of ls, sf2, U and F from K_fu's through the kernel,
+    which _SeArd builds at the scale, so no second kernel is kept. Its sums
+    are BLAS products, not numpy reductions along short axes."""
     L, ls, sf2, U, F, Z = parents = tuple(map(as_tensor, (L, ls, sf2, U, F, Z)))
     solve = de._solver(L, "conditional_draw")
     Lv, Fv, Zv = L.value, F.value, Z.value
@@ -408,12 +410,11 @@ def conditional_draw(L, ls, sf2, U, F, Z, rng, scale=1.0) -> DiffTensor:
     saved = []
 
     def block(rows):
-        se = _SeArd(ls, sf2, as_tensor(Fv[..., rows, :]), U, "conditional_draw")
-        # K_fu in place of the kernel unless the VJP reads the kernel
-        K_fu = se.K if scale == 1.0 else np.multiply(se.K, scale, out=None if keep else se.K)
-        W = solve(de._mT(K_fu), False)
+        # K_fu, scaled in place; the VJP reads it unless the output is not recorded
+        se = _SeArd(ls, sf2, as_tensor(Fv[..., rows, :]), U, "conditional_draw", scale)
+        W = solve(de._mT(se.K), False)
         kept = (rows, se, W) if keep else ()
-        del se, K_fu        # unless kept, the kernel goes before the next temporary
+        del se      # unless kept, the kernel goes before the next temporary
         var = k_ff - np.sum(W * W, axis=-2)
         pos = var > 0
         std = np.sqrt(var * pos + 1e-12)
@@ -422,17 +423,29 @@ def conditional_draw(L, ls, sf2, U, F, Z, rng, scale=1.0) -> DiffTensor:
         return de._mT(W) @ Zv + std[..., None] * xi[..., rows, :]
 
     def block_vjp(g, rows, se, W, std, pos):
-        g, x, Wt = g[..., rows, :], xi[..., rows, :], de._mT(W)
-        g_var = de._unbroadcast((g * x).sum(axis=-1) * (0.5 / std) * pos, std.shape)
+        g, x = g[..., rows, :], xi[..., rows, :]
+        g_var = np.einsum("...nw,...nw->...n", g, x)
+        if g_var.ndim > std.ndim:   # std shared by the samples: their sum by a ones vector
+            g_var = np.ones(len(g_var)) @ g_var
+        g_var *= (0.5 / std) * pos
         g_Z = de._unbroadcast(W @ g, Zv.shape)
-        gb = solve(de._mT(de._unbroadcast(g @ de._mT(Zv), Wt.shape))
-                   + np.expand_dims(-2.0 * g_var, -2) * W, True)
-        g_L = de._unbroadcast(np.tril(-gb @ Wt), Lv.shape)
-        g_K = de._mT(de._unbroadcast(gb, de._mT(se.K).shape))
+        # the cotangent of W: Z g^T, then var's term
+        if W.ndim == 2 and g.ndim == 3 and Zv.ndim == 3:
+            # one W for every sample: sum_s Z_s g_s^T is one (M, S w) x (S w, n) product
+            gW = np.tensordot(Zv, g, axes=((0, 2), (0, 2)))
+        elif Zv.shape[-1] == 1:
+            gW = de._unbroadcast(Zv * de._mT(g), W.shape)
+        else:
+            gW = de._unbroadcast(Zv @ de._mT(g), W.shape)
+        gW -= np.expand_dims(2.0 * g_var, -2) * W
+        gb = solve(gW, True)
+        del gW
+        g_L = np.tril(gb @ de._mT(W))
+        g_L = de._unbroadcast(np.negative(g_L, out=g_L), Lv.shape)
+        # the kernel's cotangent times the kernel, the input of its backward
+        gk = de._mT(de._unbroadcast(gb, de._mT(se.K).shape)) * se.K
         del gb      # before the kernel's backward makes its temporaries
-        if scale != 1.0:
-            g_K = g_K * scale
-        g_sf2, (gF, gU) = se.backward(g_K * se.K)
+        g_sf2, (gF, gU) = se.backward(gk)
         return g_L, se.g_ls((gF, gU)), g_sf2, gU * se.r, gF * se.r, g_Z, g_var
 
     def vjp(g):

@@ -2,15 +2,18 @@
 gradients and its evaluation metrics, for checking that a change keeps every
 value bitwise:
 
-    PYTHONPATH=<tree>/src python tests/fingerprint.py > <tree>.txt
+    PYTHONPATH=<tree>/src python tests/fingerprint.py [--values] > <tree>.txt
 
 Run it on two trees and diff the outputs. Each line hashes the objective at
 init + 0.05 N(0, 1) (default_rng(1)) with S=3, kl_scale 0.7 and
 RngStream(123), every gradient by sorted parameter name, and evaluate's
-metrics at S=3 from RngStream(123). The configurations are every kind on
+metrics at S=3 from RngStream(123); with --values it hashes the objective
+and the metrics but no gradient, for a change that keeps every value while
+it moves gradients by rounding. The configurations are every kind on
 cubic-toy at M=10, every kind but blr on criterion 14's data at M=20, and
 bnn-gi under prior: scale on both: 23 lines, about a second in all."""
 import hashlib
+import sys
 
 import numpy as np
 
@@ -40,7 +43,7 @@ def configurations():
             yield data, ds, cfg
 
 
-def fingerprint(ds, cfg) -> str:
+def fingerprint(ds, cfg, grads=True) -> str:
     model = _make_model(cfg, ds)
     rng = np.random.default_rng(1)
     params = {k: v + 0.05 * rng.standard_normal(np.shape(v))
@@ -49,20 +52,23 @@ def fingerprint(ds, cfg) -> str:
     with de.Tape() as tape:
         p = {k: tape.param(v, k) for k, v in params.items()}
         value = model.objective(p, ds.X_train, ds.y_train, n, 3, rd.RngStream(123), 0.7)
-        grads = de.backward_pass(value)
+        g = de.backward_pass(value) if grads else {}
     h = hashlib.sha256(np.ascontiguousarray(value.value).tobytes())
-    for k in sorted(grads):
+    for k in sorted(g):
         h.update(k.encode())
-        h.update(np.ascontiguousarray(grads[k]).tobytes())
+        h.update(np.ascontiguousarray(g[k]).tobytes())
     metrics = model.evaluate(params, ds, rd.RngStream(123), 3)
     h.update(repr(sorted(metrics.items())).encode())     # repr round-trips each float
     return h.hexdigest()
 
 
-def main():
+def main(argv=()):
+    if set(argv) - {"--values"}:
+        raise SystemExit(f"usage: fingerprint.py [--values], not {' '.join(argv)}")
+    grads = "--values" not in argv
     for data, ds, cfg in configurations():
-        print(fingerprint(ds, cfg), data, cfg.model, f"prior={cfg.prior}")
+        print(fingerprint(ds, cfg, grads), data, cfg.model, f"prior={cfg.prior}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -204,7 +204,8 @@ def wishart_log_density(G, Sigma, nu) -> DiffTensor:
     rows = getitem(G, slice(0, n))                        # G[:n] = G[:, :n]^T
     C = de.cholesky_factor(getitem(rows, (slice(None), slice(0, n))))
     F = de.transpose(de.triangular_solve(C, rows))        # F F^T = G
-    return rd._wishart_log_density_root(F, de.cholesky_factor(Sigma), nu,
+    Ls = de.cholesky_factor(Sigma)
+    return rd._wishart_log_density_root(de.triangular_solve(Ls, F), Ls, nu,
                                         de.log_diag_sum(C, 2.0))
 
 
@@ -379,7 +380,7 @@ def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
     _, feat, ld_block, _ = rd._gwish_sample(
         L, nu, *standard_bartlett_params(K.value.shape[0], nu), rng)
     return (de.matmul(feat, de.transpose(feat)),
-            rd._wishart_log_density_root(feat, L, nu, ld_block), feat)
+            rd._wishart_log_density_root(de.triangular_solve(L, feat), L, nu, ld_block), feat)
 
 
 def wishart_inducing_extension(Sigma_uu, sigma_us, sigma_ss, Psi_uu):

@@ -518,8 +518,8 @@ def test_criterion_11_imagined_feature_root_invariance():
     assert np.allclose(roots[0] @ roots[0].T, roots[1] @ roots[1].T, atol=1e-12)
 
     L_ii = np.linalg.cholesky(S_ii)
-    draws = [dw.dwp_conditional_testpoints(R, L_ii, kp.lengthscales(), kp.sf2(), X[:M], X[M:],
-                                           nu, rd.RngStream(1100 + i, K))
+    draws = [dw.dwp_conditional_testpoints(R, de.triangular_solve(L_ii, R), L_ii, kp.lengthscales(),
+                                           kp.sf2(), X[:M], X[M:], nu, rd.RngStream(1100 + i, K))
              for i, R in enumerate(roots)]
     # the cross blocks G_ti = F_t F_i^T and g_tt = |F_t|^2 of each draw's roots
     (a1, b1), (a2, b2) = [(F_t.value @ F_i.value.T, np.sum(F_t.value ** 2, axis=-1))

@@ -5,7 +5,7 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import forward, mc_elbo
 from deepbayes.dwp import (DwpOutputLayer, GWishLayerPosterior, dwp_conditional_testpoints,
-                           dwp_posterior_layer, standard_bartlett_params)
+                           dwp_posterior_layer, gram_kernel_blocks, standard_bartlett_params)
 from deepbayes.kernels import KernelParams
 
 from oracles import (dwp_prior_layer, gram_blocks_of_roots, gwish_full_density, sample_rows,
@@ -46,7 +46,9 @@ def _se_scale(rng, M, nt, nu, d=2):
 
 def _testpoints(feat_i, U, F, S_ii, nu, rng):
     """dwp_conditional_testpoints at the kernel inputs (U, F) of _se_scale."""
-    return dwp_conditional_testpoints(feat_i, np.linalg.cholesky(S_ii), 1.0, 1.0, U, F, nu, rng)
+    L_ii = np.linalg.cholesky(S_ii)
+    return dwp_conditional_testpoints(feat_i, de.triangular_solve(L_ii, feat_i), L_ii, 1.0, 1.0,
+                                      U, F, nu, rng)
 
 
 def _prior_scale(G0, nu_prev, nu):
@@ -90,6 +92,37 @@ def test_gram_kernel_blocks_match_full_kernel():
         for got, want in ((K_ii, K_full[..., :M, :M]), (K_ti, K_full[..., M:, :M]),
                           (k_tt, np.diagonal(K_full, axis1=-2, axis2=-1)[..., M:])):
             assert np.max(np.abs(got.value - want)) <= 1e-12 * np.max(np.abs(want)), (nu, lead)
+
+
+def test_gram_kernel_blocks_scale_the_kernel_as_an_affine_node_does():
+    # S_ii = K_ii / nu built in the kernel node is bitwise the affine of K_ii
+    # that the Gram layers applied, with or without a sample axis
+    rng = np.random.default_rng(2)
+    kp = KernelParams(log_sf2=0.2, log_lengthscales=0.1)
+    for nu, lead in [(1, ()), (3, ()), (3, (2,))]:
+        F_i = rng.standard_normal(lead + (5, nu))
+        K_ii = gram_kernel_blocks(kp, F_i, nu)[0]
+        S_ii = gram_kernel_blocks(kp, F_i, nu, 1.0 / nu)[0]
+        assert np.array_equal(S_ii.value, de.elementwise("affine", K_ii, a=1.0 / nu).value)
+
+
+def test_testpoints_pad_the_solved_root_as_the_solve_of_the_padded_root():
+    # L^{-1} [F, 0] = [L^{-1} F, 0]: with two or more inducing rows, the
+    # draw from the solved root padded with zero columns is bitwise the
+    # draw from the solve of the padded root, against one factor (trtrs)
+    # and against a stack of them (their inverses)
+    rng = np.random.default_rng(9)
+    M, nt, nu = 3, 4, 5
+    for lead in [(), (2,)]:
+        U, F, S = _se_scale(rng, M, nt, nu)
+        A = rng.standard_normal(lead + (M, M))
+        L_ii = de.cholesky_factor(S[:M, :M] + 0.1 * A @ np.swapaxes(A, -1, -2))
+        feat = np.tril(rng.standard_normal(lead + (M, M)))
+        padded = np.concatenate([feat, np.zeros(lead + (M, nu - M))], axis=-1)
+        draws = [dwp_conditional_testpoints(root, de.triangular_solve(L_ii, root), L_ii, 1.0, 1.0,
+                                            U, F, nu, rd.RngStream(4, lead[0] if lead else None))
+                 for root in (feat, padded)]
+        assert all(np.array_equal(a.value, b.value) for a, b in zip(*draws)), lead
 
 
 def test_gram_kernel_blocks_never_need_test_test_entries():
@@ -167,7 +200,8 @@ def test_root_form_density_matches_wishart_log_density(variant):
         G, _, feat, ld_block = gwish_full_density(rd._gwish_sample(
             L_mix, nu, a * np.exp(0.1 * rng.standard_normal(nu)), b, mu + 0.1, sg,
             rd.RngStream(2), A, B), nu, A)
-        logp = rd._wishart_log_density_root(feat, np.linalg.cholesky(S), nu, ld_block)
+        Ls = np.linalg.cholesky(S)
+        logp = rd._wishart_log_density_root(de.triangular_solve(Ls, feat), Ls, nu, ld_block)
     ref = wishart_log_density(G.value, S, nu).value
     assert abs(logp.value - ref) <= 1e-10 * abs(ref)
 
@@ -182,7 +216,7 @@ def test_posterior_layer_prior_reduction():
     layer = _posterior(M, nu, rng=rng, q=1e-12)
     factors = _prior_scale(G0, M, nu)
     for seed in range(5):
-        _, inc = dwp_posterior_layer(layer, *factors, rd.RngStream(seed))
+        _, _, inc = dwp_posterior_layer(layer, *factors, rd.RngStream(seed))
         assert abs(inc.value) < 1e-8, seed
 
 
@@ -195,7 +229,7 @@ def test_posterior_layer_variant_nesting_exact():
     for variant in ("base", "A", "AB"):
         layer = _posterior(M, nu, variant=variant, rng=np.random.default_rng(6),
                            spread=0.2)
-        feat, inc = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(11))
+        feat, _, inc = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(11))
         outs.append((feat.value @ feat.value.T, feat.value, inc.value))
     for G, feat, inc in outs[1:]:
         assert np.allclose(G, outs[0][0], atol=1e-12)
@@ -209,7 +243,7 @@ def test_posterior_layer_increment_mean_is_negative_kl():
     G0 = _spd(rng, M) / M
     layer = _posterior(M, nu, rng=rng, q=0.4, spread=0.15)
     streams = rd.RngStream(0, 3000)
-    incs = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), streams)[1].value
+    incs = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), streams)[2].value
     # KL >= 0, so the mean increment must not be significantly positive
     assert incs.mean() < 3 * incs.std() / np.sqrt(len(incs))
 
@@ -222,7 +256,7 @@ def test_posterior_layer_root_consistency():
     # the root is L T: lower-trapezoidal with a positive diagonal, so its
     # Gram has rank min(M, nu) and the density reads the leading block's
     # log-determinant from the root's diagonal
-    feat, _ = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(3))
+    feat, _, _ = dwp_posterior_layer(layer, *_prior_scale(G0, M, nu), rd.RngStream(3))
     assert feat.value.shape == (M, min(M, nu))
     assert not np.any(np.triu(feat.value, 1)) and np.all(np.diag(feat.value) > 0)
     assert np.linalg.matrix_rank(feat.value @ feat.value.T) == min(M, nu)

@@ -221,6 +221,27 @@ def test_se_kernel_features_matches_reference(ls_shape, cross):
     _assert_matches_reference(make(se_ard_features), make(_ref_se_ard), params)
 
 
+@pytest.mark.parametrize("ls_shape", [(), (3,)])
+def test_se_kernel_stacked_features_match_reference(ls_shape):
+    # one kernel per member of a stack of inputs, whose backward forms each
+    # member's row and column sums by products with ones vectors, against
+    # the reference per member
+    rng = np.random.default_rng(4)
+    params = {"X": rng.standard_normal((3, 5, 3)), "log_sf2": np.asarray(0.3),
+              "log_ls": 0.2 * rng.standard_normal(ls_shape)}
+    w = np.cos(np.arange(75)).reshape(3, 5, 5)
+
+    def fused(ps):
+        return de.tsum(de.mul(se_ard_features(_kp(ps), ps["X"]), as_tensor(w)))
+
+    def ref(ps):
+        return functools.reduce(de.add, (
+            de.tsum(de.mul(_ref_se_ard(_kp(ps), getitem(ps["X"], s)), as_tensor(w[s])))
+            for s in range(3)))
+
+    _assert_matches_reference(fused, ref, params)
+
+
 def test_se_kernel_clamped_distances_match_reference():
     # repeated rows give squared distances that round to small negatives;
     # both forms clamp them to zero and pass no gradient through them
@@ -397,11 +418,13 @@ def test_wishart_root_density_matches_reference():
               "Ls": np.tril(0.3 * rng.standard_normal((N, N))) + np.eye(N),
               "ld": np.asarray(0.7)}
 
+    def fused(F, Ls, nu, ld_block):
+        return rd._wishart_log_density_root(de.triangular_solve(Ls, F), Ls, nu, ld_block)
+
     def make(density):
         return lambda ps: density(ps["F"], ps["Ls"], nu, ps["ld"])
 
-    _assert_matches_reference(make(rd._wishart_log_density_root), make(_ref_wishart_root),
-                              params)
+    _assert_matches_reference(make(fused), make(_ref_wishart_root), params)
 
 
 def test_log_diag_sum_matches_reference():
@@ -585,7 +608,8 @@ def test_gi_draw_cotangent_guard_names_the_op():
 # -- the prior conditional draw ------------------------------------------------------------------
 
 _COND_CASES = ("one factor, stacked Z", "stacked factors", "triangular L without a factor",
-               "stack past the condition guard")
+               "stack past the condition guard", "one factor, stacked Z, width 1",
+               "stacked factors, width 1")
 
 
 def _cond_case(case, rng, n=4):
@@ -599,10 +623,12 @@ def _cond_case(case, rng, n=4):
     trtrs: K_uu = D (R R^T + I) D with D = diag(1, 1, 1, 1, 1e-3), so that
     kappa_1(L) is about 2e3 while K_uu stays smooth in R, and the last
     inducing input lies far from the rows, so that the column of K_fu that
-    L^{-1} amplifies stays negligible. The reference is
+    L^{-1} amplifies stays negligible. The rows are two wide, or one wide
+    (a last layer's) where the case says width 1. The reference is
     oracles.se_conditional_chain. A signal variance of 0.05 keeps every
     variance clear of the clamp, as asserted."""
-    S, M, d, w = 3, 5, 2, 2
+    case, _, width = case.partition(", width ")
+    S, M, d, w = 3, 5, 2, int(width or 2)
     lead = (S,) if case in ("stacked factors", "stack past the condition guard") else ()
     if case == "triangular L without a factor":
         params = {"L": np.tril(0.3 * rng.standard_normal((M, M))) + np.eye(M),
@@ -1014,7 +1040,8 @@ def _fused_cases():
         "mvn_log_density_chol": (mvn_fn(True),
                                  lambda ps: _ref_mvn(ps["y"], ps["m"], _mvn_cov(ps)),
                                  _mvn_params(6, rng)),
-        "wishart_root": (lambda ps: rd._wishart_log_density_root(ps["F"], ps["Ls"], 3, ps["ld"]),
+        "wishart_root": (lambda ps: rd._wishart_log_density_root(
+                             de.triangular_solve(ps["Ls"], ps["F"]), ps["Ls"], 3, ps["ld"]),
                          lambda ps: _ref_wishart_root(ps["F"], ps["Ls"], 3, ps["ld"]),
                          {"F": np.tril(rng.standard_normal((5, 3))) + 2 * np.eye(5, 3),
                           "Ls": np.tril(0.3 * rng.standard_normal((5, 5))) + np.eye(5),
