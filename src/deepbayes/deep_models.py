@@ -270,6 +270,7 @@ class GiDgpLayer:
 
 @dataclass
 class DsviDgpLayer:
+    """A local-inducing (DSVI) deep-GP layer, read through rand_dist.inducing_posterior."""
     Z: object                      # (M, d_in) local inducing inputs
     m: object                      # (M, width)
     S_chol: object                 # (width, M, M): S_chol[l] is output l's covariance root
@@ -284,11 +285,9 @@ class DsviDgpLayer:
         all from one factor of K_zz."""
         kp = self.kernel_params
         K_zz, K_fz, kdiag = _se_blocks(kp.lengthscales(), kp.sf2(), as_tensor(self.Z), F)
-        L = de.cholesky_factor(K_zz)
-        inc = rd._kl_gaussian_chol(self.m, self.S_chol, np.zeros((L.value.shape[-1], 1)), L,
-                                   negate=True)
-        W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz), kdiag)
-        return (*rd.inducing_marginals(L, W, base_var, self.m, self.S_chol), inc)
+        means, vars_, kl = rd.inducing_posterior(de.cholesky_factor(K_zz), de.transpose(K_fz),
+                                                 kdiag, self.m, self.S_chol)
+        return means, vars_, de.elementwise("affine", kl, a=-1.0)
 
     def sample(self, U, F, rng, last=False):
         """The marginals at F sampled in one (S, w, nb) draw."""

@@ -296,7 +296,7 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
         d = val
     elif tag == "log":
         if np.any(v <= 0):
-            raise ValueError("log domain violation: non-positive input")
+            raise ValueError("log domain violation: non-positive input in op 'log'")
         val = np.log(v)
         d = 1.0 / v
     elif tag == "relu":
@@ -307,7 +307,7 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
         d = 2.0 * v
     elif tag == "reciprocal":
         if np.any(v == 0):
-            raise ValueError("reciprocal domain violation: zero input")
+            raise ValueError("reciprocal domain violation: zero input in op 'reciprocal'")
         val = 1.0 / v
         d = -val * val
     elif tag == "affine":
@@ -315,7 +315,7 @@ def elementwise(tag, x, a=1.0, b=0.0) -> DiffTensor:
         d = a
     elif tag == "sqrt":
         if np.any(v < 0):
-            raise ValueError("sqrt domain violation: negative input")
+            raise ValueError("sqrt domain violation: negative input in op 'sqrt'")
         val = np.sqrt(v)
         d = 0.5 / np.maximum(val, 1e-300)
     elif tag == "sigmoid":

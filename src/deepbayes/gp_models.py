@@ -10,7 +10,7 @@ from scipy.linalg import blas
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, _SeArd, _se_kdiag, se_ard_features
+from .kernels import KernelParams, _SeArd, _se_blocks, se_ard_features
 
 __all__ = [
     "GpState", "SvgpState", "gaussian_bump_features", "gp_predict_lml",
@@ -32,9 +32,17 @@ class GpState:
 
 @dataclass
 class SvgpState(GpState):
+    """A sparse GP with q(u) = N(m, S S^T), read by rand_dist.inducing_posterior."""
     Z: object = None               # (M, D)
     m: object = None               # (M,) variational mean
     S_chol: object = None          # (M, M) lower Cholesky of S
+
+    def marginals(self, X):
+        """(mean, var, kl) at inputs X, from the blocks of kernels._se_blocks."""
+        kp = self.kernel_params
+        K_zz, K_fz, kdiag = _se_blocks(kp.lengthscales(), kp.sf2(), as_tensor(self.Z), X)
+        return rd.inducing_posterior(de.cholesky_factor(K_zz), de.transpose(K_fz), kdiag,
+                                     self.m, self.S_chol)
 
 
 def gaussian_bump_features(X, centers, width) -> DiffTensor:
@@ -193,32 +201,18 @@ def _se_exact_lml(params: KernelParams, s2: DiffTensor, X: DiffTensor, y: DiffTe
     return de.lift(np.asarray(val), (se.sf2, se.ls, s2, X, y), vjp, _EXACT_LML)
 
 
-def _svgp_marginals(state: SvgpState, Xb):
-    """Per-point q(f) mean and variance at the batch inputs, and the lower
-    Cholesky factor of K_zz."""
-    Z = as_tensor(state.Z)
-    Xb = as_tensor(Xb)
-    Lz = de.cholesky_factor(state.kern(Z))
-    W, var = rd.gaussian_conditional(Lz, state.kern(Z, Xb),
-                                     _se_kdiag(state.kernel_params.sf2(), Xb.value.shape[0]))
-    return (*rd.inducing_marginals(Lz, W, var, state.m, state.S_chol), Lz)
-
-
 def svgp_elbo(state: SvgpState, Xb, yb, total_n, kl_scale=1.0) -> DiffTensor:
-    """Uncollapsed sparse variational bound on a (mini)batch.
-
-    (N/Nb) sum_n E_q[log N(y_n; f_n, s2)] - kl_scale * KL(q(u) || p(u)); the
-    expectation is closed form for the Gaussian likelihood.
-    """
+    """Uncollapsed sparse variational bound on a (mini)batch: (N/Nb) sum_n
+    E_q[log N(y_n; f_n, s2)] - kl_scale * KL(q(u) || p(u)), the expectation in
+    closed form, the moments and the KL from rand_dist.inducing_posterior."""
     yb = as_tensor(yb)
     nb = yb.value.shape[0]
     if nb < 1:
         raise ValueError("empty batch")
-    mean, var, Lz = _svgp_marginals(state, Xb)
+    mean, var, kl = state.marginals(Xb)
     s2 = state.noise_var()
     ell = de.sub(rd.normal_log_density(yb, mean, s2),
                  de.tsum(de.div(var, de.elementwise("affine", s2, a=2.0))))
-    kl = rd._kl_gaussian_chol(state.m, state.S_chol, np.zeros(Lz.value.shape[0]), Lz)
     return de.sub(de.elementwise("affine", ell, a=float(total_n) / nb),
                   de.elementwise("affine", kl, a=float(kl_scale)))
 

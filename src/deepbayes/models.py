@@ -90,7 +90,8 @@ class BlrViModel(_ClosedFormModel):
         quad_extra = de.tsum(de.elementwise("square", de.matmul(phi, Lq)))  # tr(phi S phi^T)
         ll = de.sub(rd.normal_log_density(as_tensor(yb), pred, as_tensor(np.asarray(s2))),
                     de.elementwise("affine", quad_extra, a=0.5 / s2))
-        kl = rd._kl_gaussian_chol(m, Lq, np.zeros(self.k), self.alpha * np.eye(self.k))
+        # KL(N(m, Lq Lq^T) || N(0, alpha^2 I))
+        kl = rd.standard_kl(*(de.elementwise("affine", t, a=1.0 / self.alpha) for t in (m, Lq)))
         return de.sub(de.elementwise("affine", ll, a=float(total_n) / nb),
                       de.elementwise("affine", kl, a=float(kl_scale)))
 
@@ -170,7 +171,7 @@ class SvgpModel(_ClosedFormModel):
 
     def predictive(self, params, dataset, X):
         st = self._state({k: as_tensor(v) for k, v in params.items()})
-        mean, var, _ = gm._svgp_marginals(st, X)
+        mean, var, _ = st.marginals(X)
         elbo = gm.svgp_elbo(st, dataset.X_train, dataset.y_train, dataset.X_train.shape[0])
         return mean.value, var.value, float(elbo.value)
 

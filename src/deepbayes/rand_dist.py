@@ -16,9 +16,8 @@ from .diff_engine import DiffTensor, as_tensor, lift
 from .kernels import _SeArd
 
 __all__ = [
-    "RngStream", "gamma_sample_reparam", "gaussian_conditional",
-    "inducing_marginals", "conditional_sample", "conditional_draw", "kl_gamma",
-    "normal_log_density",
+    "RngStream", "gamma_sample_reparam", "inducing_posterior", "conditional_sample",
+    "conditional_draw", "standard_kl", "kl_gamma", "normal_log_density",
     "lgamma", "lu_packed_matrix", "lu_packed_logdet",
 ]
 
@@ -319,36 +318,24 @@ def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, 
 
 # -- Gaussian conditioning --------------------------------------------------------
 
-def gaussian_conditional(L, K_uf, k_ff):
-    """Conditional of f given inducing values u, with L the lower Cholesky
-    factor of K_uu.
-
-    Returns (W, var): W = L^{-1} K_uf and var = k_ff - sum_rows W^2, the
-    per-point conditional variance. Neither depends on u; the conditional
-    mean is W^T w_u with w_u = L^{-1} u.
-    """
-    W = de.triangular_solve(L, K_uf)
-    k_ff = as_tensor(k_ff)
-    var = lift(k_ff.value - np.sum(W.value * W.value, axis=-2), (k_ff, W), lambda g: (
-        de._unbroadcast(g, k_ff.value.shape), np.expand_dims(-2.0 * g, -2) * W.value),
-        "conditional_variance")
-    return W, var
-
-
-def inducing_marginals(L, W, var, m, S_chol):
-    """Per-point moments of q(f) under q(u) = N(m, S S^T), with L = chol(K_uu)
-    and (W, var) = gaussian_conditional(L, K_uf, k_ff): mean W^T L^{-1} m and
-    variance var + |S^T L^{-T} W|^2. m (M,) and S_chol (M, M) give (..., nb)
-    moments; w outputs, m (M, w) and S_chol (w, M, M), give (..., w, nb)."""
-    L, W, var, m, S_chol = map(as_tensor, (L, W, var, m, S_chol))
-    mean = de.matmul(de.transpose(W), de.triangular_solve(L, m))
-    U = de.triangular_solve(L, W, trans=True)               # K_uu^{-1} K_uf
-    if m.value.ndim > 1:        # a new output axis, before the points' axis
-        mean = de.transpose(mean)
-        U = de.reshape(U, U.value.shape[:-2] + (1,) + U.value.shape[-2:])
-        var = de.reshape(var, var.value.shape[:-1] + (1,) + var.value.shape[-1:])
-    C = de.matmul(de.transpose(S_chol), U)
-    return mean, de.add(var, de.tsum(de.elementwise("square", C), axis=-2))
+def inducing_posterior(L, K_uf, k_ff, m, S):
+    """(mean, var, kl) for q(u) = N(m, S S^T) against p(u) = N(0, L L^T), L
+    the lower Cholesky factor of K_uu and S lower triangular: q(f)'s
+    per-point mean W^T A and variance k_ff - sum_rows W^2 + sum_rows (B^T
+    W)^2, and kl = standard_kl(A, B), from three solves, W = L^{-1} K_uf, A =
+    L^{-1} m and B = L^{-1} S. m (M,) and S (M, M) give (nb,) moments; w
+    outputs, m (M, w) and S (w, M, M), give (..., w, nb) moments and the KL
+    summed over them."""
+    W, A, B = (de.triangular_solve(L, b) for b in (K_uf, m, S))
+    if A.value.ndim == 1:
+        mean = de.matmul(de.transpose(W), A)
+    else:       # a new output axis, before the points' axis
+        mean = de.matmul(de.transpose(A), W)
+        W = de.reshape(W, W.value.shape[:-2] + (1,) + W.value.shape[-2:])
+    C = de.matmul(de.transpose(B), W)
+    var = de.add(de.sub(k_ff, de.tsum(de.elementwise("square", W), axis=-2)),
+                 de.tsum(de.elementwise("square", C), axis=-2))
+    return mean, var, standard_kl(A, B)
 
 
 def conditional_sample(mean, var, rng) -> DiffTensor:
@@ -391,8 +378,8 @@ def conditional_draw(L, ls, sf2, U, F, Z, rng, scale=1.0) -> DiffTensor:
     from rng. A leading axis of any operand, or rng's sample count, stacks
     samples; the deep Wishart process's layers pass scale 1/nu.
 
-    Given U the rows are independent, so the forward runs gaussian_conditional
-    and conditional_sample's steps on blocks of at most _ROWS rows
+    Given U the rows are independent, so the forward runs the kernel, W,
+    var and conditional_sample's steps on blocks of at most _ROWS rows
     (_row_blocks), solving through L's _Factor as triangular_solve does.
     An output that is not recorded keeps no block's kernel or solve past
     that block; a recorded one keeps, per block, the kernel and W, so the
@@ -488,17 +475,15 @@ def kl_gamma(q, p) -> DiffTensor:
     return de.tsum(out)
 
 
-def _kl_gaussian_chol(mq, Lq, mp, Lp, negate=False) -> DiffTensor:
-    """KL(N(mq, Lq Lq^T) || N(mp, Lp Lp^T)) from lower Cholesky factors with
-    positive diagonals: 0.5 (|Lp^{-1} Lq|_F^2 + |Lp^{-1} (mp - mq)|^2 - k)
-    + log|Lp| - log|Lq|; summed over a stack Lq (w, k, k) with means mq (k, w).
-    With negate, -KL (a layer's increment), bitwise, in as many nodes."""
-    mq, Lq, mp, Lp = map(as_tensor, (mq, Lq, mp, Lp))
-    tr = de.tsum(de.elementwise("square", de.triangular_solve(Lp, Lq)), axis=(-2, -1))
-    quad = de.tsum(de.elementwise("square", de.triangular_solve(Lp, de.sub(mp, mq))), axis=0)
-    ld = de.sub(de.log_diag_sum(Lp), de.log_diag_sum(Lq))
-    sign = -1.0 if negate else 1.0
-    half = de.elementwise("affine", de.add(tr, quad), a=0.5 * sign,
-                          b=-0.5 * sign * mq.value.shape[0])
-    kl = de.sub(half, ld) if negate else de.add(half, ld)
-    return kl if Lq.value.ndim == 2 else de.tsum(kl)
+def standard_kl(A, B) -> DiffTensor:
+    """KL(N(a, B B^T) || N(0, I)) = 0.5 (|B|_F^2 + |a|^2 - M) - sum log diag B
+    for lower-triangular B with positive diagonal, a (M,) and B (M, M), or
+    summed over the w columns of A (M, w) and a stack B (w, M, M). At A =
+    Lp^{-1} (mq - mp) and B = Lp^{-1} Lq it is KL(N(mq, Lq Lq^T) || N(mp,
+    Lp Lp^T))."""
+    A, B = as_tensor(A), as_tensor(B)
+    sq = de.add(de.tsum(de.elementwise("square", B), axis=(-2, -1)),
+                de.tsum(de.elementwise("square", A), axis=0))
+    kl = de.sub(de.elementwise("affine", sq, a=0.5, b=-0.5 * A.value.shape[0]),
+                de.log_diag_sum(B))
+    return kl if B.value.ndim == 2 else de.tsum(kl)

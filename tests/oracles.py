@@ -643,11 +643,20 @@ def gp_chain(kern, s2, X, y, X_star=None):
 
 # -- the prior conditional draw from generic ops ----------------------------------------
 
+def gaussian_conditional(L, K_uf, k_ff):
+    """(W, var) of f given inducing values u, L the lower Cholesky factor of
+    K_uu: W = L^{-1} K_uf and the per-point conditional variance var =
+    k_ff - sum_rows W^2, from generic ops; the conditional mean is W^T L^{-1}
+    u."""
+    W = de.triangular_solve(L, K_uf)
+    return W, de.sub(k_ff, de.tsum(de.elementwise("square", W), axis=-2))
+
+
 def conditional_chain(L, K_fu, k_ff, Z, rng):
     """A draw of the rows F from the prior conditional p(F | U), composed
     as the layers drew it before rand_dist.conditional_draw: W, var from
     gaussian_conditional(L, K_fu^T, k_ff), then conditional_sample at the
     mean W^T Z, with Z = L^{-1} U the solved inducing values."""
-    W, var = rd.gaussian_conditional(L, de.transpose(K_fu), k_ff)
+    W, var = gaussian_conditional(L, de.transpose(K_fu), k_ff)
     var = de.reshape(var, var.value.shape + (1,))       # one variance per row
     return rd.conditional_sample(de.matmul(de.transpose(W), Z), var, rng)

@@ -342,8 +342,8 @@ def _ref_dsvi_terms(p, F, rng):
     L = de.cholesky_factor(se_ard_features(kp, p["Z"]))
     F = as_tensor(F)
     K_fz = se_ard_features(kp, F, p["Z"])
-    W, base_var = rd.gaussian_conditional(L, de.transpose(K_fz),
-                                          _se_kdiag(kp.sf2(), F.value.shape[-2]))
+    W, base_var = oracles.gaussian_conditional(L, de.transpose(K_fz),
+                                               _se_kdiag(kp.sf2(), F.value.shape[-2]))
     mean = de.matmul(de.transpose(W), de.triangular_solve(L, p["m"]))
     U_sol = de.triangular_solve(L, W, trans=True)
     means, vars_, kl = [], [], as_tensor(np.asarray(0.0))
@@ -351,8 +351,9 @@ def _ref_dsvi_terms(p, F, rng):
         C = de.matmul(de.transpose(Sc), U_sol)
         means.append(oracles.getitem(mean, (Ellipsis, lam)))
         vars_.append(de.add(base_var, de.tsum(de.elementwise("square", C), axis=-2)))
-        kl = de.add(kl, rd._kl_gaussian_chol(oracles.getitem(p["m"], (slice(None), lam)), Sc,
-                                             np.zeros(L.value.shape[0]), L))
+        kl = de.add(kl, rd.standard_kl(
+            de.triangular_solve(L, oracles.getitem(p["m"], (slice(None), lam))),
+            de.triangular_solve(L, Sc)))
     xi = rng.normal((w, F.value.shape[-2]))
     F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)),
                                               de.reshape(v, v.value.shape + (1,)),

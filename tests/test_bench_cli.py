@@ -280,7 +280,7 @@ PINNED_OBJECTIVES = {
     "bnn-gi": -273.723334340322,
     "bnn-fac": -441.92053635610716,
     "dgp-gi": -83.22007032052232,
-    "dgp-dsvi": -15429043117.487757,
+    "dgp-dsvi": -15429043122.234362,
     "svgp": -4558421318340.829,
     "dwp": -4801661292.391195,
     "dwp-a": -4801661292.391194,
@@ -500,7 +500,7 @@ _PLANT_FAILS = {
     "conditional_draw": ["dgp-gi", "dwp", "dwp-a", "dwp-ab"],
     "gwish_logq": ["dwp", "dwp-a", "dwp-ab"],
     "exact_gp_lml": ["gp", "dkl", "exact-GP LML at 300 rows"],
-    "triangular_solve": ["blr", "svgp", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"],
+    "triangular_solve": ["svgp", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"],
     "gi_draw": _GI_CHECKS,
     "gi_increment": _GI_CHECKS,
 }

@@ -102,11 +102,6 @@ def _ref_wishart_root(F, Ls, nu, ld_block):
     return de.add(out, de.elementwise("affine", tr, a=-0.5))
 
 
-def _ref_conditional_variance(L, K_uf, k_ff):
-    W = de.triangular_solve(L, K_uf)
-    return de.sub(k_ff, de.tsum(de.elementwise("square", W), axis=0))
-
-
 def _ref_conditional_sample(mean, var, rng):
     mean, var = as_tensor(mean), as_tensor(var)
     var = de.add(de.mul(var, as_tensor((var.value > 0).astype(np.float64))),
@@ -440,20 +435,6 @@ def test_log_diag_sum_matches_reference():
 
 
 # -- Gaussian conditionals ------------------------------------------------------------------
-
-def test_conditional_variance_matches_reference():
-    rng = np.random.default_rng(7)
-    params = {"L": np.tril(0.3 * rng.standard_normal((4, 4))) + np.eye(4),
-              "K_uf": rng.standard_normal((4, 6)), "k_ff": 5.0 + rng.random(6)}
-
-    def make(conditional):
-        return lambda ps: de.tsum(de.elementwise("square", conditional(
-            ps["L"], ps["K_uf"], ps["k_ff"])))
-
-    _assert_matches_reference(
-        make(lambda L, K, k: rd.gaussian_conditional(L, K, k)[1]),
-        make(_ref_conditional_variance), params)
-
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_conditional_sample_matches_reference(ndim):
@@ -844,6 +825,12 @@ def _sqdist_shifted(monkeypatch):
 
 
 _GUARDS = {     # case: (error, message before " in op '<op>'", op, setup and call)
+    "log": (ValueError, "log domain violation: non-positive input", "log",
+            lambda mp: de.elementwise("log", np.array([1.0, 0.0]))),
+    "reciprocal": (ValueError, "reciprocal domain violation: zero input", "reciprocal",
+                   lambda mp: de.elementwise("reciprocal", np.array([1.0, 0.0]))),
+    "sqrt": (ValueError, "sqrt domain violation: negative input", "sqrt",
+             lambda mp: de.elementwise("sqrt", np.array([1.0, -1.0]))),
     "log_diag_sum": (ValueError, "log domain violation: non-positive diagonal", "log_diag_sum",
                      lambda mp: de.log_diag_sum(np.diag([1.0, -1.0]))),
     "wishart_log_density": (
@@ -1022,8 +1009,6 @@ def _fused_cases():
                                       chol=de.cholesky_factor(cov) if with_chol else None)
         return fn
 
-    cond = {"L": np.tril(0.3 * rng.standard_normal((4, 4))) + np.eye(4),
-            "K_uf": rng.standard_normal((4, 6)), "k_ff": 5.0 + rng.random(6)}
     return {
         "se_kernel": (lambda ps: _wsum(se_ard_features(_kp(ps), ps["X"])),
                       lambda ps: _wsum(_ref_se_ard(_kp(ps), ps["X"])), X),
@@ -1046,9 +1031,6 @@ def _fused_cases():
                          {"F": np.tril(rng.standard_normal((5, 3))) + 2 * np.eye(5, 3),
                           "Ls": np.tril(0.3 * rng.standard_normal((5, 5))) + np.eye(5),
                           "ld": np.asarray(0.7)}),
-        "conditional_variance": (
-            lambda ps: _wsum(rd.gaussian_conditional(ps["L"], ps["K_uf"], ps["k_ff"])[1]),
-            lambda ps: _wsum(_ref_conditional_variance(ps["L"], ps["K_uf"], ps["k_ff"])), cond),
         "conditional_sample": (
             lambda ps: _wsum(rd.conditional_sample(ps["mean"], ps["var"], rd.RngStream(9))),
             lambda ps: _wsum(_ref_conditional_sample(ps["mean"], ps["var"], rd.RngStream(9))),

@@ -612,20 +612,44 @@ def test_gwish_density_gradients_excluding_shape():
 
 # -- Gaussian conditioning ------------------------------------------------------------
 
-def test_gaussian_conditional_matches_dense_conditional():
+@pytest.mark.parametrize("w", [None, 3])
+def test_inducing_posterior_matches_dense_conditional(w):
+    """Against numpy's dense q(f) = N(K_fu K_uu^{-1} m, K_ff - K_fu K_uu^{-1}
+    (K_uu - S S^T) K_uu^{-1} K_uf) and closed-form Gaussian KL, for one
+    output (w None) and for w outputs; then its gradients in every operand."""
     rng = np.random.default_rng(6)
     K = _spd(rng, 7)
     iu, if_ = [0, 1, 2, 3], [4, 5, 6]
     K_uu, K_uf = K[np.ix_(iu, iu)], K[np.ix_(iu, if_)]
-    u = rng.standard_normal((4, 2))
     L = np.linalg.cholesky(K_uu)
-    W, var = rd.gaussian_conditional(L, K_uf, np.diag(K)[if_])
-    assert np.allclose(W.value, np.linalg.solve(L, K_uf), rtol=0, atol=1e-12)
-    ref_mean = K_uf.T @ np.linalg.solve(K_uu, u)
-    ref_cov = K[np.ix_(if_, if_)] - K_uf.T @ np.linalg.solve(K_uu, K_uf)
-    # the mean is W^T L^{-1} u
-    assert np.allclose(W.value.T @ np.linalg.solve(L, u), ref_mean, rtol=0, atol=1e-12)
-    assert np.allclose(var.value, np.diag(ref_cov), rtol=0, atol=1e-12)
+    outs = 1 if w is None else w
+    S = np.stack([np.linalg.cholesky(_spd(rng, 4, 0.5)) for _ in range(outs)])
+    m = rng.standard_normal((4, outs))
+    if w is None:
+        S, m = S[0], m[:, 0]
+    mean, var, kl = rd.inducing_posterior(L, K_uf, np.diag(K)[if_], m, S)
+    P = np.linalg.solve(K_uu, K_uf)             # K_uu^{-1} K_uf
+    ref_mean, ref_var, ref_kl = [], [], 0.0
+    for mq, Sq in zip(np.reshape(m, (4, outs)).T, np.reshape(S, (outs, 4, 4))):
+        Sigma = Sq @ Sq.T
+        ref_mean.append(P.T @ mq)
+        ref_var.append(np.diag(K[np.ix_(if_, if_)] - K_uf.T @ P + P.T @ Sigma @ P))
+        ref_kl += 0.5 * (np.trace(np.linalg.solve(K_uu, Sigma)) + mq @ np.linalg.solve(K_uu, mq)
+                         - 4 + np.linalg.slogdet(K_uu)[1] - np.linalg.slogdet(Sigma)[1])
+    ref_mean, ref_var = np.squeeze(ref_mean), np.squeeze(ref_var)
+    assert mean.value.shape == var.value.shape == ref_mean.shape
+    assert np.allclose(mean.value, ref_mean, rtol=0, atol=1e-12)
+    assert np.allclose(var.value, ref_var, rtol=0, atol=1e-12)
+    assert abs(kl.value - ref_kl) <= 1e-12 * abs(ref_kl)
+
+    wm, wv = rng.standard_normal(mean.value.shape), rng.standard_normal(var.value.shape)
+
+    def fn(ps):
+        mean, var, kl = rd.inducing_posterior(ps["L"], ps["K_uf"], ps["k_ff"], ps["m"], ps["S"])
+        return de.add(de.add(de.tsum(de.mul(mean, wm)), de.tsum(de.mul(var, wv))), kl)
+    rep = de.finite_diff_check(fn, {"L": L, "K_uf": K_uf, "k_ff": np.diag(K)[if_], "m": m,
+                                    "S": S})
+    assert rep["passed"], rep
 
 
 # -- matrix normal conditioning --------------------------------------------------
@@ -668,21 +692,27 @@ def test_conditional_moments_against_joint_sampling():
 
 # -- KL divergences ---------------------------------------------------------------
 
+def _kl_gaussian(mq, Lq, mp, Lp):
+    """KL(N(mq, Lq Lq^T) || N(mp, Lp Lp^T)) as the models read it:
+    standard_kl at A = Lp^{-1} (mq - mp) and B = Lp^{-1} Lq."""
+    return rd.standard_kl(de.triangular_solve(Lp, de.sub(mq, mp)), de.triangular_solve(Lp, Lq))
+
+
 def test_kl_zero_for_identical_distributions():
     rng = np.random.default_rng(3)
     S = _spd(rng, 3)
     m = rng.standard_normal(3)
     L = de.cholesky_factor(S)
-    assert abs(rd._kl_gaussian_chol(m, L, m, L).value) < 1e-10
+    assert abs(_kl_gaussian(m, L, m, L).value) < 1e-10
     v = np.abs(rng.standard_normal(4)) + 0.5
     Lv = np.diag(np.sqrt(v[:1]))
-    assert abs(rd._kl_gaussian_chol(m[:1], Lv, m[:1], Lv).value) < 1e-12
+    assert abs(_kl_gaussian(m[:1], Lv, m[:1], Lv).value) < 1e-12
     assert abs(rd.kl_gamma((np.asarray(2.0), np.asarray(3.0)),
                            (np.asarray(2.0), np.asarray(3.0))).value) < 1e-12
 
 
 def test_kl_unit_gaussians_shifted_mean():
-    got = rd._kl_gaussian_chol(np.zeros(1), np.eye(1), np.ones(1), np.eye(1))
+    got = _kl_gaussian(np.zeros(1), np.eye(1), np.ones(1), np.eye(1))
     assert np.isclose(got.value, 0.5)
 
 
@@ -690,7 +720,7 @@ def test_kl_gaussian_full_matches_monte_carlo():
     rng = np.random.default_rng(4)
     Sq, Sp = _spd(rng, 3), _spd(rng, 3)
     mq, mp_ = rng.standard_normal(3), rng.standard_normal(3)
-    got = rd._kl_gaussian_chol(mq, de.cholesky_factor(Sq), mp_, de.cholesky_factor(Sp)).value
+    got = _kl_gaussian(mq, de.cholesky_factor(Sq), mp_, de.cholesky_factor(Sp)).value
     n = 200_000
     x = rng.multivariate_normal(mq, Sq, size=n)
     diffs = st.multivariate_normal.logpdf(x, mq, Sq) - \
@@ -716,8 +746,7 @@ def test_kl_nonnegativity_property(seed):
                        (np.asarray(ap), np.asarray(bp))).value > -1e-12
     v1, v2 = np.exp(rng.standard_normal(3) * 0.5), np.exp(rng.standard_normal(3) * 0.5)
     m1, m2 = rng.standard_normal(3), rng.standard_normal(3)
-    assert rd._kl_gaussian_chol(m1, np.diag(np.sqrt(v1)), m2,
-                                np.diag(np.sqrt(v2))).value > -1e-12
+    assert _kl_gaussian(m1, np.diag(np.sqrt(v1)), m2, np.diag(np.sqrt(v2))).value > -1e-12
 
 
 def test_kl_gradient_check():
@@ -725,7 +754,7 @@ def test_kl_gradient_check():
     Sq, Sp = _spd(rng, 3), _spd(rng, 3)
     def fn(ps):
         q_cov = de.elementwise("affine", de.add(ps[0], de.transpose(ps[0])), a=0.5)
-        return rd._kl_gaussian_chol(ps[1], de.cholesky_factor(q_cov), np.zeros(3),
-                                    de.cholesky_factor(Sp))
+        return _kl_gaussian(ps[1], de.cholesky_factor(q_cov), np.zeros(3),
+                            de.cholesky_factor(Sp))
     rep = de.finite_diff_check(fn, [Sq, rng.standard_normal(3)])
     assert rep["passed"], rep

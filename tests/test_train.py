@@ -167,9 +167,9 @@ class _NoisyLinearModel(_Evaluated):
                    de.mul(de.elementwise("exp", params["log_s"]), np.asarray(xi)))
         pred = de.mul(de.as_tensor(Xb[:, 0]), w)
         ll = de.tsum(rd.normal_log_density(yb, pred, np.asarray(0.01)))
-        kl = rd._kl_gaussian_chol(de.reshape(params["m"], (1,)),
-                                  de.reshape(de.elementwise("exp", params["log_s"]), (1, 1)),
-                                  np.zeros(1), np.eye(1))
+        # KL(N(m, s^2) || N(0, 1)): standard_kl at A = m and B = s
+        kl = rd.standard_kl(de.reshape(params["m"], (1,)),
+                            de.reshape(de.elementwise("exp", params["log_s"]), (1, 1)))
         nb = Xb.shape[0]
         return de.sub(de.elementwise("affine", ll, a=float(total_n) / nb),
                       de.elementwise("affine", kl, a=float(kl_scale)))
