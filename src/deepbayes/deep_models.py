@@ -28,7 +28,7 @@ import numpy as np
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, _mT, as_tensor
-from .kernels import KernelParams, _se_blocks, _se_node
+from .kernels import KernelParams, _se_node
 
 __all__ = [
     "PriorSpec", "GiBnnLayer", "FacBnnLayer", "GiDgpLayer", "DsviDgpLayer", "forward",
@@ -260,7 +260,8 @@ class GiDgpLayer:
         L = de.cholesky_factor(K_uu)
         u_rng, f_rng = rng.split(2)
         LinvU, inc = _gi_draw(L, None, self.log_lambda, self.V, u_rng)
-        F_next = rd.conditional_draw(L, ls, sf2, U, F, LinvU, f_rng)
+        xi = f_rng.normal((F.value.shape[-2], LinvU.value.shape[-1]))
+        F_next = rd.conditional_draw(L, ls, sf2, U, F, LinvU, xi)
         U_next = None if last else de.matmul(L, LinvU)
         if self.mean_function == "identity":
             U_next = None if U_next is None else de.add(U_next, U)
@@ -270,32 +271,30 @@ class GiDgpLayer:
 
 @dataclass
 class DsviDgpLayer:
-    """A local-inducing (DSVI) deep-GP layer, read through rand_dist.inducing_posterior."""
+    """A local-inducing (DSVI) deep-GP layer: q(u_o) = N(m_o, S_o S_o^T) per
+    output o at the layer's own inducing inputs Z, its rows drawn through
+    rand_dist.conditional_draw as the global-inducing layers' are."""
     Z: object                      # (M, d_in) local inducing inputs
     m: object                      # (M, width)
     S_chol: object                 # (width, M, M): S_chol[l] is output l's covariance root
     kernel_params: KernelParams = field(default_factory=KernelParams)
     mean_function: str = "zero"
 
-    def marginals(self, F):
-        """(means, vars, increment): the per-point q(f) moments at inputs F
-        (nb, d) or a stack of them with the local inducing outputs
-        integrated out, output-major (..., w, nb), and -KL(q(u) || p(u))
-        summed over outputs, q(u_l) = N(m_l, S_l S_l^T), p(u_l) = N(0, K_zz),
-        all from one factor of K_zz."""
-        kp = self.kernel_params
-        K_zz, K_fz, kdiag = _se_blocks(kp.lengthscales(), kp.sf2(), as_tensor(self.Z), F)
-        means, vars_, kl = rd.inducing_posterior(de.cholesky_factor(K_zz), de.transpose(K_fz),
-                                                 kdiag, self.m, self.S_chol)
-        return means, vars_, de.elementwise("affine", kl, a=-1.0)
-
     def sample(self, U, F, rng, last=False):
-        """The marginals at F sampled in one (S, w, nb) draw."""
-        means, vars_, inc = self.marginals(F)
-        F_next = de.transpose(rd.conditional_sample(means, vars_, rng.split(1)[0]))
+        """The rows at F from q(f) = int p(f | u) q(u) du with the inducing
+        outputs integrated out, in one conditional_draw node at A = L^{-1} m
+        and B = L^{-1} S, L = chol(K_zz), from one (S, w, nb) draw of
+        rng.split(1)[0]; the increment is -KL(q(u) || p(u)) =
+        -standard_kl(A, B), summed over outputs. U passes through."""
+        kp = self.kernel_params
+        ls, sf2, Z, F = kp.lengthscales(), kp.sf2(), as_tensor(self.Z), as_tensor(F)
+        L = de.cholesky_factor(_se_node(ls, sf2, Z))
+        A, B = (de.triangular_solve(L, b) for b in (self.m, self.S_chol))
+        xi = _mT(rng.split(1)[0].normal((A.value.shape[-1], F.value.shape[-2])))
+        F_next = rd.conditional_draw(L, ls, sf2, Z, F, A, xi, B=B)
         if self.mean_function == "identity":
-            F_next = de.add(F_next, as_tensor(F))
-        return U, F_next, inc, rng
+            F_next = de.add(F_next, F)
+        return U, F_next, de.elementwise("affine", rd.standard_kl(A, B), a=-1.0), rng
 
 
 def forward(layers, U0, X, rng):

@@ -402,16 +402,18 @@ def _jitter_ladder(m: np.ndarray, diag: np.ndarray, op: str):
 _TRTRS = sla.get_lapack_funcs("trtrs", (np.zeros((1, 1)),))
 
 
-def _trtrs(l: np.ndarray, b: np.ndarray, trans: bool):
+def _trtrs(l: np.ndarray, b: np.ndarray, trans: bool, op: str):
     """x with l x = b (l^T x = b when trans) for one lower-triangular matrix,
     by LAPACK as scipy's solve_triangular calls it (a C-ordered l is solved
-    as its transpose), without its input scan."""
+    as its transpose), without its input scan; a singular l raises naming
+    op."""
     if l.flags.f_contiguous:
         x, info = _TRTRS(l, b, lower=1, trans=int(trans))
     else:
         x, info = _TRTRS(l.T, b, lower=0, trans=int(not trans))
     if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1} in op {op!r}")
     return x
 
 
@@ -428,21 +430,21 @@ def _solve_tri(l: np.ndarray, b: np.ndarray, trans: bool, op: str):
     (_solver)."""
     _check_finite(b, f"input of op {op!r}")
     if l.ndim == 2 and b.ndim == 2:
-        return _trtrs(l, b, trans)
+        return _trtrs(l, b, trans, op)
     n, k = b.shape[-2:]
     if l.ndim == 2 and k > 1:
         lead = b.shape[:-2]
         # member s's columns are columns s k, ..., s k + k - 1 of one (n, S k)
         # matrix. LAPACK returns x Fortran-ordered, so x^T read as (S, k, n)
         # is the buffer of Fortran-ordered matrices that the loop below fills
-        x = _trtrs(l, _mT(b).reshape(-1, n).T, trans)
+        x = _trtrs(l, _mT(b).reshape(-1, n).T, trans, op)
         return _mT(x.T.reshape(lead + (k, n)))
     batch = np.broadcast_shapes(l.shape[:-2], b.shape[:-2])
     ls = np.broadcast_to(l, batch + l.shape[-2:])
     bs = np.broadcast_to(b, batch + b.shape[-2:])
     x = _mT(np.empty(batch + (k, n)))   # Fortran-ordered matrices, as LAPACK returns them
     for i in np.ndindex(*batch):
-        x[i] = _trtrs(ls[i], bs[i], trans)
+        x[i] = _trtrs(ls[i], bs[i], trans, op)
     return x
 
 
@@ -516,7 +518,7 @@ def _check_symmetric(v: np.ndarray, op: str):
     them, symmetric to 1e-10 of its largest entry: each upper tile of 256 x
     256 is compared with its mirror, so no temporary exceeds a tile."""
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
-        raise ValueError(f"{op} requires a square matrix")
+        raise ValueError(f"requires a square matrix in op {op!r}")
     n, b = v.shape[-1], 256
     asym = 0.0
     for k in range(0, n, b):
@@ -524,7 +526,7 @@ def _check_symmetric(v: np.ndarray, op: str):
             d = v[..., k:k + b, j:j + b] - _mT(v[..., j:j + b, k:k + b])
             asym = max(asym, np.abs(d, out=d).max())
     if asym > 1e-10 * max(1.0, v.max(), -v.min()):
-        raise ValueError(f"{op} requires a symmetric matrix")
+        raise ValueError(f"requires a symmetric matrix in op {op!r}")
 
 
 _CAPSULE_NAME = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -644,9 +646,9 @@ def _solver(l: DiffTensor, op: str):
     diagonal."""
     lv = l.value
     if lv.ndim < 2 or lv.shape[-1] != lv.shape[-2]:
-        raise ValueError(f"{op} requires a square triangular factor")
+        raise ValueError(f"requires a square triangular factor in op {op!r}")
     if np.any(np.diagonal(lv, axis1=-2, axis2=-1) == 0):
-        raise ValueError(f"{op}: zero diagonal element")
+        raise ValueError(f"zero diagonal element in op {op!r}")
     if l._factor is not None:
         return lambda b, trans: l._factor.solve(b, trans, op)
     _check_finite(lv, f"input of op {op!r}")

@@ -172,4 +172,5 @@ def dwp_conditional_testpoints(feat_i, Z_i, L_ii, ls, sf2, U, F, nu: int, rng: r
         feat_i, Z_i = (de.concat([x, pad], axis=-1) for x in (feat_i, Z_i))
     elif width > nu:
         raise ValueError("feature root wider than the layer width")
-    return feat_i, rd.conditional_draw(L_ii, ls, sf2, U, F, Z_i, rng, scale=1.0 / nu)
+    xi = rng.normal((as_tensor(F).value.shape[-2], nu))
+    return feat_i, rd.conditional_draw(L_ii, ls, sf2, U, F, Z_i, xi, scale=1.0 / nu)

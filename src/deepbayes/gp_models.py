@@ -10,7 +10,7 @@ from scipy.linalg import blas
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, _SeArd, _se_blocks, se_ard_features
+from .kernels import KernelParams, _SeArd, _se_kdiag, _se_node, se_ard_features
 
 __all__ = [
     "GpState", "SvgpState", "gaussian_bump_features", "gp_predict_lml",
@@ -38,11 +38,13 @@ class SvgpState(GpState):
     S_chol: object = None          # (M, M) lower Cholesky of S
 
     def marginals(self, X):
-        """(mean, var, kl) at inputs X, from the blocks of kernels._se_blocks."""
+        """(mean, var, kl) at inputs X, from the SE blocks K_zz, K_xz and
+        diagonal k_xx at one pair of kernel nodes."""
         kp = self.kernel_params
-        K_zz, K_fz, kdiag = _se_blocks(kp.lengthscales(), kp.sf2(), as_tensor(self.Z), X)
-        return rd.inducing_posterior(de.cholesky_factor(K_zz), de.transpose(K_fz), kdiag,
-                                     self.m, self.S_chol)
+        ls, sf2, Z, X = kp.lengthscales(), kp.sf2(), as_tensor(self.Z), as_tensor(X)
+        K_zz, K_xz = _se_node(ls, sf2, Z), _se_node(ls, sf2, X, Z)
+        return rd.inducing_posterior(de.cholesky_factor(K_zz), de.transpose(K_xz),
+                                     _se_kdiag(sf2, len(X.value)), self.m, self.S_chol)
 
 
 def gaussian_bump_features(X, centers, width) -> DiffTensor:

@@ -16,9 +16,9 @@ from .diff_engine import DiffTensor, as_tensor, lift
 from .kernels import _SeArd
 
 __all__ = [
-    "RngStream", "gamma_sample_reparam", "inducing_posterior", "conditional_sample",
-    "conditional_draw", "standard_kl", "kl_gamma", "normal_log_density",
-    "lgamma", "lu_packed_matrix", "lu_packed_logdet",
+    "RngStream", "gamma_sample_reparam", "inducing_posterior", "conditional_draw",
+    "standard_kl", "kl_gamma", "normal_log_density", "lgamma", "lu_packed_matrix",
+    "lu_packed_logdet",
 ]
 
 LOG2PI = float(np.log(2.0 * np.pi))
@@ -189,7 +189,7 @@ def lu_packed_logdet(P) -> DiffTensor:
     P = as_tensor(P)
     d = de.diag_part(P)
     if np.any(d.value == 0):
-        raise ValueError("LU-packed matrix is singular (zero diagonal)")
+        raise ValueError("LU-packed matrix is singular (zero diagonal) in op 'lu_packed_logdet'")
     return de.mul(de.tsum(de.elementwise("log", de.elementwise("square", d))), 0.5)
 
 
@@ -262,7 +262,7 @@ def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, 
     nu = int(nu)
     alpha, beta, mu, sigma = map(as_tensor, (alpha, beta, mu, sigma))
     if np.any(alpha.value <= 0) or np.any(beta.value <= 0) or np.any(sigma.value <= 0):
-        raise ValueError("alpha, beta, sigma must be positive")
+        raise ValueError("alpha, beta, sigma must be positive in op 'gwish_sample'")
     N = mu.value.shape[0]
     ntilde = min(N, nu)
     exps_top = np.arange(N, N - ntilde, -1, dtype=np.float64)      # N - j + 1, j <= ntilde
@@ -273,7 +273,7 @@ def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, 
     if B is not None:
         B = as_tensor(B)
         if np.any(np.diag(B.value) <= 0):
-            raise ValueError("B must have positive diagonal")
+            raise ValueError("B must have positive diagonal in op 'gwish_sample'")
         # the Jacobian of T -> T B, and (A-variant) B's share of log|C block|
         w = -2.0 * exps_top - (2.0 * c_db if A_packed is not None else 0.0)
         const = de.add(const, de.log_diag_sum(B, w))
@@ -285,7 +285,7 @@ def _gwish_sample(L, nu, alpha, beta, mu, sigma, rng: RngStream, A_packed=None, 
     # (N - j + 1) log L_jj, the Jacobian of T -> L T and of G's leading block
     L = as_tensor(L)
     if np.any(np.diagonal(L.value, axis1=-2, axis2=-1) <= 0):
-        raise ValueError("scale factor L must have positive diagonal")
+        raise ValueError("scale factor L must have positive diagonal in op 'gwish_sample'")
     if L.value.shape[-1] != N:
         raise ValueError("scale and parameter shapes differ")
     w = np.minimum(np.arange(1, N + 1), nu).astype(np.float64)
@@ -322,37 +322,16 @@ def inducing_posterior(L, K_uf, k_ff, m, S):
     """(mean, var, kl) for q(u) = N(m, S S^T) against p(u) = N(0, L L^T), L
     the lower Cholesky factor of K_uu and S lower triangular: q(f)'s
     per-point mean W^T A and variance k_ff - sum_rows W^2 + sum_rows (B^T
-    W)^2, and kl = standard_kl(A, B), from three solves, W = L^{-1} K_uf, A =
-    L^{-1} m and B = L^{-1} S. m (M,) and S (M, M) give (nb,) moments; w
-    outputs, m (M, w) and S (w, M, M), give (..., w, nb) moments and the KL
-    summed over them."""
+    W)^2 at the points of K_uf (M, nb), and kl = standard_kl(A, B), from
+    three solves, W = L^{-1} K_uf, A = L^{-1} m (M,) and B = L^{-1} S (M,
+    M). Sparse GPs read it for their closed-form expectation; a deep-GP
+    layer draws through conditional_draw."""
     W, A, B = (de.triangular_solve(L, b) for b in (K_uf, m, S))
-    if A.value.ndim == 1:
-        mean = de.matmul(de.transpose(W), A)
-    else:       # a new output axis, before the points' axis
-        mean = de.matmul(de.transpose(A), W)
-        W = de.reshape(W, W.value.shape[:-2] + (1,) + W.value.shape[-2:])
+    mean = de.matmul(de.transpose(W), A)
     C = de.matmul(de.transpose(B), W)
     var = de.add(de.sub(k_ff, de.tsum(de.elementwise("square", W), axis=-2)),
                  de.tsum(de.elementwise("square", C), axis=-2))
     return mean, var, standard_kl(A, B)
-
-
-def conditional_sample(mean, var, rng) -> DiffTensor:
-    """mean + sqrt(max(var, 0) + 1e-12) xi in one tape node, with xi ~ N(0, I)
-    drawn once from rng for one sample of mean: its last two axes (or its
-    one), var broadcasting to mean (one variance per row takes a trailing
-    axis of 1); a leading axis is the samples of rng's sample count."""
-    mean, var = as_tensor(mean), as_tensor(var)
-    pos = var.value > 0
-    std = np.sqrt(var.value * pos + 1e-12)
-    xi = rng.normal(mean.value.shape[-2:])
-
-    def vjp(g):
-        return (de._unbroadcast(g, mean.value.shape),
-                de._unbroadcast(g * xi * (0.5 / std) * pos, var.value.shape))
-
-    return lift(mean.value + std * xi, (mean, var), vjp, "conditional_sample")
 
 
 _ROWS = 256     # the most batch rows conditional_draw handles at once
@@ -367,32 +346,35 @@ def _row_blocks(n: int):
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def conditional_draw(L, ls, sf2, U, F, Z, rng, scale=1.0) -> DiffTensor:
-    """A draw of the next rows from the prior conditional p(F_next | U) in
-    one tape node from the kernel inputs: with K_fu = scale SE(F, U) at the
-    lengthscale and signal-variance nodes ls and sf2 (kernels._SeArd, the
-    one SE implementation) and k_ff = scale sf2, each row is W^T Z +
-    sqrt(max(var, 0) + 1e-12) xi, where L is the lower Cholesky factor of
-    K_uu, W = L^{-1} K_fu^T, var = k_ff - sum_rows W^2, Z = L^{-1} u the
-    solved inducing outputs and xi ~ N(0, I), drawn for all rows at once
-    from rng. A leading axis of any operand, or rng's sample count, stacks
-    samples; the deep Wishart process's layers pass scale 1/nu.
+def conditional_draw(L, ls, sf2, U, F, Z, xi, scale=1.0, B=None) -> DiffTensor:
+    """A draw of the rows F_next (..., nb, w) at the inputs F from q(f) =
+    int p(f | u) q(u) du, q(u) = N(L Z, L B B^T L^T) per output, in one tape
+    node from the kernel inputs: with K_fu = scale SE(F, U) at the
+    lengthscale and signal-variance nodes ls and sf2 (kernels._SeArd) and
+    k_ff = scale sf2, each row is W^T Z + sqrt(max(var, 0) + 1e-12) xi, L
+    the lower Cholesky factor of K_uu, W = L^{-1} K_fu^T, xi the caller's
+    standard normals and var = k_ff - sum_rows W^2, plus sum_rows (B_o^T
+    W)^2 for output o given B (w, M, M). A global-inducing layer passes its
+    sampled Z = L^{-1} u and no B (the prior conditional p(f | u)), a DSVI
+    layer Z = L^{-1} m and B = L^{-1} S, and the deep Wishart process's
+    layers scale 1/nu. A leading axis of any operand stacks samples.
 
     Given U the rows are independent, so the forward runs the kernel, W,
-    var and conditional_sample's steps on blocks of at most _ROWS rows
-    (_row_blocks), solving through L's _Factor as triangular_solve does.
-    An output that is not recorded keeps no block's kernel or solve past
-    that block; a recorded one keeps, per block, the kernel and W, so the
-    VJP rebuilds no kernel and redoes no forward solve: per block it solves
-    once against L for the cotangents of L (lower triangle), K_fu and Z,
-    and takes those of ls, sf2, U and F from K_fu's through the kernel,
-    which _SeArd builds at the scale, so no second kernel is kept. Its sums
-    are BLAS products, not numpy reductions along short axes."""
-    L, ls, sf2, U, F, Z = parents = tuple(map(as_tensor, (L, ls, sf2, U, F, Z)))
+    var and the clamped draw on blocks of at most _ROWS rows (_row_blocks),
+    solving through L's _Factor as triangular_solve does. An output that is
+    not recorded keeps no block's kernel or solve past that block; a
+    recorded one keeps, per block, the kernel and W, so the VJP rebuilds no
+    kernel and redoes no forward solve: per block it solves once against L
+    for the cotangents of L (lower triangle), K_fu and Z, and takes those of
+    ls, sf2, U and F from K_fu's through the kernel, which _SeArd builds at
+    the scale, so no second kernel is kept. Its sums are BLAS products, not
+    numpy reductions along short axes."""
+    L, ls, sf2, U, F, Z, B = parents = tuple(
+        None if t is None else as_tensor(t) for t in (L, ls, sf2, U, F, Z, B))
     solve = de._solver(L, "conditional_draw")
     Lv, Fv, Zv = L.value, F.value, Z.value
+    Bt = None if B is None else de._mT(B.value)
     k_ff = scale * sf2.value
-    xi = rng.normal(Fv.shape[-2:-1] + Zv.shape[-1:])
     keep = de._records(parents)
     saved = []
 
@@ -403,18 +385,31 @@ def conditional_draw(L, ls, sf2, U, F, Z, rng, scale=1.0) -> DiffTensor:
         kept = (rows, se, W) if keep else ()
         del se      # unless kept, the kernel goes before the next temporary
         var = k_ff - np.sum(W * W, axis=-2)
+        if Bt is not None:      # q(u)'s term, one variance per output: (..., w, n)
+            C = Bt @ np.expand_dims(W, -3)
+            var = np.expand_dims(var, -2) + np.sum(C * C, axis=-2)
         pos = var > 0
         std = np.sqrt(var * pos + 1e-12)
         if keep:
             saved.append(kept + (std, pos))
-        return de._mT(W) @ Zv + std[..., None] * xi[..., rows, :]
+        return de._mT(W) @ Zv + (std[..., None] if Bt is None else de._mT(std)) * xi[..., rows, :]
 
     def block_vjp(g, rows, se, W, std, pos):
         g, x = g[..., rows, :], xi[..., rows, :]
-        g_var = np.einsum("...nw,...nw->...n", g, x)
-        if g_var.ndim > std.ndim:   # std shared by the samples: their sum by a ones vector
-            g_var = np.ones(len(g_var)) @ g_var
-        g_var *= (0.5 / std) * pos
+        g_B = None
+        if Bt is None:
+            g_var = np.einsum("...nw,...nw->...n", g, x)
+            if g_var.ndim > std.ndim:   # std shared by the samples: their sum by a ones vector
+                g_var = np.ones(len(g_var)) @ g_var
+            g_var *= (0.5 / std) * pos
+        else:
+            # per output, E = var's cotangent times C = B^T W (rebuilt, not
+            # kept) gives B's cotangent 2 W E^T and W's 2 B E, beside -2 W
+            # times the outputs' sum
+            g_var = de._unbroadcast(de._mT(g * x), std.shape) * (0.5 / std) * pos
+            E = (Bt @ np.expand_dims(W, -3)) * np.expand_dims(g_var, -2)
+            g_B = de._unbroadcast(2.0 * (np.expand_dims(W, -3) @ de._mT(E)), B.value.shape)
+            g_var = g_var.sum(axis=-2)
         g_Z = de._unbroadcast(W @ g, Zv.shape)
         # the cotangent of W: Z g^T, then var's term
         if W.ndim == 2 and g.ndim == 3 and Zv.ndim == 3:
@@ -425,6 +420,8 @@ def conditional_draw(L, ls, sf2, U, F, Z, rng, scale=1.0) -> DiffTensor:
         else:
             gW = de._unbroadcast(Zv @ de._mT(g), W.shape)
         gW -= np.expand_dims(2.0 * g_var, -2) * W
+        if Bt is not None:
+            gW += de._unbroadcast(2.0 * np.sum(de._mT(Bt) @ E, axis=-3), W.shape)
         gb = solve(gW, True)
         del gW
         g_L = np.tril(gb @ de._mT(W))
@@ -433,16 +430,16 @@ def conditional_draw(L, ls, sf2, U, F, Z, rng, scale=1.0) -> DiffTensor:
         gk = de._mT(de._unbroadcast(gb, de._mT(se.K).shape)) * se.K
         del gb      # before the kernel's backward makes its temporaries
         g_sf2, (gF, gU) = se.backward(gk)
-        return g_L, se.g_ls((gF, gU)), g_sf2, gU * se.r, gF * se.r, g_Z, g_var
+        return g_L, se.g_ls((gF, gU)), g_sf2, gU * se.r, gF * se.r, g_Z, g_B, g_var
 
     def vjp(g):
         de._check_finite(g, "cotangent of op 'conditional_draw'")
-        g_L, g_ls, g_sf2, g_U, g_F, g_Z, g_var = zip(*(block_vjp(g, *b) for b in saved))
+        g_L, g_ls, g_sf2, g_U, g_F, g_Z, g_B, g_var = zip(*(block_vjp(g, *b) for b in saved))
         # k_ff's cotangent, summed over all rows as the one-block node sums it
         g_kff = de._unbroadcast(np.concatenate(g_var, axis=-1), Fv.shape[-2:-1])
         g_sf2 = de._unbroadcast(g_kff * scale, np.shape(sf2.value)) + _total(g_sf2)
         return (_total(g_L), _total(g_ls), g_sf2, _total(g_U),
-                np.concatenate(g_F, axis=-2), _total(g_Z))
+                np.concatenate(g_F, axis=-2), _total(g_Z), None if B is None else _total(g_B))
 
     value = [block(rows) for rows in _row_blocks(Fv.shape[-2])]
     value = value[0] if len(value) == 1 else np.concatenate(value, axis=-2)

@@ -33,7 +33,8 @@ scale on both), the kinds that solve against stacks of factors (bnn-gi,
 dgp-gi, dwp) on both datasets at the benchmark's S=10, and the three
 benchmark workloads' steps: dwp-s10, dgp-gi-mb200 (the first 200 rows of
 deep-linear as the batch) and gp-exact-n1000, and the evaluations of dwp-s10
-and dgp-gi-mb200 (all 1000 rows of deep-linear).
+and dgp-gi-mb200 (all 1000 rows of deep-linear), with dgp-dsvi's evaluation
+at dgp-gi-mb200's shape beside dgp-gi's.
 
 What the counts should read: each matrix is factorised once per layer per
 sample, and the first layer's, which sees only the parameters and the batch,
@@ -152,7 +153,8 @@ def cases():
             count, _make_model(cfg, ds), ds.X_train[:rows], ds.y_train[:rows], len(ds.y_train),
             S, "step")
     for data, ds, cfg in [("criterion-14", c14, ExperimentConfig(model="dwp", depth=3, M=20)),
-                          ("deep-linear", dl, ExperimentConfig(model="dgp-gi", depth=2, M=20))]:
+                          ("deep-linear", dl, ExperimentConfig(model="dgp-gi", depth=2, M=20)),
+                          ("deep-linear", dl, ExperimentConfig(model="dgp-dsvi", depth=2, M=20))]:
         yield label(data, cfg, 50, "evaluate"), partial(eval_peak, _make_model(cfg, ds), ds, 50)
 
 

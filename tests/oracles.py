@@ -355,7 +355,7 @@ def gram_blocks_of_roots(kp: KernelParams, F_i, F_t, nu):
     return K_ii, _se_node(ls, sf2, F_t, F_i), _se_kdiag(sf2, F_t.value.shape[-2])
 
 
-def se_conditional_chain(L, kp: KernelParams, U, F, Z, rng, scale=1.0):
+def se_conditional_chain(L, kp: KernelParams, U, F, Z, xi, scale=1.0, B=None):
     """conditional_chain fed with the SE blocks as the layers built them
     before rand_dist.conditional_draw read the kernel inputs: K_fu =
     se_ard_features(kp, F, U) and k_ff = sf2 per row, each scaled by an
@@ -364,7 +364,7 @@ def se_conditional_chain(L, kp: KernelParams, U, F, Z, rng, scale=1.0):
     k_ff = _se_kdiag(kp.sf2(), as_tensor(F).value.shape[-2])
     if scale != 1.0:
         K_fu, k_ff = (de.elementwise("affine", K, a=scale) for K in (K_fu, k_ff))
-    return conditional_chain(L, K_fu, k_ff, Z, rng)
+    return conditional_chain(L, K_fu, k_ff, Z, xi, B)
 
 
 def dwp_prior_layer(G_prev, kp: KernelParams, nu: int, rng: rd.RngStream,
@@ -652,11 +652,19 @@ def gaussian_conditional(L, K_uf, k_ff):
     return W, de.sub(k_ff, de.tsum(de.elementwise("square", W), axis=-2))
 
 
-def conditional_chain(L, K_fu, k_ff, Z, rng):
-    """A draw of the rows F from the prior conditional p(F | U), composed
-    as the layers drew it before rand_dist.conditional_draw: W, var from
-    gaussian_conditional(L, K_fu^T, k_ff), then conditional_sample at the
-    mean W^T Z, with Z = L^{-1} U the solved inducing values."""
+def conditional_chain(L, K_fu, k_ff, Z, xi, B=None):
+    """A draw of the rows F at the normals xi (..., nb, w), composed as the
+    layers drew it before rand_dist.conditional_draw: W, var from
+    gaussian_conditional(L, K_fu^T, k_ff), one variance per row, or per
+    output o given the solved roots B, to which sum_rows (B_o^T W)^2 is
+    added output by output; then the mean W^T Z, with Z = L^{-1} U the
+    solved inducing values, plus sqrt(var + 1e-12) xi, var clamped at 0 by
+    a constant mask."""
     W, var = gaussian_conditional(L, de.transpose(K_fu), k_ff)
-    var = de.reshape(var, var.value.shape + (1,))       # one variance per row
-    return rd.conditional_sample(de.matmul(de.transpose(W), Z), var, rng)
+    cols = [var] if B is None else [
+        de.add(var, de.tsum(de.elementwise("square", de.matmul(de.transpose(getitem(B, o)), W)),
+                            axis=-2)) for o in range(as_tensor(Z).value.shape[-1])]
+    var = de.concat([de.reshape(v, v.value.shape + (1,)) for v in cols], axis=-1)
+    var = de.add(de.mul(var, as_tensor((var.value > 0).astype(np.float64))),
+                 as_tensor(np.full(var.value.shape, 1e-12)))
+    return de.add(de.matmul(de.transpose(W), Z), de.mul(de.elementwise("sqrt", var), xi))

@@ -323,10 +323,13 @@ def test_dsvi_tape_nodes_do_not_grow_with_layer_width():
 
 
 class _Drawn:
-    """A stream whose one draw is the given array."""
+    """A stream whose one draw is the given array, as is its child's."""
 
     def __init__(self, xi):
         self.xi = xi
+
+    def split(self, n):
+        return [self] * n
 
     def normal(self, shape):
         return self.xi
@@ -334,7 +337,7 @@ class _Drawn:
 
 def _ref_dsvi_terms(p, F, rng):
     """The per-output DSVI layer that the stacked one replaced: one factor,
-    one variance, one KL and one conditional sample per output,
+    one variance, one KL and one clamped draw per output, from generic ops,
     concatenated; output l reads row l of one (w, nb) draw per sample."""
     kp = KernelParams(log_sf2=p["log_sf2"], log_lengthscales=p["log_ls"])
     w = p["m"].value.shape[1]
@@ -355,31 +358,28 @@ def _ref_dsvi_terms(p, F, rng):
             de.triangular_solve(L, oracles.getitem(p["m"], (slice(None), lam))),
             de.triangular_solve(L, Sc)))
     xi = rng.normal((w, F.value.shape[-2]))
-    F_next = de.concat([rd.conditional_sample(de.reshape(m, m.value.shape + (1,)),
-                                              de.reshape(v, v.value.shape + (1,)),
-                                              _Drawn(xi[..., lam, :, None]))
-                        for lam, (m, v) in enumerate(zip(means, vars_))], axis=-1)
-    return means, vars_, kl, F_next
+    cols = []
+    for lam, (m, v) in enumerate(zip(means, vars_)):
+        v = de.add(de.mul(v, as_tensor((v.value > 0).astype(np.float64))),
+                   as_tensor(np.full(v.value.shape, 1e-12)))
+        f = de.add(m, de.mul(de.elementwise("sqrt", v), as_tensor(xi[..., lam, :])))
+        cols.append(de.reshape(f, f.value.shape + (1,)))
+    return means, vars_, kl, de.concat(cols, axis=-1)
 
 
 def _dsvi_terms(p, F, rng):
-    """The same layer as deep_models stacks it; it draws from
+    """(KL, F_next) of the same layer as deep_models stacks it; it draws from
     rng.split(1)[0], and its increment is -KL."""
     layer = dm.DsviDgpLayer(Z=p["Z"], m=p["m"], S_chol=_chol_from_raw(p["S_raw"]),
                             kernel_params=KernelParams(log_sf2=p["log_sf2"],
                                                        log_lengthscales=p["log_ls"]))
-    means, vars_, _ = layer.marginals(F)
     _, F_next, inc, _ = layer.sample(None, F, rng)
-    return means, vars_, de.elementwise("affine", inc, a=-1.0), F_next
+    return de.elementwise("affine", inc, a=-1.0), F_next
 
 
-def _dsvi_loss(terms):
-    """Every term in one scalar, so each reaches the gradients."""
-    means, vars_, kl, F_next = terms
-    out = de.add(kl, de.tsum(de.elementwise("square", F_next)))
-    for m, v in (zip(means, vars_) if isinstance(means, list) else [(means, vars_)]):
-        out = de.add(out, de.add(de.tsum(de.elementwise("square", m)), de.tsum(v)))
-    return out
+def _dsvi_loss(kl, F_next):
+    """The KL and the draws in one scalar, so each reaches the gradients."""
+    return de.add(kl, de.tsum(de.elementwise("square", F_next)))
 
 
 @pytest.mark.parametrize("batch", ["stream", "batch", "batch/stacked-inputs"])
@@ -398,7 +398,7 @@ def test_stacked_dsvi_layer_matches_the_per_output_layer(batch):
     def drawn():       # the child that the layer draws from
         return streams().split(1)[0]
 
-    got = [_value_grads_nodes(lambda p: _dsvi_loss(terms(p, F, rng())), params)
+    got = [_value_grads_nodes(lambda p: _dsvi_loss(*terms(p, F, rng())[-2:]), params)
            for terms, rng in ((_dsvi_terms, streams), (_ref_dsvi_terms, drawn))]
     (v1, g1, n1), (v2, g2, n2) = got
     assert abs(v1 - v2) <= 1e-12 * abs(v2) and n1 < n2
@@ -406,19 +406,19 @@ def test_stacked_dsvi_layer_matches_the_per_output_layer(batch):
         assert np.max(np.abs(g1[k] - g2[k])) <= 1e-12 * np.max(np.abs(g2[k])), k
 
     p = {k: as_tensor(v) for k, v in params.items()}
-    means, vars_, kl, F_next = _dsvi_terms(p, F, streams())
+    kl, F_next = _dsvi_terms(p, F, streams())
     r_means, r_vars, r_kl, r_F = _ref_dsvi_terms(p, F, drawn())
-    assert means.value.shape[-2:] == (w, nb) and F_next.value.shape[-2:] == (nb, w)
-    for got_, want in [(means.value, np.stack([m.value for m in r_means], axis=-2)),
-                       (vars_.value, np.stack([v.value for v in r_vars], axis=-2)),
+    # the layer's moments, read from its draws at xi = 0 (the means) and xi = 1
+    zero, one = (_dsvi_terms(p, F, _Drawn(np.full((w, nb), c)))[1].value for c in (0.0, 1.0))
+    assert zero.shape[-2:] == (nb, w) and F_next.value.shape[-2:] == (nb, w)
+    for got_, want in [(zero, np.stack([m.value for m in r_means], axis=-1)),
+                       (one - zero, np.sqrt(np.stack([v.value for v in r_vars], axis=-1) + 1e-12)),
                        (kl.value, r_kl.value), (F_next.value, r_F.value)]:
         assert got_.shape == want.shape
         assert np.max(np.abs(got_ - want)) <= 1e-12 * np.max(np.abs(want))
-    # every output and row of sample s comes from row s of one draw, exactly
+    # every output and row of sample s comes from row s of one (w, nb) draw, exactly
     xi = drawn().normal((w, nb))
-    v = vars_.value
-    want = means.value + np.sqrt(v * (v > 0) + 1e-12) * xi
-    assert np.array_equal(F_next.value, np.swapaxes(want, -1, -2))
+    assert np.array_equal(F_next.value, _dsvi_terms(p, F, _Drawn(xi))[1].value)
 
 
 def test_stacked_diag_embed_and_chol_from_raw_gradients():

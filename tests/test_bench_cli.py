@@ -271,7 +271,8 @@ def test_closed_form_models_write_bands(tmp_path, kind):
 # M=10 S=3 objective nodes`). The DWP values read each Gram layer's prior
 # density from the sampled root; at 60 digits their density error is
 # 1e-6, against 6e-3 for the G-based form they replaced. svgp is the one
-# closed-form caller of the sparse-GP marginals that DSVI layers share.
+# closed-form caller of rand_dist.inducing_posterior; DSVI layers draw
+# through conditional_draw, as the global-inducing ones do.
 # dgp-gi, dgp-dsvi, svgp and the dwp kinds start from a K_uu that is singular
 # to working precision (cond 7e14), so a rounding-level change in a factor
 # moves them well beyond rounding; CHANGES.md records each re-pin.
@@ -496,8 +497,7 @@ _GI_CHECKS = ["bnn-gi", "dgp-gi", "dwp", "dwp-a", "dwp-ab", "bnn-gi (prior: scal
 # the check lines that a 1.01 scale planted in each op's VJP fails
 _PLANT_FAILS = {
     "se_kernel": ["svgp", "dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab", "SE kernel"],
-    "conditional_sample": ["dgp-dsvi"],
-    "conditional_draw": ["dgp-gi", "dwp", "dwp-a", "dwp-ab"],
+    "conditional_draw": ["dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"],
     "gwish_logq": ["dwp", "dwp-a", "dwp-ab"],
     "exact_gp_lml": ["gp", "dkl", "exact-GP LML at 300 rows"],
     "triangular_solve": ["svgp", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab"],

@@ -22,7 +22,7 @@ def test_every_op_node_is_reached():
     for line in (Path(__file__).parent / "counts.txt").read_text().splitlines():
         *label, counter, value = line.split()
         table.setdefault(" ".join(label), {})[counter] = int(value)
-    assert len(table) == 34
+    assert len(table) == 35
     for label, c in table.items():
         if not label.endswith(" evaluate"):     # an evaluation records no tape
             assert c["nodes"] == c.get("nodes.param", 0) + c["reached"], label

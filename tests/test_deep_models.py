@@ -349,7 +349,7 @@ def test_gi_dgp_at_its_exact_optimum_reads_the_exact_lml():
     # a depth-1 GI deep GP with Z = X, pseudo-observations V = y and
     # precisions 1/s2 has the exact posterior as q(u), and f = u at the
     # inputs, so each sample's log p(y | f) + log p(u) - log q(u) is the
-    # exact log marginal likelihood; conditional_sample's 1e-12 variance
+    # exact log marginal likelihood; conditional_draw's 1e-12 variance
     # floor leaves a gap of order 1e-5 nats
     full, n, s2 = synthetic_200(0), 30, 0.1
     ds = Dataset(X_train=full.X_train[:n], y_train=full.y_train[:n],
@@ -374,6 +374,28 @@ def test_gi_dgp_at_its_exact_optimum_reads_the_exact_lml():
 
 # -- doubly-stochastic DGP layers -----------------------------------------------------------
 
+class _Constant:
+    """A stream whose every draw is c in each entry, in the shape asked."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def split(self, n):
+        return [self] * n
+
+    def normal(self, shape):
+        return np.full(shape, self.c)
+
+
+def _dsvi_moments(layer, F):
+    """(means, vars, increment): a DSVI layer's q(f) moments at F, (nb, w)
+    each, read from its draw: the draw at xi = 0 is the mean, and the draw
+    at xi = 1 less it is sqrt(var + 1e-12) where var > 0."""
+    _, mean, inc, _ = layer.sample(None, F, _Constant(0.0))
+    std = layer.sample(None, F, _Constant(1.0))[1].value - mean.value
+    return mean.value, std * std - 1e-12, inc
+
+
 def test_dsvi_prior_matched_posterior_zero_kl_and_prior_marginals():
     rng = np.random.default_rng(14)
     Z = rng.standard_normal((4, 1))
@@ -383,12 +405,12 @@ def test_dsvi_prior_matched_posterior_zero_kl_and_prior_marginals():
                          S_chol=_chol(Kzz + 1e-10 * np.eye(4))[None, :, :],
                          kernel_params=kp)
     F = rng.standard_normal((5, 1))
-    means, vars_, inc = layer.marginals(F)
+    means, vars_, inc = _dsvi_moments(layer, F)
     assert abs(inc.value) < 1e-6
     # marginals reduce to the prior: mean 0, variance = kernel diagonal
     kdiag = np.diag(se_ard_features(kp, F).value)
-    assert np.allclose(means.value[0], 0.0, atol=1e-10)
-    assert np.allclose(vars_.value[0], kdiag, atol=1e-6)
+    assert np.allclose(means[:, 0], 0.0, atol=1e-10)
+    assert np.allclose(vars_[:, 0], kdiag, atol=1e-6)
 
 
 def test_dsvi_depth_one_elbo_equals_sparse_gp_bound():
@@ -402,10 +424,10 @@ def test_dsvi_depth_one_elbo_equals_sparse_gp_bound():
     kp = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
     layer = DsviDgpLayer(Z=Z, m=m, S_chol=_chol(S)[None, :, :],
                          kernel_params=kp)
-    means, vars_, inc = layer.marginals(X)
+    means, vars_, inc = _dsvi_moments(layer, X)
     s2 = 0.3
-    ell = rd.normal_log_density(y, means.value[0], np.asarray(s2)).value.sum() \
-        - vars_.value[0].sum() / (2 * s2)
+    ell = rd.normal_log_density(y, means[:, 0], np.asarray(s2)).value.sum() \
+        - vars_[:, 0].sum() / (2 * s2)
     elbo_dgp = ell + inc.value          # the increment is -KL
     svgp = SvgpState(Z=Z, m=m[:, 0], S_chol=_chol(S), kernel_params=kp,
                      log_noise=np.log(s2))
@@ -421,12 +443,12 @@ def test_dsvi_sample_moments_match_marginals():
                          S_chol=_chol(A @ A.T + 4 * np.eye(4))[None, :, :],
                          kernel_params=KernelParams())
     F = rng.standard_normal((3, 1))
-    means, vars_, _ = layer.marginals(F)
+    means, vars_, _ = _dsvi_moments(layer, F)
     n = 20000
     draws = layer.sample(None, F, rd.RngStream(0, n))[1].value[..., 0]
-    se = np.sqrt(vars_.value[0] / n)
-    assert np.all(np.abs(draws.mean(0) - means.value[0]) < 4 * se)
-    assert np.all(np.abs(draws.var(0) - vars_.value[0]) < 0.1 * vars_.value[0])
+    se = np.sqrt(vars_[:, 0] / n)
+    assert np.all(np.abs(draws.mean(0) - means[:, 0]) < 4 * se)
+    assert np.all(np.abs(draws.var(0) - vars_[:, 0]) < 0.1 * vars_[:, 0])
 
 
 def test_dsvi_two_outputs_sample_each_from_its_own_marginals():
@@ -440,18 +462,18 @@ def test_dsvi_two_outputs_sample_each_from_its_own_marginals():
                                           _chol(0.1 * B @ B.T + np.eye(4))]),
                          kernel_params=KernelParams())
     F = rng.standard_normal((3, 1))
-    means, vars_, inc = layer.marginals(F)
+    means, vars_, inc = _dsvi_moments(layer, F)
     n = 4000
     draws = layer.sample(None, F, rd.RngStream(3, n))[1].value
     assert draws.shape == (n, 3, 2)
     for lam in range(2):
-        se = np.sqrt(vars_.value[lam] / n)
-        assert np.all(np.abs(draws[..., lam].mean(0) - means.value[lam]) < 4 * se)
-        assert np.all(np.abs(draws[..., lam].var(0) - vars_.value[lam]) < 0.1 * vars_.value[lam])
+        se = np.sqrt(vars_[:, lam] / n)
+        assert np.all(np.abs(draws[..., lam].mean(0) - means[:, lam]) < 4 * se)
+        assert np.all(np.abs(draws[..., lam].var(0) - vars_[:, lam]) < 0.1 * vars_[:, lam])
     assert abs(np.corrcoef(draws[:, 0, 0], draws[:, 0, 1])[0, 1]) < 0.1
     one = [DsviDgpLayer(Z=Z, m=layer.m[:, [lam]], S_chol=layer.S_chol[[lam]],
                         kernel_params=KernelParams()) for lam in range(2)]
-    incs = [lay.marginals(F)[2].value for lay in one]
+    incs = [lay.sample(None, F, rd.RngStream(3))[2].value for lay in one]
     assert np.isclose(inc.value, sum(incs), rtol=1e-12)
 
 

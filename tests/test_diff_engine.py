@@ -183,7 +183,7 @@ def test_one_factor_solves_a_stack_of_right_hand_sides_in_one_call(k, trans):
     b = rng.standard_normal((S, n, k))
     for L in (np.asfortranarray(np.linalg.cholesky(_spd(rng, n))),
               np.tril(rng.standard_normal((n, n))) + 3.0 * np.eye(n)):
-        want = np.stack([de._trtrs(L, bi, trans) for bi in b])
+        want = np.stack([de._trtrs(L, bi, trans, "test") for bi in b])
         with engine_calls() as calls:
             x = de._solve_tri(L, b, trans, "test")
         assert calls["trtrs"] == 1
@@ -277,7 +277,7 @@ def test_symmetry_guard_finds_one_asymmetric_entry(shape, entry):
             B[entry] += bump
             if fails:
                 with pytest.raises(ValueError,
-                                   match=f"{op.__name__} requires a symmetric matrix"):
+                                   match=f"requires a symmetric matrix in op '{op.__name__}'"):
                     op(B)
             else:
                 op(B)

@@ -102,14 +102,6 @@ def _ref_wishart_root(F, Ls, nu, ld_block):
     return de.add(out, de.elementwise("affine", tr, a=-0.5))
 
 
-def _ref_conditional_sample(mean, var, rng):
-    mean, var = as_tensor(mean), as_tensor(var)
-    var = de.add(de.mul(var, as_tensor((var.value > 0).astype(np.float64))),
-                 as_tensor(np.full(var.value.shape, 1e-12)))
-    xi = as_tensor(rng.normal(mean.value.shape))
-    return de.add(mean, de.mul(de.elementwise("sqrt", var), xi))
-
-
 def _ref_gwish(L, nu, alpha, beta, mu, sigma, rng, A_packed=None, B=None):
     """The generalized Wishart sample and log density, composed per sample."""
     L = as_tensor(L)
@@ -434,33 +426,6 @@ def test_log_diag_sum_matches_reference():
         de.log_diag_sum(-np.eye(2))
 
 
-# -- Gaussian conditionals ------------------------------------------------------------------
-
-@pytest.mark.parametrize("ndim", [1, 2])
-def test_conditional_sample_matches_reference(ndim):
-    rng = np.random.default_rng(8)
-    shape = (5,) if ndim == 1 else (5, 3)
-    # one variance clamps (negative), the rest are positive; rows of a
-    # matrix share theirs, along a trailing axis of 1
-    params = {"mean": rng.standard_normal(shape),
-              "var": np.array([0.5, 1.2, -1e-9, 0.3, 2.0]).reshape(shape[:1] + (1,) * (ndim - 1))}
-
-    def make(sample):
-        def fn(ps):
-            out = sample(ps["mean"], ps["var"], rd.RngStream(9))
-            return de.tsum(de.elementwise("square", out))
-        return fn
-
-    v1, g1, n1 = _value_and_grads(make(rd.conditional_sample), params)
-    v2, g2, n2 = _value_and_grads(make(_ref_conditional_sample), params)
-    assert abs(v1 - v2) <= 1e-12 * abs(v2) and n1 < n2
-    for k in params:
-        assert np.max(np.abs(g1[k] - g2[k])) <= 1e-12 * np.max(np.abs(g2[k])), k
-    # finite differences away from the clamp
-    params["var"] = np.abs(params["var"]) + 0.1
-    assert de.finite_diff_check(make(rd.conditional_sample), params)["passed"]
-
-
 # -- generalized Wishart ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", ["base", "A", "AB"])
@@ -590,7 +555,7 @@ def test_gi_draw_cotangent_guard_names_the_op():
 
 _COND_CASES = ("one factor, stacked Z", "stacked factors", "triangular L without a factor",
                "stack past the condition guard", "one factor, stacked Z, width 1",
-               "stacked factors, width 1")
+               "stacked factors, width 1", "q(u) roots", "q(u) roots, stacked inputs, width 1")
 
 
 def _cond_case(case, rng, n=4):
@@ -599,15 +564,18 @@ def _cond_case(case, rng, n=4):
     inputs carry no sample axis, against a stack of solved inducing values
     Z; stacked factors and inputs (deeper layers), scaled by 1/3 as a Gram
     layer of width 3 scales them; a lower-triangular L that carries no
-    _Factor (solved by trtrs, one sample without a sample axis); and a stack
+    _Factor (solved by trtrs, one sample without a sample axis); a stack
     of factors whose condition number sends it back from the inverses to
     trtrs: K_uu = D (R R^T + I) D with D = diag(1, 1, 1, 1, 1e-3), so that
     kappa_1(L) is about 2e3 while K_uu stays smooth in R, and the last
     inducing input lies far from the rows, so that the column of K_fu that
-    L^{-1} amplifies stays negligible. The rows are two wide, or one wide
-    (a last layer's) where the case says width 1. The reference is
-    oracles.se_conditional_chain. A signal variance of 0.05 keeps every
-    variance clear of the clamp, as asserted."""
+    L^{-1} amplifies stays negligible; and a DSVI layer's q(u) roots: one
+    factor, one Z and the roots B (w, M, M) of q(u)'s covariances, whose
+    rows carry no sample axis (a first layer) or a stack of them. The rows
+    are two wide, or one wide (a last layer's) where the case says width 1.
+    The reference is oracles.se_conditional_chain, per output where B is
+    given. A signal variance of 0.05 keeps every variance clear of the
+    clamp, as asserted."""
     case, _, width = case.partition(", width ")
     S, M, d, w = 3, 5, 2, int(width or 2)
     lead = (S,) if case in ("stacked factors", "stack past the condition guard") else ()
@@ -616,8 +584,11 @@ def _cond_case(case, rng, n=4):
                   "Z": rng.standard_normal((M, w))}
     else:
         params = {"R": rng.standard_normal(lead + (M, M)) / np.sqrt(M),
-                  "Z": rng.standard_normal((S, M, w))}
-    params.update(U=rng.standard_normal(lead + (M, d)), F=rng.standard_normal(lead + (n, d)),
+                  "Z": rng.standard_normal((M, w) if case.startswith("q(u)") else (S, M, w))}
+    if case.startswith("q(u)"):
+        params["B"] = 0.3 * rng.standard_normal((w, M, M))
+    rows = (S,) if case.endswith("stacked inputs") else lead
+    params.update(U=rng.standard_normal(lead + (M, d)), F=rng.standard_normal(rows + (n, d)),
                   log_ls=0.2 * rng.standard_normal(d), log_sf2=np.asarray(np.log(0.05)))
     D = np.ones(M)
     if case == "stack past the condition guard":
@@ -635,14 +606,14 @@ def _cond_case(case, rng, n=4):
     K_fu = scale * se_ard_features(_kp(ps), ps["F"], ps["U"]).value
     W = np.linalg.solve(factor(ps).value, np.swapaxes(K_fu, -1, -2))
     assert np.min(scale * 0.05 - np.sum(W * W, axis=-2)) > 0.2 * scale * 0.05
-    samples = None if case == "triangular L without a factor" else S
+    xi = rd.RngStream(9, None if case == "triangular L without a factor" else S).normal((n, w))
 
-    def fused(L, kp, U, F, Z, rng, scale):
-        return rd.conditional_draw(L, kp.lengthscales(), kp.sf2(), U, F, Z, rng, scale)
+    def fused(L, kp, U, F, Z, xi, scale, B):
+        return rd.conditional_draw(L, kp.lengthscales(), kp.sf2(), U, F, Z, xi, scale, B)
 
     def objective(draw):
-        return lambda ps: _wsum(draw(factor(ps), _kp(ps), ps["U"], ps["F"], ps["Z"],
-                                     rd.RngStream(9, samples), scale))
+        return lambda ps: _wsum(draw(factor(ps), _kp(ps), ps["U"], ps["F"], ps["Z"], xi, scale,
+                                     ps.get("B")))
 
     return objective(fused), objective(se_conditional_chain), params
 
@@ -657,7 +628,45 @@ def test_conditional_draw_matches_reference(case):
         K = (R @ np.swapaxes(R, -1, -2) + np.eye(5)) * np.outer(scale, scale)
         assert (de._tri_inverse(np.linalg.cholesky(K)) is None) == case.endswith("guard")
     assert _value_and_grads(fused, params)[0] == _value_and_grads(ref, params)[0]
-    _assert_matches_reference(fused, ref, params, grad_tol=1e-10)
+    _assert_matches_reference(fused, ref, params,
+                              grad_tol=1e-12 if case.startswith("q(u)") else 1e-10)
+
+
+@pytest.mark.parametrize("roots", [False, True])
+def test_conditional_draw_clamps_negative_variances(roots):
+    # L = 0.3 I is no root of K_uu, so the three rows near the inducing
+    # inputs read var = sf2 - |K_fu|^2 / 0.09 < 0 (less q(u)'s small term
+    # with roots B) and draw W^T Z + 1e-6 xi, with no cotangent through var,
+    # while the three far from them keep var near sf2; the node matches the
+    # per-output reference, whose clamp is a constant mask, in value and
+    # gradients, and finite differences away from the clamp's edge
+    rng = np.random.default_rng(44)
+    M, n, w = 3, 6, 2
+    U = rng.standard_normal((M, 1))
+    params = {"L": 0.3 * np.eye(M), "U": U, "Z": rng.standard_normal((M, w)),
+              "F": np.concatenate([U + 0.1 * rng.standard_normal((M, 1)),
+                                   10.0 + rng.standard_normal((n - M, 1))]),
+              "log_ls": np.zeros(1), "log_sf2": np.asarray(0.0)}
+    if roots:
+        params["B"] = 0.01 * rng.standard_normal((w, M, M))
+    xi = rd.RngStream(9, 2).normal((n, w))
+
+    def objective(draw):
+        return lambda ps: _wsum(draw(ps["L"], _kp(ps), ps["U"], ps["F"], ps["Z"], xi, 1.0,
+                                     ps.get("B")))
+
+    fused = objective(lambda L, kp, *a: rd.conditional_draw(L, kp.lengthscales(), kp.sf2(), *a))
+    _assert_matches_reference(fused, objective(se_conditional_chain), params)
+    W = np.linalg.solve(params["L"], se_ard_features(KernelParams(), params["F"], U).value.T)
+    var = 1.0 - np.sum(W * W, axis=0)[:, None]
+    if roots:
+        var = var + np.sum((np.swapaxes(params["B"], -1, -2) @ W) ** 2, axis=-2).T
+    assert np.array_equal(np.broadcast_to(var < 0, (n, w)),
+                          np.broadcast_to(np.arange(n)[:, None] < M, (n, w)))
+    draw = rd.conditional_draw(params["L"], 1.0, 1.0, U, params["F"], params["Z"], xi,
+                               B=params.get("B")).value
+    want = W.T @ params["Z"] + np.where(var < 0, 1e-6, np.sqrt(np.maximum(var, 0) + 1e-12)) * xi
+    assert np.allclose(draw, want, rtol=1e-12, atol=1e-14)
 
 
 def test_row_blocks_are_near_equal_and_never_one_row_but_at_one():
@@ -671,10 +680,12 @@ def test_row_blocks_are_near_equal_and_never_one_row_but_at_one():
 
 
 @pytest.mark.parametrize("n", [257, 600])
-@pytest.mark.parametrize("case", ["triangular L without a factor", "stacked factors"])
+@pytest.mark.parametrize("case", ["triangular L without a factor", "stacked factors",
+                                  "q(u) roots"])
 def test_conditional_draw_row_blocks_match_one_block(case, n, monkeypatch):
     # the rows in blocks (128 + 129 rows at n = 257, 3 x 200 at 600), solved
-    # by trtrs or by the stack's inverses: the draw is bitwise the one-block
+    # by trtrs or by the stack's inverses, with q(u)'s term or without: the
+    # draw is bitwise the one-block
     # draw's, recorded or not, and the gradients agree to 1e-12 of each
     # parameter's largest, since the blocks' cotangents are summed apart
     fused, _, params = _cond_case(case, np.random.default_rng(43), n)
@@ -711,7 +722,7 @@ def test_conditional_draw_cotangent_guard_names_the_op():
         # a small signal variance keeps the draw near 0, so the cotangent of
         # the log overflows
         F = rd.conditional_draw(L, 1.0, 1e-4, np.zeros((3, 1)), F, np.ones((3, 1)),
-                                rd.RngStream(7))
+                                rd.RngStream(7).normal((2, 1)))
         out = de.elementwise("log", de.mul(de.elementwise("exp", de.tsum(F)),
                                            as_tensor(1e-310)))
         assert np.isfinite(out.value)
@@ -782,7 +793,7 @@ _LAPACK_INPUTS = {      # case: (op, call)
     # an inf input row, whose kernel row is NaN
     "conditional_draw": ("conditional_draw", lambda: rd.conditional_draw(
         de.cholesky_factor(np.eye(2)), 1.0, 1.0, np.zeros((2, 1)), np.array([[np.inf]]),
-        np.ones((2, 1)), rd.RngStream(0))),
+        np.ones((2, 1)), np.zeros((1, 1)))),
 }
 
 
@@ -862,6 +873,36 @@ _GUARDS = {     # case: (error, message before " in op '<op>'", op, setup and ca
     "exact_gp_lml ladder": (
         np.linalg.LinAlgError, "matrix not positive definite after max jitter (pivot 3 of 5)",
         "exact_gp_lml", lambda mp: _potrf_fails(mp) or _exact_gp_step()),
+    "triangular_solve square": (
+        ValueError, "requires a square triangular factor", "triangular_solve",
+        lambda mp: de.triangular_solve(np.ones((2, 3)), np.ones((2, 1)))),
+    "triangular_solve zero diagonal": (
+        ValueError, "zero diagonal element", "triangular_solve",
+        lambda mp: de.triangular_solve(np.diag([1.0, 0.0]), np.ones((2, 1)))),
+    # the exact GP's LML solves against its factor with no diagonal check
+    "exact_gp_lml trtrs": (
+        np.linalg.LinAlgError, "singular matrix: resolution failed at diagonal 1",
+        "exact_gp_lml",
+        lambda mp: rd._gaussian_fit(np.diag([1.0, 0.0]), np.ones(2), "exact_gp_lml")),
+    "cholesky_factor square": (ValueError, "requires a square matrix", "cholesky_factor",
+                               lambda mp: de.cholesky_factor(np.ones((2, 3)))),
+    "cholesky_factor symmetric": (
+        ValueError, "requires a symmetric matrix", "cholesky_factor",
+        lambda mp: de.cholesky_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))),
+    "gwish_sample parameters": (
+        ValueError, "alpha, beta, sigma must be positive", "gwish_sample",
+        lambda mp: rd._gwish_sample(np.eye(2), 3, -np.ones(2), np.ones(2), np.zeros((2, 2)),
+                                    np.ones((2, 2)), rd.RngStream(0))),
+    "gwish_sample B": (
+        ValueError, "B must have positive diagonal", "gwish_sample",
+        lambda mp: rd._gwish_sample(np.eye(2), 3, np.ones(2), np.ones(2), np.zeros((2, 2)),
+                                    np.ones((2, 2)), rd.RngStream(0), B=np.diag([1.0, -1.0]))),
+    "gwish_sample L": (
+        ValueError, "scale factor L must have positive diagonal", "gwish_sample",
+        lambda mp: rd._gwish_sample(np.diag([1.0, -1.0]), 3, np.ones(2), np.ones(2),
+                                    np.zeros((2, 2)), np.ones((2, 2)), rd.RngStream(0))),
+    "lu_packed_logdet": (ValueError, "LU-packed matrix is singular (zero diagonal)",
+                         "lu_packed_logdet", lambda mp: rd.lu_packed_logdet(np.diag([1.0, 0.0]))),
 }
 
 
@@ -1031,11 +1072,6 @@ def _fused_cases():
                          {"F": np.tril(rng.standard_normal((5, 3))) + 2 * np.eye(5, 3),
                           "Ls": np.tril(0.3 * rng.standard_normal((5, 5))) + np.eye(5),
                           "ld": np.asarray(0.7)}),
-        "conditional_sample": (
-            lambda ps: _wsum(rd.conditional_sample(ps["mean"], ps["var"], rd.RngStream(9))),
-            lambda ps: _wsum(_ref_conditional_sample(ps["mean"], ps["var"], rd.RngStream(9))),
-            {"mean": rng.standard_normal((5, 3)),
-             "var": np.array([[0.5], [1.2], [-1e-9], [0.3], [2.0]])}),
         "gwish_sample_and_logpdf": (gwish_fn(True), gwish_fn(False), gw),
         **{f"gi_draw ({case})": _gi_case(case, rng) for case in _GI_CASES},
         **{f"conditional_draw ({case})": _cond_case(case, rng) for case in _COND_CASES},
