@@ -61,15 +61,11 @@ def _psi(F) -> DiffTensor:
     return de.concat([F, as_tensor(np.ones(F.value.shape[:-1] + (1,)))], axis=-1)
 
 
-def _prior_precision_scalar(prior: PriorSpec, fanin: int, s=None):
-    """nu * Sigma^{-1} as a scalar multiple of I (Sigma is isotropic)."""
-    if prior.variant == "standard":
-        return as_tensor(np.asarray(1.0))
-    if prior.variant == "neal":
-        return as_tensor(np.asarray(float(fanin)))
-    if s is None:
-        raise ValueError("scale prior requires a sampled s")
-    return de.elementwise("affine", as_tensor(s), a=float(fanin))
+def _prior_precision_scalar(prior: PriorSpec, fanin: int, s=1.0):
+    """nu * Sigma^{-1} as a scalar multiple of I (Sigma is isotropic): s
+    times 1 (standard) or fanin (neal, scale); s is 1 outside a scale prior."""
+    a = 1.0 if prior.variant == "standard" else float(fanin)
+    return de.elementwise("affine", s, a=a)
 
 
 def _gi_draw(L, A, log_lambda, V, rng):
@@ -141,7 +137,7 @@ def _gi_draw(L, A, log_lambda, V, rng):
     return LinvX, de.lift(inc, (LinvX,), inc_vjp, "gi_increment")
 
 
-def _gi_bnn_root(prior: PriorSpec, fanin: int, s=None):
+def _gi_bnn_root(prior: PriorSpec, fanin: int, s=1.0):
     """The scalar prior root (nu Sigma^{-1})^{-1/2} of a GI BNN layer's
     weights, shaped (1, 1), or (S, 1, 1) under a scale prior's s."""
     prec = _prior_precision_scalar(prior, fanin, s=s)
@@ -309,24 +305,18 @@ def forward(layers, U0, X, rng):
     return F, inc
 
 
-def mc_elbo(forward, yb, total_n, n_samples, rng: rd.RngStream, log_noise,
-            kl_scale=1.0):
-    """Monte-Carlo ELBO with a Gaussian likelihood over one batched forward.
-
-    forward(stream) -> (outputs, increment) draws the samples from rng's
-    seed with the sample count S = n_samples: outputs (S, Nb, 1) and
-    increment (S,); an output (Nb, 1) or a scalar increment is shared by
+def mc_elbo(F, inc, yb, total_n, log_noise, kl_scale=1.0):
+    """Monte-Carlo ELBO with a Gaussian likelihood over one batched
+    forward's (outputs, increment): outputs (S, Nb, 1) and increment (S,),
+    one per sample; an output (Nb, 1) or a scalar increment is shared by
     every sample. The returned value is the sample mean of
     (N/Nb) * log-likelihood + kl_scale * increment.
     """
     yb = as_tensor(yb)
     nb = yb.value.shape[0]
     s2 = de.elementwise("exp", as_tensor(log_noise))
-    F, inc = forward(rd.RngStream(rng.seed, n_samples))
     out = de.reshape(F, (-1, nb))                   # one row per sample
     ll = rd.normal_log_density(yb, out, s2)         # summed over the rows
     lik = de.elementwise("affine", ll, a=float(total_n) / (nb * out.value.shape[0]))
     return de.add(lik, de.elementwise("affine", de.tsum(inc),
                                       a=float(kl_scale) / inc.value.size))
-
-

@@ -19,10 +19,7 @@ from .deep_models import GiDgpLayer
 from .diff_engine import DiffTensor, as_tensor
 from .kernels import KernelParams, _se_node
 
-__all__ = [
-    "GWishLayerPosterior", "DwpOutputLayer", "gram_kernel_blocks", "dwp_posterior_layer",
-    "dwp_conditional_testpoints",
-]
+__all__ = ["GWishLayerPosterior", "DwpOutputLayer", "gram_kernel_blocks", "dwp_posterior_layer"]
 
 
 @dataclass
@@ -55,14 +52,22 @@ class GWishLayerPosterior:
         the prior scale S_ii = K_ii / nu, which the kernel node builds. The
         first layer's kernel reads the inputs as they are (the SE kernel of
         G = X X^T / D at nu = D is that of X), so its blocks and factors
-        carry no sample axis."""
+        carry no sample axis. U_next is the root padded with zero columns
+        to M x nu (it is min(M, nu) wide), as is the solved one (L^{-1} [F, 0]
+        = [L^{-1} F, 0]), at which one rd.conditional_draw with scale 1/nu
+        draws F_next: per row F_t = S_ti S_ii^{-1} F_i + sqrt(s_tt - s_ti
+        S_ii^{-1} s_it) xi, S_ti = K_ti / nu and s_tt = sf2 / nu."""
         nu = int(self.nu)
         S_ii, ls, sf2 = gram_kernel_blocks(self.kernel_params, U, self.nu_in, 1.0 / nu)
         L_ii = de.cholesky_factor(S_ii)
         post_rng, rows_rng, rng = rng.split(3)
         feat_i, Z_i, inc = dwp_posterior_layer(self, S_ii, L_ii, post_rng)
-        return (*dwp_conditional_testpoints(feat_i, Z_i, L_ii, ls, sf2, U, F, nu, rows_rng), inc,
-                rng)
+        width = feat_i.value.shape[-1]
+        if width < nu:
+            pad = as_tensor(np.zeros(feat_i.value.shape[:-1] + (nu - width,)))
+            feat_i, Z_i = (de.concat([x, pad], axis=-1) for x in (feat_i, Z_i))
+        xi = rows_rng.normal((as_tensor(F).value.shape[-2], nu))
+        return feat_i, rd.conditional_draw(L_ii, ls, sf2, U, F, Z_i, xi, scale=1.0 / nu), inc, rng
 
 
 @dataclass
@@ -130,7 +135,7 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
     factor (the Bartlett draws take children of rng), and returns
     (features, solved, increment) with features the generalized-Bartlett
     root (F F^T = G_ii), solved = L_ii^{-1} features, the one solve that the
-    prior density and dwp_conditional_testpoints read, and
+    prior density and the batch rows' draw read, and
     increment = log p(G_ii | G_ii_prev) - log q(G_ii | G_ii_prev), the prior
     density read from the solved root. The A-variant's block log-det enters
     both densities alike and is left out of both.
@@ -148,29 +153,3 @@ def dwp_posterior_layer(layer: GWishLayerPosterior, S_ii, L_ii, rng: rd.RngStrea
     logp = rd._wishart_log_density_root(Z, L_ii, int(layer.nu), ld_block)
     return feat, Z, de.sub(logp, logq)
 
-
-def dwp_conditional_testpoints(feat_i, Z_i, L_ii, ls, sf2, U, F, nu: int, rng: rd.RngStream):
-    """Sample imagined test-point features from the prior conditional, in
-    one draw from rng: returns (F_i, F_t), the inducing root padded with
-    zero columns to M x nu and the test points' root, whose Gram blocks are
-    G_ti = F_t F_i^T and g_tt = |F_t|^2 per row.
-
-    feat_i: (M, ntilde) root of the inducing Gram;
-    Z_i: L_ii^{-1} feat_i, the solved root, padded here with zero columns
-    as feat_i is (L^{-1} [F, 0] = [L^{-1} F, 0]);
-    L_ii: lower Cholesky factor of the prior scale block S_ii = K_ii / nu;
-    ls, sf2, U, F: the kernel's lengthscale and signal-variance nodes
-    (gram_kernel_blocks) and its inputs, the previous layer's inducing and
-    test roots, so that the test rows' prior scale blocks are S_ti = K_ti /
-    nu and s_tt = sf2 / nu, and per point F_t = S_ti S_ii^{-1} F_i +
-    sqrt(s_tt - s_ti S_ii^{-1} s_it) xi, drawn by rd.conditional_draw at
-    the padded Z_i with scale 1/nu."""
-    feat_i, Z_i = as_tensor(feat_i), as_tensor(Z_i)
-    width = feat_i.value.shape[-1]
-    if width < nu:
-        pad = as_tensor(np.zeros(feat_i.value.shape[:-1] + (nu - width,)))
-        feat_i, Z_i = (de.concat([x, pad], axis=-1) for x in (feat_i, Z_i))
-    elif width > nu:
-        raise ValueError("feature root wider than the layer width")
-    xi = rng.normal((as_tensor(F).value.shape[-2], nu))
-    return feat_i, rd.conditional_draw(L_ii, ls, sf2, U, F, Z_i, xi, scale=1.0 / nu)

@@ -10,7 +10,7 @@ from scipy.linalg import blas
 from . import diff_engine as de
 from . import rand_dist as rd
 from .diff_engine import DiffTensor, as_tensor
-from .kernels import KernelParams, _SeArd, _se_kdiag, _se_node, se_ard_features
+from .kernels import KernelParams, _SeArd, _se_node, se_ard_features
 
 __all__ = [
     "GpState", "SvgpState", "gaussian_bump_features", "gp_predict_lml",
@@ -38,13 +38,13 @@ class SvgpState(GpState):
     S_chol: object = None          # (M, M) lower Cholesky of S
 
     def marginals(self, X):
-        """(mean, var, kl) at inputs X, from the SE blocks K_zz, K_xz and
-        diagonal k_xx at one pair of kernel nodes."""
+        """(mean, var, kl) at inputs X, from the SE blocks K_zz and K_xz at one
+        pair of kernel nodes and the diagonal k_xx = sf2, which broadcasts."""
         kp = self.kernel_params
-        ls, sf2, Z, X = kp.lengthscales(), kp.sf2(), as_tensor(self.Z), as_tensor(X)
+        ls, sf2, Z = kp.lengthscales(), kp.sf2(), as_tensor(self.Z)
         K_zz, K_xz = _se_node(ls, sf2, Z), _se_node(ls, sf2, X, Z)
-        return rd.inducing_posterior(de.cholesky_factor(K_zz), de.transpose(K_xz),
-                                     _se_kdiag(sf2, len(X.value)), self.m, self.S_chol)
+        return rd.inducing_posterior(de.cholesky_factor(K_zz), de.transpose(K_xz), sf2, self.m,
+                                     self.S_chol)
 
 
 def gaussian_bump_features(X, centers, width) -> DiffTensor:
@@ -207,11 +207,15 @@ def svgp_elbo(state: SvgpState, Xb, yb, total_n, kl_scale=1.0) -> DiffTensor:
     """Uncollapsed sparse variational bound on a (mini)batch: (N/Nb) sum_n
     E_q[log N(y_n; f_n, s2)] - kl_scale * KL(q(u) || p(u)), the expectation in
     closed form, the moments and the KL from rand_dist.inducing_posterior."""
+    return _svgp_bound(state, *state.marginals(Xb), yb, total_n, kl_scale)
+
+
+def _svgp_bound(state: SvgpState, mean, var, kl, yb, total_n, kl_scale=1.0) -> DiffTensor:
+    """svgp_elbo from the marginals (mean, var, kl) at the batch rows."""
     yb = as_tensor(yb)
     nb = yb.value.shape[0]
     if nb < 1:
         raise ValueError("empty batch")
-    mean, var, kl = state.marginals(Xb)
     s2 = state.noise_var()
     ell = de.sub(rd.normal_log_density(yb, mean, s2),
                  de.tsum(de.div(var, de.elementwise("affine", s2, a=2.0))))

@@ -141,8 +141,3 @@ def _se_node(ls: DiffTensor, sf2: DiffTensor, X, X2=None, scale=1.0) -> DiffTens
     parents = (se.sf2, se.ls, X) if se.same else (se.sf2, se.ls, X, X2)
     return de.lift(se.K, parents, vjp, "se_kernel")
 
-
-def _se_kdiag(sf2, n: int) -> DiffTensor:
-    """Diagonal of the SE kernel at n points in O(n): sf2 * 1, sf2 being the
-    caller's node for the signal variance."""
-    return de.mul(sf2, as_tensor(np.ones(n)))

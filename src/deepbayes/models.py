@@ -43,6 +43,11 @@ def _test_metrics(dataset, objective: float, means, var, elbo_samples, pred_samp
             "elbo_samples": elbo_samples, "pred_samples": pred_samples}
 
 
+def _log_noise(p):
+    """A deep model's log noise variance, log sigma^2 = 10 log_noise_s."""
+    return de.elementwise("affine", p["log_noise_s"], a=10.0)
+
+
 # -- models -----------------------------------------------------------------------
 
 class _ClosedFormModel:
@@ -99,9 +104,8 @@ class BlrViModel(_ClosedFormModel):
         return self.sigma ** 2
 
     def predictive(self, params, dataset, X):
-        p = {k: as_tensor(v) for k, v in params.items()}
         n = dataset.X_train.shape[0]
-        elbo = self.objective(p, dataset.X_train, dataset.y_train, n, 1, None, 1.0)
+        elbo = self.objective(params, dataset.X_train, dataset.y_train, n, 1, None, 1.0)
         phi = self._phi(X).value
         var = np.sum((phi @ _chol_from_raw(params["chol_raw"]).value) ** 2, axis=1)
         return phi @ params["mean"], var, float(elbo.value)
@@ -143,9 +147,8 @@ class GpLmlModel(_ClosedFormModel):
         return lml
 
     def predictive(self, params, dataset, X):
-        p = {k: as_tensor(v) for k, v in params.items()}
-        st, feats = self._state_and_features(p, dataset.X_train)
-        _, x_feats = self._state_and_features(p, X)
+        st, feats = self._state_and_features(params, dataset.X_train)
+        _, x_feats = self._state_and_features(params, X)
         mean, var, lml = gm.gp_predict_lml(st, feats, dataset.y_train, x_feats)
         return mean.value, var.value, float(lml.value)
 
@@ -170,10 +173,11 @@ class SvgpModel(_ClosedFormModel):
         return gm.svgp_elbo(self._state(p), Xb, yb, total_n, kl_scale)
 
     def predictive(self, params, dataset, X):
-        st = self._state({k: as_tensor(v) for k, v in params.items()})
-        mean, var, _ = st.marginals(X)
-        elbo = gm.svgp_elbo(st, dataset.X_train, dataset.y_train, dataset.X_train.shape[0])
-        return mean.value, var.value, float(elbo.value)
+        # one marginals call over the training rows and X factorises K_zz once
+        st, n = self._state(params), dataset.X_train.shape[0]
+        mean, var, kl = st.marginals(np.concatenate([dataset.X_train, X]))
+        elbo = gm._svgp_bound(st, mean.value[:n], var.value[:n], kl, dataset.y_train, n)
+        return mean.value[n:], var.value[n:], float(elbo.value)
 
 
 class _MonteCarloModel:
@@ -200,26 +204,23 @@ class _MonteCarloModel:
         return dm.forward(*self.layers(p), X, rng)
 
     def objective(self, p, Xb, yb, total_n, n_samples, rng, kl_scale):
-        log_noise = de.elementwise("affine", as_tensor(p["log_noise_s"]), a=10.0)
-        return dm.mc_elbo(lambda st: self.forward(p, Xb, st), yb, total_n,
-                          n_samples, rng, log_noise, kl_scale)
+        F, inc = self.forward(p, Xb, rd.RngStream(rng.seed, n_samples))
+        return dm.mc_elbo(F, inc, yb, total_n, _log_noise(p), kl_scale)
 
     def predictive_samples(self, params, X, rng, n_samples):
         """(n_samples, n) predictive draws of the first output."""
-        p = {k: as_tensor(v) for k, v in params.items()}
-        return self.forward(p, X, rd.RngStream(rng.seed, n_samples))[0].value[..., 0]
+        return self.forward(params, X, rd.RngStream(rng.seed, n_samples))[0].value[..., 0]
 
     def evaluate(self, params, dataset, rng, n_samples):
         n = dataset.X_train.shape[0]
         sub = rng.split(2)
-        p = {k: as_tensor(v) for k, v in params.items()}
         n_elbo = min(n_samples, self.max_elbo_samples)
-        elbo = self.objective(p, dataset.X_train, dataset.y_train, n, n_elbo, sub[0], 1.0)
+        elbo = self.objective(params, dataset.X_train, dataset.y_train, n, n_elbo, sub[0], 1.0)
         n_pred = (n_samples if self.max_pred_samples is None
                   else min(n_samples, self.max_pred_samples))
         preds = self.predictive_samples(params, dataset.X_test, sub[1], n_pred)
         return _test_metrics(dataset, float(elbo.value), preds,
-                             float(np.exp(10.0 * params["log_noise_s"])), n_elbo, n_pred)
+                             float(np.exp(_log_noise(params).value)), n_elbo, n_pred)
 
 
 class BnnModel(_MonteCarloModel):

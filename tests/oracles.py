@@ -28,7 +28,7 @@ from deepbayes import rand_dist as rd
 from deepbayes.deep_models import PriorSpec, _prior_precision_scalar
 from deepbayes.diff_engine import DiffTensor, as_tensor
 from deepbayes.dwp import gram_kernel_blocks, standard_bartlett_params
-from deepbayes.kernels import KernelParams, _se_kdiag, _se_node, se_ard_features
+from deepbayes.kernels import KernelParams, _se_node, se_ard_features
 from deepbayes.rand_dist import RngStream
 
 
@@ -352,7 +352,13 @@ def gram_blocks_of_roots(kp: KernelParams, F_i, F_t, nu):
     rows inside its own node."""
     K_ii, ls, sf2 = gram_kernel_blocks(kp, F_i, nu)
     F_t = as_tensor(F_t)
-    return K_ii, _se_node(ls, sf2, F_t, F_i), _se_kdiag(sf2, F_t.value.shape[-2])
+    return K_ii, _se_node(ls, sf2, F_t, F_i), se_kdiag(sf2, F_t.value.shape[-2])
+
+
+def se_kdiag(sf2, n: int) -> DiffTensor:
+    """The SE kernel's diagonal at n points, sf2 * 1, as one mul node on the
+    caller's signal-variance node sf2."""
+    return de.mul(sf2, as_tensor(np.ones(n)))
 
 
 def se_conditional_chain(L, kp: KernelParams, U, F, Z, xi, scale=1.0, B=None):
@@ -361,7 +367,7 @@ def se_conditional_chain(L, kp: KernelParams, U, F, Z, xi, scale=1.0, B=None):
     se_ard_features(kp, F, U) and k_ff = sf2 per row, each scaled by an
     affine node unless scale is 1."""
     K_fu = se_ard_features(kp, F, U)
-    k_ff = _se_kdiag(kp.sf2(), as_tensor(F).value.shape[-2])
+    k_ff = se_kdiag(kp.sf2(), as_tensor(F).value.shape[-2])
     if scale != 1.0:
         K_fu, k_ff = (de.elementwise("affine", K, a=scale) for K in (K_fu, k_ff))
     return conditional_chain(L, K_fu, k_ff, Z, xi, B)
@@ -554,7 +560,7 @@ def svgp_collapsed_bound(state: gm.SvgpState, X, y):
     W = de.triangular_solve(Lz, Kzx)                 # Lz^{-1} Kzx
     Q = de.matmul(de.transpose(W), W)
     fit = mvn_log_density(y, np.zeros(n), add_diagonal(Q, s2))
-    kdiag = _se_kdiag(state.kernel_params.sf2(), n)
+    kdiag = se_kdiag(state.kernel_params.sf2(), n)
     trace_gap = de.sub(de.tsum(kdiag), de.tsum(de.diag_part(Q)))
     bound = de.sub(fit, de.div(trace_gap, de.elementwise("affine", s2, a=2.0)))
 

@@ -518,11 +518,14 @@ def test_criterion_11_imagined_feature_root_invariance():
     assert np.allclose(roots[0] @ roots[0].T, roots[1] @ roots[1].T, atol=1e-12)
 
     L_ii = np.linalg.cholesky(S_ii)
-    draws = [dw.dwp_conditional_testpoints(R, de.triangular_solve(L_ii, R), L_ii, kp.lengthscales(),
-                                           kp.sf2(), X[:M], X[M:], nu, rd.RngStream(1100 + i, K))
+    # each root's test rows as a Gram layer draws them: one conditional_draw
+    # at the solved root with scale 1/nu, from one draw of the stream
+    draws = [(R, rd.conditional_draw(L_ii, kp.lengthscales(), kp.sf2(), X[:M], X[M:],
+                                     de.triangular_solve(L_ii, R),
+                                     rd.RngStream(1100 + i, K).normal((nt, nu)), scale=1.0 / nu))
              for i, R in enumerate(roots)]
     # the cross blocks G_ti = F_t F_i^T and g_tt = |F_t|^2 of each draw's roots
-    (a1, b1), (a2, b2) = [(F_t.value @ F_i.value.T, np.sum(F_t.value ** 2, axis=-1))
+    (a1, b1), (a2, b2) = [(F_t.value @ F_i.T, np.sum(F_t.value ** 2, axis=-1))
                           for F_i, F_t in draws]
     ratios = [_se_ratio(x1.mean(axis=0) - x2.mean(axis=0),
                         np.sqrt(x1.var(axis=0) / K + x2.var(axis=0) / K))
@@ -647,8 +650,8 @@ def test_criterion_15_dwp_elbo_rotation_invariance():
     y = rng.standard_normal(5)
 
     def elbo(Xi, X):
-        return float(dm.mc_elbo(lambda st: dm.forward(layers, Xi, X, st), y, 5, 1,
-                                rd.RngStream(150), np.log(0.3)).value)
+        return float(dm.mc_elbo(*dm.forward(layers, Xi, X, rd.RngStream(150, 1)), y, 5,
+                                np.log(0.3)).value)
     e1 = elbo(Xi, Xt)
     Q, _ = np.linalg.qr(rng.standard_normal((D, D)))
     e2 = elbo(Xi @ Q, Xt @ Q)

@@ -16,7 +16,7 @@ from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.diff_engine import as_tensor
 from deepbayes.dwp import _chol_from_raw
-from deepbayes.kernels import KernelParams, _se_kdiag, se_ard_features
+from deepbayes.kernels import KernelParams, se_ard_features
 
 # every Monte-Carlo kind, and the BNN whose prior scale is sampled per draw
 MC_KINDS = ["bnn-gi", "bnn-fac", "dgp-gi", "dgp-dsvi", "dwp", "dwp-a", "dwp-ab",
@@ -346,7 +346,7 @@ def _ref_dsvi_terms(p, F, rng):
     F = as_tensor(F)
     K_fz = se_ard_features(kp, F, p["Z"])
     W, base_var = oracles.gaussian_conditional(L, de.transpose(K_fz),
-                                               _se_kdiag(kp.sf2(), F.value.shape[-2]))
+                                               oracles.se_kdiag(kp.sf2(), F.value.shape[-2]))
     mean = de.matmul(de.transpose(W), de.triangular_solve(L, p["m"]))
     U_sol = de.triangular_solve(L, W, trans=True)
     means, vars_, kl = [], [], as_tensor(np.asarray(0.0))

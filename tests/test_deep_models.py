@@ -90,7 +90,7 @@ def test_gi_layer_posterior_matches_ridge_regression():
     S_ref = np.linalg.inv(prec)
     mean_ref = S_ref @ psi_U.T @ (lam * V[:, 0])
     # recover the implied posterior from 2000 draws, made in one call
-    draws = layer._weights(U, d, None, rd.RngStream(1, 2000), False)[0].value[..., 0]
+    draws = layer._weights(U, d, 1.0, rd.RngStream(1, 2000), False)[0].value[..., 0]
     se = np.sqrt(np.diag(S_ref) / len(draws))
     assert np.all(np.abs(draws.mean(0) - mean_ref) < 4 * se)
     assert np.max(np.abs(np.cov(draws.T) - S_ref)) < 0.15 * np.max(np.abs(S_ref))
@@ -100,7 +100,7 @@ def test_gi_layer_propagates_inducing_outputs():
     rng = np.random.default_rng(2)
     U = rng.standard_normal((4, 2))
     layer = GiBnnLayer(V=rng.standard_normal((4, 2)), log_lambda=np.zeros(4))
-    W, _, U_next = layer._weights(U, 3, None, rd.RngStream(0), False)
+    W, _, U_next = layer._weights(U, 3, 1.0, rd.RngStream(0), False)
     assert np.allclose(U_next.value, _with_bias(U) @ W.value)
 
 
@@ -127,7 +127,7 @@ def test_bnn_elbo_zero_layers_is_average_log_likelihood():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(5)
     X1 = rng.standard_normal((5, 1))
-    got = mc_elbo(lambda st: forward([], None, X1, st), y, 5, 3, rd.RngStream(0), np.log(0.5))
+    got = mc_elbo(*forward([], None, X1, rd.RngStream(0, 3)), y, 5, np.log(0.5))
     ref = rd.normal_log_density(y, X1[:, 0], np.asarray(0.5)).value.sum()
     assert np.isclose(got.value, ref)
 
@@ -142,7 +142,7 @@ def test_bnn_elbo_matched_factorised_posterior_equals_prior_expectation():
     layer = FacBnnLayer(mean_scaled=np.zeros((d0, 1)),
                         log_std=np.full((d0, 1), -0.5 * np.log(d0)),
                         prior=prior)
-    e1 = mc_elbo(lambda st: forward([layer], None, X, st), y, 6, 4, rd.RngStream(7), 0.0)
+    e1 = mc_elbo(*forward([layer], None, X, rd.RngStream(7, 4)), y, 6, 0.0)
     # the value is the average prior-sample log likelihood: each term is the
     # per-sample forward reading its row of each draw, with zero increment
     lls = []
@@ -153,8 +153,7 @@ def test_bnn_elbo_matched_factorised_posterior_equals_prior_expectation():
     assert np.ptp(lls) > 0
     assert abs(e1.value - np.mean(lls)) <= 1e-12
     # kl scaling cannot change the value
-    e2 = mc_elbo(lambda st: forward([layer], None, X, st), y, 6, 4, rd.RngStream(7), 0.0,
-                 kl_scale=0.0)
+    e2 = mc_elbo(*forward([layer], None, X, rd.RngStream(7, 4)), y, 6, 0.0, kl_scale=0.0)
     assert np.isclose(e1.value, e2.value, atol=1e-10)
 
 
@@ -166,7 +165,7 @@ def test_bnn_elbo_minibatch_partition_recovers_full_batch_data_term():
                         log_std=np.full((2, 1), -1.0), prior=PriorSpec("neal"))
     # same weight draw via the same seed: scaled batch terms average to the full
     def elbo(Xb, yb):
-        return mc_elbo(lambda st: forward([layer], None, Xb, st), yb, 8, 1, rd.RngStream(9), 0.0)
+        return mc_elbo(*forward([layer], None, Xb, rd.RngStream(9, 1)), yb, 8, 0.0)
     full = elbo(X, y)
     parts = [elbo(X[i:i + 4], y[i:i + 4]) for i in (0, 4)]
     assert np.isclose(np.mean([p.value for p in parts]), full.value, atol=1e-9)
@@ -175,8 +174,8 @@ def test_bnn_elbo_minibatch_partition_recovers_full_batch_data_term():
 def test_bnn_elbo_gi_requires_inducing_inputs():
     layer = GiBnnLayer(V=np.zeros((3, 1)), log_lambda=np.zeros(3))
     with pytest.raises(ValueError):
-        mc_elbo(lambda st: forward([layer], None, np.zeros((2, 1)), st), np.zeros(2), 2, 1,
-                rd.RngStream(0), 0.0)
+        mc_elbo(*forward([layer], None, np.zeros((2, 1)), rd.RngStream(0, 1)), np.zeros(2), 2,
+                0.0)
 
 
 def test_bnn_elbo_stays_below_analytic_lml_linear_model():
@@ -189,8 +188,8 @@ def test_bnn_elbo_stays_below_analytic_lml_linear_model():
     prior = PriorSpec("neal")
     layer = FacBnnLayer(mean_scaled=rng.standard_normal((d0, 1)) * 0.2,
                         log_std=np.full((d0, 1), -1.2), prior=prior)
-    vals = [mc_elbo(lambda st: forward([layer], None, X, st), y, 10, 1,
-                    rd.RngStream(1000 + k), np.log(0.25)).value
+    vals = [mc_elbo(*forward([layer], None, X, rd.RngStream(1000 + k, 1)), y, 10,
+                    np.log(0.25)).value
             for k in range(300)]
     # exact marginal: weights ~ N(0, I/d0), features (x, 1)
     phi = np.concatenate([X, np.ones((10, 1))], axis=1)
@@ -210,8 +209,7 @@ def test_bnn_elbo_gradients():
                              prior=PriorSpec("neal")),
                   GiBnnLayer(V=ps["V1"], log_lambda=ps["ll1"],
                              prior=PriorSpec("neal"))]
-        return mc_elbo(lambda st: forward(layers, ps["U0"], X, st),
-                       y, 5, 2, rd.RngStream(11), ps["ln"])
+        return mc_elbo(*forward(layers, ps["U0"], X, rd.RngStream(11, 2)), y, 5, ps["ln"])
     rep = de.finite_diff_check(fn, {
         "V0": rng.standard_normal((3, 2)), "ll0": rng.standard_normal(3) * 0.3,
         "V1": rng.standard_normal((3, 1)), "ll1": rng.standard_normal(3) * 0.3,
@@ -231,7 +229,7 @@ def test_gi_linear_last_layer_on_fixed_features_is_blr():
     noise = 0.3
     layer = GiBnnLayer(V=V, log_lambda=np.full(M, -np.log(noise)),
                        prior=PriorSpec("neal"))
-    draws = np.stack([layer._weights(U, d, None, rd.RngStream(s), True)[0].value[:, 0]
+    draws = np.stack([layer._weights(U, d, 1.0, rd.RngStream(s), True)[0].value[:, 0]
                       for s in range(4000)])
     prec = d * np.eye(d) + psi_U.T @ psi_U / noise
     S_ref = np.linalg.inv(prec)
@@ -318,7 +316,7 @@ def test_gi_increment_is_the_log_density_ratio_at_the_draw(root):
     V = rng.standard_normal((M, w))
     if root.startswith("scalar"):
         A = rng.standard_normal((M, d))
-        prior, s = ((PriorSpec("neal"), None) if root == "scalar" else
+        prior, s = ((PriorSpec("neal"), 1.0) if root == "scalar" else
                     (PriorSpec("scale"), rng.gamma(2.0, 0.5, (S, 1, 1))))
         L = _gi_bnn_root(prior, d, s)
         LinvX, inc = _gi_draw(L, A, log_lam, V, rd.RngStream(4, S))

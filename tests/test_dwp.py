@@ -4,8 +4,8 @@ import pytest
 from deepbayes import diff_engine as de
 from deepbayes import rand_dist as rd
 from deepbayes.deep_models import forward, mc_elbo
-from deepbayes.dwp import (DwpOutputLayer, GWishLayerPosterior, dwp_conditional_testpoints,
-                           dwp_posterior_layer, gram_kernel_blocks, standard_bartlett_params)
+from deepbayes.dwp import (DwpOutputLayer, GWishLayerPosterior, dwp_posterior_layer,
+                           gram_kernel_blocks, standard_bartlett_params)
 from deepbayes.kernels import KernelParams
 
 from oracles import (dwp_prior_layer, gram_blocks_of_roots, gwish_full_density, sample_rows,
@@ -44,11 +44,25 @@ def _se_scale(rng, M, nt, nu, d=2):
     return X[:M], X[M:], K / nu
 
 
+def _draw_rows(feat_i, Z_i, L_ii, U, F, nu, rng):
+    """(F_i, F_t) as GWishLayerPosterior.sample draws them, at unit kernel
+    parameters: the inducing root F_i and its solve Z_i = L_ii^{-1} F_i
+    padded with zero columns to width nu, and the test rows' root F_t, one
+    rd.conditional_draw at the padded Z_i with scale 1/nu from one draw of
+    rng."""
+    feat_i, Z_i = de.as_tensor(feat_i), de.as_tensor(Z_i)
+    width = feat_i.value.shape[-1]
+    if width < nu:
+        pad = de.as_tensor(np.zeros(feat_i.value.shape[:-1] + (nu - width,)))
+        feat_i, Z_i = (de.concat([x, pad], axis=-1) for x in (feat_i, Z_i))
+    xi = rng.normal((np.shape(F)[-2], nu))
+    return feat_i, rd.conditional_draw(L_ii, 1.0, 1.0, U, F, Z_i, xi, scale=1.0 / nu)
+
+
 def _testpoints(feat_i, U, F, S_ii, nu, rng):
-    """dwp_conditional_testpoints at the kernel inputs (U, F) of _se_scale."""
+    """_draw_rows at the kernel inputs (U, F) of _se_scale."""
     L_ii = np.linalg.cholesky(S_ii)
-    return dwp_conditional_testpoints(feat_i, de.triangular_solve(L_ii, feat_i), L_ii, 1.0, 1.0,
-                                      U, F, nu, rng)
+    return _draw_rows(feat_i, de.triangular_solve(L_ii, feat_i), L_ii, U, F, nu, rng)
 
 
 def _prior_scale(G0, nu_prev, nu):
@@ -61,7 +75,7 @@ def _prior_scale(G0, nu_prev, nu):
 # -- kernel blocks from the roots of Gram blocks ------------------------------------------
 
 def _gram_blocks(roots):
-    """(G_ti, g_tt), the Gram blocks of dwp_conditional_testpoints' roots."""
+    """(G_ti, g_tt), the Gram blocks of _draw_rows' roots."""
     F_i, F_t = (r.value for r in roots)
     return F_t @ np.swapaxes(F_i, -1, -2), np.sum(F_t * F_t, axis=-1)
 
@@ -119,8 +133,8 @@ def test_testpoints_pad_the_solved_root_as_the_solve_of_the_padded_root():
         L_ii = de.cholesky_factor(S[:M, :M] + 0.1 * A @ np.swapaxes(A, -1, -2))
         feat = np.tril(rng.standard_normal(lead + (M, M)))
         padded = np.concatenate([feat, np.zeros(lead + (M, nu - M))], axis=-1)
-        draws = [dwp_conditional_testpoints(root, de.triangular_solve(L_ii, root), L_ii, 1.0, 1.0,
-                                            U, F, nu, rd.RngStream(4, lead[0] if lead else None))
+        draws = [_draw_rows(root, de.triangular_solve(L_ii, root), L_ii, U, F, nu,
+                            rd.RngStream(4, lead[0] if lead else None))
                  for root in (feat, padded)]
         assert all(np.array_equal(a.value, b.value) for a, b in zip(*draws)), lead
 
@@ -292,8 +306,32 @@ def test_conditional_testpoints_zero_pads_singular_roots():
     F_i, F_t = _testpoints(feat_i, U, F, S[:M, :M], nu, rd.RngStream(0))
     assert F_i.value.shape == (M, nu) and F_t.value.shape == (1, nu)
     assert np.array_equal(F_i.value, np.pad(feat_i, ((0, 0), (0, nu - 4))))
-    with pytest.raises(ValueError):
-        _testpoints(rng.standard_normal((M, 7)), U, F, S[:M, :M], 6, rd.RngStream(0))
+
+
+def test_gram_layer_pads_roots_narrower_than_nu():
+    # at M < nu the Bartlett root is M wide: the layer hands on the root
+    # padded with zero columns to M x nu, and draws the batch rows at the
+    # padded solved root, bitwise as one conditional_draw there, with and
+    # without a sample axis
+    rng = np.random.default_rng(14)
+    M, nu, nb = 3, 5, 4
+    layer = _posterior(M, nu, rng=rng, spread=0.1)
+    layer.kernel_params = KernelParams(log_sf2=0.1, log_lengthscales=0.2)
+    U, F = rng.standard_normal((M, 2)), rng.standard_normal((nb, 2))
+    for S in (None, 2):
+        U_next, F_next, _, _ = layer.sample(U, F, rd.RngStream(7, S))
+        lead = () if S is None else (S,)
+        assert U_next.value.shape == lead + (M, nu) and not np.any(U_next.value[..., M:])
+        S_ii, ls, sf2 = gram_kernel_blocks(layer.kernel_params, U, 1, 1.0 / nu)
+        L_ii = de.cholesky_factor(S_ii)
+        post_rng, rows_rng, _ = rd.RngStream(7, S).split(3)
+        feat, Z, _ = dwp_posterior_layer(layer, S_ii, L_ii, post_rng)
+        assert np.array_equal(U_next.value[..., :M], feat.value)
+        Z_pad = np.concatenate([Z.value, np.zeros(lead + (M, nu - M))], axis=-1)
+        want = rd.conditional_draw(L_ii, ls, sf2, U, F, Z_pad, rows_rng.normal((nb, nu)),
+                                   scale=1.0 / nu)
+        assert F_next.value.shape == lead + (nb, nu)
+        assert np.array_equal(F_next.value, want.value), S
 
 
 def test_conditional_testpoints_degenerate_at_inducing_row():
@@ -337,7 +375,7 @@ LOG_NOISE = np.log(0.3)
 def _elbo(state, Xt, y, total_n, rng, n_samples=1, kl_scale=1.0, log_noise=LOG_NOISE):
     """The deep-Wishart ELBO as the model runs it: mc_elbo over the layer
     loop, state being (layers, inducing inputs)."""
-    return mc_elbo(lambda st: forward(*state, Xt, st), y, total_n, n_samples, rng,
+    return mc_elbo(*forward(*state, Xt, rd.RngStream(rng.seed, n_samples)), y, total_n,
                    log_noise, kl_scale)
 
 

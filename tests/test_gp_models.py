@@ -7,13 +7,14 @@ import pytest
 from deepbayes import diff_engine as de
 from deepbayes import gp_models
 from deepbayes import rand_dist as rd
-from deepbayes.bench_cli import GpLmlModel, gen_cubic_toy, gen_deep_linear
+from deepbayes.bench_cli import GpLmlModel, SvgpModel, gen_cubic_toy, gen_deep_linear
 from deepbayes.diff_engine import as_tensor
 from deepbayes.gp_models import (GpState, SvgpState, dkl_forward, gaussian_bump_features,
                                  gp_predict_lml, make_bump_centers, svgp_elbo)
 from deepbayes.kernels import KernelParams, _SeArd, se_ard_features
 
 from counts import engine_calls
+from fingerprint import synthetic_200
 from oracles import (BlrState, blr_fit_predict_lml, gp_chain, mvn_log_density, prop31_check,
                      svgp_collapsed_bound)
 
@@ -607,6 +608,17 @@ def test_svgp_gradients():
                                     "lsf": np.asarray(0.1), "lls": np.asarray(0.2),
                                     "lnv": np.asarray(-1.2)})
     assert rep["passed"], rep
+
+
+def test_svgp_evaluate_factorises_k_zz_once():
+    # the training rows' bound and the test rows' marginals come from one
+    # marginals call over both, so one evaluate builds and factorises K_zz
+    # once, on criterion 14's data
+    ds = synthetic_200(0)
+    model = SvgpModel(ds, M=20)
+    with engine_calls() as calls:
+        model.evaluate(model.init_params(), ds, rd.RngStream(0), 3)
+    assert sum(n for k, n in calls.items() if k.startswith("factorised")) == 1, calls
 
 
 # -- deterministic feature extractors ---------------------------------------------------

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as hst
 
 from deepbayes import diff_engine as de
 from deepbayes.dwp import gram_kernel_blocks
-from deepbayes.kernels import KernelParams, _se_kdiag, se_ard_features
+from deepbayes.kernels import KernelParams, se_ard_features
 
-from oracles import add_diagonal, logdet_psd, se_from_gram
+from oracles import add_diagonal, logdet_psd, se_from_gram, se_kdiag
 
 
 def test_diagonal_equals_signal_variance():
@@ -115,11 +115,13 @@ def test_gram_kernel_rotation_invariance():
 
 
 def test_kdiag_matches_the_kernel_diagonal():
-    # the O(n) diagonal against the diagonal of the n x n kernel
+    # the O(n) diagonal sf2 * 1 that the references build, and that
+    # SvgpState.marginals reads as sf2 broadcast, against the diagonal of
+    # the n x n kernel
     X = np.random.default_rng(9).standard_normal((30, 3))
     p = KernelParams(log_sf2=0.3, log_lengthscales=np.log([0.5, 1.0, 2.0]))
     K = se_ard_features(p, X)
-    got = _se_kdiag(p.sf2(), 30).value
+    got = se_kdiag(p.sf2(), 30).value
     assert got.shape == (30,)
     assert np.max(np.abs(got - np.diag(K.value))) <= 1e-14 * np.max(got)
 
